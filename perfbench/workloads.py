@@ -47,7 +47,8 @@ REPEATS = 10           # timings of steps under ~0.3 s: median of several
 def fresh_zeros(seed, level):
     """The seed's order of the level's fresh-zero pool."""
     pool = ZERO_POOLS[level]
-    return [int(z) for z in np.random.default_rng(seed).permutation(pool)]
+    rng = np.random.default_rng(abs(seed))
+    return [int(z) for z in rng.permutation(pool)]
 
 
 def end_to_end(run, peak_rss_mb):
@@ -373,7 +374,8 @@ def solvers_l5c2(run, seed, work, root):
         with run.op("mt-probe"):
             value = run.repeat(
                 "stability_s", REPEATS,
-                lambda: todalab.mt_probe(cover, samples=8, seed=seed + index))
+                lambda: todalab.mt_probe(cover, samples=8,
+                                         seed=abs(seed) + index))
             check(math.isfinite(value) and value > 0.0,
                   f"Moser-Trudinger probe value {value!r}")
 
