@@ -16,10 +16,13 @@ Python heap and dict work, a sparse LU factor-and-solve, vector arithmetic;
 NumPy and SciPy only, no todalab code), and its wall time is reported
 scaled to the reference speed:
 
-    seconds = raw seconds x REFERENCE_KERNEL_S / mean kernel time,
+    seconds = raw seconds x REFERENCE_S[kind] / mean kernel time,
 
 the mean taken over the kernels run just before, inside and just after the
-block.  Kernel time is excluded from the raw time of the block around it.
+block.  Dense LAPACK work does not slow with that kernel, so a block timed
+with `dense=True` (the dense eigen-solve of `stability_check`) is scaled
+the same way by a second kernel, a dense symmetric eigen-solve.  Kernel
+time is excluded from the raw time of the block around it.
 A `toda` child process runs the kernel itself just before and after the
 command (see launch.py), since it may run on the other core than the
 parent, and is scaled by those kernels.  The raw medians are printed as
@@ -34,29 +37,45 @@ import sys
 import time
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from todalab import TodaError
 
-# Kernel time on the reference machine (2-core shared VM, Python 3.11,
-# NumPy 2.4, SciPy 1.17), taken as the faster of two runs.
-REFERENCE_KERNEL_S = 0.016
+# Kernel times on the reference machine (2-core shared VM, Python 3.11,
+# NumPy 2.4, SciPy 1.17, one BLAS thread), each the faster of two runs.
+REFERENCE_S = {"sparse": 0.016, "dense": 0.018}
 FRESH_S = 0.25  # a kernel run this recently still brackets a new block
 
 
 class SpeedProbe:
-    """The calibration kernel and the times it took in this run."""
+    """The calibration kernels and the times they took in this run.
 
-    def __init__(self, size=4000):
+    Two kernels, by kind: "sparse" (interpreter work and a sparse LU, for
+    every block but dense ones) and "dense" (a dense eigen-solve).  A
+    `toda` child process, whose metrics are none of them dense, makes its
+    probe with `dense=False` and runs only the first.
+    """
+
+    def __init__(self, size=4000, dense=True):
         ones = np.ones(size)
         self.matrix = sp.diags(
             [4.0 * ones, -ones[1:], -ones[1:], -ones[60:], -ones[60:]],
             [0, 1, -1, 60, -60], format="csc")
-        self.rhs = np.random.default_rng(0).standard_normal(size)
-        self.times = []
+        rng = np.random.default_rng(0)
+        self.rhs = rng.standard_normal(size)
+        self.kernels = {"sparse": self._kernel}
+        if dense:
+            # A generalized problem with a diagonal mass matrix, as in
+            # stability_check, at a size that runs in ~20 ms.
+            half = rng.standard_normal((400, 400))
+            self.symmetric = half + half.T
+            self.mass = np.diag(1.0 + rng.random(400))
+            self.kernels["dense"] = self._dense_kernel
+        self.times = {kind: [] for kind in self.kernels}
+        self.last_end = dict.fromkeys(self.kernels, -np.inf)
         self.spent = 0.0
-        self.last_end = -np.inf
 
     def _kernel(self):
         heap = []
@@ -69,28 +88,33 @@ class SpeedProbe:
         x = spla.splu(self.matrix).solve(self.rhs)
         return float(np.exp(-np.abs(x)).sum()) + len(table)
 
-    def measure(self):
-        """Run the kernel twice and keep the faster time."""
-        best = np.inf
+    def _dense_kernel(self):
+        return float(la.eigh(self.symmetric, self.mass,
+                             eigvals_only=True)[0])
+
+    def measure(self, kind=None):
+        """Run a kernel (each one, without `kind`) twice; keep the faster."""
         start = time.perf_counter()
-        for _ in range(2):
-            begin = time.perf_counter()
-            self._kernel()
-            best = min(best, time.perf_counter() - begin)
-        self.last_end = time.perf_counter()
-        self.spent += self.last_end - start
-        self.times.append(best)
+        for name in self.kernels if kind is None else (kind,):
+            best = np.inf
+            for _ in range(2):
+                begin = time.perf_counter()
+                self.kernels[name]()
+                best = min(best, time.perf_counter() - begin)
+            self.times[name].append(best)
+            self.last_end[name] = time.perf_counter()
+        self.spent += time.perf_counter() - start
 
-    def bracket(self):
-        """Index of the kernel time that opens a new block."""
-        if time.perf_counter() - self.last_end > FRESH_S:
-            self.measure()
-        return len(self.times) - 1
+    def bracket(self, kind):
+        """Where the kernel times that open a new block start."""
+        if time.perf_counter() - self.last_end[kind] > FRESH_S:
+            self.measure(kind)
+        return len(self.times[kind]) - 1
 
-    def scale(self, first):
+    def scale(self, first, kind):
         """Close a block opened at `first`: the factor to reference speed."""
-        self.measure()
-        return REFERENCE_KERNEL_S / statistics.mean(self.times[first:])
+        self.measure(kind)
+        return REFERENCE_S[kind] / statistics.mean(self.times[kind][first:])
 
 
 class CheckFailed(Exception):
@@ -141,28 +165,47 @@ class Run:
             self.tracer.phase = name
 
     @contextlib.contextmanager
-    def timed(self, metric):
+    def timed(self, metric, dense=False):
         """Add the block's scaled time to `metric` if it ends without error."""
-        first = self.probe.bracket()
+        kind = "dense" if dense else "sparse"
+        first = self.probe.bracket(kind)
         spent = self.probe.spent
         start = time.perf_counter()
         yield
         raw = time.perf_counter() - start - (self.probe.spent - spent)
-        self._add(metric, [raw], self.probe.scale(first))
+        self._add(metric, [raw], self.probe.scale(first, kind))
 
-    def repeat(self, metric, times, action):
+    def repeat(self, metric, times, action, dense=False, interleave=False,
+               batch=1):
         """Time `action()` `times` times into `metric`; return its result.
 
-        For steps of a few milliseconds, whose single timings scatter.
+        For steps of a few milliseconds, whose single timings scatter.  With
+        `interleave`, the kernel also runs between repetitions, so that the
+        speed of a block of steps of ~0.1 s is estimated from as many kernel
+        runs as there are steps, not from the two at its ends.  With `batch`,
+        each repetition calls `action` that many times in a row and counts
+        as one sample of the mean call.
         """
-        first = self.probe.bracket()
+        kind = "dense" if dense else "sparse"
+        first = self.probe.bracket(kind)
         raws = []
-        for _ in range(times):
+        for index in range(times):
+            if interleave and index > 0:
+                self.probe.measure(kind)
             start = time.perf_counter()
-            result = action()
-            raws.append(time.perf_counter() - start)
-        self._add(metric, raws, self.probe.scale(first))
+            for _ in range(batch):
+                result = action()
+            raws.append((time.perf_counter() - start) / batch)
+        self._add(metric, raws, self.probe.scale(first, kind))
         return result
+
+    def checkpoint(self):
+        """Run the kernel inside a long timed block, between its steps.
+
+        Its time leaves the block's raw time and its speeds join the block's
+        estimate, which then follows the machine through the block.
+        """
+        self.probe.measure("sparse")
 
     def child(self, metric, raw, kernel_times, kernel_spent):
         """Account for a child process that ran the kernel itself.
@@ -171,10 +214,10 @@ class Run:
         kernel time leaves their raw time; with a `metric`, the process's
         own time is scaled by the kernels it ran, on its own core.
         """
-        self.probe.times.extend(kernel_times)
+        self.probe.times["sparse"].extend(kernel_times)
         self.probe.spent += kernel_spent
         if metric is not None:
-            self._add(metric, [raw - kernel_spent], REFERENCE_KERNEL_S
+            self._add(metric, [raw - kernel_spent], REFERENCE_S["sparse"]
                       / statistics.mean(kernel_times))
 
     def _add(self, metric, raws, factor):

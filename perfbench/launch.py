@@ -3,9 +3,10 @@
 Usage: launch.py REPORT_FILE TRACE PHASE SPAWN_TIME TODA_ARG...
 
 The command is `todalab.cli.main(TODA_ARG...)`, whose exit code becomes
-this process's.  Around it the benchmark's calibration kernel runs before
-and after, on whichever core this process got, so the parent can scale the
-process's wall time by the speed of that core at that time.
+this process's.  Around it the benchmark's calibration kernel runs before,
+after and (untraced) once a second during it, on whichever core this
+process got, so the parent can scale the process's wall time by the speed
+of that core at that time.
 With TRACE=1 the span wrappers are installed first.  SPAWN_TIME is the
 parent's `time.monotonic()` just before it started this process; the time
 from there to the first kernel is the process's start-up time.  The kernel
@@ -14,11 +15,14 @@ as JSON.
 """
 
 import json
+import signal
 import sys
 import time
 
 from harness import SpeedProbe
 from tracing import Tracer
+
+SAMPLE_S = 1.0
 
 
 def main():
@@ -28,18 +32,26 @@ def main():
     if trace:
         tracer.install()
     import todalab.cli
-    probe = SpeedProbe()
+    probe = SpeedProbe(dense=False)
     startup = time.monotonic() - spawned
     # The first kernel in a fresh process runs cold (code pages, first
     # allocations); it is run and timed but not kept as a speed sample.
     probe.measure()
-    probe.times.clear()
+    probe.times["sparse"].clear()
     probe.measure()
+    if not trace:
+        # The machine's speed can change within a command of a few
+        # seconds, so the kernel also runs every SAMPLE_S seconds during
+        # it (its time leaves the command's, as at the ends).
+        signal.signal(signal.SIGALRM, lambda signum, frame: probe.measure())
+        signal.setitimer(signal.ITIMER_REAL, SAMPLE_S, SAMPLE_S)
     try:
         return todalab.cli.main(sys.argv[5:])
     finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
         probe.measure()
-        report = {"kernel_times": probe.times, "kernel_spent": probe.spent,
+        report = {"kernel_times": probe.times["sparse"],
+                  "kernel_spent": probe.spent,
                   "trace": tracer.trace(startup) if trace else None}
         with open(report_file, "w") as handle:
             json.dump(report, handle, separators=(",", ":"))

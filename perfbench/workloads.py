@@ -41,7 +41,9 @@ ZERO_POOLS = {
         3905, 3798, 7366, 1283, 6136),
 }
 PROCESS_TIMEOUT = 150  # seconds for one `toda` process
-REPEATS = 10           # timings of steps under ~0.3 s: median of several
+SETUPS = 2             # timed set-ups of cli-l3c2 and solvers-l5c2
+REPEATS = 8            # timings of steps under ~0.3 s: median of several
+SOLVE_REPEATS = 3      # timings of each solvers-l5c2 scalar and bundle solve
 
 
 def fresh_zeros(seed, level):
@@ -54,10 +56,8 @@ def fresh_zeros(seed, level):
 def end_to_end(run, peak_rss_mb):
     names = ("setup_s", "total_s", "solve_s", "verify_s", "stability_s",
              "probe_s", "scalar_solve_s", "bundle_solve_s", "io_s")
-    # stability_s stays a raw wall time: its dense eigen-solve did not slow
-    # with the calibration kernel, so scaling widened its spread.
-    metrics = {name: {"value": run.median(name, raw=name == "stability_s"),
-                      "unit": "s"} for name in names}
+    metrics = {name: {"value": run.median(name), "unit": "s"}
+               for name in names}
     metrics["peak_rss_mb"] = {"value": peak_rss_mb, "unit": "MB"}
     return metrics
 
@@ -72,7 +72,8 @@ def _probe(run, cover, base):
     with run.op("probe"):
         cover_values, base_values = run.repeat(
             "probe_s", REPEATS, lambda: (operators.eig_low(cover, k=6)[0],
-                                         operators.eig_low(base, k=3)[0]))
+                                         operators.eig_low(base, k=3)[0]),
+            interleave=True)
         checks.spectrum(cover_values, base_values)
 
 
@@ -142,7 +143,7 @@ def cli_l3c2(run, seed, work, root):
              "base.json", "--base-density", "base_dens", "--zero-vertex",
              str(zero), "-o", "cover_dens")
 
-    run.setup(setup, 3)
+    run.setup(setup, SETUPS)
 
     # The benchmark's own copy of the inputs, for checking outputs.
     with open(path("cover.json")) as handle:
@@ -150,8 +151,39 @@ def cli_l3c2(run, seed, work, root):
     _mesh_checks(cover)
     density = fileio.read_density(path("cover_dens"), cover)
     checks.density(density, COVER_N)
+    # Also fills this mesh's systole cache before `stability_check` is timed.
     checks.systole(operators.systole(cover))
     volume = operators.volume(cover)
+
+    def short_processes():
+        """`export`, `solve-gauss` and `solve-ricci`, one process each.
+
+        Each runs ~0.5 s, mostly start-up, so a single process is a noisy
+        sample: a round runs this trio three times, between its long
+        processes, so that the samples spread over the round.
+        """
+        with run.op("export"):
+            toda("export", "--mesh", "cover.json", "--run", "run",
+                 "-o", "fields.vtk", metric="io_s")
+            with open(path("fields.vtk")) as handle:
+                text = handle.read()
+            V = cover.num_vertices
+            check(f"POINTS {V} double" in text
+                  and f"POINT_DATA {V}" in text
+                  and text.count("SCALARS ") == 4, "VTK export layout")
+        with run.op("solve-gauss"):
+            toda("solve-gauss", "--mesh", "cover.json", "--constant",
+                 "0.1", "-o", "gauss", metric="scalar_solve_s")
+            _, u_const = fileio.read_field_csv(path("gauss_u.csv"), "u")
+            checks.constant_gauss(u_const, 0.1)
+        with run.op("solve-ricci"):
+            toda("solve-ricci", "--mesh", "cover.json", "--density",
+                 "cover_dens", "--scale", "0.1", "-o", "ricci",
+                 metric="bundle_solve_s")
+            _, v_alone = fileio.read_field_csv(path("ricci_v.csv"), "v")
+            c = 0.1 * 2.0 * math.pi / volume
+            checks.ricci_solution(cover, np.zeros(len(v_alone)), v_alone,
+                                  density, c)
 
     def one_round(index):
         shutil.rmtree(path("run"), ignore_errors=True)
@@ -168,18 +200,11 @@ def cli_l3c2(run, seed, work, root):
             _, v = fileio.read_field_csv(path("run/v.csv"), "v")
             checks.coupled_solution(cover, density, u, v, cert, ETA, 1)
             state.update(u=u, v=v, lambda1=cert.lambda1)
+        short_processes()
         with run.op("verify"):
             toda("verify", "--mesh", "cover.json", "--density",
                  "cover_dens", "--run", "run", metric="verify_s")
-        with run.op("export"):
-            toda("export", "--mesh", "cover.json", "--run", "run",
-                 "-o", "fields.vtk", metric="io_s")
-            with open(path("fields.vtk")) as handle:
-                text = handle.read()
-            V = cover.num_vertices
-            check(f"POINTS {V} double" in text
-                  and f"POINT_DATA {V}" in text
-                  and text.count("SCALARS ") == 4, "VTK export layout")
+        short_processes()
         with run.op("probe"):
             toda("probe", "--mesh", "cover.json", "-o", "probe.json",
                  metric="probe_s")
@@ -190,26 +215,15 @@ def cli_l3c2(run, seed, work, root):
             if "lambda1" in state:
                 close(spectral["lambda1"], state["lambda1"], 1e-9,
                       "probe lambda_1 against the certificate's")
-        with run.op("solve-gauss"):
-            toda("solve-gauss", "--mesh", "cover.json", "--constant",
-                 "0.1", "-o", "gauss", metric="scalar_solve_s")
-            _, u_const = fileio.read_field_csv(path("gauss_u.csv"), "u")
-            checks.constant_gauss(u_const, 0.1)
-        with run.op("solve-ricci"):
-            toda("solve-ricci", "--mesh", "cover.json", "--density",
-                 "cover_dens", "--scale", "0.1", "-o", "ricci",
-                 metric="bundle_solve_s")
-            _, v_alone = fileio.read_field_csv(path("ricci_v.csv"), "v")
-            c = 0.1 * 2.0 * math.pi / volume
-            checks.ricci_solution(cover, np.zeros(len(v_alone)), v_alone,
-                                  density, c)
+        short_processes()
         with run.op("stability"):
             if "u" not in state:
                 raise OpFailed("no coupled solution to check")
             weight = np.exp(density.log_density - 2.0 * state["u"])
             report = run.repeat(
                 "stability_s", REPEATS,
-                lambda: todalab.stability_check(cover, state["v"], weight))
+                lambda: todalab.stability_check(cover, state["v"], weight),
+                dense=True, interleave=True)
             checks.stability(report)
 
     run.measure(one_round)
@@ -251,27 +265,30 @@ def _density_op(run, work, name, cover, base_density, zero, degree, metric):
                                     converged=cert.converged)
             return fileio.dump_json(again.to_dict()) == stored
 
-        # A write of these four files takes ~10 ms and scatters with the
-        # file system's own timing, so it gets more repeats.
-        run.repeat(metric("io_s"), 3 * REPEATS, write)
-        same = run.repeat(metric("verify_s"), REPEATS, recertify)
+        # Steps of ~10-50 ms: each timed between kernel runs.  A write of
+        # these four files takes ~10 ms and scatters with the file system's
+        # own timing, so each of its samples is the mean of three writes.
+        run.repeat(metric("io_s"), REPEATS, write, interleave=True, batch=3)
+        same = run.repeat(metric("verify_s"), REPEATS, recertify,
+                          interleave=True)
         check(same, "certificate bytes not reproduced from files")
 
         f = np.exp(density.log_density + 2.0 * v)
         gauss = run.repeat(
             metric("scalar_solve_s"), REPEATS,
             lambda: todalab.solve_gauss(todalab.GaussProblem(
-                mesh=cover, f=f, eta=ETA, tol=1e-10)))
+                mesh=cover, f=f, eta=ETA, tol=1e-10)), interleave=True)
         checks.agree(gauss.u, u, 1e-8, "cold Gauss solve against coupled u")
         c = cert.t * 2.0 * math.pi * degree / operators.volume(cover)
         bundle = run.repeat(
             metric("bundle_solve_s"), REPEATS,
             lambda: todalab.maximize_J(todalab.RicciProblem(
-                mesh=cover, u=u, density=density, c=c, tol=1e-9)))
+                mesh=cover, u=u, density=density, c=c, tol=1e-9)),
+            interleave=True)
         checks.agree(bundle.v, v, 1e-8, "maximize_J against coupled v")
 
         weight = np.exp(density.log_density - 2.0 * u)
-        with run.timed(metric("stability_s")):
+        with run.timed(metric("stability_s"), dense=True):
             report = todalab.stability_check(cover, v, weight)
         checks.stability(report)
 
@@ -293,14 +310,16 @@ def sweep_l4c2(run, seed, work, root):
     checks.systole(operators.systole(cover))
 
     def one_round(index):
+        # The spectra probe runs twice, between the densities, so that its
+        # samples spread over the round.
         for k in (2 * index, 2 * index + 1):
             _density_op(run, work, "density", cover, base_density,
                         zeros[k % len(zeros)], 1, lambda name: name)
+            _probe(run, cover, base)
         # The README density at degree 2: its timings are kept apart so a
         # fix that makes it solve does not redefine the degree-1 medians.
         _density_op(run, work, "degree2", cover, base_density, README_ZERO, 2,
                     lambda name: "degree2." + name)
-        _probe(run, cover, base)
 
     run.measure(one_round)
     return {"zero_vertices": zeros}, run.peak_rss_mb()
@@ -321,7 +340,7 @@ def solvers_l5c2(run, seed, work, root):
             base, todalab.Divisor(BASE_DIVISOR))
         return base, cover, base_density
 
-    base, cover, base_density = run.setup(setup, 3)
+    base, cover, base_density = run.setup(setup, SETUPS)
     _mesh_checks(cover)
     V = cover.num_vertices
     volume = operators.volume(cover)
@@ -337,16 +356,27 @@ def solvers_l5c2(run, seed, work, root):
             problem = todalab.GaussProblem(mesh=cover, f=f, eta=ETA,
                                            tol=1e-10)
             with run.timed("solve_s"):
-                with run.timed("scalar_solve_s"):
-                    gauss = todalab.solve_gauss(problem)
+                gauss = todalab.solve_gauss(problem)
+                run.checkpoint()
                 monotone = todalab.monotone_solve_gauss(problem)
-                with run.timed("bundle_solve_s"):
-                    bundle = todalab.maximize_J(todalab.RicciProblem(
-                        mesh=cover, u=gauss.u, density=density, c=c,
-                        tol=1e-9))
+                run.checkpoint()
+                bundle_problem = todalab.RicciProblem(
+                    mesh=cover, u=gauss.u, density=density, c=c, tol=1e-9)
+                bundle = todalab.maximize_J(bundle_problem)
+                run.checkpoint()
                 newton = todalab.solve_ricci_newton(todalab.RicciProblem(
                     mesh=cover, u=gauss.u, density=density, c=c, tol=1e-11),
                     v_init=bundle.v)
+            # Single solves of ~0.25 s: the median of a few, each between
+            # kernel runs, is steadier than the calls timed above.
+            again = run.repeat("scalar_solve_s", SOLVE_REPEATS,
+                               lambda: todalab.solve_gauss(problem),
+                               interleave=True)
+            checks.agree(again.u, gauss.u, 1e-12, "repeated solve_gauss")
+            again = run.repeat("bundle_solve_s", SOLVE_REPEATS,
+                               lambda: todalab.maximize_J(bundle_problem),
+                               interleave=True)
+            checks.agree(again.v, bundle.v, 1e-12, "repeated maximize_J")
             checks.gauss_solution(cover, gauss.u, f)
             checks.agree(gauss.u, monotone.u, 1e-8,
                          "Newton against monotone Gauss")
@@ -375,7 +405,8 @@ def solvers_l5c2(run, seed, work, root):
             value = run.repeat(
                 "stability_s", REPEATS,
                 lambda: todalab.mt_probe(cover, samples=8,
-                                         seed=abs(seed) + index))
+                                         seed=abs(seed) + index),
+                interleave=True)
             check(math.isfinite(value) and value > 0.0,
                   f"Moser-Trudinger probe value {value!r}")
 
@@ -384,7 +415,8 @@ def solvers_l5c2(run, seed, work, root):
             if "u" not in last:
                 raise OpFailed("no solved fields to write")
             prefix = os.path.join(work, "l5")
-            with run.timed("io_s"):
+
+            def round_trip():
                 fileio.atomic_write_text(prefix + "_mesh.json",
                                          todalab.mesh_to_json(cover))
                 fileio.write_density(prefix + "_dens", last["density"])
@@ -395,6 +427,13 @@ def solvers_l5c2(run, seed, work, root):
                 density = fileio.read_density(prefix + "_dens", mesh)
                 _, u = fileio.read_field_csv(prefix + "_u.csv", "u")
                 _, v = fileio.read_field_csv(prefix + "_v.csv", "v")
+                return mesh, density, u, v
+
+            with run.timed("io_s"):
+                mesh, density, u, v = round_trip()
+            with run.timed("verify_s"):
+                mesh.validate()
+                checks.density(density, COVER_N)
             for name in ("triangles", "tri_edges", "tri_edge_signs", "edges",
                          "edge_lengths", "positions", "base_vertex"):
                 check(np.array_equal(getattr(mesh, name),
@@ -407,15 +446,17 @@ def solvers_l5c2(run, seed, work, root):
                                (u, last["u"]), (v, last["v"])):
                 check(np.array_equal(read, kept),
                       "a field changed in the CSV round trip")
-            with run.timed("verify_s"):
-                mesh.validate()
-                checks.density(density, COVER_N)
             _mesh_checks(mesh)
 
     def one_round(index):
-        lift_op(zeros[(2 * index) % len(zeros)])
-        lift_op(zeros[(2 * index + 1) % len(zeros)])
+        # A round trip and the validation of the mesh it read back are
+        # single ~0.6-0.9-s samples, so a round makes three, spread over it.
+        first = 2 * index
+        lift_op(zeros[first % len(zeros)])
+        io_op()
+        lift_op(zeros[(first + 1) % len(zeros)])
         closed_forms_op()
+        io_op()
         _probe(run, cover, base)
         stability_op(index)
         io_op()
