@@ -201,8 +201,10 @@ def cmd_verify(args):
         manifest = fileio.read_json(os.path.join(args.run, "manifest.json"))
         mesh_path = args.mesh or manifest["mesh"]
         density_path = args.density or manifest["density"]
-        run_mesh = _read_mesh(mesh_path)
-        run_mesh.validate()
+        run_mesh = mesh
+        if run_mesh is None:
+            run_mesh = _read_mesh(mesh_path)
+            run_mesh.validate()
         for key, path in [("mesh", mesh_path)]:
             if key in manifest["hashes"]:
                 if fileio.file_blob_sha1(path) != manifest["hashes"][key]:

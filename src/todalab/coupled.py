@@ -57,6 +57,10 @@ class CoupledConfig:
             raise ValueError("damping must lie in (0, 1]")
         if self.t is not None and not 0 < self.t <= 1:
             raise ValueError("rescaling knob t must lie in (0, 1]")
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be at least 1")
+        if not self.tol_outer >= 0:
+            raise ValueError("tol_outer must be nonnegative")
 
 
 @dataclass

@@ -87,6 +87,8 @@ def read_field_csv(path, expected_name=None):
     """Returns (name, values). Rows may arrive in any vertex order."""
     with open(path) as handle:
         rows = handle.read().strip().splitlines()
+    if not rows:
+        raise TodaError(f"field CSV {path} is empty")
     header = rows[0].split(",")
     if len(header) != 2 or header[0] != "vertex_index":
         raise TodaError(f"bad field CSV header in {path}: {rows[0]!r}")

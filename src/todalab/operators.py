@@ -13,16 +13,50 @@ loop whose accumulated holonomy word is not the identity.  Every such loop
 is at least as long as the translation length of its word, hence at least
 the true systole; the octagon side loops realize the true systole exactly
 at every refinement level, so for this family the bound is sharp.
+
+The search is exact and rests on four facts.
+
+* Sources.  A loop's word is the product of its edge words, so a loop
+  whose edges all carry the empty word is trivial: every non-trivial loop
+  passes through an endpoint of an edge with a non-empty word, and only
+  those endpoints are used as sources.
+* Half-length cap.  Let C = (s = v_0, e_1, v_1, ..., e_k, v_k = s) be a
+  non-trivial closed walk of length L and T_v the shortest-path-tree path
+  from s to v.  Its class is the product of the loops
+  beta_i = T_{v_(i-1)} e_i T_(v_i)^-1 (the tree paths cancel in pairs), so
+  some beta_i is non-trivial.  With a_i the length of C up to v_i,
+  d(v_(i-1)) <= a_(i-1) and d(v_i) <= L - a_i, so |beta_i| <= L and both
+  endpoints of e_i lie within L/2 of s (Erickson & Har-Peled, DCG 2004:
+  the shortest non-trivial loop through s is two shortest paths plus one
+  edge).  A Dijkstra run capped at best/2 therefore still sees a loop
+  shorter than the best so far whenever one passes through s; the cap
+  used, best/2 plus the longest edge, leaves a margin for rounding.
+* Deck shift.  When the sheet shift v -> v + V/n (mod V) maps the edge
+  table with its lengths and the triangle table onto themselves, it is an
+  isometric automorphism of the complex: it preserves lengths and
+  contractibility, so every loop through a vertex has an image of equal
+  length and triviality through its sheet-0 representative, and only
+  sheet-0 sources are needed.  The condition is checked on the mesh
+  itself, so it holds for cyclic covers read back from JSON and fails
+  (falling back to all sources) for anything else.
+* Trace gap.  A candidate's holonomy is evaluated numerically in SU(1,1),
+  where the identity has |trace| 2.  The surface group is torsion free and
+  cocompact, so every other element is hyperbolic with translation length
+  at least the systole and |trace| = 2 cosh(length/2) >=
+  2 cosh(systole/2) = 2 (1 + sqrt 2) ~ 4.83 (covers use subgroups of the
+  same group).  Candidates with |trace| < 3 are dropped; the rest are
+  accepted only when Dehn reduction (``group.is_identity``) says their
+  word is not the identity.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from . import group, hyperbolic
@@ -163,93 +197,171 @@ def spectral_gap(mesh, tol=1e-9, seed=0):
 # ----------------------------------------------------------------------
 # Systole on the edge graph
 
-def _adjacency(mesh):
-    key = "adjacency"
+def _path_graph(mesh):
+    """Simple weighted graph for shortest paths: the shortest edge of each
+    vertex pair (first id on ties), self-loops dropped.
+
+    Returns (graph, pair_keys, pair_edges): the symmetric CSR graph, the
+    sorted keys lo * V + hi of its vertex pairs, and the edge id kept for
+    each key.
+    """
+    key = "path_graph"
     if key not in mesh._cache:
-        adj = [[] for _ in range(mesh.num_vertices)]
-        for e in range(mesh.num_edges):
-            tail, head = mesh.edges[e]
-            l = mesh.edge_lengths[e]
-            adj[tail].append((int(head), float(l), e, 1))
-            adj[head].append((int(tail), float(l), e, -1))
-        mesh._cache[key] = adj
+        V = mesh.num_vertices
+        lo, hi = mesh.edges.min(axis=1), mesh.edges.max(axis=1)
+        pair = lo * V + hi
+        ids = np.flatnonzero(lo != hi)
+        ids = ids[np.lexsort((mesh.edge_lengths[ids], pair[ids]))]
+        pair_keys, first = np.unique(pair[ids], return_index=True)
+        kept = ids[first]
+        w = mesh.edge_lengths[kept]
+        graph = sp.csr_matrix(
+            (np.concatenate([w, w]),
+             (np.concatenate([lo[kept], hi[kept]]),
+              np.concatenate([hi[kept], lo[kept]]))), shape=(V, V))
+        mesh._cache[key] = (graph, pair_keys, kept)
     return mesh._cache[key]
 
 
-def _dijkstra(mesh, src, cap):
-    """Distances and parent (edge, direction, vertex) from src, capped."""
-    V = mesh.num_vertices
-    adj = _adjacency(mesh)
-    dist = np.full(V, np.inf)
-    parent = [None] * V  # (edge id, direction, previous vertex)
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v] or d > cap:
-            continue
-        for (w, l, e, direction) in adj[v]:
-            nd = d + l
-            if nd < dist[w]:
-                dist[w] = nd
-                parent[w] = (e, direction, v)
-                heapq.heappush(heap, (nd, w))
-    return dist, parent
+def _edge_isometries(mesh):
+    """SU(1,1) matrix [[alpha, beta], [conj beta, conj alpha]] of each edge
+    word, as the arrays (alpha, beta)."""
+    by_word = {}
+    ab = np.empty((mesh.num_edges, 2), dtype=complex)
+    for e, w in enumerate(mesh.edge_words):
+        if w not in by_word:
+            m = hyperbolic.word_matrix(w)
+            by_word[w] = (m[0, 0], m[0, 1])
+        ab[e] = by_word[w]
+    return ab[:, 0], ab[:, 1]
 
 
-def _tree_word(mesh, src, parent, v, memo):
-    if v == src:
-        return ()
-    if v in memo:
-        return memo[v]
-    e, direction, prev = parent[v]
-    w = mesh.edge_words[e]
-    if direction < 0:
-        w = group.inverse_word(w)
-    out = group.concat(_tree_word(mesh, src, parent, prev, memo), w)
-    memo[v] = out
-    return out
+def _compose(a1, b1, a2, b2):
+    """Product of SU(1,1) matrices given as (alpha, beta) pairs."""
+    return a1 * a2 + b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
+
+
+def _sheet_size(mesh):
+    """Vertices per sheet if the sheet shift is a deck transformation, else 0.
+
+    A degree-n cover of the genus-2 surface has genus n + 1.  The shift
+    moves vertex v to (v + V/n) mod V, edge e to (e + E/n) mod E and
+    triangle t to (t + F/n) mod F; it is accepted when it carries the edge
+    table (with lengths) and the triangle table (corners, slot edges and
+    signs) onto themselves, i.e. when it is a length-preserving simplicial
+    automorphism.  Cyclic covers built by :func:`mesh.build_cover` pass,
+    also after a JSON round trip; any relabelled mesh simply fails.
+    """
+    n = mesh.genus - 1
+    V, E, F = mesh.num_vertices, mesh.num_edges, mesh.num_faces
+    if n < 2 or V % n or E % n or F % n:
+        return 0
+    dv, de, df = V // n, E // n, F // n
+
+    def shifted(table, rows, by, mod):
+        return np.array_equal(np.roll(table, -rows, axis=0), (table + by) % mod)
+
+    ok = (shifted(mesh.edges, de, dv, V)
+          and np.array_equal(np.roll(mesh.edge_lengths, -de), mesh.edge_lengths)
+          and shifted(mesh.triangles, df, dv, V)
+          and shifted(mesh.tri_edges, df, de, E)
+          and np.array_equal(np.roll(mesh.tri_edge_signs, -df, axis=0),
+                             mesh.tri_edge_signs))
+    return dv if ok else 0
+
+
+def _tree_word(mesh, pred, parent_edge, src, v):
+    """Holonomy word of the shortest-path tree path from src to v."""
+    steps = []
+    while v != src:
+        e = parent_edge[v]
+        w = mesh.edge_words[e]
+        steps.append(w if mesh.edges[e, 1] == v else group.inverse_word(w))
+        v = pred[v]
+    return group.concat(*reversed(steps))
 
 
 def systole(mesh):
-    """Length of the shortest edge loop with non-identity holonomy."""
+    """Length of the shortest edge loop with non-identity holonomy.
+
+    Exact search over closed edge walks; see the module docstring for why
+    each pruning keeps the minimum.  For each source s a Dijkstra run,
+    capped at best/2 + the longest edge, gives distances d and a
+    shortest-path tree; every edge e = (x, y) (tree, non-tree, parallel or
+    self-loop) proposes the loop T_x e T_y^-1 of length d(x) + d(y) + l(e).
+    Tree-path holonomies H_v are built by pointer doubling on SU(1,1)
+    matrices; a candidate below the current best is dropped when
+    |tr(H_x W_e H_y^-1)| < 3 (identity: 2, any other group element: at
+    least 2 cosh(systole/2) > 4.8), and the survivors, shortest first, are
+    accepted only by Dehn reduction of their word.
+    """
     key = "systole"
     if key in mesh._cache:
         return mesh._cache[key]
-    best = np.inf
-    E = mesh.num_edges
+    V = mesh.num_vertices
+    graph, pair_keys, pair_edges = _path_graph(mesh)
+    tail, head = mesh.edges[:, 0], mesh.edges[:, 1]
     lengths = mesh.edge_lengths
-    for src in range(mesh.num_vertices):
-        dist, parent = _dijkstra(mesh, src, best)
-        memo = {}
-        # candidate loops: tree path + one non-tree edge + reverse tree path
-        order = []
-        for e in range(E):
-            x, y = mesh.edges[e]
-            if parent[x] is not None and parent[x][0] == e:
-                continue
-            if parent[y] is not None and parent[y][0] == e:
-                continue
-            total = dist[x] + dist[y] + lengths[e]
-            if total < best:
-                order.append((total, e))
-        order.sort()
-        for total, e in order:
-            if total >= best:
-                break
-            x, y = mesh.edges[e]
+    alpha, beta = _edge_isometries(mesh)
+
+    nontrivial = np.array([len(w) > 0 for w in mesh.edge_words], dtype=bool)
+    sources = np.unique(mesh.edges[nontrivial])
+    sheet = _sheet_size(mesh)
+    if sheet:
+        sources = np.unique(sources % sheet)
+    slack = float(lengths.max())
+
+    best = np.inf
+    for src in sources:
+        src = int(src)
+        dist, pred = csgraph.dijkstra(graph, indices=src,
+                                      limit=best / 2 + slack,
+                                      return_predecessors=True)
+        total = dist[tail] + dist[head] + lengths
+        cand = np.flatnonzero(total < best)
+
+        # tree-path isometries (ha, hb) over the reached vertices, in local
+        # numbering; each starts as its oriented parent-edge isometry
+        reached = np.flatnonzero(dist < np.inf)
+        local = np.empty(V, dtype=np.intp)
+        local[reached] = np.arange(reached.size)
+        child = reached[reached != src]
+        p = pred[child]
+        pe = pair_edges[np.searchsorted(
+            pair_keys, np.minimum(p, child) * V + np.maximum(p, child))]
+        parent_edge = np.empty(V, dtype=np.intp)
+        parent_edge[child] = pe
+        root, at = local[src], local[child]
+        up = np.full(reached.size, root)
+        up[at] = local[p]
+        ha = np.ones(reached.size, dtype=complex)
+        hb = np.zeros(reached.size, dtype=complex)
+        forward = tail[pe] == p
+        ha[at] = np.where(forward, alpha[pe], np.conj(alpha[pe]))
+        hb[at] = np.where(forward, beta[pe], -beta[pe])
+        # pointer doubling: (ha, hb)[v] is the product from up[v] to v
+        while (up != root).any():
+            ha, hb = _compose(ha[up], hb[up], ha, hb)
+            up = up[up]
+
+        x, y = local[tail[cand]], local[head[cand]]
+        ga, gb = _compose(ha[x], hb[x], alpha[cand], beta[cand])
+        trace = 2.0 * (ga * np.conj(ha[y]) - gb * np.conj(hb[y])).real
+        survivors = cand[np.abs(trace) >= 3.0]
+        for e in survivors[np.argsort(total[survivors], kind="stable")]:
             word = group.concat(
-                _tree_word(mesh, src, parent, int(x), memo),
+                _tree_word(mesh, pred, parent_edge, src, tail[e]),
                 mesh.edge_words[e],
-                group.inverse_word(_tree_word(mesh, src, parent, int(y), memo)))
+                group.inverse_word(
+                    _tree_word(mesh, pred, parent_edge, src, head[e])))
             if not group.is_identity(word):
-                best = total
+                best = float(total[e])
                 break
     mesh._cache[key] = float(best)
     return float(best)
 
 
 def graph_distances(mesh, src, cap=np.inf):
-    """Single-source graph distances along edge lengths."""
-    dist, _ = _dijkstra(mesh, src, cap)
-    return dist
+    """Single-source graph distances along edge lengths; np.inf beyond cap."""
+    graph, _, _ = _path_graph(mesh)
+    return csgraph.dijkstra(graph, indices=src, limit=cap)

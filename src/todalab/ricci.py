@@ -346,7 +346,7 @@ def stability_check(mesh, v, f):
 
     A = -S.toarray() + 2.0 * np.diag(m * weight)
     eigs = sla.eigh(A, np.diag(m), eigvals_only=True)
-    lam1 = operators.spectral_gap(mesh).lambda1
+    lam1 = float(operators.eig_low(mesh, k=2)[0][1])
 
     lo = -lam1 + sup_term
     hi = 2.0 * c

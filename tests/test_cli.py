@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from todalab import fileio
+from todalab import cli, fileio
 from todalab.cli import main
 from todalab.mesh import mesh_from_json
 
@@ -73,6 +73,15 @@ def test_solve_gauss_rejects_inadmissible(workspace, tmp_path):
     assert code == 1
 
 
+def test_solve_gauss_rejects_empty_data(workspace, tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    code = main(["solve-gauss", "--mesh", workspace["base"],
+                 "--data", str(empty), "-o", str(tmp_path / "g")])
+    assert code == 1
+    assert "is empty" in capsys.readouterr().err
+
+
 def test_solve_ricci_and_zero_density_error(workspace, tmp_path):
     out = str(tmp_path / "r")
     assert main(["solve-ricci", "--mesh", workspace["base"],
@@ -89,7 +98,8 @@ def test_solve_ricci_and_zero_density_error(workspace, tmp_path):
     assert code == 1
 
 
-def test_coupled_run_verify_export_deterministic(workspace, tmp_path):
+def test_coupled_run_verify_export_deterministic(workspace, tmp_path,
+                                                 monkeypatch):
     run1 = str(tmp_path / "run1")
     run2 = str(tmp_path / "run2")
     cli_args = ["solve-coupled", "--mesh", workspace["cover"],
@@ -109,6 +119,15 @@ def test_coupled_run_verify_export_deterministic(workspace, tmp_path):
     assert cert["sup_af"] < 0.5
 
     assert main(["verify", "--run", run1]) == 0
+
+    # With --mesh, the run is checked against the mesh already parsed.
+    reads = []
+    read_mesh = cli._read_mesh
+    monkeypatch.setattr(cli, "_read_mesh",
+                        lambda path: reads.append(path) or read_mesh(path))
+    assert main(["verify", "--mesh", workspace["cover"],
+                 "--density", workspace["cover_dens"], "--run", run1]) == 0
+    assert reads == [workspace["cover"]]
 
     # Tampering with the certificate must fail verification.
     cert_path = os.path.join(run1, "certificate.json")

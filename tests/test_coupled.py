@@ -51,6 +51,10 @@ def test_config_validation():
         C.CoupledConfig(damping=0.0)
     with pytest.raises(ValueError):
         C.CoupledConfig(t=1.5)
+    with pytest.raises(ValueError):
+        C.CoupledConfig(max_outer_iters=0)
+    with pytest.raises(ValueError):
+        C.CoupledConfig(tol_outer=-1e-8)
     cfg = C.CoupledConfig()
     assert cfg.eta == 0.5 and cfg.degree == 1 and cfg.t is None
 

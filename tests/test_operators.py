@@ -1,11 +1,16 @@
 """Laplacian assembly, spectra, and shortest noncontractible loops."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from helpers import reference_dijkstra, reference_systole
+from todalab import group
 from todalab import operators as ops
-from todalab.mesh import CoverSpec, build_base_surface, build_cover
+from todalab.mesh import (CoverSpec, build_base_surface, build_cover,
+                          mesh_from_json, mesh_to_json)
 
 # First nonzero Laplace eigenvalue of the underlying smooth surface,
 # computed independently by spectral methods in the literature; the
@@ -106,6 +111,66 @@ def test_systole_frozen_value():
     cover = build_cover(build_base_surface(refinement=1),
                         CoverSpec.cyclic(2))
     assert ops.systole(cover) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_systole_matches_reference_on_base_levels(level):
+    m = build_base_surface(refinement=level)
+    assert ops.systole(m) == reference_systole(m)
+
+
+@pytest.mark.parametrize("level,n", [(r, n) for r in range(3) for n in (2, 3)])
+def test_systole_matches_reference_on_cyclic_covers(level, n):
+    cover = build_cover(build_base_surface(refinement=level),
+                        CoverSpec.cyclic(n))
+    read_back = mesh_from_json(mesh_to_json(cover))
+    assert ops._sheet_size(read_back) == cover.num_vertices // n
+    assert ops.systole(cover) == reference_systole(cover)
+
+
+def relabel_vertices(mesh, seed=0):
+    """Copy of a mesh with its vertex ids permuted."""
+    perm = np.random.default_rng(seed).permutation(mesh.num_vertices)
+    positions = np.empty_like(mesh.positions)
+    positions[perm] = mesh.positions
+    base_vertex = np.empty_like(mesh.base_vertex)
+    base_vertex[perm] = mesh.base_vertex
+    return dataclasses.replace(
+        mesh, triangles=perm[mesh.triangles], edges=perm[mesh.edges],
+        positions=positions, base_vertex=base_vertex, _cache={})
+
+
+def test_systole_matches_reference_without_sheet_shift():
+    cover = build_cover(build_base_surface(refinement=2), CoverSpec.cyclic(2))
+    relabelled = relabel_vertices(cover)
+    relabelled.validate()
+    assert ops._sheet_size(relabelled) == 0
+    assert ops.systole(relabelled) == reference_systole(relabelled)
+
+
+def test_trace_filter_passes_only_nontrivial_loops(monkeypatch):
+    # Dehn reduction sees only candidates whose numeric holonomy is not the
+    # identity, so it should never find one that is.
+    verdicts = []
+    is_identity = group.is_identity
+
+    def recording(word):
+        verdicts.append(is_identity(word))
+        return verdicts[-1]
+
+    monkeypatch.setattr(group, "is_identity", recording)
+    for mesh in (build_base_surface(refinement=3),
+                 build_cover(build_base_surface(refinement=2),
+                             CoverSpec.cyclic(3))):
+        ops.systole(mesh)
+    assert verdicts and not any(verdicts)
+
+
+def test_graph_distances_match_reference():
+    cover = build_cover(build_base_surface(refinement=1), CoverSpec.cyclic(3))
+    for src in (0, 7, cover.num_vertices - 1):
+        expected, _ = reference_dijkstra(cover, src)
+        assert np.array_equal(ops.graph_distances(cover, src), expected)
 
 
 def test_graph_distances(mesh2):

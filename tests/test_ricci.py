@@ -152,6 +152,15 @@ def test_stability_constant_exact(mesh):
     assert rep.hinv_norm == pytest.approx(1.0 / (2 * c), rel=1e-6)
 
 
+def test_stability_check_skips_systole():
+    fresh = build_base_surface(refinement=2)
+    v = np.zeros(fresh.num_vertices)
+    f = np.full(fresh.num_vertices, 0.1)
+    rep = R.stability_check(fresh, v, f)
+    assert "systole" not in fresh._cache
+    assert rep.lambda1 == ops.spectral_gap(fresh).lambda1
+
+
 def test_mt_probe_properties(mesh):
     val = R.mt_probe(mesh, samples=4, seed=0)
     again = R.mt_probe(mesh, samples=4, seed=0)
