@@ -177,7 +177,7 @@ def _fail(message):
 
 def cmd_verify(args):
     checked = []
-    mesh = None
+    mesh = density = None
     if args.mesh:
         mesh = _read_mesh(args.mesh)
         mesh.validate()
@@ -209,7 +209,10 @@ def cmd_verify(args):
             if key in manifest["hashes"]:
                 if fileio.file_blob_sha1(path) != manifest["hashes"][key]:
                     return _fail(f"{key} file hash changed since the run")
-        density = fileio.read_density(density_path, run_mesh)
+        if density is None:
+            # With --density given, density_path is that prefix and
+            # run_mesh is the --mesh mesh: the density read above is it.
+            density = fileio.read_density(density_path, run_mesh)
         for key, path in [("density_csv", density_path + ".csv"),
                           ("density_json", density_path + ".json")]:
             if key in manifest["hashes"]:
@@ -284,16 +287,7 @@ def build_parser():
                     "meshes: build meshes and covers, synthesize section "
                     "densities, run the scalar/bundle/coupled solvers, and "
                     "verify certificates from files.")
-    parser._toda_subparsers = []
     sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = sub.add_parser
-
-    def tracked_add_parser(*args, **kwargs):
-        p = add_parser(*args, **kwargs)
-        parser._toda_subparsers.append(p)
-        return p
-
-    sub.add_parser = tracked_add_parser
 
     p = sub.add_parser("mesh", help="build the genus-2 base mesh")
     p.add_argument("--genus2", action="store_true",
@@ -420,7 +414,9 @@ def _load_config(argv):
 
 def _apply_config(parser, config):
     """Turn config values into per-subcommand defaults (flags still win)."""
-    for p in parser._toda_subparsers:
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    for p in sub.choices.values():
         known = {action.dest: action for action in p._actions}
         overlap = {k: v for k, v in config.items() if k in known}
         p.set_defaults(**overlap)

@@ -1,6 +1,8 @@
 """File formats and atomic output helpers.
 
-All writers go through an atomic temp-file + rename so a crashed run never
+This module is the only reader and writer of the formats below: every
+other module hands arrays and dataclasses here instead of formatting or
+parsing text itself.  All writers go through an atomic temp-file + rename so a crashed run never
 leaves a half-written artifact, and all serialization is deterministic
 (sorted JSON keys, shortest round-trip float repr) so identical inputs and
 seed produce byte-identical outputs.
@@ -107,23 +109,38 @@ def read_field_csv(path, expected_name=None):
             raise TodaError(f"field CSV {path} has bad vertex indexing")
         values[idx] = val
         seen[idx] = True
+    nan = np.flatnonzero(np.isnan(values))
+    if nan.size:
+        raise TodaError(f"field CSV {path} holds NaN at vertex {nan[0]}")
     return name, values
 
 
 # ----------------------------------------------------------------------
 # Density files
 
+# ``<prefix>.csv`` holds the field ``log_density`` (``-inf`` everywhere for
+# the zero section, never NaN or ``+inf``); ``<prefix>.json`` holds the
+# divisor sidecar.
+
 def write_density(prefix, density):
-    from .sections import density_sidecar_dict, density_to_csv
     write_field_csv(prefix + ".csv", "log_density", density.log_density)
-    write_json(prefix + ".json", density_sidecar_dict(density))
+    write_json(prefix + ".json", {
+        "degree": density.degree,
+        "c_L": density.curvature_constant,
+        "normalization": density.normalization,
+        "divisor": [[int(v), int(m)] for v, m in density.divisor.entries],
+    })
 
 
 def read_density(prefix, mesh):
     from .sections import Divisor, SectionDensity
-    _, ld = read_field_csv(prefix + ".csv", "log_density")
+    path = prefix + ".csv"
+    _, ld = read_field_csv(path, "log_density")
     if len(ld) != mesh.num_vertices:
         raise TodaError("density file does not match the mesh vertex count")
+    posinf = np.flatnonzero(np.isposinf(ld))
+    if posinf.size:
+        raise TodaError(f"density {path} holds +inf at vertex {posinf[0]}")
     sidecar = read_json(prefix + ".json")
     divisor = Divisor([(int(v), int(m)) for v, m in sidecar["divisor"]])
     if divisor.degree != int(sidecar["degree"]):

@@ -21,7 +21,7 @@ independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -213,10 +213,3 @@ def gauss_stability_probe(mesh, u, f, perturbation_scale=1e-6, seed=0):
     denom = float(np.abs(f2 - f).max())
     response = float(np.abs(sol2.u - u).max()) / denom if denom > 0 else 0.0
     return min_eig, response
-
-
-def solution_to_csv(u):
-    lines = ["vertex_index,u"]
-    for i, v in enumerate(u):
-        lines.append(f"{i},{float(v)!r}")
-    return "\n".join(lines) + "\n"

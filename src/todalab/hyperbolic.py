@@ -19,9 +19,9 @@ through the center and the side midpoints (directions pi/8 + j pi/4) by
 twice the apothem; their translation length 2*arccosh(1+sqrt2) is the
 systole of the surface.
 
-Intrinsic triangle computations (angles, areas, medial midpoint distances)
-run in the hyperboloid model x^2 + y^2 - z^2 = -1 in Minkowski space, which
-is numerically robust for the edge lengths that occur here.
+Intrinsic triangle computations (angles, medial midpoint distances) run in
+the hyperboloid model x^2 + y^2 - z^2 = -1 in Minkowski space, which is
+numerically robust for the edge lengths that occur here.
 """
 
 from __future__ import annotations
@@ -147,12 +147,6 @@ def triangle_angles(l01, l12, l20):
     a1 = angle(l01, l12, l20)
     a2 = angle(l12, l20, l01)
     return a0, a1, a2
-
-
-def triangle_areas(l01, l12, l20):
-    """Hyperbolic triangle areas via the angle defect pi - sum of angles."""
-    a0, a1, a2 = triangle_angles(l01, l12, l20)
-    return np.pi - a0 - a1 - a2
 
 
 def _mink_dot(x, y):

@@ -51,7 +51,6 @@ The search is exact and rests on four facts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +140,8 @@ def eig_low(mesh, k=2, tol=1e-9, seed=0):
     """Smallest k generalized eigenpairs of S x = lambda M x, ascending.
 
     Deterministic: the iterative solver is started from a fixed seeded
-    vector; small problems (or an iterative failure) fall back to a dense
-    solve.
+    vector; small problems (or an ARPACK or factorization RuntimeError)
+    fall back to a dense solve.
     """
     S = stiffness(mesh)
     M = sp.diags(mass_vector(mesh)).tocsr()
@@ -154,7 +153,7 @@ def eig_low(mesh, k=2, tol=1e-9, seed=0):
     try:
         vals, vecs = spla.eigsh(S, k=k, M=M, sigma=-0.05, which="LM",
                                 v0=v0, tol=tol)
-    except Exception:
+    except RuntimeError:
         return _eig_dense(S, M, k)
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
@@ -179,9 +178,6 @@ class SpectralReport:
         return {"lambda0": self.lambda0, "lambda1": self.lambda1,
                 "systole": self.systole, "volume": self.volume,
                 "tol": self.eigen_tolerance, "seed": self.seed}
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
 
 def spectral_gap(mesh, tol=1e-9, seed=0):

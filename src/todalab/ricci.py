@@ -29,7 +29,7 @@ bounded by max(1/(lambda_1 - 2 sup e^{2v} f), 1/c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -246,7 +246,7 @@ def maximize_J(problem, w0=None, max_iters=10000):
                 cand -= (m @ cand) / vol
                 if np.isfinite(cand).all() and grad_euc @ cand > 0:
                     step = cand
-        except Exception:
+        except RuntimeError:
             step = None
         if step is None:
             step = precond.solve(grad_euc)
@@ -390,13 +390,3 @@ def mt_probe(mesh, samples=8, seed=0):
         val = float((m * np.expm1(4.0 * np.pi * y ** 2)).sum())
         worst = max(worst, val)
     return worst
-
-
-# ----------------------------------------------------------------------
-# Serialization
-
-def field_to_csv(name, values):
-    lines = [f"vertex_index,{name}"]
-    for i, val in enumerate(values):
-        lines.append(f"{i},{float(val)!r}")
-    return "\n".join(lines) + "\n"

@@ -20,7 +20,6 @@ ratio sup/mean of the family stays bounded in the cover degree.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,15 +93,12 @@ class SectionDensity:
 
     def one_ring(self):
         """Divisor vertices together with their edge-graph neighbors."""
-        mask = np.zeros(self.mesh.num_vertices, dtype=bool)
-        for v, _ in self.divisor.entries:
-            mask[v] = True
-            for e in range(self.mesh.num_edges):
-                t, h = self.mesh.edges[e]
-                if t == v:
-                    mask[h] = True
-                if h == v:
-                    mask[t] = True
+        zeros = np.zeros(self.mesh.num_vertices, dtype=bool)
+        zeros[[v for v, _ in self.divisor.entries]] = True
+        tail, head = self.mesh.edges.T
+        mask = zeros.copy()
+        mask[head[zeros[tail]]] = True
+        mask[tail[zeros[head]]] = True
         return mask
 
 
@@ -146,7 +142,6 @@ def _green_solver(mesh):
 
 def poisson_zero_mean(mesh, rhs_measure):
     """Solve L u = rhs (a measure with zero total mass) with M-mean-zero u."""
-    m = operators.mass_vector(mesh)
     V = mesh.num_vertices
     lu = _green_solver(mesh)
     # L = -S, so S u = -rhs
@@ -317,15 +312,12 @@ def schwarz_check(density, radius):
     inf_out = float(rho[outside].min())
     lam = 1.0 / np.sqrt(sup_out * inf_out)
 
-    boundary = inside.copy()
-    interior_flags = np.zeros(mesh.num_vertices, dtype=bool)
-    for e in range(mesh.num_edges):
-        t, h = mesh.edges[e]
-        if inside[t] and not inside[h]:
-            interior_flags[t] = True
-        if inside[h] and not inside[t]:
-            interior_flags[h] = True
-    boundary &= interior_flags
+    tail, head = mesh.edges.T
+    crossing = inside[tail] != inside[head]
+    boundary = np.zeros(mesh.num_vertices, dtype=bool)
+    boundary[tail[crossing]] = True
+    boundary[head[crossing]] = True
+    boundary &= inside
     if not boundary.any():
         raise ValueError("ball boundary is empty at this radius")
 
@@ -388,46 +380,3 @@ def disk_balanced_potential(mesh, z0, radius, c):
     a = c * vol / vol_d
     rhs = c * m - a * m * ind
     return poisson_zero_mean(mesh, rhs), float(a)
-
-
-# ----------------------------------------------------------------------
-# Serialization
-
-def density_to_csv(density):
-    lines = ["vertex_index,log_density"]
-    for i, v in enumerate(density.log_density):
-        lines.append(f"{i},{v!r}")
-    return "\n".join(lines) + "\n"
-
-
-def density_sidecar_dict(density):
-    return {
-        "degree": density.degree,
-        "c_L": density.curvature_constant,
-        "normalization": density.normalization,
-        "divisor": [[int(v), int(m)] for v, m in density.divisor.entries],
-    }
-
-
-def density_from_files(mesh, csv_text, sidecar):
-    rows = csv_text.strip().splitlines()
-    if rows[0].strip() != "vertex_index,log_density":
-        raise TodaError("bad density CSV header")
-    ld = np.empty(mesh.num_vertices)
-    seen = np.zeros(mesh.num_vertices, dtype=bool)
-    for row in rows[1:]:
-        idx_s, val_s = row.split(",")
-        ld[int(idx_s)] = float(val_s)
-        seen[int(idx_s)] = True
-    if not seen.all():
-        raise TodaError("density CSV does not cover every vertex")
-    divisor = Divisor([(int(v), int(m)) for v, m in sidecar["divisor"]])
-    if divisor.degree != int(sidecar["degree"]):
-        raise TodaError("divisor degree disagrees with sidecar degree")
-    return SectionDensity(mesh=mesh, log_density=ld, divisor=divisor,
-                          curvature_constant=float(sidecar["c_L"]),
-                          normalization=sidecar["normalization"])
-
-
-def density_sidecar_json(density):
-    return json.dumps(density_sidecar_dict(density), indent=1, sort_keys=True)

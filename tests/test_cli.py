@@ -129,6 +129,17 @@ def test_coupled_run_verify_export_deterministic(workspace, tmp_path,
                  "--density", workspace["cover_dens"], "--run", run1]) == 0
     assert reads == [workspace["cover"]]
 
+    # ... and the density read for --density is the one the run uses.
+    density_reads = []
+    read_density = fileio.read_density
+    monkeypatch.setattr(
+        fileio, "read_density",
+        lambda prefix, mesh: density_reads.append(prefix)
+        or read_density(prefix, mesh))
+    assert main(["verify", "--mesh", workspace["cover"],
+                 "--density", workspace["cover_dens"], "--run", run1]) == 0
+    assert density_reads == [workspace["cover_dens"]]
+
     # Tampering with the certificate must fail verification.
     cert_path = os.path.join(run1, "certificate.json")
     cert["sup_af"] = 0.0
@@ -143,6 +154,35 @@ def test_coupled_run_verify_export_deterministic(workspace, tmp_path,
     assert text.startswith("# vtk DataFile Version 3.0")
     assert "SCALARS af_integrand double 1" in text
     assert "np.float64" not in text
+
+
+def _corrupt_density(workspace, tmp_path, vertex, value):
+    """Copy of the cover density with one row's value replaced."""
+    prefix = str(tmp_path / "bad_dens")
+    with open(workspace["cover_dens"] + ".csv") as handle:
+        rows = handle.read().splitlines()
+    rows[vertex + 1] = f"{vertex},{value}"
+    with open(prefix + ".csv", "w") as handle:
+        handle.write("\n".join(rows) + "\n")
+    with open(workspace["cover_dens"] + ".json") as src, \
+         open(prefix + ".json", "w") as dst:
+        dst.write(src.read())
+    return prefix
+
+
+@pytest.mark.parametrize("value, message", [
+    ("nan", "holds NaN at vertex 7"), ("inf", "holds +inf at vertex 7")])
+@pytest.mark.parametrize("command", ["solve-coupled", "verify"])
+def test_non_finite_density_is_rejected(workspace, tmp_path, capsys,
+                                        command, value, message):
+    prefix = _corrupt_density(workspace, tmp_path, 7, value)
+    argv = [command, "--mesh", workspace["cover"], "--density", prefix]
+    if command == "solve-coupled":
+        argv += ["--degree", "1", "-o", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert prefix + ".csv" in err and message in err
 
 
 def test_verify_mesh_and_density(workspace):

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from todalab import fileio
 from todalab import gauss as G
 from todalab import operators as ops
 from todalab import sections as S
@@ -151,7 +152,7 @@ def test_solution_serialization(small_mesh):
     f = np.full(small_mesh.num_vertices, 0.1)
     prob = G.GaussProblem(mesh=small_mesh, f=f)
     sol = G.solve_gauss(prob)
-    text = G.solution_to_csv(sol.u)
+    text = fileio.field_csv_text("u", sol.u)
     assert text.splitlines()[0] == "vertex_index,u"
     assert len(text.splitlines()) == small_mesh.num_vertices + 1
     d = sol.to_dict(prob)

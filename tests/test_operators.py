@@ -93,6 +93,28 @@ def test_sparse_matches_dense_on_cover(mesh3):
     assert np.abs(vals_sparse - vals_dense).max() < 1e-8
 
 
+def test_eig_low_falls_back_only_on_runtime_errors(mesh3, monkeypatch):
+    cover = build_cover(mesh3, CoverSpec.cyclic(2))
+    assert cover.num_vertices > 300  # above the dense cutoff
+    dense = sla.eigh(ops.stiffness(cover).toarray(),
+                     np.diag(ops.mass_vector(cover)), eigvals_only=True,
+                     subset_by_index=[0, 1])
+
+    def no_convergence(*args, **kwargs):
+        raise ops.spla.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(ops.spla, "eigsh", no_convergence)
+    vals, _ = ops.eig_low(cover, k=2)
+    assert np.abs(vals - dense).max() < 1e-10
+
+    def bad_argument(*args, **kwargs):
+        raise ValueError("bad eigsh argument")
+
+    monkeypatch.setattr(ops.spla, "eigsh", bad_argument)
+    with pytest.raises(ValueError, match="bad eigsh argument"):
+        ops.eig_low(cover, k=2)
+
+
 def test_cover_spectrum_contains_base(mesh2):
     cover = build_cover(mesh2, CoverSpec.cyclic(3))
     base_vals, _ = ops.eig_low(mesh2, k=2)

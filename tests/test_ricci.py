@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from todalab import fileio
 from todalab import gauss as G
 from todalab import operators as ops
 from todalab import ricci as R
@@ -170,8 +171,8 @@ def test_mt_probe_properties(mesh):
     assert other > 0
 
 
-def test_field_to_csv(mesh):
-    text = R.field_to_csv("v", np.zeros(3))
+def test_field_csv_text(mesh):
+    text = fileio.field_csv_text("v", np.zeros(3))
     lines = text.splitlines()
     assert lines[0] == "vertex_index,v"
     assert lines[1] == "0,0.0"

@@ -126,6 +126,20 @@ def test_oscillation_report(mesh, deg1):
         S.oscillation_report(multi, radius=1.0)
 
 
+def test_one_ring_matches_edge_neighbours():
+    mesh1 = build_base_surface(refinement=1)
+    zeros = [2, 13]
+    density = S.synth_density(mesh1, S.Divisor([(v, 1) for v in zeros]))
+    expected = set(zeros)
+    for t, h in mesh1.edges:
+        if t in zeros:
+            expected.add(int(h))
+        if h in zeros:
+            expected.add(int(t))
+    assert set(np.flatnonzero(density.one_ring())) == expected
+    assert len(expected) < mesh1.num_vertices
+
+
 def test_schwarz_check(mesh, deg1):
     report = S.schwarz_check(deg1, radius=1.2)
     assert report["ok"]
@@ -186,6 +200,20 @@ def test_disk_indicator_and_balanced_potential(mesh):
     assert abs((m * g).sum()) < 1e-9
 
 
+def test_schwarz_boundary_is_inside_ends_of_crossing_edges(mesh, deg1):
+    inside = ops.graph_distances(mesh, 5) <= 1.2
+    boundary = set()
+    for t, h in mesh.edges:
+        if inside[t] and not inside[h]:
+            boundary.add(int(t))
+        if inside[h] and not inside[t]:
+            boundary.add(int(h))
+    rho = deg1.density()
+    lam = 1.0 / np.sqrt(rho[~inside].max() * rho[~inside].min())
+    report = S.schwarz_check(deg1, radius=1.2)
+    assert report["sup_boundary"] == (lam * rho[sorted(boundary)]).max()
+
+
 def test_density_serialization_round_trip(mesh, deg1, tmp_path):
     from todalab import fileio
     prefix = str(tmp_path / "dens")
@@ -195,3 +223,17 @@ def test_density_serialization_round_trip(mesh, deg1, tmp_path):
     assert back.divisor.entries == deg1.divisor.entries
     assert back.curvature_constant == deg1.curvature_constant
     assert back.normalization == deg1.normalization
+
+    # The zero section (-inf everywhere) round-trips too.
+    zero = S.SectionDensity.zero(mesh)
+    fileio.write_density(str(tmp_path / "zero"), zero)
+    zero_back = fileio.read_density(str(tmp_path / "zero"), mesh)
+    assert zero_back.is_zero
+    assert zero_back.divisor.entries == []
+
+    # write -> read -> write reproduces both files byte for byte.
+    for name, density in (("dens", back), ("zero", zero_back)):
+        fileio.write_density(str(tmp_path / (name + "2")), density)
+        for ext in (".csv", ".json"):
+            first = (tmp_path / (name + ext)).read_bytes()
+            assert (tmp_path / (name + "2" + ext)).read_bytes() == first
