@@ -118,9 +118,9 @@ def read_field_csv(path, expected_name=None):
 # ----------------------------------------------------------------------
 # Density files
 
-# ``<prefix>.csv`` holds the field ``log_density`` (``-inf`` everywhere for
-# the zero section, never NaN or ``+inf``); ``<prefix>.json`` holds the
-# divisor sidecar.
+# ``<prefix>.csv`` holds the field ``log_density`` (``-inf`` at every vertex
+# for the zero section and at none otherwise, never NaN or ``+inf``);
+# ``<prefix>.json`` holds the divisor sidecar.
 
 def write_density(prefix, density):
     write_field_csv(prefix + ".csv", "log_density", density.log_density)
@@ -141,6 +141,11 @@ def read_density(prefix, mesh):
     posinf = np.flatnonzero(np.isposinf(ld))
     if posinf.size:
         raise TodaError(f"density {path} holds +inf at vertex {posinf[0]}")
+    neginf = np.flatnonzero(np.isneginf(ld))
+    if 0 < neginf.size < len(ld):
+        raise TodaError(
+            f"density {path} holds -inf at vertex {neginf[0]} but not at "
+            f"every vertex (only the zero section may hold -inf)")
     sidecar = read_json(prefix + ".json")
     divisor = Divisor([(int(v), int(m)) for v, m in sidecar["divisor"]])
     if divisor.degree != int(sidecar["degree"]):

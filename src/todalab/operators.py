@@ -136,32 +136,82 @@ def stiffness(mesh):
 # ----------------------------------------------------------------------
 # Spectrum
 
+# Above this vertex count an ARPACK or factorization failure in eig_low is
+# reported instead of being replaced by a dense solve (~0.3 s and ~35 MB
+# at this size, growing as V^3 and V^2).
+DENSE_FALLBACK_MAX_V = 1024
+
+
+def _start_vector(V, seed):
+    rng = np.random.default_rng(seed)
+    return np.ones(V) + 0.01 * rng.standard_normal(V)
+
+
 def eig_low(mesh, k=2, tol=1e-9, seed=0):
     """Smallest k generalized eigenpairs of S x = lambda M x, ascending.
 
     Deterministic: the iterative solver is started from a fixed seeded
-    vector; small problems (or an ARPACK or factorization RuntimeError)
-    fall back to a dense solve.
+    vector.  Small problems are solved densely; an ARPACK or factorization
+    RuntimeError falls back to the dense solve up to DENSE_FALLBACK_MAX_V
+    vertices and raises NonConvergence above that.
     """
     S = stiffness(mesh)
     M = sp.diags(mass_vector(mesh)).tocsr()
     V = S.shape[0]
     if V <= max(4 * k + 20, 300):
         return _eig_dense(S, M, k)
-    rng = np.random.default_rng(seed)
-    v0 = np.ones(V) + 0.01 * rng.standard_normal(V)
     try:
         vals, vecs = spla.eigsh(S, k=k, M=M, sigma=-0.05, which="LM",
-                                v0=v0, tol=tol)
-    except RuntimeError:
+                                v0=_start_vector(V, seed), tol=tol)
+    except RuntimeError as exc:
+        if V > DENSE_FALLBACK_MAX_V:
+            raise NonConvergence(
+                f"sparse eigen-solve failed at V = {V} (no dense fallback "
+                f"above {DENSE_FALLBACK_MAX_V} vertices): {exc}") from exc
         return _eig_dense(S, M, k)
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
 
-def _eig_dense(S, M, k):
+def eigs_nearest(A, m, sigma, enough=lambda vals: True):
+    """Eigenvalues of A x = mu diag(m) x nearest sigma, nearest first.
+
+    A is sparse symmetric and m positive.  Shift-invert Lanczos: ARPACK
+    finds the largest eigenvalues theta = 1/(mu - sigma) of
+    (A - sigma M)^{-1} M, i.e. the mu nearest sigma (Ericsson & Ruhe 1980).
+    One sparse LU of A - sigma M serves every k: k starts at 1 and doubles
+    until ``enough(vals)`` holds (by default at once).  Only when k would
+    reach V - 1 is the full spectrum computed densely instead (tiny meshes).
+
+    Raises RuntimeError when A - sigma M is exactly singular (SuperLU) and
+    NonConvergence when ARPACK fails.
+    """
+    V = A.shape[0]
+    M = sp.diags(m).tocsr()
+    lu = spla.splu((A - sigma * M).tocsc())
+    op = spla.LinearOperator((V, V), matvec=lu.solve, dtype=float)
+    v0 = _start_vector(V, 0)
+    k = 1
+    while k < V - 1:
+        try:
+            vals = spla.eigsh(A, k=k, M=M, sigma=sigma, OPinv=op, v0=v0,
+                              return_eigenvectors=False)
+        except spla.ArpackError as exc:
+            raise NonConvergence(
+                f"shift-invert eigen-solve at sigma = {sigma:.6g} "
+                f"(k = {k}, V = {V}) failed: {exc}") from exc
+        vals = vals[np.argsort(np.abs(vals - sigma), kind="stable")]
+        if enough(vals):
+            return vals
+        k *= 2
+    vals, _ = _eig_dense(A, M, V)
+    return vals[np.argsort(np.abs(vals - sigma), kind="stable")]
+
+
+def _eig_dense(A, M, k):
+    """Smallest k eigenpairs of A x = lambda M x by a dense solve."""
     from scipy.linalg import eigh
-    vals, vecs = eigh(S.toarray(), M.toarray())
+    vals, vecs = eigh(A.toarray(), M.toarray())
     return vals[:k], vecs[:, :k]
 
 

@@ -20,11 +20,19 @@ Two routes are provided and cross-checked:
   warm-started re-solves inside outer loops.
 
 The stability check locates the spectrum of the linearized operator
-L + 2 M diag(e^{2v} f) relative to M: it lies in
+L + 2 M diag(e^{2v} f) relative to M, with c = avg(e^{2v} f): it lies in
 (-inf, -lambda_1 + 2 sup e^{2v} f] union [2c, 2 sup e^{2v} f], leaving the
-window (-lambda_1 + 2 sup e^{2v} f, 2c) free of eigenvalues whenever
-2 sup e^{2v} f < lambda_1; the inverse of the linearization is then
-bounded by max(1/(lambda_1 - 2 sup e^{2v} f), 1/c).
+window (-lambda_1 + 2 sup e^{2v} f, 2c) free of eigenvalues.  This is
+min-max (Courant-Fischer): L relative to M has eigenvalues
+0 > -lambda_1 >= -lambda_2 >= ..., and adding the diagonal term, which
+lies in [0, 2 sup e^{2v} f], raises no eigenvalue by more than
+2 sup e^{2v} f, so the largest is at most 2 sup e^{2v} f and every other
+at most -lambda_1 + 2 sup e^{2v} f; the constant vector has Rayleigh
+quotient 2c, so the largest is at least 2c.  When 2 sup e^{2v} f < lambda_1
+the window contains 0 and the inverse of the linearization is bounded by
+max(1/(lambda_1 - 2 sup e^{2v} f), 1/c).  The check confirms this
+numerically by sparse shift-invert Lanczos (see ``stability_check``), at
+O(nnz of the LU factors) memory instead of a dense V x V solve.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import logsumexp
@@ -193,6 +200,11 @@ def _finish_solution(problem, w, iterations, method, v_shift=0.0):
         iterations=iterations, method=method, v_shift_from_init=v_shift)
 
 
+# Consecutive accepted steps that leave J unchanged (an increase below its
+# rounding) after which maximize_J reports a stall instead of iterating on.
+STALL_STEPS = 5
+
+
 def maximize_J(problem, w0=None, max_iters=10000):
     """Ascend J from w = 0 by Newton steps with a gradient fallback.
 
@@ -201,7 +213,9 @@ def maximize_J(problem, w0=None, max_iters=10000):
     zero-M-mean constraint) and a Sherman-Morrison update.  Steps that are
     not ascent directions fall back to a preconditioned gradient; Armijo
     backtracking guarantees monotone increase, so the maximum value is
-    never below J(0).
+    never below J(0).  When the gradient stalls above tolerance, steps are
+    accepted only at a length where J no longer changes; STALL_STEPS such
+    steps in a row raise NonConvergence.
     """
     _check_problem_nonzero(problem)
     mesh = problem.mesh
@@ -216,6 +230,7 @@ def maximize_J(problem, w0=None, max_iters=10000):
     J = eval_J(problem, w)
     m_col = sp.csr_matrix(m.reshape(V, 1))
     precond = spla.splu((scale * S + (2.0 / vol) * sp.diags(m)).tocsc())
+    stalled = 0
 
     for it in range(max_iters):
         g = grad_J(problem, w)
@@ -263,6 +278,11 @@ def maximize_J(problem, w0=None, max_iters=10000):
             t *= 0.5
         if not accepted:
             raise NonConvergence("J line search stalled")
+        stalled = stalled + 1 if J_new - J <= 4 * np.spacing(abs(J)) else 0
+        if stalled >= STALL_STEPS:
+            raise NonConvergence(
+                f"J maximization stalled: {STALL_STEPS} accepted steps left J "
+                f"unchanged at grad norm {gnorm:.3e} > tol {problem.tol}")
         w = w + t * step
         J = J_new
 
@@ -333,9 +353,20 @@ def stability_check(mesh, v, f):
 
     f is the effective weight e^{-2u} rho.  With c recovered from the mean
     identity c = avg(e^{2v} f), every eigenvalue lies in
-    (-inf, -lambda_1 + 2 sup e^{2v} f] union [2c, 2 sup e^{2v} f]; the
-    report lists any eigenvalue violating the open window in between and
-    the resulting bound on the inverse of the linearization.
+    (-inf, -lambda_1 + 2 sup e^{2v} f] union [2c, 2 sup e^{2v} f] (see the
+    module docstring); the report lists any eigenvalue violating the open
+    window in between and the resulting bound on the inverse of the
+    linearization.
+
+    Both spectral questions are answered by sparse shift-invert Lanczos on
+    A = -S + 2 diag(m e^{2v} f) relative to M = diag(m), never by a dense
+    solve.  The window holds an eigenvalue iff the eigenvalue nearest its
+    midpoint lies inside it, and the eigenvalues inside are a prefix of
+    the eigenvalues ordered by distance from the midpoint, so k nearest
+    are requested, k doubling until one falls outside (k = 1 unless the
+    window is violated).  The inverse norm is 1/|mu| for the eigenvalue mu
+    nearest 0, from a second shift at sigma = 0; an exactly singular
+    factor there gives inf.  lambda_1 comes from ``operators.eig_low``.
     """
     m = operators.mass_vector(mesh)
     S = operators.stiffness(mesh)
@@ -343,19 +374,29 @@ def stability_check(mesh, v, f):
     weight = np.exp(2.0 * v) * f
     sup_term = 2.0 * float(weight.max())
     c = float((m * weight).sum() / vol)
-
-    A = -S.toarray() + 2.0 * np.diag(m * weight)
-    eigs = sla.eigh(A, np.diag(m), eigvals_only=True)
     lam1 = float(operators.eig_low(mesh, k=2)[0][1])
 
+    A = (-S + sp.diags(2.0 * m * weight)).tocsr()
     lo = -lam1 + sup_term
     hi = 2.0 * c
     window = (lo, hi)
     pad = 1e-9 * max(1.0, abs(lo), abs(hi))
-    violating = [float(x) for x in eigs if lo + pad < x < hi - pad]
+
+    def inside(x):
+        return lo + pad < x < hi - pad
+
+    violating = []
+    if lo + pad < hi - pad:
+        nearest = operators.eigs_nearest(
+            A, m, 0.5 * (lo + hi), lambda vals: not inside(vals[-1]))
+        violating = sorted(float(x) for x in nearest if inside(x))
+
+    try:
+        hinv = float(1.0 / abs(operators.eigs_nearest(A, m, 0.0)[0]))
+    except RuntimeError:  # SuperLU: A itself is exactly singular
+        hinv = np.inf
 
     hypothesis_ok = sup_term < lam1
-    hinv = float(1.0 / np.abs(eigs).min()) if np.abs(eigs).min() > 0 else np.inf
     if hypothesis_ok and c > 0:
         bound = max(1.0 / (lam1 - sup_term), 1.0 / c)
     else:

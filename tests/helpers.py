@@ -1,12 +1,17 @@
 """Shared fixtures: deck-invariant smooth bump fields built from positions,
-and the reference systole search."""
+the reference systole search and the dense stability oracles."""
 
 import heapq
 
 import numpy as np
+import scipy.linalg as sla
+import scipy.sparse as sp
 
+from todalab import gauss
 from todalab import group as G
 from todalab import hyperbolic as H
+from todalab import operators
+from todalab import ricci
 
 
 def enumerate_translates(cutoff, max_len=3):
@@ -138,3 +143,48 @@ def reference_systole(mesh):
                 best = total
                 break
     return float(best)
+
+
+# ----------------------------------------------------------------------
+# Dense stability oracles: the full generalized eigen-solves that the
+# sparse shift-invert checks in ``ricci.stability_check`` and
+# ``gauss.gauss_stability_probe`` replace.  O(V^3) time and O(V^2) memory,
+# so for small meshes only.
+
+def reference_stability_check(mesh, v, f):
+    """``ricci.stability_check`` from the whole dense spectrum."""
+    m = operators.mass_vector(mesh)
+    S = operators.stiffness(mesh)
+    vol = m.sum()
+    weight = np.exp(2.0 * v) * f
+    sup_term = 2.0 * float(weight.max())
+    c = float((m * weight).sum() / vol)
+
+    A = -S.toarray() + 2.0 * np.diag(m * weight)
+    eigs = sla.eigh(A, np.diag(m), eigvals_only=True)
+    lam1 = float(operators.eig_low(mesh, k=2)[0][1])
+
+    lo = -lam1 + sup_term
+    hi = 2.0 * c
+    pad = 1e-9 * max(1.0, abs(lo), abs(hi))
+    violating = [float(x) for x in eigs if lo + pad < x < hi - pad]
+
+    hypothesis_ok = sup_term < lam1
+    hinv = float(1.0 / np.abs(eigs).min()) if np.abs(eigs).min() > 0 else np.inf
+    if hypothesis_ok and c > 0:
+        bound = max(1.0 / (lam1 - sup_term), 1.0 / c)
+    else:
+        bound = np.inf
+    return ricci.StabilityReport(
+        sup_term=sup_term, lambda1=lam1, window=(lo, hi), violating=violating,
+        c=c, hypothesis_ok=hypothesis_ok, hinv_norm=hinv,
+        hinv_bound=float(bound))
+
+
+def reference_gauss_min_eig(mesh, u, f):
+    """Smallest eigenvalue of S + M diag(R'(u)) relative to M, densely."""
+    S = operators.stiffness(mesh)
+    m = operators.mass_vector(mesh)
+    A = (S + sp.diags(m * gauss._reaction_slope(u, f))).toarray()
+    return float(sla.eigh(A, np.diag(m), eigvals_only=True,
+                          subset_by_index=[0, 0])[0])

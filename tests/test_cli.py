@@ -185,6 +185,22 @@ def test_non_finite_density_is_rejected(workspace, tmp_path, capsys,
     assert prefix + ".csv" in err and message in err
 
 
+@pytest.mark.parametrize("command", ["solve-coupled", "verify"])
+def test_partial_neg_inf_density_is_rejected(workspace, tmp_path, capsys,
+                                             command):
+    # -inf at every vertex is the zero section; at some vertices only it
+    # is no density at all.
+    prefix = _corrupt_density(workspace, tmp_path, 7, "-inf")
+    argv = [command, "--mesh", workspace["cover"], "--density", prefix]
+    if command == "solve-coupled":
+        argv += ["--degree", "1", "-o", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert prefix + ".csv" in err and "holds -inf at vertex 7" in err
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_verify_mesh_and_density(workspace):
     assert main(["verify", "--mesh", workspace["base"],
                  "--density", workspace["base_dens"]]) == 0

@@ -1,5 +1,7 @@
 """Coupled fixed-point driver, certificates, and obstruction behavior."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from todalab import operators as ops
 from todalab import ricci as R
 from todalab import sections as S
 from todalab.errors import (AdmissibilityLost, DegreeRangeError,
-                            InfeasibleDegree)
+                            InfeasibleDegree, NonConvergence)
 from todalab.mesh import CoverSpec, build_base_surface, build_cover
 
 
@@ -197,3 +199,20 @@ def test_superminimality_audit(mesh):
                             normalization="manual")
     assert C.superminimality_audit(both, beta) == -3.0
     assert C.superminimality_audit(beta, beta) == -np.inf
+
+
+def test_stalled_ascent_stops_early():
+    # Level-3 2-cover, fresh zero 16, degree 1: the J ascent used to stall
+    # at a gradient norm of 1.58e-8 > 1e-9 and run all 10 000 iterations.
+    base = build_base_surface(refinement=3)
+    base_dens = S.synth_density(
+        base, S.Divisor([(0, 1), (1, 1), (5, 1), (20, 1)]))
+    cover = build_cover(base, CoverSpec.cyclic(2))
+    dens, _ = S.balanced_lift(base_dens, cover, z_n=16)
+    start = time.perf_counter()
+    try:
+        result = C.solve_coupled(cover, dens, C.CoupledConfig(degree=1))
+        assert result.certificate.converged
+    except NonConvergence as exc:
+        assert "stalled" in str(exc) and "grad norm" in str(exc)
+    assert time.perf_counter() - start < 10.0

@@ -9,6 +9,7 @@ import scipy.linalg as sla
 from helpers import reference_dijkstra, reference_systole
 from todalab import group
 from todalab import operators as ops
+from todalab.errors import NonConvergence
 from todalab.mesh import (CoverSpec, build_base_surface, build_cover,
                           mesh_from_json, mesh_to_json)
 
@@ -112,6 +113,23 @@ def test_eig_low_falls_back_only_on_runtime_errors(mesh3, monkeypatch):
 
     monkeypatch.setattr(ops.spla, "eigsh", bad_argument)
     with pytest.raises(ValueError, match="bad eigsh argument"):
+        ops.eig_low(cover, k=2)
+
+
+def test_eig_low_raises_above_dense_fallback_bound(monkeypatch):
+    cover = build_cover(build_base_surface(refinement=4), CoverSpec.cyclic(2))
+    assert cover.num_vertices == 2044 > ops.DENSE_FALLBACK_MAX_V
+
+    def no_convergence(*args, **kwargs):
+        raise ops.spla.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", [], [])
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense eigen-solve called")
+
+    monkeypatch.setattr(ops.spla, "eigsh", no_convergence)
+    monkeypatch.setattr(sla, "eigh", no_dense)
+    with pytest.raises(NonConvergence, match="ARPACK error -1: No convergence"):
         ops.eig_low(cover, k=2)
 
 

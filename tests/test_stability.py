@@ -1,0 +1,163 @@
+"""Sparse shift-invert stability checks against their dense oracles."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.linalg
+import scipy.sparse as sp
+
+from helpers import reference_gauss_min_eig, reference_stability_check
+from todalab import coupled as C
+from todalab import gauss as G
+from todalab import operators as ops
+from todalab import ricci as R
+from todalab import sections as S
+from todalab.mesh import CoverSpec, build_base_surface, build_cover
+
+# Degree 4 = 4g - 4 on the genus-2 base, as balanced_lift needs; every
+# vertex exists from refinement 1 on.
+BASE_DIVISOR = [(0, 1), (1, 1), (5, 1), (9, 1)]
+
+
+def _meshes():
+    for level in (1, 2, 3):
+        base = build_base_surface(refinement=level)
+        yield f"base-{level}", base, None
+        yield f"cover-{level}", build_cover(base, CoverSpec.cyclic(2)), base
+
+
+MESHES = {name: (mesh, base) for name, mesh, base in _meshes()}
+
+
+# Each input maker returns (v, f) for the Ricci linearization and (u, g)
+# for the Gauss one, u solving the scalar equation with data g.
+
+def _gauss_pair(mesh, g):
+    return G.solve_gauss(G.GaussProblem(mesh=mesh, f=g)).u, g
+
+
+def _coupled(mesh, base):
+    if base is None:
+        density = S.synth_density(mesh, S.Divisor([(0, 1)]))
+    else:
+        base_density = S.synth_density(base, S.Divisor(BASE_DIVISOR))
+        density, _ = S.balanced_lift(base_density, mesh, z_n=3)
+    u, v, _ = C.solve_coupled(mesh, density, C.CoupledConfig(degree=1))
+    return (v, np.exp(density.log_density - 2.0 * u),
+            u, np.exp(density.log_density + 2.0 * v))
+
+
+def _constant(mesh, base):
+    # weight e^{2v} f = c = 0.3: the spectrum relative to M is
+    # {0.6 - lambda_k}
+    n = mesh.num_vertices
+    return (np.zeros(n), np.full(n, 0.3)) + _gauss_pair(mesh, np.full(n, 0.1))
+
+
+def _random(mesh, base):
+    rng = np.random.default_rng(mesh.num_vertices)
+    n = mesh.num_vertices
+    return ((0.4 * rng.standard_normal(n), 0.2 * rng.random(n))
+            + _gauss_pair(mesh, 0.2 * rng.random(n)))
+
+
+@pytest.mark.parametrize("make", [_coupled, _constant, _random],
+                         ids=["coupled", "constant", "random"])
+@pytest.mark.parametrize("name", list(MESHES))
+def test_sparse_reports_match_dense(name, make):
+    mesh, base = MESHES[name]
+    v, f, u, g = make(mesh, base)
+    rep = R.stability_check(mesh, v, f)
+    ref = reference_stability_check(mesh, v, f)
+    assert rep.violating == ref.violating == []
+    assert rep.hinv_norm == pytest.approx(ref.hinv_norm, rel=1e-9)
+    for key in ("sup_term", "lambda1", "window", "c", "hypothesis_ok",
+                "hinv_bound"):
+        assert getattr(rep, key) == getattr(ref, key), key
+
+    min_eig, _ = G.gauss_stability_probe(mesh, u, g)
+    assert min_eig == pytest.approx(reference_gauss_min_eig(mesh, u, g),
+                                    rel=1e-9)
+
+
+def test_nearest_eigenvalues_grow_k_until_enough():
+    mesh = MESHES["cover-2"][0]
+    m = ops.mass_vector(mesh)
+    A = (-ops.stiffness(mesh) + sp.diags(0.5 * m)).tocsr()
+    dense = scipy.linalg.eigh(A.toarray(), np.diag(m), eigvals_only=True)
+    sigma = -2.0
+    expected = dense[np.argsort(np.abs(dense - sigma))]
+    seen = []
+
+    def enough(vals):
+        seen.append(len(vals))
+        return len(vals) >= 5
+
+    vals = ops.eigs_nearest(A, m, sigma, enough)
+    assert seen == [1, 2, 4, 8]
+    assert np.abs(vals - expected[:8]).max() < 1e-10
+
+
+def test_nearest_eigenvalues_go_dense_only_at_full_spectrum():
+    # V = 2: k = 1 already reaches V - 1, so the whole spectrum is dense;
+    # a predicate that is never satisfied does the same on V = 14.
+    for level in (0, 1):
+        mesh = build_base_surface(refinement=level)
+        m = ops.mass_vector(mesh)
+        A = (-ops.stiffness(mesh) + sp.diags(0.5 * m)).tocsr()
+        dense = scipy.linalg.eigh(A.toarray(), np.diag(m), eigvals_only=True)
+        vals = ops.eigs_nearest(A, m, 0.3, lambda vals: False)
+        assert len(vals) == mesh.num_vertices
+        assert np.abs(np.sort(vals) - dense).max() < 1e-10
+        assert list(np.argsort(np.abs(vals - 0.3))) == list(range(len(vals)))
+
+
+def test_level4_cover_check_is_sparse(monkeypatch):
+    base = build_base_surface(refinement=4)
+    cover = build_cover(base, CoverSpec.cyclic(2))
+    V = cover.num_vertices
+    assert V == 2044 and V > ops.DENSE_FALLBACK_MAX_V
+    rng = np.random.default_rng(0)
+    v = 0.1 * rng.standard_normal(V)
+    f = np.full(V, 0.1)
+    u = np.full(V, -0.05)
+    ops.stiffness(cover)  # assembly is not part of the check
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense eigen-solve called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_dense)
+    monkeypatch.setattr(np.linalg, "eigh", no_dense)
+    tracemalloc.start()
+    try:
+        rep = R.stability_check(cover, v, f)
+        G.gauss_stability_probe(cover, u, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.window_empty and rep.hypothesis_ok
+    assert rep.hinv_norm <= 1.1 * rep.hinv_bound
+    # one V x V float64 array would be 33 MB
+    assert peak < V * V * 8 / 4
+
+
+def test_violating_eigenvalues_are_all_found(monkeypatch):
+    # With lambda_1 overstated, the window (-lambda_1 + 2 sup e^{2v} f, 2c)
+    # reaches into the spectrum; the sparse search must then return the
+    # same eigenvalues inside it as the dense solve.
+    mesh = MESHES["cover-2"][0]
+    true_eig_low = ops.eig_low
+
+    def overstated(mesh, k=2, **kwargs):
+        vals, vecs = true_eig_low(mesh, k=k, **kwargs)
+        return vals + np.array([0.0, 6.0]), vecs
+
+    monkeypatch.setattr(ops, "eig_low", overstated)
+    v, f, _, _ = _random(mesh, None)
+    rep = R.stability_check(mesh, v, f)
+    ref = reference_stability_check(mesh, v, f)
+    assert len(ref.violating) >= 3
+    assert len(rep.violating) == len(ref.violating)
+    assert np.allclose(rep.violating, ref.violating, rtol=1e-9, atol=0)
+    assert not rep.window_empty
