@@ -115,14 +115,14 @@ class CoupledResult:
 
 
 def _curvature_constant(mesh, degree):
-    return 2.0 * np.pi * degree / operators.volume(mesh)
+    return 2.0 * np.pi * degree / operators.of(mesh).volume
 
 
 def certify(mesh, u, v, density, eta, degree=1, t=1.0,
             outer_iters=0, converged=True):
     """Recompute every certificate quantity from the fields alone."""
-    m = operators.mass_vector(mesh)
-    L, _ = operators.laplacian(mesh)
+    ops = operators.of(mesh)
+    m = ops.m
     ld = density.log_density
     c_eff = t * _curvature_constant(mesh, degree)
 
@@ -136,10 +136,10 @@ def certify(mesh, u, v, density, eta, degree=1, t=1.0,
         sup_af = float(np.exp(ld + 2.0 * v - 4.0 * u).max())
         weighted = np.exp(ld + 2.0 * v - 2.0 * u)
         ricci_forcing = c_eff - weighted
-        mean_residual = abs(float((m * weighted).sum() / m.sum()) - c_eff)
+        mean_residual = abs(float((m * weighted).sum() / ops.vol) - c_eff)
 
     gauss_res = gauss_mod.gauss_residual(mesh, u, f)
-    ricci_res = float(np.abs((L @ v) / m - ricci_forcing).max())
+    ricci_res = float(np.abs(ops.lap(v) - ricci_forcing).max())
     margin = gauss_mod.admissible_bound(eta) - float(f.max())
     spectral = operators.spectral_gap(mesh)
     return AFCertificate(
@@ -158,9 +158,7 @@ def _box_check(mesh, u):
         raise AdmissibilityLost(
             f"iterate escaped the box [{lo:.6f}, 0]: "
             f"range [{u.min():.6f}, {u.max():.6f}]")
-    L, _ = operators.laplacian(mesh)
-    m = operators.mass_vector(mesh)
-    lap = (L @ u) / m
+    lap = operators.of(mesh).lap(u)
     if np.abs(lap).max() > 1.0 + 1e-7:
         raise AdmissibilityLost(
             f"iterate curvature defect escaped [-1, 1]: "
@@ -308,8 +306,7 @@ def full_system_residual(mesh, u, v, alpha_density, beta_density, c):
     Either density may be the zero section; with |b|^2 = 0 both components
     agree with the individual solvers' residuals.
     """
-    L, _ = operators.laplacian(mesh)
-    m = operators.mass_vector(mesh)
+    ops = operators.of(mesh)
     u = np.asarray(u, float)
     v = np.asarray(v, float)
     fa = (np.zeros(mesh.num_vertices) if alpha_density.is_zero
@@ -317,10 +314,10 @@ def full_system_residual(mesh, u, v, alpha_density, beta_density, c):
     fb = (np.zeros(mesh.num_vertices) if beta_density.is_zero
           else np.exp(beta_density.log_density - 2.0 * v))
     r_gauss = float(np.abs(
-        (L @ u) / m
+        ops.lap(u)
         - (np.exp(2.0 * u) - 1.0 + np.exp(-2.0 * u) * (fa + fb))).max())
     r_ricci = float(np.abs(
-        (L @ v) / m - (c - np.exp(-2.0 * u) * (fa - fb))).max())
+        ops.lap(v) - (c - np.exp(-2.0 * u) * (fa - fb))).max())
     return r_gauss, r_ricci
 
 

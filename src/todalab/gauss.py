@@ -84,9 +84,7 @@ class GaussSolution:
 
 def gauss_residual(mesh, u, f):
     """Pointwise defect |M^{-1} L u - (e^{2u} - 1 + e^{-2u} f)|_inf."""
-    L, _ = operators.laplacian(mesh)
-    m = operators.mass_vector(mesh)
-    lap = (L @ u) / m
+    lap = operators.of(mesh).lap(u)
     return float(np.abs(lap - _reaction(u, f)).max())
 
 
@@ -125,9 +123,8 @@ def solve_gauss(problem, u0=None):
     first step, so exact warm starts return in zero iterations.
     """
     mesh = problem.mesh
-    S = operators.stiffness(mesh)
-    m = operators.mass_vector(mesh)
-    M = sp.diags(m)
+    ops = operators.of(mesh)
+    S, m = ops.S, ops.m
     lower = problem.box_lower
     u = warm_start(problem) if u0 is None else np.asarray(u0, dtype=float)
     pad = 0.1
@@ -168,9 +165,9 @@ def monotone_solve_gauss(problem, lam=4.0, max_iters=5000):
     sublinear when the data touch the double root f = 1/4.
     """
     mesh = problem.mesh
-    S = operators.stiffness(mesh)
-    m = operators.mass_vector(mesh)
-    A = (S + sp.diags(lam * m)).tocsc()
+    ops = operators.of(mesh)
+    m = ops.m
+    A = (ops.S + sp.diags(lam * m)).tocsc()
     lu = spla.splu(A)
     u = np.zeros(mesh.num_vertices)
     for it in range(max_iters):
@@ -198,12 +195,11 @@ def gauss_stability_probe(mesh, u, f, perturbation_scale=1e-6, seed=0):
     S is PSD, so every eigenvalue is at least min R' > sigma, the shifted
     matrix is SPD, and the eigenvalue nearest sigma is the smallest.
     """
-    S = operators.stiffness(mesh)
-    m = operators.mass_vector(mesh)
+    ops = operators.of(mesh)
     slope = _reaction_slope(u, f)
-    A = (S + sp.diags(m * slope)).tocsr()
+    A = (ops.S + sp.diags(ops.m * slope)).tocsr()
     sigma = float(slope.min()) - 1.0
-    min_eig = float(operators.eigs_nearest(A, m, sigma)[0])
+    min_eig = float(operators.eigs_nearest(A, ops.m, sigma)[0])
 
     rng = np.random.default_rng(seed)
     df = perturbation_scale * rng.standard_normal(mesh.num_vertices)

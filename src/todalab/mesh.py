@@ -58,7 +58,8 @@ class HyperbolicMesh:
     edge_words: list
     positions: np.ndarray
     base_vertex: np.ndarray | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     # -------------------------------------------------- basic counts
     @property

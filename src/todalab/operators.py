@@ -3,10 +3,18 @@
 The stiffness matrix uses cotangent weights computed from hyperbolic
 corner angles (law of cosines on the stored edge lengths); the mass matrix
 is lumped, one third of each triangle's hyperbolic area per corner.  The
-Laplacian is returned negative semidefinite (L = -S), so the eigenproblem
-of interest is S x = lambda M x with lambda >= 0; lambda1 is the spectral
-gap in the usual convention (some formulas elsewhere use its reciprocal;
+Laplacian is negative semidefinite (L = -S), so the eigenproblem of
+interest is S x = lambda M x with lambda >= 0; lambda1 is the spectral gap
+in the usual convention (some formulas elsewhere use its reciprocal;
 conversions happen at the point of use and are recorded there).
+
+All of these live in one ``Operators`` bundle per mesh: ``of(mesh)``
+assembles S, L, m, M and both area totals on first use and keeps the
+bundle in ``mesh._cache``; the shortest-path graph, the bordered Green
+factorization and lambda0/lambda1 join it when first asked for.  Every
+solver reads its operators from the bundle; ``laplacian``,
+``mass_vector``, ``stiffness`` and ``volume`` are views of it.  The
+systole is kept beside it under ``mesh._cache["systole"]``.
 
 The systole is approximated on the edge graph: the shortest closed edge
 loop whose accumulated holonomy word is not the identity.  Every such loop
@@ -52,6 +60,7 @@ The search is exact and rests on four facts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,10 +74,19 @@ from .errors import MeshError, NonConvergence
 # ----------------------------------------------------------------------
 # Assembly
 
-def triangle_geometry(mesh):
-    """(angles, areas): per-triangle corner angles (F,3) and areas (F,)."""
-    key = "triangle_geometry"
-    if key not in mesh._cache:
+class Operators:
+    """Everything the solvers need from one mesh, assembled once.
+
+    S (CSR) is the PSD cotangent stiffness, L = -S the Laplacian, m the
+    lumped vertex areas and M = diag(m); vol = m.sum() is the discrete
+    area the solvers normalize by, and volume the sum of the triangle
+    angle defects (the two agree up to rounding).  lap(x) = M^{-1} L x.
+    The shortest-path graph, the bordered Green factorization and
+    lambda0/lambda1 are built on first use.  Obtain it via ``of(mesh)``.
+    """
+
+    def __init__(self, mesh):
+        self.mesh = mesh
         sl = mesh.slot_lengths()
         a0, a1, a2 = hyperbolic.triangle_angles(sl[:, 0], sl[:, 1], sl[:, 2])
         angles = np.stack([a0, a1, a2], axis=1)
@@ -77,38 +95,16 @@ def triangle_geometry(mesh):
         areas = np.pi - angles.sum(axis=1)
         if (areas <= 0).any():
             raise MeshError("degenerate triangle (nonpositive area)")
-        mesh._cache[key] = (angles, areas)
-    return mesh._cache[key]
+        self.volume = float(areas.sum())
 
-
-def volume(mesh):
-    """Total hyperbolic area, the sum of triangle angle defects."""
-    _, areas = triangle_geometry(mesh)
-    return float(areas.sum())
-
-
-def mass_vector(mesh):
-    """Lumped vertex areas: one third of each incident triangle's area."""
-    key = "mass_vector"
-    if key not in mesh._cache:
-        _, areas = triangle_geometry(mesh)
-        m = np.zeros(mesh.num_vertices)
+        V = mesh.num_vertices
+        m = np.zeros(V)
         for k in range(3):
             np.add.at(m, mesh.triangles[:, k], areas / 3.0)
-        mesh._cache[key] = m
-    return mesh._cache[key]
+        self.m = m
+        self.vol = m.sum()
+        self.M = sp.diags(m).tocsr()
 
-
-def laplacian(mesh):
-    """Cotangent Laplacian (negative semidefinite) and lumped mass matrix.
-
-    Returns (L, M) with L = -S for the PSD stiffness S, so that
-    g^T L f = -(discrete Dirichlet pairing of f and g); rows of L sum to 0.
-    """
-    key = "laplacian"
-    if key not in mesh._cache:
-        angles, _ = triangle_geometry(mesh)
-        V = mesh.num_vertices
         rows, cols, data = [], [], []
         for k in range(3):
             w = 0.5 / np.tan(angles[:, (k + 2) % 3])
@@ -119,18 +115,90 @@ def laplacian(mesh):
             rows.extend([i, j, i, j])
             cols.extend([i, j, j, i])
             data.extend([w, w, -w, -w])
-        S = sp.coo_matrix(
+        self.S = sp.coo_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=(V, V)).tocsr()
-        M = sp.diags(mass_vector(mesh)).tocsr()
-        mesh._cache[key] = (-S, M)
-    return mesh._cache[key]
+        self.L = -self.S
+        self._low = {}
+
+    def lap(self, x):
+        """M^{-1} L x, the pointwise discrete Laplacian of a vertex field."""
+        return (self.L @ x) / self.m
+
+    def low_eigenvalues(self, tol=1e-9, seed=0):
+        """(lambda0, lambda1) from ``eig_low(k=2)``, once per (tol, seed)."""
+        key = (tol, seed)
+        if key not in self._low:
+            vals, _ = eig_low(self.mesh, k=2, tol=tol, seed=seed)
+            lam0, lam1 = float(vals[0]), float(vals[1])
+            if not np.isfinite([lam0, lam1]).all():
+                raise NonConvergence(
+                    "eigensolver returned non-finite eigenvalues")
+            self._low[key] = (lam0, lam1)
+        return self._low[key]
+
+    @cached_property
+    def green_lu(self):
+        """LU of the bordered zero-mean Poisson system [[S, m], [m^T, 0]]."""
+        m_col = sp.csr_matrix(self.m.reshape(-1, 1))
+        kkt = sp.bmat([[self.S, m_col], [m_col.T, None]], format="csc")
+        return spla.splu(kkt)
+
+    @cached_property
+    def path_graph(self):
+        """Simple weighted graph for shortest paths: the shortest edge of
+        each vertex pair (first id on ties), self-loops dropped.
+
+        (graph, pair_keys, pair_edges): the symmetric CSR graph, the sorted
+        keys lo * V + hi of its vertex pairs, and the edge id kept for each
+        key.
+        """
+        mesh = self.mesh
+        V = mesh.num_vertices
+        lo, hi = mesh.edges.min(axis=1), mesh.edges.max(axis=1)
+        pair = lo * V + hi
+        ids = np.flatnonzero(lo != hi)
+        ids = ids[np.lexsort((mesh.edge_lengths[ids], pair[ids]))]
+        pair_keys, first = np.unique(pair[ids], return_index=True)
+        kept = ids[first]
+        w = mesh.edge_lengths[kept]
+        graph = sp.csr_matrix(
+            (np.concatenate([w, w]),
+             (np.concatenate([lo[kept], hi[kept]]),
+              np.concatenate([hi[kept], lo[kept]]))), shape=(V, V))
+        return graph, pair_keys, kept
+
+
+def of(mesh):
+    """The operator bundle of mesh, assembled on first use and kept."""
+    ops = mesh._cache.get("operators")
+    if ops is None:
+        ops = mesh._cache["operators"] = Operators(mesh)
+    return ops
+
+
+def volume(mesh):
+    """Total hyperbolic area, the sum of triangle angle defects."""
+    return of(mesh).volume
+
+
+def mass_vector(mesh):
+    """Lumped vertex areas: one third of each incident triangle's area."""
+    return of(mesh).m
+
+
+def laplacian(mesh):
+    """(L, M): the cotangent Laplacian L = -S and the lumped mass matrix.
+
+    g^T L f = -(discrete Dirichlet pairing of f and g); rows of L sum to 0.
+    """
+    ops = of(mesh)
+    return ops.L, ops.M
 
 
 def stiffness(mesh):
     """PSD stiffness matrix S = -L."""
-    L, _ = laplacian(mesh)
-    return -L
+    return of(mesh).S
 
 
 # ----------------------------------------------------------------------
@@ -155,8 +223,8 @@ def eig_low(mesh, k=2, tol=1e-9, seed=0):
     RuntimeError falls back to the dense solve up to DENSE_FALLBACK_MAX_V
     vertices and raises NonConvergence above that.
     """
-    S = stiffness(mesh)
-    M = sp.diags(mass_vector(mesh)).tocsr()
+    ops = of(mesh)
+    S, M = ops.S, ops.M
     V = S.shape[0]
     if V <= max(4 * k + 20, 300):
         return _eig_dense(S, M, k)
@@ -232,42 +300,13 @@ class SpectralReport:
 
 def spectral_gap(mesh, tol=1e-9, seed=0):
     """Smallest two Laplace eigenvalues plus systole and volume."""
-    vals, _ = eig_low(mesh, k=2, tol=tol, seed=seed)
-    lam0, lam1 = float(vals[0]), float(vals[1])
-    if not np.isfinite([lam0, lam1]).all():
-        raise NonConvergence("eigensolver returned non-finite eigenvalues")
+    lam0, lam1 = of(mesh).low_eigenvalues(tol, seed)
     return SpectralReport(lambda0=lam0, lambda1=lam1, systole=systole(mesh),
                           volume=volume(mesh), eigen_tolerance=tol, seed=seed)
 
 
 # ----------------------------------------------------------------------
 # Systole on the edge graph
-
-def _path_graph(mesh):
-    """Simple weighted graph for shortest paths: the shortest edge of each
-    vertex pair (first id on ties), self-loops dropped.
-
-    Returns (graph, pair_keys, pair_edges): the symmetric CSR graph, the
-    sorted keys lo * V + hi of its vertex pairs, and the edge id kept for
-    each key.
-    """
-    key = "path_graph"
-    if key not in mesh._cache:
-        V = mesh.num_vertices
-        lo, hi = mesh.edges.min(axis=1), mesh.edges.max(axis=1)
-        pair = lo * V + hi
-        ids = np.flatnonzero(lo != hi)
-        ids = ids[np.lexsort((mesh.edge_lengths[ids], pair[ids]))]
-        pair_keys, first = np.unique(pair[ids], return_index=True)
-        kept = ids[first]
-        w = mesh.edge_lengths[kept]
-        graph = sp.csr_matrix(
-            (np.concatenate([w, w]),
-             (np.concatenate([lo[kept], hi[kept]]),
-              np.concatenate([hi[kept], lo[kept]]))), shape=(V, V))
-        mesh._cache[key] = (graph, pair_keys, kept)
-    return mesh._cache[key]
-
 
 def _edge_isometries(mesh):
     """SU(1,1) matrix [[alpha, beta], [conj beta, conj alpha]] of each edge
@@ -345,7 +384,7 @@ def systole(mesh):
     if key in mesh._cache:
         return mesh._cache[key]
     V = mesh.num_vertices
-    graph, pair_keys, pair_edges = _path_graph(mesh)
+    graph, pair_keys, pair_edges = of(mesh).path_graph
     tail, head = mesh.edges[:, 0], mesh.edges[:, 1]
     lengths = mesh.edge_lengths
     alpha, beta = _edge_isometries(mesh)
@@ -409,5 +448,5 @@ def systole(mesh):
 
 def graph_distances(mesh, src, cap=np.inf):
     """Single-source graph distances along edge lengths; np.inf beyond cap."""
-    graph, _, _ = _path_graph(mesh)
+    graph, _, _ = of(mesh).path_graph
     return csgraph.dijkstra(graph, indices=src, limit=cap)

@@ -125,8 +125,8 @@ def _check_problem_nonzero(problem):
 
 
 def _check_zero_mean(problem, w):
-    m = operators.mass_vector(problem.mesh)
-    mean = float(m @ w) / m.sum()
+    ops = operators.of(problem.mesh)
+    mean = float(ops.m @ w) / ops.vol
     if abs(mean) > 1e-8 * max(1.0, float(np.abs(w).max())):
         raise ValueError("w must have zero M-mean")
 
@@ -135,59 +135,51 @@ def eval_J(problem, w):
     """J(w) = ln avg(F e^{2w}) - (1/(c Vol)) w^T S w on zero-M-mean w."""
     _check_problem_nonzero(problem)
     _check_zero_mean(problem, w)
-    m = operators.mass_vector(problem.mesh)
-    S = operators.stiffness(problem.mesh)
-    vol = m.sum()
+    ops = operators.of(problem.mesh)
     loga = problem.log_weight() + 2.0 * w
-    log_avg = logsumexp(loga, b=m) - np.log(vol)
-    dirichlet = float(w @ (S @ w))
-    return float(log_avg - dirichlet / (problem.c * vol))
+    log_avg = logsumexp(loga, b=ops.m) - np.log(ops.vol)
+    dirichlet = float(w @ (ops.S @ w))
+    return float(log_avg - dirichlet / (problem.c * ops.vol))
 
 
 def grad_J(problem, w):
     """Zero-M-mean projection of the M-gradient of J at w."""
     _check_problem_nonzero(problem)
-    m = operators.mass_vector(problem.mesh)
-    S = operators.stiffness(problem.mesh)
-    vol = m.sum()
+    ops = operators.of(problem.mesh)
     loga = problem.log_weight() + 2.0 * w
-    log_total = logsumexp(loga, b=m)
+    log_total = logsumexp(loga, b=ops.m)
     g = (2.0 * np.exp(loga - log_total)
-         - (2.0 / (problem.c * vol)) * (S @ w) / m)
+         - (2.0 / (problem.c * ops.vol)) * (ops.S @ w) / ops.m)
     # The M-mean of g is exactly 2/Vol (the first term integrates to 2,
     # the stiffness term to 0), so project by that constant.
-    return g - 2.0 / vol
+    return g - 2.0 / ops.vol
 
 
 def _softmax_weights(problem, w):
-    m = operators.mass_vector(problem.mesh)
-    loga = problem.log_weight() + 2.0 * w + np.log(m)
+    loga = (problem.log_weight() + 2.0 * w
+            + np.log(operators.of(problem.mesh).m))
     return np.exp(loga - logsumexp(loga))
 
 
 def translate_v(problem, w):
     """Recover v from a critical w: v = w + (ln c - ln avg(F e^{2w})) / 2."""
-    m = operators.mass_vector(problem.mesh)
-    vol = m.sum()
+    ops = operators.of(problem.mesh)
     loga = problem.log_weight() + 2.0 * w
-    log_avg = logsumexp(loga, b=m) - np.log(vol)
+    log_avg = logsumexp(loga, b=ops.m) - np.log(ops.vol)
     return w + 0.5 * (np.log(problem.c) - log_avg)
 
 
 def mean_constraint_residual(problem, v):
     """|avg(e^{-2u} e^{2v} rho) - c|."""
-    m = operators.mass_vector(problem.mesh)
-    vol = m.sum()
-    log_int = logsumexp(problem.log_weight() + 2.0 * v, b=m)
-    return float(abs(np.exp(log_int - np.log(vol)) - problem.c))
+    ops = operators.of(problem.mesh)
+    log_int = logsumexp(problem.log_weight() + 2.0 * v, b=ops.m)
+    return float(abs(np.exp(log_int - np.log(ops.vol)) - problem.c))
 
 
 def equation_residual(problem, v):
     """Max-abs defect of L v = M (c - e^{-2u} e^{2v} rho) against M."""
-    L, _ = operators.laplacian(problem.mesh)
-    m = operators.mass_vector(problem.mesh)
     forcing = problem.c - np.exp(problem.log_weight() + 2.0 * v)
-    return float(np.abs((L @ v) / m - forcing).max())
+    return float(np.abs(operators.of(problem.mesh).lap(v) - forcing).max())
 
 
 def _finish_solution(problem, w, iterations, method, v_shift=0.0):
@@ -219,9 +211,8 @@ def maximize_J(problem, w0=None, max_iters=10000):
     """
     _check_problem_nonzero(problem)
     mesh = problem.mesh
-    m = operators.mass_vector(mesh)
-    S = operators.stiffness(mesh)
-    vol = m.sum()
+    ops = operators.of(mesh)
+    m, S, vol = ops.m, ops.S, ops.vol
     V = mesh.num_vertices
     scale = 2.0 / (problem.c * vol)
 
@@ -301,9 +292,8 @@ def solve_ricci_newton(problem, v_init, max_iters=200):
     the report records the distance from the seed.
     """
     _check_problem_nonzero(problem)
-    mesh = problem.mesh
-    m = operators.mass_vector(mesh)
-    S = operators.stiffness(mesh)
+    ops = operators.of(problem.mesh)
+    m, S = ops.m, ops.S
     v = np.asarray(v_init, dtype=float).copy()
     logF = problem.log_weight()
 
@@ -333,8 +323,7 @@ def solve_ricci_newton(problem, v_init, max_iters=200):
             f"ricci newton did not reach tol {problem.tol} in {max_iters} "
             f"iterations (last residual {res:.3e})")
 
-    vol = m.sum()
-    w = v - (m @ v) / vol
+    w = v - (m @ v) / ops.vol
     sol = _finish_solution(
         problem, w, it, "newton",
         v_shift=float(np.abs(v - np.asarray(v_init, float)).max()))
@@ -366,17 +355,17 @@ def stability_check(mesh, v, f):
     are requested, k doubling until one falls outside (k = 1 unless the
     window is violated).  The inverse norm is 1/|mu| for the eigenvalue mu
     nearest 0, from a second shift at sigma = 0; an exactly singular
-    factor there gives inf.  lambda_1 comes from ``operators.eig_low``.
+    factor there gives inf.  lambda_1 is the operator bundle's, computed
+    once per mesh.
     """
-    m = operators.mass_vector(mesh)
-    S = operators.stiffness(mesh)
-    vol = m.sum()
+    ops = operators.of(mesh)
+    m = ops.m
     weight = np.exp(2.0 * v) * f
     sup_term = 2.0 * float(weight.max())
-    c = float((m * weight).sum() / vol)
-    lam1 = float(operators.eig_low(mesh, k=2)[0][1])
+    c = float((m * weight).sum() / ops.vol)
+    lam1 = ops.low_eigenvalues()[1]
 
-    A = (-S + sp.diags(2.0 * m * weight)).tocsr()
+    A = (ops.L + sp.diags(2.0 * m * weight)).tocsr()
     lo = -lam1 + sup_term
     hi = 2.0 * c
     window = (lo, hi)
@@ -415,9 +404,8 @@ def mt_probe(mesh, samples=8, seed=0):
     the largest value of sum(M (e^{4 pi y^2} - 1)) over the samples.
     """
     rng = np.random.default_rng(seed)
-    m = operators.mass_vector(mesh)
-    S = operators.stiffness(mesh)
-    vol = m.sum()
+    ops = operators.of(mesh)
+    m, S, vol = ops.m, ops.S, ops.vol
     lu = spla.splu((S + sp.diags(m)).tocsc())
     worst = 0.0
     for _ in range(samples):

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.special import logsumexp
 
 from . import operators
@@ -84,9 +82,9 @@ class SectionDensity:
         return np.exp(self.log_density)
 
     def mean(self):
-        m = operators.mass_vector(self.mesh)
-        return float(np.exp(logsumexp(self.log_density, b=m)
-                            - np.log(m.sum())))
+        ops = operators.of(self.mesh)
+        return float(np.exp(logsumexp(self.log_density, b=ops.m)
+                            - np.log(ops.vol)))
 
     def sup(self):
         return float(np.exp(self.log_density.max()))
@@ -127,35 +125,17 @@ def balance_report(density):
 # ----------------------------------------------------------------------
 # Green functions
 
-def _green_solver(mesh):
-    """Cached LU factorization of the bordered zero-mean Poisson system."""
-    key = "green_lu"
-    if key not in mesh._cache:
-        S = operators.stiffness(mesh)
-        m = operators.mass_vector(mesh)
-        V = S.shape[0]
-        m_col = sp.csr_matrix(m.reshape(V, 1))
-        kkt = sp.bmat([[S, m_col], [m_col.T, None]], format="csc")
-        mesh._cache[key] = spla.splu(kkt)
-    return mesh._cache[key]
-
-
 def poisson_zero_mean(mesh, rhs_measure):
     """Solve L u = rhs (a measure with zero total mass) with M-mean-zero u."""
-    V = mesh.num_vertices
-    lu = _green_solver(mesh)
     # L = -S, so S u = -rhs
     full = np.concatenate([-np.asarray(rhs_measure, float), [0.0]])
-    sol = lu.solve(full)
-    u = sol[:V]
-    return u
+    return operators.of(mesh).green_lu.solve(full)[:mesh.num_vertices]
 
 
 def green_function(mesh, z):
     """Zero-mean G with L G = delta_z - M 1 / Vol (as measures)."""
-    m = operators.mass_vector(mesh)
-    vol = m.sum()
-    rhs = -(m / vol)
+    ops = operators.of(mesh)
+    rhs = -(ops.m / ops.vol)
     rhs[z] += 1.0
     return poisson_zero_mean(mesh, rhs)
 
@@ -167,32 +147,30 @@ def synth_density(mesh, divisor, normalization="unit_mean"):
     """Density with the given zeros: log|alpha|^2 = 4 pi sum m_j G_zj + kappa."""
     if normalization not in ("unit_mean", "unit_sup"):
         raise ValueError(f"unknown normalization {normalization!r}")
-    m = operators.mass_vector(mesh)
-    vol = m.sum()
+    ops = operators.of(mesh)
     ld = np.zeros(mesh.num_vertices)
     for v, mult in divisor.entries:
         ld += 4.0 * np.pi * mult * green_function(mesh, v)
-    ld += _normalization_constant(ld, m, normalization)
-    c_L = 2.0 * np.pi * divisor.degree / vol
+    ld += _normalization_constant(ld, ops, normalization)
+    c_L = 2.0 * np.pi * divisor.degree / ops.vol
     return SectionDensity(mesh=mesh, log_density=ld, divisor=divisor,
                           curvature_constant=float(c_L),
                           normalization=normalization)
 
 
-def _normalization_constant(ld, m, normalization):
+def _normalization_constant(ld, ops, normalization):
     if normalization == "unit_mean":
-        return -(logsumexp(ld, b=m) - np.log(m.sum()))
+        return -(logsumexp(ld, b=ops.m) - np.log(ops.vol))
     return -ld.max()
 
 
 def poincare_lelong_residual(density):
     """Max-abs defect of L log|alpha|^2 = 4 pi (divisor) - 2 c_L M 1."""
     mesh = density.mesh
-    L, _ = operators.laplacian(mesh)
-    m = operators.mass_vector(mesh)
-    lhs = L @ density.log_density
+    ops = operators.of(mesh)
+    lhs = ops.L @ density.log_density
     rhs = (4.0 * np.pi * density.divisor.indicator(mesh.num_vertices)
-           - 2.0 * density.curvature_constant * m)
+           - 2.0 * density.curvature_constant * ops.m)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -220,8 +198,7 @@ def lift_density(base, cover_mesh, cover_map=None):
         if mult:
             entries.append((i, mult))
     divisor = Divisor(entries)
-    m = operators.mass_vector(cover_mesh)
-    c_L = 2.0 * np.pi * divisor.degree / m.sum()
+    c_L = 2.0 * np.pi * divisor.degree / operators.of(cover_mesh).vol
     return SectionDensity(mesh=cover_mesh, log_density=ld, divisor=divisor,
                           curvature_constant=float(c_L),
                           normalization=base.normalization)
@@ -242,12 +219,12 @@ def balanced_lift(base, cover_mesh, z_n, normalization="unit_mean"):
     extra = synth_density(cover_mesh, Divisor([(int(z_n), 1)]),
                           normalization="unit_mean")
     ld = lifted.log_density + extra.log_density
-    m = operators.mass_vector(cover_mesh)
-    ld += _normalization_constant(ld, m, normalization)
+    ops = operators.of(cover_mesh)
+    ld += _normalization_constant(ld, ops, normalization)
     entries = {v: mult for v, mult in lifted.divisor.entries}
     entries[int(z_n)] = entries.get(int(z_n), 0) + 1
     divisor = Divisor(sorted(entries.items()))
-    c_L = 2.0 * np.pi * divisor.degree / m.sum()
+    c_L = 2.0 * np.pi * divisor.degree / ops.vol
     density = SectionDensity(mesh=cover_mesh, log_density=ld, divisor=divisor,
                              curvature_constant=float(c_L),
                              normalization=normalization)
@@ -371,12 +348,11 @@ def disk_balanced_potential(mesh, z0, radius, c):
     so the solve is exact; this realizes the bounded comparison potential
     used for pointwise density control.
     """
-    m = operators.mass_vector(mesh)
-    vol = m.sum()
+    ops = operators.of(mesh)
     ind = disk_indicator(mesh, z0, radius).astype(float)
-    vol_d = float((m * ind).sum())
+    vol_d = float((ops.m * ind).sum())
     if vol_d == 0:
         raise ValueError("disk contains no vertices")
-    a = c * vol / vol_d
-    rhs = c * m - a * m * ind
+    a = c * ops.vol / vol_d
+    rhs = c * ops.m - a * ops.m * ind
     return poisson_zero_mean(mesh, rhs), float(a)

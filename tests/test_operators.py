@@ -177,7 +177,7 @@ def relabel_vertices(mesh, seed=0):
     base_vertex[perm] = mesh.base_vertex
     return dataclasses.replace(
         mesh, triangles=perm[mesh.triangles], edges=perm[mesh.edges],
-        positions=positions, base_vertex=base_vertex, _cache={})
+        positions=positions, base_vertex=base_vertex)
 
 
 def test_systole_matches_reference_without_sheet_shift():
@@ -230,3 +230,38 @@ def test_determinism(mesh2):
     r2 = ops.spectral_gap(mesh2, seed=3)
     assert r1.lambda1 == r2.lambda1
     assert r1.to_dict() == r2.to_dict()
+
+
+def test_low_eigenvalues_computed_once_per_mesh(monkeypatch):
+    # certify and stability_check share the bundle's lambda0/lambda1, so
+    # one unchanged mesh pays for a single eigen-solve.
+    from todalab import coupled, ricci
+    from todalab.sections import SectionDensity
+
+    calls = []
+    true_eig_low = ops.eig_low
+
+    def counting(mesh, **kwargs):
+        calls.append(kwargs)
+        return true_eig_low(mesh, **kwargs)
+
+    monkeypatch.setattr(ops, "eig_low", counting)
+    fresh = build_base_surface(refinement=2)
+    zero = np.zeros(fresh.num_vertices)
+    density = SectionDensity.zero(fresh)
+    first = coupled.certify(fresh, zero, zero, density, eta=0.5, degree=0)
+    second = coupled.certify(fresh, zero, zero, density, eta=0.5, degree=0)
+    report = ricci.stability_check(fresh, zero,
+                                   np.full(fresh.num_vertices, 0.1))
+    assert len(calls) == 1
+    assert first.to_dict() == second.to_dict()
+    assert report.lambda1 == first.lambda1
+
+
+def test_replaced_mesh_gets_its_own_bundle(mesh2):
+    m = ops.mass_vector(mesh2)
+    scaled = dataclasses.replace(mesh2, edge_lengths=1.01 * mesh2.edge_lengths)
+    assert not np.allclose(ops.mass_vector(scaled), m)
+    assert ops.of(scaled) is not ops.of(mesh2)
+    assert ops.mass_vector(scaled).sum() == pytest.approx(ops.volume(scaled),
+                                                          rel=1e-12)

@@ -1,5 +1,6 @@
 """Sparse shift-invert stability checks against their dense oracles."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -146,7 +147,7 @@ def test_violating_eigenvalues_are_all_found(monkeypatch):
     # With lambda_1 overstated, the window (-lambda_1 + 2 sup e^{2v} f, 2c)
     # reaches into the spectrum; the sparse search must then return the
     # same eigenvalues inside it as the dense solve.
-    mesh = MESHES["cover-2"][0]
+    mesh = dataclasses.replace(MESHES["cover-2"][0])
     true_eig_low = ops.eig_low
 
     def overstated(mesh, k=2, **kwargs):
