@@ -177,24 +177,19 @@ def _choose_scale(mesh, density, config, c_full):
     """Pick t so the first bundle solve lands below the admissibility target.
 
     The target min(1/2, eta/(1+eta)^2) bounds sup e^{2v} rho; since the
-    mean of e^{-2u} e^{2v} rho scales linearly with c = t c_full, a couple
-    of proportional adjustments suffice.
+    mean of e^{-2u} e^{2v} rho scales linearly with c = t c_full, at most
+    three proportional adjustments, each re-solved by maximize_J, suffice.
     """
     target = min(0.5, gauss_mod.admissible_bound(config.eta))
     t = 1.0 if config.t is None else config.t
     u0 = np.zeros(mesh.num_vertices)
-    sol = _solve_ricci(mesh, u0, density, t * c_full, config.ricci_tol,
-                       None, True)
-    if config.t is not None:
-        return t, sol
-    for _ in range(3):
-        m1 = float(np.exp(density.log_density + 2.0 * sol.v).max())
-        if m1 <= 0.95 * target:
-            break
-        t = min(1.0, t * 0.9 * target / m1)
+    for attempt in range(4):
         sol = _solve_ricci(mesh, u0, density, t * c_full, config.ricci_tol,
-                           sol.v, False)
-    return t, sol
+                           None, True)
+        m1 = float(np.exp(density.log_density + 2.0 * sol.v).max())
+        if config.t is not None or attempt == 3 or m1 <= 0.95 * target:
+            return t, sol
+        t = min(1.0, t * 0.9 * target / m1)
 
 
 def solve_coupled(mesh, density, config=None):

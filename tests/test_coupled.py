@@ -130,6 +130,18 @@ def test_cover_run_matches_frozen_profile(cover_setup):
         <= G.admissible_bound(0.5) + 1e-12
 
 
+def test_rescaled_degree_two_cover_run_certifies(cover_setup):
+    # At degree 2 the automatic scale lands far below t = 1; the rescaled
+    # bundle solves are variational, so they do not depend on a Newton
+    # seed taken at the unscaled solution.
+    cover, dens = cover_setup
+    result = C.solve_coupled(cover, dens, C.CoupledConfig(eta=0.5, degree=2))
+    cert = result.certificate
+    assert cert.converged and cert.almost_fuchsian
+    assert 0 < cert.t < 0.01
+    assert cert.gauss_residual < 1e-8 and cert.ricci_residual < 1e-8
+
+
 def test_certify_constant_closed_form(mesh):
     u0 = -0.2
     c = 1.0 - np.exp(2 * u0)
