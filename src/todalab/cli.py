@@ -94,9 +94,7 @@ def cmd_section(args):
 def cmd_solve_gauss(args):
     mesh = _read_mesh(args.mesh)
     if args.data is not None:
-        _, f = fileio.read_field_csv(args.data)
-        if len(f) != mesh.num_vertices:
-            raise TodaError("data field does not match the mesh")
+        _, f = fileio.read_field_csv(args.data, size=mesh.num_vertices)
     elif args.constant is not None:
         f = np.full(mesh.num_vertices, args.constant)
     else:
@@ -117,7 +115,7 @@ def cmd_solve_ricci(args):
     mesh = _read_mesh(args.mesh)
     density = fileio.read_density(args.density, mesh)
     if args.u is not None:
-        _, u = fileio.read_field_csv(args.u)
+        _, u = fileio.read_field_csv(args.u, size=mesh.num_vertices)
     else:
         u = np.zeros(mesh.num_vertices)
     c_eff = args.scale * 2.0 * np.pi * args.degree / operators.volume(mesh)
@@ -198,7 +196,12 @@ def cmd_verify(args):
         checked.append(f"density {args.density}")
 
     if args.run:
-        manifest = fileio.read_json(os.path.join(args.run, "manifest.json"))
+        try:
+            _, manifest = fileio.read_json_object(
+                os.path.join(args.run, "manifest.json"),
+                {"mesh": str, "density": str, "hashes": dict})
+        except TodaError as exc:
+            return _fail(str(exc))
         mesh_path = args.mesh or manifest["mesh"]
         density_path = args.density or manifest["density"]
         run_mesh = mesh
@@ -218,12 +221,16 @@ def cmd_verify(args):
             if key in manifest["hashes"]:
                 if fileio.file_blob_sha1(path) != manifest["hashes"][key]:
                     return _fail(f"{key} file hash changed since the run")
-        _, u = fileio.read_field_csv(os.path.join(args.run, "u.csv"), "u")
-        _, v = fileio.read_field_csv(os.path.join(args.run, "v.csv"), "v")
-        cert_path = os.path.join(args.run, "certificate.json")
-        with open(cert_path) as handle:
-            stored_bytes = handle.read()
-        stored = json.loads(stored_bytes)
+        try:
+            V = run_mesh.num_vertices
+            _, u = fileio.read_field_csv(os.path.join(args.run, "u.csv"), "u", V)
+            _, v = fileio.read_field_csv(os.path.join(args.run, "v.csv"), "v", V)
+            stored_bytes, stored = fileio.read_json_object(
+                os.path.join(args.run, "certificate.json"),
+                {"eta": (int, float), "degree": int, "t": (int, float),
+                 "outer_iters": int, "converged": bool})
+        except TodaError as exc:
+            return _fail(str(exc))
         recomputed = certify(
             run_mesh, u, v, density, eta=stored["eta"],
             degree=stored["degree"], t=stored["t"],

@@ -71,6 +71,21 @@ def read_json(path):
         return json.load(handle)
 
 
+def read_json_object(path, fields):
+    """(text, object) of a JSON file holding an object whose keys include
+    fields, each value of the type fields gives; else a TodaError."""
+    with open(path) as handle:
+        text = handle.read()
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise TodaError(
+            f"{path} holds a JSON {type(doc).__name__}, not an object")
+    for key, kind in fields.items():
+        if not isinstance(doc.get(key), kind):
+            raise TodaError(f"{path} has no valid {key!r} field")
+    return text, doc
+
+
 # ----------------------------------------------------------------------
 # Field CSV
 
@@ -85,8 +100,9 @@ def write_field_csv(path, name, values):
     atomic_write_text(path, field_csv_text(name, values))
 
 
-def read_field_csv(path, expected_name=None):
-    """Returns (name, values). Rows may arrive in any vertex order."""
+def read_field_csv(path, expected_name=None, size=None):
+    """Returns (name, values). Rows may arrive in any vertex order; size,
+    if given, is the vertex count the field must have."""
     with open(path) as handle:
         rows = handle.read().strip().splitlines()
     if not rows:
@@ -98,17 +114,19 @@ def read_field_csv(path, expected_name=None):
     if expected_name is not None and name != expected_name:
         raise TodaError(
             f"field CSV {path} holds {name!r}, expected {expected_name!r}")
-    pairs = []
+    n = len(rows) - 1
+    values = np.empty(n)
+    seen = np.zeros(n, dtype=bool)
     for row in rows[1:]:
         idx_s, val_s = row.split(",")
-        pairs.append((int(idx_s), float(val_s)))
-    values = np.empty(len(pairs))
-    seen = np.zeros(len(pairs), dtype=bool)
-    for idx, val in pairs:
-        if not 0 <= idx < len(pairs) or seen[idx]:
+        idx = int(idx_s)
+        if not 0 <= idx < n or seen[idx]:
             raise TodaError(f"field CSV {path} has bad vertex indexing")
-        values[idx] = val
+        values[idx] = float(val_s)
         seen[idx] = True
+    if size is not None and len(values) != size:
+        raise TodaError(f"field CSV {path} holds {len(values)} values for a "
+                        f"mesh with {size} vertices")
     nan = np.flatnonzero(np.isnan(values))
     if nan.size:
         raise TodaError(f"field CSV {path} holds NaN at vertex {nan[0]}")
@@ -135,9 +153,7 @@ def write_density(prefix, density):
 def read_density(prefix, mesh):
     from .sections import Divisor, SectionDensity
     path = prefix + ".csv"
-    _, ld = read_field_csv(path, "log_density")
-    if len(ld) != mesh.num_vertices:
-        raise TodaError("density file does not match the mesh vertex count")
+    _, ld = read_field_csv(path, "log_density", mesh.num_vertices)
     posinf = np.flatnonzero(np.isposinf(ld))
     if posinf.size:
         raise TodaError(f"density {path} holds +inf at vertex {posinf[0]}")
@@ -146,8 +162,11 @@ def read_density(prefix, mesh):
         raise TodaError(
             f"density {path} holds -inf at vertex {neginf[0]} but not at "
             f"every vertex (only the zero section may hold -inf)")
-    sidecar = read_json(prefix + ".json")
+    _, sidecar = read_json_object(prefix + ".json", {
+        "divisor": list, "degree": int, "c_L": (int, float),
+        "normalization": str})
     divisor = Divisor([(int(v), int(m)) for v, m in sidecar["divisor"]])
+    divisor.check_range(mesh.num_vertices)
     if divisor.degree != int(sidecar["degree"]):
         raise TodaError("divisor degree disagrees with sidecar degree")
     return SectionDensity(mesh=mesh, log_density=ld, divisor=divisor,

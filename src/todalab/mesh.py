@@ -83,28 +83,24 @@ class HyperbolicMesh:
         """(F, 3) lengths of each triangle's slot edges."""
         return self.edge_lengths[self.tri_edges]
 
+    def _slot_word(self, t, k):
+        """Word of slot k of triangle t, in the slot's direction."""
+        w = self.edge_words[self.tri_edges[t, k]]
+        return group.inverse_word(w) if self.tri_edge_signs[t, k] < 0 else w
+
     def corner_words(self, t):
         """Corner words (h0, h1, h2) of triangle t: h0 is the identity and
         h_{k+1} = h_k * word(slot k)^sign, so the drawn corner k sits at
         h_k . position(corner k)."""
         words = [()]
         for k in range(2):
-            w = self.edge_words[self.tri_edges[t, k]]
-            if self.tri_edge_signs[t, k] < 0:
-                w = group.inverse_word(w)
-            words.append(group.concat(words[-1], w))
+            words.append(group.concat(words[-1], self._slot_word(t, k)))
         return words
 
     def triangle_word(self, t):
         """Product of the three slot words around triangle t (freely
         reduced); the identity in the surface group for any valid mesh."""
-        w = ()
-        for k in range(3):
-            wk = self.edge_words[self.tri_edges[t, k]]
-            if self.tri_edge_signs[t, k] < 0:
-                wk = group.inverse_word(wk)
-            w = group.concat(w, wk)
-        return w
+        return group.concat(*(self._slot_word(t, k) for k in range(3)))
 
     # -------------------------------------------------- validation
     def validate(self, position_tol=1e-8):

@@ -3,18 +3,15 @@
 The stiffness matrix uses cotangent weights computed from hyperbolic
 corner angles (law of cosines on the stored edge lengths); the mass matrix
 is lumped, one third of each triangle's hyperbolic area per corner.  The
-Laplacian is negative semidefinite (L = -S), so the eigenproblem of
-interest is S x = lambda M x with lambda >= 0; lambda1 is the spectral gap
-in the usual convention (some formulas elsewhere use its reciprocal;
+Laplacian is returned negative semidefinite (L = -S), so the eigenproblem
+of interest is S x = lambda M x with lambda >= 0; lambda1 is the spectral
+gap in the usual convention (some formulas elsewhere use its reciprocal;
 conversions happen at the point of use and are recorded there).
 
-All of these live in one ``Operators`` bundle per mesh: ``of(mesh)``
-assembles S, L, m, M and both area totals on first use and keeps the
-bundle in ``mesh._cache``; the shortest-path graph, the bordered Green
-factorization and lambda0/lambda1 join it when first asked for.  Every
-solver reads its operators from the bundle; ``laplacian``,
-``mass_vector``, ``stiffness`` and ``volume`` are views of it.  The
-systole is kept beside it under ``mesh._cache["systole"]``.
+Every solver reads these from one ``Operators`` bundle per mesh, which
+``of(mesh)`` assembles once and keeps on the mesh (the systole is kept
+beside it); ``laplacian``, ``mass_vector``, ``stiffness`` and ``volume``
+are views of it.
 
 The systole is approximated on the edge graph: the shortest closed edge
 loop whose accumulated holonomy word is not the identity.  Every such loop
@@ -66,6 +63,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
+from scipy.special import logsumexp
 
 from . import group, hyperbolic
 from .errors import MeshError, NonConvergence
@@ -75,14 +73,10 @@ from .errors import MeshError, NonConvergence
 # Assembly
 
 class Operators:
-    """Everything the solvers need from one mesh, assembled once.
-
-    S (CSR) is the PSD cotangent stiffness, L = -S the Laplacian, m the
-    lumped vertex areas and M = diag(m); vol = m.sum() is the discrete
-    area the solvers normalize by, and volume the sum of the triangle
-    angle defects (the two agree up to rounding).  lap(x) = M^{-1} L x.
-    The shortest-path graph, the bordered Green factorization and
-    lambda0/lambda1 are built on first use.  Obtain it via ``of(mesh)``.
+    """Per-mesh operators: S (CSR), L = -S, lumped masses m, M = diag(m),
+    vol = m.sum() and volume = sum of angle defects (equal up to rounding),
+    lap and log_mean.  The path graph, the Green LU and lambda0/lambda1 are
+    built on first use.
     """
 
     def __init__(self, mesh):
@@ -98,18 +92,15 @@ class Operators:
         self.volume = float(areas.sum())
 
         V = mesh.num_vertices
-        m = np.zeros(V)
+        self.m = m = np.zeros(V)
         for k in range(3):
             np.add.at(m, mesh.triangles[:, k], areas / 3.0)
-        self.m = m
         self.vol = m.sum()
         self.M = sp.diags(m).tocsr()
 
         rows, cols, data = [], [], []
         for k in range(3):
             w = 0.5 / np.tan(angles[:, (k + 2) % 3])
-            if not np.isfinite(w).all():
-                raise MeshError("degenerate triangle (non-finite cotan weight)")
             i = mesh.triangles[:, k]
             j = mesh.triangles[:, (k + 1) % 3]
             rows.extend([i, j, i, j])
@@ -125,17 +116,19 @@ class Operators:
         """M^{-1} L x, the pointwise discrete Laplacian of a vertex field."""
         return (self.L @ x) / self.m
 
+    def log_mean(self, x):
+        """ln of the M-average of e^x, without overflow."""
+        return logsumexp(x, b=self.m) - np.log(self.vol)
+
     def low_eigenvalues(self, tol=1e-9, seed=0):
         """(lambda0, lambda1) from ``eig_low(k=2)``, once per (tol, seed)."""
-        key = (tol, seed)
-        if key not in self._low:
-            vals, _ = eig_low(self.mesh, k=2, tol=tol, seed=seed)
-            lam0, lam1 = float(vals[0]), float(vals[1])
-            if not np.isfinite([lam0, lam1]).all():
+        if (tol, seed) not in self._low:
+            vals = eig_low(self.mesh, k=2, tol=tol, seed=seed)[0]
+            if not np.isfinite(vals).all():
                 raise NonConvergence(
                     "eigensolver returned non-finite eigenvalues")
-            self._low[key] = (lam0, lam1)
-        return self._low[key]
+            self._low[tol, seed] = (float(vals[0]), float(vals[1]))
+        return self._low[tol, seed]
 
     @cached_property
     def green_lu(self):
@@ -146,13 +139,10 @@ class Operators:
 
     @cached_property
     def path_graph(self):
-        """Simple weighted graph for shortest paths: the shortest edge of
-        each vertex pair (first id on ties), self-loops dropped.
-
-        (graph, pair_keys, pair_edges): the symmetric CSR graph, the sorted
-        keys lo * V + hi of its vertex pairs, and the edge id kept for each
-        key.
-        """
+        """(graph, pair_keys, pair_edges): the symmetric CSR shortest-path
+        graph (the shortest edge of each vertex pair, first id on ties,
+        self-loops dropped), the sorted keys lo * V + hi of its vertex
+        pairs, and the edge id kept for each key."""
         mesh = self.mesh
         V = mesh.num_vertices
         lo, hi = mesh.edges.min(axis=1), mesh.edges.max(axis=1)
@@ -171,10 +161,9 @@ class Operators:
 
 def of(mesh):
     """The operator bundle of mesh, assembled on first use and kept."""
-    ops = mesh._cache.get("operators")
-    if ops is None:
-        ops = mesh._cache["operators"] = Operators(mesh)
-    return ops
+    if "operators" not in mesh._cache:
+        mesh._cache["operators"] = Operators(mesh)
+    return mesh._cache["operators"]
 
 
 def volume(mesh):
@@ -188,10 +177,8 @@ def mass_vector(mesh):
 
 
 def laplacian(mesh):
-    """(L, M): the cotangent Laplacian L = -S and the lumped mass matrix.
-
-    g^T L f = -(discrete Dirichlet pairing of f and g); rows of L sum to 0.
-    """
+    """(L, M): the cotangent Laplacian L = -S (rows sum to 0) and the lumped
+    mass matrix; g^T L f = -(discrete Dirichlet pairing of f and g)."""
     ops = of(mesh)
     return ops.L, ops.M
 

@@ -136,8 +136,7 @@ def eval_J(problem, w):
     _check_problem_nonzero(problem)
     _check_zero_mean(problem, w)
     ops = operators.of(problem.mesh)
-    loga = problem.log_weight() + 2.0 * w
-    log_avg = logsumexp(loga, b=ops.m) - np.log(ops.vol)
+    log_avg = ops.log_mean(problem.log_weight() + 2.0 * w)
     dirichlet = float(w @ (ops.S @ w))
     return float(log_avg - dirichlet / (problem.c * ops.vol))
 
@@ -164,16 +163,15 @@ def _softmax_weights(problem, w):
 def translate_v(problem, w):
     """Recover v from a critical w: v = w + (ln c - ln avg(F e^{2w})) / 2."""
     ops = operators.of(problem.mesh)
-    loga = problem.log_weight() + 2.0 * w
-    log_avg = logsumexp(loga, b=ops.m) - np.log(ops.vol)
+    log_avg = ops.log_mean(problem.log_weight() + 2.0 * w)
     return w + 0.5 * (np.log(problem.c) - log_avg)
 
 
 def mean_constraint_residual(problem, v):
     """|avg(e^{-2u} e^{2v} rho) - c|."""
     ops = operators.of(problem.mesh)
-    log_int = logsumexp(problem.log_weight() + 2.0 * v, b=ops.m)
-    return float(abs(np.exp(log_int - np.log(ops.vol)) - problem.c))
+    log_avg = ops.log_mean(problem.log_weight() + 2.0 * v)
+    return float(abs(np.exp(log_avg) - problem.c))
 
 
 def equation_residual(problem, v):
@@ -197,7 +195,7 @@ def _finish_solution(problem, w, iterations, method, v_shift=0.0):
 STALL_STEPS = 5
 
 
-def maximize_J(problem, w0=None, max_iters=10000):
+def maximize_J(problem, max_iters=10000):
     """Ascend J from w = 0 by Newton steps with a gradient fallback.
 
     The Hessian 4(diag(p) - p p^T) - (2/(c Vol)) S is sparse plus a rank-1
@@ -216,9 +214,8 @@ def maximize_J(problem, w0=None, max_iters=10000):
     V = mesh.num_vertices
     scale = 2.0 / (problem.c * vol)
 
-    w = np.zeros(V) if w0 is None else np.asarray(w0, dtype=float)
-    J0 = eval_J(problem, np.zeros(V))
-    J = eval_J(problem, w)
+    w = np.zeros(V)
+    J = J0 = eval_J(problem, w)
     m_col = sp.csr_matrix(m.reshape(V, 1))
     precond = spla.splu((scale * S + (2.0 / vol) * sp.diags(m)).tocsc())
     stalled = 0

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import operators
 from .errors import TodaError
@@ -45,6 +44,13 @@ class Divisor:
     @property
     def degree(self):
         return int(sum(m for _, m in self.entries))
+
+    def check_range(self, num_vertices):
+        """TodaError unless every vertex lies in 0 <= v < num_vertices."""
+        for v, _ in self.entries:
+            if not 0 <= v < num_vertices:
+                raise TodaError(f"divisor vertex {v} is outside the mesh "
+                                f"(0 <= v < V = {num_vertices})")
 
     def indicator(self, num_vertices):
         ind = np.zeros(num_vertices)
@@ -82,9 +88,7 @@ class SectionDensity:
         return np.exp(self.log_density)
 
     def mean(self):
-        ops = operators.of(self.mesh)
-        return float(np.exp(logsumexp(self.log_density, b=ops.m)
-                            - np.log(ops.vol)))
+        return float(np.exp(operators.of(self.mesh).log_mean(self.log_density)))
 
     def sup(self):
         return float(np.exp(self.log_density.max()))
@@ -147,6 +151,7 @@ def synth_density(mesh, divisor, normalization="unit_mean"):
     """Density with the given zeros: log|alpha|^2 = 4 pi sum m_j G_zj + kappa."""
     if normalization not in ("unit_mean", "unit_sup"):
         raise ValueError(f"unknown normalization {normalization!r}")
+    divisor.check_range(mesh.num_vertices)
     ops = operators.of(mesh)
     ld = np.zeros(mesh.num_vertices)
     for v, mult in divisor.entries:
@@ -160,7 +165,7 @@ def synth_density(mesh, divisor, normalization="unit_mean"):
 
 def _normalization_constant(ld, ops, normalization):
     if normalization == "unit_mean":
-        return -(logsumexp(ld, b=ops.m) - np.log(ops.vol))
+        return -ops.log_mean(ld)
     return -ld.max()
 
 
@@ -177,27 +182,20 @@ def poincare_lelong_residual(density):
 # ----------------------------------------------------------------------
 # Lifts and balanced families
 
-def lift_density(base, cover_mesh, cover_map=None):
-    """Pull a base density back through a covering map."""
+def lift_density(base, cover_mesh):
+    """Pull a base density back through the cover's covering map."""
+    cover_map = cover_mesh.base_vertex
     if cover_map is None:
-        cover_map = cover_mesh.base_vertex
-    if cover_map is None:
-        raise TodaError("cover mesh carries no covering map; pass cover_map")
-    cover_map = np.asarray(cover_map)
+        raise TodaError("cover mesh carries no covering map")
     if cover_map.shape != (cover_mesh.num_vertices,):
         raise TodaError("covering map has the wrong size for the cover mesh")
     if len(cover_map) % base.mesh.num_vertices != 0:
         raise TodaError("cover/base vertex counts are incompatible")
-    n = len(cover_map) // base.mesh.num_vertices
 
     ld = base.log_density[cover_map]
-    entries = []
-    base_div = {v: mult for v, mult in base.divisor.entries}
-    for i in range(cover_mesh.num_vertices):
-        mult = base_div.get(int(cover_map[i]))
-        if mult:
-            entries.append((i, mult))
-    divisor = Divisor(entries)
+    base_div = dict(base.divisor.entries)
+    divisor = Divisor([(i, base_div[int(b)]) for i, b in enumerate(cover_map)
+                       if int(b) in base_div])
     c_L = 2.0 * np.pi * divisor.degree / operators.of(cover_mesh).vol
     return SectionDensity(mesh=cover_mesh, log_density=ld, divisor=divisor,
                           curvature_constant=float(c_L),
@@ -247,19 +245,27 @@ def oscillation_report(density, radius):
     if radius >= sys / 2.0:
         raise ValueError(
             f"radius {radius} must be below half the systole {sys / 2.0}")
-    z0 = density.divisor.entries[0][0]
-    dist = operators.graph_distances(density.mesh, z0)
-    inside = dist <= radius
-    outside = ~inside
-    if not outside.any() or not inside.any():
+    _, inside, rho, lam, c_out = _outside_normalization(density, radius)
+    if not inside.any():
         raise ValueError("ball boundary is empty at this radius")
+    return c_out, float(lam * rho[inside].max())
+
+
+def _outside_normalization(density, radius):
+    """(dist, inside, rho, lam, C_out) for the graph ball B(z0, radius)
+    around the first divisor vertex: distances from z0, the ball, the
+    density, lam with (sup lam rho)(inf lam rho) = 1 outside the ball and
+    C_out = sqrt(sup_out / inf_out)."""
+    dist = operators.graph_distances(density.mesh,
+                                     density.divisor.entries[0][0])
+    inside = dist <= radius
+    if inside.all():
+        raise ValueError("ball covers the whole mesh")
     rho = density.density()
-    sup_out = float(rho[outside].max())
-    inf_out = float(rho[outside].min())
-    lam = 1.0 / np.sqrt(sup_out * inf_out)
-    c_out = float(np.sqrt(sup_out / inf_out))
-    c_in = float(lam * rho[inside].max())
-    return c_out, c_in
+    sup_out = float(rho[~inside].max())
+    inf_out = float(rho[~inside].min())
+    return (dist, inside, rho, 1.0 / np.sqrt(sup_out * inf_out),
+            float(np.sqrt(sup_out / inf_out)))
 
 
 def schwarz_constant(delta):
@@ -278,16 +284,7 @@ def schwarz_check(density, radius):
     Returns a report dict; "ok" is True when every checked vertex passes.
     """
     mesh = density.mesh
-    z0 = density.divisor.entries[0][0]
-    dist = operators.graph_distances(mesh, z0)
-    inside = dist <= radius
-    outside = ~inside
-    if not outside.any():
-        raise ValueError("ball covers the whole mesh")
-    rho = density.density()
-    sup_out = float(rho[outside].max())
-    inf_out = float(rho[outside].min())
-    lam = 1.0 / np.sqrt(sup_out * inf_out)
+    dist, inside, rho, lam, _ = _outside_normalization(density, radius)
 
     tail, head = mesh.edges.T
     crossing = inside[tail] != inside[head]

@@ -2,12 +2,14 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from todalab import cli, fileio
 from todalab.cli import main
+from todalab.errors import TodaError
 from todalab.mesh import mesh_from_json
 
 
@@ -249,3 +251,71 @@ def test_usage_errors(workspace, tmp_path):
                  "--density", workspace["base_dens"], "--degree", "5",
                  "-o", str(tmp_path / "bad")])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, vertex, V", [
+    (["--mesh", "base", "--divisor", "99999:1"], 99999, 62),
+    (["--mesh", "base", "--divisor=-1:1"], -1, 62),
+    (["--mesh", "cover", "--balanced", "--zero-vertex", "5000"], 5000, 124),
+    (["--mesh", "cover", "--balanced", "--zero-vertex=-2"], -2, 124)])
+def test_section_rejects_divisor_vertex_outside_mesh(workspace, tmp_path,
+                                                     capsys, argv, vertex, V):
+    argv = [workspace.get(arg, arg) for arg in argv]
+    if "--balanced" in argv:
+        argv += ["--base-mesh", workspace["base"],
+                 "--base-density", workspace["base_dens"]]
+    out = str(tmp_path / "d")
+    assert main(["section"] + argv + ["-o", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"divisor vertex {vertex} " in err and f"V = {V}" in err
+    assert not os.path.exists(out + ".csv")
+
+
+@pytest.mark.parametrize("vertex", [-1, 124])
+def test_read_density_rejects_divisor_vertex_outside_mesh(workspace, tmp_path,
+                                                          vertex):
+    prefix = _corrupt_density(workspace, tmp_path, 0, "0.0")
+    sidecar = fileio.read_json(prefix + ".json")
+    sidecar["divisor"][0][0] = vertex
+    fileio.write_json(prefix + ".json", sidecar)
+    with open(workspace["cover"]) as handle:
+        cover = mesh_from_json(handle.read())
+    with pytest.raises(TodaError, match=f"divisor vertex {vertex} "):
+        fileio.read_density(prefix, cover)
+
+
+@pytest.fixture(scope="module")
+def run_dir(workspace):
+    run = str(workspace["root"] / "run")
+    assert main(["solve-coupled", "--mesh", workspace["cover"],
+                 "--density", workspace["cover_dens"], "--degree", "1",
+                 "-o", run]) == 0
+    return run
+
+
+def _drop_key(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("manifest.json", _drop_key("hashes"), "has no valid 'hashes' field"),
+    ("manifest.json", lambda doc: [doc], "holds a JSON list, not an object"),
+    ("certificate.json", _drop_key("eta"), "has no valid 'eta' field"),
+    ("u.csv", None, "holds 4 values for a mesh with 124 vertices")])
+def test_verify_reports_malformed_run_files(run_dir, tmp_path, capsys,
+                                            name, edit, message):
+    run = str(tmp_path / "run")
+    shutil.copytree(run_dir, run)
+    path = os.path.join(run, name)
+    if edit is None:
+        fileio.write_field_csv(path, "u", np.zeros(4))
+    else:
+        fileio.write_json(path, edit(fileio.read_json(path)))
+    assert main(["verify", "--run", run]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verify: FAIL:")
+    assert path in err and message in err
