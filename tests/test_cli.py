@@ -275,7 +275,9 @@ def test_section_rejects_divisor_vertex_outside_mesh(workspace, tmp_path,
 @pytest.mark.parametrize("vertex", [-1, 124])
 def test_read_density_rejects_divisor_vertex_outside_mesh(workspace, tmp_path,
                                                           vertex):
-    prefix = _corrupt_density(workspace, tmp_path, 0, "0.0")
+    prefix = str(tmp_path / "dens")
+    for ext in (".csv", ".json"):
+        shutil.copy(workspace["cover_dens"] + ext, prefix + ext)
     sidecar = fileio.read_json(prefix + ".json")
     sidecar["divisor"][0][0] = vertex
     fileio.write_json(prefix + ".json", sidecar)

@@ -7,11 +7,12 @@ import pytest
 import scipy.linalg as sla
 
 from helpers import reference_dijkstra, reference_systole
-from todalab import group
+from todalab import coupled, group, ricci
 from todalab import operators as ops
 from todalab.errors import NonConvergence
 from todalab.mesh import (CoverSpec, build_base_surface, build_cover,
                           mesh_from_json, mesh_to_json)
+from todalab.sections import SectionDensity
 
 # First nonzero Laplace eigenvalue of the underlying smooth surface,
 # computed independently by spectral methods in the literature; the
@@ -235,9 +236,6 @@ def test_determinism(mesh2):
 def test_low_eigenvalues_computed_once_per_mesh(monkeypatch):
     # certify and stability_check share the bundle's lambda0/lambda1, so
     # one unchanged mesh pays for a single eigen-solve.
-    from todalab import coupled, ricci
-    from todalab.sections import SectionDensity
-
     calls = []
     true_eig_low = ops.eig_low
 
