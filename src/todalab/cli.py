@@ -254,10 +254,13 @@ def cmd_verify(args):
 
 def cmd_export(args):
     mesh = _read_mesh(args.mesh)
-    manifest = fileio.read_json(os.path.join(args.run, "manifest.json"))
+    _, manifest = fileio.read_json_object(
+        os.path.join(args.run, "manifest.json"),
+        {} if args.density else {"density": str})
     density = fileio.read_density(args.density or manifest["density"], mesh)
-    _, u = fileio.read_field_csv(os.path.join(args.run, "u.csv"), "u")
-    _, v = fileio.read_field_csv(os.path.join(args.run, "v.csv"), "v")
+    V = mesh.num_vertices
+    _, u = fileio.read_field_csv(os.path.join(args.run, "u.csv"), "u", V)
+    _, v = fileio.read_field_csv(os.path.join(args.run, "v.csv"), "v", V)
     _write_run_vtk(args.output, mesh, u, v, density)
     print(f"wrote VTK -> {args.output}")
     return 0

@@ -165,7 +165,13 @@ def read_density(prefix, mesh):
     _, sidecar = read_json_object(prefix + ".json", {
         "divisor": list, "degree": int, "c_L": (int, float),
         "normalization": str})
-    divisor = Divisor([(int(v), int(m)) for v, m in sidecar["divisor"]])
+    for i, entry in enumerate(sidecar["divisor"]):
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(type(x) is int for x in entry)):
+            raise TodaError(
+                f"{prefix}.json divisor entry {i} is {entry!r}, not a "
+                f"[vertex, multiplicity] pair of integers")
+    divisor = Divisor([(v, m) for v, m in sidecar["divisor"]])
     divisor.check_range(mesh.num_vertices)
     if divisor.degree != int(sidecar["degree"]):
         raise TodaError("divisor degree disagrees with sidecar degree")

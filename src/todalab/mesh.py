@@ -20,12 +20,20 @@ lengths computed intrinsically (hyperboloid model) and new holonomy words
 derived from the corner words of each triangle.  Covers are voltage-graph
 lifts along a permutation action on sheets, with holonomy conjugated by a
 Schreier transversal so it stays in the base group.
+
+A mesh carries few distinct holonomy words (20 among the 12 288 edges at
+level 5), so the word work is done once per distinct word:
+:meth:`HyperbolicMesh.word_table` numbers them and keeps one SU(1,1)
+matrix each, :func:`build_cover` takes one sheet permutation per word and
+broadcasts the cell tables over sheets, and ``validate`` Dehn-reduces each
+distinct triple of slot words and signs once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,10 +110,22 @@ class HyperbolicMesh:
         reduced); the identity in the surface group for any valid mesh."""
         return group.concat(*(self._slot_word(t, k) for k in range(3)))
 
+    def word_table(self):
+        """The edges' distinct holonomy words, built once per mesh."""
+        if "words" not in self._cache:
+            index = {}
+            ids = [index.setdefault(w, len(index)) for w in self.edge_words]
+            words = list(index)
+            self._cache["words"] = WordTable(
+                words=words, ids=np.array(ids, dtype=np.intp),
+                matrices=np.array([hyperbolic.word_matrix(w) for w in words],
+                                  dtype=complex).reshape(-1, 2, 2))
+        return self._cache["words"]
+
     # -------------------------------------------------- validation
     def validate(self, position_tol=1e-8):
         """Check all structural invariants; raise MeshError on failure."""
-        V, E, F = self.num_vertices, self.num_edges, self.num_faces
+        V, E = self.num_vertices, self.num_edges
         if self.euler_characteristic != 2 - 2 * self.genus:
             raise MeshError(
                 f"Euler characteristic {self.euler_characteristic} != "
@@ -115,51 +135,89 @@ class HyperbolicMesh:
         if self.edges.min() < 0 or self.edges.max() >= V:
             raise MeshError("edge endpoint out of range")
 
+        # each slot runs along its edge, from the stored tail (sign +1) or
+        # from the stored head (sign -1)
+        slot_edges, signs = self.tri_edges, self.tri_edge_signs
+        bad = (slot_edges < 0) | (slot_edges >= E)
+        if bad.any():
+            t, k = divmod(int(np.flatnonzero(bad)[0]), 3)
+            raise MeshError(
+                f"slot ({t},{k}) names edge {slot_edges[t, k]}, out of range")
+        tail, head = self.edges[slot_edges, 0], self.edges[slot_edges, 1]
+        start, end = self.triangles, np.roll(self.triangles, -1, axis=1)
+        ok = (((signs == 1) & (start == tail) & (end == head))
+              | ((signs == -1) & (start == head) & (end == tail)))
+        if not ok.all():
+            t, k = divmod(int(np.flatnonzero(~ok)[0]), 3)
+            raise MeshError(
+                f"slot ({t},{k}) inconsistent with edge {slot_edges[t, k]}")
+
         # each edge is used by exactly two triangle slots (closed surface)
-        use_count = np.zeros(E, dtype=int)
-        for t in range(F):
-            for k in range(3):
-                e = self.tri_edges[t, k]
-                s = self.tri_edge_signs[t, k]
-                use_count[e] += 1
-                tail, head = self.edges[e]
-                ck, ck1 = self.triangles[t, k], self.triangles[t, (k + 1) % 3]
-                if s > 0 and (ck != tail or ck1 != head):
-                    raise MeshError(f"slot ({t},{k}) inconsistent with edge {e}")
-                if s < 0 and (ck != head or ck1 != tail):
-                    raise MeshError(f"slot ({t},{k}) inconsistent with edge {e}")
-        if not (use_count == 2).all():
-            raise MeshError("an edge is not shared by exactly two triangle slots")
+        uses = np.bincount(slot_edges.ravel(), minlength=E)
+        if (uses != 2).any():
+            e = int(np.flatnonzero(uses != 2)[0])
+            raise MeshError(
+                f"edge {e} is used by {uses[e]} triangle slots, not two")
 
         # strict triangle inequalities (nondegeneracy)
         sl = self.slot_lengths()
-        for k in range(3):
-            if not (sl[:, k] < sl[:, (k + 1) % 3] + sl[:, (k + 2) % 3] - 0.0).all():
-                raise MeshError("triangle inequality violated")
+        strict = sl < np.roll(sl, -1, axis=1) + np.roll(sl, -2, axis=1)
+        if not strict.all():
+            t = int(np.flatnonzero(~strict.all(axis=1))[0])
+            raise MeshError(f"triangle {t} violates the triangle inequality")
 
-        # holonomy: triangle products are the identity
-        for t in range(F):
-            if not group.is_identity(self.triangle_word(t)):
-                raise MeshError(f"triangle {t} has non-identity holonomy product")
+        # holonomy: triangle products are the identity; a triangle's product
+        # depends only on its slots' words and signs, so each distinct
+        # triple of them is Dehn-reduced once
+        table = self.word_table()
+        signed = [(w, group.inverse_word(w)) for w in table.words]
+        code = 2 * table.ids[slot_edges] + (signs < 0)
+        keys, inverse = np.unique(code, axis=0, return_inverse=True)
+        trivial = np.array([
+            group.is_identity(group.concat(
+                *(signed[c // 2][c % 2] for c in key.tolist())))
+            for key in keys])
+        bad = ~trivial[inverse.reshape(-1)]
+        if bad.any():
+            t = int(np.flatnonzero(bad)[0])
+            raise MeshError(f"triangle {t} has non-identity holonomy product")
 
         # drawn geometry consistent with stored lengths
         if position_tol is not None:
-            err = self.position_length_defect()
-            if err > position_tol:
+            defect = self._length_defects()
+            bad = ~(defect <= position_tol)
+            if bad.any():
+                e = int(np.flatnonzero(bad)[0])
                 raise MeshError(
-                    f"drawn edge lengths deviate from stored lengths by {err:.3e}")
+                    f"drawn length of edge {e} deviates from its stored "
+                    f"length by {defect[e]:.3e}")
         return True
+
+    def _length_defects(self):
+        """|stored length - disk distance of the drawn representative| per
+        edge (NaN where the drawn distance is undefined)."""
+        table = self.word_table()
+        heads = hyperbolic.mobius(table.matrices[table.ids],
+                                  self.positions[self.edges[:, 1]])
+        d = hyperbolic.disk_distance(self.positions[self.edges[:, 0]], heads)
+        return np.abs(d - self.edge_lengths)
 
     def position_length_defect(self):
         """Max |stored length - disk distance of the drawn representative|."""
-        worst = 0.0
-        for e in range(self.num_edges):
-            tail, head = self.edges[e]
-            m = hyperbolic.word_matrix(self.edge_words[e])
-            zh = hyperbolic.mobius(m, self.positions[head])
-            d = float(hyperbolic.disk_distance(self.positions[tail], zh))
-            worst = max(worst, abs(d - self.edge_lengths[e]))
-        return worst
+        return float(np.max(self._length_defects(), initial=0.0))
+
+
+class WordTable(NamedTuple):
+    """Distinct holonomy words of a mesh's edges.
+
+    words     -- the distinct words, in order of first use
+    ids[e]    -- index in ``words`` of edge e's word
+    matrices  -- (len(words), 2, 2) SU(1,1) matrix of each word
+    """
+
+    words: list
+    ids: np.ndarray
+    matrices: np.ndarray
 
 
 # ----------------------------------------------------------------------
@@ -237,10 +295,9 @@ def refine(mesh):
     V, E, F = mesh.num_vertices, mesh.num_edges, mesh.num_faces
 
     # midpoint positions from drawn representatives
-    head_pos = np.empty(E, dtype=complex)
-    for e in range(E):
-        m = hyperbolic.word_matrix(mesh.edge_words[e])
-        head_pos[e] = hyperbolic.mobius(m, mesh.positions[mesh.edges[e, 1]])
+    table = mesh.word_table()
+    head_pos = hyperbolic.mobius(table.matrices[table.ids],
+                                 mesh.positions[mesh.edges[:, 1]])
     mid_pos = hyperbolic.disk_midpoint(mesh.positions[mesh.edges[:, 0]], head_pos)
     positions = np.concatenate([mesh.positions, mid_pos])
 
@@ -408,61 +465,55 @@ def build_cover(mesh, spec):
     n = spec.degree
     images = spec.generator_images
     V, E, F = mesh.num_vertices, mesh.num_edges, mesh.num_faces
-
     T = _schreier_transversal(images, n)
-    T_mat = [hyperbolic.word_matrix(t) for t in T]
 
-    # right action of each edge word and corner word on sheets
-    edge_perm = [group.perm_of_word(images, w, n) for w in mesh.edge_words]
+    # right action on sheets of each distinct edge word and of its inverse
+    table = mesh.word_table()
+    perm = np.array([group.perm_of_word(images, w, n) for w in table.words],
+                    dtype=np.int64).reshape(-1, n)
+    perm_inv = np.argsort(perm, axis=1)
+    sheet = np.arange(n, dtype=np.int64)
 
-    edges = np.empty((n * E, 2), dtype=np.int64)
-    lengths = np.empty(n * E, dtype=float)
-    words = [None] * (n * E)
-    for e in range(E):
-        tail, head = mesh.edges[e]
-        for s in range(n):
-            s_head = int(edge_perm[e][s])
-            idx = s * E + e
-            edges[idx] = (s * V + tail, s_head * V + head)
-            lengths[idx] = mesh.edge_lengths[e]
-            words[idx] = group.concat(
-                T[s], mesh.edge_words[e], group.inverse_word(T[s_head]))
-
-    triangles = np.empty((n * F, 3), dtype=np.int64)
-    tri_edges = np.empty((n * F, 3), dtype=np.int64)
-    tri_signs = np.empty((n * F, 3), dtype=np.int64)
-    for t in range(F):
-        h = mesh.corner_words(t)
-        corner_perm = [group.perm_of_word(images, w, n) for w in h]
-        for s in range(n):
-            row = s * F + t
-            # sheet of corner k when corner 0 is on sheet s
-            sheets = [int(corner_perm[k][s]) for k in range(3)]
-            for k in range(3):
-                triangles[row, k] = sheets[k] * V + mesh.triangles[t, k]
-                sgn = mesh.tri_edge_signs[t, k]
-                tri_signs[row, k] = sgn
-                # the edge copy whose stored tail matches the slot's tail
-                anchor = sheets[k] if sgn > 0 else sheets[(k + 1) % 3]
-                tri_edges[row, k] = anchor * E + mesh.tri_edges[t, k]
-
-    positions = np.empty(n * V, dtype=complex)
-    base_vertex = np.empty(n * V, dtype=np.int64)
+    # edge copy (e, s): (tail, s) -> (head, s . word_e), as an (n, E) table
+    head_sheet = perm[table.ids].T
+    edges = np.stack([sheet[:, None] * V + mesh.edges[:, 0],
+                      head_sheet * V + mesh.edges[:, 1]], axis=-1)
+    ids = table.ids.tolist()
+    words = []
     for s in range(n):
-        positions[s * V:(s + 1) * V] = hyperbolic.mobius(T_mat[s], mesh.positions)
-        base_vertex[s * V:(s + 1) * V] = np.arange(V)
+        conjugated = [
+            group.concat(T[s], w, group.inverse_word(T[int(perm[i, s])]))
+            for i, w in enumerate(table.words)]
+        words.extend(conjugated[i] for i in ids)
+
+    # triangle copy (t, s) has corner 0 on sheet s; each slot moves the
+    # sheet by its word (forward) or the word's inverse (backward), so
+    # corner k sits on sheet s . h_k for the corner words h_k
+    signs = mesh.tri_edge_signs
+    slot_ids = table.ids[mesh.tri_edges]
+    step = np.where((signs < 0)[..., None], perm_inv[slot_ids], perm[slot_ids])
+    c0 = np.broadcast_to(sheet, (F, n))
+    c1 = np.take_along_axis(step[:, 0], c0, axis=1)
+    c2 = np.take_along_axis(step[:, 1], c1, axis=1)
+    corner = np.stack([c0, c1, c2], axis=-1).transpose(1, 0, 2)
+    # the edge copy whose stored tail matches the slot's tail
+    anchor = np.where(signs > 0, corner, np.roll(corner, -1, axis=2))
+
+    positions = np.concatenate([
+        hyperbolic.mobius(hyperbolic.word_matrix(t), mesh.positions)
+        for t in T])
 
     return HyperbolicMesh(
         genus=n * (mesh.genus - 1) + 1,
         level=mesh.level,
-        triangles=triangles,
-        tri_edges=tri_edges,
-        tri_edge_signs=tri_signs,
-        edges=edges,
-        edge_lengths=lengths,
+        triangles=(corner * V + mesh.triangles).reshape(n * F, 3),
+        tri_edges=(anchor * E + mesh.tri_edges).reshape(n * F, 3),
+        tri_edge_signs=np.tile(signs, (n, 1)),
+        edges=edges.reshape(n * E, 2),
+        edge_lengths=np.tile(mesh.edge_lengths, n),
         edge_words=words,
         positions=positions,
-        base_vertex=base_vertex,
+        base_vertex=np.tile(np.arange(V, dtype=np.int64), n),
     )
 
 

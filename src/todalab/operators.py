@@ -19,7 +19,7 @@ is at least as long as the translation length of its word, hence at least
 the true systole; the octagon side loops realize the true systole exactly
 at every refinement level, so for this family the bound is sharp.
 
-The search is exact and rests on four facts.
+The search is exact and rests on five facts.
 
 * Sources.  A loop's word is the product of its edge words, so a loop
   whose edges all carry the empty word is trivial: every non-trivial loop
@@ -52,6 +52,22 @@ The search is exact and rests on four facts.
   same group).  Candidates with |trace| < 3 are dropped; the rest are
   accepted only when Dehn reduction (``group.is_identity``) says their
   word is not the identity.
+* Bolza stop.  On a mesh that passes ``HyperbolicMesh.validate``, no
+  non-trivial edge loop is shorter than ``hyperbolic.SYSTOLE`` =
+  2 arccosh(1 + sqrt 2), the systole of the Bolza surface.  Every edge
+  word lies in the octagon group G (a cover's loops have holonomy in a
+  finite-index subgroup of G).  Developed in the disk from the lift p of
+  its first vertex, a loop with holonomy gamma != 1 becomes a chain of
+  geodesic segments from p to gamma p, and ``validate`` checks that each
+  segment's drawn length is its stored length (to its position
+  tolerance).  So the loop is at least d(p, gamma p) long, which is at
+  least the translation length of gamma, hence at least sys(G).  Once the
+  best loop reaches the constant, no later source can lower it and the
+  search stops.  The comparison has no margin: on every mesh checked
+  (levels 0-5 and their cyclic 2- and 3-covers) the search reaches exactly
+  this float at its first source (its second at level 0), while a mesh
+  whose first loop found is a few ulp longer (a relabelled cover) runs on
+  to the sources that give the float.
 """
 
 from __future__ import annotations
@@ -295,19 +311,6 @@ def spectral_gap(mesh, tol=1e-9, seed=0):
 # ----------------------------------------------------------------------
 # Systole on the edge graph
 
-def _edge_isometries(mesh):
-    """SU(1,1) matrix [[alpha, beta], [conj beta, conj alpha]] of each edge
-    word, as the arrays (alpha, beta)."""
-    by_word = {}
-    ab = np.empty((mesh.num_edges, 2), dtype=complex)
-    for e, w in enumerate(mesh.edge_words):
-        if w not in by_word:
-            m = hyperbolic.word_matrix(w)
-            by_word[w] = (m[0, 0], m[0, 1])
-        ab[e] = by_word[w]
-    return ab[:, 0], ab[:, 1]
-
-
 def _compose(a1, b1, a2, b2):
     """Product of SU(1,1) matrices given as (alpha, beta) pairs."""
     return a1 * a2 + b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
@@ -365,7 +368,8 @@ def systole(mesh):
     matrices; a candidate below the current best is dropped when
     |tr(H_x W_e H_y^-1)| < 3 (identity: 2, any other group element: at
     least 2 cosh(systole/2) > 4.8), and the survivors, shortest first, are
-    accepted only by Dehn reduction of their word.
+    accepted only by Dehn reduction of their word.  The search stops once
+    the best loop reaches the Bolza bound, which no loop can beat.
     """
     key = "systole"
     if key in mesh._cache:
@@ -374,10 +378,12 @@ def systole(mesh):
     graph, pair_keys, pair_edges = of(mesh).path_graph
     tail, head = mesh.edges[:, 0], mesh.edges[:, 1]
     lengths = mesh.edge_lengths
-    alpha, beta = _edge_isometries(mesh)
-
-    nontrivial = np.array([len(w) > 0 for w in mesh.edge_words], dtype=bool)
-    sources = np.unique(mesh.edges[nontrivial])
+    # SU(1,1) matrix [[alpha, beta], [conj beta, conj alpha]] of each edge
+    table = mesh.word_table()
+    alpha = table.matrices[table.ids, 0, 0]
+    beta = table.matrices[table.ids, 0, 1]
+    nontrivial = np.array([len(w) > 0 for w in table.words], dtype=bool)
+    sources = np.unique(mesh.edges[nontrivial[table.ids]])
     sheet = _sheet_size(mesh)
     if sheet:
         sources = np.unique(sources % sheet)
@@ -429,6 +435,8 @@ def systole(mesh):
             if not group.is_identity(word):
                 best = float(total[e])
                 break
+        if best <= hyperbolic.SYSTOLE:
+            break
     mesh._cache[key] = float(best)
     return float(best)
 

@@ -1,5 +1,6 @@
 """Shared fixtures: deck-invariant smooth bump fields built from positions,
-the reference systole search and the dense stability oracles."""
+the reference systole search and cover construction, and the dense
+stability oracles."""
 
 import heapq
 
@@ -10,6 +11,7 @@ import scipy.sparse as sp
 from todalab import gauss
 from todalab import group as G
 from todalab import hyperbolic as H
+from todalab import mesh as mesh_module
 from todalab import operators
 from todalab import ricci
 
@@ -143,6 +145,65 @@ def reference_systole(mesh):
                 best = total
                 break
     return float(best)
+
+
+# ----------------------------------------------------------------------
+# Reference cover: the per-edge, per-triangle and per-sheet loops that
+# ``mesh.build_cover`` replaces by one permutation per distinct word and
+# array broadcasting.  It must give equal arrays and words.
+
+def reference_build_cover(mesh, spec):
+    """Voltage-graph lift of the mesh along a permutation cover spec."""
+    spec.validate()
+    n = spec.degree
+    images = spec.generator_images
+    V, E, F = mesh.num_vertices, mesh.num_edges, mesh.num_faces
+
+    T = mesh_module._schreier_transversal(images, n)
+    T_mat = [H.word_matrix(t) for t in T]
+
+    edge_perm = [G.perm_of_word(images, w, n) for w in mesh.edge_words]
+
+    edges = np.empty((n * E, 2), dtype=np.int64)
+    lengths = np.empty(n * E, dtype=float)
+    words = [None] * (n * E)
+    for e in range(E):
+        tail, head = mesh.edges[e]
+        for s in range(n):
+            s_head = int(edge_perm[e][s])
+            idx = s * E + e
+            edges[idx] = (s * V + tail, s_head * V + head)
+            lengths[idx] = mesh.edge_lengths[e]
+            words[idx] = G.concat(
+                T[s], mesh.edge_words[e], G.inverse_word(T[s_head]))
+
+    triangles = np.empty((n * F, 3), dtype=np.int64)
+    tri_edges = np.empty((n * F, 3), dtype=np.int64)
+    tri_signs = np.empty((n * F, 3), dtype=np.int64)
+    for t in range(F):
+        h = mesh.corner_words(t)
+        corner_perm = [G.perm_of_word(images, w, n) for w in h]
+        for s in range(n):
+            row = s * F + t
+            sheets = [int(corner_perm[k][s]) for k in range(3)]
+            for k in range(3):
+                triangles[row, k] = sheets[k] * V + mesh.triangles[t, k]
+                sgn = mesh.tri_edge_signs[t, k]
+                tri_signs[row, k] = sgn
+                anchor = sheets[k] if sgn > 0 else sheets[(k + 1) % 3]
+                tri_edges[row, k] = anchor * E + mesh.tri_edges[t, k]
+
+    positions = np.empty(n * V, dtype=complex)
+    base_vertex = np.empty(n * V, dtype=np.int64)
+    for s in range(n):
+        positions[s * V:(s + 1) * V] = H.mobius(T_mat[s], mesh.positions)
+        base_vertex[s * V:(s + 1) * V] = np.arange(V)
+
+    return mesh_module.HyperbolicMesh(
+        genus=n * (mesh.genus - 1) + 1, level=mesh.level, triangles=triangles,
+        tri_edges=tri_edges, tri_edge_signs=tri_signs, edges=edges,
+        edge_lengths=lengths, edge_words=words, positions=positions,
+        base_vertex=base_vertex)
 
 
 # ----------------------------------------------------------------------

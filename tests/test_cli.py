@@ -321,3 +321,40 @@ def test_verify_reports_malformed_run_files(run_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("verify: FAIL:")
     assert path in err and message in err
+
+
+@pytest.mark.parametrize("entry", [5, [0], [0, 1.5], ["0", 1], [0, True]])
+def test_read_density_rejects_malformed_divisor_entry(workspace, tmp_path,
+                                                      capsys, entry):
+    prefix = str(tmp_path / "dens")
+    for ext in (".csv", ".json"):
+        shutil.copy(workspace["base_dens"] + ext, prefix + ext)
+    sidecar = fileio.read_json(prefix + ".json")
+    sidecar["divisor"][0] = entry
+    fileio.write_json(prefix + ".json", sidecar)
+    assert main(["verify", "--mesh", workspace["base"],
+                 "--density", prefix]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert prefix + ".json" in err and "divisor entry 0 " in err
+
+
+@pytest.mark.parametrize("name, message", [
+    ("manifest.json", "has no valid 'density' field"),
+    ("u.csv", "holds 4 values for a mesh with 124 vertices")])
+def test_export_reports_malformed_run_files(run_dir, workspace, tmp_path,
+                                            capsys, name, message):
+    run = str(tmp_path / "run")
+    shutil.copytree(run_dir, run)
+    path = os.path.join(run, name)
+    if name == "u.csv":
+        fileio.write_field_csv(path, "u", np.zeros(4))
+    else:
+        fileio.write_json(path, _drop_key("density")(fileio.read_json(path)))
+    vtk = str(tmp_path / "fields.vtk")
+    assert main(["export", "--mesh", workspace["cover"], "--run", run,
+                 "-o", vtk]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert path in err and message in err
+    assert not os.path.exists(vtk)

@@ -1,10 +1,12 @@
 """Base surface construction, refinement, covers, and serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from helpers import reference_build_cover
 from todalab import group as G
 from todalab import hyperbolic as H
 from todalab import operators as ops
@@ -174,6 +176,96 @@ def test_tampered_json_rejected(meshes):
     data["vertices"] = 5
     with pytest.raises(MeshError):
         mesh_from_json(json.dumps(data))
+
+
+def _swap_signs(data):
+    # Spoke slots (0 -> 1): a backward sign puts the slot's tail at the
+    # spoke's head.  Both flipped slots fail; the earlier one is named.
+    data["tri_edge_signs"][5][0] = -1
+    data["tri_edge_signs"][2][0] = -1
+
+
+def _reuse_edge(data):
+    # Triangle 5's first slot takes spoke 4 instead of spoke 5: the slot
+    # still joins vertices 0 -> 1, but spoke 4 now has three slots (and
+    # spoke 5 one, later in index order).
+    data["tri_edges"][5][0] = 4
+
+
+def _first_use(data, e):
+    return min(t for t, row in enumerate(data["tri_edges"]) if e in row)
+
+
+def _rewrite_word(data):
+    e = data["tri_edges"][10][1]
+    tail, head, word = data["holonomy"][e]
+    data["holonomy"][e] = [tail, head, word + "a"]
+    return _first_use(data, e)
+
+
+def _shorten_length(data):
+    e = data["tri_edges"][7][2]
+    data["edge_lengths"][e][2] *= 0.99
+    return e
+
+
+@pytest.mark.parametrize("level, edit, message", [
+    (0, _swap_signs, "slot (2,0) inconsistent with edge 2"),
+    (0, _reuse_edge, "edge 4 is used by 3 triangle slots, not two"),
+    (1, _rewrite_word, "triangle {} has non-identity holonomy product"),
+    (1, _shorten_length, "drawn length of edge {} deviates from its stored"),
+])
+def test_tampered_mesh_names_first_failure(meshes, level, edit, message):
+    data = json.loads(mesh_to_json(meshes[level]))
+    index = edit(data)
+    mesh = mesh_from_json(json.dumps(data))
+    with pytest.raises(MeshError, match=re.escape(message.format(index))):
+        mesh.validate()
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("spec", [
+    CoverSpec.cyclic(1), CoverSpec.cyclic(2), CoverSpec.cyclic(3),
+    # transpositions that do not all commute, yet kill the relator
+    CoverSpec(degree=3, generator_images={
+        1: [0, 2, 1], 2: [0, 2, 1], 3: [1, 0, 2], 4: [1, 0, 2]})],
+    ids=["cyclic1", "cyclic2", "cyclic3", "nonabelian3"])
+def test_cover_matches_reference_loops(meshes, level, spec):
+    cover = build_cover(meshes[level], spec)
+    expected = reference_build_cover(meshes[level], spec)
+    for name in ("triangles", "tri_edges", "tri_edge_signs", "edges",
+                 "edge_lengths", "positions", "base_vertex"):
+        got, want = getattr(cover, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert cover.edge_words == expected.edge_words
+    assert (cover.genus, cover.level) == (expected.genus, expected.level)
+    assert mesh_to_json(cover) == mesh_to_json(expected)
+    cover.validate()
+
+
+def test_position_length_defect_matches_edge_loop(meshes):
+    def loop(mesh):
+        worst = 0.0
+        for e in range(mesh.num_edges):
+            tail, head = mesh.edges[e]
+            m = H.word_matrix(mesh.edge_words[e])
+            d = float(H.disk_distance(mesh.positions[tail],
+                                      H.mobius(m, mesh.positions[head])))
+            worst = max(worst, abs(d - mesh.edge_lengths[e]))
+        return worst
+
+    for mesh in (meshes[3], build_cover(meshes[2], CoverSpec.cyclic(3))):
+        assert mesh.position_length_defect() == loop(mesh)
+
+
+def test_word_table(meshes):
+    m = meshes[3]
+    table = m.word_table()
+    assert len(table.words) == len(set(m.edge_words))
+    assert [table.words[i] for i in table.ids] == m.edge_words
+    for w, mat in zip(table.words, table.matrices):
+        assert np.array_equal(mat, H.word_matrix(w))
+    assert m.word_table() is table
 
 
 def test_slot_structure(meshes):

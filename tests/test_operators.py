@@ -8,6 +8,7 @@ import scipy.linalg as sla
 
 from helpers import reference_dijkstra, reference_systole
 from todalab import coupled, group, ricci
+from todalab import hyperbolic as H
 from todalab import operators as ops
 from todalab.errors import NonConvergence
 from todalab.mesh import (CoverSpec, build_base_surface, build_cover,
@@ -187,6 +188,38 @@ def test_systole_matches_reference_without_sheet_shift():
     relabelled.validate()
     assert ops._sheet_size(relabelled) == 0
     assert ops.systole(relabelled) == reference_systole(relabelled)
+
+
+def _counting_dijkstra(monkeypatch):
+    sources = []
+    dijkstra = ops.csgraph.dijkstra
+
+    def counting(*args, **kwargs):
+        sources.append(kwargs["indices"])
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(ops.csgraph, "dijkstra", counting)
+    return sources
+
+
+@pytest.mark.parametrize("level,n", [(r, n) for r in (2, 3) for n in (1, 2, 3)])
+def test_systole_stops_at_bolza_bound(level, n, monkeypatch):
+    mesh = build_base_surface(refinement=level)
+    if n > 1:
+        mesh = build_cover(mesh, CoverSpec.cyclic(n))
+    sources = _counting_dijkstra(monkeypatch)
+    assert ops.systole(mesh) == H.SYSTOLE
+    assert len(sources) == 1
+
+
+def test_systole_runs_on_above_bolza_bound(monkeypatch):
+    # The relabelled cover's first loop is a few ulp above the constant,
+    # so the search goes on to later sources and still finds the bound.
+    relabelled = relabel_vertices(
+        build_cover(build_base_surface(refinement=2), CoverSpec.cyclic(2)))
+    sources = _counting_dijkstra(monkeypatch)
+    assert ops.systole(relabelled) == H.SYSTOLE
+    assert len(sources) > 1
 
 
 def test_trace_filter_passes_only_nontrivial_loops(monkeypatch):
