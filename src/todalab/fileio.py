@@ -76,7 +76,10 @@ def read_json_object(path, fields):
     fields, each value of the type fields gives; else a TodaError."""
     with open(path) as handle:
         text = handle.read()
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TodaError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise TodaError(
             f"{path} holds a JSON {type(doc).__name__}, not an object")

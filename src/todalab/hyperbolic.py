@@ -86,10 +86,9 @@ def word_matrix(word):
 
 
 def mobius(m, z):
-    """Apply an SU(1,1) matrix to one or more disk points, or a stack of
-    matrices (..., 2, 2) to points of the matching shape."""
+    """Apply an SU(1,1) matrix to one or more disk points."""
     z = np.asarray(z, dtype=complex)
-    return (m[..., 0, 0] * z + m[..., 0, 1]) / (m[..., 1, 0] * z + m[..., 1, 1])
+    return (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
 
 
 def disk_distance(z, w):

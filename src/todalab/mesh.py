@@ -193,13 +193,21 @@ class HyperbolicMesh:
                     f"length by {defect[e]:.3e}")
         return True
 
+    def drawn_heads(self):
+        """Head of each edge's drawn representative: word . position(head)."""
+        table = self.word_table()
+        # entry by entry: one (E, 2, 2) temporary raised the peak memory of
+        # later large allocations (JSON round trips) by ~10 MB at V = 8188
+        m = table.matrices
+        a, b, c, d = (m[:, i, j][table.ids] for i in (0, 1) for j in (0, 1))
+        z = self.positions[self.edges[:, 1]]
+        return (a * z + b) / (c * z + d)
+
     def _length_defects(self):
         """|stored length - disk distance of the drawn representative| per
         edge (NaN where the drawn distance is undefined)."""
-        table = self.word_table()
-        heads = hyperbolic.mobius(table.matrices[table.ids],
-                                  self.positions[self.edges[:, 1]])
-        d = hyperbolic.disk_distance(self.positions[self.edges[:, 0]], heads)
+        d = hyperbolic.disk_distance(self.positions[self.edges[:, 0]],
+                                     self.drawn_heads())
         return np.abs(d - self.edge_lengths)
 
     def position_length_defect(self):
@@ -295,10 +303,8 @@ def refine(mesh):
     V, E, F = mesh.num_vertices, mesh.num_edges, mesh.num_faces
 
     # midpoint positions from drawn representatives
-    table = mesh.word_table()
-    head_pos = hyperbolic.mobius(table.matrices[table.ids],
-                                 mesh.positions[mesh.edges[:, 1]])
-    mid_pos = hyperbolic.disk_midpoint(mesh.positions[mesh.edges[:, 0]], head_pos)
+    mid_pos = hyperbolic.disk_midpoint(mesh.positions[mesh.edges[:, 0]],
+                                       mesh.drawn_heads())
     positions = np.concatenate([mesh.positions, mid_pos])
 
     # half edges: tail half keeps the identity word, head half carries the
@@ -472,32 +478,38 @@ def build_cover(mesh, spec):
     perm = np.array([group.perm_of_word(images, w, n) for w in table.words],
                     dtype=np.int64).reshape(-1, n)
     perm_inv = np.argsort(perm, axis=1)
-    sheet = np.arange(n, dtype=np.int64)
-
-    # edge copy (e, s): (tail, s) -> (head, s . word_e), as an (n, E) table
-    head_sheet = perm[table.ids].T
-    edges = np.stack([sheet[:, None] * V + mesh.edges[:, 0],
-                      head_sheet * V + mesh.edges[:, 1]], axis=-1)
     ids = table.ids.tolist()
+    slot_ids = table.ids[mesh.tri_edges]
+    signs = mesh.tri_edge_signs
+
+    def across(k, sheets):
+        """Sheets reached over slot k of each triangle from the given
+        sheets: by the slot's word, or its inverse for a backward slot."""
+        w = slot_ids[:, k]
+        return np.where(signs[:, k] < 0, perm_inv[w, sheets], perm[w, sheets])
+
+    # one sheet at a time, vectorized over the cells
+    edges = np.empty((n, E, 2), dtype=np.int64)
+    triangles = np.empty((n, F, 3), dtype=np.int64)
+    tri_edges = np.empty((n, F, 3), dtype=np.int64)
     words = []
     for s in range(n):
+        # edge copy (e, s) runs from (tail, s) to (head, s . word_e)
+        edges[s, :, 0] = s * V + mesh.edges[:, 0]
+        edges[s, :, 1] = perm[table.ids, s] * V + mesh.edges[:, 1]
         conjugated = [
             group.concat(T[s], w, group.inverse_word(T[int(perm[i, s])]))
             for i, w in enumerate(table.words)]
         words.extend(conjugated[i] for i in ids)
 
-    # triangle copy (t, s) has corner 0 on sheet s; each slot moves the
-    # sheet by its word (forward) or the word's inverse (backward), so
-    # corner k sits on sheet s . h_k for the corner words h_k
-    signs = mesh.tri_edge_signs
-    slot_ids = table.ids[mesh.tri_edges]
-    step = np.where((signs < 0)[..., None], perm_inv[slot_ids], perm[slot_ids])
-    c0 = np.broadcast_to(sheet, (F, n))
-    c1 = np.take_along_axis(step[:, 0], c0, axis=1)
-    c2 = np.take_along_axis(step[:, 1], c1, axis=1)
-    corner = np.stack([c0, c1, c2], axis=-1).transpose(1, 0, 2)
-    # the edge copy whose stored tail matches the slot's tail
-    anchor = np.where(signs > 0, corner, np.roll(corner, -1, axis=2))
+        # triangle copy (t, s) has corner 0 on sheet s
+        c0 = np.full(F, s, dtype=np.int64)
+        c1 = across(0, c0)
+        corner = np.stack([c0, c1, across(1, c1)], axis=1)
+        triangles[s] = corner * V + mesh.triangles
+        # the edge copy whose stored tail matches the slot's tail
+        anchor = np.where(signs > 0, corner, np.roll(corner, -1, axis=1))
+        tri_edges[s] = anchor * E + mesh.tri_edges
 
     positions = np.concatenate([
         hyperbolic.mobius(hyperbolic.word_matrix(t), mesh.positions)
@@ -506,8 +518,8 @@ def build_cover(mesh, spec):
     return HyperbolicMesh(
         genus=n * (mesh.genus - 1) + 1,
         level=mesh.level,
-        triangles=(corner * V + mesh.triangles).reshape(n * F, 3),
-        tri_edges=(anchor * E + mesh.tri_edges).reshape(n * F, 3),
+        triangles=triangles.reshape(n * F, 3),
+        tri_edges=tri_edges.reshape(n * F, 3),
         tri_edge_signs=np.tile(signs, (n, 1)),
         edges=edges.reshape(n * E, 2),
         edge_lengths=np.tile(mesh.edge_lengths, n),

@@ -307,7 +307,8 @@ def _drop_key(key):
     ("manifest.json", _drop_key("hashes"), "has no valid 'hashes' field"),
     ("manifest.json", lambda doc: [doc], "holds a JSON list, not an object"),
     ("certificate.json", _drop_key("eta"), "has no valid 'eta' field"),
-    ("u.csv", None, "holds 4 values for a mesh with 124 vertices")])
+    ("u.csv", None, "holds 4 values for a mesh with 124 vertices"),
+    ("manifest.json", "{not json", "is not valid JSON")])
 def test_verify_reports_malformed_run_files(run_dir, tmp_path, capsys,
                                             name, edit, message):
     run = str(tmp_path / "run")
@@ -315,6 +316,8 @@ def test_verify_reports_malformed_run_files(run_dir, tmp_path, capsys,
     path = os.path.join(run, name)
     if edit is None:
         fileio.write_field_csv(path, "u", np.zeros(4))
+    elif isinstance(edit, str):
+        fileio.atomic_write_text(path, edit)
     else:
         fileio.write_json(path, edit(fileio.read_json(path)))
     assert main(["verify", "--run", run]) == 1
