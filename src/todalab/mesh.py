@@ -25,8 +25,9 @@ A mesh carries few distinct holonomy words (20 among the 12 288 edges at
 level 5), so the word work is done once per distinct word:
 :meth:`HyperbolicMesh.word_table` numbers them and keeps one SU(1,1)
 matrix each, :func:`build_cover` takes one sheet permutation per word and
-broadcasts the cell tables over sheets, and ``validate`` Dehn-reduces each
-distinct triple of slot words and signs once.
+fills the cell tables sheet by sheet with array operations, and
+``validate`` Dehn-reduces each distinct triple of slot words and signs
+once.
 """
 
 from __future__ import annotations
@@ -196,8 +197,8 @@ class HyperbolicMesh:
     def drawn_heads(self):
         """Head of each edge's drawn representative: word . position(head)."""
         table = self.word_table()
-        # entry by entry: one (E, 2, 2) temporary raised the peak memory of
-        # later large allocations (JSON round trips) by ~10 MB at V = 8188
+        # gathered entry by entry: freeing larger temporaries raises the
+        # allocator's mmap threshold and with it the later peak memory
         m = table.matrices
         a, b, c, d = (m[:, i, j][table.ids] for i in (0, 1) for j in (0, 1))
         z = self.positions[self.edges[:, 1]]
