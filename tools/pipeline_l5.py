@@ -116,12 +116,12 @@ def main(argv=None):
     samples = {label: {name: [] for name in names + ["total"]}
                for label in trees}
     hashes = {}
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as tmp:
         for i in range(args.runs):
             # alternate which tree runs first
             order = list(trees) if i % 2 == 0 else list(reversed(trees))
             for label in order:
-                work = os.path.join(scratch, label)
+                work = os.path.join(tmp, label)
                 os.makedirs(work)
                 times = run_pipeline(trees[label], args.refine, work)
                 for name, seconds in times.items():
