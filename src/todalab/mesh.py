@@ -169,15 +169,12 @@ class HyperbolicMesh:
 
         # holonomy: triangle products are the identity; a triangle's product
         # depends only on its slots' words and signs, so each distinct
-        # triple of them is Dehn-reduced once
-        table = self.word_table()
-        signed = [(w, group.inverse_word(w)) for w in table.words]
-        code = 2 * table.ids[slot_edges] + (signs < 0)
-        keys, inverse = np.unique(code, axis=0, return_inverse=True)
-        trivial = np.array([
-            group.is_identity(group.concat(
-                *(signed[c // 2][c % 2] for c in key.tolist())))
-            for key in keys])
+        # triple of them is Dehn-reduced once, at its first triangle
+        code = 2 * self.word_table().ids[slot_edges] + (signs < 0)
+        _, first, inverse = np.unique(code, axis=0, return_index=True,
+                                      return_inverse=True)
+        trivial = np.array([group.is_identity(self.triangle_word(int(t)))
+                            for t in first])
         bad = ~trivial[inverse.reshape(-1)]
         if bad.any():
             t = int(np.flatnonzero(bad)[0])

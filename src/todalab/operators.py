@@ -19,7 +19,9 @@ is at least as long as the translation length of its word, hence at least
 the true systole; the octagon side loops realize the true systole exactly
 at every refinement level, so for this family the bound is sharp.
 
-The search is exact and rests on five facts.
+The search rests on five facts.  The first four keep the exact minimum;
+the fifth, the Bolza stop, keeps it up to rounding and ``validate``'s
+position tolerance.
 
 * Sources.  A loop's word is the product of its edge words, so a loop
   whose edges all carry the empty word is trivial: every non-trivial loop
@@ -62,12 +64,19 @@ The search is exact and rests on five facts.
   segment's drawn length is its stored length (to its position
   tolerance).  So the loop is at least d(p, gamma p) long, which is at
   least the translation length of gamma, hence at least sys(G).  Once the
-  best loop reaches the constant, no later source can lower it and the
-  search stops.  The comparison has no margin: on every mesh checked
-  (levels 0-5 and their cyclic 2- and 3-covers) the search reaches exactly
-  this float at its first source (its second at level 0), while a mesh
-  whose first loop found is a few ulp longer (a relabelled cover) runs on
-  to the sources that give the float.
+  best loop reaches the constant the search stops.  In exact arithmetic no
+  later source could lower it; in floats a later loop could still sum to
+  a few ulp below the constant, or up to k times the position tolerance
+  for a k-edge loop of a mesh read from JSON, so on such a mesh the
+  result may exceed the exhaustive one by that much.  The comparison has
+  no margin: on every mesh checked (levels 0-5 and their cyclic 2- and
+  3-covers) the search reaches exactly this float at its first source
+  (its second at level 0), while a mesh whose first loop found is a few
+  ulp longer (a relabelled cover) runs on to the sources that give the
+  float.  The result equals the exhaustive search (``reference_systole``
+  in the tests) on base levels 0-3, cyclic 2- and 3-covers of levels
+  0-2, a relabelled 2-cover of level 2 and a non-abelian 3-sheet cover of
+  levels 0-2.
 """
 
 from __future__ import annotations
@@ -369,7 +378,9 @@ def systole(mesh):
     |tr(H_x W_e H_y^-1)| < 3 (identity: 2, any other group element: at
     least 2 cosh(systole/2) > 4.8), and the survivors, shortest first, are
     accepted only by Dehn reduction of their word.  The search stops once
-    the best loop reaches the Bolza bound, which no loop can beat.
+    the best loop reaches the Bolza bound, which no loop beats in exact
+    arithmetic (in floats, only by rounding and ``validate``'s position
+    tolerance).
     """
     key = "systole"
     if key in mesh._cache:

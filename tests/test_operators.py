@@ -170,6 +170,18 @@ def test_systole_matches_reference_on_cyclic_covers(level, n):
     assert ops.systole(cover) == reference_systole(cover)
 
 
+@pytest.mark.parametrize("level", range(3))
+def test_systole_matches_reference_on_nonabelian_cover(level):
+    # transpositions that do not all commute, yet kill the relator: no
+    # sheet shift, so the search starts from every source
+    spec = CoverSpec(degree=3, generator_images={
+        1: [0, 2, 1], 2: [0, 2, 1], 3: [1, 0, 2], 4: [1, 0, 2]})
+    cover = build_cover(build_base_surface(refinement=level), spec)
+    cover.validate()
+    assert ops._sheet_size(cover) == 0
+    assert ops.systole(cover) == reference_systole(cover)
+
+
 def relabel_vertices(mesh, seed=0):
     """Copy of a mesh with its vertex ids permuted."""
     perm = np.random.default_rng(seed).permutation(mesh.num_vertices)

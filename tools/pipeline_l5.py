@@ -1,7 +1,7 @@
 """Wall time of the README pipeline, one fresh `toda` process per step.
 
-Runs the README command sequence on the genus-2 base at a refinement
-level (5 by default, V = 8188 on the 2-cover) and its cyclic 2-cover:
+Runs the README command sequence on the genus-2 base at refinement
+level 5 and its cyclic 2-cover (V = 8188):
 
     mesh, cover, section (base), section (balanced cover),
     solve-coupled, verify --mesh --density --run
@@ -30,14 +30,15 @@ import sys
 import tempfile
 import time
 
+REFINE = 5
 DIVISOR = "0:1,1:1,5:1,20:1"
 ZERO_VERTEX = "3"
 
 
-def steps(refine):
+def steps():
     """(name, toda arguments) of the pipeline, in order."""
     return [
-        ("mesh", ["mesh", "--genus2", "--refine", str(refine),
+        ("mesh", ["mesh", "--genus2", "--refine", str(REFINE),
                   "-o", "base.json"]),
         ("cover", ["cover", "--mesh", "base.json", "--n", "2",
                    "-o", "cover.json"]),
@@ -55,11 +56,11 @@ def steps(refine):
     ]
 
 
-def run_pipeline(src, refine, work):
+def run_pipeline(src, work):
     """Seconds per step of one pipeline run in the empty directory work."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), TODA_THREADS="1")
     times = {}
-    for name, args in steps(refine):
+    for name, args in steps():
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "todalab.cli"] + args,
                               cwd=work, env=env, capture_output=True,
@@ -85,8 +86,6 @@ def output_hashes(work):
 
 def summary(samples):
     """Median and quartiles of a list of seconds."""
-    if len(samples) < 2:
-        samples = samples * 2
     q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"median": round(q2, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
@@ -106,13 +105,14 @@ def main(argv=None):
     parser.add_argument("--tree", action="append", metavar="LABEL=SRC",
                         help="a label and the src/ directory holding "
                              "todalab (repeatable; default change=src)")
-    parser.add_argument("--refine", type=int, default=5)
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("-o", "--output", help="also write the JSON here")
     args = parser.parse_args(argv)
+    if args.runs < 2:
+        parser.error("--runs must be at least 2")
     trees = dict(spec.split("=", 1) for spec in args.tree or ["change=src"])
 
-    names = [name for name, _ in steps(args.refine)]
+    names = [name for name, _ in steps()]
     samples = {label: {name: [] for name in names + ["total"]}
                for label in trees}
     hashes = {}
@@ -123,7 +123,7 @@ def main(argv=None):
             for label in order:
                 work = os.path.join(tmp, label)
                 os.makedirs(work)
-                times = run_pipeline(trees[label], args.refine, work)
+                times = run_pipeline(trees[label], work)
                 for name, seconds in times.items():
                     samples[label][name].append(seconds)
                 samples[label]["total"].append(sum(times.values()))
@@ -135,8 +135,8 @@ def main(argv=None):
 
     result = {
         "script": "tools/pipeline_l5.py",
-        "pipeline": [" ".join(["toda"] + a) for _, a in steps(args.refine)],
-        "refine": args.refine, "cover_degree": 2, "runs": args.runs,
+        "pipeline": [" ".join(["toda"] + a) for _, a in steps()],
+        "refine": REFINE, "cover_degree": 2, "runs": args.runs,
         "machine": machine_info(),
         "trees": {label: {
             "steps_s": {name: summary(values)
