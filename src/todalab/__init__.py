@@ -31,9 +31,9 @@ from .operators import (  # noqa: E402
     SpectralReport, eig_low, laplacian, mass_vector, spectral_gap, stiffness,
     systole, volume)
 from .sections import (  # noqa: E402
-    BalanceReport, Divisor, SectionDensity, balanced_lift, disk_indicator,
-    disk_balanced_potential, green_function, lift_density, oscillation_report,
-    radial_barrier, radial_barrier_derivative, schwarz_check, synth_density)
+    BalanceReport, Divisor, SectionDensity, balanced_lift, green_function,
+    lift_density, oscillation_report, radial_barrier,
+    radial_barrier_derivative, schwarz_check, synth_density)
 from .gauss import (  # noqa: E402
     GaussProblem, GaussSolution, admissible_bound, gauss_residual,
     gauss_stability_probe, monotone_solve_gauss, solve_gauss)
@@ -41,8 +41,7 @@ from .ricci import (  # noqa: E402
     RicciProblem, RicciSolution, StabilityReport, eval_J, grad_J, maximize_J,
     mt_probe, solve_ricci_newton, stability_check, translate_v)
 from .coupled import (  # noqa: E402
-    AFCertificate, CoupledConfig, certify, degree_bound_check,
-    full_system_residual, solve_coupled, superminimality_audit)
+    AFCertificate, CoupledConfig, certify, degree_bound_check, solve_coupled)
 
 __version__ = "0.1.0"
 
@@ -57,8 +56,7 @@ __all__ = [
     "SpectralReport", "eig_low", "laplacian", "mass_vector", "spectral_gap",
     "stiffness", "systole", "volume",
     "BalanceReport", "Divisor", "SectionDensity", "balanced_lift",
-    "disk_indicator", "disk_balanced_potential", "green_function",
-    "lift_density", "oscillation_report", "radial_barrier",
+    "green_function", "lift_density", "oscillation_report", "radial_barrier",
     "radial_barrier_derivative", "schwarz_check", "synth_density",
     "GaussProblem", "GaussSolution", "admissible_bound", "gauss_residual",
     "gauss_stability_probe", "monotone_solve_gauss", "solve_gauss",
@@ -66,5 +64,5 @@ __all__ = [
     "maximize_J", "mt_probe", "solve_ricci_newton", "stability_check",
     "translate_v",
     "AFCertificate", "CoupledConfig", "certify", "degree_bound_check",
-    "full_system_residual", "solve_coupled", "superminimality_audit",
+    "solve_coupled",
 ]

@@ -291,37 +291,3 @@ def solve_coupled(mesh, density, config=None):
     return CoupledResult(u=u, v=v, certificate=cert,
                          residual_history=history, density=density)
 
-
-def full_system_residual(mesh, u, v, alpha_density, beta_density, c):
-    """Residual pair of the two-component curvature system.
-
-    r_gauss = || M^-1 L u - (e^{2u} - 1 + e^{-2u}(e^{2v}|a|^2
-              + e^{-2v}|b|^2)) ||_inf and
-    r_ricci = || M^-1 L v - (c - e^{-2u}(e^{2v}|a|^2 - e^{-2v}|b|^2)) ||_inf.
-    Either density may be the zero section; with |b|^2 = 0 both components
-    agree with the individual solvers' residuals.
-    """
-    ops = operators.of(mesh)
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    fa = (np.zeros(mesh.num_vertices) if alpha_density.is_zero
-          else np.exp(alpha_density.log_density + 2.0 * v))
-    fb = (np.zeros(mesh.num_vertices) if beta_density.is_zero
-          else np.exp(beta_density.log_density - 2.0 * v))
-    r_gauss = float(np.abs(
-        ops.lap(u)
-        - (np.exp(2.0 * u) - 1.0 + np.exp(-2.0 * u) * (fa + fb))).max())
-    r_ricci = float(np.abs(
-        ops.lap(v) - (c - np.exp(-2.0 * u) * (fa - fb))).max())
-    return r_gauss, r_ricci
-
-
-def superminimality_audit(alpha_density, beta_density):
-    """min over vertices of max(log|a|^2, log|b|^2) — a support-disjointness
-    proxy (very negative when at every vertex one component is tiny).
-    Heuristic report only; the solve path fixes the second component to
-    zero, where the product vanishes identically.
-    """
-    la = alpha_density.log_density
-    lb = beta_density.log_density
-    return float(np.maximum(la, lb).min())

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import operators
 from .errors import AdmissibilityError, NonConvergence
@@ -135,8 +134,8 @@ def solve_gauss(problem, u0=None):
             return GaussSolution(u=u, residual_norm=res, iterations=it,
                                  box_margin=_box_margin(u, lower))
         F = S @ u + m * _reaction(u, problem.f)
-        J = (S + sp.diags(m * _reaction_slope(u, problem.f))).tocsc()
-        step = spla.spsolve(J, -F)
+        J = S + sp.diags(m * _reaction_slope(u, problem.f))
+        step = operators.factor(J).solve(-F)
         # Backtrack until the residual drops and u stays near the box.
         t = 1.0
         base = float(np.abs(F / m).max())
@@ -158,17 +157,16 @@ def solve_gauss(problem, u0=None):
 def monotone_solve_gauss(problem, lam=4.0, max_iters=5000):
     """Monotone scheme from the supersolution u = 0: iterates nonincreasing.
 
-    Solves (S + lam M) u+ = lam M u - M R(u) repeatedly.  Each sweep is a
-    linear solve with a fixed SPD matrix (factorized once); lam >= sup R'
-    on the box makes the update order-preserving, so the sequence decreases
-    pointwise to the box solution.  Linear convergence degrades to
+    Solves (S + lam M) u+ = lam M u - M R(u) repeatedly.  The SPD matrix
+    S + lam M is factored once per call and every sweep reuses the factor;
+    lam >= sup R' on the box makes the update order-preserving, so the
+    sequence decreases pointwise to the box solution.  Linear convergence degrades to
     sublinear when the data touch the double root f = 1/4.
     """
     mesh = problem.mesh
     ops = operators.of(mesh)
     m = ops.m
-    A = (ops.S + sp.diags(lam * m)).tocsc()
-    lu = spla.splu(A)
+    lu = operators.factor(ops.S + sp.diags(lam * m))
     u = np.zeros(mesh.num_vertices)
     for it in range(max_iters):
         res = gauss_residual(mesh, u, problem.f)

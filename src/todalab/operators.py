@@ -11,7 +11,8 @@ conversions happen at the point of use and are recorded there).
 Every solver reads these from one ``Operators`` bundle per mesh, which
 ``of(mesh)`` assembles once and keeps on the mesh (the systole is kept
 beside it); ``laplacian``, ``mass_vector``, ``stiffness`` and ``volume``
-are views of it.
+are views of it.  Every sparse factorization in the package goes through
+``factor``.
 
 The systole is approximated on the edge graph: the shortest closed edge
 loop whose accumulated holonomy word is not the identity.  Every such loop
@@ -159,8 +160,7 @@ class Operators:
     def green_lu(self):
         """LU of the bordered zero-mean Poisson system [[S, m], [m^T, 0]]."""
         m_col = sp.csr_matrix(self.m.reshape(-1, 1))
-        kkt = sp.bmat([[self.S, m_col], [m_col.T, None]], format="csc")
-        return spla.splu(kkt)
+        return factor(sp.bmat([[self.S, m_col], [m_col.T, None]]))
 
     @cached_property
     def path_graph(self):
@@ -189,6 +189,21 @@ def of(mesh):
     if "operators" not in mesh._cache:
         mesh._cache["operators"] = Operators(mesh)
     return mesh._cache["operators"]
+
+
+def factor(A):
+    """SuperLU factors of a sparse matrix with a symmetric pattern.
+
+    Every matrix factored here (the Gauss and Ricci Jacobians, the bordered
+    Green and Newton systems, the shift-invert and screened operators) is
+    structurally symmetric, so the columns are ordered by minimum degree
+    on the pattern of A + A^T (George & Liu 1989) and SuperLU runs in
+    symmetric mode, preferring diagonal pivots.  SuperLU's default pivot
+    threshold is kept because the Ricci and bordered matrices are
+    indefinite.  Raises RuntimeError when A is exactly singular.
+    """
+    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                     options=dict(SymmetricMode=True))
 
 
 def volume(mesh):
@@ -227,6 +242,13 @@ def _start_vector(V, seed):
     return np.ones(V) + 0.01 * rng.standard_normal(V)
 
 
+def _shift_inverse(A, M, sigma):
+    """(A - sigma M)^{-1} as a LinearOperator, from one ``factor``."""
+    V = A.shape[0]
+    return spla.LinearOperator((V, V), matvec=factor(A - sigma * M).solve,
+                               dtype=float)
+
+
 def eig_low(mesh, k=2, tol=1e-9, seed=0):
     """Smallest k generalized eigenpairs of S x = lambda M x, ascending.
 
@@ -240,8 +262,10 @@ def eig_low(mesh, k=2, tol=1e-9, seed=0):
     V = S.shape[0]
     if V <= max(4 * k + 20, 300):
         return _eig_dense(S, M, k)
+    sigma = -0.05
     try:
-        vals, vecs = spla.eigsh(S, k=k, M=M, sigma=-0.05, which="LM",
+        vals, vecs = spla.eigsh(S, k=k, M=M, sigma=sigma, which="LM",
+                                OPinv=_shift_inverse(S, M, sigma),
                                 v0=_start_vector(V, seed), tol=tol)
     except RuntimeError as exc:
         if V > DENSE_FALLBACK_MAX_V:
@@ -259,7 +283,7 @@ def eigs_nearest(A, m, sigma, enough=lambda vals: True):
     A is sparse symmetric and m positive.  Shift-invert Lanczos: ARPACK
     finds the largest eigenvalues theta = 1/(mu - sigma) of
     (A - sigma M)^{-1} M, i.e. the mu nearest sigma (Ericsson & Ruhe 1980).
-    One sparse LU of A - sigma M serves every k: k starts at 1 and doubles
+    One ``factor`` of A - sigma M serves every k: k starts at 1 and doubles
     until ``enough(vals)`` holds (by default at once).  Only when k would
     reach V - 1 is the full spectrum computed densely instead (tiny meshes).
 
@@ -268,8 +292,7 @@ def eigs_nearest(A, m, sigma, enough=lambda vals: True):
     """
     V = A.shape[0]
     M = sp.diags(m).tocsr()
-    lu = spla.splu((A - sigma * M).tocsc())
-    op = spla.LinearOperator((V, V), matvec=lu.solve, dtype=float)
+    op = _shift_inverse(A, M, sigma)
     v0 = _start_vector(V, 0)
     k = 1
     while k < V - 1:

@@ -332,24 +332,3 @@ def radial_barrier_derivative(r, a):
         raise ValueError("radial barrier needs r > 0")
     return -a * np.tanh(r / 2.0) + 1.0 / np.sinh(r)
 
-
-def disk_indicator(mesh, z0, radius):
-    """Vertices within graph-geodesic distance radius of z0."""
-    return operators.graph_distances(mesh, z0) <= radius
-
-
-def disk_balanced_potential(mesh, z0, radius, c):
-    """Zero-mean g with L g = c M 1 - a M 1_D, a = c Vol / Vol(D).
-
-    The balancing constant a makes the right-hand side a zero-mass measure,
-    so the solve is exact; this realizes the bounded comparison potential
-    used for pointwise density control.
-    """
-    ops = operators.of(mesh)
-    ind = disk_indicator(mesh, z0, radius).astype(float)
-    vol_d = float((ops.m * ind).sum())
-    if vol_d == 0:
-        raise ValueError("disk contains no vertices")
-    a = c * ops.vol / vol_d
-    rhs = c * ops.m - a * ops.m * ind
-    return poisson_zero_mean(mesh, rhs), float(a)

@@ -1,10 +1,14 @@
 """Laplacian assembly, spectra, and shortest noncontractible loops."""
 
+import ast
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from helpers import reference_dijkstra, reference_systole
 from todalab import coupled, group, ricci
@@ -308,3 +312,47 @@ def test_replaced_mesh_gets_its_own_bundle(mesh2):
     assert ops.of(scaled) is not ops.of(mesh2)
     assert ops.mass_vector(scaled).sum() == pytest.approx(ops.volume(scaled),
                                                           rel=1e-12)
+
+
+def test_factor_orders_symmetric_patterns_by_minimum_degree(mesh3):
+    # Against SuperLU's default COLAMD, which ignores the symmetry, the
+    # minimum-degree factors of S + M and of the indefinite -S + M are
+    # smaller, and both solve to rounding.
+    bundle = ops.of(mesh3)
+    b = np.ones(mesh3.num_vertices)
+    for A in (bundle.S + bundle.M, -bundle.S + bundle.M):
+        lu = ops.factor(A)
+        colamd = spla.splu(sp.csc_matrix(A))
+        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+        assert np.abs(A @ lu.solve(b) - b).max() < 1e-10
+
+
+SOLVER_NAMES = {"splu", "spsolve", "spilu", "factorized"}
+
+
+def test_every_sparse_factorization_goes_through_factor():
+    # One factorization path: SuperLU is reached only inside
+    # operators.factor, and no shift-invert eigsh factors on its own.
+    offenders = []
+    for path in sorted(pathlib.Path(ops.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "operators.py":
+            allowed = {id(node) for top in tree.body
+                       if isinstance(top, ast.FunctionDef)
+                       and top.name == "factor" for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else None)
+            if isinstance(node, ast.ImportFrom):
+                name = next((a.name for a in node.names
+                             if a.name in SOLVER_NAMES), None)
+            if name in SOLVER_NAMES and id(node) not in allowed:
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", None) == "eigsh":
+                keywords = {k.arg for k in node.keywords}
+                if "sigma" in keywords and "OPinv" not in keywords:
+                    offenders.append(f"{path.name}:{node.lineno} eigsh")
+    assert offenders == []

@@ -8,7 +8,7 @@ from todalab import gauss as G
 from todalab import operators as ops
 from todalab import ricci as R
 from todalab import sections as S
-from todalab.errors import InfeasibleDegree
+from todalab.errors import InfeasibleDegree, NonConvergence
 from todalab.mesh import build_base_surface
 
 
@@ -176,3 +176,39 @@ def test_field_csv_text(mesh):
     lines = text.splitlines()
     assert lines[0] == "vertex_index,v"
     assert lines[1] == "0,0.0"
+
+
+def test_accepted_newton_steps_build_no_preconditioner(problem, monkeypatch):
+    # One bordered (V + 1) Newton factorization per step and nothing else:
+    # the V x V gradient preconditioner is built only for a rejected step.
+    shapes = []
+    true_factor = ops.factor
+
+    def counting(A):
+        shapes.append(A.shape)
+        return true_factor(A)
+
+    monkeypatch.setattr(ops, "factor", counting)
+    sol = R.maximize_J(problem)
+    V = problem.mesh.num_vertices
+    assert sol.grad_norm <= problem.tol
+    assert sol.iterations > 0
+    assert shapes == [(V + 1, V + 1)] * sol.iterations
+
+
+def test_rejected_newton_steps_share_one_preconditioner(problem, monkeypatch):
+    shapes = []
+    true_factor = ops.factor
+
+    def singular_kkt(A):
+        shapes.append(A.shape)
+        if A.shape[0] == problem.mesh.num_vertices + 1:
+            raise RuntimeError("Factor is exactly singular")
+        return true_factor(A)
+
+    monkeypatch.setattr(ops, "factor", singular_kkt)
+    with pytest.raises(NonConvergence):
+        R.maximize_J(problem, max_iters=5)
+    V = problem.mesh.num_vertices
+    assert shapes.count((V, V)) == 1
+    assert shapes.count((V + 1, V + 1)) == 5

@@ -182,23 +182,6 @@ def test_radial_barrier_critical_at_systole():
     assert a == pytest.approx(2 * np.pi / vol_disk, rel=1e-14)
 
 
-def test_disk_indicator_and_balanced_potential(mesh):
-    ind = S.disk_indicator(mesh, 0, 1.4)
-    assert ind[0]
-    assert ind.sum() < mesh.num_vertices
-    bigger = S.disk_indicator(mesh, 0, 2.0)
-    assert (bigger | ind).sum() == bigger.sum()
-
-    g, a = S.disk_balanced_potential(mesh, 0, 1.4, c=0.3)
-    m = ops.mass_vector(mesh)
-    L, _ = ops.laplacian(mesh)
-    vol = m.sum()
-    vol_d = (m * ind).sum()
-    assert a == pytest.approx(0.3 * vol / vol_d, rel=1e-12)
-    rhs = 0.3 * m - a * m * ind.astype(float)
-    assert np.abs(L @ g - rhs).max() < 1e-10
-    assert abs((m * g).sum()) < 1e-9
-
 
 def test_schwarz_boundary_is_inside_ends_of_crossing_edges(mesh, deg1):
     inside = ops.graph_distances(mesh, 5) <= 1.2
