@@ -26,7 +26,7 @@ from .errors import (  # noqa: E402
     NonConvergence, RelatorError, TodaError, UnboundedDetected)
 from .mesh import (  # noqa: E402
     CoverSpec, HyperbolicMesh, build_base_surface, build_cover, mesh_from_dict,
-    mesh_from_json, mesh_to_dict, mesh_to_json, refine)
+    mesh_from_json, mesh_to_json, refine)
 from .operators import (  # noqa: E402
     SpectralReport, eig_low, laplacian, mass_vector, spectral_gap, stiffness,
     systole, volume)
@@ -51,7 +51,7 @@ __all__ = [
     "MeshError", "NonConvergence", "RelatorError", "TodaError",
     "UnboundedDetected", "errors",
     "CoverSpec", "HyperbolicMesh", "build_base_surface", "build_cover",
-    "mesh_from_dict", "mesh_from_json", "mesh_to_dict", "mesh_to_json",
+    "mesh_from_dict", "mesh_from_json", "mesh_to_json",
     "refine",
     "SpectralReport", "eig_low", "laplacian", "mass_vector", "spectral_gap",
     "stiffness", "systole", "volume",

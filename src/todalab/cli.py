@@ -20,18 +20,21 @@ import numpy as np
 
 from . import fileio, operators
 from .coupled import CoupledConfig, certify, solve_coupled
-from .errors import TodaError
+from .errors import MeshError, TodaError
 from .gauss import GaussProblem, monotone_solve_gauss, solve_gauss
-from .mesh import CoverSpec, build_base_surface, build_cover, \
-    mesh_from_json, mesh_to_json
+from .mesh import JSON_FIELDS, CoverSpec, build_base_surface, build_cover, \
+    mesh_from_dict, mesh_to_json
 from .ricci import RicciProblem, maximize_J, mt_probe
 from .sections import (Divisor, SectionDensity, balanced_lift,
                        poincare_lelong_residual, synth_density)
 
 
 def _read_mesh(path):
-    with open(path) as handle:
-        return mesh_from_json(handle.read())
+    _, doc = fileio.read_json_object(path, JSON_FIELDS)
+    try:
+        return mesh_from_dict(doc)
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from exc
 
 
 def _write_mesh(path, mesh):

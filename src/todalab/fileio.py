@@ -8,7 +8,8 @@ leaves a half-written artifact, and all serialization is deterministic
 seed produce byte-identical outputs.
 
 Formats:
-  * mesh JSON         -- geometry module dict (see mesh.mesh_to_json)
+  * mesh JSON         -- written from the mesh arrays by mesh.mesh_to_json,
+                         read by mesh.mesh_from_json (see the mesh module)
   * field CSV         -- header ``vertex_index,<name>``, one row per vertex
   * density CSV+JSON  -- log-density field plus divisor sidecar
   * certificate JSON  -- almost-Fuchsian certificate dict

@@ -28,10 +28,24 @@ matrix each, :func:`build_cover` takes one sheet permutation per word and
 fills the cell tables sheet by sheet with array operations, and
 ``validate`` Dehn-reduces each distinct triple of slot words and signs
 once.
+
+Serialization: a mesh file is one JSON object with the keys ``genus``,
+``level``, ``vertices``, ``triangles``, ``tri_edges`` and
+``tri_edge_signs`` (rows of three integers), ``edge_lengths`` (rows
+``[tail, head, length]``), ``holonomy`` (rows ``[tail, head, word]``, the
+word a string such as ``"aB"``), ``positions`` (rows ``[re, im]``) and,
+for covers, ``base_vertex``.  Its text is ``json.dumps(doc, indent=1,
+sort_keys=True)`` of that object, and run manifests hash it, so its bytes
+are fixed.  :func:`mesh_to_json` writes that text straight from the arrays
+with one %-format of a repeated row template per table (``%r`` of a
+finite float is the repr ``json`` writes) and quotes each distinct word
+once; :func:`mesh_from_json` reads any JSON layout of the object, parses
+each distinct word once and raises MeshError for malformed tables.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -530,61 +544,124 @@ def build_cover(mesh, spec):
 # ----------------------------------------------------------------------
 # Serialization
 
-def mesh_to_dict(mesh):
-    """JSON-ready dict; arrays in ascending index order for exact round trips."""
-    doc = {
-        "genus": int(mesh.genus),
-        "level": int(mesh.level),
-        "vertices": int(mesh.num_vertices),
-        "triangles": [[int(v) for v in row] for row in mesh.triangles],
-        "edge_lengths": [
-            [int(mesh.edges[e, 0]), int(mesh.edges[e, 1]), float(mesh.edge_lengths[e])]
-            for e in range(mesh.num_edges)],
-        "holonomy": [
-            [int(mesh.edges[e, 0]), int(mesh.edges[e, 1]),
-             group.word_str(mesh.edge_words[e])]
-            for e in range(mesh.num_edges)],
-        "tri_edges": [[int(v) for v in row] for row in mesh.tri_edges],
-        "tri_edge_signs": [[int(v) for v in row] for row in mesh.tri_edge_signs],
-        "positions": [[float(z.real), float(z.imag)] for z in mesh.positions],
-    }
-    if mesh.base_vertex is not None:
-        doc["base_vertex"] = [int(v) for v in mesh.base_vertex]
-    return doc
+# Required keys of a mesh JSON document and their JSON types; covers also
+# carry ``base_vertex``.
+JSON_FIELDS = {"genus": int, "level": int, "vertices": int, "triangles": list,
+               "tri_edges": list, "tri_edge_signs": list,
+               "edge_lengths": list, "holonomy": list, "positions": list}
 
 
-def mesh_from_dict(doc):
-    edge_rows = doc["edge_lengths"]
-    hol_rows = doc["holonomy"]
-    if len(edge_rows) != len(hol_rows):
-        raise MeshError("edge_lengths and holonomy tables disagree")
-    edges = np.array([[r[0], r[1]] for r in edge_rows], dtype=np.int64)
-    for r_len, r_hol in zip(edge_rows, hol_rows):
-        if r_len[0] != r_hol[0] or r_len[1] != r_hol[1]:
-            raise MeshError("edge_lengths and holonomy tables disagree")
-    positions = np.array([complex(re, im) for re, im in doc["positions"]])
-    base_vertex = None
-    if doc.get("base_vertex") is not None:
-        base_vertex = np.array(doc["base_vertex"], dtype=np.int64)
-    mesh = HyperbolicMesh(
-        genus=int(doc["genus"]),
-        level=int(doc["level"]),
-        triangles=np.array(doc["triangles"], dtype=np.int64),
-        tri_edges=np.array(doc["tri_edges"], dtype=np.int64),
-        tri_edge_signs=np.array(doc["tri_edge_signs"], dtype=np.int64),
-        edges=edges,
-        edge_lengths=np.array([r[2] for r in edge_rows], dtype=float),
-        edge_words=[group.parse_word(r[2]) for r in hol_rows],
-        positions=positions,
-        base_vertex=base_vertex,
-    )
-    if int(doc["vertices"]) != mesh.num_vertices:
-        raise MeshError("vertex count disagrees with position table")
-    return mesh
+def _json_table(table, fields):
+    """Text of a 1-D or 2-D array as ``json.dumps(indent=1)`` writes the
+    list of its rows under a top-level key: one %-format of a repeated row
+    template.  fields is the %-conversion of each column, or of each entry
+    of a 1-D array."""
+    if not len(table):
+        return "[]"
+    if table.ndim == 1:
+        row = "  " + fields
+    else:
+        row = "  [\n" + ",\n".join("   " + f for f in fields) + "\n  ]"
+    text = ",\n".join([row] * len(table)) % tuple(table.ravel().tolist())
+    return "[\n" + text + "\n ]"
 
 
 def mesh_to_json(mesh):
-    return json.dumps(mesh_to_dict(mesh), indent=1, sort_keys=True)
+    """The mesh as JSON text: ``json.dumps(doc, indent=1, sort_keys=True)``
+    of the document described in the module docstring, byte for byte, but
+    written from whole arrays (see "Serialization" there).  Raises
+    MeshError for a non-finite position or edge length, which JSON cannot
+    hold."""
+    positions = np.column_stack([mesh.positions.real, mesh.positions.imag])
+    if not (np.isfinite(positions).all()
+            and np.isfinite(mesh.edge_lengths).all()):
+        raise MeshError("a vertex position or edge length is not finite")
+    # (tail, head, length) rows, then the same rows with the quoted word
+    edge_rows = np.empty((mesh.num_edges, 3), dtype=object)
+    edge_rows[:, :2] = mesh.edges
+    edge_rows[:, 2] = mesh.edge_lengths
+    edge_lengths = _json_table(edge_rows, ("%d", "%d", "%r"))
+    table = mesh.word_table()
+    quoted = [json.dumps(group.word_str(w)) for w in table.words]
+    edge_rows[:, 2] = np.array(quoted, dtype=object)[table.ids]
+    int3 = ("%d", "%d", "%d")
+    items = [] if mesh.base_vertex is None else [
+        ("base_vertex", _json_table(mesh.base_vertex, "%d"))]
+    items += [
+        ("edge_lengths", edge_lengths),
+        ("genus", "%d" % mesh.genus),
+        ("holonomy", _json_table(edge_rows, ("%d", "%d", "%s"))),
+        ("level", "%d" % mesh.level),
+        ("positions", _json_table(positions, ("%r", "%r"))),
+        ("tri_edge_signs", _json_table(mesh.tri_edge_signs, int3)),
+        ("tri_edges", _json_table(mesh.tri_edges, int3)),
+        ("triangles", _json_table(mesh.triangles, int3)),
+        ("vertices", "%d" % mesh.num_vertices),
+    ]
+    body = ",\n".join(f' "{key}": {value}' for key, value in items)
+    return "{\n" + body + "\n}"
+
+
+def _table(doc, key, width, dtype):
+    """doc[key], a nonempty list of rows of width entries (of entries, for
+    width None), as an array of dtype; MeshError if it is anything else or
+    if a float table holds a non-finite number (or a null)."""
+    rows = doc.get(key) if isinstance(doc, dict) else None
+    try:
+        if not isinstance(rows, list) or not rows:
+            raise ValueError("not a nonempty list")
+        if width is not None:
+            if (set(map(type, rows)) != {list}
+                    or set(map(len, rows)) != {width}):
+                raise ValueError(f"not a list of {width}-entry rows")
+            rows = itertools.chain.from_iterable(rows)
+        table = np.fromiter(rows, dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MeshError(f"mesh table {key!r} is malformed: {exc}") from exc
+    if dtype is float and not np.isfinite(table).all():
+        raise MeshError(f"mesh table {key!r} holds a non-finite number")
+    return table if width is None else table.reshape(-1, width)
+
+
+def mesh_from_dict(doc):
+    """Inverse of :func:`mesh_to_json` on the parsed document; MeshError
+    for tables of the wrong shape or type and for bad holonomy words."""
+    lengths = _table(doc, "edge_lengths", 3, float)
+    holonomy = _table(doc, "holonomy", 3, object)
+    if (len(lengths) != len(holonomy)
+            or not (holonomy[:, :2] == lengths[:, :2]).all()):
+        raise MeshError("edge_lengths and holonomy tables disagree")
+    strings = holonomy[:, 2].tolist()
+    if not all(isinstance(s, str) for s in strings):
+        raise MeshError("holonomy words must be strings")
+    try:
+        parsed = {s: group.parse_word(s) for s in dict.fromkeys(strings)}
+    except ValueError as exc:
+        raise MeshError(str(exc)) from exc
+    base_vertex = None
+    if doc.get("base_vertex") is not None:
+        base_vertex = _table(doc, "base_vertex", None, np.int64)
+    try:
+        genus, level, vertices = (int(doc[key])
+                                  for key in ("genus", "level", "vertices"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MeshError(f"mesh genus, level or vertex count is missing or "
+                        f"malformed: {exc}") from exc
+    mesh = HyperbolicMesh(
+        genus=genus,
+        level=level,
+        triangles=_table(doc, "triangles", 3, np.int64),
+        tri_edges=_table(doc, "tri_edges", 3, np.int64),
+        tri_edge_signs=_table(doc, "tri_edge_signs", 3, np.int64),
+        edges=lengths[:, :2].astype(np.int64),
+        edge_lengths=np.ascontiguousarray(lengths[:, 2]),
+        edge_words=[parsed[s] for s in strings],
+        positions=_table(doc, "positions", 2, float).view(complex)[:, 0],
+        base_vertex=base_vertex,
+    )
+    if vertices != mesh.num_vertices:
+        raise MeshError("vertex count disagrees with position table")
+    return mesh
 
 
 def mesh_from_json(text):

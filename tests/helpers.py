@@ -1,8 +1,9 @@
 """Shared fixtures: deck-invariant smooth bump fields built from positions,
-the reference systole search and cover construction, and the dense
-stability oracles."""
+the reference systole search, cover construction and mesh JSON encoder,
+and the dense stability oracles."""
 
 import heapq
+import json
 
 import numpy as np
 import scipy.linalg as sla
@@ -204,6 +205,36 @@ def reference_build_cover(mesh, spec):
         tri_edges=tri_edges, tri_edge_signs=tri_signs, edges=edges,
         edge_lengths=lengths, edge_words=words, positions=positions,
         base_vertex=base_vertex)
+
+
+# ----------------------------------------------------------------------
+# Reference mesh JSON: the per-row document and ``json.dumps`` encoder that
+# ``mesh.mesh_to_json`` replaces by one %-format per table.  It must give
+# the same text, byte for byte.
+
+def reference_mesh_json(mesh):
+    """JSON text of the mesh from a dict of per-row Python lists."""
+    doc = {
+        "genus": int(mesh.genus),
+        "level": int(mesh.level),
+        "vertices": int(mesh.num_vertices),
+        "triangles": [[int(v) for v in row] for row in mesh.triangles],
+        "edge_lengths": [
+            [int(mesh.edges[e, 0]), int(mesh.edges[e, 1]),
+             float(mesh.edge_lengths[e])]
+            for e in range(mesh.num_edges)],
+        "holonomy": [
+            [int(mesh.edges[e, 0]), int(mesh.edges[e, 1]),
+             G.word_str(mesh.edge_words[e])]
+            for e in range(mesh.num_edges)],
+        "tri_edges": [[int(v) for v in row] for row in mesh.tri_edges],
+        "tri_edge_signs": [[int(v) for v in row]
+                           for row in mesh.tri_edge_signs],
+        "positions": [[float(z.real), float(z.imag)] for z in mesh.positions],
+    }
+    if mesh.base_vertex is not None:
+        doc["base_vertex"] = [int(v) for v in mesh.base_vertex]
+    return json.dumps(doc, indent=1, sort_keys=True)
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Base surface construction, refinement, covers, and serialization."""
 
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
-from helpers import reference_build_cover
+from helpers import reference_build_cover, reference_mesh_json
 from todalab import group as G
 from todalab import hyperbolic as H
 from todalab import operators as ops
 from todalab.errors import DisconnectedCoverError, MeshError, RelatorError
 from todalab.mesh import (CoverSpec, build_base_surface, build_cover,
-                          mesh_from_json, mesh_to_json)
+                          mesh_from_dict, mesh_from_json, mesh_to_json)
 
 # (V, E, F) per refinement level, from V' = V + E, E' = 2E + 3F, F' = 4F.
 LEVEL_COUNTS = {0: (2, 12, 8), 1: (14, 48, 32), 2: (62, 192, 128),
@@ -223,13 +224,16 @@ def test_tampered_mesh_names_first_failure(meshes, level, edit, message):
         mesh.validate()
 
 
-@pytest.mark.parametrize("level", range(4))
-@pytest.mark.parametrize("spec", [
+COVER_SPECS = pytest.mark.parametrize("spec", [
     CoverSpec.cyclic(1), CoverSpec.cyclic(2), CoverSpec.cyclic(3),
     # transpositions that do not all commute, yet kill the relator
     CoverSpec(degree=3, generator_images={
         1: [0, 2, 1], 2: [0, 2, 1], 3: [1, 0, 2], 4: [1, 0, 2]})],
     ids=["cyclic1", "cyclic2", "cyclic3", "nonabelian3"])
+
+
+@pytest.mark.parametrize("level", range(4))
+@COVER_SPECS
 def test_cover_matches_reference_loops(meshes, level, spec):
     cover = build_cover(meshes[level], spec)
     expected = reference_build_cover(meshes[level], spec)
@@ -278,3 +282,104 @@ def test_slot_structure(meshes):
                 s = m.tri_edge_signs[t, k]
                 use[e, 0 if s > 0 else 1] += 1
         assert (use == 1).all()
+
+
+def assert_same_text(got, want):
+    """got == want, else a failure naming the first differing line (pytest's
+    own diff of two multi-megabyte texts takes minutes)."""
+    if got != want:
+        pairs = zip(got.split("\n") + [None], want.split("\n") + [None])
+        line, (a, b) = next((i, p) for i, p in enumerate(pairs, 1)
+                            if p[0] != p[1])
+        pytest.fail(f"texts differ at line {line}: {a!r} != {b!r}")
+
+
+def assert_matches_reference_encoder(mesh):
+    """mesh_to_json gives the reference encoder's bytes, for the mesh and
+    for the mesh read back from them."""
+    text = mesh_to_json(mesh)
+    assert_same_text(text, reference_mesh_json(mesh))
+    read_back = mesh_from_json(text)
+    assert_same_text(mesh_to_json(read_back), text)
+    assert_same_text(reference_mesh_json(read_back), text)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_json_matches_reference_encoder_on_bases(meshes, level):
+    mesh = meshes[level] if level in meshes else build_base_surface(level)
+    assert mesh.base_vertex is None
+    assert_matches_reference_encoder(mesh)
+
+
+@pytest.mark.parametrize("level", range(3))
+@COVER_SPECS
+def test_json_matches_reference_encoder_on_covers(meshes, level, spec):
+    cover = build_cover(meshes[level], spec)
+    assert_matches_reference_encoder(cover)
+    assert_matches_reference_encoder(
+        dataclasses.replace(cover, base_vertex=None))
+
+
+def test_json_matches_reference_encoder_at_level_5():
+    assert_matches_reference_encoder(
+        build_cover(build_base_surface(5), CoverSpec.cyclic(2)))
+
+
+@pytest.mark.parametrize("name, index, value", [
+    ("positions", 3, complex(np.nan, 0.0)),
+    ("positions", 0, complex(0.0, np.inf)),
+    ("edge_lengths", 5, np.inf),
+    ("edge_lengths", 0, -np.inf)])
+def test_non_finite_mesh_data_is_not_written(meshes, name, index, value):
+    mesh = dataclasses.replace(meshes[1])
+    setattr(mesh, name, getattr(mesh, name).copy())
+    getattr(mesh, name)[index] = value
+    with pytest.raises(MeshError, match="not finite"):
+        mesh_to_json(mesh)
+
+
+def _set(key, value):
+    def edit(data):
+        data[key] = value
+    return edit
+
+
+def _edit_row(key, index, value):
+    def edit(data):
+        data[key][index] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_edit_row("triangles", 2, [0, 1]), "'triangles' is malformed"),
+    (_edit_row("tri_edges", 0, 7), "'tri_edges' is malformed"),
+    (_edit_row("positions", 1, [0.1, "x"]), "'positions' is malformed"),
+    (_set("tri_edge_signs", {}), "'tri_edge_signs' is malformed"),
+    (_set("base_vertex", [[0], [1]]), "'base_vertex' is malformed"),
+    (_set("edge_lengths", []), "'edge_lengths' is malformed"),
+    (lambda data: data.pop("holonomy"), "'holonomy' is malformed"),
+    (lambda data: data.pop("genus"), "genus, level or vertex count"),
+    (_edit_row("holonomy", 0, [0, 1, 5]), "words must be strings"),
+    (_edit_row("holonomy", 0, [0, 1, ["a"]]), "words must be strings"),
+    (_edit_row("holonomy", 0, [0, 1, "ax"]), "invalid word string 'ax'"),
+    (_edit_row("holonomy", 1, [1, 0, ""]), "tables disagree"),
+    (_set("holonomy", [[0, 1, ""]]), "tables disagree"),
+    (_edit_row("positions", 1, [0.1, None]),
+     "'positions' holds a non-finite number"),
+    (_edit_row("edge_lengths", 2, [0, 1, float("nan")]),
+     "'edge_lengths' holds a non-finite number")],
+    ids=["ragged-row", "scalar-row", "string-entry", "dict-table",
+         "nested-base-vertex", "empty-table", "missing-table",
+         "missing-genus", "integer-word", "list-word", "bad-letter",
+         "row-disagrees", "count-disagrees", "null-position",
+         "nan-length"])
+def test_malformed_mesh_document_raises_mesh_error(meshes, edit, message):
+    data = json.loads(mesh_to_json(meshes[0]))
+    edit(data)
+    with pytest.raises(MeshError, match=re.escape(message)):
+        mesh_from_dict(data)
+
+
+def test_non_object_mesh_document_raises_mesh_error():
+    with pytest.raises(MeshError, match="is malformed"):
+        mesh_from_json("[1, 2]")
