@@ -117,9 +117,11 @@ def solve_gauss(problem, u0=None):
     """Damped Newton for S u + M R(u) = 0 inside the trapping box.
 
     The Jacobian S + M diag(R'(u)) is positive definite on the box because
-    R' >= 0 there, so the Newton direction exists; backtracking keeps the
-    iterates in a slightly inflated box.  Residuals are checked before the
-    first step, so exact warm starts return in zero iterations.
+    R' >= 0 there, so the Newton direction exists; it is solved by MINRES
+    preconditioned with the mesh's S + M factor (``operators.newton_solve``),
+    so no step factors the Jacobian.  Backtracking keeps the iterates in a
+    slightly inflated box.  Residuals are checked before the first step, so
+    exact warm starts return in zero iterations.
     """
     mesh = problem.mesh
     ops = operators.of(mesh)
@@ -135,7 +137,7 @@ def solve_gauss(problem, u0=None):
                                  box_margin=_box_margin(u, lower))
         F = S @ u + m * _reaction(u, problem.f)
         J = S + sp.diags(m * _reaction_slope(u, problem.f))
-        step = operators.factor(J).solve(-F)
+        step = operators.newton_solve(ops, J, -F, "gauss newton")
         # Backtrack until the residual drops and u stays near the box.
         t = 1.0
         base = float(np.abs(F / m).max())

@@ -12,7 +12,10 @@ Every solver reads these from one ``Operators`` bundle per mesh, which
 ``of(mesh)`` assembles once and keeps on the mesh (the systole is kept
 beside it); ``laplacian``, ``mass_vector``, ``stiffness`` and ``volume``
 are views of it.  Every sparse factorization in the package goes through
-``factor``.
+``factor``.  The bundle holds one factor, of the SPD matrix S + M; the
+Newton systems of the Gauss, J and Ricci solvers are solved by MINRES
+preconditioned with it (``newton_solve``), so a mesh is factored once
+however many Newton steps its solvers take.
 
 The systole is approximated on the edge graph: the shortest closed edge
 loop whose accumulated holonomy word is not the identity.  Every such loop
@@ -101,8 +104,8 @@ from .errors import MeshError, NonConvergence
 class Operators:
     """Per-mesh operators: S (CSR), L = -S, lumped masses m, M = diag(m),
     vol = m.sum() and volume = sum of angle defects (equal up to rounding),
-    lap and log_mean.  The path graph, the Green LU and lambda0/lambda1 are
-    built on first use.
+    lap and log_mean.  The path graph, the S + M factor and lambda0/lambda1
+    are built on first use.
     """
 
     def __init__(self, mesh):
@@ -157,10 +160,9 @@ class Operators:
         return self._low[tol, seed]
 
     @cached_property
-    def green_lu(self):
-        """LU of the bordered zero-mean Poisson system [[S, m], [m^T, 0]]."""
-        m_col = sp.csr_matrix(self.m.reshape(-1, 1))
-        return factor(sp.bmat([[self.S, m_col], [m_col.T, None]]))
+    def screened_lu(self):
+        """Factor of the SPD screened matrix S + M, the bundle's one factor."""
+        return factor(self.S + self.M)
 
     @cached_property
     def path_graph(self):
@@ -194,16 +196,68 @@ def of(mesh):
 def factor(A):
     """SuperLU factors of a sparse matrix with a symmetric pattern.
 
-    Every matrix factored here (the Gauss and Ricci Jacobians, the bordered
-    Green and Newton systems, the shift-invert and screened operators) is
-    structurally symmetric, so the columns are ordered by minimum degree
-    on the pattern of A + A^T (George & Liu 1989) and SuperLU runs in
-    symmetric mode, preferring diagonal pivots.  SuperLU's default pivot
-    threshold is kept because the Ricci and bordered matrices are
-    indefinite.  Raises RuntimeError when A is exactly singular.
+    Every matrix factored here (the bundle's screened S + M, the bordered
+    Green system, the monotone Gauss matrix S + lam M, J's gradient
+    preconditioner and the shift-invert operators) is structurally
+    symmetric, so the columns are ordered by minimum degree on the pattern
+    of A + A^T (George & Liu 1989) and SuperLU runs in symmetric mode,
+    preferring diagonal pivots.  SuperLU's default pivot threshold is kept
+    because the bordered and shifted matrices are indefinite.  Raises
+    RuntimeError when A is exactly singular.
     """
     return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
                      options=dict(SymmetricMode=True))
+
+
+# Relative residual and iteration cap of the Newton MINRES solves.  With the
+# S + M preconditioner they take 10-14 iterations on levels 2-5.
+NEWTON_RTOL = 1e-13
+NEWTON_MAXITER = 300
+
+
+def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False):
+    """Solve the symmetric Newton system (A + q q^T) x = b by MINRES.
+
+    A is sparse symmetric, possibly indefinite, and q = rank_one (if
+    given).  With zero_mean the system is posed on zero-M-mean fields:
+    x has zero M-mean and the residual may have any component along m, as
+    in the KKT system with the constraint m^T x = 0.  It is applied
+    matrix-free as P^T (A + q q^T) P with P x = x - (m^T x / Vol) 1, a
+    singular but consistent system whose solution is projected by P.
+
+    MINRES (Paige & Saunders 1975) handles indefinite systems with an SPD
+    preconditioner; here that is the bundle's factor of S + M, so no Newton
+    step factors anything.  Raises NonConvergence naming the solver when
+    MINRES stops without reaching NEWTON_RTOL or returns a non-finite x.
+    """
+    V = A.shape[0]
+    m, vol = ops.m, ops.vol
+
+    def project(x):
+        return x - (m @ x) / vol
+
+    def matvec(x):
+        if zero_mean:
+            x = project(x)
+        y = A @ x
+        if rank_one is not None:
+            y = y + rank_one * (rank_one @ x)
+        if zero_mean:
+            y = y - m * (y.sum() / vol)
+        return y
+
+    if zero_mean:
+        b = b - m * (b.sum() / vol)
+    op = spla.LinearOperator((V, V), matvec=matvec, dtype=float)
+    precond = spla.LinearOperator((V, V), matvec=ops.screened_lu.solve,
+                                  dtype=float)
+    x, info = spla.minres(op, b, rtol=NEWTON_RTOL, maxiter=NEWTON_MAXITER,
+                          M=precond)
+    if info != 0 or not np.isfinite(x).all():
+        raise NonConvergence(
+            f"{name}: MINRES on the Newton system stopped without reaching "
+            f"rtol {NEWTON_RTOL:g} (info {info}, V = {V})")
+    return project(x) if zero_mean else x
 
 
 def volume(mesh):

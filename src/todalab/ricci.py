@@ -11,13 +11,21 @@ identically but c > 0 (the integral obstruction).
 
 Two routes are provided and cross-checked:
 
-* a concave-maximization route: with w = v - const chosen to have zero
-  M-mean, maximize
+* a variational route: with w = v - const chosen to have zero M-mean,
+  maximize
       J(w) = ln avg(F e^{2w}) - (1/(c Vol)) w^T S w,   F = e^{log rho - 2u},
   whose critical points translate back to solutions of the equation with
-  the mean identity holding exactly by construction;
+  the mean identity holding exactly by construction.  J is a log-sum-exp
+  (convex) minus a quadratic, so it is not concave in general: with v the
+  translate of w (``translate_v``), its Hessian is negative definite on
+  zero-mean fields when 2 sup e^{2v} F < lambda_1 (the stability
+  hypothesis below) and may be indefinite otherwise;
 * a direct damped Newton iteration on the equation residual, used for
   warm-started re-solves inside outer loops.
+
+Both Newton systems are symmetric and may be indefinite, so both are
+solved by MINRES preconditioned with the mesh's S + M factor
+(``operators.newton_solve``); no Newton step factors a matrix.
 
 The stability check locates the spectrum of the linearized operator
 L + 2 M diag(e^{2v} f) relative to M, with c = avg(e^{2v} f): it lies in
@@ -198,13 +206,14 @@ STALL_STEPS = 5
 def maximize_J(problem, max_iters=10000):
     """Ascend J from w = 0 by Newton steps with a gradient fallback.
 
-    The Hessian 4(diag(p) - p p^T) - (2/(c Vol)) S is sparse plus a rank-1
-    correction, handled by a bordered factorization (enforcing the
-    zero-M-mean constraint) and a Sherman-Morrison update.  Steps that are
-    not ascent directions fall back to a gradient preconditioned by
-    (2/(c Vol)) S + (2/Vol) M, factored on the first such step only.
-    Armijo backtracking guarantees monotone increase, so the maximum value
-    is never below J(0).
+    The Newton system of -H = (2/(c Vol)) S - 4 diag(p) + 4 p p^T, sparse
+    plus a rank-1 term, is solved on zero-M-mean fields by MINRES
+    (``operators.newton_solve``), applied matrix-free through the
+    projection onto zero M-mean.  -H is indefinite where J is not concave,
+    so when MINRES fails or its step is not an ascent direction the step
+    falls back to a gradient preconditioned by (2/(c Vol)) S + (2/Vol) M,
+    factored on the first such step only.  Armijo backtracking guarantees
+    monotone increase, so the maximum value is never below J(0).
 
     J is a difference of O(1) terms and carries rounding noise of about
     eps max(1, |J|), so near the maximizer the Armijo test cannot see a
@@ -223,7 +232,6 @@ def maximize_J(problem, max_iters=10000):
 
     w = np.zeros(V)
     J = J0 = eval_J(problem, w)
-    m_col = sp.csr_matrix(m.reshape(V, 1))
     precond = None
     stalled = 0
 
@@ -241,23 +249,13 @@ def maximize_J(problem, max_iters=10000):
         p = _softmax_weights(problem, w)
         step = None
         try:
-            D = sp.diags(4.0 * p) - scale * S
-            kkt = sp.bmat([[D, m_col], [m_col.T, None]])
-            lu = operators.factor(kkt)
-            b = np.concatenate([-grad_euc, [0.0]])
-            x0 = lu.solve(b)
-            up = np.concatenate([-4.0 * p, [0.0]])
-            y = lu.solve(up)
-            vp = np.concatenate([p, [0.0]])
-            denom = 1.0 + vp @ y
-            if abs(denom) > 1e-14:
-                sol = x0 - y * ((vp @ x0) / denom)
-                cand = sol[:V]
-                cand -= (m @ cand) / vol
-                if np.isfinite(cand).all() and grad_euc @ cand > 0:
-                    step = cand
-        except RuntimeError:
-            step = None
+            cand = operators.newton_solve(
+                ops, scale * S - sp.diags(4.0 * p), grad_euc,
+                "J maximization", rank_one=2.0 * p, zero_mean=True)
+            if grad_euc @ cand > 0:
+                step = cand
+        except NonConvergence:
+            pass
         if step is None:
             if precond is None:
                 precond = operators.factor(scale * S
@@ -297,11 +295,13 @@ def maximize_J(problem, max_iters=10000):
 def solve_ricci_newton(problem, v_init, max_iters=200):
     """Damped Newton on G(v) = -S v - M c + M F e^{2v} from a given seed.
 
-    The Jacobian -S + 2 M diag(F e^{2v}) is factored each step;
-    backtracking controls the residual.  Converges in a couple of steps
-    when seeded near a solution (e.g. at the variational maximizer) but,
-    unlike the variational route, carries no global selection principle:
-    the report records the distance from the seed.
+    The Jacobian -S + 2 M diag(F e^{2v}) is indefinite; each step solves it
+    by MINRES preconditioned with the mesh's S + M factor
+    (``operators.newton_solve``), and backtracking controls the residual.
+    Converges in a couple of steps when seeded near a solution (e.g. at the
+    variational maximizer) but, unlike the variational route, carries no
+    global selection principle: the report records the distance from the
+    seed.
     """
     _check_problem_nonzero(problem)
     ops = operators.of(problem.mesh)
@@ -316,10 +316,7 @@ def solve_ricci_newton(problem, v_init, max_iters=200):
         Fe = np.exp(logF + 2.0 * v)
         G = -(S @ v) - m * problem.c + m * Fe
         Jmat = -S + sp.diags(2.0 * m * Fe)
-        try:
-            step = operators.factor(Jmat).solve(-G)
-        except RuntimeError as exc:
-            raise NonConvergence(f"ricci newton jacobian is singular: {exc}")
+        step = operators.newton_solve(ops, Jmat, -G, "ricci newton")
         t = 1.0
         base = res
         for _ in range(60):
@@ -411,14 +408,15 @@ def stability_check(mesh, v, f):
 def mt_probe(mesh, samples=8, seed=0):
     """Sample the Moser-Trudinger-type integral on smoothed random fields.
 
-    Draws z ~ N(0, I), smooths by one screened solve (S + M) y = M z,
-    removes the M-mean, normalizes to unit Dirichlet energy, and reports
-    the largest value of sum(M (e^{4 pi y^2} - 1)) over the samples.
+    Draws z ~ N(0, I), smooths by one screened solve (S + M) y = M z with
+    the bundle's S + M factor, removes the M-mean, normalizes to unit
+    Dirichlet energy, and reports the largest value of
+    sum(M (e^{4 pi y^2} - 1)) over the samples.
     """
     rng = np.random.default_rng(seed)
     ops = operators.of(mesh)
     m, S, vol = ops.m, ops.S, ops.vol
-    lu = operators.factor(S + sp.diags(m))
+    lu = ops.screened_lu
     worst = 0.0
     for _ in range(samples):
         z = rng.standard_normal(mesh.num_vertices)

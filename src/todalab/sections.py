@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import operators
 from .errors import TodaError
@@ -129,19 +130,35 @@ def balance_report(density):
 # ----------------------------------------------------------------------
 # Green functions
 
-def poisson_zero_mean(mesh, rhs_measure):
-    """Solve L u = rhs (a measure with zero total mass) with M-mean-zero u."""
+def green_factor(mesh):
+    """Factor of the bordered zero-mean Poisson system [[S, m], [m^T, 0]].
+
+    Not kept on the mesh: a density factors it once and drops it, so the
+    operator bundle holds only its S + M factor.
+    """
+    ops = operators.of(mesh)
+    m_col = sp.csr_matrix(ops.m.reshape(-1, 1))
+    return operators.factor(sp.bmat([[ops.S, m_col], [m_col.T, None]]))
+
+
+def poisson_zero_mean(mesh, rhs_measure, lu=None):
+    """Solve L u = rhs (a measure with zero total mass) with M-mean-zero u.
+
+    lu is ``green_factor(mesh)``, factored here when not given.
+    """
+    if lu is None:
+        lu = green_factor(mesh)
     # L = -S, so S u = -rhs
     full = np.concatenate([-np.asarray(rhs_measure, float), [0.0]])
-    return operators.of(mesh).green_lu.solve(full)[:mesh.num_vertices]
+    return lu.solve(full)[:mesh.num_vertices]
 
 
-def green_function(mesh, z):
+def green_function(mesh, z, lu=None):
     """Zero-mean G with L G = delta_z - M 1 / Vol (as measures)."""
     ops = operators.of(mesh)
     rhs = -(ops.m / ops.vol)
     rhs[z] += 1.0
-    return poisson_zero_mean(mesh, rhs)
+    return poisson_zero_mean(mesh, rhs, lu)
 
 
 # ----------------------------------------------------------------------
@@ -153,9 +170,10 @@ def synth_density(mesh, divisor, normalization="unit_mean"):
         raise ValueError(f"unknown normalization {normalization!r}")
     divisor.check_range(mesh.num_vertices)
     ops = operators.of(mesh)
+    lu = green_factor(mesh) if divisor.entries else None
     ld = np.zeros(mesh.num_vertices)
     for v, mult in divisor.entries:
-        ld += 4.0 * np.pi * mult * green_function(mesh, v)
+        ld += 4.0 * np.pi * mult * green_function(mesh, v, lu)
     ld += _normalization_constant(ld, ops, normalization)
     c_L = 2.0 * np.pi * divisor.degree / ops.vol
     return SectionDensity(mesh=mesh, log_density=ld, divisor=divisor,

@@ -1,6 +1,6 @@
 """Shared fixtures: deck-invariant smooth bump fields built from positions,
-the reference systole search, cover construction and mesh JSON encoder,
-and the dense stability oracles."""
+the reference systole search, cover construction, mesh JSON encoder and
+direct Newton step, and the dense stability oracles."""
 
 import heapq
 import json
@@ -15,6 +15,7 @@ from todalab import hyperbolic as H
 from todalab import mesh as mesh_module
 from todalab import operators
 from todalab import ricci
+from todalab.errors import NonConvergence
 
 
 def enumerate_translates(cutoff, max_len=3):
@@ -280,3 +281,31 @@ def reference_gauss_min_eig(mesh, u, f):
     A = (S + sp.diags(m * gauss._reaction_slope(u, f))).toarray()
     return float(sla.eigh(A, np.diag(m), eigvals_only=True,
                           subset_by_index=[0, 0])[0])
+
+
+# ----------------------------------------------------------------------
+# Reference Newton step: the direct solve every Newton step made before
+# the Krylov path, one factorization per step.  The J system is the
+# bordered KKT matrix [[A, m], [m^T, 0]] with the rank-1 term added by a
+# Sherman-Morrison update.  Same signature as ``operators.newton_solve``,
+# so a test can substitute it and compare the solutions.
+
+def reference_newton_step(ops, A, b, name, rank_one=None, zero_mean=False):
+    V = A.shape[0]
+    K, pad = A, []
+    if zero_mean:
+        m_col = sp.csr_matrix(ops.m.reshape(V, 1))
+        K, pad = sp.bmat([[A, m_col], [m_col.T, None]]), [0.0]
+    try:
+        lu = operators.factor(K)
+    except RuntimeError as exc:
+        raise NonConvergence(f"{name}: singular Newton matrix: {exc}")
+    x = lu.solve(np.concatenate([b, pad]))
+    if rank_one is not None:
+        y = lu.solve(np.concatenate([rank_one, pad]))
+        denom = 1.0 + rank_one @ y[:V]
+        if abs(denom) <= 1e-14:
+            raise NonConvergence(f"{name}: singular rank-1 update")
+        x = x - y * ((rank_one @ x[:V]) / denom)
+    x = x[:V]
+    return x - (ops.m @ x) / ops.vol if zero_mean else x

@@ -10,8 +10,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from helpers import reference_dijkstra, reference_systole
-from todalab import coupled, group, ricci
+from helpers import (reference_dijkstra, reference_newton_step,
+                     reference_systole)
+from todalab import coupled, gauss, group, ricci
+from todalab import sections as S
 from todalab import hyperbolic as H
 from todalab import operators as ops
 from todalab.errors import NonConvergence
@@ -356,3 +358,52 @@ def test_every_sparse_factorization_goes_through_factor():
                 if "sigma" in keywords and "OPinv" not in keywords:
                     offenders.append(f"{path.name}:{node.lineno} eigsh")
     assert offenders == []
+
+
+def newton_solutions(mesh):
+    """(u, v_J, v_Newton) of the Gauss, J and Ricci solvers on one mesh."""
+    base_divisor = S.Divisor([(0, 1), (1, 1), (5, 1), (20, 1)])
+    if mesh.base_vertex is None:
+        density = S.synth_density(mesh, base_divisor)
+    else:
+        base = build_base_surface(refinement=mesh.level)
+        density, _ = S.balanced_lift(S.synth_density(base, base_divisor),
+                                     mesh, z_n=3)
+    rho = np.exp(density.log_density)
+    f = 0.8 * gauss.admissible_bound(0.5) * rho / rho.max()
+    u = gauss.solve_gauss(gauss.GaussProblem(mesh=mesh, f=f, eta=0.5,
+                                             tol=1e-12)).u
+    c = 0.15 * 2.0 * np.pi / ops.volume(mesh)
+    problem = ricci.RicciProblem(mesh=mesh, u=u, density=density, c=c,
+                                 tol=1e-10)
+    v_J = ricci.maximize_J(problem).v
+    v_newton = ricci.solve_ricci_newton(problem, v_init=v_J + 0.1).v
+    return u, v_J, v_newton
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("sheets", [1, 2], ids=["base", "cover2"])
+def test_krylov_newton_steps_match_direct_factor(level, sheets, monkeypatch):
+    # Each MINRES Newton step agrees with the old per-step direct solve
+    # (for J the bordered KKT system with a Sherman-Morrison update) to
+    # 1e-10 of its size, and the three solutions agree to 1e-12.
+    mesh = build_base_surface(refinement=level)
+    if sheets > 1:
+        mesh = build_cover(mesh, CoverSpec.cyclic(sheets))
+    krylov_solve = ops.newton_solve
+    names = set()
+
+    def checked(bundle, A, b, name, **kwargs):
+        x = krylov_solve(bundle, A, b, name, **kwargs)
+        want = reference_newton_step(bundle, A, b, name, **kwargs)
+        assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+        names.add(name)
+        return x
+
+    monkeypatch.setattr(ops, "newton_solve", checked)
+    krylov = newton_solutions(mesh)
+    assert names == {"gauss newton", "J maximization", "ricci newton"}
+    monkeypatch.setattr(ops, "newton_solve", reference_newton_step)
+    direct = newton_solutions(mesh)
+    for got, want in zip(krylov, direct):
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())

@@ -179,8 +179,9 @@ def test_field_csv_text(mesh):
 
 
 def test_accepted_newton_steps_build_no_preconditioner(problem, monkeypatch):
-    # One bordered (V + 1) Newton factorization per step and nothing else:
-    # the V x V gradient preconditioner is built only for a rejected step.
+    # Once the mesh's S + M factor exists, accepted Newton steps of the
+    # three solvers factor nothing: each is a MINRES solve against it.
+    ops.of(problem.mesh).screened_lu
     shapes = []
     true_factor = ops.factor
 
@@ -190,25 +191,63 @@ def test_accepted_newton_steps_build_no_preconditioner(problem, monkeypatch):
 
     monkeypatch.setattr(ops, "factor", counting)
     sol = R.maximize_J(problem)
-    V = problem.mesh.num_vertices
     assert sol.grad_norm <= problem.tol
     assert sol.iterations > 0
-    assert shapes == [(V + 1, V + 1)] * sol.iterations
+    newton = R.solve_ricci_newton(problem, v_init=sol.v + 0.1)
+    assert newton.iterations > 0
+    gauss = G.solve_gauss(G.GaussProblem(
+        mesh=problem.mesh, f=problem.density.density(), tol=1e-12))
+    assert gauss.iterations > 0
+    assert shapes == []
+
+
+def failing_minres(calls):
+    def minres(A, b, **kwargs):
+        calls.append(b.shape)
+        return np.full_like(b, np.nan), 1
+    return minres
 
 
 def test_rejected_newton_steps_share_one_preconditioner(problem, monkeypatch):
-    shapes = []
+    # A failed Krylov solve sends maximize_J to gradient steps, which share
+    # one V x V preconditioner factor.
+    ops.of(problem.mesh).screened_lu
+    shapes, calls = [], []
     true_factor = ops.factor
 
-    def singular_kkt(A):
+    def counting(A):
         shapes.append(A.shape)
-        if A.shape[0] == problem.mesh.num_vertices + 1:
-            raise RuntimeError("Factor is exactly singular")
         return true_factor(A)
 
-    monkeypatch.setattr(ops, "factor", singular_kkt)
-    with pytest.raises(NonConvergence):
+    monkeypatch.setattr(ops, "factor", counting)
+    monkeypatch.setattr(ops.spla, "minres", failing_minres(calls))
+    with pytest.raises(NonConvergence, match="J maximization did not reach"):
         R.maximize_J(problem, max_iters=5)
     V = problem.mesh.num_vertices
-    assert shapes.count((V, V)) == 1
-    assert shapes.count((V + 1, V + 1)) == 5
+    assert shapes == [(V, V)]
+    assert len(calls) == 5
+
+
+def test_failed_krylov_solve_stops_each_newton_solver(problem, monkeypatch):
+    # MINRES reporting info != 0 (with a NaN iterate) stops the Gauss and
+    # Ricci Newton solvers at their first step with a NonConvergence that
+    # names them; taking the NaN step would instead stall the line search.
+    # maximize_J never takes it either: it falls back to gradient steps.
+    mesh = problem.mesh
+    sol = R.maximize_J(problem)
+    solvers = [
+        ("gauss newton", lambda: G.solve_gauss(
+            G.GaussProblem(mesh=mesh, f=problem.density.density()))),
+        ("ricci newton", lambda: R.solve_ricci_newton(
+            problem, v_init=sol.v + 0.1)),
+    ]
+    for name, solve in solvers:
+        calls = []
+        monkeypatch.setattr(ops.spla, "minres", failing_minres(calls))
+        with pytest.raises(NonConvergence) as info:
+            solve()
+        assert str(info.value).startswith(f"{name}: MINRES")
+        assert "info 1" in str(info.value)
+        assert len(calls) == 1
+    with pytest.raises(NonConvergence, match="J maximization did not reach"):
+        R.maximize_J(problem, max_iters=3)

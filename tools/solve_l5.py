@@ -1,0 +1,140 @@
+"""Wall time of in-process `solve_coupled` on the level-5 2-cover.
+
+Builds the README inputs at refinement level 5: the genus-2 base, its
+cyclic 2-cover (V = 8188), the canonical divisor 0:1,1:1,5:1,20:1 on the
+base and its balanced lift with the fresh zero 3.  The cover's systole is
+computed in set-up, so it is cached when `solve_coupled(..., degree 1)` is
+timed; everything else the solve needs (the S + M factor, lambda_1) is
+paid inside the timed call.  Each sample is a fresh process, and several
+source trees can be timed in one call; their runs alternate, so a slow
+spell of a shared machine lands on all of them alike:
+
+    python3 tools/solve_l5.py --tree change=src --runs 5
+    python3 tools/solve_l5.py --tree parent=../old/src --tree change=src \\
+        --runs 10 -o BENCH.json
+
+Prints the median and quartiles per tree as one JSON object, with each
+tree's certificate and the largest relative difference of every
+certificate value against the first tree.  BLAS runs one thread
+(`TODA_THREADS=1`).
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+REFINE = 5
+DIVISOR = [(0, 1), (1, 1), (5, 1), (20, 1)]
+ZERO_VERTEX = 3
+
+CHILD = """
+import json, sys, time
+import todalab
+from todalab import operators
+base = todalab.build_base_surface(refinement={refine})
+cover = todalab.build_cover(base, todalab.CoverSpec.cyclic(2))
+base_density = todalab.synth_density(base, todalab.Divisor({divisor!r}))
+density, _ = todalab.balanced_lift(base_density, cover, {zero})
+operators.systole(cover)
+start = time.perf_counter()
+result = todalab.solve_coupled(cover, density,
+                               todalab.CoupledConfig(degree=1))
+seconds = time.perf_counter() - start
+json.dump({{"seconds": seconds,
+           "certificate": result.certificate.to_dict()}}, sys.stdout)
+"""
+
+
+def run_once(src):
+    """(seconds, certificate dict) of one timed solve in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), TODA_THREADS="1")
+    code = CHILD.format(refine=REFINE, divisor=DIVISOR, zero=ZERO_VERTEX)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{src}: solve exited {proc.returncode}: "
+                         f"{proc.stderr.strip()}")
+    out = json.loads(proc.stdout)
+    return out["seconds"], out["certificate"]
+
+
+def summary(samples):
+    """Median and quartiles of a list of seconds."""
+    q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": round(q2, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def relative_differences(cert, reference):
+    """|a - b| / max(|b|, tiny) of every numeric certificate value."""
+    diffs = {}
+    for key, want in reference.items():
+        got = cert[key]
+        if isinstance(want, float):
+            diffs[key] = abs(got - want) / max(abs(want), 1e-300)
+        elif got != want:
+            diffs[key] = f"{got!r} != {want!r}"
+    return diffs
+
+
+def machine_info():
+    import numpy
+    import scipy
+    return {"nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__,
+            "platform": platform.platform(),
+            "threads": "TODA_THREADS=1"}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--tree", action="append", metavar="LABEL=SRC",
+                        help="a label and the src/ directory holding "
+                             "todalab (repeatable; default change=src)")
+    parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("-o", "--output", help="also write the JSON here")
+    args = parser.parse_args(argv)
+    if args.runs < 2:
+        parser.error("--runs must be at least 2")
+    trees = dict(spec.split("=", 1) for spec in args.tree or ["change=src"])
+
+    samples = {label: [] for label in trees}
+    certificates = {}
+    for i in range(args.runs):
+        # alternate which tree runs first
+        order = list(trees) if i % 2 == 0 else list(reversed(trees))
+        for label in order:
+            seconds, cert = run_once(trees[label])
+            samples[label].append(seconds)
+            certificates.setdefault(label, cert)
+            print(f"run {i + 1}/{args.runs} {label}: {seconds:.3f} s",
+                  file=sys.stderr)
+
+    first = next(iter(trees))
+    result = {
+        "script": "tools/solve_l5.py",
+        "refine": REFINE, "cover_degree": 2, "divisor": DIVISOR,
+        "zero_vertex": ZERO_VERTEX, "degree": 1, "runs": args.runs,
+        "machine": machine_info(),
+        "trees": {label: {
+            "solve_coupled_s": summary(samples[label]),
+            "samples_s": [round(x, 4) for x in samples[label]],
+            "certificate": certificates[label],
+            f"relative_difference_to_{first}": relative_differences(
+                certificates[label], certificates[first])}
+            for label in trees},
+    }
+    text = json.dumps(result, indent=1)
+    if args.output:
+        with open(args.output, "w") as handle:
+            handle.write(text + "\n")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
