@@ -46,7 +46,7 @@ SuperLU factors) instead of a dense V x V solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -119,11 +119,7 @@ class StabilityReport:
         return len(self.violating) == 0
 
     def to_dict(self):
-        return {"sup_term": self.sup_term, "lambda1": self.lambda1,
-                "window": list(self.window), "violating": self.violating,
-                "c": self.c, "hypothesis_ok": self.hypothesis_ok,
-                "hinv_norm": self.hinv_norm, "hinv_bound": self.hinv_bound,
-                "window_empty": self.window_empty}
+        return {**asdict(self), "window_empty": self.window_empty}
 
 
 def _check_problem_nonzero(problem):
@@ -188,16 +184,6 @@ def equation_residual(problem, v):
     return float(np.abs(operators.of(problem.mesh).lap(v) - forcing).max())
 
 
-def _finish_solution(problem, w, iterations, method, v_shift=0.0):
-    v = translate_v(problem, w)
-    g = grad_J(problem, w)
-    return RicciSolution(
-        v=v, w=w, J_value=eval_J(problem, w),
-        grad_norm=float(np.abs(g).max()),
-        mean_constraint_residual=mean_constraint_residual(problem, v),
-        iterations=iterations, method=method, v_shift_from_init=v_shift)
-
-
 # Consecutive accepted steps that leave J unchanged (an increase below its
 # rounding) after which maximize_J reports a stall instead of iterating on.
 STALL_STEPS = 5
@@ -239,7 +225,11 @@ def maximize_J(problem, max_iters=10000):
         g = grad_J(problem, w)
         gnorm = float(np.abs(g).max())
         if gnorm <= problem.tol:
-            return _finish_solution(problem, w, it, "variational")
+            v = translate_v(problem, w)
+            return RicciSolution(
+                v=v, w=w, J_value=J, grad_norm=gnorm,
+                mean_constraint_residual=mean_constraint_residual(problem, v),
+                iterations=it)
         if J - J0 > 1e3 and float(w @ (S @ w)) > 1e3 * problem.c * vol:
             raise UnboundedDetected(
                 "J grows without bound along the ascent; the functional has "
@@ -333,14 +323,12 @@ def solve_ricci_newton(problem, v_init, max_iters=200):
             f"iterations (last residual {res:.3e})")
 
     w = v - (m @ v) / ops.vol
-    sol = _finish_solution(
-        problem, w, it, "newton",
-        v_shift=float(np.abs(v - np.asarray(v_init, float)).max()))
-    # Keep the Newton v itself (translate_v would re-center the mean
-    # identity; for a converged Newton iterate they agree to solver tol).
-    sol.v = v
-    sol.mean_constraint_residual = mean_constraint_residual(problem, v)
-    return sol
+    return RicciSolution(
+        v=v, w=w, J_value=eval_J(problem, w),
+        grad_norm=float(np.abs(grad_J(problem, w)).max()),
+        mean_constraint_residual=mean_constraint_residual(problem, v),
+        iterations=it, method="newton",
+        v_shift_from_init=float(np.abs(v - np.asarray(v_init, float)).max()))
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ ratio sup/mean of the family stays bounded in the cover degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,9 +114,7 @@ class BalanceReport:
     degree: int
 
     def to_dict(self):
-        return {"sup_density": self.sup_density,
-                "mean_density": self.mean_density, "ratio": self.ratio,
-                "genus": self.genus, "degree": self.degree}
+        return asdict(self)
 
 
 def balance_report(density):

@@ -130,6 +130,29 @@ def test_cover_run_matches_frozen_profile(cover_setup):
         <= G.admissible_bound(0.5) + 1e-12
 
 
+def test_damped_run_re_solves_bundle_by_newton_only(cover_setup, monkeypatch):
+    # A damped run takes many outer steps; after the scale choice (t = 1,
+    # then the cut t) each bundle solve is a seeded Newton solve, so the
+    # variational ascent runs exactly twice.
+    cover, dens = cover_setup
+    calls = []
+    maximize_J = R.maximize_J
+
+    def counting(problem, *args, **kwargs):
+        calls.append(problem.u.copy())
+        return maximize_J(problem, *args, **kwargs)
+
+    monkeypatch.setattr(R, "maximize_J", counting)
+    result = C.solve_coupled(cover, dens,
+                             C.CoupledConfig(degree=1, damping=0.5))
+    cert = result.certificate
+    assert cert.converged and cert.outer_iters >= 10
+    assert cert.ricci_residual <= 1e-9
+    assert len(calls) == 2
+    # Both calls come from the scale choice, which solves at u = 0.
+    assert all(np.abs(u).max() == 0 for u in calls)
+
+
 def test_rescaled_degree_two_cover_run_certifies(cover_setup):
     # At degree 2 the automatic scale lands far below t = 1; the rescaled
     # bundle solves are variational, so they do not depend on a Newton
