@@ -9,6 +9,7 @@ and emits a solver-independent certificate of the pointwise bound
 sup e^{-4u} e^{2v} |alpha|^2 < 1.
 """
 
+import importlib
 import os
 
 # Honor the thread cap before numpy/BLAS first load in this process.
@@ -19,50 +20,55 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 del os
 
-from . import errors  # noqa: E402
-from .errors import (  # noqa: E402
-    AdmissibilityError, AdmissibilityLost, DegreeRangeError,
-    DisconnectedCoverError, InfeasibleDegree, InfeasibleError, MeshError,
-    NonConvergence, RelatorError, TodaError, UnboundedDetected)
-from .mesh import (  # noqa: E402
-    CoverSpec, HyperbolicMesh, build_base_surface, build_cover, mesh_from_dict,
-    mesh_from_json, mesh_to_json, refine)
-from .operators import (  # noqa: E402
-    SpectralReport, eig_low, laplacian, mass_vector, spectral_gap, stiffness,
-    systole, volume)
-from .sections import (  # noqa: E402
-    BalanceReport, Divisor, SectionDensity, balanced_lift, green_function,
-    lift_density, oscillation_report, radial_barrier,
-    radial_barrier_derivative, schwarz_check, synth_density)
-from .gauss import (  # noqa: E402
-    GaussProblem, GaussSolution, admissible_bound, gauss_residual,
-    gauss_stability_probe, monotone_solve_gauss, solve_gauss)
-from .ricci import (  # noqa: E402
-    RicciProblem, RicciSolution, StabilityReport, eval_J, grad_J, maximize_J,
-    mt_probe, solve_ricci_newton, stability_check, translate_v)
-from .coupled import (  # noqa: E402
-    AFCertificate, CoupledConfig, certify, degree_bound_check, solve_coupled)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityError", "AdmissibilityLost", "DegreeRangeError",
-    "DisconnectedCoverError", "InfeasibleDegree", "InfeasibleError",
-    "MeshError", "NonConvergence", "RelatorError", "TodaError",
-    "UnboundedDetected", "errors",
-    "CoverSpec", "HyperbolicMesh", "build_base_surface", "build_cover",
-    "mesh_from_dict", "mesh_from_json", "mesh_to_json",
-    "refine",
-    "SpectralReport", "eig_low", "laplacian", "mass_vector", "spectral_gap",
-    "stiffness", "systole", "volume",
-    "BalanceReport", "Divisor", "SectionDensity", "balanced_lift",
-    "green_function", "lift_density", "oscillation_report", "radial_barrier",
-    "radial_barrier_derivative", "schwarz_check", "synth_density",
-    "GaussProblem", "GaussSolution", "admissible_bound", "gauss_residual",
-    "gauss_stability_probe", "monotone_solve_gauss", "solve_gauss",
-    "RicciProblem", "RicciSolution", "StabilityReport", "eval_J", "grad_J",
-    "maximize_J", "mt_probe", "solve_ricci_newton", "stability_check",
-    "translate_v",
-    "AFCertificate", "CoupledConfig", "certify", "degree_bound_check",
-    "solve_coupled",
-]
+# Exported name -> the submodule defining it ("errors" is that submodule
+# itself).  Names resolve on first use (PEP 562), so importing the package
+# loads no submodule, and a command that only builds meshes never loads
+# SciPy.
+_EXPORTS = {
+    **dict.fromkeys((
+        "AdmissibilityError", "AdmissibilityLost", "DegreeRangeError",
+        "DisconnectedCoverError", "InfeasibleDegree", "InfeasibleError",
+        "MeshError", "NonConvergence", "RelatorError", "TodaError",
+        "UnboundedDetected", "errors"), "errors"),
+    **dict.fromkeys((
+        "CoverSpec", "HyperbolicMesh", "build_base_surface", "build_cover",
+        "mesh_from_dict", "mesh_from_json", "mesh_to_json",
+        "refine"), "mesh"),
+    **dict.fromkeys((
+        "SpectralReport", "eig_low", "laplacian", "mass_vector",
+        "spectral_gap", "stiffness", "systole", "volume"), "operators"),
+    **dict.fromkeys((
+        "BalanceReport", "Divisor", "SectionDensity", "balanced_lift",
+        "green_function", "lift_density", "oscillation_report",
+        "radial_barrier", "radial_barrier_derivative", "schwarz_check",
+        "synth_density"), "sections"),
+    **dict.fromkeys((
+        "GaussProblem", "GaussSolution", "admissible_bound",
+        "gauss_residual", "gauss_stability_probe", "monotone_solve_gauss",
+        "solve_gauss"), "gauss"),
+    **dict.fromkeys((
+        "RicciProblem", "RicciSolution", "StabilityReport", "eval_J",
+        "grad_J", "maximize_J", "mt_probe", "solve_ricci_newton",
+        "stability_check", "translate_v"), "ricci"),
+    **dict.fromkeys((
+        "AFCertificate", "CoupledConfig", "certify", "degree_bound_check",
+        "solve_coupled"), "coupled"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    source = _EXPORTS.get(name)
+    if source is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{source}")
+    value = module if name == source else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -13,20 +13,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from . import fileio, operators
-from .coupled import CoupledConfig, certify, solve_coupled
+from . import fileio
 from .errors import MeshError, TodaError
-from .gauss import GaussProblem, monotone_solve_gauss, solve_gauss
 from .mesh import JSON_FIELDS, CoverSpec, build_base_surface, build_cover, \
     mesh_from_dict, mesh_to_json
-from .ricci import RicciProblem, maximize_J, mt_probe
-from .sections import (Divisor, SectionDensity, balanced_lift,
-                       poincare_lelong_residual, synth_density)
+
+# The solver modules (and SciPy with them) are imported inside the
+# subcommands that run them, so `mesh` and `cover` start without SciPy.
 
 
 def _read_mesh(path):
@@ -42,6 +41,7 @@ def _write_mesh(path, mesh):
 
 
 def _parse_divisor(text):
+    from .sections import Divisor
     entries = []
     for part in text.split(","):
         v_s, m_s = part.split(":")
@@ -71,6 +71,7 @@ def cmd_cover(args):
 
 
 def cmd_section(args):
+    from .sections import SectionDensity, balanced_lift, synth_density
     mesh = _read_mesh(args.mesh)
     if args.zero:
         density = SectionDensity.zero(mesh)
@@ -95,6 +96,7 @@ def cmd_section(args):
 
 
 def cmd_solve_gauss(args):
+    from .gauss import GaussProblem, monotone_solve_gauss, solve_gauss
     mesh = _read_mesh(args.mesh)
     if args.data is not None:
         _, f = fileio.read_field_csv(args.data, size=mesh.num_vertices)
@@ -115,13 +117,15 @@ def cmd_solve_gauss(args):
 
 
 def cmd_solve_ricci(args):
+    from .operators import volume
+    from .ricci import RicciProblem, maximize_J
     mesh = _read_mesh(args.mesh)
     density = fileio.read_density(args.density, mesh)
     if args.u is not None:
         _, u = fileio.read_field_csv(args.u, size=mesh.num_vertices)
     else:
         u = np.zeros(mesh.num_vertices)
-    c_eff = args.scale * 2.0 * np.pi * args.degree / operators.volume(mesh)
+    c_eff = args.scale * 2.0 * np.pi * args.degree / volume(mesh)
     problem = RicciProblem(mesh=mesh, u=u, density=density, c=c_eff,
                            tol=args.tol)
     solution = maximize_J(problem)
@@ -135,6 +139,7 @@ def cmd_solve_ricci(args):
 
 
 def cmd_solve_coupled(args):
+    from .coupled import CoupledConfig, solve_coupled
     mesh = _read_mesh(args.mesh)
     density = fileio.read_density(args.density, mesh)
     config = CoupledConfig(eta=args.eta, damping=args.theta,
@@ -177,12 +182,15 @@ def _fail(message):
 
 
 def cmd_verify(args):
+    from .coupled import certify
+    from .operators import spectral_gap
+    from .sections import poincare_lelong_residual
     checked = []
     mesh = density = None
     if args.mesh:
         mesh = _read_mesh(args.mesh)
         mesh.validate()
-        report = operators.spectral_gap(mesh, seed=args.seed)
+        report = spectral_gap(mesh, seed=args.seed)
         if report.lambda0 > 1e-8:
             return _fail(f"lambda0 = {report.lambda0:.3e} is not zero")
         checked.append(f"mesh {args.mesh}")
@@ -270,8 +278,10 @@ def cmd_export(args):
 
 
 def cmd_probe(args):
+    from .operators import spectral_gap
+    from .ricci import mt_probe
     mesh = _read_mesh(args.mesh)
-    report = operators.spectral_gap(mesh, seed=args.seed)
+    report = spectral_gap(mesh, seed=args.seed)
     mt = mt_probe(mesh, samples=args.samples, seed=args.seed)
     out = {"spectral": report.to_dict(), "mt_constant": mt,
            "samples": args.samples, "seed": args.seed}
@@ -437,6 +447,17 @@ def _apply_config(parser, config):
             known[key].required = False
 
 
+def _check_args(args):
+    """Usage errors for flag values of the right type but out of range."""
+    for name in ("tol", "tol_outer", "scale"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite "
+                             f"and > 0, got {value}")
+    if getattr(args, "samples", 1) < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -448,6 +469,7 @@ def main(argv=None):
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code) if exc.code else 0
+        _check_args(args)
         return args.func(args)
     except TodaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,14 +29,29 @@ import numpy as np
 from .errors import TodaError
 
 
+def _umask():
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_text(path, text):
-    """Write text to path via a temp file in the same directory + rename."""
+    """Write text to path via a temp file in the same directory + rename.
+
+    The file gets the mode open() would give it (0666 less the process
+    umask, not mkstemp's 0600).  A missing directory is a
+    FileNotFoundError: no directory is created.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except FileNotFoundError as exc:
+        raise FileNotFoundError(
+            f"output directory {directory} does not exist") from exc
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -48,6 +48,8 @@ class GaussProblem:
         self.f = np.asarray(self.f, dtype=float)
         if self.f.shape != (self.mesh.num_vertices,):
             raise ValueError("data f must be a per-vertex array")
+        if not np.isfinite(self.f).all():
+            raise ValueError("data f must be finite")
         if not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
         if (self.f < 0).any():

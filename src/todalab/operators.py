@@ -92,7 +92,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
-from scipy.special import logsumexp
 
 from . import group, hyperbolic
 from .errors import MeshError, NonConvergence
@@ -100,6 +99,33 @@ from .errors import MeshError, NonConvergence
 
 # ----------------------------------------------------------------------
 # Assembly
+
+def logsumexp(a, b=None):
+    """ln sum(b e^a) over a nonempty array a, without overflow; weights
+    b >= 0, of a's shape (default 1).
+
+    Follows ``scipy.special.logsumexp`` (SciPy 1.17) step for step, so the
+    results agree bit for bit: zero weights mask their terms to -inf, m is
+    the summed weight of every entry tied at the max, those entries leave
+    the sum s of the shifted terms, and the result is
+    log1p(s/m) + log(m) + a_max (Blanchard, Higham & Higham, IMA J. Numer.
+    Anal. 41, 2021).  A non-finite result is recomputed as ln sum(b e^a).
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        masked = a if b is None else np.where(b == 0, -np.inf, a)
+        a_max = masked.max()
+        at_max = masked == a_max
+        m = at_max.sum(dtype=float) if b is None else (b * at_max).sum()
+        shifted = np.exp(np.where(at_max, -np.inf, masked) - a_max)
+        s = (shifted if b is None else b * shifted).sum()
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log((np.exp(a) if b is None else b * np.exp(a)).sum())
+    return out
+
 
 class Operators:
     """Per-mesh operators: S (CSR), L = -S, lumped masses m, M = diag(m),

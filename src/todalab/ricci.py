@@ -50,7 +50,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import logsumexp
 
 from . import operators
 from .errors import InfeasibleDegree, NonConvergence, UnboundedDetected
@@ -71,11 +70,19 @@ class RicciProblem:
         if self.c is None:
             self.c = self.density.curvature_constant
         self.c = float(self.c)
+        if not np.isfinite(self.c):
+            raise ValueError("curvature constant c must be finite")
         if self.density.is_zero and self.c > 0:
             raise InfeasibleDegree(
                 "the section density vanishes identically while c > 0: "
                 "integrating the curvature equation over the closed surface "
                 "forces avg(e^{-2u} e^{2v} rho) = c, which fails for rho = 0")
+        if not self.density.is_zero and self.c <= 0:
+            raise InfeasibleDegree(
+                f"c = {self.c:.6g} is not positive while the section density "
+                "does not vanish: integrating the curvature equation over "
+                "the closed surface forces avg(e^{-2u} e^{2v} rho) = c, "
+                "which is positive for rho >= 0 not identically 0")
         if self.c < 0:
             raise ValueError("curvature constant c must be nonnegative")
 
@@ -150,7 +157,7 @@ def grad_J(problem, w):
     _check_problem_nonzero(problem)
     ops = operators.of(problem.mesh)
     loga = problem.log_weight() + 2.0 * w
-    log_total = logsumexp(loga, b=ops.m)
+    log_total = operators.logsumexp(loga, b=ops.m)
     g = (2.0 * np.exp(loga - log_total)
          - (2.0 / (problem.c * ops.vol)) * (ops.S @ w) / ops.m)
     # The M-mean of g is exactly 2/Vol (the first term integrates to 2,
@@ -161,7 +168,7 @@ def grad_J(problem, w):
 def _softmax_weights(problem, w):
     loga = (problem.log_weight() + 2.0 * w
             + np.log(operators.of(problem.mesh).m))
-    return np.exp(loga - logsumexp(loga))
+    return np.exp(loga - operators.logsumexp(loga))
 
 
 def translate_v(problem, w):

@@ -237,6 +237,16 @@ def test_config_file_defaults_and_precedence(workspace, tmp_path):
     assert mesh.num_vertices == 2
 
 
+def test_output_files_follow_the_umask(tmp_path):
+    path = str(tmp_path / "base.json")
+    old = os.umask(0o027)
+    try:
+        assert main(["mesh", "-o", path]) == 0
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == 0o640
+
+
 def test_usage_errors(workspace, tmp_path):
     # Unknown subcommand -> argparse exit 2.
     assert main(["frobnicate"]) == 2

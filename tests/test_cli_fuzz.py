@@ -1,0 +1,87 @@
+"""Bad flag values against every subcommand that takes them.
+
+Each case must end in exit 1 (domain error) or 2 (usage error) with a
+single ``error:`` or ``usage error:`` line on stderr: never a traceback,
+never a non-convergence report caused by the input, never exit 0.
+"""
+
+import os
+
+import pytest
+
+from todalab.cli import main
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """Level-2 base mesh and a degree-4 density on it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    mesh, density = str(root / "base.json"), str(root / "dens")
+    assert main(["mesh", "--refine", "2", "-o", mesh]) == 0
+    assert main(["section", "--mesh", mesh, "--divisor", "0:1,1:1,5:1,20:1",
+                 "-o", density]) == 0
+    return {"mesh": mesh, "density": density}
+
+
+def _solve(command, *flags):
+    return [command, "--mesh", "{mesh}", "--density", "{density}",
+            *flags, "-o", "{out}/run"]
+
+
+def _gauss(*flags):
+    return ["solve-gauss", "--mesh", "{mesh}", *flags, "-o", "{out}/g"]
+
+
+# (argv with {mesh}, {density} and {out} filled in, exit code, stderr text)
+CASES = {
+    # c = 0 against a density that does not vanish: no solution.
+    "coupled-degree-0": (_solve("solve-coupled", "--degree", "0"), 1,
+                         "error: c = 0 is not positive"),
+    "ricci-degree-0": (_solve("solve-ricci", "--degree", "0"), 1,
+                       "error: c = 0 is not positive"),
+    "ricci-scale-0": (_solve("solve-ricci", "--scale", "0"), 2,
+                      "--scale must be finite and > 0"),
+    "ricci-scale-nan": (_solve("solve-ricci", "--scale", "nan"), 2,
+                        "--scale must be finite and > 0"),
+    "ricci-scale-inf": (_solve("solve-ricci", "--scale", "inf"), 2,
+                        "--scale must be finite and > 0"),
+    "gauss-constant-nan": (_gauss("--constant", "nan"), 2,
+                           "data f must be finite"),
+    "gauss-tol-nan": (_gauss("--constant", "0.1", "--tol", "nan"), 2,
+                      "--tol must be finite and > 0"),
+    "gauss-tol-0": (_gauss("--constant", "0.1", "--tol", "0"), 2,
+                    "--tol must be finite and > 0"),
+    "ricci-tol-nan": (_solve("solve-ricci", "--tol", "nan"), 2,
+                      "--tol must be finite and > 0"),
+    "ricci-tol-negative": (_solve("solve-ricci", "--tol", "-1"), 2,
+                           "--tol must be finite and > 0"),
+    "coupled-tol-outer-0": (_solve("solve-coupled", "--tol-outer", "0"), 2,
+                            "--tol-outer must be finite and > 0"),
+    "coupled-tol-outer-inf": (_solve("solve-coupled", "--tol-outer", "inf"),
+                              2, "--tol-outer must be finite and > 0"),
+    "verify-tol-nan": (["verify", "--mesh", "{mesh}", "--density",
+                        "{density}", "--tol", "nan"], 2,
+                       "--tol must be finite and > 0"),
+    "probe-samples-negative": (["probe", "--mesh", "{mesh}", "--samples",
+                                "-1"], 2, "--samples must be at least 1"),
+    "probe-samples-0": (["probe", "--mesh", "{mesh}", "--samples", "0"], 2,
+                        "--samples must be at least 1"),
+    "mesh-missing-directory": (["mesh", "-o", "{out}/missing/base.json"], 2,
+                               "does not exist"),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_bad_input_is_one_error_line(name, workspace, tmp_path, capsys):
+    argv, code, message = CASES[name]
+    argv = [arg.format(out=tmp_path, **workspace) for arg in argv]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error:" if code == 1 else "usage error:")
+    assert message in lines[0]
+    # Output directories are never created on the way (only solve-coupled
+    # makes its run directory, after a successful solve).
+    assert os.listdir(tmp_path) == []

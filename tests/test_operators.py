@@ -407,3 +407,37 @@ def test_krylov_newton_steps_match_direct_factor(level, sheets, monkeypatch):
     direct = newton_solutions(mesh)
     for got, want in zip(krylov, direct):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+LOGSUMEXP_CASES = ["random", "ties", "neg-inf", "all-neg-inf", "wide"]
+ZERO_WEIGHT_CASES = ["zero-weights", "zero-weight-at-max", "all-zero-weights"]
+
+
+@pytest.mark.parametrize("case, weighted", [
+    *((case, False) for case in LOGSUMEXP_CASES),
+    *((case, True) for case in LOGSUMEXP_CASES + ZERO_WEIGHT_CASES)])
+def test_logsumexp_matches_scipy_bit_for_bit(case, weighted):
+    from scipy.special import logsumexp
+    rng = np.random.default_rng(list(case.encode()))
+    for V in (1, 2, 7, 100, 8188):
+        a = rng.normal(size=V)
+        b = rng.uniform(0.0, 2.0, size=V) if weighted else None
+        if case == "ties":
+            a[rng.integers(0, V, size=max(1, V // 4))] = a.max()
+        elif case == "neg-inf":
+            a[rng.integers(0, V, size=V // 3)] = -np.inf
+        elif case == "all-neg-inf":
+            a[:] = -np.inf
+        elif case == "wide":
+            a *= 700.0
+        elif case == "zero-weights":
+            b[rng.integers(0, V, size=V // 2)] = 0.0
+        elif case == "zero-weight-at-max":
+            b[np.argmax(a)] = 0.0
+        elif case == "all-zero-weights":
+            b[:] = 0.0
+        expected = logsumexp(a, b=b)
+        got = ops.logsumexp(a, b=b)
+        assert type(got) is type(expected)
+        assert np.array_equal(got, expected, equal_nan=True), (V, got,
+                                                               expected)
