@@ -41,9 +41,9 @@ _EXPORTS = {
         "spectral_gap", "stiffness", "systole", "volume"), "operators"),
     **dict.fromkeys((
         "BalanceReport", "Divisor", "SectionDensity", "balanced_lift",
-        "green_function", "lift_density", "oscillation_report",
-        "radial_barrier", "radial_barrier_derivative", "schwarz_check",
-        "synth_density"), "sections"),
+        "green_function", "lift_density", "radial_barrier",
+        "radial_barrier_derivative", "schwarz_check", "synth_density"),
+        "sections"),
     **dict.fromkeys((
         "GaussProblem", "GaussSolution", "admissible_bound",
         "gauss_residual", "gauss_stability_probe", "monotone_solve_gauss",
@@ -51,7 +51,7 @@ _EXPORTS = {
     **dict.fromkeys((
         "RicciProblem", "RicciSolution", "StabilityReport", "eval_J",
         "grad_J", "maximize_J", "mt_probe", "solve_ricci_newton",
-        "stability_check", "translate_v"), "ricci"),
+        "stability_check"), "ricci"),
     **dict.fromkeys((
         "AFCertificate", "CoupledConfig", "certify", "degree_bound_check",
         "solve_coupled"), "coupled"),

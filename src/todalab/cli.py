@@ -44,8 +44,12 @@ def _parse_divisor(text):
     from .sections import Divisor
     entries = []
     for part in text.split(","):
-        v_s, m_s = part.split(":")
-        entries.append((int(v_s), int(m_s)))
+        try:
+            v_s, m_s = part.split(":")
+            entries.append((int(v_s), int(m_s)))
+        except ValueError:
+            raise ValueError(f"--divisor expects integer vertex:mult pairs "
+                             f"separated by commas, got {text!r}") from None
     return Divisor(entries)
 
 
@@ -436,15 +440,33 @@ def _load_config(argv):
 
 
 def _apply_config(parser, config):
-    """Turn config values into per-subcommand defaults (flags still win)."""
+    """Turn config values into per-subcommand defaults (flags still win).
+
+    Each value is read as its flag would read it on the command line
+    (type and choices); a value that cannot be is a usage error.
+    """
     sub = next(action for action in parser._actions
                if isinstance(action, argparse._SubParsersAction))
     for p in sub.choices.values():
         known = {action.dest: action for action in p._actions}
-        overlap = {k: v for k, v in config.items() if k in known}
+        overlap = {k: _config_value(p, known[k], v)
+                   for k, v in config.items() if k in known}
         p.set_defaults(**overlap)
         for key in overlap:
             known[key].required = False
+
+
+def _config_value(parser, action, value):
+    if action.nargs == 0:  # on/off switches take JSON true or false
+        if not isinstance(value, bool):
+            raise ValueError(f"config value for {action.option_strings[0]} "
+                             f"must be true or false, got {json.dumps(value)}")
+        return value
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        return parser._get_values(action, [text])
+    except argparse.ArgumentError as exc:
+        raise ValueError(f"config file: {exc}") from None
 
 
 def _check_args(args):

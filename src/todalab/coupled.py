@@ -104,7 +104,7 @@ class CoupledResult:
 
 
 def _curvature_constant(mesh, degree):
-    return 2.0 * np.pi * degree / operators.of(mesh).volume
+    return 2.0 * np.pi * degree / operators.of(mesh).vol
 
 
 def certify(mesh, u, v, density, eta, degree=1, t=1.0,

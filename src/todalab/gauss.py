@@ -165,7 +165,9 @@ def monotone_solve_gauss(problem, lam=4.0, max_iters=5000):
     S + lam M is factored once per call and every sweep reuses the factor;
     lam >= sup R' on the box makes the update order-preserving, so the
     sequence decreases pointwise to the box solution.  Linear convergence degrades to
-    sublinear when the data touch the double root f = 1/4.
+    sublinear when the data touch the double root f = 1/4.  The factor is
+    its own, not the bundle's S + M: the scheme is the independent
+    cross-check of the Newton solver, so it shares none of its solves.
     """
     mesh = problem.mesh
     ops = operators.of(mesh)

@@ -12,10 +12,12 @@ Every solver reads these from one ``Operators`` bundle per mesh, which
 ``of(mesh)`` assembles once and keeps on the mesh (the systole is kept
 beside it); ``laplacian``, ``mass_vector``, ``stiffness`` and ``volume``
 are views of it.  Every sparse factorization in the package goes through
-``factor``.  The bundle holds one factor, of the SPD matrix S + M; the
-Newton systems of the Gauss, J and Ricci solvers are solved by MINRES
-preconditioned with it (``newton_solve``), so a mesh is factored once
-however many Newton steps its solvers take.
+``factor``.  The bundle holds one factor, of the SPD matrix S + M, and
+every solve with S or a shifted S on the mesh uses it: the Newton systems
+of the Gauss, J and Ricci solvers and the Green solves of the section
+densities by MINRES preconditioned with it (``newton_solve``), and
+``eig_low`` as its shift-invert operator at sigma = -1.  So a mesh is
+factored once however many solves its solvers make.
 
 The systole is approximated on the edge graph: the shortest closed edge
 loop whose accumulated holonomy word is not the identity.  Every such loop
@@ -129,9 +131,8 @@ def logsumexp(a, b=None):
 
 class Operators:
     """Per-mesh operators: S (CSR), L = -S, lumped masses m, M = diag(m),
-    vol = m.sum() and volume = sum of angle defects (equal up to rounding),
-    lap and log_mean.  The path graph, the S + M factor and lambda0/lambda1
-    are built on first use.
+    the total area vol = m.sum(), lap and log_mean.  The path graph, the
+    S + M factor and lambda0/lambda1 are built on first use.
     """
 
     def __init__(self, mesh):
@@ -144,13 +145,12 @@ class Operators:
         areas = np.pi - angles.sum(axis=1)
         if (areas <= 0).any():
             raise MeshError("degenerate triangle (nonpositive area)")
-        self.volume = float(areas.sum())
 
         V = mesh.num_vertices
         self.m = m = np.zeros(V)
         for k in range(3):
             np.add.at(m, mesh.triangles[:, k], areas / 3.0)
-        self.vol = m.sum()
+        self.vol = float(m.sum())
         self.M = sp.diags(m).tocsr()
 
         rows, cols, data = [], [], []
@@ -222,14 +222,14 @@ def of(mesh):
 def factor(A):
     """SuperLU factors of a sparse matrix with a symmetric pattern.
 
-    Every matrix factored here (the bundle's screened S + M, the bordered
-    Green system, the monotone Gauss matrix S + lam M, J's gradient
-    preconditioner and the shift-invert operators) is structurally
-    symmetric, so the columns are ordered by minimum degree on the pattern
-    of A + A^T (George & Liu 1989) and SuperLU runs in symmetric mode,
-    preferring diagonal pivots.  SuperLU's default pivot threshold is kept
-    because the bordered and shifted matrices are indefinite.  Raises
-    RuntimeError when A is exactly singular.
+    Every matrix factored here (the bundle's screened S + M, the monotone
+    Gauss matrix S + lam M, J's gradient preconditioner and the
+    shift-invert operators of ``eigs_nearest``) is structurally symmetric,
+    so the columns are ordered by minimum degree on the pattern of A + A^T
+    (George & Liu 1989) and SuperLU runs in symmetric mode, preferring
+    diagonal pivots.  SuperLU's default pivot threshold is kept because
+    the shifted matrices are indefinite.  Raises RuntimeError when A is
+    exactly singular.
     """
     return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
                      options=dict(SymmetricMode=True))
@@ -244,17 +244,19 @@ NEWTON_MAXITER = 300
 def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False):
     """Solve the symmetric Newton system (A + q q^T) x = b by MINRES.
 
-    A is sparse symmetric, possibly indefinite, and q = rank_one (if
-    given).  With zero_mean the system is posed on zero-M-mean fields:
-    x has zero M-mean and the residual may have any component along m, as
+    The Green solves S x = b on zero-mean fields go through it too.  A is
+    sparse symmetric, possibly indefinite, and q = rank_one (if given).
+    With zero_mean the system is posed on zero-M-mean fields: x has zero
+    M-mean and the residual may have any component along m, as
     in the KKT system with the constraint m^T x = 0.  It is applied
     matrix-free as P^T (A + q q^T) P with P x = x - (m^T x / Vol) 1, a
     singular but consistent system whose solution is projected by P.
 
     MINRES (Paige & Saunders 1975) handles indefinite systems with an SPD
     preconditioner; here that is the bundle's factor of S + M, so no Newton
-    step factors anything.  Raises NonConvergence naming the solver when
-    MINRES stops without reaching NEWTON_RTOL or returns a non-finite x.
+    step or Green solve factors anything.  Raises NonConvergence naming the
+    solver when MINRES stops without reaching NEWTON_RTOL or returns a
+    non-finite x.
     """
     V = A.shape[0]
     m, vol = ops.m, ops.vol
@@ -287,8 +289,9 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False):
 
 
 def volume(mesh):
-    """Total hyperbolic area, the sum of triangle angle defects."""
-    return of(mesh).volume
+    """Total hyperbolic area: the sum of the lumped vertex masses, which
+    equals the sum of triangle angle defects up to rounding."""
+    return of(mesh).vol
 
 
 def mass_vector(mesh):
@@ -311,9 +314,9 @@ def stiffness(mesh):
 # ----------------------------------------------------------------------
 # Spectrum
 
-# Above this vertex count an ARPACK or factorization failure in eig_low is
-# reported instead of being replaced by a dense solve (~0.3 s and ~35 MB
-# at this size, growing as V^3 and V^2).
+# Above this vertex count an ARPACK failure in eig_low is reported instead
+# of being replaced by a dense solve (~0.3 s and ~35 MB at this size,
+# growing as V^3 and V^2).
 DENSE_FALLBACK_MAX_V = 1024
 
 
@@ -322,30 +325,26 @@ def _start_vector(V, seed):
     return np.ones(V) + 0.01 * rng.standard_normal(V)
 
 
-def _shift_inverse(A, M, sigma):
-    """(A - sigma M)^{-1} as a LinearOperator, from one ``factor``."""
-    V = A.shape[0]
-    return spla.LinearOperator((V, V), matvec=factor(A - sigma * M).solve,
-                               dtype=float)
-
-
 def eig_low(mesh, k=2, tol=1e-9, seed=0):
     """Smallest k generalized eigenpairs of S x = lambda M x, ascending.
 
-    Deterministic: the iterative solver is started from a fixed seeded
-    vector.  Small problems are solved densely; an ARPACK or factorization
-    RuntimeError falls back to the dense solve up to DENSE_FALLBACK_MAX_V
-    vertices and raises NonConvergence above that.
+    Shift-invert Lanczos at sigma = -1, where S - sigma M is the bundle's
+    S + M, so its factor serves as the inverse.  Deterministic: the
+    iterative solver is started from a fixed seeded vector.  Small problems
+    are solved densely; an ARPACK RuntimeError falls back to the dense
+    solve up to DENSE_FALLBACK_MAX_V vertices and raises NonConvergence
+    above that.
     """
     ops = of(mesh)
     S, M = ops.S, ops.M
     V = S.shape[0]
     if V <= max(4 * k + 20, 300):
         return _eig_dense(S, M, k)
-    sigma = -0.05
+    screened_inverse = spla.LinearOperator(
+        (V, V), matvec=ops.screened_lu.solve, dtype=float)
     try:
-        vals, vecs = spla.eigsh(S, k=k, M=M, sigma=sigma, which="LM",
-                                OPinv=_shift_inverse(S, M, sigma),
+        vals, vecs = spla.eigsh(S, k=k, M=M, sigma=-1.0, which="LM",
+                                OPinv=screened_inverse,
                                 v0=_start_vector(V, seed), tol=tol)
     except RuntimeError as exc:
         if V > DENSE_FALLBACK_MAX_V:
@@ -366,13 +365,15 @@ def eigs_nearest(A, m, sigma, enough=lambda vals: True):
     One ``factor`` of A - sigma M serves every k: k starts at 1 and doubles
     until ``enough(vals)`` holds (by default at once).  Only when k would
     reach V - 1 is the full spectrum computed densely instead (tiny meshes).
+    The factor is not the bundle's: A and sigma change with every call.
 
     Raises RuntimeError when A - sigma M is exactly singular (SuperLU) and
     NonConvergence when ARPACK fails.
     """
     V = A.shape[0]
     M = sp.diags(m).tocsr()
-    op = _shift_inverse(A, M, sigma)
+    op = spla.LinearOperator((V, V), matvec=factor(A - sigma * M).solve,
+                             dtype=float)
     v0 = _start_vector(V, 0)
     k = 1
     while k < V - 1:

@@ -99,8 +99,6 @@ class RicciSolution:
     grad_norm: float
     mean_constraint_residual: float
     iterations: int = 0
-    method: str = "variational"
-    v_shift_from_init: float = 0.0
 
     def to_dict(self, problem):
         return {"J_value": self.J_value,
@@ -254,6 +252,8 @@ def maximize_J(problem, max_iters=10000):
         except NonConvergence:
             pass
         if step is None:
+            # Its own factor, not the bundle's S + M: the preconditioner
+            # sets the fallback direction, which the bundle's would change.
             if precond is None:
                 precond = operators.factor(scale * S
                                            + (2.0 / vol) * sp.diags(m))
@@ -297,8 +297,7 @@ def solve_ricci_newton(problem, v_init, max_iters=200):
     (``operators.newton_solve``), and backtracking controls the residual.
     Converges in a couple of steps when seeded near a solution (e.g. at the
     variational maximizer) but, unlike the variational route, carries no
-    global selection principle: the report records the distance from the
-    seed.
+    global selection principle.
     """
     _check_problem_nonzero(problem)
     ops = operators.of(problem.mesh)
@@ -334,8 +333,7 @@ def solve_ricci_newton(problem, v_init, max_iters=200):
         v=v, w=w, J_value=eval_J(problem, w),
         grad_norm=float(np.abs(grad_J(problem, w)).max()),
         mean_constraint_residual=mean_constraint_residual(problem, v),
-        iterations=it, method="newton",
-        v_shift_from_init=float(np.abs(v - np.asarray(v_init, float)).max()))
+        iterations=it)
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,8 @@ curvature identity
     L log|alpha|^2 = 4 pi sum_j m_j delta_{z_j} - 2 c_L M 1,
     c_L = 2 pi deg / Vol
 
-holds exactly up to linear-solver roundoff (both sides have zero total
+holds up to the tolerance of the Green solve, a MINRES solve to relative
+residual ``operators.NEWTON_RTOL`` = 1e-13 (both sides have zero total
 mass because c_L uses the discrete volume).  Zeros are regularized at mesh
 scale: the discrete delta keeps log|alpha|^2 finite at divisor vertices,
 and pointwise checks exclude a one-ring around them.
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import operators
 from .errors import TodaError
@@ -128,50 +128,43 @@ def balance_report(density):
 # ----------------------------------------------------------------------
 # Green functions
 
-def green_factor(mesh):
-    """Factor of the bordered zero-mean Poisson system [[S, m], [m^T, 0]].
-
-    Not kept on the mesh: a density factors it once and drops it, so the
-    operator bundle holds only its S + M factor.
-    """
-    ops = operators.of(mesh)
-    m_col = sp.csr_matrix(ops.m.reshape(-1, 1))
-    return operators.factor(sp.bmat([[ops.S, m_col], [m_col.T, None]]))
-
-
-def poisson_zero_mean(mesh, rhs_measure, lu=None):
+def poisson_zero_mean(mesh, rhs_measure):
     """Solve L u = rhs (a measure with zero total mass) with M-mean-zero u.
 
-    lu is ``green_factor(mesh)``, factored here when not given.
+    One MINRES solve on zero-mean fields against the bundle's S + M factor.
     """
-    if lu is None:
-        lu = green_factor(mesh)
+    ops = operators.of(mesh)
     # L = -S, so S u = -rhs
-    full = np.concatenate([-np.asarray(rhs_measure, float), [0.0]])
-    return lu.solve(full)[:mesh.num_vertices]
+    return operators.newton_solve(ops, ops.S, -np.asarray(rhs_measure, float),
+                                  "green solve", zero_mean=True)
 
 
-def green_function(mesh, z, lu=None):
+def green_function(mesh, z):
     """Zero-mean G with L G = delta_z - M 1 / Vol (as measures)."""
     ops = operators.of(mesh)
     rhs = -(ops.m / ops.vol)
     rhs[z] += 1.0
-    return poisson_zero_mean(mesh, rhs, lu)
+    return poisson_zero_mean(mesh, rhs)
 
 
 # ----------------------------------------------------------------------
 # Synthesis
 
 def synth_density(mesh, divisor, normalization="unit_mean"):
-    """Density with the given zeros: log|alpha|^2 = 4 pi sum m_j G_zj + kappa."""
+    """Density with the given zeros: log|alpha|^2 = 4 pi sum m_j G_zj + kappa.
+
+    G is linear in its source, so sum m_j G_zj is one Poisson solve with
+    the whole divisor, sum m_j delta_zj - deg M 1 / Vol, as its source.
+    """
     if normalization not in ("unit_mean", "unit_sup"):
         raise ValueError(f"unknown normalization {normalization!r}")
     divisor.check_range(mesh.num_vertices)
     ops = operators.of(mesh)
-    lu = green_factor(mesh) if divisor.entries else None
     ld = np.zeros(mesh.num_vertices)
-    for v, mult in divisor.entries:
-        ld += 4.0 * np.pi * mult * green_function(mesh, v, lu)
+    if divisor.entries:
+        rhs = (divisor.indicator(mesh.num_vertices)
+               - divisor.degree * ops.m / ops.vol)
+        ld = 4.0 * np.pi * poisson_zero_mean(mesh, rhs)
     ld += _normalization_constant(ld, ops, normalization)
     c_L = 2.0 * np.pi * divisor.degree / ops.vol
     return SectionDensity(mesh=mesh, log_density=ld, divisor=divisor,
@@ -248,42 +241,6 @@ def balanced_lift(base, cover_mesh, z_n, normalization="unit_mean"):
 # ----------------------------------------------------------------------
 # Diagnostics
 
-def oscillation_report(density, radius):
-    """Renormalized oscillation constants of a degree-1 density.
-
-    Chooses lambda with (sup lam rho)(inf lam rho) = 1 outside the
-    graph-metric ball B(z0, radius) and returns
-    (C_out, C_in) = (sqrt(sup_out/inf_out), sup_inside lam rho).
-    """
-    if density.divisor.degree != 1 or len(density.divisor.entries) != 1:
-        raise ValueError("oscillation report needs a degree-1 divisor")
-    sys = operators.systole(density.mesh)
-    if radius >= sys / 2.0:
-        raise ValueError(
-            f"radius {radius} must be below half the systole {sys / 2.0}")
-    _, inside, rho, lam, c_out = _outside_normalization(density, radius)
-    if not inside.any():
-        raise ValueError("ball boundary is empty at this radius")
-    return c_out, float(lam * rho[inside].max())
-
-
-def _outside_normalization(density, radius):
-    """(dist, inside, rho, lam, C_out) for the graph ball B(z0, radius)
-    around the first divisor vertex: distances from z0, the ball, the
-    density, lam with (sup lam rho)(inf lam rho) = 1 outside the ball and
-    C_out = sqrt(sup_out / inf_out)."""
-    dist = operators.graph_distances(density.mesh,
-                                     density.divisor.entries[0][0])
-    inside = dist <= radius
-    if inside.all():
-        raise ValueError("ball covers the whole mesh")
-    rho = density.density()
-    sup_out = float(rho[~inside].max())
-    inf_out = float(rho[~inside].min())
-    return (dist, inside, rho, 1.0 / np.sqrt(sup_out * inf_out),
-            float(np.sqrt(sup_out / inf_out)))
-
-
 def schwarz_constant(delta):
     """C(delta) = (cosh(delta/2) / tanh(delta/2))^2."""
     return float((np.cosh(delta / 2.0) / np.tanh(delta / 2.0)) ** 2)
@@ -294,13 +251,21 @@ def schwarz_check(density, radius):
 
     Inside the graph ball D = B(z0, radius), excluding the one-ring of z0,
     checks  lam rho(z) <= C(delta) tanh^2(r(z)/2) sup_{boundary of D} lam rho
-    with delta the systole and lam the oscillation normalization.  The
-    multiplicative margin uses graph distances (which overestimate
-    hyperbolic ones, loosening the bound only in the safe direction).
-    Returns a report dict; "ok" is True when every checked vertex passes.
+    with delta the systole and lam the oscillation normalization,
+    (sup lam rho)(inf lam rho) = 1 outside D.  The multiplicative margin
+    uses graph distances (which overestimate hyperbolic ones, loosening the
+    bound only in the safe direction).  Returns a report dict; "ok" is True
+    when every checked vertex passes.
     """
     mesh = density.mesh
-    dist, inside, rho, lam, _ = _outside_normalization(density, radius)
+    dist = operators.graph_distances(mesh, density.divisor.entries[0][0])
+    inside = dist <= radius
+    if inside.all():
+        raise ValueError("ball covers the whole mesh")
+    rho = density.density()
+    sup_out = float(rho[~inside].max())
+    inf_out = float(rho[~inside].min())
+    lam = 1.0 / np.sqrt(sup_out * inf_out)
 
     tail, head = mesh.edges.T
     crossing = inside[tail] != inside[head]

@@ -5,6 +5,7 @@ single ``error:`` or ``usage error:`` line on stderr: never a traceback,
 never a non-convergence report caused by the input, never exit 0.
 """
 
+import json
 import os
 
 import pytest
@@ -14,13 +15,21 @@ from todalab.cli import main
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Level-2 base mesh and a degree-4 density on it."""
+    """Level-2 base mesh, a degree-4 density on it and config files with
+    values of the wrong JSON type."""
     root = tmp_path_factory.mktemp("fuzz")
     mesh, density = str(root / "base.json"), str(root / "dens")
     assert main(["mesh", "--refine", "2", "-o", mesh]) == 0
     assert main(["section", "--mesh", mesh, "--divisor", "0:1,1:1,5:1,20:1",
                  "-o", density]) == 0
-    return {"mesh": mesh, "density": density}
+    configs = {}
+    for name, config in (("tol_list", {"tol": [1]}),
+                         ("tol_null", {"tol": None}),
+                         ("vtk_number", {"vtk": 1})):
+        configs[name] = str(root / f"{name}.json")
+        with open(configs[name], "w") as handle:
+            json.dump(config, handle)
+    return {"mesh": mesh, "density": density, **configs}
 
 
 def _solve(command, *flags):
@@ -30,6 +39,11 @@ def _solve(command, *flags):
 
 def _gauss(*flags):
     return ["solve-gauss", "--mesh", "{mesh}", *flags, "-o", "{out}/g"]
+
+
+def _section(divisor):
+    return ["section", "--mesh", "{mesh}", "--divisor", divisor,
+            "-o", "{out}/d"]
 
 
 # (argv with {mesh}, {density} and {out} filled in, exit code, stderr text)
@@ -68,6 +82,20 @@ CASES = {
                         "--samples must be at least 1"),
     "mesh-missing-directory": (["mesh", "-o", "{out}/missing/base.json"], 2,
                                "does not exist"),
+    # --config values are read as their flags read them.
+    "config-tol-list": (_gauss("--constant", "0.1", "--config",
+                               "{tol_list}"), 2,
+                        "argument --tol: invalid float value: '[1]'"),
+    "config-tol-null": (_gauss("--constant", "0.1", "--config",
+                               "{tol_null}"), 2,
+                        "argument --tol: invalid float value: 'null'"),
+    "config-vtk-number": (_solve("solve-coupled", "--config", "{vtk_number}"),
+                          2, "--vtk must be true or false, got 1"),
+    # A malformed --divisor names the flag and its form.
+    "divisor-no-colon": (_section("abc"), 2,
+                         "--divisor expects integer vertex:mult pairs"),
+    "divisor-bad-mult": (_section("0:x"), 2,
+                         "--divisor expects integer vertex:mult pairs"),
 }
 
 

@@ -307,6 +307,31 @@ def test_low_eigenvalues_computed_once_per_mesh(monkeypatch):
     assert report.lambda1 == first.lambda1
 
 
+def test_each_mesh_is_factored_once(monkeypatch):
+    # Green solves, Newton steps and eig_low's shift-invert all use the
+    # bundle's S + M factor: the README pipeline (base density, balanced
+    # 2-cover density, coupled solve, certificate) factors each of its two
+    # meshes once.  The cover (V = 508) is above eig_low's dense cutoff.
+    factored = []
+    true_factor = ops.factor
+
+    def counting(A):
+        factored.append(A.shape[0])
+        return true_factor(A)
+
+    monkeypatch.setattr(ops, "factor", counting)
+    base = build_base_surface(refinement=3)
+    cover = build_cover(base, CoverSpec.cyclic(2))
+    base_density = S.synth_density(base, S.Divisor([(0, 1), (1, 1), (5, 1),
+                                                    (20, 1)]))
+    density, _ = S.balanced_lift(base_density, cover, z_n=3)
+    u, v, cert = coupled.solve_coupled(cover, density)
+    again = coupled.certify(cover, u, v, density, eta=0.5, t=cert.t,
+                            outer_iters=cert.outer_iters)
+    assert again.to_dict() == cert.to_dict()
+    assert factored == [base.num_vertices, cover.num_vertices]
+
+
 def test_replaced_mesh_gets_its_own_bundle(mesh2):
     m = ops.mass_vector(mesh2)
     scaled = dataclasses.replace(mesh2, edge_lengths=1.01 * mesh2.edge_lengths)
@@ -402,7 +427,8 @@ def test_krylov_newton_steps_match_direct_factor(level, sheets, monkeypatch):
 
     monkeypatch.setattr(ops, "newton_solve", checked)
     krylov = newton_solutions(mesh)
-    assert names == {"gauss newton", "J maximization", "ricci newton"}
+    assert names == {"gauss newton", "J maximization", "ricci newton",
+                     "green solve"}
     monkeypatch.setattr(ops, "newton_solve", reference_newton_step)
     direct = newton_solutions(mesh)
     for got, want in zip(krylov, direct):

@@ -93,7 +93,6 @@ def test_constant_data_closed_form(mesh):
 
 def test_variational_solution(problem):
     sol = R.maximize_J(problem)
-    assert sol.method == "variational"
     assert sol.grad_norm < 1e-9
     assert sol.mean_constraint_residual < 1e-10
     assert R.equation_residual(problem, sol.v) < 1e-8
@@ -107,17 +106,15 @@ def test_variational_solution(problem):
 def test_newton_seeded_at_variational(problem):
     var = R.maximize_J(problem)
     newt = R.solve_ricci_newton(problem, v_init=var.v)
-    assert newt.method == "newton"
     assert newt.iterations <= 3
     assert np.abs(newt.v - var.v).max() < 1e-8
-    assert newt.v_shift_from_init < 1e-6
 
 
 def test_newton_far_seed_records_shift(problem):
     var = R.maximize_J(problem)
     seed = var.v + 0.2
     newt = R.solve_ricci_newton(problem, v_init=seed)
-    assert newt.v_shift_from_init > 0.05
+    assert np.abs(newt.v - seed).max() > 0.05
     assert R.equation_residual(problem, newt.v) < problem.tol
 
 

@@ -107,25 +107,6 @@ def test_balanced_lift_requires_canonical_degree(mesh, deg1):
         S.balanced_lift(deg1, cover, z_n=3)
 
 
-def test_oscillation_report(mesh, deg1):
-    c_out, c_in = S.oscillation_report(deg1, radius=1.2)
-    assert c_out >= 1.0
-    assert c_in > 0
-    # The normalization puts the outside values inside [1/C_out, C_out].
-    rho = deg1.density()
-    dist = ops.graph_distances(mesh, 5)
-    outside = dist > 1.2
-    lam = c_out / rho[outside].max()
-    vals = lam * rho[outside]
-    assert vals.max() <= c_out * (1 + 1e-12)
-    assert vals.min() >= 1 / c_out * (1 - 1e-12)
-    with pytest.raises(ValueError):
-        S.oscillation_report(deg1, radius=ops.systole(mesh) / 2 + 0.1)
-    multi = S.synth_density(mesh, S.Divisor([(5, 2)]))
-    with pytest.raises(ValueError):
-        S.oscillation_report(multi, radius=1.0)
-
-
 def test_one_ring_matches_edge_neighbours():
     mesh1 = build_base_surface(refinement=1)
     zeros = [2, 13]

@@ -2,12 +2,14 @@
 
 Builds the README inputs at refinement level 5: the genus-2 base, its
 cyclic 2-cover (V = 8188), the canonical divisor 0:1,1:1,5:1,20:1 on the
-base and its balanced lift with the fresh zero 3.  The cover's systole is
-computed in set-up, so it is cached when `solve_coupled(..., degree 1)` is
-timed; everything else the solve needs (the S + M factor, lambda_1) is
-paid inside the timed call.  Each sample is a fresh process, and several
-source trees can be timed in one call; their runs alternate, so a slow
-spell of a shared machine lands on all of them alike:
+base and its balanced lift with the fresh zero 3.  Set-up pays for the
+cover's systole and its S + M factor (`balanced_lift`'s Green solve runs
+on it), so both are cached when `solve_coupled(..., degree 1)` is timed;
+lambda_1 is paid inside the timed call.  Trees whose Green solves build
+their own factor pay for the S + M factor inside the timed call instead,
+so their timings are not comparable with these.  Each sample is a fresh
+process, and several source trees can be timed in one call; their runs
+alternate, so a slow spell of a shared machine lands on all of them alike:
 
     python3 tools/solve_l5.py --tree change=src --runs 5
     python3 tools/solve_l5.py --tree parent=../old/src --tree change=src \\
