@@ -219,23 +219,20 @@ def cmd_verify(args):
             return _fail(str(exc))
         mesh_path = args.mesh or manifest["mesh"]
         density_path = args.density or manifest["density"]
-        run_mesh = mesh
-        if run_mesh is None:
-            run_mesh = _read_mesh(mesh_path)
-            run_mesh.validate()
-        for key, path in [("mesh", mesh_path)]:
-            if key in manifest["hashes"]:
-                if fileio.file_blob_sha1(path) != manifest["hashes"][key]:
-                    return _fail(f"{key} file hash changed since the run")
-        if density is None:
-            # With --density given, density_path is that prefix and
-            # run_mesh is the --mesh mesh: the density read above is it.
-            density = fileio.read_density(density_path, run_mesh)
-        for key, path in [("density_csv", density_path + ".csv"),
+        for key, path in [("mesh", mesh_path),
+                          ("density_csv", density_path + ".csv"),
                           ("density_json", density_path + ".json")]:
             if key in manifest["hashes"]:
                 if fileio.file_blob_sha1(path) != manifest["hashes"][key]:
                     return _fail(f"{key} file hash changed since the run")
+        run_mesh = mesh
+        if run_mesh is None:
+            run_mesh = _read_mesh(mesh_path)
+            run_mesh.validate()
+        if density is None:
+            # With --density given, density_path is that prefix and
+            # run_mesh is the --mesh mesh: the density read above is it.
+            density = fileio.read_density(density_path, run_mesh)
         try:
             V = run_mesh.num_vertices
             _, u = fileio.read_field_csv(os.path.join(args.run, "u.csv"), "u", V)

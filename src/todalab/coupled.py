@@ -30,8 +30,7 @@ import numpy as np
 from . import gauss as gauss_mod
 from . import operators
 from . import ricci as ricci_mod
-from .errors import (AdmissibilityLost, DegreeRangeError, InfeasibleDegree,
-                     NonConvergence)
+from .errors import AdmissibilityLost, DegreeRangeError, NonConvergence
 
 
 # Tolerances of the Gauss and Ricci solves, and the smallest damping the
@@ -115,17 +114,12 @@ def certify(mesh, u, v, density, eta, degree=1, t=1.0,
     ld = density.log_density
     c_eff = t * _curvature_constant(mesh, degree)
 
-    if density.is_zero:
-        f = np.zeros(mesh.num_vertices)
-        sup_af = 0.0
-        ricci_forcing = np.full(mesh.num_vertices, c_eff)
-        mean_residual = abs(c_eff)
-    else:
-        f = np.exp(ld + 2.0 * v)
-        sup_af = float(np.exp(ld + 2.0 * v - 4.0 * u).max())
-        weighted = np.exp(ld + 2.0 * v - 2.0 * u)
-        ricci_forcing = c_eff - weighted
-        mean_residual = abs(float((m * weighted).sum() / ops.vol) - c_eff)
+    # The zero section (ld = -inf) needs no branch: exp(-inf) = 0.
+    f = np.exp(ld + 2.0 * v)
+    sup_af = float(np.exp(ld + 2.0 * v - 4.0 * u).max())
+    weighted = np.exp(ld + 2.0 * v - 2.0 * u)
+    ricci_forcing = c_eff - weighted
+    mean_residual = abs(float((m * weighted).sum() / ops.vol) - c_eff)
 
     gauss_res = gauss_mod.gauss_residual(mesh, u, f)
     ricci_res = float(np.abs(ops.lap(v) - ricci_forcing).max())
@@ -184,8 +178,9 @@ def solve_coupled(mesh, density, config=None):
     Returns a result unpacking as (u, v, certificate); the result object
     additionally carries the outer residual history.  Degrees outside
     [0, 2g-2] are refused; a zero density with positive degree is
-    infeasible by the integral identity; data exceeding the admissibility
-    bound at any iterate aborts (after automatic damping reduction).
+    infeasible by the integral identity (``RicciProblem`` raises
+    InfeasibleDegree); data exceeding the admissibility bound at any
+    iterate aborts (after automatic damping reduction).
     After the scale choice every bundle solve is a Newton solve seeded at
     the previous v.
     """
@@ -197,13 +192,7 @@ def solve_coupled(mesh, density, config=None):
             f"[0, {2 * mesh.genus - 2}] for genus {mesh.genus}")
 
     V = mesh.num_vertices
-    if density.is_zero:
-        if config.degree > 0:
-            raise InfeasibleDegree(
-                "the section density vanishes identically while the degree "
-                "is positive: integrating the bundle curvature equation "
-                "forces a positive mean for e^{-2u} e^{2v} rho, which the "
-                "zero section cannot supply")
+    if density.is_zero and config.degree == 0:
         u = np.zeros(V)
         v = np.zeros(V)
         cert = certify(mesh, u, v, density, config.eta, degree=0, t=1.0,

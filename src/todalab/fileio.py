@@ -136,12 +136,16 @@ def read_field_csv(path, expected_name=None, size=None):
     n = len(rows) - 1
     values = np.empty(n)
     seen = np.zeros(n, dtype=bool)
-    for row in rows[1:]:
-        idx_s, val_s = row.split(",")
-        idx = int(idx_s)
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            idx_s, val_s = row.split(",")
+            idx, val = int(idx_s), float(val_s)
+        except ValueError:
+            raise TodaError(f"field CSV {path} line {line} is not an "
+                            f"'index,value' row: {row!r}") from None
         if not 0 <= idx < n or seen[idx]:
             raise TodaError(f"field CSV {path} has bad vertex indexing")
-        values[idx] = float(val_s)
+        values[idx] = val
         seen[idx] = True
     if size is not None and len(values) != size:
         raise TodaError(f"field CSV {path} holds {len(values)} values for a "

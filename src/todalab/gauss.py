@@ -14,7 +14,8 @@ box the nonlinearity R(u) = e^{2u} - 1 + e^{-2u} f has derivative
 a monotone structure with a unique solution in the box.
 
 Two solvers are provided: a damped Newton iteration (fast, used by
-default) and a monotone fixed-point scheme (S + lam M) u+ = lam M u - M R(u)
+default; its loop is ``operators.damped_newton``, shared with the Ricci
+solver) and a monotone fixed-point scheme (S + lam M) u+ = lam M u - M R(u)
 whose iterates decrease from the supersolution u = 0, useful as an
 independent cross-check.
 """
@@ -120,42 +121,28 @@ def solve_gauss(problem, u0=None):
 
     The Jacobian S + M diag(R'(u)) is positive definite on the box because
     R' >= 0 there, so the Newton direction exists; it is solved by MINRES
-    preconditioned with the mesh's S + M factor (``operators.newton_solve``),
-    so no step factors the Jacobian.  Backtracking keeps the iterates in a
-    slightly inflated box.  Residuals are checked before the first step, so
-    exact warm starts return in zero iterations.
+    preconditioned with the mesh's S + M factor, so no step factors the
+    Jacobian.  The loop is ``operators.damped_newton``, whose backtracking
+    keeps the iterates in the box inflated by 0.1.  Residuals are checked
+    before the first step, so exact warm starts return in zero iterations.
     """
     mesh = problem.mesh
     ops = operators.of(mesh)
-    S, m = ops.S, ops.m
+    S, m, f = ops.S, ops.m, problem.f
     lower = problem.box_lower
-    u = warm_start(problem) if u0 is None else np.asarray(u0, dtype=float)
     pad = 0.1
 
-    for it in range(200):
-        res = gauss_residual(mesh, u, problem.f)
-        if res <= problem.tol:
-            return GaussSolution(u=u, residual_norm=res, iterations=it,
-                                 box_margin=_box_margin(u, lower))
-        F = S @ u + m * _reaction(u, problem.f)
-        J = S + sp.diags(m * _reaction_slope(u, problem.f))
-        step = operators.newton_solve(ops, J, -F, "gauss newton")
-        # Backtrack until the residual drops and u stays near the box.
-        t = 1.0
-        base = float(np.abs(F / m).max())
-        for _ in range(60):
-            cand = u + t * step
-            if (cand.min() >= lower - pad and cand.max() <= pad
-                    and gauss_residual(mesh, cand, problem.f) <= base):
-                break
-            t *= 0.5
-        else:
-            raise NonConvergence("gauss newton line search stalled")
-        u = u + t * step
+    def system(u):
+        return (S + sp.diags(m * _reaction_slope(u, f)),
+                -(S @ u + m * _reaction(u, f)))
 
-    raise NonConvergence(
-        f"gauss newton did not reach tol {problem.tol} in 200 iterations "
-        f"(last residual {res:.3e})")
+    u0 = warm_start(problem) if u0 is None else np.asarray(u0, dtype=float)
+    u, res, steps = operators.damped_newton(
+        ops, u0, lambda u: gauss_residual(mesh, u, f), system,
+        "gauss newton", problem.tol,
+        inside=lambda u: u.min() >= lower - pad and u.max() <= pad)
+    return GaussSolution(u=u, residual_norm=res, iterations=steps,
+                         box_margin=_box_margin(u, lower))
 
 
 def monotone_solve_gauss(problem, lam=4.0, max_iters=5000):

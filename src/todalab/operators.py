@@ -17,7 +17,9 @@ every solve with S or a shifted S on the mesh uses it: the Newton systems
 of the Gauss, J and Ricci solvers and the Green solves of the section
 densities by MINRES preconditioned with it (``newton_solve``), and
 ``eig_low`` as its shift-invert operator at sigma = -1.  So a mesh is
-factored once however many solves its solvers make.
+factored once however many solves its solvers make.  The Gauss and Ricci
+solvers share one damped-Newton loop, ``damped_newton``: its residual
+test, line search, iteration cap and failure messages.
 
 The systole is approximated on the edge graph: the shortest closed edge
 loop whose accumulated holonomy word is not the identity.  Every such loop
@@ -25,8 +27,8 @@ is at least as long as the translation length of its word, hence at least
 the true systole; the octagon side loops realize the true systole exactly
 at every refinement level, so for this family the bound is sharp.
 
-The search rests on five facts.  The first four keep the exact minimum;
-the fifth, the Bolza stop, keeps it up to rounding and ``validate``'s
+The search rests on four facts.  The first three keep the exact minimum;
+the fourth, the Bolza stop, keeps it up to rounding and ``validate``'s
 position tolerance.
 
 * Sources.  A loop's word is the product of its edge words, so a loop
@@ -44,14 +46,6 @@ position tolerance.
   edge).  A Dijkstra run capped at best/2 therefore still sees a loop
   shorter than the best so far whenever one passes through s; the cap
   used, best/2 plus the longest edge, leaves a margin for rounding.
-* Deck shift.  When the sheet shift v -> v + V/n (mod V) maps the edge
-  table with its lengths and the triangle table onto themselves, it is an
-  isometric automorphism of the complex: it preserves lengths and
-  contractibility, so every loop through a vertex has an image of equal
-  length and triviality through its sheet-0 representative, and only
-  sheet-0 sources are needed.  The condition is checked on the mesh
-  itself, so it holds for cyclic covers read back from JSON and fails
-  (falling back to all sources) for anything else.
 * Trace gap.  A candidate's holonomy is evaluated numerically in SU(1,1),
   where the identity has |trace| 2.  The surface group is torsion free and
   cocompact, so every other element is hyperbolic with translation length
@@ -288,6 +282,42 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False):
     return project(x) if zero_mean else x
 
 
+def damped_newton(ops, x, residual, system, name, tol, inside=None,
+                  max_iters=200):
+    """Damped Newton from x until residual(x) <= tol; returns
+    (x, residual(x), steps).
+
+    Each step solves system(x) = (A, b) by ``newton_solve`` and halves its
+    length, at most 60 times, until the candidate is ``inside`` (when
+    given) and its residual is no larger than the current one.  The
+    residual is checked before the first step, so an exact start returns
+    in zero steps.  Raises NonConvergence naming the solver when the line
+    search stalls or max_iters steps leave the residual above tol.
+    """
+    res = residual(x)
+    steps = 0
+    while res > tol:
+        if steps == max_iters:
+            raise NonConvergence(
+                f"{name} did not reach tol {tol} in {max_iters} iterations "
+                f"(last residual {res:.3e})")
+        A, b = system(x)
+        step = newton_solve(ops, A, b, name)
+        t = 1.0
+        for _ in range(60):
+            cand = x + t * step
+            if inside is None or inside(cand):
+                cand_res = residual(cand)
+                if cand_res <= res:
+                    break
+            t *= 0.5
+        else:
+            raise NonConvergence(f"{name} line search stalled")
+        x, res = cand, cand_res
+        steps += 1
+    return x, res, steps
+
+
 def volume(mesh):
     """Total hyperbolic area: the sum of the lumped vertex masses, which
     equals the sum of triangle angle defects up to rounding."""
@@ -429,35 +459,6 @@ def _compose(a1, b1, a2, b2):
     return a1 * a2 + b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
 
 
-def _sheet_size(mesh):
-    """Vertices per sheet if the sheet shift is a deck transformation, else 0.
-
-    A degree-n cover of the genus-2 surface has genus n + 1.  The shift
-    moves vertex v to (v + V/n) mod V, edge e to (e + E/n) mod E and
-    triangle t to (t + F/n) mod F; it is accepted when it carries the edge
-    table (with lengths) and the triangle table (corners, slot edges and
-    signs) onto themselves, i.e. when it is a length-preserving simplicial
-    automorphism.  Cyclic covers built by :func:`mesh.build_cover` pass,
-    also after a JSON round trip; any relabelled mesh simply fails.
-    """
-    n = mesh.genus - 1
-    V, E, F = mesh.num_vertices, mesh.num_edges, mesh.num_faces
-    if n < 2 or V % n or E % n or F % n:
-        return 0
-    dv, de, df = V // n, E // n, F // n
-
-    def shifted(table, rows, by, mod):
-        return np.array_equal(np.roll(table, -rows, axis=0), (table + by) % mod)
-
-    ok = (shifted(mesh.edges, de, dv, V)
-          and np.array_equal(np.roll(mesh.edge_lengths, -de), mesh.edge_lengths)
-          and shifted(mesh.triangles, df, dv, V)
-          and shifted(mesh.tri_edges, df, de, E)
-          and np.array_equal(np.roll(mesh.tri_edge_signs, -df, axis=0),
-                             mesh.tri_edge_signs))
-    return dv if ok else 0
-
-
 def _tree_word(mesh, pred, parent_edge, src, v):
     """Holonomy word of the shortest-path tree path from src to v."""
     steps = []
@@ -499,9 +500,6 @@ def systole(mesh):
     beta = table.matrices[table.ids, 0, 1]
     nontrivial = np.array([len(w) > 0 for w in table.words], dtype=bool)
     sources = np.unique(mesh.edges[nontrivial[table.ids]])
-    sheet = _sheet_size(mesh)
-    if sheet:
-        sources = np.unique(sources % sheet)
     slack = float(lengths.max())
 
     best = np.inf

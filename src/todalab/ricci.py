@@ -7,7 +7,10 @@ curvature constant c, the unknown v solves
 
 Integrating against the area form forces the mean identity
 avg(e^{-2u} e^{2v} rho) = c, which is impossible when rho vanishes
-identically but c > 0 (the integral obstruction).
+identically but c > 0 (the integral obstruction) and, when it does not
+vanish, unless c > 0.  ``RicciProblem`` refuses both cases and also the
+zero section at c = 0, where J is undefined, so no solver below checks
+the density again.
 
 Two routes are provided and cross-checked:
 
@@ -21,7 +24,8 @@ Two routes are provided and cross-checked:
   zero-mean fields when 2 sup e^{2v} F < lambda_1 (the stability
   hypothesis below) and may be indefinite otherwise;
 * a direct damped Newton iteration on the equation residual, used for
-  warm-started re-solves inside outer loops.
+  warm-started re-solves inside outer loops; its loop is
+  ``operators.damped_newton``, shared with the Gauss solver.
 
 Both Newton systems are symmetric and may be indefinite, so both are
 solved by MINRES preconditioned with the mesh's S + M factor
@@ -72,19 +76,18 @@ class RicciProblem:
         self.c = float(self.c)
         if not np.isfinite(self.c):
             raise ValueError("curvature constant c must be finite")
-        if self.density.is_zero and self.c > 0:
+        if self.density.is_zero:
             raise InfeasibleDegree(
-                "the section density vanishes identically while c > 0: "
-                "integrating the curvature equation over the closed surface "
-                "forces avg(e^{-2u} e^{2v} rho) = c, which fails for rho = 0")
-        if not self.density.is_zero and self.c <= 0:
+                "the section density vanishes identically: integrating the "
+                "curvature equation over the closed surface forces "
+                "avg(e^{-2u} e^{2v} rho) = c, so c > 0 fails for rho = 0, "
+                "and at c = 0 the variational functional is undefined")
+        if self.c <= 0:
             raise InfeasibleDegree(
                 f"c = {self.c:.6g} is not positive while the section density "
                 "does not vanish: integrating the curvature equation over "
                 "the closed surface forces avg(e^{-2u} e^{2v} rho) = c, "
                 "which is positive for rho >= 0 not identically 0")
-        if self.c < 0:
-            raise ValueError("curvature constant c must be nonnegative")
 
     def log_weight(self):
         """log F = log rho - 2u, the weight in front of e^{2v}."""
@@ -127,12 +130,6 @@ class StabilityReport:
         return {**asdict(self), "window_empty": self.window_empty}
 
 
-def _check_problem_nonzero(problem):
-    if problem.density.is_zero:
-        raise InfeasibleDegree(
-            "the variational functional is undefined for the zero section")
-
-
 def _check_zero_mean(problem, w):
     ops = operators.of(problem.mesh)
     mean = float(ops.m @ w) / ops.vol
@@ -142,7 +139,6 @@ def _check_zero_mean(problem, w):
 
 def eval_J(problem, w):
     """J(w) = ln avg(F e^{2w}) - (1/(c Vol)) w^T S w on zero-M-mean w."""
-    _check_problem_nonzero(problem)
     _check_zero_mean(problem, w)
     ops = operators.of(problem.mesh)
     log_avg = ops.log_mean(problem.log_weight() + 2.0 * w)
@@ -152,7 +148,6 @@ def eval_J(problem, w):
 
 def grad_J(problem, w):
     """Zero-M-mean projection of the M-gradient of J at w."""
-    _check_problem_nonzero(problem)
     ops = operators.of(problem.mesh)
     loga = problem.log_weight() + 2.0 * w
     log_total = operators.logsumexp(loga, b=ops.m)
@@ -214,7 +209,6 @@ def maximize_J(problem, max_iters=10000):
     where J no longer changes; STALL_STEPS such steps in a row raise
     NonConvergence.
     """
-    _check_problem_nonzero(problem)
     mesh = problem.mesh
     ops = operators.of(mesh)
     m, S, vol = ops.m, ops.S, ops.vol
@@ -293,47 +287,30 @@ def solve_ricci_newton(problem, v_init, max_iters=200):
     """Damped Newton on G(v) = -S v - M c + M F e^{2v} from a given seed.
 
     The Jacobian -S + 2 M diag(F e^{2v}) is indefinite; each step solves it
-    by MINRES preconditioned with the mesh's S + M factor
-    (``operators.newton_solve``), and backtracking controls the residual.
+    by MINRES preconditioned with the mesh's S + M factor, and the loop is
+    ``operators.damped_newton``, whose backtracking controls the residual.
     Converges in a couple of steps when seeded near a solution (e.g. at the
     variational maximizer) but, unlike the variational route, carries no
     global selection principle.
     """
-    _check_problem_nonzero(problem)
     ops = operators.of(problem.mesh)
-    m, S = ops.m, ops.S
-    v = np.asarray(v_init, dtype=float).copy()
+    m, S, c = ops.m, ops.S, problem.c
     logF = problem.log_weight()
 
-    for it in range(max_iters):
-        res = equation_residual(problem, v)
-        if res <= problem.tol:
-            break
+    def system(v):
         Fe = np.exp(logF + 2.0 * v)
-        G = -(S @ v) - m * problem.c + m * Fe
-        Jmat = -S + sp.diags(2.0 * m * Fe)
-        step = operators.newton_solve(ops, Jmat, -G, "ricci newton")
-        t = 1.0
-        base = res
-        for _ in range(60):
-            cand = v + t * step
-            if equation_residual(problem, cand) <= base:
-                break
-            t *= 0.5
-        else:
-            raise NonConvergence("ricci newton line search stalled")
-        v = v + t * step
-    else:
-        raise NonConvergence(
-            f"ricci newton did not reach tol {problem.tol} in {max_iters} "
-            f"iterations (last residual {res:.3e})")
+        return -S + sp.diags(2.0 * m * Fe), S @ v + m * c - m * Fe
 
+    v, _, steps = operators.damped_newton(
+        ops, np.array(v_init, dtype=float),
+        lambda v: equation_residual(problem, v), system, "ricci newton",
+        problem.tol, max_iters=max_iters)
     w = v - (m @ v) / ops.vol
     return RicciSolution(
         v=v, w=w, J_value=eval_J(problem, w),
         grad_norm=float(np.abs(grad_J(problem, w)).max()),
         mean_constraint_residual=mean_constraint_residual(problem, v),
-        iterations=it)
+        iterations=steps)
 
 
 # ----------------------------------------------------------------------

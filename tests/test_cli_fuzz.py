@@ -1,12 +1,14 @@
 """Bad flag values against every subcommand that takes them.
 
 Each case must end in exit 1 (domain error) or 2 (usage error) with a
-single ``error:`` or ``usage error:`` line on stderr: never a traceback,
-never a non-convergence report caused by the input, never exit 0.
+single ``error:`` or ``usage error:`` line on stderr (``verify: FAIL:``
+for a run that fails verification): never a traceback, never a
+non-convergence report caused by the input, never exit 0.
 """
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -113,3 +115,61 @@ def test_bad_input_is_one_error_line(name, workspace, tmp_path, capsys):
     # Output directories are never created on the way (only solve-coupled
     # makes its run directory, after a successful solve).
     assert os.listdir(tmp_path) == []
+
+
+@pytest.fixture(scope="module")
+def run_dir(workspace, tmp_path_factory):
+    """A solved run on the workspace mesh and density."""
+    out = tmp_path_factory.mktemp("fuzz_run")
+    argv = [arg.format(out=out, **workspace)
+            for arg in _solve("solve-coupled")]
+    assert main(argv) == 0
+    return str(out / "run")
+
+
+def _replace_row(path, row):
+    """Overwrite the row of vertex 1 (line 3) of a field CSV."""
+    with open(path) as handle:
+        rows = handle.read().splitlines()
+    rows[2] = row
+    with open(path, "w") as handle:
+        handle.write("\n".join(rows) + "\n")
+
+
+def _verify_failure(run, capsys):
+    """The one stderr line of a ``verify --run`` that must exit 1."""
+    assert main(["verify", "--run", run]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("verify: FAIL:")
+    return lines[0]
+
+
+@pytest.mark.parametrize("row", ["1,abc", "1,0.5,7", "x,0.5"])
+def test_malformed_field_row_fails_verify(row, run_dir, tmp_path, capsys):
+    run = str(tmp_path / "run")
+    shutil.copytree(run_dir, run)
+    path = os.path.join(run, "u.csv")
+    _replace_row(path, row)
+    assert f"{path} line 3 " in _verify_failure(run, capsys)
+
+
+def test_changed_density_fails_on_its_hash(run_dir, workspace, tmp_path,
+                                           capsys):
+    # The hashes are checked before the density is parsed, so a corrupted
+    # density file reports its hash, not a parse error.
+    run = str(tmp_path / "run")
+    shutil.copytree(run_dir, run)
+    density = str(tmp_path / "dens")
+    for ext in (".csv", ".json"):
+        shutil.copy(workspace["density"] + ext, density + ext)
+    _replace_row(density + ".csv", "1,abc")
+    manifest_path = os.path.join(run, "manifest.json")
+    with open(manifest_path) as handle:
+        manifest = json.load(handle)
+    manifest["density"] = density
+    with open(manifest_path, "w") as handle:
+        json.dump(manifest, handle)
+    assert "density_csv file hash changed" in _verify_failure(run, capsys)

@@ -116,6 +116,9 @@ def test_newton_far_seed_records_shift(problem):
     newt = R.solve_ricci_newton(problem, v_init=seed)
     assert np.abs(newt.v - seed).max() > 0.05
     assert R.equation_residual(problem, newt.v) < problem.tol
+    with pytest.raises(NonConvergence,
+                       match="^ricci newton did not reach tol"):
+        R.solve_ricci_newton(problem, seed, max_iters=1)
 
 
 def test_stability_window_empty(problem):
