@@ -145,7 +145,7 @@ def solve_gauss(problem, u0=None):
                          box_margin=_box_margin(u, lower))
 
 
-def monotone_solve_gauss(problem, lam=4.0, max_iters=5000):
+def monotone_solve_gauss(problem):
     """Monotone scheme from the supersolution u = 0: iterates nonincreasing.
 
     Solves (S + lam M) u+ = lam M u - M R(u) repeatedly.  The SPD matrix
@@ -159,9 +159,10 @@ def monotone_solve_gauss(problem, lam=4.0, max_iters=5000):
     mesh = problem.mesh
     ops = operators.of(mesh)
     m = ops.m
+    lam, sweeps = 4.0, 5000
     lu = operators.factor(ops.S + sp.diags(lam * m))
     u = np.zeros(mesh.num_vertices)
-    for it in range(max_iters):
+    for it in range(sweeps):
         res = gauss_residual(mesh, u, problem.f)
         if res <= problem.tol:
             return GaussSolution(u=u, residual_norm=res, iterations=it,
@@ -171,16 +172,16 @@ def monotone_solve_gauss(problem, lam=4.0, max_iters=5000):
         u = lu.solve(rhs)
     raise NonConvergence(
         f"monotone gauss scheme did not reach tol {problem.tol} in "
-        f"{max_iters} sweeps (last residual {res:.3e})")
+        f"{sweeps} sweeps (last residual {res:.3e})")
 
 
-def gauss_stability_probe(mesh, u, f, perturbation_scale=1e-6, seed=0):
+def gauss_stability_probe(mesh, u, f, seed=0):
     """Linearized stability at a solution plus a measured response ratio.
 
     Returns (min_eig, response) where min_eig is the smallest eigenvalue of
     the linearization S + M diag(R'(u)) in the M inner product (positive
     means the solution is strictly stable) and response is the measured
-    ||du||_inf / ||df||_inf under a random admissible perturbation of f.
+    ||du||_inf / ||df||_inf under a random admissible 1e-6 perturbation of f.
 
     min_eig comes from sparse shift-invert Lanczos at sigma = min R' - 1:
     S is PSD, so every eigenvalue is at least min R' > sigma, the shifted
@@ -193,7 +194,7 @@ def gauss_stability_probe(mesh, u, f, perturbation_scale=1e-6, seed=0):
     min_eig = float(operators.eigs_nearest(A, ops.m, sigma)[0])
 
     rng = np.random.default_rng(seed)
-    df = perturbation_scale * rng.standard_normal(mesh.num_vertices)
+    df = 1e-6 * rng.standard_normal(mesh.num_vertices)
     f2 = np.clip(f + df, 0.0, None)
     eta = 1.0
     bound = admissible_bound(eta)

@@ -26,8 +26,11 @@ level 5), so the word work is done once per distinct word:
 :meth:`HyperbolicMesh.word_table` numbers them and keeps one SU(1,1)
 matrix each, :func:`build_cover` takes one sheet permutation per word and
 fills the cell tables sheet by sheet with array operations, and
-``validate`` Dehn-reduces each distinct triple of slot words and signs
-once.
+:meth:`HyperbolicMesh.slot_triples` numbers the distinct triples of slot
+words and signs (86 among the 8192 triangles at level 5): ``validate``
+Dehn-reduces one triangle product per triple and :func:`refine` builds
+one set of medial words per triple, its other tables being index
+arithmetic on the slot arrays.
 
 Serialization: a mesh file is one JSON object with the keys ``genus``,
 ``level``, ``vertices``, ``triangles``, ``tri_edges`` and
@@ -54,6 +57,10 @@ import numpy as np
 
 from . import group, hyperbolic
 from .errors import DisconnectedCoverError, MeshError, RelatorError
+
+# Largest accepted gap between an edge's stored length and the disk
+# distance of its drawn representative.
+POSITION_TOL = 1e-8
 
 
 @dataclass
@@ -137,8 +144,18 @@ class HyperbolicMesh:
                                   dtype=complex).reshape(-1, 2, 2))
         return self._cache["words"]
 
+    def slot_triples(self):
+        """(first, triple): the distinct triples of slot words and signs,
+        the only data a triangle's holonomy words depend on.  first[i] is
+        the first triangle with triple i, triple[t] the triple of t."""
+        code = 2 * self.word_table().ids[self.tri_edges] \
+            + (self.tri_edge_signs < 0)
+        _, first, triple = np.unique(code, axis=0, return_index=True,
+                                     return_inverse=True)
+        return first.tolist(), triple.reshape(-1)
+
     # -------------------------------------------------- validation
-    def validate(self, position_tol=1e-8):
+    def validate(self):
         """Check all structural invariants; raise MeshError on failure."""
         V, E = self.num_vertices, self.num_edges
         if self.euler_characteristic != 2 - 2 * self.genus:
@@ -181,28 +198,24 @@ class HyperbolicMesh:
             t = int(np.flatnonzero(~strict.all(axis=1))[0])
             raise MeshError(f"triangle {t} violates the triangle inequality")
 
-        # holonomy: triangle products are the identity; a triangle's product
-        # depends only on its slots' words and signs, so each distinct
-        # triple of them is Dehn-reduced once, at its first triangle
-        code = 2 * self.word_table().ids[slot_edges] + (signs < 0)
-        _, first, inverse = np.unique(code, axis=0, return_index=True,
-                                      return_inverse=True)
-        trivial = np.array([group.is_identity(self.triangle_word(int(t)))
+        # holonomy: triangle products are the identity, Dehn-reduced once
+        # per distinct triple of slot words and signs
+        first, triple = self.slot_triples()
+        trivial = np.array([group.is_identity(self.triangle_word(t))
                             for t in first])
-        bad = ~trivial[inverse.reshape(-1)]
+        bad = ~trivial[triple]
         if bad.any():
             t = int(np.flatnonzero(bad)[0])
             raise MeshError(f"triangle {t} has non-identity holonomy product")
 
         # drawn geometry consistent with stored lengths
-        if position_tol is not None:
-            defect = self._length_defects()
-            bad = ~(defect <= position_tol)
-            if bad.any():
-                e = int(np.flatnonzero(bad)[0])
-                raise MeshError(
-                    f"drawn length of edge {e} deviates from its stored "
-                    f"length by {defect[e]:.3e}")
+        defect = self._length_defects()
+        bad = ~(defect <= POSITION_TOL)
+        if bad.any():
+            e = int(np.flatnonzero(bad)[0])
+            raise MeshError(
+                f"drawn length of edge {e} deviates from its stored "
+                f"length by {defect[e]:.3e}")
         return True
 
     def drawn_heads(self):
@@ -306,103 +319,77 @@ def build_base_surface(refinement=0):
 def refine(mesh):
     """Split every triangle 1->4 at geodesic edge midpoints.
 
-    New vertex ids: midpoint of edge e gets id V + e.  New edge ids: the two
-    halves of edge e are e (tail half) and E + e (head half); the medial
-    edge of triangle t joining the midpoints of slots k and k+1 is
-    2E + 3t + k.  Midpoint positions are disk midpoints of the drawn
-    representatives; medial lengths are intrinsic (hyperboloid model).
+    Child numbering, for a parent with V vertices, E edges and F triangles:
+    vertex v keeps its id and the midpoint of edge e is V + e; the halves of
+    edge e are e (tail -> midpoint, identity word) and E + e (midpoint ->
+    head, the word of e); the medial edge of triangle t joining the
+    midpoints of slots k and k+1 is 2E + 3t + k; triangle t becomes the
+    corner triangles 4t + k = (v_k, mid_k, mid_{k-1}) and the central
+    triangle 4t + 3 = (mid_0, mid_1, mid_2).  Midpoint positions are disk
+    midpoints of the drawn representatives; medial lengths are intrinsic
+    (hyperboloid model).  Medial words depend only on a triangle's slot
+    words and signs, so they are built once per distinct triple.
     """
     V, E, F = mesh.num_vertices, mesh.num_edges, mesh.num_faces
-
-    # midpoint positions from drawn representatives
     mid_pos = hyperbolic.disk_midpoint(mesh.positions[mesh.edges[:, 0]],
                                        mesh.drawn_heads())
-    positions = np.concatenate([mesh.positions, mid_pos])
-
-    # half edges: tail half keeps the identity word, head half carries the
-    # original word (canonical representative runs tail -> gamma.head)
-    half_len = mesh.edge_lengths / 2.0
-    edges = [None] * (2 * E + 3 * F)
-    lengths = np.empty(2 * E + 3 * F, dtype=float)
-    words = [None] * (2 * E + 3 * F)
-    for e in range(E):
-        tail, head = mesh.edges[e]
-        edges[e] = (tail, V + e)
-        lengths[e] = half_len[e]
-        words[e] = ()
-        edges[E + e] = (V + e, head)
-        lengths[E + e] = half_len[e]
-        words[E + e] = mesh.edge_words[e]
-
-    # medial lengths, intrinsically per triangle
-    sl = mesh.slot_lengths()
-    m0, m1, m2 = hyperbolic.medial_lengths(sl[:, 0], sl[:, 1], sl[:, 2])
-    med_len = np.stack([m0, m1, m2], axis=1)
+    med_len = np.stack(hyperbolic.medial_lengths(*mesh.slot_lengths().T),
+                       axis=1)
     if not np.isfinite(med_len).all() or not (med_len > 0).all():
         raise MeshError("degenerate triangle produced by refinement")
 
-    triangles = np.empty((4 * F, 3), dtype=np.int64)
-    tri_edges = np.empty((4 * F, 3), dtype=np.int64)
-    tri_signs = np.empty((4 * F, 3), dtype=np.int64)
+    # per slot k: its midpoint, its halves at corners k and k+1, its sign
+    # and the medial edge from its midpoint
+    slots, forward = mesh.tri_edges, mesh.tri_edge_signs > 0
+    mid = V + slots
+    near = slots + np.where(forward, 0, E)
+    far = slots + np.where(forward, E, 0)
+    sign = np.where(forward, 1, -1)
+    medial = 2 * E + np.arange(3 * F).reshape(F, 3)
 
-    for t in range(F):
-        e_slot = mesh.tri_edges[t]
-        s_slot = mesh.tri_edge_signs[t]
-        v = mesh.triangles[t]
-        mid = V + e_slot  # midpoint vertex id of each slot
+    def prev(a):
+        """Entry k-1 at slot k."""
+        return np.roll(a, 1, axis=1)
 
-        # corner words h_k and midpoint frame words mu_k: the midpoint of
-        # slot k is drawn at mu_k . position(mid_k) with mu_k = h_k for a
-        # forward slot and h_{k+1} for a backward slot
+    def children(corner, central):
+        """(4F, 3) rows: corner triangles 4t + k, then central 4t + 3."""
+        return np.concatenate([np.stack(corner, axis=2), central[:, None]],
+                              axis=1).reshape(4 * F, 3)
+
+    # the midpoint of slot k is drawn at mu_k . position(mid_k), with mu_k
+    # the corner word h_k of a forward slot and h_{k+1} of a backward one
+    first, triple = mesh.slot_triples()
+
+    def medial_words(t):
         h = mesh.corner_words(t)
-        mu = [h[k] if s_slot[k] > 0 else h[(k + 1) % 3] for k in range(3)]
+        mu = [h[k] if forward[t, k] else h[(k + 1) % 3] for k in range(3)]
+        return [group.concat(group.inverse_word(mu[k]), mu[(k + 1) % 3])
+                for k in range(3)]
 
-        for k in range(3):
-            med = 2 * E + 3 * t + k
-            edges[med] = (mid[k], mid[(k + 1) % 3])
-            lengths[med] = med_len[t, k]
-            words[med] = group.concat(group.inverse_word(mu[k]), mu[(k + 1) % 3])
-
-        for k in range(3):
-            # corner triangle at corner k: (v_k, mid_k, mid_{k-1})
-            km1 = (k + 2) % 3
-            row = 4 * t + k
-            triangles[row] = (v[k], mid[k], mid[km1])
-            # slot 0: v_k -> mid_k along edge e_slot[k]
-            if s_slot[k] > 0:
-                tri_edges[row, 0] = e_slot[k]          # tail half, forward
-                tri_signs[row, 0] = 1
-            else:
-                tri_edges[row, 0] = E + e_slot[k]      # head half, backward
-                tri_signs[row, 0] = -1
-            # slot 1: mid_k -> mid_{k-1} = medial edge km1 reversed
-            tri_edges[row, 1] = 2 * E + 3 * t + km1
-            tri_signs[row, 1] = -1
-            # slot 2: mid_{k-1} -> v_k along edge e_slot[k-1]
-            if s_slot[km1] > 0:
-                tri_edges[row, 2] = E + e_slot[km1]    # head half, forward
-                tri_signs[row, 2] = 1
-            else:
-                tri_edges[row, 2] = e_slot[km1]        # tail half, backward
-                tri_signs[row, 2] = -1
-        # central triangle (mid_0, mid_1, mid_2)
-        row = 4 * t + 3
-        triangles[row] = (mid[0], mid[1], mid[2])
-        for k in range(3):
-            tri_edges[row, k] = 2 * E + 3 * t + k
-            tri_signs[row, k] = 1
+    words = np.fromiter(
+        itertools.chain.from_iterable(medial_words(t) for t in first),
+        dtype=object, count=3 * len(first)).reshape(-1, 3)
+    midpoints = np.arange(V, V + E)
+    half_len = mesh.edge_lengths / 2.0
 
     return HyperbolicMesh(
         genus=mesh.genus,
         level=mesh.level + 1,
-        triangles=triangles,
-        tri_edges=tri_edges,
-        tri_edge_signs=tri_signs,
-        edges=np.array(edges, dtype=np.int64),
-        edge_lengths=lengths,
-        edge_words=words,
-        positions=positions,
-        base_vertex=None,
+        # corner k runs v_k -> mid_k -> mid_{k-1} -> v_k: along the near
+        # half of slot k, back along medial edge k-1, along the far half
+        # of slot k-1
+        triangles=children([mesh.triangles, mid, prev(mid)], mid),
+        tri_edges=children([near, prev(medial), prev(far)], medial),
+        tri_edge_signs=children([sign, -np.ones_like(sign), prev(sign)],
+                                np.ones_like(sign)),
+        edges=np.concatenate([
+            np.column_stack([mesh.edges[:, 0], midpoints]),
+            np.column_stack([midpoints, mesh.edges[:, 1]]),
+            np.stack([mid, np.roll(mid, -1, axis=1)], axis=2).reshape(-1, 2)]),
+        edge_lengths=np.concatenate([half_len, half_len, med_len.ravel()]),
+        edge_words=([()] * E + list(mesh.edge_words)
+                    + words[triple].ravel().tolist()),
+        positions=np.concatenate([mesh.positions, mid_pos]),
     )
 
 

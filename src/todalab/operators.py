@@ -169,15 +169,15 @@ class Operators:
         """ln of the M-average of e^x, without overflow."""
         return logsumexp(x, b=self.m) - np.log(self.vol)
 
-    def low_eigenvalues(self, tol=1e-9, seed=0):
-        """(lambda0, lambda1) from ``eig_low(k=2)``, once per (tol, seed)."""
-        if (tol, seed) not in self._low:
-            vals = eig_low(self.mesh, k=2, tol=tol, seed=seed)[0]
+    def low_eigenvalues(self, seed=0):
+        """(lambda0, lambda1) from ``eig_low(k=2)``, once per seed."""
+        if seed not in self._low:
+            vals = eig_low(self.mesh, k=2, seed=seed)[0]
             if not np.isfinite(vals).all():
                 raise NonConvergence(
                     "eigensolver returned non-finite eigenvalues")
-            self._low[tol, seed] = (float(vals[0]), float(vals[1]))
-        return self._low[tol, seed]
+            self._low[seed] = (float(vals[0]), float(vals[1]))
+        return self._low[seed]
 
     @cached_property
     def screened_lu(self):
@@ -349,13 +349,15 @@ def stiffness(mesh):
 # growing as V^3 and V^2).
 DENSE_FALLBACK_MAX_V = 1024
 
+EIG_TOL = 1e-9  # relative accuracy asked of ARPACK in eig_low
+
 
 def _start_vector(V, seed):
     rng = np.random.default_rng(seed)
     return np.ones(V) + 0.01 * rng.standard_normal(V)
 
 
-def eig_low(mesh, k=2, tol=1e-9, seed=0):
+def eig_low(mesh, k=2, seed=0):
     """Smallest k generalized eigenpairs of S x = lambda M x, ascending.
 
     Shift-invert Lanczos at sigma = -1, where S - sigma M is the bundle's
@@ -375,7 +377,7 @@ def eig_low(mesh, k=2, tol=1e-9, seed=0):
     try:
         vals, vecs = spla.eigsh(S, k=k, M=M, sigma=-1.0, which="LM",
                                 OPinv=screened_inverse,
-                                v0=_start_vector(V, seed), tol=tol)
+                                v0=_start_vector(V, seed), tol=EIG_TOL)
     except RuntimeError as exc:
         if V > DENSE_FALLBACK_MAX_V:
             raise NonConvergence(
@@ -435,20 +437,19 @@ class SpectralReport:
     lambda1: float
     systole: float
     volume: float
-    eigen_tolerance: float
     seed: int
 
     def to_dict(self):
         return {"lambda0": self.lambda0, "lambda1": self.lambda1,
                 "systole": self.systole, "volume": self.volume,
-                "tol": self.eigen_tolerance, "seed": self.seed}
+                "tol": EIG_TOL, "seed": self.seed}
 
 
-def spectral_gap(mesh, tol=1e-9, seed=0):
+def spectral_gap(mesh, seed=0):
     """Smallest two Laplace eigenvalues plus systole and volume."""
-    lam0, lam1 = of(mesh).low_eigenvalues(tol, seed)
+    lam0, lam1 = of(mesh).low_eigenvalues(seed)
     return SpectralReport(lambda0=lam0, lambda1=lam1, systole=systole(mesh),
-                          volume=volume(mesh), eigen_tolerance=tol, seed=seed)
+                          volume=volume(mesh), seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -554,7 +555,7 @@ def systole(mesh):
     return float(best)
 
 
-def graph_distances(mesh, src, cap=np.inf):
-    """Single-source graph distances along edge lengths; np.inf beyond cap."""
+def graph_distances(mesh, src):
+    """Single-source graph distances along edge lengths."""
     graph, _, _ = of(mesh).path_graph
-    return csgraph.dijkstra(graph, indices=src, limit=cap)
+    return csgraph.dijkstra(graph, indices=src)

@@ -198,8 +198,10 @@ def lift_density(base, cover_mesh):
         raise TodaError("cover mesh carries no covering map")
     if cover_map.shape != (cover_mesh.num_vertices,):
         raise TodaError("covering map has the wrong size for the cover mesh")
-    if len(cover_map) % base.mesh.num_vertices != 0:
-        raise TodaError("cover/base vertex counts are incompatible")
+    V = base.mesh.num_vertices
+    if len(cover_map) % V or not 0 <= cover_map.min() <= cover_map.max() < V:
+        raise TodaError(f"the cover mesh ({len(cover_map)} vertices) does "
+                        f"not cover the base mesh ({V} vertices)")
 
     ld = base.log_density[cover_map]
     base_div = dict(base.divisor.entries)

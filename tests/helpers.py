@@ -1,6 +1,6 @@
 """Shared fixtures: deck-invariant smooth bump fields built from positions,
-the reference systole search, cover construction, mesh JSON encoder and
-direct Newton step, and the dense stability oracles."""
+the reference systole search, cover construction, refinement, mesh JSON
+encoder and direct Newton step, and the dense stability oracles."""
 
 import heapq
 import json
@@ -15,7 +15,7 @@ from todalab import hyperbolic as H
 from todalab import mesh as mesh_module
 from todalab import operators
 from todalab import ricci
-from todalab.errors import NonConvergence
+from todalab.errors import MeshError, NonConvergence
 
 
 def enumerate_translates(cutoff, max_len=3):
@@ -206,6 +206,108 @@ def reference_build_cover(mesh, spec):
         tri_edges=tri_edges, tri_edge_signs=tri_signs, edges=edges,
         edge_lengths=lengths, edge_words=words, positions=positions,
         base_vertex=base_vertex)
+
+
+# ----------------------------------------------------------------------
+# Reference refinement: the per-edge and per-triangle loop, with word
+# concatenations for every triangle, that ``mesh.refine`` replaces by index
+# arithmetic on the slot arrays and one medial-word pass per distinct slot
+# triple.  It must give equal arrays and words.
+
+def reference_refine(mesh):
+    """``mesh.refine`` one triangle at a time."""
+    V, E, F = mesh.num_vertices, mesh.num_edges, mesh.num_faces
+
+    # midpoint positions from drawn representatives
+    mid_pos = H.disk_midpoint(mesh.positions[mesh.edges[:, 0]],
+                              mesh.drawn_heads())
+    positions = np.concatenate([mesh.positions, mid_pos])
+
+    # half edges: tail half keeps the identity word, head half carries the
+    # original word (canonical representative runs tail -> gamma.head)
+    half_len = mesh.edge_lengths / 2.0
+    edges = [None] * (2 * E + 3 * F)
+    lengths = np.empty(2 * E + 3 * F, dtype=float)
+    words = [None] * (2 * E + 3 * F)
+    for e in range(E):
+        tail, head = mesh.edges[e]
+        edges[e] = (tail, V + e)
+        lengths[e] = half_len[e]
+        words[e] = ()
+        edges[E + e] = (V + e, head)
+        lengths[E + e] = half_len[e]
+        words[E + e] = mesh.edge_words[e]
+
+    # medial lengths, intrinsically per triangle
+    sl = mesh.slot_lengths()
+    m0, m1, m2 = H.medial_lengths(sl[:, 0], sl[:, 1], sl[:, 2])
+    med_len = np.stack([m0, m1, m2], axis=1)
+    if not np.isfinite(med_len).all() or not (med_len > 0).all():
+        raise MeshError("degenerate triangle produced by refinement")
+
+    triangles = np.empty((4 * F, 3), dtype=np.int64)
+    tri_edges = np.empty((4 * F, 3), dtype=np.int64)
+    tri_signs = np.empty((4 * F, 3), dtype=np.int64)
+
+    for t in range(F):
+        e_slot = mesh.tri_edges[t]
+        s_slot = mesh.tri_edge_signs[t]
+        v = mesh.triangles[t]
+        mid = V + e_slot  # midpoint vertex id of each slot
+
+        # corner words h_k and midpoint frame words mu_k: the midpoint of
+        # slot k is drawn at mu_k . position(mid_k) with mu_k = h_k for a
+        # forward slot and h_{k+1} for a backward slot
+        h = mesh.corner_words(t)
+        mu = [h[k] if s_slot[k] > 0 else h[(k + 1) % 3] for k in range(3)]
+
+        for k in range(3):
+            med = 2 * E + 3 * t + k
+            edges[med] = (mid[k], mid[(k + 1) % 3])
+            lengths[med] = med_len[t, k]
+            words[med] = G.concat(G.inverse_word(mu[k]), mu[(k + 1) % 3])
+
+        for k in range(3):
+            # corner triangle at corner k: (v_k, mid_k, mid_{k-1})
+            km1 = (k + 2) % 3
+            row = 4 * t + k
+            triangles[row] = (v[k], mid[k], mid[km1])
+            # slot 0: v_k -> mid_k along edge e_slot[k]
+            if s_slot[k] > 0:
+                tri_edges[row, 0] = e_slot[k]          # tail half, forward
+                tri_signs[row, 0] = 1
+            else:
+                tri_edges[row, 0] = E + e_slot[k]      # head half, backward
+                tri_signs[row, 0] = -1
+            # slot 1: mid_k -> mid_{k-1} = medial edge km1 reversed
+            tri_edges[row, 1] = 2 * E + 3 * t + km1
+            tri_signs[row, 1] = -1
+            # slot 2: mid_{k-1} -> v_k along edge e_slot[k-1]
+            if s_slot[km1] > 0:
+                tri_edges[row, 2] = E + e_slot[km1]    # head half, forward
+                tri_signs[row, 2] = 1
+            else:
+                tri_edges[row, 2] = e_slot[km1]        # tail half, backward
+                tri_signs[row, 2] = -1
+        # central triangle (mid_0, mid_1, mid_2)
+        row = 4 * t + 3
+        triangles[row] = (mid[0], mid[1], mid[2])
+        for k in range(3):
+            tri_edges[row, k] = 2 * E + 3 * t + k
+            tri_signs[row, k] = 1
+
+    return mesh_module.HyperbolicMesh(
+        genus=mesh.genus,
+        level=mesh.level + 1,
+        triangles=triangles,
+        tri_edges=tri_edges,
+        tri_edge_signs=tri_signs,
+        edges=np.array(edges, dtype=np.int64),
+        edge_lengths=lengths,
+        edge_words=words,
+        positions=positions,
+        base_vertex=None,
+    )
 
 
 # ----------------------------------------------------------------------

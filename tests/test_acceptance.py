@@ -1,4 +1,4 @@
-"""Acceptance suite: eight end-to-end checks with frozen tolerances.
+"""Acceptance suite: nine end-to-end checks with frozen tolerances.
 
 Each test corresponds to one advertised capability of the package and
 asserts both the numerical tolerances and a wall-clock budget.  The
@@ -52,6 +52,45 @@ def test_geometry_base_and_cover():
         cover_vals, _ = ops.eig_low(cover, k=20)
         for lam in base_vals:
             assert np.abs(cover_vals - lam).min() <= 1e-6
+    assert clock.elapsed <= 30.0
+
+
+# Low Laplace spectrum of the smooth Bolza surface (Strohmaier & Uski,
+# Comm. Math. Phys. 317 (2013)): lambda_1 with multiplicity 3, then a
+# cluster of multiplicity 4.
+BOLZA_LAMBDA1 = 3.8388872588
+BOLZA_LAMBDA_CLUSTER2 = 5.3536
+
+
+def test_spectrum_converges_to_bolza():
+    with Stopwatch() as clock:
+        vals = {level: ops.eig_low(build_base_surface(level), k=9)[0]
+                for level in (3, 4, 5)}
+
+        def equal(a, b):
+            return abs(a - b) <= 1e-9 * abs(a)
+
+        for lam in vals.values():
+            # lambda_1 .. lambda_3 split 1 + 2, lambda_4 .. lambda_7 split
+            # 2 + 2, and the clusters stand apart
+            assert equal(lam[2], lam[3]) and not equal(lam[1], lam[2])
+            assert equal(lam[4], lam[5]) and equal(lam[6], lam[7])
+            assert not equal(lam[5], lam[6])
+            assert lam[4] - lam[3] > 1.0 and lam[8] - lam[7] > 1.0
+
+        # lambda_1 converges from above at O(h^2): its error falls by at
+        # least 3 per level, and Richardson extrapolation from levels 4
+        # and 5 lands near the smooth value
+        error = {level: lam[1] - BOLZA_LAMBDA1 for level, lam in vals.items()}
+        assert error[5] > 0
+        assert error[3] >= 3 * error[4] and error[4] >= 3 * error[5]
+
+        def richardson(i):
+            return (4 * vals[5][i] - vals[4][i]) / 3
+
+        assert abs(richardson(1) - BOLZA_LAMBDA1) <= 5e-4
+        for i in (4, 6):
+            assert abs(richardson(i) - BOLZA_LAMBDA_CLUSTER2) <= 2e-3
     assert clock.elapsed <= 30.0
 
 

@@ -17,13 +17,20 @@ from todalab.cli import main
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Level-2 base mesh, a degree-4 density on it and config files with
-    values of the wrong JSON type."""
+    """Level-2 base mesh, a degree-4 density on it, its 2-cover, a level-0
+    mesh with a degree-4 density, and config files with values of the
+    wrong JSON type."""
     root = tmp_path_factory.mktemp("fuzz")
     mesh, density = str(root / "base.json"), str(root / "dens")
+    cover = str(root / "cover.json")
+    mesh0, density0 = str(root / "base0.json"), str(root / "dens0")
     assert main(["mesh", "--refine", "2", "-o", mesh]) == 0
     assert main(["section", "--mesh", mesh, "--divisor", "0:1,1:1,5:1,20:1",
                  "-o", density]) == 0
+    assert main(["cover", "--mesh", mesh, "--n", "2", "-o", cover]) == 0
+    assert main(["mesh", "--refine", "0", "-o", mesh0]) == 0
+    assert main(["section", "--mesh", mesh0, "--divisor", "0:2,1:2",
+                 "-o", density0]) == 0
     configs = {}
     for name, config in (("tol_list", {"tol": [1]}),
                          ("tol_null", {"tol": None}),
@@ -31,7 +38,8 @@ def workspace(tmp_path_factory):
         configs[name] = str(root / f"{name}.json")
         with open(configs[name], "w") as handle:
             json.dump(config, handle)
-    return {"mesh": mesh, "density": density, **configs}
+    return {"mesh": mesh, "density": density, "cover": cover,
+            "mesh0": mesh0, "density0": density0, **configs}
 
 
 def _solve(command, *flags):
@@ -98,6 +106,14 @@ CASES = {
                          "--divisor expects integer vertex:mult pairs"),
     "divisor-bad-mult": (_section("0:x"), 2,
                          "--divisor expects integer vertex:mult pairs"),
+    # The cover's vertex count is a multiple of the base's, but its
+    # covering map names vertices the base mesh does not have.
+    "balanced-base-mismatch": (
+        ["section", "--mesh", "{cover}", "--balanced", "--base-mesh",
+         "{mesh0}", "--base-density", "{density0}", "--zero-vertex", "3",
+         "-o", "{out}/d"], 1,
+        "the cover mesh (124 vertices) does not cover the base mesh "
+        "(2 vertices)"),
 }
 
 

@@ -7,13 +7,15 @@ import re
 import numpy as np
 import pytest
 
-from helpers import reference_build_cover, reference_mesh_json
+from helpers import (reference_build_cover, reference_mesh_json,
+                     reference_refine)
 from todalab import group as G
 from todalab import hyperbolic as H
 from todalab import operators as ops
 from todalab.errors import DisconnectedCoverError, MeshError, RelatorError
 from todalab.mesh import (CoverSpec, build_base_surface, build_cover,
-                          mesh_from_dict, mesh_from_json, mesh_to_json)
+                          mesh_from_dict, mesh_from_json, mesh_to_json,
+                          refine)
 
 # (V, E, F) per refinement level, from V' = V + E, E' = 2E + 3F, F' = 4F.
 LEVEL_COUNTS = {0: (2, 12, 8), 1: (14, 48, 32), 2: (62, 192, 128),
@@ -232,19 +234,41 @@ COVER_SPECS = pytest.mark.parametrize("spec", [
     ids=["cyclic1", "cyclic2", "cyclic3", "nonabelian3"])
 
 
+def assert_same_mesh(got, want):
+    """Equal arrays (with dtypes), words, genus and level."""
+    for name in ("triangles", "tri_edges", "tri_edge_signs", "edges",
+                 "edge_lengths", "positions", "base_vertex"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.edge_words == want.edge_words
+    assert (got.genus, got.level) == (want.genus, want.level)
+
+
 @pytest.mark.parametrize("level", range(4))
 @COVER_SPECS
 def test_cover_matches_reference_loops(meshes, level, spec):
     cover = build_cover(meshes[level], spec)
     expected = reference_build_cover(meshes[level], spec)
-    for name in ("triangles", "tri_edges", "tri_edge_signs", "edges",
-                 "edge_lengths", "positions", "base_vertex"):
-        got, want = getattr(cover, name), getattr(expected, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
-    assert cover.edge_words == expected.edge_words
-    assert (cover.genus, cover.level) == (expected.genus, expected.level)
+    assert_same_mesh(cover, expected)
     assert mesh_to_json(cover) == mesh_to_json(expected)
     cover.validate()
+
+
+def test_refine_matches_reference_loops(meshes):
+    # Base levels 1-5, and the refinement of a 2-cover, whose conjugated
+    # words give more distinct slot triples than any base level.
+    parents = [meshes[level] for level in range(4)]
+    parents.append(build_base_surface(4))
+    cover = build_cover(meshes[2], CoverSpec.cyclic(2))
+    assert len(cover.slot_triples()[0]) > max(
+        len(m.slot_triples()[0]) for m in parents)
+    for parent in parents + [cover]:
+        fine = refine(parent)
+        assert_same_mesh(fine, reference_refine(parent))
+        fine.validate()
 
 
 def test_position_length_defect_matches_edge_loop(meshes):
