@@ -17,9 +17,14 @@ every solve with S or a shifted S on the mesh uses it: the Newton systems
 of the Gauss, J and Ricci solvers and the Green solves of the section
 densities by MINRES preconditioned with it (``newton_solve``), and
 ``eig_low`` as its shift-invert operator at sigma = -1.  So a mesh is
-factored once however many solves its solvers make.  The Gauss and Ricci
-solvers share one damped-Newton loop, ``damped_newton``: its residual
-test, line search, iteration cap and failure messages.
+factored once however many solves its solvers make, and a solve's cost is
+its number of preconditioner solves.  The Green solves run MINRES to
+NEWTON_RTOL.  The Newton steps are inexact (Eisenstat & Walker, SIAM J.
+Sci. Comput. 17, 1996): ``forcing`` sets each step's rtol from the outer
+residuals, so no inner system is solved more accurately than the outer
+test can use.  The Gauss and Ricci solvers share one damped-Newton loop,
+``damped_newton``: its residual test, line search, iteration cap, forcing
+and failure messages.
 
 The systole is approximated on the edge graph: the shortest closed edge
 loop whose accumulated holonomy word is not the identity.  Every such loop
@@ -229,13 +234,35 @@ def factor(A):
                      options=dict(SymmetricMode=True))
 
 
-# Relative residual and iteration cap of the Newton MINRES solves.  With the
-# S + M preconditioner they take 10-14 iterations on levels 2-5.
+# Relative residual of an exact MINRES solve (the Green solves) and the
+# iteration cap of every MINRES solve.  With the S + M preconditioner an
+# exact solve takes 10-14 iterations on levels 2-5, a Newton step at the
+# rtol of ``forcing`` 5-8.
 NEWTON_RTOL = 1e-13
 NEWTON_MAXITER = 300
+# Largest rtol ``forcing`` asks of a Newton step.  A cap of 1e-2 stalls the
+# Ricci line search, which tests the max-norm of the residual, at 1.3e-7.
+FORCING_CAP = 1e-6
 
 
-def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False):
+def forcing(res, prev, tol):
+    """rtol of the next inexact Newton step: Eisenstat & Walker's choice 2,
+    min(FORCING_CAP, max(0.9 (res/prev)^2, 1e-3 tol/res)).
+
+    res and prev are the outer residuals now and before the last step
+    (prev is None before the first step, which gets the cap); tol is the
+    outer tolerance.  0.9 (res/prev)^2 tightens the solve as Newton
+    converges; the floor keeps rtol * res, about the linear residual the
+    step leaves, from going below 1e-3 tol, which the outer test cannot
+    see.
+    """
+    if prev is None:
+        return FORCING_CAP
+    return min(FORCING_CAP, max(0.9 * (res / prev) ** 2, 1e-3 * tol / res))
+
+
+def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False,
+                 rtol=NEWTON_RTOL):
     """Solve the symmetric Newton system (A + q q^T) x = b by MINRES.
 
     The Green solves S x = b on zero-mean fields go through it too.  A is
@@ -248,9 +275,10 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False):
 
     MINRES (Paige & Saunders 1975) handles indefinite systems with an SPD
     preconditioner; here that is the bundle's factor of S + M, so no Newton
-    step or Green solve factors anything.  Raises NonConvergence naming the
-    solver when MINRES stops without reaching NEWTON_RTOL or returns a
-    non-finite x.
+    step or Green solve factors anything.  MINRES stops at relative
+    residual rtol (NEWTON_RTOL by default; the Newton loops pass
+    ``forcing``).  Raises NonConvergence naming the solver when MINRES stops
+    without reaching rtol or returns a non-finite x.
     """
     V = A.shape[0]
     m, vol = ops.m, ops.vol
@@ -273,12 +301,12 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False):
     op = spla.LinearOperator((V, V), matvec=matvec, dtype=float)
     precond = spla.LinearOperator((V, V), matvec=ops.screened_lu.solve,
                                   dtype=float)
-    x, info = spla.minres(op, b, rtol=NEWTON_RTOL, maxiter=NEWTON_MAXITER,
+    x, info = spla.minres(op, b, rtol=rtol, maxiter=NEWTON_MAXITER,
                           M=precond)
     if info != 0 or not np.isfinite(x).all():
         raise NonConvergence(
             f"{name}: MINRES on the Newton system stopped without reaching "
-            f"rtol {NEWTON_RTOL:g} (info {info}, V = {V})")
+            f"rtol {rtol:g} (info {info}, V = {V})")
     return project(x) if zero_mean else x
 
 
@@ -287,14 +315,15 @@ def damped_newton(ops, x, residual, system, name, tol, inside=None,
     """Damped Newton from x until residual(x) <= tol; returns
     (x, residual(x), steps).
 
-    Each step solves system(x) = (A, b) by ``newton_solve`` and halves its
-    length, at most 60 times, until the candidate is ``inside`` (when
-    given) and its residual is no larger than the current one.  The
-    residual is checked before the first step, so an exact start returns
-    in zero steps.  Raises NonConvergence naming the solver when the line
-    search stalls or max_iters steps leave the residual above tol.
+    Each step solves system(x) = (A, b) by ``newton_solve`` to the rtol of
+    ``forcing`` and halves its length, at most 60 times, until the
+    candidate is ``inside`` (when given) and its residual is no larger than
+    the current one.  The residual is checked before the first step, so an
+    exact start returns in zero steps.  Raises NonConvergence naming the
+    solver when the line search stalls or max_iters steps leave the
+    residual above tol.
     """
-    res = residual(x)
+    res, prev = residual(x), None
     steps = 0
     while res > tol:
         if steps == max_iters:
@@ -302,7 +331,7 @@ def damped_newton(ops, x, residual, system, name, tol, inside=None,
                 f"{name} did not reach tol {tol} in {max_iters} iterations "
                 f"(last residual {res:.3e})")
         A, b = system(x)
-        step = newton_solve(ops, A, b, name)
+        step = newton_solve(ops, A, b, name, rtol=forcing(res, prev, tol))
         t = 1.0
         for _ in range(60):
             cand = x + t * step
@@ -313,7 +342,7 @@ def damped_newton(ops, x, residual, system, name, tol, inside=None,
             t *= 0.5
         else:
             raise NonConvergence(f"{name} line search stalled")
-        x, res = cand, cand_res
+        x, res, prev = cand, cand_res, res
         steps += 1
     return x, res, steps
 

@@ -195,11 +195,13 @@ def maximize_J(problem, max_iters=10000):
     The Newton system of -H = (2/(c Vol)) S - 4 diag(p) + 4 p p^T, sparse
     plus a rank-1 term, is solved on zero-M-mean fields by MINRES
     (``operators.newton_solve``), applied matrix-free through the
-    projection onto zero M-mean.  -H is indefinite where J is not concave,
-    so when MINRES fails or its step is not an ascent direction the step
-    falls back to a gradient preconditioned by (2/(c Vol)) S + (2/Vol) M,
-    factored on the first such step only.  Armijo backtracking guarantees
-    monotone increase, so the maximum value is never below J(0).
+    projection onto zero M-mean, to the rtol ``operators.forcing`` sets
+    from the max-norms of the gradient now and one iteration before.  -H
+    is indefinite where J is not concave, so when MINRES fails or its step
+    is not an ascent direction the step falls back to a gradient
+    preconditioned by (2/(c Vol)) S + (2/Vol) M, factored on the first such
+    step only.  Armijo backtracking guarantees monotone increase, so the
+    maximum value is never below J(0).
 
     J is a difference of O(1) terms and carries rounding noise of about
     eps max(1, |J|), so near the maximizer the Armijo test cannot see a
@@ -219,6 +221,7 @@ def maximize_J(problem, max_iters=10000):
     J = J0 = eval_J(problem, w)
     precond = None
     stalled = 0
+    prev = None
 
     for it in range(max_iters):
         g = grad_J(problem, w)
@@ -240,7 +243,8 @@ def maximize_J(problem, max_iters=10000):
         try:
             cand = operators.newton_solve(
                 ops, scale * S - sp.diags(4.0 * p), grad_euc,
-                "J maximization", rank_one=2.0 * p, zero_mean=True)
+                "J maximization", rank_one=2.0 * p, zero_mean=True,
+                rtol=operators.forcing(gnorm, prev, problem.tol))
             if grad_euc @ cand > 0:
                 step = cand
         except NonConvergence:
@@ -276,7 +280,7 @@ def maximize_J(problem, max_iters=10000):
                 f"J maximization stalled: {STALL_STEPS} accepted steps left J "
                 f"unchanged at grad norm {gnorm:.3e} > tol {problem.tol}")
         w = w + t * step
-        J = J_new
+        J, prev = J_new, gnorm
 
     raise NonConvergence(
         f"J maximization did not reach tol {problem.tol} in {max_iters} "

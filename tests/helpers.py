@@ -390,9 +390,11 @@ def reference_gauss_min_eig(mesh, u, f):
 # the Krylov path, one factorization per step.  The J system is the
 # bordered KKT matrix [[A, m], [m^T, 0]] with the rank-1 term added by a
 # Sherman-Morrison update.  Same signature as ``operators.newton_solve``,
-# so a test can substitute it and compare the solutions.
+# so a test can substitute it and compare the solutions; a direct solve is
+# exact, so it ignores rtol.
 
-def reference_newton_step(ops, A, b, name, rank_one=None, zero_mean=False):
+def reference_newton_step(ops, A, b, name, rank_one=None, zero_mean=False,
+                          rtol=None):
     V = A.shape[0]
     K, pad = A, []
     if zero_mean:

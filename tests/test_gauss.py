@@ -121,19 +121,29 @@ def test_monotone_matches_newton(mesh):
 
 
 def test_monotone_iterates_nonincreasing(mesh):
+    # With gauss's shift, no sweep from u = 0 to convergence raises u at
+    # any vertex, on data reaching the eta = 1 bound f = 1/4, and the
+    # solver stops after as many sweeps.
     rng = np.random.default_rng(2)
-    f = 0.2 * rng.random(mesh.num_vertices)
+    bound = G.admissible_bound(1.0)
+    f = bound * rng.random(mesh.num_vertices)
+    f[np.argmax(f)] = bound
     prob = G.GaussProblem(mesh=mesh, f=f)
-    lam = 4.0
+    lam = G.MONOTONE_SHIFT
     St = ops.stiffness(mesh)
     m = ops.mass_vector(mesh)
     lu = spla.splu((St + sp.diags(lam * m)).tocsc())
     u = np.zeros(mesh.num_vertices)
-    for _ in range(6):
+    for sweeps in range(5000):
+        if G.gauss_residual(mesh, u, f) <= prob.tol:
+            break
         reaction = np.exp(2 * u) - 1 + np.exp(-2 * u) * f
         u_next = lu.solve(lam * m * u - m * reaction)
-        assert (u_next <= u + 1e-12).all()
+        assert (u_next <= u + 1e-12).all(), sweeps
         u = u_next
+    else:
+        pytest.fail("monotone sweeps did not converge")
+    assert sweeps == G.monotone_solve_gauss(prob).iterations
 
 
 def test_stability_probe(mesh):

@@ -400,15 +400,26 @@ def newton_solutions(mesh):
     return u, v_J, v_newton
 
 
+def level_mesh(level, sheets):
+    mesh = build_base_surface(refinement=level)
+    return build_cover(mesh, CoverSpec.cyclic(sheets)) if sheets > 1 else mesh
+
+
+def exact_forcing(monkeypatch):
+    """Solve every Newton step to NEWTON_RTOL, as before inexact Newton."""
+    monkeypatch.setattr(ops, "forcing", lambda *args: ops.NEWTON_RTOL)
+
+
 @pytest.mark.parametrize("level", [2, 3, 4])
 @pytest.mark.parametrize("sheets", [1, 2], ids=["base", "cover2"])
 def test_krylov_newton_steps_match_direct_factor(level, sheets, monkeypatch):
     # Each MINRES Newton step agrees with the old per-step direct solve
     # (for J the bordered KKT system with a Sherman-Morrison update) to
-    # 1e-10 of its size, and the three solutions agree to 1e-12.
-    mesh = build_base_surface(refinement=level)
-    if sheets > 1:
-        mesh = build_cover(mesh, CoverSpec.cyclic(sheets))
+    # 1e-10 of its size, and the three solutions agree to 1e-12.  Every
+    # step is solved exactly here: the inexact steps of ``forcing`` are
+    # checked against this path in test_inexact_newton_matches_exact.
+    exact_forcing(monkeypatch)
+    mesh = level_mesh(level, sheets)
     krylov_solve = ops.newton_solve
     names = set()
 
@@ -427,6 +438,81 @@ def test_krylov_newton_steps_match_direct_factor(level, sheets, monkeypatch):
     direct = newton_solutions(mesh)
     for got, want in zip(krylov, direct):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("sheets", [1, 2], ids=["base", "cover2"])
+def test_inexact_newton_matches_exact(level, sheets, monkeypatch):
+    # The Newton solvers with forcing on land within 1e-9 of the same
+    # solvers with every step solved to NEWTON_RTOL.
+    inexact = newton_solutions(level_mesh(level, sheets))
+    exact_forcing(monkeypatch)
+    exact = newton_solutions(level_mesh(level, sheets))
+    for got, want in zip(inexact, exact):
+        assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+
+
+class CountingFactor:
+    """A factor whose solves are counted."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+def screened_solves(mesh, monkeypatch):
+    """S + M solves of ``newton_solutions(mesh)``, by solver name."""
+    bundle = ops.of(mesh)
+    counting = CountingFactor(bundle.screened_lu)
+    solves = dict.fromkeys(["green solve", "gauss newton", "J maximization",
+                            "ricci newton"], 0)
+    true_solve = ops.newton_solve
+
+    def counted(bundle, A, b, name, **kwargs):
+        before = counting.solves
+        x = true_solve(bundle, A, b, name, **kwargs)
+        solves[name] += counting.solves - before
+        return x
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bundle, "screened_lu", counting)
+        patch.setattr(ops, "newton_solve", counted)
+        newton_solutions(mesh)
+    return solves
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_forcing_saves_preconditioner_solves(level, monkeypatch):
+    # solve_gauss, maximize_J and solve_ricci_newton make fewer S + M
+    # solves with forcing on than with every Newton step solved to
+    # NEWTON_RTOL; the Green solves stay exact, so theirs do not change.
+    inexact = screened_solves(level_mesh(level, 2), monkeypatch)
+    exact_forcing(monkeypatch)
+    exact = screened_solves(level_mesh(level, 2), monkeypatch)
+    assert inexact["green solve"] == exact["green solve"] > 0
+    for name in ("gauss newton", "J maximization", "ricci newton"):
+        assert 0 < inexact[name] < exact[name], (inexact, exact)
+
+
+def test_forcing_cap_floor_and_first_step():
+    cap = ops.FORCING_CAP
+    assert cap == 1e-6
+    # the first step, whatever the residual, gets the cap
+    for res in (1e-12, 1e-3, 1.0, 1e6):
+        assert ops.forcing(res, None, 1e-10) == cap
+    # a slow decrease asks no more than the cap
+    assert ops.forcing(0.5, 1.0, 1e-10) == cap
+    # fast convergence: 0.9 (res/prev)^2, between floor and cap
+    assert ops.forcing(1e-3, 1.0, 1e-10) == pytest.approx(9e-7, rel=1e-12)
+    assert ops.forcing(1e-4, 1.0, 1e-10) == pytest.approx(9e-9, rel=1e-12)
+    # the floor 1e-3 tol/res wins when the ratio is tiny
+    assert ops.forcing(1e-6, 1.0, 1e-10) == pytest.approx(1e-7, rel=1e-12)
+    assert ops.forcing(1e-5, 1e-1, 1e-10) == pytest.approx(1e-8, rel=1e-12)
+    # near tol the floor exceeds the cap, and the cap wins
+    assert ops.forcing(2e-10, 1.0, 1e-10) == cap
 
 
 LOGSUMEXP_CASES = ["random", "ties", "neg-inf", "all-neg-inf", "wide"]

@@ -248,6 +248,8 @@ def test_failed_krylov_solve_stops_each_newton_solver(problem, monkeypatch):
             solve()
         assert str(info.value).startswith(f"{name}: MINRES")
         assert "info 1" in str(info.value)
+        # the message names the rtol asked of the first step, the cap
+        assert f"rtol {ops.FORCING_CAP:g} " in str(info.value)
         assert len(calls) == 1
     with pytest.raises(NonConvergence, match="J maximization did not reach"):
         R.maximize_J(problem, max_iters=3)

@@ -1,7 +1,7 @@
 """Wall time of the README pipeline, one fresh `toda` process per step.
 
 Runs the README command sequence on the genus-2 base at refinement
-level 5 and its cyclic 2-cover (V = 8188):
+level 5 (or `--refine`) and its cyclic 2-cover (V = 8188 at level 5):
 
     mesh, cover, section (base), section (balanced cover),
     solve-coupled, verify --mesh --density --run
@@ -12,7 +12,7 @@ spell of a shared machine lands on all of them alike:
 
     python3 tools/pipeline_l5.py --tree change=src --runs 5
     python3 tools/pipeline_l5.py --tree parent=../old/src --tree change=src \\
-        --runs 5 -o BENCH.json
+        --runs 5 --refine 6 -o BENCH.json
 
 Each tree's outputs of the first run are hashed, so trees that should give
 the same bytes can be compared.  BLAS runs one thread (`TODA_THREADS=1`).
@@ -30,15 +30,15 @@ import sys
 import tempfile
 import time
 
-REFINE = 5
 DIVISOR = "0:1,1:1,5:1,20:1"
 ZERO_VERTEX = "3"
 
 
-def steps():
-    """(name, toda arguments) of the pipeline, in order."""
+def steps(refine):
+    """(name, toda arguments) of the pipeline at a refinement level, in
+    order."""
     return [
-        ("mesh", ["mesh", "--genus2", "--refine", str(REFINE),
+        ("mesh", ["mesh", "--genus2", "--refine", str(refine),
                   "-o", "base.json"]),
         ("cover", ["cover", "--mesh", "base.json", "--n", "2",
                    "-o", "cover.json"]),
@@ -56,11 +56,11 @@ def steps():
     ]
 
 
-def run_pipeline(src, work):
+def run_pipeline(src, work, refine):
     """Seconds per step of one pipeline run in the empty directory work."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), TODA_THREADS="1")
     times = {}
-    for name, args in steps():
+    for name, args in steps(refine):
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "todalab.cli"] + args,
                               cwd=work, env=env, capture_output=True,
@@ -106,13 +106,17 @@ def main(argv=None):
                         help="a label and the src/ directory holding "
                              "todalab (repeatable; default change=src)")
     parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--refine", type=int, default=5,
+                        help="refinement level of the base (default 5)")
     parser.add_argument("-o", "--output", help="also write the JSON here")
     args = parser.parse_args(argv)
     if args.runs < 2:
         parser.error("--runs must be at least 2")
+    if args.refine < 0:
+        parser.error("--refine must be nonnegative")
     trees = dict(spec.split("=", 1) for spec in args.tree or ["change=src"])
 
-    names = [name for name, _ in steps()]
+    names = [name for name, _ in steps(args.refine)]
     samples = {label: {name: [] for name in names + ["total"]}
                for label in trees}
     hashes = {}
@@ -123,7 +127,7 @@ def main(argv=None):
             for label in order:
                 work = os.path.join(tmp, label)
                 os.makedirs(work)
-                times = run_pipeline(trees[label], work)
+                times = run_pipeline(trees[label], work, args.refine)
                 for name, seconds in times.items():
                     samples[label][name].append(seconds)
                 samples[label]["total"].append(sum(times.values()))
@@ -135,8 +139,8 @@ def main(argv=None):
 
     result = {
         "script": "tools/pipeline_l5.py",
-        "pipeline": [" ".join(["toda"] + a) for _, a in steps()],
-        "refine": REFINE, "cover_degree": 2, "runs": args.runs,
+        "pipeline": [" ".join(["toda"] + a) for _, a in steps(args.refine)],
+        "refine": args.refine, "cover_degree": 2, "runs": args.runs,
         "machine": machine_info(),
         "trees": {label: {
             "steps_s": {name: summary(values)

@@ -1,24 +1,27 @@
 """Wall time of in-process `solve_coupled` on the level-5 2-cover.
 
-Builds the README inputs at refinement level 5: the genus-2 base, its
-cyclic 2-cover (V = 8188), the canonical divisor 0:1,1:1,5:1,20:1 on the
-base and its balanced lift with the fresh zero 3.  Set-up pays for the
-cover's systole and its S + M factor (`balanced_lift`'s Green solve runs
-on it), so both are cached when `solve_coupled(..., degree 1)` is timed;
-lambda_1 is paid inside the timed call.  Trees whose Green solves build
-their own factor pay for the S + M factor inside the timed call instead,
-so their timings are not comparable with these.  Each sample is a fresh
-process, and several source trees can be timed in one call; their runs
-alternate, so a slow spell of a shared machine lands on all of them alike:
+Builds the README inputs at refinement level 5 (or `--refine`): the
+genus-2 base, its cyclic 2-cover (V = 8188 at level 5, 32 764 at level 6),
+the canonical divisor 0:1,1:1,5:1,20:1 on the base and its balanced lift
+with the fresh zero 3.  Set-up pays for the cover's systole and its S + M
+factor (`balanced_lift`'s Green solve runs on it), so both are cached when
+`solve_coupled(..., degree 1)` is timed; lambda_1 is paid inside the timed
+call.  Trees whose Green solves build their own factor pay for the S + M
+factor inside the timed call instead, so their timings are not comparable
+with these.  Each sample is a fresh process, and several source trees can
+be timed in one call; their runs alternate, so a slow spell of a shared
+machine lands on all of them alike:
 
     python3 tools/solve_l5.py --tree change=src --runs 5
     python3 tools/solve_l5.py --tree parent=../old/src --tree change=src \\
-        --runs 10 -o BENCH.json
+        --runs 10 --refine 6 -o BENCH.json
 
 Prints the median and quartiles per tree as one JSON object, with each
-tree's certificate and the largest relative difference of every
-certificate value against the first tree.  BLAS runs one thread
-(`TODA_THREADS=1`).
+tree's certificate, the largest relative difference of every certificate
+value against the first tree, and the number of solves with the cover's
+S + M factor that the timed call made (the MINRES preconditioner solves
+and those of `eig_low`; the child wraps the factor's `solve` to count
+them).  BLAS runs one thread (`TODA_THREADS=1`).
 """
 
 import argparse
@@ -29,7 +32,6 @@ import statistics
 import subprocess
 import sys
 
-REFINE = 5
 DIVISOR = [(0, 1), (1, 1), (5, 1), (20, 1)]
 ZERO_VERTEX = 3
 
@@ -42,26 +44,37 @@ cover = todalab.build_cover(base, todalab.CoverSpec.cyclic(2))
 base_density = todalab.synth_density(base, todalab.Divisor({divisor!r}))
 density, _ = todalab.balanced_lift(base_density, cover, {zero})
 operators.systole(cover)
+bundle = operators.of(cover)
+lu = bundle.screened_lu
+solves = [0]
+
+class CountingFactor:
+    def solve(self, b):
+        solves[0] += 1
+        return lu.solve(b)
+
+bundle.screened_lu = CountingFactor()
 start = time.perf_counter()
 result = todalab.solve_coupled(cover, density,
                                todalab.CoupledConfig(degree=1))
 seconds = time.perf_counter() - start
-json.dump({{"seconds": seconds,
+json.dump({{"seconds": seconds, "screened_solves": solves[0],
            "certificate": result.certificate.to_dict()}}, sys.stdout)
 """
 
 
-def run_once(src):
-    """(seconds, certificate dict) of one timed solve in a fresh process."""
+def run_once(src, refine):
+    """(seconds, S + M solves, certificate dict) of one timed solve in a
+    fresh process."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), TODA_THREADS="1")
-    code = CHILD.format(refine=REFINE, divisor=DIVISOR, zero=ZERO_VERTEX)
+    code = CHILD.format(refine=refine, divisor=DIVISOR, zero=ZERO_VERTEX)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{src}: solve exited {proc.returncode}: "
                          f"{proc.stderr.strip()}")
     out = json.loads(proc.stdout)
-    return out["seconds"], out["certificate"]
+    return out["seconds"], out["screened_solves"], out["certificate"]
 
 
 def summary(samples):
@@ -98,33 +111,40 @@ def main(argv=None):
                         help="a label and the src/ directory holding "
                              "todalab (repeatable; default change=src)")
     parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--refine", type=int, default=5,
+                        help="refinement level of the base (default 5)")
     parser.add_argument("-o", "--output", help="also write the JSON here")
     args = parser.parse_args(argv)
     if args.runs < 2:
         parser.error("--runs must be at least 2")
+    if args.refine < 0:
+        parser.error("--refine must be nonnegative")
     trees = dict(spec.split("=", 1) for spec in args.tree or ["change=src"])
 
     samples = {label: [] for label in trees}
+    solves = {}
     certificates = {}
     for i in range(args.runs):
         # alternate which tree runs first
         order = list(trees) if i % 2 == 0 else list(reversed(trees))
         for label in order:
-            seconds, cert = run_once(trees[label])
+            seconds, count, cert = run_once(trees[label], args.refine)
             samples[label].append(seconds)
+            solves.setdefault(label, set()).add(count)
             certificates.setdefault(label, cert)
-            print(f"run {i + 1}/{args.runs} {label}: {seconds:.3f} s",
-                  file=sys.stderr)
+            print(f"run {i + 1}/{args.runs} {label}: {seconds:.3f} s, "
+                  f"{count} S + M solves", file=sys.stderr)
 
     first = next(iter(trees))
     result = {
         "script": "tools/solve_l5.py",
-        "refine": REFINE, "cover_degree": 2, "divisor": DIVISOR,
+        "refine": args.refine, "cover_degree": 2, "divisor": DIVISOR,
         "zero_vertex": ZERO_VERTEX, "degree": 1, "runs": args.runs,
         "machine": machine_info(),
         "trees": {label: {
             "solve_coupled_s": summary(samples[label]),
             "samples_s": [round(x, 4) for x in samples[label]],
+            "screened_solves": sorted(solves[label]),
             "certificate": certificates[label],
             f"relative_difference_to_{first}": relative_differences(
                 certificates[label], certificates[first])}
