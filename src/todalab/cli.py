@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fileio
 from .errors import MeshError, TodaError
-from .mesh import JSON_FIELDS, CoverSpec, build_base_surface, build_cover, \
+from .mesh import CoverSpec, build_base_surface, build_cover, \
     mesh_from_dict, mesh_to_json
 
 # The solver modules (and SciPy with them) are imported inside the
@@ -29,7 +29,7 @@ from .mesh import JSON_FIELDS, CoverSpec, build_base_surface, build_cover, \
 
 
 def _read_mesh(path):
-    _, doc = fileio.read_json_object(path, JSON_FIELDS)
+    _, doc = fileio.read_json_object(path, {})
     try:
         return mesh_from_dict(doc)
     except MeshError as exc:

@@ -1,15 +1,14 @@
 """File formats and atomic output helpers.
 
-This module is the only reader and writer of the formats below: every
-other module hands arrays and dataclasses here instead of formatting or
-parsing text itself.  All writers go through an atomic temp-file + rename so a crashed run never
-leaves a half-written artifact, and all serialization is deterministic
-(sorted JSON keys, shortest round-trip float repr) so identical inputs and
-seed produce byte-identical outputs.
+This module reads and writes the formats below, except mesh JSON, whose
+layout only the mesh module knows (mesh.mesh_to_json and
+mesh.mesh_from_dict; here it is only read as a JSON object and written
+atomically).  All writers go through an atomic temp-file + rename so a
+crashed run never leaves a half-written artifact, and all serialization is
+deterministic (sorted JSON keys, shortest round-trip float repr) so
+identical inputs and seed produce byte-identical outputs.
 
 Formats:
-  * mesh JSON         -- written from the mesh arrays by mesh.mesh_to_json,
-                         read by mesh.mesh_from_json (see the mesh module)
   * field CSV         -- header ``vertex_index,<name>``, one row per vertex
   * density CSV+JSON  -- log-density field plus divisor sidecar
   * certificate JSON  -- almost-Fuchsian certificate dict

@@ -32,18 +32,19 @@ Dehn-reduces one triangle product per triple and :func:`refine` builds
 one set of medial words per triple, its other tables being index
 arithmetic on the slot arrays.
 
-Serialization: a mesh file is one JSON object with the keys ``genus``,
-``level``, ``vertices``, ``triangles``, ``tri_edges`` and
-``tri_edge_signs`` (rows of three integers), ``edge_lengths`` (rows
-``[tail, head, length]``), ``holonomy`` (rows ``[tail, head, word]``, the
-word a string such as ``"aB"``), ``positions`` (rows ``[re, im]``) and,
-for covers, ``base_vertex``.  Its text is ``json.dumps(doc, indent=1,
-sort_keys=True)`` of that object, and run manifests hash it, so its bytes
-are fixed.  :func:`mesh_to_json` writes that text straight from the arrays
-with one %-format of a repeated row template per table (``%r`` of a
-finite float is the repr ``json`` writes) and quotes each distinct word
-once; :func:`mesh_from_json` reads any JSON layout of the object, parses
-each distinct word once and raises MeshError for malformed tables.
+Serialization (format 2): a mesh file is one compact JSON object that
+stores each fact once.  Its keys are ``format`` (the integer 2), ``genus``,
+``level``, ``edge_words`` (one word string such as ``"aB"`` per edge) and
+the tables of :data:`TABLES` under their field names: ``edges``,
+``edge_lengths``, ``tri_edges``, ``tri_edge_signs``, ``positions`` (re and
+im interleaved) and, for covers, ``base_vertex``, each one flat row-major
+list.  Triangles are not stored: they follow from the slots (see
+:attr:`HyperbolicMesh.triangles`).  The text is ``json.dumps(doc,
+separators=(",", ":"), sort_keys=True)``, and run manifests hash it, so
+its bytes are fixed: a mesh read back serializes to the same bytes.
+:func:`mesh_from_dict` is the one reader: it rejects any other format
+(meshes written before format 2 must be rebuilt), malformed tables and
+out-of-range indices with a MeshError, and parses each distinct word once.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ POSITION_TOL = 1e-8
 class HyperbolicMesh:
     """Triangulated hyperbolic surface with edge holonomy.
 
-    triangles[t]      -- the three corner vertex ids of triangle t
     tri_edges[t, k]   -- edge id of the slot joining corners k and k+1 (mod 3)
     tri_edge_signs[t, k] -- +1 if corner k sits at the stored tail of that
                          edge, -1 if the slot traverses the edge backwards
@@ -76,11 +76,13 @@ class HyperbolicMesh:
     edge_words[e]     -- holonomy word of the stored direction
     positions[v]      -- canonical disk lift of vertex v (complex)
     base_vertex[i]    -- for covers: base vertex under the covering map
+
+    The corners of each triangle are derived, not stored: see
+    :attr:`triangles`.
     """
 
     genus: int
     level: int
-    triangles: np.ndarray
     tri_edges: np.ndarray
     tri_edge_signs: np.ndarray
     edges: np.ndarray
@@ -102,7 +104,15 @@ class HyperbolicMesh:
 
     @property
     def num_faces(self):
-        return len(self.triangles)
+        return len(self.tri_edges)
+
+    @property
+    def triangles(self):
+        """(F, 3) corner vertex ids: corner k is where slot k starts, the
+        stored tail of its edge for sign +1 and the head for sign -1.
+        Computed on each read, so bind it once where it is used often."""
+        return np.take(self.edges.ravel(),
+                       2 * self.tri_edges + (self.tri_edge_signs < 0))
 
     @property
     def euler_characteristic(self):
@@ -157,35 +167,27 @@ class HyperbolicMesh:
     # -------------------------------------------------- validation
     def validate(self):
         """Check all structural invariants; raise MeshError on failure."""
-        V, E = self.num_vertices, self.num_edges
+        self._check_tables()
         if self.euler_characteristic != 2 - 2 * self.genus:
             raise MeshError(
                 f"Euler characteristic {self.euler_characteristic} != "
                 f"{2 - 2 * self.genus} for genus {self.genus}")
         if not (self.edge_lengths > 0).all():
             raise MeshError("nonpositive edge length")
-        if self.edges.min() < 0 or self.edges.max() >= V:
-            raise MeshError("edge endpoint out of range")
 
         # each slot runs along its edge, from the stored tail (sign +1) or
-        # from the stored head (sign -1)
-        slot_edges, signs = self.tri_edges, self.tri_edge_signs
-        bad = (slot_edges < 0) | (slot_edges >= E)
-        if bad.any():
-            t, k = divmod(int(np.flatnonzero(bad)[0]), 3)
-            raise MeshError(
-                f"slot ({t},{k}) names edge {slot_edges[t, k]}, out of range")
-        tail, head = self.edges[slot_edges, 0], self.edges[slot_edges, 1]
-        start, end = self.triangles, np.roll(self.triangles, -1, axis=1)
-        ok = (((signs == 1) & (start == tail) & (end == head))
-              | ((signs == -1) & (start == head) & (end == tail)))
+        # from the stored head (sign -1), and ends where the next one starts
+        slot_edges = self.tri_edges
+        ends = np.take(self.edges.ravel(),
+                       2 * slot_edges + (self.tri_edge_signs > 0))
+        ok = ends == np.roll(self.triangles, -1, axis=1)
         if not ok.all():
             t, k = divmod(int(np.flatnonzero(~ok)[0]), 3)
             raise MeshError(
                 f"slot ({t},{k}) inconsistent with edge {slot_edges[t, k]}")
 
         # each edge is used by exactly two triangle slots (closed surface)
-        uses = np.bincount(slot_edges.ravel(), minlength=E)
+        uses = np.bincount(slot_edges.ravel(), minlength=self.num_edges)
         if (uses != 2).any():
             e = int(np.flatnonzero(uses != 2)[0])
             raise MeshError(
@@ -217,6 +219,34 @@ class HyperbolicMesh:
                 f"drawn length of edge {e} deviates from its stored "
                 f"length by {defect[e]:.3e}")
         return True
+
+    def _check_tables(self):
+        """Raise MeshError, naming the table and its first bad entry, unless
+        every table has one row per edge, triangle or vertex, edge
+        endpoints are vertex ids, slot edges are edge ids, slot signs are
+        +1 or -1 and base vertices are nonnegative: the rule that makes
+        every index into the mesh's arrays valid."""
+        V, E, F = self.num_vertices, self.num_edges, self.num_faces
+        for name, rows in (("edge_lengths", E), ("edge_words", E),
+                           ("tri_edge_signs", F), ("base_vertex", V)):
+            table = getattr(self, name)
+            if table is not None and len(table) != rows:
+                raise MeshError(f"mesh table {name!r} has {len(table)} "
+                                f"rows, not {rows}")
+        edges, slots, signs = self.edges, self.tri_edges, self.tri_edge_signs
+        checks = [("edges", edges, (edges >= 0) & (edges < V),
+                   f"a vertex id in [0, {V})"),
+                  ("tri_edges", slots, (slots >= 0) & (slots < E),
+                   f"an edge id in [0, {E})"),
+                  ("tri_edge_signs", signs, abs(signs) == 1, "+1 or -1")]
+        if self.base_vertex is not None:
+            checks.append(("base_vertex", self.base_vertex,
+                           self.base_vertex >= 0, "a vertex id"))
+        for name, table, ok, rule in checks:
+            if not ok.all():
+                i = int(np.flatnonzero(~ok)[0])
+                raise MeshError(f"mesh table {name!r} entry {i} is "
+                                f"{table.flat[i]}, not {rule}")
 
     def drawn_heads(self):
         """Head of each edge's drawn representative: word . position(head)."""
@@ -285,11 +315,9 @@ def build_base_surface(refinement=0):
 
     # triangle t_j has corners (center, P_j, P_{j+1}); its boundary slot uses
     # side class j mod 4, traversed backwards for j >= 4
-    triangles = []
     tri_edges = []
     tri_signs = []
     for j in range(8):
-        triangles.append((0, 1, 1))
         if j < 4:
             tri_edges.append((j, 8 + j, (j + 1) % 8))
             tri_signs.append((1, 1, -1))
@@ -300,7 +328,6 @@ def build_base_surface(refinement=0):
     mesh = HyperbolicMesh(
         genus=2,
         level=0,
-        triangles=np.array(triangles, dtype=np.int64),
         tri_edges=np.array(tri_edges, dtype=np.int64),
         tri_edge_signs=np.array(tri_signs, dtype=np.int64),
         edges=np.array(edges, dtype=np.int64),
@@ -378,7 +405,6 @@ def refine(mesh):
         # corner k runs v_k -> mid_k -> mid_{k-1} -> v_k: along the near
         # half of slot k, back along medial edge k-1, along the far half
         # of slot k-1
-        triangles=children([mesh.triangles, mid, prev(mid)], mid),
         tri_edges=children([near, prev(medial), prev(far)], medial),
         tri_edge_signs=children([sign, -np.ones_like(sign), prev(sign)],
                                 np.ones_like(sign)),
@@ -489,7 +515,6 @@ def build_cover(mesh, spec):
 
     # one sheet at a time, vectorized over the cells
     edges = np.empty((n, E, 2), dtype=np.int64)
-    triangles = np.empty((n, F, 3), dtype=np.int64)
     tri_edges = np.empty((n, F, 3), dtype=np.int64)
     words = []
     for s in range(n):
@@ -505,7 +530,6 @@ def build_cover(mesh, spec):
         c0 = np.full(F, s, dtype=np.int64)
         c1 = across(0, c0)
         corner = np.stack([c0, c1, across(1, c1)], axis=1)
-        triangles[s] = corner * V + mesh.triangles
         # the edge copy whose stored tail matches the slot's tail
         anchor = np.where(signs > 0, corner, np.roll(corner, -1, axis=1))
         tri_edges[s] = anchor * E + mesh.tri_edges
@@ -517,7 +541,6 @@ def build_cover(mesh, spec):
     return HyperbolicMesh(
         genus=n * (mesh.genus - 1) + 1,
         level=mesh.level,
-        triangles=triangles.reshape(n * F, 3),
         tri_edges=tri_edges.reshape(n * F, 3),
         tri_edge_signs=np.tile(signs, (n, 1)),
         edges=edges.reshape(n * E, 2),
@@ -531,123 +554,89 @@ def build_cover(mesh, spec):
 # ----------------------------------------------------------------------
 # Serialization
 
-# Required keys of a mesh JSON document and their JSON types; covers also
-# carry ``base_vertex``.
-JSON_FIELDS = {"genus": int, "level": int, "vertices": int, "triangles": list,
-               "tri_edges": list, "tri_edge_signs": list,
-               "edge_lengths": list, "holonomy": list, "positions": list}
+# The format this module writes and the only one it reads.
+FORMAT = 2
 
-
-def _json_table(table, fields):
-    """Text of a 1-D or 2-D array as ``json.dumps(indent=1)`` writes the
-    list of its rows under a top-level key: one %-format of a repeated row
-    template.  fields is the %-conversion of each column, or of each entry
-    of a 1-D array."""
-    if not len(table):
-        return "[]"
-    if table.ndim == 1:
-        row = "  " + fields
-    else:
-        row = "  [\n" + ",\n".join("   " + f for f in fields) + "\n  ]"
-    text = ",\n".join([row] * len(table)) % tuple(table.ravel().tolist())
-    return "[\n" + text + "\n ]"
+# (key, width, dtype) of each table of a mesh file: a flat row-major list
+# of width numbers per row, read into an array of dtype (a complex
+# position is a row of two floats, re and im).  The key is the
+# HyperbolicMesh field.
+TABLES = (("edges", 2, np.int64), ("edge_lengths", 1, float),
+          ("tri_edges", 3, np.int64), ("tri_edge_signs", 3, np.int64),
+          ("positions", 2, complex), ("base_vertex", 1, np.int64))
 
 
 def mesh_to_json(mesh):
-    """The mesh as JSON text: ``json.dumps(doc, indent=1, sort_keys=True)``
-    of the document described in the module docstring, byte for byte, but
-    written from whole arrays (see "Serialization" there).  Raises
-    MeshError for a non-finite position or edge length, which JSON cannot
-    hold."""
-    positions = np.column_stack([mesh.positions.real, mesh.positions.imag])
-    if not (np.isfinite(positions).all()
+    """The mesh as format-2 JSON text (see "Serialization" in the module
+    docstring).  Raises MeshError for a non-finite position or edge
+    length, which JSON cannot hold."""
+    if not (np.isfinite(mesh.positions).all()
             and np.isfinite(mesh.edge_lengths).all()):
         raise MeshError("a vertex position or edge length is not finite")
-    # (tail, head, length) rows, then the same rows with the quoted word
-    edge_rows = np.empty((mesh.num_edges, 3), dtype=object)
-    edge_rows[:, :2] = mesh.edges
-    edge_rows[:, 2] = mesh.edge_lengths
-    edge_lengths = _json_table(edge_rows, ("%d", "%d", "%r"))
     table = mesh.word_table()
-    quoted = [json.dumps(group.word_str(w)) for w in table.words]
-    edge_rows[:, 2] = np.array(quoted, dtype=object)[table.ids]
-    int3 = ("%d", "%d", "%d")
-    items = [] if mesh.base_vertex is None else [
-        ("base_vertex", _json_table(mesh.base_vertex, "%d"))]
-    items += [
-        ("edge_lengths", edge_lengths),
-        ("genus", "%d" % mesh.genus),
-        ("holonomy", _json_table(edge_rows, ("%d", "%d", "%s"))),
-        ("level", "%d" % mesh.level),
-        ("positions", _json_table(positions, ("%r", "%r"))),
-        ("tri_edge_signs", _json_table(mesh.tri_edge_signs, int3)),
-        ("tri_edges", _json_table(mesh.tri_edges, int3)),
-        ("triangles", _json_table(mesh.triangles, int3)),
-        ("vertices", "%d" % mesh.num_vertices),
-    ]
-    body = ",\n".join(f' "{key}": {value}' for key, value in items)
-    return "{\n" + body + "\n}"
+    words = np.array([group.word_str(w) for w in table.words], dtype=object)
+    doc = {"format": FORMAT, "genus": int(mesh.genus),
+           "level": int(mesh.level), "edge_words": words[table.ids].tolist()}
+    for key, _, dtype in TABLES:
+        value = getattr(mesh, key)
+        if value is not None:
+            value = np.ascontiguousarray(value, dtype)
+            if dtype is complex:
+                value = value.view(float)
+            doc[key] = value.ravel().tolist()
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
 def _table(doc, key, width, dtype):
-    """doc[key], a nonempty list of rows of width entries (of entries, for
-    width None), as an array of dtype; MeshError if it is anything else or
-    if a float table holds a non-finite number (or a null)."""
-    rows = doc.get(key) if isinstance(doc, dict) else None
+    """doc[key], a nonempty flat list of width numbers per row, as an
+    array of dtype: rows of width entries, a vector for width 1, one
+    complex entry per row for positions.  MeshError if it is anything
+    else or if a float table holds a non-finite number (or a null)."""
+    values = doc.get(key)
+    number = float if dtype is complex else dtype
     try:
-        if not isinstance(rows, list) or not rows:
+        if not isinstance(values, list) or not values:
             raise ValueError("not a nonempty list")
-        if width is not None:
-            if (set(map(type, rows)) != {list}
-                    or set(map(len, rows)) != {width}):
-                raise ValueError(f"not a list of {width}-entry rows")
-            rows = itertools.chain.from_iterable(rows)
-        table = np.fromiter(rows, dtype)
+        if len(values) % width:
+            raise ValueError(f"its length {len(values)} is not a multiple "
+                             f"of {width}")
+        table = np.fromiter(values, number, len(values))
     except (TypeError, ValueError, OverflowError) as exc:
         raise MeshError(f"mesh table {key!r} is malformed: {exc}") from exc
-    if dtype is float and not np.isfinite(table).all():
+    if number is float and not np.isfinite(table).all():
         raise MeshError(f"mesh table {key!r} holds a non-finite number")
-    return table if width is None else table.reshape(-1, width)
+    if dtype is complex:
+        return table.view(complex)
+    return table.reshape(-1, width) if width > 1 else table
 
 
 def mesh_from_dict(doc):
     """Inverse of :func:`mesh_to_json` on the parsed document; MeshError
-    for tables of the wrong shape or type and for bad holonomy words."""
-    lengths = _table(doc, "edge_lengths", 3, float)
-    holonomy = _table(doc, "holonomy", 3, object)
-    if (len(lengths) != len(holonomy)
-            or not (holonomy[:, :2] == lengths[:, :2]).all()):
-        raise MeshError("edge_lengths and holonomy tables disagree")
-    strings = holonomy[:, 2].tolist()
-    if not all(isinstance(s, str) for s in strings):
-        raise MeshError("holonomy words must be strings")
+    for another format, for tables of the wrong shape or type, for an
+    index out of range and for bad holonomy words."""
+    version = doc.get("format") if isinstance(doc, dict) else None
+    if version != FORMAT:
+        raise MeshError(f"mesh format {version!r} is not {FORMAT}: rebuild "
+                        f"the mesh (toda mesh, toda cover)")
+    tables = {key: _table(doc, key, width, dtype)
+              for key, width, dtype in TABLES
+              if key != "base_vertex" or doc.get(key) is not None}
+    words = doc.get("edge_words")
+    if not isinstance(words, list) or set(map(type, words)) != {str}:
+        raise MeshError("mesh table 'edge_words' is malformed: not a list "
+                        "of strings")
     try:
-        parsed = {s: group.parse_word(s) for s in dict.fromkeys(strings)}
+        parsed = {s: group.parse_word(s) for s in dict.fromkeys(words)}
     except ValueError as exc:
         raise MeshError(str(exc)) from exc
-    base_vertex = None
-    if doc.get("base_vertex") is not None:
-        base_vertex = _table(doc, "base_vertex", None, np.int64)
     try:
-        genus, level, vertices = (int(doc[key])
-                                  for key in ("genus", "level", "vertices"))
+        genus, level = int(doc["genus"]), int(doc["level"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise MeshError(f"mesh genus, level or vertex count is missing or "
-                        f"malformed: {exc}") from exc
-    mesh = HyperbolicMesh(
-        genus=genus,
-        level=level,
-        triangles=_table(doc, "triangles", 3, np.int64),
-        tri_edges=_table(doc, "tri_edges", 3, np.int64),
-        tri_edge_signs=_table(doc, "tri_edge_signs", 3, np.int64),
-        edges=lengths[:, :2].astype(np.int64),
-        edge_lengths=np.ascontiguousarray(lengths[:, 2]),
-        edge_words=[parsed[s] for s in strings],
-        positions=_table(doc, "positions", 2, float).view(complex)[:, 0],
-        base_vertex=base_vertex,
-    )
-    if vertices != mesh.num_vertices:
-        raise MeshError("vertex count disagrees with position table")
+        raise MeshError(f"mesh genus or level is missing or malformed: "
+                        f"{exc}") from exc
+    mesh = HyperbolicMesh(genus=genus, level=level,
+                          edge_words=[parsed[s] for s in words], **tables)
+    mesh._check_tables()
     return mesh
 
 

@@ -145,18 +145,17 @@ class Operators:
         if (areas <= 0).any():
             raise MeshError("degenerate triangle (nonpositive area)")
 
-        V = mesh.num_vertices
+        V, tri = mesh.num_vertices, mesh.triangles
         self.m = m = np.zeros(V)
         for k in range(3):
-            np.add.at(m, mesh.triangles[:, k], areas / 3.0)
+            np.add.at(m, tri[:, k], areas / 3.0)
         self.vol = float(m.sum())
         self.M = sp.diags(m).tocsr()
 
         rows, cols, data = [], [], []
         for k in range(3):
             w = 0.5 / np.tan(angles[:, (k + 2) % 3])
-            i = mesh.triangles[:, k]
-            j = mesh.triangles[:, (k + 1) % 3]
+            i, j = tri[:, k], tri[:, (k + 1) % 3]
             rows.extend([i, j, i, j])
             cols.extend([i, j, j, i])
             data.extend([w, w, -w, -w])

@@ -1,6 +1,7 @@
 """Shared fixtures: deck-invariant smooth bump fields built from positions,
 the reference systole search, cover construction, refinement, mesh JSON
-encoder and direct Newton step, and the dense stability oracles."""
+encoder and direct Newton step, a mesh document of the retired layout,
+and the dense stability oracles."""
 
 import heapq
 import json
@@ -152,10 +153,12 @@ def reference_systole(mesh):
 # ----------------------------------------------------------------------
 # Reference cover: the per-edge, per-triangle and per-sheet loops that
 # ``mesh.build_cover`` replaces by one permutation per distinct word and
-# array broadcasting.  It must give equal arrays and words.
+# array broadcasting.  It must give equal arrays and words, and the corners
+# it lifts row by row must equal the cover's derived triangles.
 
 def reference_build_cover(mesh, spec):
-    """Voltage-graph lift of the mesh along a permutation cover spec."""
+    """(cover, triangles): the voltage-graph lift of the mesh along a
+    permutation cover spec, and the lifted corners of each triangle."""
     spec.validate()
     n = spec.degree
     images = spec.generator_images
@@ -202,20 +205,22 @@ def reference_build_cover(mesh, spec):
         base_vertex[s * V:(s + 1) * V] = np.arange(V)
 
     return mesh_module.HyperbolicMesh(
-        genus=n * (mesh.genus - 1) + 1, level=mesh.level, triangles=triangles,
+        genus=n * (mesh.genus - 1) + 1, level=mesh.level,
         tri_edges=tri_edges, tri_edge_signs=tri_signs, edges=edges,
         edge_lengths=lengths, edge_words=words, positions=positions,
-        base_vertex=base_vertex)
+        base_vertex=base_vertex), triangles
 
 
 # ----------------------------------------------------------------------
 # Reference refinement: the per-edge and per-triangle loop, with word
 # concatenations for every triangle, that ``mesh.refine`` replaces by index
 # arithmetic on the slot arrays and one medial-word pass per distinct slot
-# triple.  It must give equal arrays and words.
+# triple.  It must give equal arrays and words, and the corners it builds
+# row by row must equal the refined mesh's derived triangles.
 
 def reference_refine(mesh):
-    """``mesh.refine`` one triangle at a time."""
+    """(fine, triangles): ``mesh.refine`` one triangle at a time, and the
+    corners of each child triangle."""
     V, E, F = mesh.num_vertices, mesh.num_edges, mesh.num_faces
 
     # midpoint positions from drawn representatives
@@ -299,7 +304,6 @@ def reference_refine(mesh):
     return mesh_module.HyperbolicMesh(
         genus=mesh.genus,
         level=mesh.level + 1,
-        triangles=triangles,
         tri_edges=tri_edges,
         tri_edge_signs=tri_signs,
         edges=np.array(edges, dtype=np.int64),
@@ -307,37 +311,54 @@ def reference_refine(mesh):
         edge_words=words,
         positions=positions,
         base_vertex=None,
-    )
+    ), triangles
 
 
 # ----------------------------------------------------------------------
-# Reference mesh JSON: the per-row document and ``json.dumps`` encoder that
-# ``mesh.mesh_to_json`` replaces by one %-format per table.  It must give
-# the same text, byte for byte.
+# Reference mesh JSON: the format-2 document built entry by entry with
+# Python loops, independently of the ``mesh.TABLES`` layout table that
+# ``mesh.mesh_to_json`` flattens whole arrays by.  It must give the same
+# text, byte for byte.
 
 def reference_mesh_json(mesh):
-    """JSON text of the mesh from a dict of per-row Python lists."""
+    """Format-2 JSON text of the mesh from per-entry Python lists."""
     doc = {
+        "format": 2,
         "genus": int(mesh.genus),
         "level": int(mesh.level),
-        "vertices": int(mesh.num_vertices),
-        "triangles": [[int(v) for v in row] for row in mesh.triangles],
-        "edge_lengths": [
-            [int(mesh.edges[e, 0]), int(mesh.edges[e, 1]),
-             float(mesh.edge_lengths[e])]
-            for e in range(mesh.num_edges)],
-        "holonomy": [
-            [int(mesh.edges[e, 0]), int(mesh.edges[e, 1]),
-             G.word_str(mesh.edge_words[e])]
-            for e in range(mesh.num_edges)],
-        "tri_edges": [[int(v) for v in row] for row in mesh.tri_edges],
-        "tri_edge_signs": [[int(v) for v in row]
-                           for row in mesh.tri_edge_signs],
-        "positions": [[float(z.real), float(z.imag)] for z in mesh.positions],
+        "edges": [int(v) for row in mesh.edges for v in row],
+        "edge_lengths": [float(x) for x in mesh.edge_lengths],
+        "edge_words": [G.word_str(w) for w in mesh.edge_words],
+        "tri_edges": [int(v) for row in mesh.tri_edges for v in row],
+        "tri_edge_signs": [int(v) for row in mesh.tri_edge_signs
+                           for v in row],
+        "positions": [x for z in mesh.positions
+                      for x in (float(z.real), float(z.imag))],
     }
     if mesh.base_vertex is not None:
         doc["base_vertex"] = [int(v) for v in mesh.base_vertex]
-    return json.dumps(doc, indent=1, sort_keys=True)
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+
+def v1_mesh_document(mesh):
+    """The mesh as a document of the layout before format 2, which is no
+    longer read: no format key, rows of numbers, the triangles stored and
+    (tail, head) repeated in the length and holonomy rows."""
+    doc = {
+        "genus": int(mesh.genus), "level": int(mesh.level),
+        "vertices": int(mesh.num_vertices),
+        "triangles": mesh.triangles.tolist(),
+        "tri_edges": mesh.tri_edges.tolist(),
+        "tri_edge_signs": mesh.tri_edge_signs.tolist(),
+        "edge_lengths": [[int(a), int(b), float(x)] for (a, b), x
+                         in zip(mesh.edges, mesh.edge_lengths)],
+        "holonomy": [[int(a), int(b), G.word_str(w)] for (a, b), w
+                     in zip(mesh.edges, mesh.edge_words)],
+        "positions": [[float(z.real), float(z.imag)] for z in mesh.positions],
+    }
+    if mesh.base_vertex is not None:
+        doc["base_vertex"] = mesh.base_vertex.tolist()
+    return doc
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Bad flag values against every subcommand that takes them.
+"""Bad flag values against every subcommand that takes them, and bad mesh
+files against every subcommand that reads one.
 
 Each case must end in exit 1 (domain error) or 2 (usage error) with a
 single ``error:`` or ``usage error:`` line on stderr (``verify: FAIL:``
@@ -12,14 +13,41 @@ import shutil
 
 import pytest
 
+from helpers import v1_mesh_document
 from todalab.cli import main
+from todalab.mesh import mesh_from_json
+
+
+def _set_entry(key, index, value):
+    def edit(doc):
+        doc[key][index] = value
+        return doc
+    return edit
+
+
+# Mesh files every subcommand must reject on reading, each an edit of the
+# level-2 base (the 2-cover for base_vertex): (edit, error message).
+BAD_MESHES = {
+    "slot_edge": (_set_entry("tri_edges", 0, 999),
+                  "'tri_edges' entry 0 is 999, not an edge id in [0, 192)"),
+    "edge_tail": (_set_entry("edges", 0, 999),
+                  "'edges' entry 0 is 999, not a vertex id in [0, 62)"),
+    "edge_head": (_set_entry("edges", 5, 999),
+                  "'edges' entry 5 is 999, not a vertex id in [0, 62)"),
+    "slot_sign": (_set_entry("tri_edge_signs", 4, 0),
+                  "'tri_edge_signs' entry 4 is 0, not +1 or -1"),
+    "base_vertex": (_set_entry("base_vertex", 3, -1),
+                    "'base_vertex' entry 3 is -1, not a vertex id"),
+    "v1_layout": (lambda doc: v1_mesh_document(mesh_from_json(
+        json.dumps(doc))), "mesh format None is not 2: rebuild the mesh"),
+}
 
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Level-2 base mesh, a degree-4 density on it, its 2-cover, a level-0
-    mesh with a degree-4 density, and config files with values of the
-    wrong JSON type."""
+    mesh with a degree-4 density, the files of BAD_MESHES, and config
+    files with values of the wrong JSON type."""
     root = tmp_path_factory.mktemp("fuzz")
     mesh, density = str(root / "base.json"), str(root / "dens")
     cover = str(root / "cover.json")
@@ -31,6 +59,13 @@ def workspace(tmp_path_factory):
     assert main(["mesh", "--refine", "0", "-o", mesh0]) == 0
     assert main(["section", "--mesh", mesh0, "--divisor", "0:2,1:2",
                  "-o", density0]) == 0
+    bad = {}
+    for name, (edit, _) in BAD_MESHES.items():
+        with open(cover if name == "base_vertex" else mesh) as handle:
+            doc = edit(json.load(handle))
+        bad[name] = str(root / f"{name}.json")
+        with open(bad[name], "w") as handle:
+            json.dump(doc, handle)
     configs = {}
     for name, config in (("tol_list", {"tol": [1]}),
                          ("tol_null", {"tol": None}),
@@ -39,7 +74,7 @@ def workspace(tmp_path_factory):
         with open(configs[name], "w") as handle:
             json.dump(config, handle)
     return {"mesh": mesh, "density": density, "cover": cover,
-            "mesh0": mesh0, "density0": density0, **configs}
+            "mesh0": mesh0, "density0": density0, **bad, **configs}
 
 
 def _solve(command, *flags):
@@ -116,11 +151,25 @@ CASES = {
         "(2 vertices)"),
 }
 
+# Every subcommand that reads a mesh, with {bad} for the mesh file.
+MESH_READERS = {
+    "cover": ["cover", "--mesh", "{bad}", "--n", "2", "-o", "{out}/c.json"],
+    "section": ["section", "--mesh", "{bad}", "--divisor", "0:1",
+                "-o", "{out}/d"],
+    "solve-gauss": ["solve-gauss", "--mesh", "{bad}", "--constant", "0.1",
+                    "-o", "{out}/g"],
+    "solve-ricci": ["solve-ricci", "--mesh", "{bad}", "--density",
+                    "{density}", "-o", "{out}/r"],
+    "solve-coupled": ["solve-coupled", "--mesh", "{bad}", "--density",
+                      "{density}", "-o", "{out}/run"],
+    "verify": ["verify", "--mesh", "{bad}"],
+    "export": ["export", "--mesh", "{bad}", "--run", "{out}/run",
+               "-o", "{out}/f.vtk"],
+    "probe": ["probe", "--mesh", "{bad}"],
+}
 
-@pytest.mark.parametrize("name", CASES)
-def test_bad_input_is_one_error_line(name, workspace, tmp_path, capsys):
-    argv, code, message = CASES[name]
-    argv = [arg.format(out=tmp_path, **workspace) for arg in argv]
+
+def _assert_one_error_line(argv, code, message, tmp_path, capsys):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -131,6 +180,22 @@ def test_bad_input_is_one_error_line(name, workspace, tmp_path, capsys):
     # Output directories are never created on the way (only solve-coupled
     # makes its run directory, after a successful solve).
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_bad_input_is_one_error_line(name, workspace, tmp_path, capsys):
+    argv, code, message = CASES[name]
+    argv = [arg.format(out=tmp_path, **workspace) for arg in argv]
+    _assert_one_error_line(argv, code, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("mesh", BAD_MESHES)
+@pytest.mark.parametrize("command", MESH_READERS)
+def test_bad_mesh_file_is_one_error_line(command, mesh, workspace, tmp_path,
+                                         capsys):
+    argv = [arg.format(out=tmp_path, bad=workspace[mesh], **workspace)
+            for arg in MESH_READERS[command]]
+    _assert_one_error_line(argv, 1, BAD_MESHES[mesh][1], tmp_path, capsys)
 
 
 @pytest.fixture(scope="module")

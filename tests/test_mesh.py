@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (reference_build_cover, reference_mesh_json,
-                     reference_refine)
+                     reference_refine, v1_mesh_document)
 from todalab import group as G
 from todalab import hyperbolic as H
 from todalab import operators as ops
@@ -156,59 +156,75 @@ def test_json_cover_round_trip(meshes):
     m2.validate()
 
 
+# The level-0 base mesh file, byte for byte.
+LEVEL_0_JSON = (
+    '{"edge_lengths":[2.4484524476780756,2.4484524476780756,'
+    '2.4484524476780756,2.4484524476780756,2.4484524476780756,'
+    '2.4484524476780756,2.4484524476780756,2.4484524476780756,'
+    '3.0571418389619964,3.0571418389619964,3.0571418389619964,'
+    '3.0571418389619964],'
+    '"edge_words":["","bCd","bA","d","dCbA","A","Cd","CbA","bCd","DcA",'
+    '"aBd","CbA"],'
+    '"edges":[0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,1,1,1,1,1,1,1,1],'
+    '"format":2,"genus":2,"level":0,'
+    '"positions":[0.0,0.0,0.8408964152537145,0.0],'
+    '"tri_edge_signs":[1,1,-1,1,1,-1,1,1,-1,1,1,-1,1,-1,-1,1,-1,-1,1,-1,-1,'
+    '1,-1,-1],'
+    '"tri_edges":[0,8,1,1,9,2,2,10,3,3,11,4,4,8,5,5,9,6,6,10,7,7,11,0]}')
+
+
 def test_json_fields_match_declared_format(meshes):
-    data = json.loads(mesh_to_json(meshes[0]))
-    assert data["genus"] == 2
-    assert data["vertices"] == 2
-    assert data["level"] == 0
-    assert len(data["triangles"]) == 8
-    assert all(len(t) == 3 for t in data["triangles"])
-    assert len(data["edge_lengths"]) == 12
-    assert all(len(row) == 3 for row in data["edge_lengths"])
-    assert len(data["holonomy"]) == 12
-    tail, head, word = data["holonomy"][8]
-    assert isinstance(word, str)
+    text = mesh_to_json(meshes[0])
+    assert text == LEVEL_0_JSON and len(text) == 604
+    m = mesh_from_json(text)
+    assert (m.genus, m.level, m.num_vertices, m.num_faces) == (2, 0, 2, 8)
+    assert np.array_equal(m.triangles, np.tile([0, 1, 1], (8, 1)))
+    assert mesh_to_json(m) == text
 
 
 def test_tampered_json_rejected(meshes):
     data = json.loads(mesh_to_json(meshes[0]))
-    data["edge_lengths"][0][2] = 1.0  # inconsistent with positions
+    data["edge_lengths"][0] = 1.0  # inconsistent with positions
     with pytest.raises(MeshError):
         mesh_from_json(json.dumps(data)).validate()
     data = json.loads(mesh_to_json(meshes[0]))
-    data["vertices"] = 5
-    with pytest.raises(MeshError):
-        mesh_from_json(json.dumps(data))
+    data["positions"] += [0.1, 0.2]  # a vertex no edge or triangle uses
+    with pytest.raises(MeshError, match="Euler characteristic"):
+        mesh_from_json(json.dumps(data)).validate()
+
+
+def _slot(t, k):
+    """Index of slot (t, k) in the flat slot tables."""
+    return 3 * t + k
 
 
 def _swap_signs(data):
     # Spoke slots (0 -> 1): a backward sign puts the slot's tail at the
     # spoke's head.  Both flipped slots fail; the earlier one is named.
-    data["tri_edge_signs"][5][0] = -1
-    data["tri_edge_signs"][2][0] = -1
+    data["tri_edge_signs"][_slot(5, 0)] = -1
+    data["tri_edge_signs"][_slot(2, 0)] = -1
 
 
 def _reuse_edge(data):
     # Triangle 5's first slot takes spoke 4 instead of spoke 5: the slot
     # still joins vertices 0 -> 1, but spoke 4 now has three slots (and
     # spoke 5 one, later in index order).
-    data["tri_edges"][5][0] = 4
+    data["tri_edges"][_slot(5, 0)] = 4
 
 
 def _first_use(data, e):
-    return min(t for t, row in enumerate(data["tri_edges"]) if e in row)
+    return data["tri_edges"].index(e) // 3
 
 
 def _rewrite_word(data):
-    e = data["tri_edges"][10][1]
-    tail, head, word = data["holonomy"][e]
-    data["holonomy"][e] = [tail, head, word + "a"]
+    e = data["tri_edges"][_slot(10, 1)]
+    data["edge_words"][e] += "a"
     return _first_use(data, e)
 
 
 def _shorten_length(data):
-    e = data["tri_edges"][7][2]
-    data["edge_lengths"][e][2] *= 0.99
+    e = data["tri_edges"][_slot(7, 2)]
+    data["edge_lengths"][e] *= 0.99
     return e
 
 
@@ -236,7 +252,7 @@ COVER_SPECS = pytest.mark.parametrize("spec", [
 
 def assert_same_mesh(got, want):
     """Equal arrays (with dtypes), words, genus and level."""
-    for name in ("triangles", "tri_edges", "tri_edge_signs", "edges",
+    for name in ("tri_edges", "tri_edge_signs", "edges",
                  "edge_lengths", "positions", "base_vertex"):
         a, b = getattr(got, name), getattr(want, name)
         if b is None:
@@ -251,8 +267,9 @@ def assert_same_mesh(got, want):
 @COVER_SPECS
 def test_cover_matches_reference_loops(meshes, level, spec):
     cover = build_cover(meshes[level], spec)
-    expected = reference_build_cover(meshes[level], spec)
+    expected, triangles = reference_build_cover(meshes[level], spec)
     assert_same_mesh(cover, expected)
+    assert np.array_equal(cover.triangles, triangles)
     assert mesh_to_json(cover) == mesh_to_json(expected)
     cover.validate()
 
@@ -267,7 +284,9 @@ def test_refine_matches_reference_loops(meshes):
         len(m.slot_triples()[0]) for m in parents)
     for parent in parents + [cover]:
         fine = refine(parent)
-        assert_same_mesh(fine, reference_refine(parent))
+        expected, triangles = reference_refine(parent)
+        assert_same_mesh(fine, expected)
+        assert np.array_equal(fine.triangles, triangles)
         fine.validate()
 
 
@@ -324,6 +343,7 @@ def assert_matches_reference_encoder(mesh):
     text = mesh_to_json(mesh)
     assert_same_text(text, reference_mesh_json(mesh))
     read_back = mesh_from_json(text)
+    assert_same_mesh(read_back, mesh)
     assert_same_text(mesh_to_json(read_back), text)
     assert_same_text(reference_mesh_json(read_back), text)
 
@@ -345,8 +365,13 @@ def test_json_matches_reference_encoder_on_covers(meshes, level, spec):
 
 
 def test_json_matches_reference_encoder_at_level_5():
-    assert_matches_reference_encoder(
-        build_cover(build_base_surface(5), CoverSpec.cyclic(2)))
+    def build():
+        return build_cover(build_base_surface(5), CoverSpec.cyclic(2))
+
+    cover = build()
+    assert_matches_reference_encoder(cover)
+    # Deterministic: a second build gives the same bytes.
+    assert_same_text(mesh_to_json(build()), mesh_to_json(cover))
 
 
 @pytest.mark.parametrize("name, index, value", [
@@ -368,35 +393,61 @@ def _set(key, value):
     return edit
 
 
-def _edit_row(key, index, value):
+def _edit(key, index, value):
     def edit(data):
         data[key][index] = value
     return edit
 
 
+def _v1_document(data):
+    document = v1_mesh_document(mesh_from_dict(data))
+    data.clear()
+    data.update(document)
+
+
 @pytest.mark.parametrize("edit, message", [
-    (_edit_row("triangles", 2, [0, 1]), "'triangles' is malformed"),
-    (_edit_row("tri_edges", 0, 7), "'tri_edges' is malformed"),
-    (_edit_row("positions", 1, [0.1, "x"]), "'positions' is malformed"),
+    (lambda data: data["tri_edges"].pop(),
+     "'tri_edges' is malformed: its length 23 is not a multiple of 3"),
+    (_edit("tri_edges", 0, [7]), "'tri_edges' is malformed"),
+    (_edit("positions", 1, "x"), "'positions' is malformed"),
     (_set("tri_edge_signs", {}), "'tri_edge_signs' is malformed"),
     (_set("base_vertex", [[0], [1]]), "'base_vertex' is malformed"),
     (_set("edge_lengths", []), "'edge_lengths' is malformed"),
-    (lambda data: data.pop("holonomy"), "'holonomy' is malformed"),
-    (lambda data: data.pop("genus"), "genus, level or vertex count"),
-    (_edit_row("holonomy", 0, [0, 1, 5]), "words must be strings"),
-    (_edit_row("holonomy", 0, [0, 1, ["a"]]), "words must be strings"),
-    (_edit_row("holonomy", 0, [0, 1, "ax"]), "invalid word string 'ax'"),
-    (_edit_row("holonomy", 1, [1, 0, ""]), "tables disagree"),
-    (_set("holonomy", [[0, 1, ""]]), "tables disagree"),
-    (_edit_row("positions", 1, [0.1, None]),
-     "'positions' holds a non-finite number"),
-    (_edit_row("edge_lengths", 2, [0, 1, float("nan")]),
-     "'edge_lengths' holds a non-finite number")],
+    (lambda data: data.pop("edges"), "'edges' is malformed"),
+    (lambda data: data.pop("genus"), "genus or level is missing"),
+    (_edit("edge_words", 0, 5), "'edge_words' is malformed"),
+    (_edit("edge_words", 0, ["a"]), "'edge_words' is malformed"),
+    (_edit("edge_words", 0, "ax"), "invalid word string 'ax'"),
+    (lambda data: data["edge_lengths"].pop(),
+     "'edge_lengths' has 11 rows, not 12"),
+    (_set("edge_words", [""]), "'edge_words' has 1 rows, not 12"),
+    (_edit("positions", 1, None), "'positions' holds a non-finite number"),
+    (_edit("edge_lengths", 2, float("nan")),
+     "'edge_lengths' holds a non-finite number"),
+    (lambda data: data["positions"].pop(),
+     "'positions' is malformed: its length 3 is not a multiple of 2"),
+    (lambda data: data.pop("format"), "mesh format None is not 2"),
+    (_set("format", 3), "mesh format 3 is not 2"),
+    (_v1_document, "mesh format None is not 2: rebuild the mesh"),
+    (_edit("edges", 3, 2),
+     "'edges' entry 3 is 2, not a vertex id in [0, 2)"),
+    (_edit("edges", 0, -1),
+     "'edges' entry 0 is -1, not a vertex id in [0, 2)"),
+    (_edit("tri_edges", 4, 12),
+     "'tri_edges' entry 4 is 12, not an edge id in [0, 12)"),
+    (_edit("tri_edge_signs", 5, 0),
+     "'tri_edge_signs' entry 5 is 0, not +1 or -1"),
+    (_set("base_vertex", [0, -1]),
+     "'base_vertex' entry 1 is -1, not a vertex id"),
+    (_set("base_vertex", [0, 1, 0]), "'base_vertex' has 3 rows, not 2")],
     ids=["ragged-row", "scalar-row", "string-entry", "dict-table",
          "nested-base-vertex", "empty-table", "missing-table",
          "missing-genus", "integer-word", "list-word", "bad-letter",
          "row-disagrees", "count-disagrees", "null-position",
-         "nan-length"])
+         "nan-length", "odd-positions", "missing-format", "format-3",
+         "format-1", "edge-endpoint-above", "edge-endpoint-negative",
+         "slot-edge-above", "sign-0", "negative-base-vertex",
+         "long-base-vertex"])
 def test_malformed_mesh_document_raises_mesh_error(meshes, edit, message):
     data = json.loads(mesh_to_json(meshes[0]))
     edit(data)
@@ -405,5 +456,5 @@ def test_malformed_mesh_document_raises_mesh_error(meshes, edit, message):
 
 
 def test_non_object_mesh_document_raises_mesh_error():
-    with pytest.raises(MeshError, match="is malformed"):
+    with pytest.raises(MeshError, match="mesh format None is not 2"):
         mesh_from_json("[1, 2]")
