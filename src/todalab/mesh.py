@@ -591,15 +591,24 @@ def _table(doc, key, width, dtype):
     """doc[key], a nonempty flat list of width numbers per row, as an
     array of dtype: rows of width entries, a vector for width 1, one
     complex entry per row for positions.  MeshError if it is anything
-    else or if a float table holds a non-finite number (or a null)."""
+    else (a float, bool or string in an integer table; a bool or string
+    in a float table) or if a float table holds a non-finite number (or
+    a null)."""
     values = doc.get(key)
     number = float if dtype is complex else dtype
+    if number is np.int64:
+        allowed, kind = {int}, "an integer"
+    else:
+        allowed, kind = {int, float, type(None)}, "a number"
     try:
         if not isinstance(values, list) or not values:
             raise ValueError("not a nonempty list")
         if len(values) % width:
             raise ValueError(f"its length {len(values)} is not a multiple "
                              f"of {width}")
+        if not set(map(type, values)) <= allowed:
+            bad = next(v for v in values if type(v) not in allowed)
+            raise ValueError(f"entry {bad!r} is not {kind}")
         table = np.fromiter(values, number, len(values))
     except (TypeError, ValueError, OverflowError) as exc:
         raise MeshError(f"mesh table {key!r} is malformed: {exc}") from exc

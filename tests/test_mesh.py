@@ -410,6 +410,16 @@ def _v1_document(data):
      "'tri_edges' is malformed: its length 23 is not a multiple of 3"),
     (_edit("tri_edges", 0, [7]), "'tri_edges' is malformed"),
     (_edit("positions", 1, "x"), "'positions' is malformed"),
+    (_edit("tri_edges", 2, 1.5),
+     "'tri_edges' is malformed: entry 1.5 is not an integer"),
+    (_edit("edges", 1, True),
+     "'edges' is malformed: entry True is not an integer"),
+    (_edit("tri_edge_signs", 0, "1"),
+     "'tri_edge_signs' is malformed: entry '1' is not an integer"),
+    (_edit("edge_lengths", 0, False),
+     "'edge_lengths' is malformed: entry False is not a number"),
+    (_edit("positions", 0, "0.5"),
+     "'positions' is malformed: entry '0.5' is not a number"),
     (_set("tri_edge_signs", {}), "'tri_edge_signs' is malformed"),
     (_set("base_vertex", [[0], [1]]), "'base_vertex' is malformed"),
     (_set("edge_lengths", []), "'edge_lengths' is malformed"),
@@ -440,7 +450,9 @@ def _v1_document(data):
     (_set("base_vertex", [0, -1]),
      "'base_vertex' entry 1 is -1, not a vertex id"),
     (_set("base_vertex", [0, 1, 0]), "'base_vertex' has 3 rows, not 2")],
-    ids=["ragged-row", "scalar-row", "string-entry", "dict-table",
+    ids=["ragged-row", "scalar-row", "string-entry", "float-index",
+         "bool-index", "string-sign", "bool-length", "string-position",
+         "dict-table",
          "nested-base-vertex", "empty-table", "missing-table",
          "missing-genus", "integer-word", "list-word", "bad-letter",
          "row-disagrees", "count-disagrees", "null-position",

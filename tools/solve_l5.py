@@ -3,7 +3,9 @@
 Builds the README inputs at refinement level 5 (or `--refine`): the
 genus-2 base, its cyclic 2-cover (V = 8188 at level 5, 32 764 at level 6),
 the canonical divisor 0:1,1:1,5:1,20:1 on the base and its balanced lift
-with the fresh zero 3.  Set-up pays for the cover's systole and its S + M
+with the fresh zero 3.  Right after building the cover it times one write
+of the cover's mesh file (`mesh_to_json`) and one read (`json.loads` plus
+`mesh_from_dict`).  Set-up pays for the cover's systole and its S + M
 factor (`balanced_lift`'s Green solve runs on it), so both are cached when
 `solve_coupled(..., degree 1)` is timed; lambda_1 is paid inside the timed
 call.  Trees whose Green solves build their own factor pay for the S + M
@@ -16,7 +18,8 @@ machine lands on all of them alike:
     python3 tools/solve_l5.py --tree parent=../old/src --tree change=src \\
         --runs 10 --refine 6 -o BENCH.json
 
-Prints the median and quartiles per tree as one JSON object, with each
+Prints the median and quartiles per tree (of the solve and of the mesh
+write and read, with the mesh file's size) as one JSON object, with each
 tree's certificate, the largest relative difference of every certificate
 value against the first tree, and the number of solves with the cover's
 S + M factor that the timed call made (the MINRES preconditioner solves
@@ -41,6 +44,14 @@ import todalab
 from todalab import operators
 base = todalab.build_base_surface(refinement={refine})
 cover = todalab.build_cover(base, todalab.CoverSpec.cyclic(2))
+start = time.perf_counter()
+text = todalab.mesh_to_json(cover)
+write_s = time.perf_counter() - start
+start = time.perf_counter()
+todalab.mesh_from_dict(json.loads(text))
+read_s = time.perf_counter() - start
+mesh_bytes = len(text.encode())
+del text
 base_density = todalab.synth_density(base, todalab.Divisor({divisor!r}))
 density, _ = todalab.balanced_lift(base_density, cover, {zero})
 operators.systole(cover)
@@ -59,13 +70,14 @@ result = todalab.solve_coupled(cover, density,
                                todalab.CoupledConfig(degree=1))
 seconds = time.perf_counter() - start
 json.dump({{"seconds": seconds, "screened_solves": solves[0],
+           "write_s": write_s, "read_s": read_s, "mesh_bytes": mesh_bytes,
            "certificate": result.certificate.to_dict()}}, sys.stdout)
 """
 
 
 def run_once(src, refine):
-    """(seconds, S + M solves, certificate dict) of one timed solve in a
-    fresh process."""
+    """The child's output of one timed solve in a fresh process: seconds,
+    S + M solves, mesh write_s, read_s and mesh_bytes, certificate."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), TODA_THREADS="1")
     code = CHILD.format(refine=refine, divisor=DIVISOR, zero=ZERO_VERTEX)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -73,8 +85,7 @@ def run_once(src, refine):
     if proc.returncode != 0:
         raise SystemExit(f"{src}: solve exited {proc.returncode}: "
                          f"{proc.stderr.strip()}")
-    out = json.loads(proc.stdout)
-    return out["seconds"], out["screened_solves"], out["certificate"]
+    return json.loads(proc.stdout)
 
 
 def summary(samples):
@@ -121,20 +132,20 @@ def main(argv=None):
         parser.error("--refine must be nonnegative")
     trees = dict(spec.split("=", 1) for spec in args.tree or ["change=src"])
 
-    samples = {label: [] for label in trees}
-    solves = {}
-    certificates = {}
+    outs = {label: [] for label in trees}
     for i in range(args.runs):
         # alternate which tree runs first
         order = list(trees) if i % 2 == 0 else list(reversed(trees))
         for label in order:
-            seconds, count, cert = run_once(trees[label], args.refine)
-            samples[label].append(seconds)
-            solves.setdefault(label, set()).add(count)
-            certificates.setdefault(label, cert)
-            print(f"run {i + 1}/{args.runs} {label}: {seconds:.3f} s, "
-                  f"{count} S + M solves", file=sys.stderr)
+            out = run_once(trees[label], args.refine)
+            outs[label].append(out)
+            print(f"run {i + 1}/{args.runs} {label}: {out['seconds']:.3f} s, "
+                  f"{out['screened_solves']} S + M solves, mesh write "
+                  f"{out['write_s']:.3f} s, read {out['read_s']:.3f} s",
+                  file=sys.stderr)
 
+    certificates = {label: runs[0]["certificate"]
+                    for label, runs in outs.items()}
     first = next(iter(trees))
     result = {
         "script": "tools/solve_l5.py",
@@ -142,13 +153,16 @@ def main(argv=None):
         "zero_vertex": ZERO_VERTEX, "degree": 1, "runs": args.runs,
         "machine": machine_info(),
         "trees": {label: {
-            "solve_coupled_s": summary(samples[label]),
-            "samples_s": [round(x, 4) for x in samples[label]],
-            "screened_solves": sorted(solves[label]),
+            "solve_coupled_s": summary([r["seconds"] for r in runs]),
+            "samples_s": [round(r["seconds"], 4) for r in runs],
+            "screened_solves": sorted({r["screened_solves"] for r in runs}),
+            "mesh_bytes": runs[0]["mesh_bytes"],
+            "mesh_write_s": summary([r["write_s"] for r in runs]),
+            "mesh_read_s": summary([r["read_s"] for r in runs]),
             "certificate": certificates[label],
             f"relative_difference_to_{first}": relative_differences(
                 certificates[label], certificates[first])}
-            for label in trees},
+            for label, runs in outs.items()},
     }
     text = json.dumps(result, indent=1)
     if args.output:
