@@ -1,9 +1,10 @@
 """Command-line front end: mesh building, synthesis, solves, verification.
 
 Every subcommand writes outputs atomically and deterministically, so a
-repeated invocation with identical inputs and seed produces byte-identical
-files.  Exit codes: 0 success, 1 domain error (infeasible data, lost
-admissibility, failed verification), 2 usage error.
+repeated invocation with identical inputs (for ``probe``, also the same
+--seed) produces byte-identical files.  Exit codes: 0 success, 1 domain
+error (infeasible data, lost admissibility, failed verification), 2 usage
+error, each reported as one line on stderr.
 
 A JSON config file can mirror any flag of a subcommand via --config; flags
 given on the command line win over config values, which win over defaults.
@@ -157,27 +158,17 @@ def cmd_solve_coupled(args):
     config_dict = {"eta": args.eta, "theta": args.theta,
                    "degree": args.degree, "scale": args.scale,
                    "max_outer": args.max_outer, "tol_outer": args.tol_outer}
-    manifest = fileio.run_manifest(args.mesh, args.density, config_dict,
-                                   args.seed)
+    manifest = fileio.run_manifest(args.mesh, args.density, config_dict)
     fileio.write_json(out("manifest.json"), manifest)
     fileio.write_field_csv(out("u.csv"), "u", result.u)
     fileio.write_field_csv(out("v.csv"), "v", result.v)
     fileio.write_json(out("certificate.json"),
                       result.certificate.to_dict())
-    if args.vtk:
-        _write_run_vtk(out("fields.vtk"), mesh, result.u, result.v, density)
     cert = result.certificate
     print(f"coupled solve: converged={cert.converged} in "
           f"{cert.outer_iters} outer iterations, sup_af = {cert.sup_af:.6g}"
           f" (t = {cert.t:.6g}) -> {args.output}/")
     return 0
-
-
-def _write_run_vtk(path, mesh, u, v, density):
-    ld = density.log_density
-    af = np.exp(ld + 2.0 * v - 4.0 * u)
-    fileio.write_vtk(path, mesh, [
-        ("u", u), ("v", v), ("log_alpha2", ld), ("af_integrand", af)])
 
 
 def _fail(message):
@@ -194,7 +185,7 @@ def cmd_verify(args):
     if args.mesh:
         mesh = _read_mesh(args.mesh)
         mesh.validate()
-        report = spectral_gap(mesh, seed=args.seed)
+        report = spectral_gap(mesh)
         if report.lambda0 > 1e-8:
             return _fail(f"lambda0 = {report.lambda0:.3e} is not zero")
         checked.append(f"mesh {args.mesh}")
@@ -252,8 +243,9 @@ def cmd_verify(args):
             return _fail("recomputed certificate differs from the stored one")
         if stored["converged"]:
             tol = 10 * 1e-8
-            if (stored["gauss_residual"] > tol
-                    or stored["ricci_residual"] > tol):
+            # written so that a NaN residual fails too
+            if not (stored["gauss_residual"] <= tol
+                    and stored["ricci_residual"] <= tol):
                 return _fail("stored residuals are too large for a "
                              "converged run")
         checked.append(f"run {args.run}")
@@ -273,7 +265,10 @@ def cmd_export(args):
     V = mesh.num_vertices
     _, u = fileio.read_field_csv(os.path.join(args.run, "u.csv"), "u", V)
     _, v = fileio.read_field_csv(os.path.join(args.run, "v.csv"), "v", V)
-    _write_run_vtk(args.output, mesh, u, v, density)
+    ld = density.log_density
+    af = np.exp(ld + 2.0 * v - 4.0 * u)
+    fileio.write_vtk(args.output, mesh, [
+        ("u", u), ("v", v), ("log_alpha2", ld), ("af_integrand", af)])
     print(f"wrote VTK -> {args.output}")
     return 0
 
@@ -282,7 +277,7 @@ def cmd_probe(args):
     from .operators import spectral_gap
     from .ricci import mt_probe
     mesh = _read_mesh(args.mesh)
-    report = spectral_gap(mesh, seed=args.seed)
+    report = spectral_gap(mesh)
     mt = mt_probe(mesh, samples=args.samples, seed=args.seed)
     out = {"spectral": report.to_dict(), "mt_constant": mt,
            "samples": args.samples, "seed": args.seed}
@@ -297,15 +292,21 @@ def cmd_probe(args):
 # ----------------------------------------------------------------------
 # Parser
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one line, like every other usage
+    error (``main`` prints it and exits 2)."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _add_common(parser):
     parser.add_argument("--config", help="JSON file mirroring the flags "
                         "(command-line flags win)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized diagnostics")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toda",
         description="Curvature-system laboratory on hyperbolic surface "
                     "meshes: build meshes and covers, synthesize section "
@@ -386,8 +387,6 @@ def build_parser():
                    help="curvature rescaling knob t (default: automatic)")
     p.add_argument("--max-outer", type=int, default=100)
     p.add_argument("--tol-outer", type=float, default=1e-8)
-    p.add_argument("--vtk", action="store_true",
-                   help="also write fields.vtk into the run directory")
     p.add_argument("-o", "--output", required=True, help="run directory")
     _add_common(p)
     p.set_defaults(func=cmd_solve_coupled)
@@ -411,6 +410,8 @@ def build_parser():
     p = sub.add_parser("probe", help="spectral and functional diagnostics")
     p.add_argument("--mesh", required=True)
     p.add_argument("--samples", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the Moser-Trudinger samples")
     p.add_argument("-o", "--output")
     _add_common(p)
     p.set_defaults(func=cmd_probe)

@@ -6,13 +6,13 @@ mesh.mesh_from_dict; here it is only read as a JSON object and written
 atomically).  All writers go through an atomic temp-file + rename so a
 crashed run never leaves a half-written artifact, and all serialization is
 deterministic (sorted JSON keys, shortest round-trip float repr) so
-identical inputs and seed produce byte-identical outputs.
+identical inputs produce byte-identical outputs.
 
 Formats:
   * field CSV         -- header ``vertex_index,<name>``, one row per vertex
   * density CSV+JSON  -- log-density field plus divisor sidecar
   * certificate JSON  -- almost-Fuchsian certificate dict
-  * run manifest JSON -- input paths, config, seed, git-style blob hashes
+  * run manifest JSON -- input paths, config, git-style blob hashes
   * VTK legacy ASCII  -- POLYDATA with point scalars for external viewers
 """
 
@@ -205,22 +205,19 @@ def read_density(prefix, mesh):
 # ----------------------------------------------------------------------
 # Run manifest
 
-def run_manifest(mesh_path, density_path, config_dict, seed):
-    manifest = {
+def run_manifest(mesh_path, density_path, config_dict):
+    """The run's input paths, its config and the blob hashes of the mesh
+    file and of the density's .csv and .json files."""
+    return {
         "mesh": mesh_path,
         "density": density_path,
         "config": config_dict,
-        "seed": seed,
-        "hashes": {},
+        "hashes": {
+            "mesh": file_blob_sha1(mesh_path),
+            "density_csv": file_blob_sha1(density_path + ".csv"),
+            "density_json": file_blob_sha1(density_path + ".json"),
+        },
     }
-    if mesh_path is not None:
-        manifest["hashes"]["mesh"] = file_blob_sha1(mesh_path)
-    if density_path is not None:
-        manifest["hashes"]["density_csv"] = file_blob_sha1(
-            density_path + ".csv")
-        manifest["hashes"]["density_json"] = file_blob_sha1(
-            density_path + ".json")
-    return manifest
 
 
 # ----------------------------------------------------------------------

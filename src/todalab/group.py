@@ -137,38 +137,25 @@ def check_permutations(images, n):
                              f"permutation of 0..{n - 1}")
 
 
+def letter_perms(images):
+    """Permutation array of every letter: the images of the positive
+    letters 1..4 and, under the negative letters, their inverses."""
+    full = {}
+    for l in range(1, N_GENERATORS + 1):
+        p = np.asarray(images[l], dtype=np.int64)
+        full[l] = p
+        full[-l] = np.argsort(p)
+    return full
+
+
 def perm_of_word(images, word, n):
     """Right-action permutation of a word: sheet s goes to perm[s].
 
     ``images`` maps positive letters to permutation arrays; inverses are
     derived.  Letters apply left to right, matching path concatenation.
     """
-    full = {}
-    for l in range(1, N_GENERATORS + 1):
-        p = np.asarray(images[l], dtype=np.int64)
-        full[l] = p
-        full[-l] = np.argsort(p)
+    full = letter_perms(images)
     perm = identity_perm(n)
     for l in word:
         perm = full[l][perm]
     return perm
-
-
-def is_transitive(images, n):
-    """True iff the four generator permutations generate a transitive action."""
-    gens = []
-    for l in range(1, N_GENERATORS + 1):
-        p = np.asarray(images[l], dtype=np.int64)
-        gens.append(p)
-        gens.append(np.argsort(p))
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        s = stack.pop()
-        for p in gens:
-            s2 = int(p[s])
-            if not seen[s2]:
-                seen[s2] = True
-                stack.append(s2)
-    return bool(seen.all())

@@ -158,11 +158,14 @@ class HyperbolicMesh:
         """(first, triple): the distinct triples of slot words and signs,
         the only data a triangle's holonomy words depend on.  first[i] is
         the first triangle with triple i, triple[t] the triple of t."""
-        code = 2 * self.word_table().ids[self.tri_edges] \
-            + (self.tri_edge_signs < 0)
-        _, first, triple = np.unique(code, axis=0, return_index=True,
+        table = self.word_table()
+        code = 2 * table.ids[self.tri_edges] + (self.tri_edge_signs < 0)
+        # one int64 key per row, ordered as the rows are lexicographically
+        n = 2 * len(table.words)
+        key = (code[:, 0] * n + code[:, 1]) * n + code[:, 2]
+        _, first, triple = np.unique(key, return_index=True,
                                      return_inverse=True)
-        return first.tolist(), triple.reshape(-1)
+        return first.tolist(), triple
 
     # -------------------------------------------------- validation
     def validate(self):
@@ -453,19 +456,14 @@ class CoverSpec:
             raise RelatorError(
                 "generator images do not kill the octagon relator "
                 f"{group.word_str(group.RELATOR)}")
-        if not group.is_transitive(self.generator_images, n):
-            raise DisconnectedCoverError(
-                "permutation action is not transitive; cover is disconnected")
+        _schreier_transversal(self.generator_images, n)
         return True
 
 
 def _schreier_transversal(images, n):
-    """BFS transversal: word T_s carrying sheet 0 to sheet s."""
-    full = {}
-    for l in range(1, group.N_GENERATORS + 1):
-        p = np.asarray(images[l], dtype=np.int64)
-        full[l] = p
-        full[-l] = np.argsort(p)
+    """BFS transversal: word T_s carrying sheet 0 to sheet s.  Raises
+    DisconnectedCoverError unless the action is transitive."""
+    full = group.letter_perms(images)
     T = [None] * n
     T[0] = ()
     queue = [0]

@@ -129,9 +129,9 @@ def logsumexp(a, b=None):
 
 
 class Operators:
-    """Per-mesh operators: S (CSR), L = -S, lumped masses m, M = diag(m),
-    the total area vol = m.sum(), lap and log_mean.  The path graph, the
-    S + M factor and lambda0/lambda1 are built on first use.
+    """Per-mesh operators: S (CSR), lumped masses m, M = diag(m), the
+    total area vol = m.sum(), lap and log_mean.  The path graph, the S + M
+    factor and lambda0/lambda1 are built on first use.
     """
 
     def __init__(self, mesh):
@@ -162,26 +162,23 @@ class Operators:
         self.S = sp.coo_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=(V, V)).tocsr()
-        self.L = -self.S
-        self._low = {}
 
     def lap(self, x):
-        """M^{-1} L x, the pointwise discrete Laplacian of a vertex field."""
-        return (self.L @ x) / self.m
+        """M^{-1} L x = -M^{-1} S x, the pointwise discrete Laplacian of a
+        vertex field."""
+        return -(self.S @ x) / self.m
 
     def log_mean(self, x):
         """ln of the M-average of e^x, without overflow."""
         return logsumexp(x, b=self.m) - np.log(self.vol)
 
-    def low_eigenvalues(self, seed=0):
-        """(lambda0, lambda1) from ``eig_low(k=2)``, once per seed."""
-        if seed not in self._low:
-            vals = eig_low(self.mesh, k=2, seed=seed)[0]
-            if not np.isfinite(vals).all():
-                raise NonConvergence(
-                    "eigensolver returned non-finite eigenvalues")
-            self._low[seed] = (float(vals[0]), float(vals[1]))
-        return self._low[seed]
+    @cached_property
+    def low_eigenvalues(self):
+        """(lambda0, lambda1) from ``eig_low(k=2)``."""
+        vals = eig_low(self.mesh, k=2)[0]
+        if not np.isfinite(vals).all():
+            raise NonConvergence("eigensolver returned non-finite eigenvalues")
+        return float(vals[0]), float(vals[1])
 
     @cached_property
     def screened_lu(self):
@@ -361,7 +358,7 @@ def laplacian(mesh):
     """(L, M): the cotangent Laplacian L = -S (rows sum to 0) and the lumped
     mass matrix; g^T L f = -(discrete Dirichlet pairing of f and g)."""
     ops = of(mesh)
-    return ops.L, ops.M
+    return -ops.S, ops.M
 
 
 def stiffness(mesh):
@@ -380,17 +377,18 @@ DENSE_FALLBACK_MAX_V = 1024
 EIG_TOL = 1e-9  # relative accuracy asked of ARPACK in eig_low
 
 
-def _start_vector(V, seed):
-    rng = np.random.default_rng(seed)
+def _start_vector(V):
+    """ARPACK's start vector: ones plus a small fixed perturbation."""
+    rng = np.random.default_rng(0)
     return np.ones(V) + 0.01 * rng.standard_normal(V)
 
 
-def eig_low(mesh, k=2, seed=0):
+def eig_low(mesh, k=2):
     """Smallest k generalized eigenpairs of S x = lambda M x, ascending.
 
     Shift-invert Lanczos at sigma = -1, where S - sigma M is the bundle's
     S + M, so its factor serves as the inverse.  Deterministic: the
-    iterative solver is started from a fixed seeded vector.  Small problems
+    iterative solver is started from a fixed vector.  Small problems
     are solved densely; an ARPACK RuntimeError falls back to the dense
     solve up to DENSE_FALLBACK_MAX_V vertices and raises NonConvergence
     above that.
@@ -405,7 +403,7 @@ def eig_low(mesh, k=2, seed=0):
     try:
         vals, vecs = spla.eigsh(S, k=k, M=M, sigma=-1.0, which="LM",
                                 OPinv=screened_inverse,
-                                v0=_start_vector(V, seed), tol=EIG_TOL)
+                                v0=_start_vector(V), tol=EIG_TOL)
     except RuntimeError as exc:
         if V > DENSE_FALLBACK_MAX_V:
             raise NonConvergence(
@@ -434,7 +432,7 @@ def eigs_nearest(A, m, sigma, enough=lambda vals: True):
     M = sp.diags(m).tocsr()
     op = spla.LinearOperator((V, V), matvec=factor(A - sigma * M).solve,
                              dtype=float)
-    v0 = _start_vector(V, 0)
+    v0 = _start_vector(V)
     k = 1
     while k < V - 1:
         try:
@@ -465,19 +463,18 @@ class SpectralReport:
     lambda1: float
     systole: float
     volume: float
-    seed: int
 
     def to_dict(self):
         return {"lambda0": self.lambda0, "lambda1": self.lambda1,
                 "systole": self.systole, "volume": self.volume,
-                "tol": EIG_TOL, "seed": self.seed}
+                "tol": EIG_TOL}
 
 
-def spectral_gap(mesh, seed=0):
+def spectral_gap(mesh):
     """Smallest two Laplace eigenvalues plus systole and volume."""
-    lam0, lam1 = of(mesh).low_eigenvalues(seed)
+    lam0, lam1 = of(mesh).low_eigenvalues
     return SpectralReport(lambda0=lam0, lambda1=lam1, systole=systole(mesh),
-                          volume=volume(mesh), seed=seed)
+                          volume=volume(mesh))
 
 
 # ----------------------------------------------------------------------

@@ -346,9 +346,9 @@ def stability_check(mesh, v, f):
     weight = np.exp(2.0 * v) * f
     sup_term = 2.0 * float(weight.max())
     c = float((m * weight).sum() / ops.vol)
-    lam1 = ops.low_eigenvalues()[1]
+    lam1 = ops.low_eigenvalues[1]
 
-    A = (ops.L + sp.diags(2.0 * m * weight)).tocsr()
+    A = (sp.diags(2.0 * m * weight) - ops.S).tocsr()
     lo = -lam1 + sup_term
     hi = 2.0 * c
     window = (lo, hi)

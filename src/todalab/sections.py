@@ -182,7 +182,7 @@ def poincare_lelong_residual(density):
     """Max-abs defect of L log|alpha|^2 = 4 pi (divisor) - 2 c_L M 1."""
     mesh = density.mesh
     ops = operators.of(mesh)
-    lhs = ops.L @ density.log_density
+    lhs = -(ops.S @ density.log_density)
     rhs = (4.0 * np.pi * density.divisor.indicator(mesh.num_vertices)
            - 2.0 * density.curvature_constant * ops.m)
     return float(np.abs(lhs - rhs).max())

@@ -336,6 +336,37 @@ def test_verify_reports_malformed_run_files(run_dir, tmp_path, capsys,
     assert path in err and message in err
 
 
+def test_verify_fails_converged_run_with_nan_residuals(run_dir, workspace,
+                                                      tmp_path, capsys):
+    # Infinite fields give NaN residuals, which no "> tol" test catches.
+    from todalab.coupled import certify
+    run = str(tmp_path / "run")
+    shutil.copytree(run_dir, run)
+    with open(workspace["cover"]) as handle:
+        cover = mesh_from_json(handle.read())
+    density = fileio.read_density(workspace["cover_dens"], cover)
+    fields = {}
+    for name, value in (("u", -np.inf), ("v", np.inf)):
+        path = os.path.join(run, name + ".csv")
+        _, fields[name] = fileio.read_field_csv(path, name)
+        fields[name][5] = value
+        fileio.write_field_csv(path, name, fields[name])
+    path = os.path.join(run, "certificate.json")
+    stored = fileio.read_json(path)
+    with np.errstate(invalid="ignore", over="ignore"):
+        cert = certify(cover, fields["u"], fields["v"], density,
+                       eta=stored["eta"], degree=stored["degree"],
+                       t=stored["t"], outer_iters=stored["outer_iters"],
+                       converged=True).to_dict()
+        assert np.isnan(cert["gauss_residual"])
+        assert np.isnan(cert["ricci_residual"])
+        fileio.write_json(path, cert)
+        assert main(["verify", "--mesh", workspace["cover"], "--density",
+                     workspace["cover_dens"], "--run", run]) == 1
+    assert "stored residuals are too large for a converged run" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry", [5, [0], [0, 1.5], ["0", 1], [0, True]])
 def test_read_density_rejects_malformed_divisor_entry(workspace, tmp_path,
                                                       capsys, entry):

@@ -69,7 +69,7 @@ def workspace(tmp_path_factory):
     configs = {}
     for name, config in (("tol_list", {"tol": [1]}),
                          ("tol_null", {"tol": None}),
-                         ("vtk_number", {"vtk": 1})):
+                         ("zero_number", {"zero": 1})):
         configs[name] = str(root / f"{name}.json")
         with open(configs[name], "w") as handle:
             json.dump(config, handle)
@@ -134,8 +134,12 @@ CASES = {
     "config-tol-null": (_gauss("--constant", "0.1", "--config",
                                "{tol_null}"), 2,
                         "argument --tol: invalid float value: 'null'"),
-    "config-vtk-number": (_solve("solve-coupled", "--config", "{vtk_number}"),
-                          2, "--vtk must be true or false, got 1"),
+    "config-zero-number": (["section", "--mesh", "{mesh}", "--config",
+                            "{zero_number}", "-o", "{out}/d"], 2,
+                           "--zero must be true or false, got 1"),
+    # --seed is a flag of probe alone, the one subcommand it changes.
+    "mesh-seed": (["mesh", "--seed", "1", "-o", "{out}/base.json"], 2,
+                  "unrecognized arguments: --seed 1"),
     # A malformed --divisor names the flag and its form.
     "divisor-no-colon": (_section("abc"), 2,
                          "--divisor expects integer vertex:mult pairs"),

@@ -101,9 +101,3 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         G.check_permutations({1: [0, 1]}, 2)
 
-
-def test_transitivity():
-    shift = {1: [1, 2, 0], 2: [0, 1, 2], 3: [0, 1, 2], 4: [0, 1, 2]}
-    assert G.is_transitive(shift, 3)
-    trivial = {k: [0, 1, 2] for k in range(1, 5)}
-    assert not G.is_transitive(trivial, 3)

@@ -110,10 +110,13 @@ def test_cover_positions_consistent(meshes):
 
 def test_disconnected_cover_rejected():
     base = build_base_surface(refinement=0)
-    trivial = CoverSpec(degree=2, generator_images={
-        1: [0, 1], 2: [0, 1], 3: [0, 1], 4: [0, 1]})
-    with pytest.raises(DisconnectedCoverError):
-        build_cover(base, trivial)
+    for n in (2, 3):
+        trivial = CoverSpec(degree=n, generator_images={
+            k: list(range(n)) for k in range(1, 5)})
+        with pytest.raises(DisconnectedCoverError, match="not transitive"):
+            trivial.validate()
+        with pytest.raises(DisconnectedCoverError, match="not transitive"):
+            build_cover(base, trivial)
 
 
 def test_relator_violating_cover_rejected():

@@ -73,8 +73,7 @@ def test_spectral_gap_report(mesh2):
     assert rep.volume == pytest.approx(4 * np.pi, rel=1e-10)
     assert rep.systole == pytest.approx(3.0571418389619964, abs=1e-12)
     d = rep.to_dict()
-    assert set(d) == {"lambda0", "lambda1", "systole", "volume", "tol",
-                      "seed"}
+    assert set(d) == {"lambda0", "lambda1", "systole", "volume", "tol"}
 
 
 def test_lambda1_converges_to_smooth_value(mesh3):
@@ -271,8 +270,8 @@ def test_graph_distances(mesh2):
 
 
 def test_determinism(mesh2):
-    r1 = ops.spectral_gap(mesh2, seed=3)
-    r2 = ops.spectral_gap(mesh2, seed=3)
+    r1 = ops.spectral_gap(mesh2)
+    r2 = ops.spectral_gap(mesh2)
     assert r1.lambda1 == r2.lambda1
     assert r1.to_dict() == r2.to_dict()
 

@@ -16,19 +16,19 @@ spell of a shared machine lands on all of them alike:
 
 Each tree's outputs of the first run are hashed, so trees that should give
 the same bytes can be compared.  BLAS runs one thread (`TODA_THREADS=1`).
+The command line and the output helpers are shared with `solve_l5.py`
+(`trees.py`).
 """
 
-import argparse
 import hashlib
-import json
 import os
-import platform
 import shutil
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
+
+from trees import alternating, emit, machine_info, parse_args, summary
 
 DIVISOR = "0:1,1:1,5:1,20:1"
 ZERO_VERTEX = "3"
@@ -84,58 +84,26 @@ def output_hashes(work):
     return dict(sorted(hashes.items()))
 
 
-def summary(samples):
-    """Median and quartiles of a list of seconds."""
-    q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median": round(q2, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
-
-
-def machine_info():
-    import numpy
-    import scipy
-    return {"nproc": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__, "scipy": scipy.__version__,
-            "platform": platform.platform(),
-            "threads": "TODA_THREADS=1"}
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--tree", action="append", metavar="LABEL=SRC",
-                        help="a label and the src/ directory holding "
-                             "todalab (repeatable; default change=src)")
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--refine", type=int, default=5,
-                        help="refinement level of the base (default 5)")
-    parser.add_argument("-o", "--output", help="also write the JSON here")
-    args = parser.parse_args(argv)
-    if args.runs < 2:
-        parser.error("--runs must be at least 2")
-    if args.refine < 0:
-        parser.error("--refine must be nonnegative")
-    trees = dict(spec.split("=", 1) for spec in args.tree or ["change=src"])
+    args, trees = parse_args(__doc__.split("\n")[0], argv)
 
     names = [name for name, _ in steps(args.refine)]
     samples = {label: {name: [] for name in names + ["total"]}
                for label in trees}
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for i in range(args.runs):
-            # alternate which tree runs first
-            order = list(trees) if i % 2 == 0 else list(reversed(trees))
-            for label in order:
-                work = os.path.join(tmp, label)
-                os.makedirs(work)
-                times = run_pipeline(trees[label], work, args.refine)
-                for name, seconds in times.items():
-                    samples[label][name].append(seconds)
-                samples[label]["total"].append(sum(times.values()))
-                if label not in hashes:
-                    hashes[label] = output_hashes(work)
-                shutil.rmtree(work)
-                print(f"run {i + 1}/{args.runs} {label}: "
-                      f"{sum(times.values()):.2f} s", file=sys.stderr)
+        for i, label in alternating(trees, args.runs):
+            work = os.path.join(tmp, label)
+            os.makedirs(work)
+            times = run_pipeline(trees[label], work, args.refine)
+            for name, seconds in times.items():
+                samples[label][name].append(seconds)
+            samples[label]["total"].append(sum(times.values()))
+            if label not in hashes:
+                hashes[label] = output_hashes(work)
+            shutil.rmtree(work)
+            print(f"run {i + 1}/{args.runs} {label}: "
+                  f"{sum(times.values()):.2f} s", file=sys.stderr)
 
     result = {
         "script": "tools/pipeline_l5.py",
@@ -149,11 +117,7 @@ def main(argv=None):
                           for name, values in samples[label].items()},
             "output_sha1": hashes[label]} for label in trees},
     }
-    text = json.dumps(result, indent=1)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-    print(text)
+    emit(result, args.output)
     return 0
 
 

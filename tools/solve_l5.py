@@ -24,16 +24,16 @@ tree's certificate, the largest relative difference of every certificate
 value against the first tree, and the number of solves with the cover's
 S + M factor that the timed call made (the MINRES preconditioner solves
 and those of `eig_low`; the child wraps the factor's `solve` to count
-them).  BLAS runs one thread (`TODA_THREADS=1`).
+them).  BLAS runs one thread (`TODA_THREADS=1`).  The command line and
+the output helpers are shared with `pipeline_l5.py` (`trees.py`).
 """
 
-import argparse
 import json
 import os
-import platform
-import statistics
 import subprocess
 import sys
+
+from trees import alternating, emit, machine_info, parse_args, summary
 
 DIVISOR = [(0, 1), (1, 1), (5, 1), (20, 1)]
 ZERO_VERTEX = 3
@@ -88,12 +88,6 @@ def run_once(src, refine):
     return json.loads(proc.stdout)
 
 
-def summary(samples):
-    """Median and quartiles of a list of seconds."""
-    q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median": round(q2, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
-
-
 def relative_differences(cert, reference):
     """|a - b| / max(|b|, tiny) of every numeric certificate value."""
     diffs = {}
@@ -106,43 +100,17 @@ def relative_differences(cert, reference):
     return diffs
 
 
-def machine_info():
-    import numpy
-    import scipy
-    return {"nproc": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__, "scipy": scipy.__version__,
-            "platform": platform.platform(),
-            "threads": "TODA_THREADS=1"}
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--tree", action="append", metavar="LABEL=SRC",
-                        help="a label and the src/ directory holding "
-                             "todalab (repeatable; default change=src)")
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--refine", type=int, default=5,
-                        help="refinement level of the base (default 5)")
-    parser.add_argument("-o", "--output", help="also write the JSON here")
-    args = parser.parse_args(argv)
-    if args.runs < 2:
-        parser.error("--runs must be at least 2")
-    if args.refine < 0:
-        parser.error("--refine must be nonnegative")
-    trees = dict(spec.split("=", 1) for spec in args.tree or ["change=src"])
+    args, trees = parse_args(__doc__.split("\n")[0], argv)
 
     outs = {label: [] for label in trees}
-    for i in range(args.runs):
-        # alternate which tree runs first
-        order = list(trees) if i % 2 == 0 else list(reversed(trees))
-        for label in order:
-            out = run_once(trees[label], args.refine)
-            outs[label].append(out)
-            print(f"run {i + 1}/{args.runs} {label}: {out['seconds']:.3f} s, "
-                  f"{out['screened_solves']} S + M solves, mesh write "
-                  f"{out['write_s']:.3f} s, read {out['read_s']:.3f} s",
-                  file=sys.stderr)
+    for i, label in alternating(trees, args.runs):
+        out = run_once(trees[label], args.refine)
+        outs[label].append(out)
+        print(f"run {i + 1}/{args.runs} {label}: {out['seconds']:.3f} s, "
+              f"{out['screened_solves']} S + M solves, mesh write "
+              f"{out['write_s']:.3f} s, read {out['read_s']:.3f} s",
+              file=sys.stderr)
 
     certificates = {label: runs[0]["certificate"]
                     for label, runs in outs.items()}
@@ -164,11 +132,7 @@ def main(argv=None):
                 certificates[label], certificates[first])}
             for label, runs in outs.items()},
     }
-    text = json.dumps(result, indent=1)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-    print(text)
+    emit(result, args.output)
     return 0
 
 

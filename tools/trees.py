@@ -1,0 +1,68 @@
+"""What the timing tools share: their command line, the alternating order
+in which they run several source trees, and their JSON output.
+
+Each tool takes `--tree LABEL=SRC` (repeatable; default `change=src`),
+`--runs` (at least 2), `--refine` (default 5) and `-o`.  Runs alternate
+which tree goes first, so a slow spell of a shared machine lands on all
+trees alike.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+
+
+def parse_args(description, argv=None):
+    """(args, trees): the parsed command line and the {label: src} of its
+    trees, in the order given."""
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument("--tree", action="append", metavar="LABEL=SRC",
+                        help="a label and the src/ directory holding "
+                             "todalab (repeatable; default change=src)")
+    parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--refine", type=int, default=5,
+                        help="refinement level of the base (default 5)")
+    parser.add_argument("-o", "--output", help="also write the JSON here")
+    args = parser.parse_args(argv)
+    if args.runs < 2:
+        parser.error("--runs must be at least 2")
+    if args.refine < 0:
+        parser.error("--refine must be nonnegative")
+    trees = dict(spec.split("=", 1) for spec in args.tree or ["change=src"])
+    return args, trees
+
+
+def alternating(trees, runs):
+    """(run index, label) of every tree in every run; even runs take the
+    trees in order, odd runs in reverse."""
+    for i in range(runs):
+        order = list(trees) if i % 2 == 0 else list(reversed(trees))
+        for label in order:
+            yield i, label
+
+
+def summary(samples):
+    """Median and quartiles of a list of seconds."""
+    q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": round(q2, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def machine_info():
+    import numpy
+    import scipy
+    return {"nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__,
+            "platform": platform.platform(),
+            "threads": "TODA_THREADS=1"}
+
+
+def emit(result, output):
+    """Print the result as JSON, and also write it to output if given."""
+    text = json.dumps(result, indent=1)
+    if output:
+        with open(output, "w") as handle:
+            handle.write(text + "\n")
+    print(text)
