@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from todalab import group as G
+from todalab.errors import DisconnectedCoverError
+from todalab.mesh import CoverSpec
 
 
 def test_word_string_round_trip():
@@ -101,3 +103,11 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         G.check_permutations({1: [0, 1]}, 2)
 
+
+
+def test_transitivity():
+    shift = {1: [1, 2, 0], 2: [0, 1, 2], 3: [0, 1, 2], 4: [0, 1, 2]}
+    assert CoverSpec(degree=3, generator_images=shift).validate()
+    trivial = {k: [0, 1, 2] for k in range(1, 5)}
+    with pytest.raises(DisconnectedCoverError, match="not transitive"):
+        CoverSpec(degree=3, generator_images=trivial).validate()
