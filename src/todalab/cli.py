@@ -5,15 +5,11 @@ repeated invocation with identical inputs (for ``probe``, also the same
 --seed) produces byte-identical files.  Exit codes: 0 success, 1 domain
 error (infeasible data, lost admissibility, failed verification), 2 usage
 error, each reported as one line on stderr.
-
-A JSON config file can mirror any flag of a subcommand via --config; flags
-given on the command line win over config values, which win over defaults.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -196,26 +192,24 @@ def cmd_verify(args):
         density = fileio.read_density(args.density, mesh)
         if not density.is_zero:
             res = poincare_lelong_residual(density)
-            if res > args.tol:
+            if not (res <= args.tol):  # a NaN residual fails too
                 return _fail(f"density curvature residual {res:.3e} "
                              f"exceeds {args.tol:.1e}")
         checked.append(f"density {args.density}")
 
     if args.run:
+        manifest_path = os.path.join(args.run, "manifest.json")
         try:
             _, manifest = fileio.read_json_object(
-                os.path.join(args.run, "manifest.json"),
-                {"mesh": str, "density": str, "hashes": dict})
+                manifest_path, {"mesh": str, "density": str, "hashes": dict})
         except TodaError as exc:
             return _fail(str(exc))
         mesh_path = args.mesh or manifest["mesh"]
         density_path = args.density or manifest["density"]
-        for key, path in [("mesh", mesh_path),
-                          ("density_csv", density_path + ".csv"),
-                          ("density_json", density_path + ".json")]:
-            if key in manifest["hashes"]:
-                if fileio.file_blob_sha1(path) != manifest["hashes"][key]:
-                    return _fail(f"{key} file hash changed since the run")
+        for key, path in fileio.run_inputs(mesh_path, density_path):
+            if fileio.file_blob_sha1(path) != manifest["hashes"].get(key):
+                return _fail(f"{manifest_path}: {key} file hash changed "
+                             "since the run")
         run_mesh = mesh
         if run_mesh is None:
             run_mesh = _read_mesh(mesh_path)
@@ -224,30 +218,32 @@ def cmd_verify(args):
             # With --density given, density_path is that prefix and
             # run_mesh is the --mesh mesh: the density read above is it.
             density = fileio.read_density(density_path, run_mesh)
+        cert_path = os.path.join(args.run, "certificate.json")
         try:
             V = run_mesh.num_vertices
             _, u = fileio.read_field_csv(os.path.join(args.run, "u.csv"), "u", V)
             _, v = fileio.read_field_csv(os.path.join(args.run, "v.csv"), "v", V)
-            stored_bytes, stored = fileio.read_json_object(
-                os.path.join(args.run, "certificate.json"),
-                {"eta": (int, float), "degree": int, "t": (int, float),
-                 "outer_iters": int, "converged": bool})
+            stored_bytes, stored = fileio.read_json_object(cert_path, {
+                "eta": (int, float), "degree": int, "t": (int, float),
+                "outer_iters": int, "converged": bool})
+            recomputed = certify(
+                run_mesh, u, v, density, eta=stored["eta"],
+                degree=stored["degree"], t=stored["t"],
+                outer_iters=stored["outer_iters"],
+                converged=stored["converged"])
         except TodaError as exc:
             return _fail(str(exc))
-        recomputed = certify(
-            run_mesh, u, v, density, eta=stored["eta"],
-            degree=stored["degree"], t=stored["t"],
-            outer_iters=stored["outer_iters"], converged=stored["converged"])
+        except ValueError as exc:  # an eta outside (0, 1]
+            return _fail(f"{cert_path}: {exc}")
         recomputed_bytes = fileio.dump_json(recomputed.to_dict())
         if recomputed_bytes != stored_bytes:
             return _fail("recomputed certificate differs from the stored one")
-        if stored["converged"]:
-            tol = 10 * 1e-8
-            # written so that a NaN residual fails too
-            if not (stored["gauss_residual"] <= tol
-                    and stored["ricci_residual"] <= tol):
-                return _fail("stored residuals are too large for a "
-                             "converged run")
+        tol = 10 * 1e-8
+        # written so that a NaN residual fails too
+        if not (stored["converged"] and stored["gauss_residual"] <= tol
+                and stored["ricci_residual"] <= tol):
+            return _fail("the run is not converged: its certificate needs "
+                         f"converged true and residuals at most {tol:.0e}")
         checked.append(f"run {args.run}")
 
     if not checked:
@@ -300,11 +296,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON file mirroring the flags "
-                        "(command-line flags win)")
-
-
 def build_parser():
     parser = _Parser(
         prog="toda",
@@ -320,14 +311,12 @@ def build_parser():
     p.add_argument("--refine", type=int, default=0,
                    help="number of refinement levels")
     p.add_argument("-o", "--output", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_mesh)
 
     p = sub.add_parser("cover", help="build a cyclic cover of a mesh")
     p.add_argument("--mesh", required=True)
     p.add_argument("--n", type=int, required=True, help="cover degree")
     p.add_argument("-o", "--output", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("section", help="synthesize a section density")
@@ -346,7 +335,6 @@ def build_parser():
                    choices=["unit_mean", "unit_sup"])
     p.add_argument("-o", "--output", required=True,
                    help="output prefix (.csv and .json are appended)")
-    _add_common(p)
     p.set_defaults(func=cmd_section)
 
     p = sub.add_parser("solve-gauss", help="solve the scalar curvature "
@@ -359,7 +347,6 @@ def build_parser():
     p.add_argument("--method", default="newton",
                    choices=["newton", "monotone"])
     p.add_argument("-o", "--output", required=True, help="output prefix")
-    _add_common(p)
     p.set_defaults(func=cmd_solve_gauss)
 
     p = sub.add_parser("solve-ricci", help="solve the bundle curvature "
@@ -373,7 +360,6 @@ def build_parser():
                    help="curvature rescaling knob t in (0, 1]")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("-o", "--output", required=True, help="output prefix")
-    _add_common(p)
     p.set_defaults(func=cmd_solve_ricci)
 
     p = sub.add_parser("solve-coupled", help="run the coupled fixed-point "
@@ -388,7 +374,6 @@ def build_parser():
     p.add_argument("--max-outer", type=int, default=100)
     p.add_argument("--tol-outer", type=float, default=1e-8)
     p.add_argument("-o", "--output", required=True, help="run directory")
-    _add_common(p)
     p.set_defaults(func=cmd_solve_coupled)
 
     p = sub.add_parser("verify", help="re-check invariants from files")
@@ -396,7 +381,6 @@ def build_parser():
     p.add_argument("--density", help="density file prefix")
     p.add_argument("--run", help="run directory with a certificate")
     p.add_argument("--tol", type=float, default=1e-8)
-    _add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="export run fields to VTK")
@@ -404,7 +388,6 @@ def build_parser():
     p.add_argument("--run", required=True)
     p.add_argument("--density", help="density prefix override")
     p.add_argument("-o", "--output", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("probe", help="spectral and functional diagnostics")
@@ -413,58 +396,9 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the Moser-Trudinger samples")
     p.add_argument("-o", "--output")
-    _add_common(p)
     p.set_defaults(func=cmd_probe)
 
     return parser
-
-
-def _load_config(argv):
-    """Pre-scan for --config so its values become parser defaults."""
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-            break
-        if arg.startswith("--config="):
-            path = arg.split("=", 1)[1]
-            break
-    else:
-        return {}
-    with open(path) as handle:
-        config = json.load(handle)
-    if not isinstance(config, dict):
-        raise TodaError(f"config file {path} must hold a JSON object")
-    return {key.replace("-", "_"): value for key, value in config.items()}
-
-
-def _apply_config(parser, config):
-    """Turn config values into per-subcommand defaults (flags still win).
-
-    Each value is read as its flag would read it on the command line
-    (type and choices); a value that cannot be is a usage error.
-    """
-    sub = next(action for action in parser._actions
-               if isinstance(action, argparse._SubParsersAction))
-    for p in sub.choices.values():
-        known = {action.dest: action for action in p._actions}
-        overlap = {k: _config_value(p, known[k], v)
-                   for k, v in config.items() if k in known}
-        p.set_defaults(**overlap)
-        for key in overlap:
-            known[key].required = False
-
-
-def _config_value(parser, action, value):
-    if action.nargs == 0:  # on/off switches take JSON true or false
-        if not isinstance(value, bool):
-            raise ValueError(f"config value for {action.option_strings[0]} "
-                             f"must be true or false, got {json.dumps(value)}")
-        return value
-    text = value if isinstance(value, str) else json.dumps(value)
-    try:
-        return parser._get_values(action, [text])
-    except argparse.ArgumentError as exc:
-        raise ValueError(f"config file: {exc}") from None
 
 
 def _check_args(args):
@@ -479,14 +413,9 @@ def _check_args(args):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        config = _load_config(argv)
-        parser = build_parser()
-        if config:
-            _apply_config(parser, config)
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code) if exc.code else 0
         _check_args(args)
@@ -494,10 +423,7 @@ def main(argv=None):
     except TodaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -193,30 +194,38 @@ def read_density(prefix, mesh):
             raise TodaError(
                 f"{prefix}.json divisor entry {i} is {entry!r}, not a "
                 f"[vertex, multiplicity] pair of integers")
+    c_L = float(sidecar["c_L"])
+    if not math.isfinite(c_L):
+        raise TodaError(f"{prefix}.json has c_L = {c_L}, not a finite number")
     divisor = Divisor([(v, m) for v, m in sidecar["divisor"]])
     divisor.check_range(mesh.num_vertices)
     if divisor.degree != int(sidecar["degree"]):
         raise TodaError("divisor degree disagrees with sidecar degree")
     return SectionDensity(mesh=mesh, log_density=ld, divisor=divisor,
-                          curvature_constant=float(sidecar["c_L"]),
+                          curvature_constant=c_L,
                           normalization=sidecar["normalization"])
 
 
 # ----------------------------------------------------------------------
 # Run manifest
 
+def run_inputs(mesh_path, density_path):
+    """(hash key, path) of each input file a run manifest hashes: the mesh
+    file and the density's .csv and .json files."""
+    return [("mesh", mesh_path),
+            ("density_csv", density_path + ".csv"),
+            ("density_json", density_path + ".json")]
+
+
 def run_manifest(mesh_path, density_path, config_dict):
-    """The run's input paths, its config and the blob hashes of the mesh
-    file and of the density's .csv and .json files."""
+    """The run's input paths, its config and the blob hashes of its
+    run_inputs."""
     return {
         "mesh": mesh_path,
         "density": density_path,
         "config": config_dict,
-        "hashes": {
-            "mesh": file_blob_sha1(mesh_path),
-            "density_csv": file_blob_sha1(density_path + ".csv"),
-            "density_json": file_blob_sha1(density_path + ".json"),
-        },
+        "hashes": {key: file_blob_sha1(path)
+                   for key, path in run_inputs(mesh_path, density_path)},
     }
 
 

@@ -219,24 +219,6 @@ def test_probe_report(workspace, tmp_path):
     assert report["mt_constant"] > 0
 
 
-def test_config_file_defaults_and_precedence(workspace, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    out_a = str(tmp_path / "a.json")
-    out_b = str(tmp_path / "b.json")
-    cfg.write_text(json.dumps({"refine": 1, "output": out_a}))
-    assert main(["mesh", "--config", str(cfg)]) == 0
-    with open(out_a) as handle:
-        mesh = mesh_from_json(handle.read())
-    assert mesh.num_vertices == 14  # config-supplied refinement level
-
-    # Explicit flags win over config values.
-    assert main(["mesh", "--config", str(cfg), "--refine", "0",
-                 "-o", out_b]) == 0
-    with open(out_b) as handle:
-        mesh = mesh_from_json(handle.read())
-    assert mesh.num_vertices == 2
-
-
 def test_output_files_follow_the_umask(tmp_path):
     path = str(tmp_path / "base.json")
     old = os.umask(0o027)
@@ -313,12 +295,28 @@ def _drop_key(key):
     return edit
 
 
+def _set_key(key, value):
+    def edit(doc):
+        doc[key] = value
+        return doc
+    return edit
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("manifest.json", _drop_key("hashes"), "has no valid 'hashes' field"),
     ("manifest.json", lambda doc: [doc], "holds a JSON list, not an object"),
     ("certificate.json", _drop_key("eta"), "has no valid 'eta' field"),
     ("u.csv", None, "holds 4 values for a mesh with 124 vertices"),
-    ("manifest.json", "{not json", "is not valid JSON")])
+    ("manifest.json", "{not json", "is not valid JSON"),
+    # Every input's hash is checked: a missing one is no hash to skip.
+    pytest.param("manifest.json", _set_key("hashes", {}),
+                 "mesh file hash changed since the run",
+                 id="manifest-no-hashes"),
+    # An eta outside (0, 1] is bad run data, not a bad command line.
+    pytest.param("certificate.json", _set_key("eta", 5),
+                 "eta must lie in (0, 1]", id="certificate-eta-5"),
+    pytest.param("certificate.json", _set_key("eta", 0),
+                 "eta must lie in (0, 1]", id="certificate-eta-0")])
 def test_verify_reports_malformed_run_files(run_dir, tmp_path, capsys,
                                             name, edit, message):
     run = str(tmp_path / "run")
@@ -338,33 +336,56 @@ def test_verify_reports_malformed_run_files(run_dir, tmp_path, capsys,
 
 def test_verify_fails_converged_run_with_nan_residuals(run_dir, workspace,
                                                       tmp_path, capsys):
-    # Infinite fields give NaN residuals, which no "> tol" test catches.
     from todalab.coupled import certify
-    run = str(tmp_path / "run")
-    shutil.copytree(run_dir, run)
     with open(workspace["cover"]) as handle:
         cover = mesh_from_json(handle.read())
     density = fileio.read_density(workspace["cover_dens"], cover)
-    fields = {}
-    for name, value in (("u", -np.inf), ("v", np.inf)):
-        path = os.path.join(run, name + ".csv")
-        _, fields[name] = fileio.read_field_csv(path, name)
-        fields[name][5] = value
-        fileio.write_field_csv(path, name, fields[name])
-    path = os.path.join(run, "certificate.json")
-    stored = fileio.read_json(path)
-    with np.errstate(invalid="ignore", over="ignore"):
-        cert = certify(cover, fields["u"], fields["v"], density,
-                       eta=stored["eta"], degree=stored["degree"],
-                       t=stored["t"], outer_iters=stored["outer_iters"],
-                       converged=True).to_dict()
-        assert np.isnan(cert["gauss_residual"])
-        assert np.isnan(cert["ricci_residual"])
-        fileio.write_json(path, cert)
-        assert main(["verify", "--mesh", workspace["cover"], "--density",
-                     workspace["cover_dens"], "--run", run]) == 1
-    assert "stored residuals are too large for a converged run" \
-        in capsys.readouterr().err
+    cases = [
+        # Infinite fields give NaN residuals, which no "> tol" test catches.
+        ("nan", {"u": (5, -np.inf), "v": (5, np.inf)}, True),
+        # A run certified as not converged fails whatever its residuals
+        # (here both exceed 4).
+        ("unconverged", {"u": (slice(None), -0.1), "v": (slice(None), 0.0)},
+         False)]
+    for case, edits, converged in cases:
+        run = str(tmp_path / case)
+        shutil.copytree(run_dir, run)
+        fields = {}
+        for name, (index, value) in edits.items():
+            path = os.path.join(run, name + ".csv")
+            _, fields[name] = fileio.read_field_csv(path, name)
+            fields[name][index] = value
+            fileio.write_field_csv(path, name, fields[name])
+        path = os.path.join(run, "certificate.json")
+        stored = fileio.read_json(path)
+        with np.errstate(invalid="ignore", over="ignore"):
+            cert = certify(cover, fields["u"], fields["v"], density,
+                           eta=stored["eta"], degree=stored["degree"],
+                           t=stored["t"], outer_iters=stored["outer_iters"],
+                           converged=converged).to_dict()
+            for key in ("gauss_residual", "ricci_residual"):
+                assert np.isnan(cert[key]) if converged else cert[key] > 4
+            fileio.write_json(path, cert)
+            assert main(["verify", "--mesh", workspace["cover"], "--density",
+                         workspace["cover_dens"], "--run", run]) == 1, case
+        assert "the run is not converged" in capsys.readouterr().err, case
+
+
+@pytest.mark.parametrize("c_L", [float("nan"), float("inf")])
+def test_read_density_rejects_non_finite_c_L(workspace, tmp_path, capsys,
+                                             c_L):
+    # A NaN c_L makes the curvature residual NaN, which no "> tol" catches.
+    prefix = str(tmp_path / "dens")
+    for ext in (".csv", ".json"):
+        shutil.copy(workspace["base_dens"] + ext, prefix + ext)
+    sidecar = fileio.read_json(prefix + ".json")
+    sidecar["c_L"] = c_L
+    fileio.write_json(prefix + ".json", sidecar)
+    assert main(["verify", "--mesh", workspace["base"],
+                 "--density", prefix]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert prefix + ".json" in err and f"c_L = {c_L}, not a finite" in err
 
 
 @pytest.mark.parametrize("entry", [5, [0], [0, 1.5], ["0", 1], [0, True]])

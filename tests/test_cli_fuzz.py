@@ -46,8 +46,7 @@ BAD_MESHES = {
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Level-2 base mesh, a degree-4 density on it, its 2-cover, a level-0
-    mesh with a degree-4 density, the files of BAD_MESHES, and config
-    files with values of the wrong JSON type."""
+    mesh with a degree-4 density, and the files of BAD_MESHES."""
     root = tmp_path_factory.mktemp("fuzz")
     mesh, density = str(root / "base.json"), str(root / "dens")
     cover = str(root / "cover.json")
@@ -66,15 +65,8 @@ def workspace(tmp_path_factory):
         bad[name] = str(root / f"{name}.json")
         with open(bad[name], "w") as handle:
             json.dump(doc, handle)
-    configs = {}
-    for name, config in (("tol_list", {"tol": [1]}),
-                         ("tol_null", {"tol": None}),
-                         ("zero_number", {"zero": 1})):
-        configs[name] = str(root / f"{name}.json")
-        with open(configs[name], "w") as handle:
-            json.dump(config, handle)
     return {"mesh": mesh, "density": density, "cover": cover,
-            "mesh0": mesh0, "density0": density0, **bad, **configs}
+            "mesh0": mesh0, "density0": density0, **bad}
 
 
 def _solve(command, *flags):
@@ -127,19 +119,12 @@ CASES = {
                         "--samples must be at least 1"),
     "mesh-missing-directory": (["mesh", "-o", "{out}/missing/base.json"], 2,
                                "does not exist"),
-    # --config values are read as their flags read them.
-    "config-tol-list": (_gauss("--constant", "0.1", "--config",
-                               "{tol_list}"), 2,
-                        "argument --tol: invalid float value: '[1]'"),
-    "config-tol-null": (_gauss("--constant", "0.1", "--config",
-                               "{tol_null}"), 2,
-                        "argument --tol: invalid float value: 'null'"),
-    "config-zero-number": (["section", "--mesh", "{mesh}", "--config",
-                            "{zero_number}", "-o", "{out}/d"], 2,
-                           "--zero must be true or false, got 1"),
     # --seed is a flag of probe alone, the one subcommand it changes.
     "mesh-seed": (["mesh", "--seed", "1", "-o", "{out}/base.json"], 2,
                   "unrecognized arguments: --seed 1"),
+    # Flags are the one way to set a value: there is no config file.
+    "mesh-config": (["mesh", "--config", "x.json", "-o", "{out}/base.json"],
+                    2, "unrecognized arguments: --config"),
     # A malformed --divisor names the flag and its form.
     "divisor-no-colon": (_section("abc"), 2,
                          "--divisor expects integer vertex:mult pairs"),
