@@ -233,7 +233,10 @@ def cmd_verify(args):
                 converged=stored["converged"])
         except TodaError as exc:
             return _fail(str(exc))
-        except ValueError as exc:  # an eta outside (0, 1]
+        except OSError as exc:  # a missing or unreadable run file
+            return _fail(f"{exc.filename}: {exc.strerror}")
+        except (ValueError, OverflowError) as exc:
+            # an eta outside (0, 1], or a t or degree beyond the float range
             return _fail(f"{cert_path}: {exc}")
         recomputed_bytes = fileio.dump_json(recomputed.to_dict())
         if recomputed_bytes != stored_bytes:

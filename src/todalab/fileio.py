@@ -194,7 +194,12 @@ def read_density(prefix, mesh):
             raise TodaError(
                 f"{prefix}.json divisor entry {i} is {entry!r}, not a "
                 f"[vertex, multiplicity] pair of integers")
-    c_L = float(sidecar["c_L"])
+    try:
+        c_L = float(sidecar["c_L"])
+    except OverflowError:
+        # An integer beyond the float range reads as inf, like the JSON
+        # number 1e400.
+        c_L = math.inf
     if not math.isfinite(c_L):
         raise TodaError(f"{prefix}.json has c_L = {c_L}, not a finite number")
     divisor = Divisor([(v, m) for v, m in sidecar["divisor"]])

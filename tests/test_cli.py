@@ -316,7 +316,14 @@ def _set_key(key, value):
     pytest.param("certificate.json", _set_key("eta", 5),
                  "eta must lie in (0, 1]", id="certificate-eta-5"),
     pytest.param("certificate.json", _set_key("eta", 0),
-                 "eta must lie in (0, 1]", id="certificate-eta-0")])
+                 "eta must lie in (0, 1]", id="certificate-eta-0"),
+    pytest.param("certificate.json", _set_key("t", 10 ** 400),
+                 "int too large to convert to float",
+                 id="certificate-t-huge-int"),
+    # A missing run file fails the run, it is no bad command line.
+    *[pytest.param(name, os.remove, "No such file or directory",
+                   id=f"{name}-missing")
+      for name in ("u.csv", "v.csv", "certificate.json")]])
 def test_verify_reports_malformed_run_files(run_dir, tmp_path, capsys,
                                             name, edit, message):
     run = str(tmp_path / "run")
@@ -324,6 +331,8 @@ def test_verify_reports_malformed_run_files(run_dir, tmp_path, capsys,
     path = os.path.join(run, name)
     if edit is None:
         fileio.write_field_csv(path, "u", np.zeros(4))
+    elif edit is os.remove:
+        os.remove(path)
     elif isinstance(edit, str):
         fileio.atomic_write_text(path, edit)
     else:
@@ -371,9 +380,14 @@ def test_verify_fails_converged_run_with_nan_residuals(run_dir, workspace,
         assert "the run is not converged" in capsys.readouterr().err, case
 
 
-@pytest.mark.parametrize("c_L", [float("nan"), float("inf")])
+@pytest.mark.parametrize("c_L, shown", [
+    pytest.param(float("nan"), "nan", id="nan"),
+    pytest.param(float("inf"), "inf", id="inf"),
+    # float() of an integer this large overflows; it reads as inf, like the
+    # JSON number 1e400.
+    pytest.param(10 ** 400, "inf", id="huge-int")])
 def test_read_density_rejects_non_finite_c_L(workspace, tmp_path, capsys,
-                                             c_L):
+                                             c_L, shown):
     # A NaN c_L makes the curvature residual NaN, which no "> tol" catches.
     prefix = str(tmp_path / "dens")
     for ext in (".csv", ".json"):
@@ -385,7 +399,7 @@ def test_read_density_rejects_non_finite_c_L(workspace, tmp_path, capsys,
                  "--density", prefix]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert prefix + ".json" in err and f"c_L = {c_L}, not a finite" in err
+    assert prefix + ".json" in err and f"c_L = {shown}, not a finite" in err
 
 
 @pytest.mark.parametrize("entry", [5, [0], [0, 1.5], ["0", 1], [0, True]])

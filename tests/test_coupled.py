@@ -165,6 +165,86 @@ def test_rescaled_degree_two_cover_run_certifies(cover_setup):
     assert cert.gauss_residual < 1e-8 and cert.ricci_residual < 1e-8
 
 
+def record_inner_solves(monkeypatch):
+    """Wrap the Gauss and seeded Ricci solves; the returned list gets
+    (name, asked tol, reached residual) of each call."""
+    calls = []
+    solve_gauss, solve_ricci = G.solve_gauss, R.solve_ricci_newton
+
+    def gauss(problem, u0=None):
+        sol = solve_gauss(problem, u0=u0)
+        calls.append(("gauss", problem.tol, sol.residual_norm))
+        return sol
+
+    def ricci(problem, v_init, *args, **kwargs):
+        sol = solve_ricci(problem, v_init, *args, **kwargs)
+        calls.append(("ricci", problem.tol,
+                      R.equation_residual(problem, sol.v)))
+        return sol
+
+    monkeypatch.setattr(G, "solve_gauss", gauss)
+    monkeypatch.setattr(R, "solve_ricci_newton", ricci)
+    return calls
+
+
+@pytest.mark.parametrize("tol_outer", [1e-8, 1e-6])
+def test_inner_tolerances_follow_the_outer_step(cover_setup, monkeypatch,
+                                                tol_outer):
+    # Step k's Gauss and Ricci solves ask for their tolerance times
+    # max(1, KAPPA * step_{k-1} / GAUSS_TOL); the first step and the
+    # polish ask for the full tolerance, and so does the step that ends the
+    # loop.  At tol_outer = 1e-6 a loosened step falls below tol_outer, and
+    # the loop takes one more step at full tolerance instead of stopping.
+    cover, dens = cover_setup
+    calls = record_inner_solves(monkeypatch)
+    result = C.solve_coupled(cover, dens,
+                             C.CoupledConfig(degree=1, tol_outer=tol_outer))
+    history = result.residual_history
+    full = {"gauss": C.GAUSS_TOL, "ricci": C.RICCI_TOL}
+    # No admissibility retry here: one Gauss solve per step, a Ricci solve
+    # before each but the first, and the polish's Ricci, Gauss, Ricci.
+    assert [name for name, _, _ in calls] == (
+        ["gauss"] + ["ricci", "gauss"] * (len(history) - 1)
+        + ["ricci", "gauss", "ricci"])
+    assert calls[0][1] == C.GAUSS_TOL
+    assert [tol for _, tol, _ in calls[-3:]] == [
+        C.RICCI_TOL, C.GAUSS_TOL, C.RICCI_TOL]
+    loosened = 0
+    for k in range(1, len(history)):
+        prev = history[k - 1]
+        scale = (max(1.0, C.KAPPA * prev / C.GAUSS_TOL)
+                 if prev > tol_outer else 1.0)
+        for name, tol, _ in calls[2 * k - 1:2 * k + 1]:
+            assert tol == pytest.approx(full[name] * scale, rel=1e-12)
+            loosened += tol > full[name]
+    assert loosened
+    # The step that ends the loop ran at full tolerance and reached it.
+    assert history[-1] <= tol_outer
+    for name, tol, residual in calls[-5:-3]:
+        assert tol == full[name] and residual <= tol
+    if tol_outer == 1e-6:
+        assert history[-2] <= tol_outer
+    cert = result.certificate
+    assert cert.gauss_residual <= C.GAUSS_TOL
+    assert cert.ricci_residual <= C.RICCI_TOL
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_loosened_inner_solves_keep_the_certificate(monkeypatch, level):
+    # Against full-tolerance inner solves (KAPPA = 0) the certificate
+    # values move within the outer tolerance.
+    dens = readme_cover_density(level)
+    config = C.CoupledConfig(degree=1)
+    loose = C.solve_coupled(dens.mesh, dens, config).certificate
+    monkeypatch.setattr(C, "KAPPA", 0.0)
+    full = C.solve_coupled(dens.mesh, dens, config).certificate
+    for key in ("sup_af", "admissibility_margin", "t"):
+        assert getattr(loose, key) == pytest.approx(getattr(full, key),
+                                                    rel=1e-8), key
+    assert loose.gauss_residual <= C.GAUSS_TOL
+    assert loose.ricci_residual <= C.RICCI_TOL
+
+
 def test_certify_constant_closed_form(mesh):
     u0 = -0.2
     c = 1.0 - np.exp(2 * u0)

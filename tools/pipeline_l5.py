@@ -1,7 +1,8 @@
 """Wall time of the README pipeline, one fresh `toda` process per step.
 
 Runs the README command sequence on the genus-2 base at refinement
-level 5 (or `--refine`) and its cyclic 2-cover (V = 8188 at level 5):
+level 5 (or `--refine`) and its cyclic 2-cover (or `--n`-cover; V = 8188
+for the 2-cover at level 5):
 
     mesh, cover, section (base), section (balanced cover),
     solve-coupled, verify --mesh --density --run
@@ -34,13 +35,13 @@ DIVISOR = "0:1,1:1,5:1,20:1"
 ZERO_VERTEX = "3"
 
 
-def steps(refine):
-    """(name, toda arguments) of the pipeline at a refinement level, in
-    order."""
+def steps(refine, n):
+    """(name, toda arguments) of the pipeline at a refinement level and
+    cover degree, in order."""
     return [
         ("mesh", ["mesh", "--genus2", "--refine", str(refine),
                   "-o", "base.json"]),
-        ("cover", ["cover", "--mesh", "base.json", "--n", "2",
+        ("cover", ["cover", "--mesh", "base.json", "--n", str(n),
                    "-o", "cover.json"]),
         ("section_base", ["section", "--mesh", "base.json", "--divisor",
                           DIVISOR, "-o", "base_dens"]),
@@ -56,11 +57,11 @@ def steps(refine):
     ]
 
 
-def run_pipeline(src, work, refine):
+def run_pipeline(src, work, refine, n):
     """Seconds per step of one pipeline run in the empty directory work."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), TODA_THREADS="1")
     times = {}
-    for name, args in steps(refine):
+    for name, args in steps(refine, n):
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "todalab.cli"] + args,
                               cwd=work, env=env, capture_output=True,
@@ -87,7 +88,7 @@ def output_hashes(work):
 def main(argv=None):
     args, trees = parse_args(__doc__.split("\n")[0], argv)
 
-    names = [name for name, _ in steps(args.refine)]
+    names = [name for name, _ in steps(args.refine, args.n)]
     samples = {label: {name: [] for name in names + ["total"]}
                for label in trees}
     hashes = {}
@@ -95,7 +96,7 @@ def main(argv=None):
         for i, label in alternating(trees, args.runs):
             work = os.path.join(tmp, label)
             os.makedirs(work)
-            times = run_pipeline(trees[label], work, args.refine)
+            times = run_pipeline(trees[label], work, args.refine, args.n)
             for name, seconds in times.items():
                 samples[label][name].append(seconds)
             samples[label]["total"].append(sum(times.values()))
@@ -107,8 +108,9 @@ def main(argv=None):
 
     result = {
         "script": "tools/pipeline_l5.py",
-        "pipeline": [" ".join(["toda"] + a) for _, a in steps(args.refine)],
-        "refine": args.refine, "cover_degree": 2, "runs": args.runs,
+        "pipeline": [" ".join(["toda"] + a)
+                     for _, a in steps(args.refine, args.n)],
+        "refine": args.refine, "cover_degree": args.n, "runs": args.runs,
         "machine": machine_info(),
         "trees": {label: {
             "steps_s": {name: summary(values)

@@ -1,7 +1,8 @@
 """Wall time of in-process `solve_coupled` on the level-5 2-cover.
 
 Builds the README inputs at refinement level 5 (or `--refine`): the
-genus-2 base, its cyclic 2-cover (V = 8188 at level 5, 32 764 at level 6),
+genus-2 base, its cyclic 2-cover (or `--n`-cover; V = 8188 for the 2-cover
+at level 5, 32 764 at level 6),
 the canonical divisor 0:1,1:1,5:1,20:1 on the base and its balanced lift
 with the fresh zero 3.  Right after building the cover it times one write
 of the cover's mesh file (`mesh_to_json`) and one read (`json.loads` plus
@@ -43,7 +44,7 @@ import json, sys, time
 import todalab
 from todalab import operators
 base = todalab.build_base_surface(refinement={refine})
-cover = todalab.build_cover(base, todalab.CoverSpec.cyclic(2))
+cover = todalab.build_cover(base, todalab.CoverSpec.cyclic({n}))
 start = time.perf_counter()
 text = todalab.mesh_to_json(cover)
 write_s = time.perf_counter() - start
@@ -75,11 +76,11 @@ json.dump({{"seconds": seconds, "screened_solves": solves[0],
 """
 
 
-def run_once(src, refine):
+def run_once(src, refine, n):
     """The child's output of one timed solve in a fresh process: seconds,
     S + M solves, mesh write_s, read_s and mesh_bytes, certificate."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), TODA_THREADS="1")
-    code = CHILD.format(refine=refine, divisor=DIVISOR, zero=ZERO_VERTEX)
+    code = CHILD.format(refine=refine, n=n, divisor=DIVISOR, zero=ZERO_VERTEX)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
@@ -105,7 +106,7 @@ def main(argv=None):
 
     outs = {label: [] for label in trees}
     for i, label in alternating(trees, args.runs):
-        out = run_once(trees[label], args.refine)
+        out = run_once(trees[label], args.refine, args.n)
         outs[label].append(out)
         print(f"run {i + 1}/{args.runs} {label}: {out['seconds']:.3f} s, "
               f"{out['screened_solves']} S + M solves, mesh write "
@@ -117,7 +118,7 @@ def main(argv=None):
     first = next(iter(trees))
     result = {
         "script": "tools/solve_l5.py",
-        "refine": args.refine, "cover_degree": 2, "divisor": DIVISOR,
+        "refine": args.refine, "cover_degree": args.n, "divisor": DIVISOR,
         "zero_vertex": ZERO_VERTEX, "degree": 1, "runs": args.runs,
         "machine": machine_info(),
         "trees": {label: {

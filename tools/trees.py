@@ -2,7 +2,8 @@
 in which they run several source trees, and their JSON output.
 
 Each tool takes `--tree LABEL=SRC` (repeatable; default `change=src`),
-`--runs` (at least 2), `--refine` (default 5) and `-o`.  Runs alternate
+`--runs` (at least 2), `--refine` (default 5), `--n` (the degree of the
+cyclic cover, default 2) and `-o`.  Runs alternate
 which tree goes first, so a slow spell of a shared machine lands on all
 trees alike.
 """
@@ -24,12 +25,16 @@ def parse_args(description, argv=None):
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--refine", type=int, default=5,
                         help="refinement level of the base (default 5)")
+    parser.add_argument("--n", type=int, default=2,
+                        help="degree of the cyclic cover (default 2)")
     parser.add_argument("-o", "--output", help="also write the JSON here")
     args = parser.parse_args(argv)
     if args.runs < 2:
         parser.error("--runs must be at least 2")
     if args.refine < 0:
         parser.error("--refine must be nonnegative")
+    if args.n < 1:
+        parser.error("--n must be at least 1")
     trees = dict(spec.split("=", 1) for spec in args.tree or ["change=src"])
     return args, trees
 
