@@ -41,8 +41,8 @@ _EXPORTS = {
         "spectral_gap", "stiffness", "systole", "volume"), "operators"),
     **dict.fromkeys((
         "BalanceReport", "Divisor", "SectionDensity", "balanced_lift",
-        "green_function", "lift_density", "radial_barrier",
-        "radial_barrier_derivative", "schwarz_check", "synth_density"),
+        "lift_density", "radial_barrier", "radial_barrier_derivative",
+        "schwarz_check", "synth_density"),
         "sections"),
     **dict.fromkeys((
         "GaussProblem", "GaussSolution", "admissible_bound",

@@ -5,6 +5,11 @@ repeated invocation with identical inputs (for ``probe``, also the same
 --seed) produces byte-identical files.  Exit codes: 0 success, 1 domain
 error (infeasible data, lost admissibility, failed verification), 2 usage
 error, each reported as one line on stderr.
+
+Flags set the inputs of the mathematics (mesh level, cover degree,
+divisor, eta, theta, degree, t, the background u) and the probe's samples
+and seed.  Solver tolerances, the outer iteration cap and the density
+normalization are constants of the library, not flags.
 """
 
 from __future__ import annotations
@@ -83,12 +88,10 @@ def cmd_section(args):
                              "and --zero-vertex")
         base_mesh = _read_mesh(args.base_mesh)
         base = fileio.read_density(args.base_density, base_mesh)
-        density, report = balanced_lift(base, mesh, args.zero_vertex,
-                                        normalization=args.normalization)
+        density, report = balanced_lift(base, mesh, args.zero_vertex)
         print(f"balance ratio sup/mean = {report.ratio:.6g}")
     elif args.divisor:
-        density = synth_density(mesh, _parse_divisor(args.divisor),
-                                normalization=args.normalization)
+        density = synth_density(mesh, _parse_divisor(args.divisor))
     else:
         raise ValueError("need one of --divisor, --balanced, --zero")
     fileio.write_density(args.output, density)
@@ -97,7 +100,7 @@ def cmd_section(args):
 
 
 def cmd_solve_gauss(args):
-    from .gauss import GaussProblem, monotone_solve_gauss, solve_gauss
+    from .gauss import GaussProblem, solve_gauss
     mesh = _read_mesh(args.mesh)
     if args.data is not None:
         _, f = fileio.read_field_csv(args.data, size=mesh.num_vertices)
@@ -105,10 +108,8 @@ def cmd_solve_gauss(args):
         f = np.full(mesh.num_vertices, args.constant)
     else:
         raise ValueError("need --data or --constant")
-    problem = GaussProblem(mesh=mesh, f=f, eta=args.eta, tol=args.tol)
-    solver = monotone_solve_gauss if args.method == "monotone" \
-        else solve_gauss
-    solution = solver(problem)
+    problem = GaussProblem(mesh=mesh, f=f, eta=args.eta)
+    solution = solve_gauss(problem)
     fileio.write_field_csv(args.output + "_u.csv", "u", solution.u)
     fileio.write_json(args.output + "_gauss.json",
                       solution.to_dict(problem))
@@ -127,8 +128,7 @@ def cmd_solve_ricci(args):
     else:
         u = np.zeros(mesh.num_vertices)
     c_eff = args.scale * 2.0 * np.pi * args.degree / volume(mesh)
-    problem = RicciProblem(mesh=mesh, u=u, density=density, c=c_eff,
-                           tol=args.tol)
+    problem = RicciProblem(mesh=mesh, u=u, density=density, c=c_eff)
     solution = maximize_J(problem)
     fileio.write_field_csv(args.output + "_v.csv", "v", solution.v)
     fileio.write_field_csv(args.output + "_w.csv", "w", solution.w)
@@ -144,16 +144,13 @@ def cmd_solve_coupled(args):
     mesh = _read_mesh(args.mesh)
     density = fileio.read_density(args.density, mesh)
     config = CoupledConfig(eta=args.eta, damping=args.theta,
-                           max_outer_iters=args.max_outer,
-                           tol_outer=args.tol_outer, degree=args.degree,
-                           t=args.scale)
+                           degree=args.degree, t=args.scale)
     result = solve_coupled(mesh, density, config)
     os.makedirs(args.output, exist_ok=True)
     out = lambda name: os.path.join(args.output, name)
 
     config_dict = {"eta": args.eta, "theta": args.theta,
-                   "degree": args.degree, "scale": args.scale,
-                   "max_outer": args.max_outer, "tol_outer": args.tol_outer}
+                   "degree": args.degree, "scale": args.scale}
     manifest = fileio.run_manifest(args.mesh, args.density, config_dict)
     fileio.write_json(out("manifest.json"), manifest)
     fileio.write_field_csv(out("u.csv"), "u", result.u)
@@ -165,6 +162,10 @@ def cmd_solve_coupled(args):
           f"{cert.outer_iters} outer iterations, sup_af = {cert.sup_af:.6g}"
           f" (t = {cert.t:.6g}) -> {args.output}/")
     return 0
+
+
+# The largest curvature-identity residual `verify --density` accepts.
+DENSITY_TOL = 1e-8
 
 
 def _fail(message):
@@ -192,9 +193,9 @@ def cmd_verify(args):
         density = fileio.read_density(args.density, mesh)
         if not density.is_zero:
             res = poincare_lelong_residual(density)
-            if not (res <= args.tol):  # a NaN residual fails too
+            if not (res <= DENSITY_TOL):  # a NaN residual fails too
                 return _fail(f"density curvature residual {res:.3e} "
-                             f"exceeds {args.tol:.1e}")
+                             f"exceeds {DENSITY_TOL:.1e}")
         checked.append(f"density {args.density}")
 
     if args.run:
@@ -204,6 +205,8 @@ def cmd_verify(args):
                 manifest_path, {"mesh": str, "density": str, "hashes": dict})
         except TodaError as exc:
             return _fail(str(exc))
+        except OSError as exc:
+            return _fail(f"{exc.filename}: {exc.strerror}")
         mesh_path = args.mesh or manifest["mesh"]
         density_path = args.density or manifest["density"]
         for key, path in fileio.run_inputs(mesh_path, density_path):
@@ -257,13 +260,16 @@ def cmd_verify(args):
 
 def cmd_export(args):
     mesh = _read_mesh(args.mesh)
-    _, manifest = fileio.read_json_object(
-        os.path.join(args.run, "manifest.json"),
-        {} if args.density else {"density": str})
-    density = fileio.read_density(args.density or manifest["density"], mesh)
     V = mesh.num_vertices
-    _, u = fileio.read_field_csv(os.path.join(args.run, "u.csv"), "u", V)
-    _, v = fileio.read_field_csv(os.path.join(args.run, "v.csv"), "v", V)
+    try:
+        density_path = args.density or fileio.read_json_object(
+            os.path.join(args.run, "manifest.json"),
+            {"density": str})[1]["density"]
+        _, u = fileio.read_field_csv(os.path.join(args.run, "u.csv"), "u", V)
+        _, v = fileio.read_field_csv(os.path.join(args.run, "v.csv"), "v", V)
+    except OSError as exc:  # a missing or unreadable run file
+        raise TodaError(f"{exc.filename}: {exc.strerror}") from None
+    density = fileio.read_density(density_path, mesh)
     ld = density.log_density
     af = np.exp(ld + 2.0 * v - 4.0 * u)
     fileio.write_vtk(args.output, mesh, [
@@ -334,8 +340,6 @@ def build_parser():
                    "--balanced")
     p.add_argument("--zero-vertex", type=int,
                    help="fresh zero vertex for --balanced")
-    p.add_argument("--normalization", default="unit_mean",
-                   choices=["unit_mean", "unit_sup"])
     p.add_argument("-o", "--output", required=True,
                    help="output prefix (.csv and .json are appended)")
     p.set_defaults(func=cmd_section)
@@ -346,9 +350,6 @@ def build_parser():
     p.add_argument("--data", help="field CSV with the data f")
     p.add_argument("--constant", type=float, help="constant data value")
     p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--method", default="newton",
-                   choices=["newton", "monotone"])
     p.add_argument("-o", "--output", required=True, help="output prefix")
     p.set_defaults(func=cmd_solve_gauss)
 
@@ -361,7 +362,6 @@ def build_parser():
                    help="normal-bundle degree wired as c = 2 pi d / Vol")
     p.add_argument("--scale", type=float, default=1.0,
                    help="curvature rescaling knob t in (0, 1]")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("-o", "--output", required=True, help="output prefix")
     p.set_defaults(func=cmd_solve_ricci)
 
@@ -374,8 +374,6 @@ def build_parser():
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--scale", type=float, default=None,
                    help="curvature rescaling knob t (default: automatic)")
-    p.add_argument("--max-outer", type=int, default=100)
-    p.add_argument("--tol-outer", type=float, default=1e-8)
     p.add_argument("-o", "--output", required=True, help="run directory")
     p.set_defaults(func=cmd_solve_coupled)
 
@@ -383,7 +381,6 @@ def build_parser():
     p.add_argument("--mesh")
     p.add_argument("--density", help="density file prefix")
     p.add_argument("--run", help="run directory with a certificate")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="export run fields to VTK")
@@ -406,11 +403,9 @@ def build_parser():
 
 def _check_args(args):
     """Usage errors for flag values of the right type but out of range."""
-    for name in ("tol", "tol_outer", "scale"):
-        value = getattr(args, name, None)
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ValueError(f"--{name.replace('_', '-')} must be finite "
-                             f"and > 0, got {value}")
+    scale = getattr(args, "scale", None)
+    if scale is not None and not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"--scale must be finite and > 0, got {scale}")
     if getattr(args, "samples", 1) < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
 

@@ -20,9 +20,11 @@ each Gauss and seeded Ricci solve asks for its tolerance times
 max(1, KAPPA * step / GAUSS_TOL), step the last outer step, so solves stop
 early while the outer step is still large and are full once it reaches
 GAUSS_TOL / KAPPA.  The first step, the scale choice and the polish run at
-full tolerance, and the loop stops only on a step whose inner solves ran
-at full tolerance: a loosened Gauss solve warm-started at u can return u
-unchanged, a zero step that says nothing about convergence.
+full tolerance, and the loop stops only on a step of at most TOL_OUTER
+whose inner solves ran at full tolerance: a loosened Gauss solve
+warm-started at u can return u unchanged, a zero step that says nothing
+about convergence.  The tolerances and the cap MAX_OUTER_ITERS are module
+constants; CoupledConfig holds only the inputs eta, damping, degree and t.
 
 The terminal artifact is the certificate: residuals of both equations,
 the mean identity defect, and sup e^{-4u} e^{2v} rho, all recomputed from
@@ -54,6 +56,10 @@ GAUSS_TOL = 1e-10
 RICCI_TOL = 1e-9
 KAPPA = 1e-2
 MIN_DAMPING = 1.0 / 64.0
+# The outer loop stops on a full-tolerance step of at most TOL_OUTER, and
+# fails with NonConvergence after MAX_OUTER_ITERS steps.
+MAX_OUTER_ITERS = 100
+TOL_OUTER = 1e-8
 
 
 def degree_bound_check(d, g):
@@ -65,8 +71,6 @@ def degree_bound_check(d, g):
 class CoupledConfig:
     eta: float = 0.5
     damping: float = 1.0
-    max_outer_iters: int = 100
-    tol_outer: float = 1e-8
     degree: int = 1
     t: float = None
 
@@ -77,10 +81,6 @@ class CoupledConfig:
             raise ValueError("damping must lie in (0, 1]")
         if self.t is not None and not 0 < self.t <= 1:
             raise ValueError("rescaling knob t must lie in (0, 1]")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
-        if not self.tol_outer >= 0:
-            raise ValueError("tol_outer must be nonnegative")
 
 
 @dataclass
@@ -202,7 +202,7 @@ def solve_coupled(mesh, density, config=None):
 
     The inner solves of an outer step ask for GAUSS_TOL and RICCI_TOL times
     max(1, KAPPA * step / GAUSS_TOL), step the previous outer step (the
-    first step has none and is full).  A step at most tol_outer ends the
+    first step has none and is full).  A step at most TOL_OUTER ends the
     loop only if its solves ran at full tolerance; after a loosened one the
     loop takes one more step at full tolerance.
     """
@@ -240,7 +240,7 @@ def solve_coupled(mesh, density, config=None):
     outer = 0
     loosen = 1.0
 
-    for outer in range(1, config.max_outer_iters + 1):
+    for outer in range(1, MAX_OUTER_ITERS + 1):
         if outer > 1:
             v = ricci_mod.solve_ricci_newton(
                 bundle_problem(u=u, tol=RICCI_TOL * loosen), v).v
@@ -263,7 +263,7 @@ def solve_coupled(mesh, density, config=None):
         history.append(step)
         u_prev, phi_prev = u, phi
         u = u_next
-        if step > config.tol_outer:
+        if step > TOL_OUTER:
             loosen = max(1.0, KAPPA * step / GAUSS_TOL)
         elif loosen == 1.0:
             converged = True
@@ -275,8 +275,8 @@ def solve_coupled(mesh, density, config=None):
 
     if not converged:
         raise NonConvergence(
-            f"outer iteration did not contract below {config.tol_outer} in "
-            f"{config.max_outer_iters} steps (last step {history[-1]:.3e})")
+            f"outer iteration did not contract below {TOL_OUTER} in "
+            f"{MAX_OUTER_ITERS} steps (last step {history[-1]:.3e})")
 
     # Polish: re-solve both equations at the final iterate so the
     # certificate residuals reflect a consistent pair.  The last Ricci solve

@@ -115,10 +115,6 @@ def is_identity(word):
     return len(dehn_reduce(word)) == 0
 
 
-def words_equal(w1, w2):
-    return is_identity(concat(w1, inverse_word(w2)))
-
-
 # ----------------------------------------------------------------------
 # Permutation images (right action on sheets 0..n-1)
 

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import group
-
 SQRT2 = np.sqrt(2.0)
 
 #: center-to-vertex distance of the octagon (spoke length)
@@ -44,12 +42,6 @@ VERTEX_RADIUS = float(np.tanh(SPOKE_LENGTH / 2.0))
 SURFACE_AREA = 4.0 * np.pi
 #: systole: length of the shortest noncontractible geodesic
 SYSTOLE = SIDE_LENGTH
-
-
-def octagon_vertices():
-    """The eight octagon vertices P_j at angles pi*j/4, |P_j| = 2^(-1/4)."""
-    j = np.arange(8)
-    return VERTEX_RADIUS * np.exp(1j * np.pi * j / 4.0)
 
 
 def translation_matrix(phi, ell):
@@ -112,17 +104,6 @@ def disk_midpoint(z, w):
     scale = np.where(abst > 0, np.tanh(d / 4.0) / np.where(abst > 0, abst, 1.0), 0.0)
     mloc = t * scale
     return (mloc + z) / (1.0 + np.conj(z) * mloc)
-
-
-def projective_close(m1, m2, tol=1e-9):
-    """True if two SU(1,1) matrices agree up to overall sign within tol."""
-    return min(np.abs(m1 - m2).max(), np.abs(m1 + m2).max()) <= tol
-
-
-def translation_length(m):
-    """Translation length 2*arccosh(|Re tr|/2) of a hyperbolic element."""
-    half_tr = abs((m[0, 0] + m[1, 1]).real) / 2.0
-    return 2.0 * float(np.arccosh(max(half_tr, 1.0)))
 
 
 # ----------------------------------------------------------------------
@@ -204,10 +185,3 @@ def vertex_lift_words():
         (-3, 4),          # P6 = c^-1 d . P0
         (-3, 2, -1),      # P7 = c^-1 b a^-1 . P0
     )
-
-
-def relator_matrix_defect():
-    """Max-abs deviation of the relator's matrix from +/- identity."""
-    m = word_matrix(group.RELATOR)
-    eye = np.eye(2)
-    return float(min(np.abs(m - eye).max(), np.abs(m + eye).max()))

@@ -139,25 +139,18 @@ def poisson_zero_mean(mesh, rhs_measure):
                                   "green solve", zero_mean=True)
 
 
-def green_function(mesh, z):
-    """Zero-mean G with L G = delta_z - M 1 / Vol (as measures)."""
-    ops = operators.of(mesh)
-    rhs = -(ops.m / ops.vol)
-    rhs[z] += 1.0
-    return poisson_zero_mean(mesh, rhs)
-
-
 # ----------------------------------------------------------------------
 # Synthesis
 
-def synth_density(mesh, divisor, normalization="unit_mean"):
+def synth_density(mesh, divisor):
     """Density with the given zeros: log|alpha|^2 = 4 pi sum m_j G_zj + kappa.
 
-    G is linear in its source, so sum m_j G_zj is one Poisson solve with
-    the whole divisor, sum m_j delta_zj - deg M 1 / Vol, as its source.
+    G, the zero-mean Green function with L G_z = delta_z - M 1 / Vol, is
+    linear in its source, so sum m_j G_zj is one Poisson solve with the
+    whole divisor, sum m_j delta_zj - deg M 1 / Vol, as its source.  kappa
+    scales the density to unit mean; any other constant is a gauge that
+    the bundle factor v absorbs.
     """
-    if normalization not in ("unit_mean", "unit_sup"):
-        raise ValueError(f"unknown normalization {normalization!r}")
     divisor.check_range(mesh.num_vertices)
     ops = operators.of(mesh)
     ld = np.zeros(mesh.num_vertices)
@@ -165,17 +158,11 @@ def synth_density(mesh, divisor, normalization="unit_mean"):
         rhs = (divisor.indicator(mesh.num_vertices)
                - divisor.degree * ops.m / ops.vol)
         ld = 4.0 * np.pi * poisson_zero_mean(mesh, rhs)
-    ld += _normalization_constant(ld, ops, normalization)
+    ld -= ops.log_mean(ld)
     c_L = 2.0 * np.pi * divisor.degree / ops.vol
     return SectionDensity(mesh=mesh, log_density=ld, divisor=divisor,
                           curvature_constant=float(c_L),
-                          normalization=normalization)
-
-
-def _normalization_constant(ld, ops, normalization):
-    if normalization == "unit_mean":
-        return -ops.log_mean(ld)
-    return -ld.max()
+                          normalization="unit_mean")
 
 
 def poincare_lelong_residual(density):
@@ -213,30 +200,29 @@ def lift_density(base, cover_mesh):
                           normalization=base.normalization)
 
 
-def balanced_lift(base, cover_mesh, z_n, normalization="unit_mean"):
+def balanced_lift(base, cover_mesh, z_n):
     """Lift o multiply: lift the base density and add one fresh simple zero.
 
     The base degree must be 4*g_base - 4 (the canonical-square degree), so
-    the result has degree n*(4g-4) + 1 on the degree-n cover.  Returns the
-    density together with its balance report.
+    the result has degree n*(4g-4) + 1 on the degree-n cover, scaled to unit
+    mean.  Returns the density together with its balance report.
     """
     expected = 4 * base.mesh.genus - 4
     if base.degree != expected:
         raise ValueError(
             f"balanced lift needs base degree {expected}, got {base.degree}")
     lifted = lift_density(base, cover_mesh)
-    extra = synth_density(cover_mesh, Divisor([(int(z_n), 1)]),
-                          normalization="unit_mean")
+    extra = synth_density(cover_mesh, Divisor([(int(z_n), 1)]))
     ld = lifted.log_density + extra.log_density
     ops = operators.of(cover_mesh)
-    ld += _normalization_constant(ld, ops, normalization)
+    ld -= ops.log_mean(ld)
     entries = {v: mult for v, mult in lifted.divisor.entries}
     entries[int(z_n)] = entries.get(int(z_n), 0) + 1
     divisor = Divisor(sorted(entries.items()))
     c_L = 2.0 * np.pi * divisor.degree / ops.vol
     density = SectionDensity(mesh=cover_mesh, log_density=ld, divisor=divisor,
                              curvature_constant=float(c_L),
-                             normalization=normalization)
+                             normalization="unit_mean")
     return density, balance_report(density)
 
 

@@ -34,7 +34,9 @@ def enumerate_translates(cutoff, max_len=3):
                 if len(w2) != len(w) + 1:
                     continue
                 m2 = H.word_matrix(w2)
-                if any(H.projective_close(m2, s, tol=1e-8) for s in seen):
+                # equal up to sign: the same isometry
+                if any(min(np.abs(m2 - s).max(), np.abs(m2 + s).max())
+                       <= 1e-8 for s in seen):
                     continue
                 seen.append(m2)
                 words.append(w2)

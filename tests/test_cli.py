@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import shutil
 
 import numpy as np
@@ -229,6 +231,29 @@ def test_output_files_follow_the_umask(tmp_path):
     assert os.stat(path).st_mode & 0o777 == 0o640
 
 
+def readme_commands():
+    """Every ``toda`` command of the README's sh blocks, in order, with
+    backslash continuations joined."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as handle:
+        blocks = re.findall(r"^```sh\n(.*?)^```", handle.read(),
+                            re.DOTALL | re.MULTILINE)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    return [argv[1:] for argv in commands if argv[:1] == ["toda"]]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # The docs show no flag the CLI does not have: each command runs.
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "mesh", "cover", "section", "solve-coupled", "verify", "export",
+        "solve-gauss", "solve-ricci", "probe"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+
+
 def test_usage_errors(workspace, tmp_path):
     # Unknown subcommand -> argparse exit 2.
     assert main(["frobnicate"]) == 2
@@ -323,7 +348,7 @@ def _set_key(key, value):
     # A missing run file fails the run, it is no bad command line.
     *[pytest.param(name, os.remove, "No such file or directory",
                    id=f"{name}-missing")
-      for name in ("u.csv", "v.csv", "certificate.json")]])
+      for name in ("u.csv", "v.csv", "certificate.json", "manifest.json")]])
 def test_verify_reports_malformed_run_files(run_dir, tmp_path, capsys,
                                             name, edit, message):
     run = str(tmp_path / "run")
@@ -437,6 +462,35 @@ def test_export_reports_malformed_run_files(run_dir, workspace, tmp_path,
     assert err.startswith("error:") and "Traceback" not in err
     assert path in err and message in err
     assert not os.path.exists(vtk)
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "u.csv", "v.csv"])
+def test_export_reports_missing_run_files(run_dir, workspace, tmp_path,
+                                          capsys, name):
+    # A missing run file fails the run, as in verify: it is no bad
+    # command line.
+    run = str(tmp_path / "run")
+    shutil.copytree(run_dir, run)
+    path = os.path.join(run, name)
+    os.remove(path)
+    vtk = str(tmp_path / "fields.vtk")
+    assert main(["export", "--mesh", workspace["cover"], "--run", run,
+                 "-o", vtk]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: No such file or directory"]
+    assert not os.path.exists(vtk)
+
+
+def test_export_with_density_reads_no_manifest(run_dir, workspace, tmp_path):
+    run = str(tmp_path / "run")
+    shutil.copytree(run_dir, run)
+    os.remove(os.path.join(run, "manifest.json"))
+    vtks = [str(tmp_path / "a.vtk"), str(tmp_path / "b.vtk")]
+    for source, vtk in zip((run_dir, run), vtks):
+        assert main(["export", "--mesh", workspace["cover"], "--run", source,
+                     "--density", workspace["cover_dens"], "-o", vtk]) == 0
+    with open(vtks[0], "rb") as h1, open(vtks[1], "rb") as h2:
+        assert h1.read() == h2.read()
 
 
 def _ragged_triangles(doc):

@@ -98,21 +98,24 @@ CASES = {
                         "--scale must be finite and > 0"),
     "gauss-constant-nan": (_gauss("--constant", "nan"), 2,
                            "data f must be finite"),
+    # Tolerances, the outer iteration cap, the Gauss method and the density
+    # normalization are constants of the library, not flags.
     "gauss-tol-nan": (_gauss("--constant", "0.1", "--tol", "nan"), 2,
-                      "--tol must be finite and > 0"),
-    "gauss-tol-0": (_gauss("--constant", "0.1", "--tol", "0"), 2,
-                    "--tol must be finite and > 0"),
+                      "unrecognized arguments: --tol"),
+    "gauss-method": (_gauss("--constant", "0.1", "--method", "monotone"), 2,
+                     "unrecognized arguments: --method"),
     "ricci-tol-nan": (_solve("solve-ricci", "--tol", "nan"), 2,
-                      "--tol must be finite and > 0"),
-    "ricci-tol-negative": (_solve("solve-ricci", "--tol", "-1"), 2,
-                           "--tol must be finite and > 0"),
-    "coupled-tol-outer-0": (_solve("solve-coupled", "--tol-outer", "0"), 2,
-                            "--tol-outer must be finite and > 0"),
+                      "unrecognized arguments: --tol"),
+    "coupled-max-outer": (_solve("solve-coupled", "--max-outer", "5"), 2,
+                          "unrecognized arguments: --max-outer"),
     "coupled-tol-outer-inf": (_solve("solve-coupled", "--tol-outer", "inf"),
-                              2, "--tol-outer must be finite and > 0"),
+                              2, "unrecognized arguments: --tol-outer"),
     "verify-tol-nan": (["verify", "--mesh", "{mesh}", "--density",
                         "{density}", "--tol", "nan"], 2,
-                       "--tol must be finite and > 0"),
+                       "unrecognized arguments: --tol"),
+    "section-normalization": ([*_section("0:1"), "--normalization",
+                               "unit_sup"], 2,
+                              "unrecognized arguments: --normalization"),
     "probe-samples-negative": (["probe", "--mesh", "{mesh}", "--samples",
                                 "-1"], 2, "--samples must be at least 1"),
     "probe-samples-0": (["probe", "--mesh", "{mesh}", "--samples", "0"], 2,

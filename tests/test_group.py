@@ -74,11 +74,12 @@ def test_dehn_reduce_keeps_nontrivial_words():
     for word in [(1,), (1, 2), (4, -3, 2), (-4, 3, -1), (1, -2, 4),
                  (-3, 2, -1), (1, 2, 3, 4)]:
         assert not G.is_identity(word)
-    assert G.words_equal((1, 2), (1, 2))
-    assert not G.words_equal((1, 2), (2, 1))
+    # Two words name the same element iff w1 w2^-1 reduces to ().
+    assert G.is_identity(G.concat((1, 2), G.inverse_word((1, 2))))
+    assert not G.is_identity(G.concat((1, 2), G.inverse_word((2, 1))))
     # g and g . relator name the same group element.
     g = (2, -3)
-    assert G.words_equal(g, G.concat(g, G.RELATOR))
+    assert G.is_identity(G.concat(g, G.inverse_word(G.concat(g, G.RELATOR))))
 
 
 def test_permutation_action_is_right_composition():

@@ -13,6 +13,18 @@ from todalab import group as G
 from todalab import hyperbolic as H
 
 SQRT2 = np.sqrt(2.0)
+# The eight octagon vertices P_j at angles pi j/4, |P_j| = 2^(-1/4).
+OCTAGON_VERTICES = H.VERTEX_RADIUS * np.exp(1j * np.pi * np.arange(8) / 4)
+
+
+def translation_length(m):
+    """Translation length 2 arccosh(|Re tr| / 2) of a hyperbolic element."""
+    return 2.0 * np.arccosh(abs((m[0, 0] + m[1, 1]).real) / 2.0)
+
+
+def identity_defect(m):
+    """Max-abs deviation of an SU(1,1) matrix from +/- identity."""
+    return min(np.abs(m - np.eye(2)).max(), np.abs(m + np.eye(2)).max())
 
 
 def test_octagon_constants_closed_forms():
@@ -33,12 +45,8 @@ def test_octagon_constants_closed_forms():
 
 
 def test_octagon_vertices():
-    P = H.octagon_vertices()
-    assert len(P) == 8
-    for j, z in enumerate(P):
-        assert abs(z) == pytest.approx(H.VERTEX_RADIUS, abs=1e-15)
-        expected = H.VERTEX_RADIUS * np.exp(1j * j * np.pi / 4)
-        assert abs(z - expected) < 1e-13
+    P = OCTAGON_VERTICES
+    for z in P:
         assert H.disk_distance(0.0, z) == pytest.approx(H.SPOKE_LENGTH,
                                                         abs=1e-13)
     # Consecutive vertices are one octagon side apart.
@@ -54,14 +62,14 @@ def test_generator_matrices_are_unit_determinant_translations():
         assert np.linalg.det(M) == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(M @ Minv, np.eye(2), atol=1e-12)
         # All four side pairings translate by the side length.
-        assert H.translation_length(M) == pytest.approx(H.SIDE_LENGTH,
-                                                        abs=1e-12)
+        assert translation_length(M) == pytest.approx(H.SIDE_LENGTH,
+                                                      abs=1e-12)
 
 
 def test_side_pairing_corner_images():
     # Pairing j+1 carries vertex P_{j+4} to P_{j+1} and P_{j+5} to P_j:
     # opposite sides are glued with a half-turn of labeling.
-    P = H.octagon_vertices()
+    P = OCTAGON_VERTICES
     for j in range(4):
         M = H.GENERATOR_MATRICES[j + 1]
         assert abs(H.mobius(M, P[(j + 4) % 8]) - P[(j + 1) % 8]) < 1e-12
@@ -69,17 +77,15 @@ def test_side_pairing_corner_images():
 
 
 def test_relator_is_projectively_trivial():
-    assert H.relator_matrix_defect() < 1e-12
+    assert identity_defect(H.word_matrix(G.RELATOR)) < 1e-12
     # The naive cyclic word a b c d a^-1 b^-1 c^-1 d^-1 is NOT a relation
     # for this pairing: its matrix is far from +-identity.
     naive = (1, 2, 3, 4, -1, -2, -3, -4)
-    M = H.word_matrix(naive)
-    defect = min(np.abs(M - np.eye(2)).max(), np.abs(M + np.eye(2)).max())
-    assert defect > 1.0
+    assert identity_defect(H.word_matrix(naive)) > 1.0
 
 
 def test_vertex_lift_words_map_basepoint_to_corners():
-    P = H.octagon_vertices()
+    P = OCTAGON_VERTICES
     words = H.vertex_lift_words()
     assert len(words) == 8
     assert words[0] == ()
@@ -124,7 +130,7 @@ def test_translation_matrix_length():
     for ell in (0.5, 1.0, 2.7):
         for phi in (0.0, 0.3, np.pi / 2):
             M = H.translation_matrix(phi, ell)
-            assert H.translation_length(M) == pytest.approx(ell, abs=1e-12)
+            assert translation_length(M) == pytest.approx(ell, abs=1e-12)
             assert np.linalg.det(M) == pytest.approx(1.0, abs=1e-12)
 
 
