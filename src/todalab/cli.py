@@ -7,9 +7,9 @@ error (infeasible data, lost admissibility, failed verification), 2 usage
 error, each reported as one line on stderr.
 
 Flags set the inputs of the mathematics (mesh level, cover degree,
-divisor, eta, theta, degree, t, the background u) and the probe's samples
-and seed.  Solver tolerances, the outer iteration cap and the density
-normalization are constants of the library, not flags.
+divisor, eta, degree, t, the background u) and the probe's samples and
+seed.  Solver tolerances and the density normalization are constants of
+the library, not flags.
 """
 
 from __future__ import annotations
@@ -143,14 +143,13 @@ def cmd_solve_coupled(args):
     from .coupled import CoupledConfig, solve_coupled
     mesh = _read_mesh(args.mesh)
     density = fileio.read_density(args.density, mesh)
-    config = CoupledConfig(eta=args.eta, damping=args.theta,
-                           degree=args.degree, t=args.scale)
+    config = CoupledConfig(eta=args.eta, degree=args.degree, t=args.scale)
     result = solve_coupled(mesh, density, config)
     os.makedirs(args.output, exist_ok=True)
     out = lambda name: os.path.join(args.output, name)
 
-    config_dict = {"eta": args.eta, "theta": args.theta,
-                   "degree": args.degree, "scale": args.scale}
+    config_dict = {"eta": args.eta, "degree": args.degree,
+                   "scale": args.scale}
     manifest = fileio.run_manifest(args.mesh, args.density, config_dict)
     fileio.write_json(out("manifest.json"), manifest)
     fileio.write_field_csv(out("u.csv"), "u", result.u)
@@ -159,7 +158,7 @@ def cmd_solve_coupled(args):
                       result.certificate.to_dict())
     cert = result.certificate
     print(f"coupled solve: converged={cert.converged} in "
-          f"{cert.outer_iters} outer iterations, sup_af = {cert.sup_af:.6g}"
+          f"{cert.outer_iters} Newton steps, sup_af = {cert.sup_af:.6g}"
           f" (t = {cert.t:.6g}) -> {args.output}/")
     return 0
 
@@ -210,7 +209,12 @@ def cmd_verify(args):
         mesh_path = args.mesh or manifest["mesh"]
         density_path = args.density or manifest["density"]
         for key, path in fileio.run_inputs(mesh_path, density_path):
-            if fileio.file_blob_sha1(path) != manifest["hashes"].get(key):
+            try:
+                digest = fileio.file_blob_sha1(path)
+            except OSError as exc:  # a run input moved or deleted
+                return _fail(f"{manifest_path}: {key} file {exc.filename}: "
+                             f"{exc.strerror}")
+            if digest != manifest["hashes"].get(key):
                 return _fail(f"{manifest_path}: {key} file hash changed "
                              "since the run")
         run_mesh = mesh
@@ -365,12 +369,11 @@ def build_parser():
     p.add_argument("-o", "--output", required=True, help="output prefix")
     p.set_defaults(func=cmd_solve_ricci)
 
-    p = sub.add_parser("solve-coupled", help="run the coupled fixed-point "
-                       "driver")
+    p = sub.add_parser("solve-coupled", help="solve the coupled system and "
+                       "certify it")
     p.add_argument("--mesh", required=True)
     p.add_argument("--density", required=True, help="density file prefix")
     p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--theta", type=float, default=1.0, help="damping")
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--scale", type=float, default=None,
                    help="curvature rescaling knob t (default: automatic)")

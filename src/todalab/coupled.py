@@ -1,30 +1,35 @@
-"""Coupled fixed-point driver and the almost-Fuchsian certificate.
+"""Coupled Gauss-Ricci solve and the almost-Fuchsian certificate.
 
-The two curvature equations are solved alternately: given u, the bundle
-factor v = Psi(u) solves the prescribed-curvature equation with weight
-e^{-2u} rho; given v, the data f = e^{2v} rho feeds the scalar curvature
-solve Phi.  The damped composition
+The conformal factor u and the bundle factor v solve
 
-    u_{k+1} = (1 - theta) u_k + theta Phi(e^{2 Psi(u_k)} rho),  u_0 = 0,
+    S u + M (e^{2u} - 1 + q) = 0,    S v + M (c - q) = 0,
+    q = e^{-2u} e^{2v} rho,
 
-stays in the compact box (-(1/2) ln 2 <= u <= 0, -1 <= M^{-1} L u <= 1)
-as long as the data remain admissible; an escape aborts, it is never
-clamped.  The curvature constant is wired as c = 2 pi d / Vol for a
-normal-bundle degree d in [0, 2g-2], times an explicit rescaling knob
-t in (0, 1] standing in for the genus-growth regime (recorded in the
-certificate, chosen automatically unless pinned).
+the Gauss equation with data f = e^{2v} rho and the prescribed-curvature
+equation with weight e^{-2u} rho.  The pair of residuals is the gradient
+of one functional,
 
-Inside the loop the inner solves are inexact, as in inexact Newton
-(Dembo, Eisenstat & Steihaug 1982; Eisenstat & Walker 1996) one level up:
-each Gauss and seeded Ricci solve asks for its tolerance times
-max(1, KAPPA * step / GAUSS_TOL), step the last outer step, so solves stop
-early while the outer step is still large and are full once it reaches
-GAUSS_TOL / KAPPA.  The first step, the scale choice and the polish run at
-full tolerance, and the loop stops only on a step of at most TOL_OUTER
-whose inner solves ran at full tolerance: a loosened Gauss solve
-warm-started at u can return u unchanged, a zero step that says nothing
-about convergence.  The tolerances and the cap MAX_OUTER_ITERS are module
-constants; CoupledConfig holds only the inputs eta, damping, degree and t.
+    E(u, v) = u^T S u / 2 + v^T S v / 2
+              + sum m (e^{2u} / 2 - u + c v - e^{-2u} e^{2v} rho / 2),
+
+so its Newton system is symmetric; with Q = 2 M diag q it reads
+
+    [ S + M diag(2 e^{2u}) - Q     Q     ] [du]     [G]
+    [            Q               S - Q   ] [dv] = - [K],
+
+indefinite, and ``operators.damped_newton`` solves it by MINRES with the
+block-diagonal preconditioner diag(S + M, S + M) on the mesh's one factor
+(Paige & Saunders 1975; Benzi, Golub & Liesen 2005, section 10).  It
+starts at v0 from the scale choice and u0 = ``gauss.warm_start`` of
+f = e^{2 v0} rho, keeps u in the Gauss solver's line-search box, and stops
+once both residuals are at most GAUSS_TOL and RICCI_TOL.  The data must
+stay admissible, sup f <= eta/(1+eta)^2, at the start and at the result,
+and u must end in the box (-(1/2) ln 2 <= u <= 0, -1 <= M^{-1} L u <= 1);
+a violation aborts, it is never clamped.  The curvature constant is
+c = 2 pi d / Vol for a normal-bundle degree d in [0, 2g-2], times a
+rescaling knob t in (0, 1] standing in for the genus-growth regime
+(recorded in the certificate, chosen automatically unless pinned).
+CoupledConfig holds only the inputs eta, degree and t.
 
 The terminal artifact is the certificate: residuals of both equations,
 the mean identity defect, and sup e^{-4u} e^{2v} rho, all recomputed from
@@ -34,32 +39,21 @@ independently of solver internals.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from functools import partial
+from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import gauss as gauss_mod
 from . import operators
 from . import ricci as ricci_mod
-from .errors import AdmissibilityLost, DegreeRangeError, NonConvergence
+from .errors import AdmissibilityLost, DegreeRangeError
 
 
-# Tolerances of the Gauss and Ricci solves, and the smallest damping the
-# admissibility retry halves theta down to.  Inside the outer loop both
-# tolerances are multiplied by max(1, KAPPA * step / GAUSS_TOL), step the
-# last outer step; the first step, the scale choice, the step that stops
-# the loop and the polish use them as they are.  On the README 2-cover
-# (levels 2-6) KAPPA = 1e-2 cuts the S + M solves of solve_coupled by
-# 26-30 % and moves certificate values by at most 1.2e-9 relative.
+# Tolerances of the Gauss and Ricci residuals that end the coupled solve;
+# the scale choice's J ascent stops at RICCI_TOL too.
 GAUSS_TOL = 1e-10
 RICCI_TOL = 1e-9
-KAPPA = 1e-2
-MIN_DAMPING = 1.0 / 64.0
-# The outer loop stops on a full-tolerance step of at most TOL_OUTER, and
-# fails with NonConvergence after MAX_OUTER_ITERS steps.
-MAX_OUTER_ITERS = 100
-TOL_OUTER = 1e-8
 
 
 def degree_bound_check(d, g):
@@ -70,15 +64,12 @@ def degree_bound_check(d, g):
 @dataclass
 class CoupledConfig:
     eta: float = 0.5
-    damping: float = 1.0
     degree: int = 1
     t: float = None
 
     def __post_init__(self):
         if not 0 < self.eta < 1:
             raise ValueError("eta must lie in (0, 1)")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
         if self.t is not None and not 0 < self.t <= 1:
             raise ValueError("rescaling knob t must lie in (0, 1]")
 
@@ -112,7 +103,6 @@ class CoupledResult:
     u: np.ndarray
     v: np.ndarray
     certificate: AFCertificate
-    residual_history: list = field(default_factory=list)
 
     def __iter__(self):
         return iter((self.u, self.v, self.certificate))
@@ -120,6 +110,15 @@ class CoupledResult:
 
 def _curvature_constant(mesh, degree):
     return 2.0 * np.pi * degree / operators.of(mesh).vol
+
+
+def _residuals(mesh, u, v, log_density, c_eff):
+    """(Gauss, Ricci) max-norm residuals of the pair (u, v), and the
+    fields f = e^{2v} rho and e^{-2u} e^{2v} rho they are built from."""
+    f = np.exp(log_density + 2.0 * v)
+    weighted = np.exp(log_density + 2.0 * v - 2.0 * u)
+    ricci = float(np.abs(operators.of(mesh).lap(v) - (c_eff - weighted)).max())
+    return gauss_mod.gauss_residual(mesh, u, f), ricci, f, weighted
 
 
 def certify(mesh, u, v, density, eta, degree=1, t=1.0,
@@ -131,14 +130,9 @@ def certify(mesh, u, v, density, eta, degree=1, t=1.0,
     c_eff = t * _curvature_constant(mesh, degree)
 
     # The zero section (ld = -inf) needs no branch: exp(-inf) = 0.
-    f = np.exp(ld + 2.0 * v)
+    gauss_res, ricci_res, f, weighted = _residuals(mesh, u, v, ld, c_eff)
     sup_af = float(np.exp(ld + 2.0 * v - 4.0 * u).max())
-    weighted = np.exp(ld + 2.0 * v - 2.0 * u)
-    ricci_forcing = c_eff - weighted
     mean_residual = abs(float((m * weighted).sum() / ops.vol) - c_eff)
-
-    gauss_res = gauss_mod.gauss_residual(mesh, u, f)
-    ricci_res = float(np.abs(ops.lap(v) - ricci_forcing).max())
     margin = gauss_mod.admissible_bound(eta) - float(f.max())
     spectral = operators.spectral_gap(mesh)
     return AFCertificate(
@@ -188,23 +182,23 @@ def _choose_scale(mesh, density, config, c_full):
         t = min(1.0, t * 0.9 * target / m1)
 
 
+def _check_admissible(f, eta):
+    bound = gauss_mod.admissible_bound(eta)
+    if f.max() > bound:
+        raise AdmissibilityLost(
+            f"sup e^{{2v}} rho = {f.max():.6g} exceeds the "
+            f"admissible bound {bound:.6g} for eta = {eta}")
+
+
 def solve_coupled(mesh, density, config=None):
-    """Run the damped fixed-point iteration and certify the outcome.
+    """Solve the coupled system by damped Newton on (u, v) and certify it.
 
-    Returns a result unpacking as (u, v, certificate); the result object
-    additionally carries the outer residual history.  Degrees outside
-    [0, 2g-2] are refused; a zero density with positive degree is
-    infeasible by the integral identity (``RicciProblem`` raises
-    InfeasibleDegree); data exceeding the admissibility bound at any
-    iterate aborts (after automatic damping reduction).
-    After the scale choice every bundle solve is a Newton solve seeded at
-    the previous v.
-
-    The inner solves of an outer step ask for GAUSS_TOL and RICCI_TOL times
-    max(1, KAPPA * step / GAUSS_TOL), step the previous outer step (the
-    first step has none and is full).  A step at most TOL_OUTER ends the
-    loop only if its solves ran at full tolerance; after a loosened one the
-    loop takes one more step at full tolerance.
+    Returns a result unpacking as (u, v, certificate); the certificate's
+    outer_iters counts the Newton steps.  Degrees outside [0, 2g-2] are
+    refused; a zero density with positive degree is infeasible by the
+    integral identity (``RicciProblem`` raises InfeasibleDegree); data
+    exceeding the admissibility bound at the start or at the solution,
+    and a solution outside the box, raise AdmissibilityLost.
     """
     if config is None:
         config = CoupledConfig()
@@ -222,75 +216,39 @@ def solve_coupled(mesh, density, config=None):
         return CoupledResult(u=u, v=v, certificate=cert)
 
     c_full = _curvature_constant(mesh, config.degree)
-    bound = gauss_mod.admissible_bound(config.eta)
     t, v = _choose_scale(mesh, density, config, c_full)
     c_eff = t * c_full
+    ld = density.log_density
+    f = np.exp(ld + 2.0 * v)
+    _check_admissible(f, config.eta)
+    start = gauss_mod.GaussProblem(mesh=mesh, f=f, eta=config.eta)
 
-    bundle_problem = partial(ricci_mod.RicciProblem, mesh=mesh,
-                             density=density, c=c_eff, tol=RICCI_TOL)
-    gauss_problem = partial(gauss_mod.GaussProblem, mesh=mesh,
-                            eta=config.eta, tol=GAUSS_TOL)
+    ops = operators.of(mesh)
+    S, m = ops.S, ops.m
 
-    u = np.zeros(V)
-    theta = config.damping
-    history = []
-    u_prev = None
-    phi_prev = None
-    converged = False
-    outer = 0
-    loosen = 1.0
+    def residual(x):
+        gauss, ricci, _, _ = _residuals(mesh, x[:V], x[V:], ld, c_eff)
+        return max(gauss / GAUSS_TOL, ricci / RICCI_TOL)
 
-    for outer in range(1, MAX_OUTER_ITERS + 1):
-        if outer > 1:
-            v = ricci_mod.solve_ricci_newton(
-                bundle_problem(u=u, tol=RICCI_TOL * loosen), v).v
-        f = np.exp(density.log_density + 2.0 * v)
-        if f.max() > bound:
-            # Retry the last update with smaller damping before giving up.
-            if u_prev is None or theta <= MIN_DAMPING:
-                raise AdmissibilityLost(
-                    f"sup e^{{2v}} rho = {f.max():.6g} exceeds the "
-                    f"admissible bound {bound:.6g} for eta = {config.eta}")
-            theta *= 0.5
-            u = (1.0 - theta) * u_prev + theta * phi_prev
-            continue
-        phi = gauss_mod.solve_gauss(
-            gauss_problem(f=f, tol=GAUSS_TOL * loosen),
-            u0=u if outer > 1 else None).u
-        u_next = (1.0 - theta) * u + theta * phi
-        _box_check(mesh, u_next)
-        step = float(np.abs(u_next - u).max())
-        history.append(step)
-        u_prev, phi_prev = u, phi
-        u = u_next
-        if step > TOL_OUTER:
-            loosen = max(1.0, KAPPA * step / GAUSS_TOL)
-        elif loosen == 1.0:
-            converged = True
-            break
-        else:
-            # A loosened Gauss solve can return its warm start u unchanged,
-            # a zero step that proves nothing: repeat at full tolerance.
-            loosen = 1.0
+    def system(x):
+        u, v = x[:V], x[V:]
+        e2u = np.exp(2.0 * u)
+        q = np.exp(ld + 2.0 * v - 2.0 * u)
+        coupling = sp.diags(2.0 * m * q)
+        A = sp.bmat([[S + sp.diags(m * (2.0 * e2u - 2.0 * q)), coupling],
+                     [coupling, S - coupling]], format="csr")
+        b = -np.concatenate([S @ u + m * (e2u - 1.0 + q),
+                             S @ v + m * (c_eff - q)])
+        return A, b
 
-    if not converged:
-        raise NonConvergence(
-            f"outer iteration did not contract below {TOL_OUTER} in "
-            f"{MAX_OUTER_ITERS} steps (last step {history[-1]:.3e})")
-
-    # Polish: re-solve both equations at the final iterate so the
-    # certificate residuals reflect a consistent pair.  The last Ricci solve
-    # takes zero Newton iterations on undamped runs; on damped ones (README
-    # 2-cover, theta = 0.5 and 0.3, levels 2-4) leaving it out raises
-    # ricci_residual to 1.7e-9 - 6.5e-9, above RICCI_TOL, and moves sup_af
-    # by up to 2.8e-8 relative.
-    v = ricci_mod.solve_ricci_newton(bundle_problem(u=u), v).v
-    f = np.exp(density.log_density + 2.0 * v)
-    u = gauss_mod.solve_gauss(gauss_problem(f=f), u0=u).u
-    v = ricci_mod.solve_ricci_newton(bundle_problem(u=u), v).v
+    x, _, steps = operators.damped_newton(
+        ops, np.concatenate([gauss_mod.warm_start(start), v]), residual,
+        system, "coupled newton", 1.0,
+        inside=lambda x: start.in_search_box(x[:V]))
+    u, v = x[:V], x[V:]
+    _check_admissible(np.exp(ld + 2.0 * v), config.eta)
     _box_check(mesh, u)
 
     cert = certify(mesh, u, v, density, config.eta, degree=config.degree,
-                   t=t, outer_iters=outer, converged=True)
-    return CoupledResult(u=u, v=v, certificate=cert,
-                         residual_history=history)
+                   t=t, outer_iters=steps, converged=True)
+    return CoupledResult(u=u, v=v, certificate=cert)

@@ -65,6 +65,13 @@ class GaussProblem:
     def box_lower(self):
         return -0.5 * np.log1p(self.eta)
 
+    def in_search_box(self, u):
+        """True iff u lies in the trapping box padded by 0.1, where the
+        Newton line searches (``solve_gauss``'s and the coupled solve's)
+        keep their iterates."""
+        pad = 0.1
+        return u.min() >= self.box_lower - pad and u.max() <= pad
+
     def admissibility_margin(self):
         return float(admissible_bound(self.eta) - self.f.max())
 
@@ -123,14 +130,13 @@ def solve_gauss(problem, u0=None):
     R' >= 0 there, so the Newton direction exists; it is solved by MINRES
     preconditioned with the mesh's S + M factor, so no step factors the
     Jacobian.  The loop is ``operators.damped_newton``, whose backtracking
-    keeps the iterates in the box inflated by 0.1.  Residuals are checked
-    before the first step, so exact warm starts return in zero iterations.
+    keeps the iterates in ``GaussProblem.in_search_box``.  Residuals are
+    checked before the first step, so exact warm starts return in zero
+    iterations.
     """
     mesh = problem.mesh
     ops = operators.of(mesh)
     S, m, f = ops.S, ops.m, problem.f
-    lower = problem.box_lower
-    pad = 0.1
 
     def system(u):
         return (S + sp.diags(m * _reaction_slope(u, f)),
@@ -139,10 +145,9 @@ def solve_gauss(problem, u0=None):
     u0 = warm_start(problem) if u0 is None else np.asarray(u0, dtype=float)
     u, res, steps = operators.damped_newton(
         ops, u0, lambda u: gauss_residual(mesh, u, f), system,
-        "gauss newton", problem.tol,
-        inside=lambda u: u.min() >= lower - pad and u.max() <= pad)
+        "gauss newton", problem.tol, inside=problem.in_search_box)
     return GaussSolution(u=u, residual_norm=res, iterations=steps,
-                         box_margin=_box_margin(u, lower))
+                         box_margin=_box_margin(u, problem.box_lower))
 
 
 # Shift lam of the monotone scheme: sup R' over u <= 0, the smallest value

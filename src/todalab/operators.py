@@ -14,17 +14,18 @@ beside it); ``laplacian``, ``mass_vector``, ``stiffness`` and ``volume``
 are views of it.  Every sparse factorization in the package goes through
 ``factor``.  The bundle holds one factor, of the SPD matrix S + M, and
 every solve with S or a shifted S on the mesh uses it: the Newton systems
-of the Gauss, J and Ricci solvers and the Green solves of the section
-densities by MINRES preconditioned with it (``newton_solve``), and
-``eig_low`` as its shift-invert operator at sigma = -1.  So a mesh is
+of the Gauss, J, Ricci and coupled solvers and the Green solves of the
+section densities by MINRES preconditioned with it (``newton_solve``; the
+coupled system's two V-blocks each get one solve), and ``eig_low`` as
+its shift-invert operator at sigma = -1.  So a mesh is
 factored once however many solves its solvers make, and a solve's cost is
 its number of preconditioner solves.  The Green solves run MINRES to
 NEWTON_RTOL.  The Newton steps are inexact (Eisenstat & Walker, SIAM J.
 Sci. Comput. 17, 1996): ``forcing`` sets each step's rtol from the outer
 residuals, so no inner system is solved more accurately than the outer
-test can use.  The Gauss and Ricci solvers share one damped-Newton loop,
-``damped_newton``: its residual test, line search, iteration cap, forcing
-and failure messages.
+test can use.  The Gauss, Ricci and coupled solvers share one
+damped-Newton loop, ``damped_newton``: its residual test, line search,
+iteration cap, forcing and failure messages.
 
 The systole is approximated on the edge graph: the shortest closed edge
 loop whose accumulated holonomy word is not the identity.  Every such loop
@@ -263,6 +264,8 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False,
 
     The Green solves S x = b on zero-mean fields go through it too.  A is
     sparse symmetric, possibly indefinite, and q = rank_one (if given).
+    A is V x V, or a system of k x k blocks of size V x V (the coupled
+    solve's k = 2).
     With zero_mean the system is posed on zero-M-mean fields: x has zero
     M-mean and the residual may have any component along m, as
     in the KKT system with the constraint m^T x = 0.  It is applied
@@ -270,13 +273,15 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False,
     singular but consistent system whose solution is projected by P.
 
     MINRES (Paige & Saunders 1975) handles indefinite systems with an SPD
-    preconditioner; here that is the bundle's factor of S + M, so no Newton
-    step or Green solve factors anything.  MINRES stops at relative
+    preconditioner; here that is the bundle's factor of S + M, block
+    diagonal for a block system (Benzi, Golub & Liesen, Acta Numer. 14,
+    2005, section 10), with one ``solve`` per block, so no Newton step or
+    Green solve factors anything.  MINRES stops at relative
     residual rtol (NEWTON_RTOL by default; the Newton loops pass
     ``forcing``).  Raises NonConvergence naming the solver when MINRES stops
     without reaching rtol or returns a non-finite x.
     """
-    V = A.shape[0]
+    n = A.shape[0]
     m, vol = ops.m, ops.vol
 
     def project(x):
@@ -294,15 +299,21 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False,
 
     if zero_mean:
         b = b - m * (b.sum() / vol)
-    op = spla.LinearOperator((V, V), matvec=matvec, dtype=float)
-    precond = spla.LinearOperator((V, V), matvec=ops.screened_lu.solve,
-                                  dtype=float)
+    op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    lu = ops.screened_lu
+    blocks = n // m.size
+
+    def precondition(x):
+        return np.concatenate([lu.solve(block)
+                               for block in np.reshape(x, (blocks, -1))])
+
+    precond = spla.LinearOperator((n, n), matvec=precondition, dtype=float)
     x, info = spla.minres(op, b, rtol=rtol, maxiter=NEWTON_MAXITER,
                           M=precond)
     if info != 0 or not np.isfinite(x).all():
         raise NonConvergence(
             f"{name}: MINRES on the Newton system stopped without reaching "
-            f"rtol {rtol:g} (info {info}, V = {V})")
+            f"rtol {rtol:g} (info {info}, V = {m.size})")
     return project(x) if zero_mean else x
 
 

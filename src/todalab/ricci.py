@@ -23,9 +23,9 @@ Two routes are provided and cross-checked:
   translate of w (``translate_v``), its Hessian is negative definite on
   zero-mean fields when 2 sup e^{2v} F < lambda_1 (the stability
   hypothesis below) and may be indefinite otherwise;
-* a direct damped Newton iteration on the equation residual, used for
-  warm-started re-solves inside outer loops; its loop is
-  ``operators.damped_newton``, shared with the Gauss solver.
+* a direct damped Newton iteration on the equation residual from a given
+  seed, which confirms a maximizer; its loop is
+  ``operators.damped_newton``, shared with the Gauss and coupled solvers.
 
 Both Newton systems are symmetric and may be indefinite, so both are
 solved by MINRES preconditioned with the mesh's S + M factor

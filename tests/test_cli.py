@@ -348,7 +348,11 @@ def _set_key(key, value):
     # A missing run file fails the run, it is no bad command line.
     *[pytest.param(name, os.remove, "No such file or directory",
                    id=f"{name}-missing")
-      for name in ("u.csv", "v.csv", "certificate.json", "manifest.json")]])
+      for name in ("u.csv", "v.csv", "certificate.json", "manifest.json")],
+    # So does a run input the manifest names that is gone.
+    pytest.param("manifest.json", _set_key("mesh", "gone.json"),
+                 "mesh file gone.json: No such file or directory",
+                 id="manifest-mesh-gone")])
 def test_verify_reports_malformed_run_files(run_dir, tmp_path, capsys,
                                             name, edit, message):
     run = str(tmp_path / "run")

@@ -98,7 +98,7 @@ CASES = {
                         "--scale must be finite and > 0"),
     "gauss-constant-nan": (_gauss("--constant", "nan"), 2,
                            "data f must be finite"),
-    # Tolerances, the outer iteration cap, the Gauss method and the density
+    # Tolerances, the iteration caps, the Gauss method and the density
     # normalization are constants of the library, not flags.
     "gauss-tol-nan": (_gauss("--constant", "0.1", "--tol", "nan"), 2,
                       "unrecognized arguments: --tol"),
@@ -110,6 +110,9 @@ CASES = {
                           "unrecognized arguments: --max-outer"),
     "coupled-tol-outer-inf": (_solve("solve-coupled", "--tol-outer", "inf"),
                               2, "unrecognized arguments: --tol-outer"),
+    # The coupled solve is one Newton loop: there is no damping to set.
+    "coupled-theta": (_solve("solve-coupled", "--theta", "0.5"), 2,
+                      "unrecognized arguments: --theta"),
     "verify-tol-nan": (["verify", "--mesh", "{mesh}", "--density",
                         "{density}", "--tol", "nan"], 2,
                        "unrecognized arguments: --tol"),

@@ -1,0 +1,184 @@
+"""Robustness sweep of `solve_coupled` over fresh zeros, cover degrees and
+normal-bundle degrees, for one or more source trees.
+
+For each cyclic cover degree n (`--n`, one or more) of the genus-2 base at
+refinement level 3 (or `--refine`), it lifts the README base density
+(divisor 0:1,1:1,5:1,20:1) to the n-cover with every `--stride`-th fresh
+zero (a cover vertex outside the lifted divisor), and solves each density
+at every degree of `--degrees` that the cover's genus allows:
+
+    python3 tools/sweep.py --refine 3 --stride 1 --degrees 1,2
+    python3 tools/sweep.py --tree parent=../old/src --tree change=src \\
+        --refine 3 --n 1 2 3 4 6 8 12 --degrees 1 -o BENCH.json
+
+Each tree runs in a fresh process per cover degree, and the trees
+alternate which goes first.  Per tree it prints, as one JSON object:
+- the failures: zero, n, degree, error type and the message's first line;
+- per degree, the runs, the number certified, the wall time and the
+  number of solves with the cover's S + M factor (the child wraps the
+  factor's `solve` to count them), and the largest Gauss and Ricci
+  residual of the certificates;
+- per degree, the largest relative move of each certificate value but
+  the residuals against the first tree, over the runs both certify.
+BLAS runs one thread (`TODA_THREADS=1`).
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+from trees import alternating, emit, machine_info, tree_parser, trees_of
+
+DIVISOR = [(0, 1), (1, 1), (5, 1), (20, 1)]
+
+CHILD = """
+import json, sys, time
+import todalab
+from todalab import operators
+base = todalab.build_base_surface(refinement={refine})
+base_density = todalab.synth_density(base, todalab.Divisor({divisor!r}))
+cover = todalab.build_cover(base, todalab.CoverSpec.cyclic({n}))
+taken = {{v for v, _ in todalab.lift_density(base_density, cover)
+         .divisor.entries}}
+zeros = [z for z in range(cover.num_vertices) if z not in taken]
+degrees = [d for d in {degrees!r}
+           if todalab.degree_bound_check(d, cover.genus)]
+operators.systole(cover)
+bundle = operators.of(cover)
+lu = bundle.screened_lu
+solves = [0]
+
+class CountingFactor:
+    def solve(self, b):
+        solves[0] += 1
+        return lu.solve(b)
+
+bundle.screened_lu = CountingFactor()
+runs = []
+for zero in zeros[::{stride}]:
+    density, _ = todalab.balanced_lift(base_density, cover, zero)
+    for degree in degrees:
+        solves[0] = 0
+        start = time.perf_counter()
+        run = {{"zero": zero, "n": {n}, "degree": degree}}
+        try:
+            result = todalab.solve_coupled(
+                cover, density, todalab.CoupledConfig(degree=degree))
+            run["certificate"] = result.certificate.to_dict()
+        except todalab.TodaError as exc:
+            run["error"] = type(exc).__name__
+            run["message"] = str(exc).splitlines()[0]
+        run["seconds"] = time.perf_counter() - start
+        run["screened_solves"] = solves[0]
+        runs.append(run)
+json.dump(runs, sys.stdout)
+"""
+
+
+def sweep_once(src, refine, n, stride, degrees):
+    """The runs of one tree on the n-cover, each a dict of zero, n,
+    degree, seconds, screened_solves and a certificate or an error."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), TODA_THREADS="1")
+    code = CHILD.format(refine=refine, n=n, divisor=DIVISOR, stride=stride,
+                        degrees=degrees)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{src}: sweep exited {proc.returncode}: "
+                         f"{proc.stderr.strip()}")
+    return json.loads(proc.stdout)
+
+
+def largest_moves(runs, reference):
+    """Per degree, the largest |a - b| / |b| of each float certificate
+    value over the runs certified in both lists."""
+    certified = {(r["zero"], r["n"], r["degree"]): r["certificate"]
+                 for r in reference if "certificate" in r}
+    moves = {}
+    for run in runs:
+        want = certified.get((run["zero"], run["n"], run["degree"]))
+        if want is None or "certificate" not in run:
+            continue
+        worst = moves.setdefault(str(run["degree"]), {})
+        for key, value in want.items():
+            if isinstance(value, float) and not key.endswith("_residual"):
+                move = (abs(run["certificate"][key] - value)
+                        / max(abs(value), 1e-300))
+                worst[key] = max(worst.get(key, 0.0), move)
+    return moves
+
+
+def by_degree(runs):
+    """Per degree: runs, certified, seconds, S + M solves and the largest
+    certificate residuals."""
+    out = {}
+    for run in runs:
+        row = out.setdefault(str(run["degree"]), {
+            "runs": 0, "certified": 0, "seconds": 0.0, "screened_solves": 0,
+            "max_gauss_residual": 0.0, "max_ricci_residual": 0.0})
+        row["runs"] += 1
+        row["seconds"] += run["seconds"]
+        row["screened_solves"] += run["screened_solves"]
+        cert = run.get("certificate")
+        if cert is not None:
+            row["certified"] += 1
+            for key in ("gauss_residual", "ricci_residual"):
+                row[f"max_{key}"] = max(row[f"max_{key}"], cert[key])
+    for row in out.values():
+        row["seconds"] = round(row["seconds"], 3)
+    return out
+
+
+def main(argv=None):
+    parser = tree_parser(__doc__.split("\n")[0])
+    parser.set_defaults(refine=3)
+    parser.add_argument("--n", type=int, nargs="+", default=[2],
+                        help="degrees of the cyclic covers (default 2)")
+    parser.add_argument("--stride", type=int, default=1,
+                        help="solve every k-th fresh zero (default 1)")
+    parser.add_argument("--degrees", default="1",
+                        help="comma-separated normal-bundle degrees "
+                             "(default 1)")
+    args = parser.parse_args(argv)
+    trees = trees_of(parser, args)
+    if args.stride < 1 or min(args.n) < 1:
+        parser.error("--stride and --n must be at least 1")
+    try:
+        degrees = [int(d) for d in args.degrees.split(",")]
+    except ValueError:
+        parser.error(f"--degrees expects comma-separated integers, "
+                     f"got {args.degrees!r}")
+
+    runs = {label: [] for label in trees}
+    for i, label in alternating(trees, len(args.n)):
+        n = args.n[i]
+        out = sweep_once(trees[label], args.refine, n, args.stride, degrees)
+        runs[label].extend(out)
+        failed = sum("error" in r for r in out)
+        print(f"n = {n} {label}: {len(out)} runs, {failed} failed, "
+              f"{sum(r['seconds'] for r in out):.1f} s", file=sys.stderr)
+
+    first = next(iter(trees))
+    result = {
+        "script": "tools/sweep.py",
+        "refine": args.refine, "n": args.n, "stride": args.stride,
+        "degrees": degrees, "divisor": DIVISOR,
+        "machine": machine_info(),
+        "trees": {label: {
+            "failures": [{key: r[key] for key in
+                          ("zero", "n", "degree", "error", "message")}
+                         for r in tree_runs if "error" in r],
+            "certified": sum("certificate" in r for r in tree_runs),
+            "by_degree": by_degree(tree_runs),
+            **({} if label == first else {
+                f"largest_relative_move_to_{first}": largest_moves(
+                    tree_runs, runs[first])})}
+            for label, tree_runs in runs.items()},
+    }
+    emit(result, args.output)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

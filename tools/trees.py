@@ -1,11 +1,11 @@
-"""What the timing tools share: their command line, the alternating order
-in which they run several source trees, and their JSON output.
+"""What the tools share: their command line, the alternating order in
+which they run several source trees, and their JSON output.
 
 Each tool takes `--tree LABEL=SRC` (repeatable; default `change=src`),
-`--runs` (at least 2), `--refine` (default 5), `--n` (the degree of the
-cyclic cover, default 2) and `-o`.  Runs alternate
-which tree goes first, so a slow spell of a shared machine lands on all
-trees alike.
+`--refine` (default 5) and `-o`; the timing tools also take `--runs` (at
+least 2) and `--n` (the degree of the cyclic cover, default 2).  Runs
+alternate which tree goes first, so a slow spell of a shared machine
+lands on all trees alike.
 """
 
 import argparse
@@ -15,28 +15,40 @@ import platform
 import statistics
 
 
-def parse_args(description, argv=None):
-    """(args, trees): the parsed command line and the {label: src} of its
-    trees, in the order given."""
+def tree_parser(description):
+    """A parser with the flags every tool takes: `--tree`, `--refine` and
+    `-o`."""
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--tree", action="append", metavar="LABEL=SRC",
                         help="a label and the src/ directory holding "
                              "todalab (repeatable; default change=src)")
-    parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--refine", type=int, default=5,
                         help="refinement level of the base (default 5)")
+    parser.add_argument("-o", "--output", help="also write the JSON here")
+    return parser
+
+
+def trees_of(parser, args):
+    """The {label: src} of the parsed `--tree` flags, in the order given;
+    also checks `--refine`."""
+    if args.refine < 0:
+        parser.error("--refine must be nonnegative")
+    return dict(spec.split("=", 1) for spec in args.tree or ["change=src"])
+
+
+def parse_args(description, argv=None):
+    """(args, trees): the parsed command line of a timing tool and the
+    {label: src} of its trees, in the order given."""
+    parser = tree_parser(description)
+    parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--n", type=int, default=2,
                         help="degree of the cyclic cover (default 2)")
-    parser.add_argument("-o", "--output", help="also write the JSON here")
     args = parser.parse_args(argv)
     if args.runs < 2:
         parser.error("--runs must be at least 2")
-    if args.refine < 0:
-        parser.error("--refine must be nonnegative")
     if args.n < 1:
         parser.error("--n must be at least 1")
-    trees = dict(spec.split("=", 1) for spec in args.tree or ["change=src"])
-    return args, trees
+    return args, trees_of(parser, args)
 
 
 def alternating(trees, runs):
