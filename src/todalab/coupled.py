@@ -19,7 +19,10 @@ so its Newton system is symmetric; with Q = 2 M diag q it reads
 
 indefinite, and ``operators.damped_newton`` solves it by MINRES with the
 block-diagonal preconditioner diag(S + M, S + M) on the mesh's one factor
-(Paige & Saunders 1975; Benzi, Golub & Liesen 2005, section 10).  It
+(Paige & Saunders 1975; Benzi, Golub & Liesen 2005, section 10), both
+blocks in one solve call.  Each step fills the matrix by
+``Operators.coupled_jacobian`` on the pattern of [[S, I], [I, S]] that the
+mesh's operator bundle caches, so no step assembles a sparse matrix.  It
 starts at v0 from the scale choice and u0 = ``gauss.warm_start`` of
 f = e^{2 v0} rho, keeps u in the Gauss solver's line-search box, and stops
 once both residuals are at most GAUSS_TOL and RICCI_TOL.  The data must
@@ -42,7 +45,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import gauss as gauss_mod
 from . import operators
@@ -234,9 +236,9 @@ def solve_coupled(mesh, density, config=None):
         u, v = x[:V], x[V:]
         e2u = np.exp(2.0 * u)
         q = np.exp(ld + 2.0 * v - 2.0 * u)
-        coupling = sp.diags(2.0 * m * q)
-        A = sp.bmat([[S + sp.diags(m * (2.0 * e2u - 2.0 * q)), coupling],
-                     [coupling, S - coupling]], format="csr")
+        coupling = 2.0 * m * q
+        A = ops.coupled_jacobian(m * (2.0 * e2u - 2.0 * q), coupling,
+                                 -coupling)
         b = -np.concatenate([S @ u + m * (e2u - 1.0 + q),
                              S @ v + m * (c_eff - q)])
         return A, b

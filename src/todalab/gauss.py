@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import operators
 from .errors import AdmissibilityError, NonConvergence
@@ -129,8 +128,9 @@ def solve_gauss(problem, u0=None):
     The Jacobian S + M diag(R'(u)) is positive definite on the box because
     R' >= 0 there, so the Newton direction exists; it is solved by MINRES
     preconditioned with the mesh's S + M factor, so no step factors the
-    Jacobian.  The loop is ``operators.damped_newton``, whose backtracking
-    keeps the iterates in ``GaussProblem.in_search_box``.  Residuals are
+    Jacobian, which ``Operators.shifted`` fills on S's pattern.  The loop
+    is ``operators.damped_newton``, whose backtracking keeps the iterates
+    in ``GaussProblem.in_search_box``.  Residuals are
     checked before the first step, so exact warm starts return in zero
     iterations.
     """
@@ -139,7 +139,7 @@ def solve_gauss(problem, u0=None):
     S, m, f = ops.S, ops.m, problem.f
 
     def system(u):
-        return (S + sp.diags(m * _reaction_slope(u, f)),
+        return (ops.shifted(1.0, m * _reaction_slope(u, f)),
                 -(S @ u + m * _reaction(u, f)))
 
     u0 = warm_start(problem) if u0 is None else np.asarray(u0, dtype=float)
@@ -175,7 +175,7 @@ def monotone_solve_gauss(problem):
     ops = operators.of(mesh)
     m = ops.m
     lam, sweeps = MONOTONE_SHIFT, 5000
-    lu = operators.factor(ops.S + sp.diags(lam * m))
+    lu = operators.factor(ops.shifted(1.0, lam * m))
     u = np.zeros(mesh.num_vertices)
     for it in range(sweeps):
         res = gauss_residual(mesh, u, problem.f)
@@ -204,7 +204,7 @@ def gauss_stability_probe(mesh, u, f, seed=0):
     """
     ops = operators.of(mesh)
     slope = _reaction_slope(u, f)
-    A = (ops.S + sp.diags(ops.m * slope)).tocsr()
+    A = ops.shifted(1.0, ops.m * slope)
     sigma = float(slope.min()) - 1.0
     min_eig = float(operators.eigs_nearest(A, ops.m, sigma)[0])
 

@@ -16,10 +16,14 @@ are views of it.  Every sparse factorization in the package goes through
 every solve with S or a shifted S on the mesh uses it: the Newton systems
 of the Gauss, J, Ricci and coupled solvers and the Green solves of the
 section densities by MINRES preconditioned with it (``newton_solve``; the
-coupled system's two V-blocks each get one solve), and ``eig_low`` as
-its shift-invert operator at sigma = -1.  So a mesh is
-factored once however many solves its solvers make, and a solve's cost is
-its number of preconditioner solves.  The Green solves run MINRES to
+coupled system's two V-blocks are solved in one call on the V x 2 array
+of blocks), and ``eig_low`` as its shift-invert operator at sigma = -1.
+So a mesh is factored once however many solves its solvers make, and a
+solve's cost is its number of preconditioner solves.  No Newton step
+assembles a sparse matrix either: each Newton matrix is a * S + diag(d),
+or the coupled 2 x 2 block of such matrices with diagonal coupling, and
+``Operators.shifted`` and ``Operators.coupled_jacobian`` fill its values
+into index structures the bundle caches.  The Green solves run MINRES to
 NEWTON_RTOL.  The Newton steps are inexact (Eisenstat & Walker, SIAM J.
 Sci. Comput. 17, 1996): ``forcing`` sets each step's rtol from the outer
 residuals, so no inner system is solved more accurately than the outer
@@ -129,10 +133,24 @@ def logsumexp(a, b=None):
     return out
 
 
+def _diagonal_slots(A):
+    """Positions of the diagonal entries of a canonical CSR matrix A in
+    A.data, row by row; asserts that A stores each of them."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    slots = np.flatnonzero(A.indices == rows)
+    assert slots.size == A.shape[0], "a diagonal entry is not stored"
+    return slots
+
+
 class Operators:
     """Per-mesh operators: S (CSR), lumped masses m, M = diag(m), the
     total area vol = m.sum(), lap and log_mean.  The path graph, the S + M
-    factor and lambda0/lambda1 are built on first use.
+    factor and lambda0/lambda1 are built on first use, and so are the index
+    structures on which ``shifted`` and ``coupled_jacobian`` fill every
+    Newton matrix without assembling one: the slots of S's diagonal in
+    S.data (``diagonal_slots``; the cotangent S stores its whole diagonal)
+    and the CSR pattern of [[S, I], [I, S]] with its diagonal slots and
+    the gather index of its entries (``block_pattern``).
     """
 
     def __init__(self, mesh):
@@ -172,6 +190,47 @@ class Operators:
     def log_mean(self, x):
         """ln of the M-average of e^x, without overflow."""
         return logsumexp(x, b=self.m) - np.log(self.vol)
+
+    @cached_property
+    def diagonal_slots(self):
+        """Positions of S's diagonal entries in S.data, row by row."""
+        return _diagonal_slots(self.S)
+
+    def shifted(self, a, d):
+        """a * S + diag(d) as CSR on S's pattern: S's values scaled by a,
+        d added at the diagonal slots.  Entries are a S_ii + d_i and a S_ij,
+        formed in the order of ``a * S + sp.diags(d)``, so the two agree
+        bit for bit (that sum also drops entries that come out exactly 0;
+        this one keeps them)."""
+        S = self.S
+        data = a * S.data
+        data[self.diagonal_slots] += d
+        return sp.csr_matrix((data, S.indices, S.indptr), shape=S.shape)
+
+    @cached_property
+    def block_pattern(self):
+        """(indptr, indices, gather, diagonal) of the CSR matrix
+        [[S, I], [I, S]] in ``sp.bmat``'s entry order: entry k holds
+        np.concatenate((S.data, c))[gather[k]] for a coupling vector c, and
+        ``diagonal`` lists its diagonal slots, row by row."""
+        S, V = self.S, self.m.size
+        code = sp.csr_matrix((np.arange(1.0, S.nnz + 1), S.indices, S.indptr),
+                             shape=S.shape)
+        link = sp.diags(np.arange(S.nnz + 1.0, S.nnz + V + 1))
+        B = sp.bmat([[code, link], [link, code]], format="csr")
+        gather = B.data.astype(np.intp) - 1
+        return B.indptr, B.indices, gather, _diagonal_slots(B)
+
+    def coupled_jacobian(self, d1, c, d2):
+        """[[S + diag d1, diag c], [diag c, S + diag d2]] as CSR on
+        ``block_pattern``: one gather of S's values and c, then d1 and d2
+        added on the diagonal.  Entries equal those of ``sp.bmat`` of the
+        blocks bit for bit (entries c_i = 0 are kept, which bmat drops)."""
+        indptr, indices, gather, diagonal = self.block_pattern
+        data = np.concatenate((self.S.data, c))[gather]
+        data[diagonal] += np.concatenate((d1, d2))
+        n = 2 * self.m.size
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
     @cached_property
     def low_eigenvalues(self):
@@ -275,11 +334,11 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False,
     MINRES (Paige & Saunders 1975) handles indefinite systems with an SPD
     preconditioner; here that is the bundle's factor of S + M, block
     diagonal for a block system (Benzi, Golub & Liesen, Acta Numer. 14,
-    2005, section 10), with one ``solve`` per block, so no Newton step or
-    Green solve factors anything.  MINRES stops at relative
-    residual rtol (NEWTON_RTOL by default; the Newton loops pass
-    ``forcing``).  Raises NonConvergence naming the solver when MINRES stops
-    without reaching rtol or returns a non-finite x.
+    2005, section 10), applied by one ``solve`` call on the V x k array of
+    the blocks, so no Newton step or Green solve factors anything.  MINRES
+    stops at relative residual rtol (NEWTON_RTOL by default; the Newton
+    loops pass ``forcing``).  Raises NonConvergence naming the solver when
+    MINRES stops without reaching rtol or returns a non-finite x.
     """
     n = A.shape[0]
     m, vol = ops.m, ops.vol
@@ -304,8 +363,7 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False,
     blocks = n // m.size
 
     def precondition(x):
-        return np.concatenate([lu.solve(block)
-                               for block in np.reshape(x, (blocks, -1))])
+        return lu.solve(np.reshape(x, (blocks, -1)).T).T.reshape(-1)
 
     precond = spla.LinearOperator((n, n), matvec=precondition, dtype=float)
     x, info = spla.minres(op, b, rtol=rtol, maxiter=NEWTON_MAXITER,

@@ -29,7 +29,9 @@ Two routes are provided and cross-checked:
 
 Both Newton systems are symmetric and may be indefinite, so both are
 solved by MINRES preconditioned with the mesh's S + M factor
-(``operators.newton_solve``); no Newton step factors a matrix.
+(``operators.newton_solve``); no Newton step factors a matrix, and
+each fills its matrix, a * S + diag(d), on S's pattern
+(``Operators.shifted``) instead of assembling one.
 
 The stability check locates the spectrum of the linearized operator
 L + 2 M diag(e^{2v} f) relative to M, with c = avg(e^{2v} f): it lies in
@@ -53,7 +55,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import operators
 from .errors import InfeasibleDegree, NonConvergence, UnboundedDetected
@@ -242,7 +243,7 @@ def maximize_J(problem, max_iters=10000):
         step = None
         try:
             cand = operators.newton_solve(
-                ops, scale * S - sp.diags(4.0 * p), grad_euc,
+                ops, ops.shifted(scale, -(4.0 * p)), grad_euc,
                 "J maximization", rank_one=2.0 * p, zero_mean=True,
                 rtol=operators.forcing(gnorm, prev, problem.tol))
             if grad_euc @ cand > 0:
@@ -253,8 +254,8 @@ def maximize_J(problem, max_iters=10000):
             # Its own factor, not the bundle's S + M: the preconditioner
             # sets the fallback direction, which the bundle's would change.
             if precond is None:
-                precond = operators.factor(scale * S
-                                           + (2.0 / vol) * sp.diags(m))
+                precond = operators.factor(ops.shifted(scale,
+                                                       (2.0 / vol) * m))
             step = precond.solve(grad_euc)
             step -= (m @ step) / vol
 
@@ -303,7 +304,7 @@ def solve_ricci_newton(problem, v_init, max_iters=200):
 
     def system(v):
         Fe = np.exp(logF + 2.0 * v)
-        return -S + sp.diags(2.0 * m * Fe), S @ v + m * c - m * Fe
+        return ops.shifted(-1.0, 2.0 * m * Fe), S @ v + m * c - m * Fe
 
     v, _, steps = operators.damped_newton(
         ops, np.array(v_init, dtype=float),
@@ -348,7 +349,7 @@ def stability_check(mesh, v, f):
     c = float((m * weight).sum() / ops.vol)
     lam1 = ops.low_eigenvalues[1]
 
-    A = (sp.diags(2.0 * m * weight) - ops.S).tocsr()
+    A = ops.shifted(-1.0, 2.0 * m * weight)
     lo = -lam1 + sup_term
     hi = 2.0 * c
     window = (lo, hi)

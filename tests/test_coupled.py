@@ -1,9 +1,11 @@
 """Coupled Newton solve, certificates, and obstruction behavior."""
 
+import inspect
 import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from todalab import coupled as C
 from todalab import gauss as G
@@ -181,6 +183,27 @@ def test_newton_system_is_the_symmetric_jacobian(cover_setup, monkeypatch):
         # The residual map is -b of the system.
         diff = (system(x - h * d)[1] - system(x + h * d)[1]) / (2 * h)
         assert np.linalg.norm(diff - A @ d) <= 1e-6 * np.linalg.norm(A @ d)
+
+
+def test_newton_steps_assemble_no_sparse_matrix(cover_setup, monkeypatch):
+    # Every Newton matrix is filled on the bundle's cached patterns: once
+    # a first solve has built them, a second calls neither sp.bmat nor
+    # sp.diags, and the solver modules do not import scipy.sparse.
+    cover, dens = cover_setup
+    C.solve_coupled(cover, dens, C.CoupledConfig(degree=1))
+    calls = []
+    for name in ("bmat", "diags"):
+        true = getattr(scipy.sparse, name)
+
+        def counted(*args, true=true, name=name, **kwargs):
+            calls.append(name)
+            return true(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse, name, counted)
+    C.solve_coupled(cover, dens, C.CoupledConfig(degree=1))
+    assert calls == []
+    for module in (G, R, C):
+        assert "scipy.sparse" not in inspect.getsource(module)
 
 
 def test_certificate_is_the_tight_tolerance_solution(monkeypatch):

@@ -346,6 +346,64 @@ def test_factor_orders_symmetric_patterns_by_minimum_degree(mesh3):
         assert np.abs(A @ lu.solve(b) - b).max() < 1e-10
 
 
+def same_csr(got, want):
+    """True iff two CSR matrices have equal shape, indptr, indices and
+    data bits."""
+    return (got.shape == want.shape
+            and np.array_equal(got.indptr, want.indptr)
+            and np.array_equal(got.indices, want.indices)
+            and np.array_equal(got.data.view(np.uint64),
+                               want.data.view(np.uint64)))
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("sheets", [1, 2], ids=["base", "cover2"])
+def test_newton_matrices_equal_scipy_assembly_bit_for_bit(level, sheets):
+    # shifted and coupled_jacobian fill the bundle's cached patterns; the
+    # result is the matrix sparse arithmetic and sp.bmat assemble, to the
+    # bit, so the Newton solves on it are unchanged.
+    bundle = ops.of(level_mesh(level, sheets))
+    S, V = bundle.S, bundle.m.size
+    rng = np.random.default_rng(level)
+    d1, d2 = rng.normal(size=(2, V))
+    c = rng.uniform(0.1, 1.0, size=V)
+    for a in (1.0, -1.0, 0.37):
+        assert same_csr(bundle.shifted(a, d1), a * S + sp.diags(d1))
+    want = sp.bmat([[S + sp.diags(d1), sp.diags(c)],
+                    [sp.diags(c), S + sp.diags(d2)]], format="csr")
+    assert same_csr(bundle.coupled_jacobian(d1, c, d2), want)
+
+
+def test_block_preconditioner_one_call_equals_single_solves_bit_for_bit():
+    # The block preconditioner's one solve of the (V, 2) array of blocks
+    # gives the bits of two single solves: a coupled Newton step solved
+    # with a factor that solves column by column is the same step.
+    mesh = level_mesh(3, 2)
+    bundle = ops.of(mesh)
+    lu = bundle.screened_lu
+    V = mesh.num_vertices
+    rng = np.random.default_rng(0)
+    d1 = bundle.m * rng.uniform(1.0, 2.0, size=V)
+    c = bundle.m * rng.uniform(0.0, 0.5, size=V)
+    A = bundle.coupled_jacobian(d1, c, -c)
+    b = rng.normal(size=2 * V)
+    calls = []
+
+    class ColumnByColumn:
+        def solve(self, rhs):
+            calls.append(rhs.shape)
+            return np.column_stack([lu.solve(col) for col in rhs.T])
+
+    x = ops.newton_solve(bundle, A, b, "coupled")
+    bundle.screened_lu = ColumnByColumn()
+    try:
+        y = ops.newton_solve(bundle, A, b, "coupled")
+    finally:
+        bundle.screened_lu = lu
+    assert calls and set(calls) == {(V, 2)}
+    assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
 SOLVER_NAMES = {"splu", "spsolve", "spilu", "factorized"}
 
 

@@ -24,9 +24,11 @@ write and read, with the mesh file's size) as one JSON object, with each
 tree's certificate, the largest relative difference of every certificate
 value against the first tree, and the number of solves with the cover's
 S + M factor that the timed call made (the MINRES preconditioner solves
-and those of `eig_low`; the child wraps the factor's `solve` to count
-them).  BLAS runs one thread (`TODA_THREADS=1`).  The command line and
-the output helpers are shared with `pipeline_l5.py` (`trees.py`).
+and those of `eig_low`; the child wraps the factor's `solve` and counts
+right-hand sides, so one call on the V x 2 blocks of a coupled Newton
+step counts 2).  BLAS runs one thread (`TODA_THREADS=1`).  The command
+line and the output helpers are shared with `pipeline_l5.py`
+(`trees.py`).
 """
 
 import json
@@ -62,7 +64,7 @@ solves = [0]
 
 class CountingFactor:
     def solve(self, b):
-        solves[0] += 1
+        solves[0] += 1 if b.ndim == 1 else b.shape[1]
         return lu.solve(b)
 
 bundle.screened_lu = CountingFactor()

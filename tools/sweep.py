@@ -16,8 +16,9 @@ alternate which goes first.  Per tree it prints, as one JSON object:
 - the failures: zero, n, degree, error type and the message's first line;
 - per degree, the runs, the number certified, the wall time and the
   number of solves with the cover's S + M factor (the child wraps the
-  factor's `solve` to count them), and the largest Gauss and Ricci
-  residual of the certificates;
+  factor's `solve` and counts right-hand sides, so one call on the V x 2
+  blocks of a coupled Newton step counts 2), and the largest Gauss and
+  Ricci residual of the certificates;
 - per degree, the largest relative move of each certificate value but
   the residuals against the first tree, over the runs both certify.
 BLAS runs one thread (`TODA_THREADS=1`).
@@ -51,7 +52,7 @@ solves = [0]
 
 class CountingFactor:
     def solve(self, b):
-        solves[0] += 1
+        solves[0] += 1 if b.ndim == 1 else b.shape[1]
         return lu.solve(b)
 
 bundle.screened_lu = CountingFactor()
