@@ -411,6 +411,8 @@ def _check_args(args):
         raise ValueError(f"--scale must be finite and > 0, got {scale}")
     if getattr(args, "samples", 1) < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
 
 
 def main(argv=None):

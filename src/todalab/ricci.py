@@ -44,10 +44,10 @@ lies in [0, 2 sup e^{2v} f], raises no eigenvalue by more than
 at most -lambda_1 + 2 sup e^{2v} f; the constant vector has Rayleigh
 quotient 2c, so the largest is at least 2c.  When 2 sup e^{2v} f < lambda_1
 the window contains 0 and the inverse of the linearization is bounded by
-max(1/(lambda_1 - 2 sup e^{2v} f), 1/c).  The check confirms this
-numerically by sparse shift-invert Lanczos (see ``stability_check``), at
-the memory of one sparse ``operators.factor`` (minimum-degree ordered
-SuperLU factors) instead of a dense V x V solve.
+max(1/(lambda_1 - 2 sup e^{2v} f), 1/c).  The check confirms both
+numerically by sparse shift-invert Lanczos at the window's midpoint (see
+``stability_check``), on one sparse ``operators.factor`` (minimum-degree
+ordered SuperLU factors) instead of a dense V x V solve.
 """
 
 from __future__ import annotations
@@ -331,16 +331,23 @@ def stability_check(mesh, v, f):
     window in between and the resulting bound on the inverse of the
     linearization.
 
-    Both spectral questions are answered by sparse shift-invert Lanczos on
-    A = -S + 2 diag(m e^{2v} f) relative to M = diag(m), never by a dense
-    solve.  The window holds an eigenvalue iff the eigenvalue nearest its
-    midpoint lies inside it, and the eigenvalues inside are a prefix of
-    the eigenvalues ordered by distance from the midpoint, so k nearest
-    are requested, k doubling until one falls outside (k = 1 unless the
-    window is violated).  The inverse norm is 1/|mu| for the eigenvalue mu
-    nearest 0, from a second shift at sigma = 0; an exactly singular
-    factor there gives inf.  lambda_1 is the operator bundle's, computed
-    once per mesh.
+    Both spectral questions are answered by one ``operators.eigs_nearest``
+    call on A = -S + 2 diag(m e^{2v} f) relative to M = diag(m): sparse
+    shift-invert Lanczos at the window's midpoint, on one factor of
+    A - mid M, never a dense solve.  It returns the k eigenvalues nearest
+    mid, k doubling until the farthest of them, x, satisfies both:
+
+    * x lies outside the window.  The eigenvalues inside are a prefix of
+      the eigenvalues ordered by distance from mid, so all are returned;
+    * |x - mid| >= |mid| + min |vals|.  An eigenvalue nearer 0 than every
+      returned one would lie nearer mid than x and so be returned, hence
+      1/min |vals| is the inverse norm.
+
+    k = 1 suffices when the eigenvalue nearest mid lies outside the window
+    on the other side of 0 from mid.  When the window is empty as an
+    interval only the inverse norm is asked, from the eigenvalue nearest
+    sigma = 0; an exactly singular factor there gives inf.  lambda_1 is
+    the operator bundle's, computed once per mesh.
     """
     ops = operators.of(mesh)
     m = ops.m
@@ -358,16 +365,22 @@ def stability_check(mesh, v, f):
     def inside(x):
         return lo + pad < x < hi - pad
 
-    violating = []
     if lo + pad < hi - pad:
-        nearest = operators.eigs_nearest(
-            A, m, 0.5 * (lo + hi), lambda vals: not inside(vals[-1]))
-        violating = sorted(float(x) for x in nearest if inside(x))
+        mid = 0.5 * (lo + hi)
 
-    try:
-        hinv = float(1.0 / abs(operators.eigs_nearest(A, m, 0.0)[0]))
-    except RuntimeError:  # SuperLU: A itself is exactly singular
-        hinv = np.inf
+        def enough(vals):
+            return (not inside(vals[-1]) and abs(vals[-1] - mid)
+                    >= abs(mid) + np.abs(vals).min())
+
+        nearest = operators.eigs_nearest(A, m, mid, enough)
+        violating = sorted(float(x) for x in nearest if inside(x))
+        hinv = float(1.0 / np.abs(nearest).min())
+    else:
+        violating = []
+        try:
+            hinv = float(1.0 / abs(operators.eigs_nearest(A, m, 0.0)[0]))
+        except RuntimeError:  # SuperLU: A itself is exactly singular
+            hinv = np.inf
 
     hypothesis_ok = sup_term < lam1
     if hypothesis_ok and c > 0:

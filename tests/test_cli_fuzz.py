@@ -121,6 +121,8 @@ CASES = {
                               "unrecognized arguments: --normalization"),
     "probe-samples-negative": (["probe", "--mesh", "{mesh}", "--samples",
                                 "-1"], 2, "--samples must be at least 1"),
+    "probe-seed-negative": (["probe", "--mesh", "{mesh}", "--seed", "-1"], 2,
+                            "--seed must be >= 0, got -1"),
     "probe-samples-0": (["probe", "--mesh", "{mesh}", "--samples", "0"], 2,
                         "--samples must be at least 1"),
     "mesh-missing-directory": (["mesh", "-o", "{out}/missing/base.json"], 2,

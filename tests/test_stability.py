@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from helpers import reference_gauss_min_eig, reference_stability_check
 from todalab import coupled as C
@@ -80,6 +81,60 @@ def test_sparse_reports_match_dense(name, make):
     min_eig, _ = G.gauss_stability_probe(mesh, u, g)
     assert min_eig == pytest.approx(reference_gauss_min_eig(mesh, u, g),
                                     rel=1e-9)
+
+
+def test_check_factors_once_and_runs_one_lanczos(monkeypatch):
+    # The window and the inverse norm come from one shift at the window's
+    # midpoint: one factor of A - mid M and one eigsh run.
+    mesh, base = MESHES["cover-3"]
+    v, f, _, _ = _coupled(mesh, base)
+    ops.of(mesh).low_eigenvalues  # lambda_1 is not part of the check
+    calls = {"factor": 0, "eigsh": 0}
+    true_factor, true_eigsh = ops.factor, scipy.sparse.linalg.eigsh
+
+    def counting_factor(A):
+        calls["factor"] += 1
+        return true_factor(A)
+
+    def counting_eigsh(*args, **kwargs):
+        calls["eigsh"] += 1
+        return true_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "factor", counting_factor)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting_eigsh)
+    rep = R.stability_check(mesh, v, f)
+    assert calls == {"factor": 1, "eigsh": 1}
+    assert rep.window_empty and rep.hypothesis_ok
+
+
+def test_k_grows_until_the_eigenvalue_nearest_zero_is_returned(monkeypatch):
+    # Constant weight 0.3 with one vertex raised to 0.4: the window stays
+    # empty, its midpoint lies nearest the eigenvalue just above 2c, but the
+    # eigenvalue nearest 0 is the one just below -lambda_1 + 2 sup e^{2v} f.
+    # k = 1 settles the window; only the inverse norm needs k = 2.
+    mesh = MESHES["cover-2"][0]
+    n = mesh.num_vertices
+    v, f = np.zeros(n), np.full(n, 0.3)
+    f[0] = 0.4
+    true_nearest = ops.eigs_nearest
+    seen = []
+
+    def spying(A, m, sigma, enough=lambda vals: True):
+        def spy(vals):
+            seen.append((vals.copy(), enough(vals)))
+            return seen[-1][1]
+        return true_nearest(A, m, sigma, spy)
+
+    monkeypatch.setattr(ops, "eigs_nearest", spying)
+    rep = R.stability_check(mesh, v, f)
+    ref = reference_stability_check(mesh, v, f)
+    lo, hi = rep.window
+    (first, first_enough), (second, second_enough) = seen
+    assert len(first) == 1 and not lo < first[0] < hi and not first_enough
+    assert len(second) == 2 and second_enough
+    assert abs(second[1]) < abs(first[0])
+    assert rep.violating == ref.violating == []
+    assert rep.hinv_norm == pytest.approx(ref.hinv_norm, rel=1e-9)
 
 
 def test_nearest_eigenvalues_grow_k_until_enough():
