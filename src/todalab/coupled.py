@@ -165,15 +165,17 @@ def _choose_scale(mesh, density, config, c_full):
 
     The target min(1/2, eta/(1+eta)^2) bounds m1 = sup e^{2v} rho.  Each
     trial t is solved by maximize_J from w = 0, and t is cut in proportion
-    to the excess, at most three times.  m1 is not linear in t: with
-    t1 = 0.9 target / m1(1) the first cut, m1(t1) / (t1 m1(1)) on the
-    README density is 0.66-0.69 at degree 1 (levels 3-5) and 0.002 at
-    degree 2 (level 4), so the solve at one t cannot be scaled to another.
-    The t = 1 solve is what decides t: it is kept when it lands below the
+    to the excess, at most three times.  The first trial is
+    t0 = 1 / max(1, d), so rho = 2 c Vol = 4 pi d t0 = 4 pi at every degree
+    d, below the 8 pi that maximize_J refuses, and every cut lowers t.  m1
+    is not linear in t: with t1 = 0.9 t0 target / m1(t0) the first cut,
+    t0 m1(t1) / (t1 m1(t0)) on the README density is 0.66-0.69 at degree 1
+    (levels 3-5), so the solve at one t cannot be scaled to another.  The
+    t0 solve is what decides t: it is kept when it lands below the
     target, and otherwise its m1 sets the first cut.
     """
     target = min(0.5, gauss_mod.admissible_bound(config.eta))
-    t = 1.0 if config.t is None else config.t
+    t = 1.0 / max(1, config.degree) if config.t is None else config.t
     u0 = np.zeros(mesh.num_vertices)
     for attempt in range(4):
         sol = ricci_mod.maximize_J(ricci_mod.RicciProblem(

@@ -35,7 +35,8 @@ class NonConvergence(TodaError):
 
 
 class UnboundedDetected(TodaError):
-    """The Ricci functional increased without bound along the ascent."""
+    """The Ricci functional J has no maximizer to approximate:
+    rho = 2c*Vol >= 8 pi, where it is critical or unbounded above."""
 
 
 class InfeasibleError(TodaError):

@@ -27,7 +27,7 @@ into index structures the bundle caches.  The Green solves run MINRES to
 NEWTON_RTOL.  The Newton steps are inexact (Eisenstat & Walker, SIAM J.
 Sci. Comput. 17, 1996): ``forcing`` sets each step's rtol from the outer
 residuals, so no inner system is solved more accurately than the outer
-test can use.  The Gauss, Ricci and coupled solvers share one
+test can use.  The Gauss, J, Ricci and coupled solvers share one
 damped-Newton loop, ``damped_newton``: its residual test, line search,
 iteration cap, forcing and failure messages.
 
@@ -278,8 +278,8 @@ def factor(A):
     """SuperLU factors of a sparse matrix with a symmetric pattern.
 
     Every matrix factored here (the bundle's screened S + M, the monotone
-    Gauss matrix S + lam M, J's gradient preconditioner and the
-    shift-invert operators of ``eigs_nearest``) is structurally symmetric,
+    Gauss matrix S + lam M and the shift-invert operators of
+    ``eigs_nearest``) is structurally symmetric,
     so the columns are ordered by minimum degree on the pattern of A + A^T
     (George & Liu 1989) and SuperLU runs in symmetric mode, preferring
     diagonal pivots.  SuperLU's default pivot threshold is kept because
@@ -296,13 +296,15 @@ def factor(A):
 # rtol of ``forcing`` 5-8.
 NEWTON_RTOL = 1e-13
 NEWTON_MAXITER = 300
-# Largest rtol ``forcing`` asks of a Newton step.  A cap of 1e-2 stalls the
-# Ricci line search, which tests the max-norm of the residual, at 1.3e-7.
+# Largest rtol ``forcing`` asks of a ``damped_newton`` step, in the Gauss,
+# J, Ricci and coupled solvers alike.  A cap of 1e-2 stalls the Ricci line
+# search, which tests the max-norm of the residual, at 1.3e-7.
 FORCING_CAP = 1e-6
 
 
 def forcing(res, prev, tol):
-    """rtol of the next inexact Newton step: Eisenstat & Walker's choice 2,
+    """rtol of the next inexact step of ``damped_newton``: Eisenstat &
+    Walker's choice 2,
     min(FORCING_CAP, max(0.9 (res/prev)^2, 1e-3 tol/res)).
 
     res and prev are the outer residuals now and before the last step
@@ -376,17 +378,18 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False,
 
 
 def damped_newton(ops, x, residual, system, name, tol, inside=None,
-                  max_iters=200):
+                  zero_mean=False, max_iters=200):
     """Damped Newton from x until residual(x) <= tol; returns
     (x, residual(x), steps).
 
-    Each step solves system(x) = (A, b) by ``newton_solve`` to the rtol of
-    ``forcing`` and halves its length, at most 60 times, until the
-    candidate is ``inside`` (when given) and its residual is no larger than
-    the current one.  The residual is checked before the first step, so an
-    exact start returns in zero steps.  Raises NonConvergence naming the
-    solver when the line search stalls or max_iters steps leave the
-    residual above tol.
+    The loop of the Gauss, J, Ricci and coupled solvers.  Each step solves
+    system(x) = (A, b) or (A, b, q) by ``newton_solve`` (with rank_one q
+    and zero_mean) to the rtol of ``forcing`` and halves its length, at
+    most 60 times, until the candidate is ``inside`` (when given) and its
+    residual is no larger than the current one.  The residual is checked
+    before the first step, so an exact start returns in zero steps.
+    Raises NonConvergence naming the solver when the line search stalls or
+    max_iters steps leave the residual above tol.
     """
     res, prev = residual(x), None
     steps = 0
@@ -395,8 +398,9 @@ def damped_newton(ops, x, residual, system, name, tol, inside=None,
             raise NonConvergence(
                 f"{name} did not reach tol {tol} in {max_iters} iterations "
                 f"(last residual {res:.3e})")
-        A, b = system(x)
-        step = newton_solve(ops, A, b, name, rtol=forcing(res, prev, tol))
+        A, b, *q = system(x)
+        step = newton_solve(ops, A, b, name, rank_one=q[0] if q else None,
+                            zero_mean=zero_mean, rtol=forcing(res, prev, tol))
         t = 1.0
         for _ in range(60):
             cand = x + t * step

@@ -22,10 +22,16 @@ Two routes are provided and cross-checked:
   (convex) minus a quadratic, so it is not concave in general: with v the
   translate of w (``translate_v``), its Hessian is negative definite on
   zero-mean fields when 2 sup e^{2v} F < lambda_1 (the stability
-  hypothesis below) and may be indefinite otherwise;
+  hypothesis below) and may be indefinite otherwise.  ``maximize_J``
+  runs Newton on grad J = 0 from w = 0, with no gradient fallback, and
+  refuses rho = 2 c Vol >= 8 pi, where J is critical or unbounded (Moser,
+  Indiana Univ. Math. J. 20, 1971; Fontana, Comment. Math. Helv. 68,
+  1993);
 * a direct damped Newton iteration on the equation residual from a given
-  seed, which confirms a maximizer; its loop is
-  ``operators.damped_newton``, shared with the Gauss and coupled solvers.
+  seed, which confirms a maximizer.
+
+Both loops are ``operators.damped_newton``, shared with the Gauss and
+coupled solvers.
 
 Both Newton systems are symmetric and may be indefinite, so both are
 solved by MINRES preconditioned with the mesh's S + M factor
@@ -57,7 +63,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import operators
-from .errors import InfeasibleDegree, NonConvergence, UnboundedDetected
+from .errors import InfeasibleDegree, UnboundedDetected
 
 
 @dataclass
@@ -185,107 +191,47 @@ def equation_residual(problem, v):
     return float(np.abs(operators.of(problem.mesh).lap(v) - forcing).max())
 
 
-# Consecutive accepted steps that leave J unchanged (an increase below its
-# rounding) after which maximize_J reports a stall instead of iterating on.
-STALL_STEPS = 5
+def maximize_J(problem):
+    """Maximize J from w = 0 by damped Newton on grad J = 0.
 
+    With U = 2w, maximizing J is minimizing the mean-field functional
+    (1/2) int |grad U|^2 - rho ln int F e^U with rho = 2 c Vol.  On a
+    closed surface it is bounded below only for rho <= 8 pi (Moser,
+    Indiana Univ. Math. J. 20, 1971; Fontana, Comment. Math. Helv. 68,
+    1993), and at rho >= 8 pi the discrete maximizer is a mesh-scale
+    bubble, not an approximate solution.  So rho >= 8 pi, up to the
+    rounding of c Vol, raises UnboundedDetected.
 
-def maximize_J(problem, max_iters=10000):
-    """Ascend J from w = 0 by Newton steps with a gradient fallback.
-
-    The Newton system of -H = (2/(c Vol)) S - 4 diag(p) + 4 p p^T, sparse
-    plus a rank-1 term, is solved on zero-M-mean fields by MINRES
-    (``operators.newton_solve``), applied matrix-free through the
-    projection onto zero M-mean, to the rtol ``operators.forcing`` sets
-    from the max-norms of the gradient now and one iteration before.  -H
-    is indefinite where J is not concave, so when MINRES fails or its step
-    is not an ascent direction the step falls back to a gradient
-    preconditioned by (2/(c Vol)) S + (2/Vol) M, factored on the first such
-    step only.  Armijo backtracking guarantees monotone increase, so the
-    maximum value is never below J(0).
-
-    J is a difference of O(1) terms and carries rounding noise of about
-    eps max(1, |J|), so near the maximizer the Armijo test cannot see a
-    step's gain.  A step whose slope grad . step is below 1e3 times that
-    noise is taken in full when it lowers the max-norm of the gradient.
-    When neither test makes progress, steps are accepted only at a length
-    where J no longer changes; STALL_STEPS such steps in a row raise
-    NonConvergence.
+    For rho < 8 pi the loop is ``operators.damped_newton`` with residual
+    max |grad J|.  Its system -H = (2/(c Vol)) S - 4 diag(p) + 4 p p^T,
+    sparse plus a rank-1 term, is solved on zero-M-mean fields by MINRES
+    (``operators.newton_solve``), and the line search keeps the gradient's
+    max-norm from growing.
     """
-    mesh = problem.mesh
-    ops = operators.of(mesh)
-    m, S, vol = ops.m, ops.S, ops.vol
-    V = mesh.num_vertices
-    scale = 2.0 / (problem.c * vol)
+    ops = operators.of(problem.mesh)
+    ratio = problem.c * ops.vol / (4.0 * np.pi)
+    if ratio > 1.0 - 1e-12:
+        raise UnboundedDetected(
+            f"rho/8pi = {ratio:.6g} with rho = 2 c Vol: at rho >= 8 pi J is "
+            "critical or unbounded above (Moser-Trudinger) and its discrete "
+            "maximizer is a mesh-scale bubble; lower c = 2 pi d t / Vol "
+            "to d t < 2")
+    scale = 2.0 / (problem.c * ops.vol)
 
-    w = np.zeros(V)
-    J = J0 = eval_J(problem, w)
-    precond = None
-    stalled = 0
-    prev = None
-
-    for it in range(max_iters):
-        g = grad_J(problem, w)
-        gnorm = float(np.abs(g).max())
-        if gnorm <= problem.tol:
-            v = translate_v(problem, w)
-            return RicciSolution(
-                v=v, w=w, J_value=J, grad_norm=gnorm,
-                mean_constraint_residual=mean_constraint_residual(problem, v),
-                iterations=it)
-        if J - J0 > 1e3 and float(w @ (S @ w)) > 1e3 * problem.c * vol:
-            raise UnboundedDetected(
-                "J grows without bound along the ascent; the functional has "
-                "no maximizer for this data")
-
-        grad_euc = m * g  # Euclidean gradient of J (projected)
+    def system(w):
         p = _softmax_weights(problem, w)
-        step = None
-        try:
-            cand = operators.newton_solve(
-                ops, ops.shifted(scale, -(4.0 * p)), grad_euc,
-                "J maximization", rank_one=2.0 * p, zero_mean=True,
-                rtol=operators.forcing(gnorm, prev, problem.tol))
-            if grad_euc @ cand > 0:
-                step = cand
-        except NonConvergence:
-            pass
-        if step is None:
-            # Its own factor, not the bundle's S + M: the preconditioner
-            # sets the fallback direction, which the bundle's would change.
-            if precond is None:
-                precond = operators.factor(ops.shifted(scale,
-                                                       (2.0 / vol) * m))
-            step = precond.solve(grad_euc)
-            step -= (m @ step) / vol
+        return (ops.shifted(scale, -(4.0 * p)), ops.m * grad_J(problem, w),
+                2.0 * p)
 
-        slope = float(grad_euc @ step)
-        rounding = np.finfo(float).eps * max(1.0, abs(J))
-        t = 1.0
-        if (slope <= 1e3 * rounding
-                and np.abs(grad_J(problem, w + step)).max() < gnorm):
-            # J cannot resolve this step; the gradient norm can.
-            J_new = eval_J(problem, w + step)
-            stalled = 0
-        else:
-            for _ in range(60):
-                J_new = eval_J(problem, w + t * step)
-                if J_new >= J + 1e-4 * t * slope:
-                    break
-                t *= 0.5
-            else:
-                raise NonConvergence("J line search stalled")
-            stalled = stalled + 1 if J_new - J <= 4 * rounding else 0
-        if stalled >= STALL_STEPS:
-            raise NonConvergence(
-                f"J maximization stalled: {STALL_STEPS} accepted steps left J "
-                f"unchanged at grad norm {gnorm:.3e} > tol {problem.tol}")
-        w = w + t * step
-        J, prev = J_new, gnorm
-
-    raise NonConvergence(
-        f"J maximization did not reach tol {problem.tol} in {max_iters} "
-        f"iterations (last grad norm {gnorm:.3e})")
+    w, gnorm, steps = operators.damped_newton(
+        ops, np.zeros(problem.mesh.num_vertices),
+        lambda w: float(np.abs(grad_J(problem, w)).max()), system,
+        "J maximization", problem.tol, zero_mean=True)
+    v = translate_v(problem, w)
+    return RicciSolution(
+        v=v, w=w, J_value=eval_J(problem, w), grad_norm=gnorm,
+        mean_constraint_residual=mean_constraint_residual(problem, v),
+        iterations=steps)
 
 
 def solve_ricci_newton(problem, v_init, max_iters=200):

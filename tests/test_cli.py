@@ -102,6 +102,21 @@ def test_solve_ricci_and_zero_density_error(workspace, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["solve-ricci", "solve-coupled"])
+def test_rho_at_8_pi_is_refused(workspace, tmp_path, capsys, command):
+    # Degree 2 at scale 1 puts rho = 2 c Vol at 8 pi, where J has no
+    # maximizer: one line naming rho/8pi, exit 1, no output written.
+    out = str(tmp_path / "out")
+    code = main([command, "--mesh", workspace["base"], "--density",
+                 workspace["base_dens"], "--degree", "2", "--scale", "1",
+                 "-o", out])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: rho/8pi = 1 ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_coupled_run_verify_export_deterministic(workspace, tmp_path,
                                                  monkeypatch):
     run1 = str(tmp_path / "run1")

@@ -13,7 +13,7 @@ from todalab import operators as ops
 from todalab import ricci as R
 from todalab import sections as S
 from todalab.errors import (AdmissibilityLost, DegreeRangeError,
-                            InfeasibleDegree, NonConvergence)
+                            InfeasibleDegree)
 from todalab.mesh import CoverSpec, build_base_surface, build_cover
 
 
@@ -147,14 +147,15 @@ def test_scale_choice_is_the_only_variational_solve(cover_setup, monkeypatch):
 
 
 def test_rescaled_degree_two_cover_run_certifies(cover_setup):
-    # At degree 2 the automatic scale lands far below t = 1; the rescaled
-    # bundle solves are variational, so they do not depend on a Newton
-    # seed taken at the unscaled solution.
+    # At degree 2 the scale choice starts at t = 1/2, so every trial is
+    # the degree-1 trial at the same c and the chosen t is exactly half
+    # the degree-1 one.
     cover, dens = cover_setup
     result = C.solve_coupled(cover, dens, C.CoupledConfig(eta=0.5, degree=2))
     cert = result.certificate
     assert cert.converged and cert.almost_fuchsian
-    assert 0 < cert.t < 0.01
+    one = C.solve_coupled(cover, dens, C.CoupledConfig(eta=0.5, degree=1))
+    assert cert.t == 0.5 * one.certificate.t
     assert cert.gauss_residual < 1e-8 and cert.ricci_residual < 1e-8
 
 
@@ -166,9 +167,11 @@ def test_newton_system_is_the_symmetric_jacobian(cover_setup, monkeypatch):
     captured = []
     damped_newton = ops.damped_newton
 
-    def capture(bundle, x, residual, system, *args, **kwargs):
-        captured.append((x.copy(), system))
-        return damped_newton(bundle, x, residual, system, *args, **kwargs)
+    def capture(bundle, x, residual, system, name, *args, **kwargs):
+        if name == "coupled newton":
+            captured.append((x.copy(), system))
+        return damped_newton(bundle, x, residual, system, name, *args,
+                             **kwargs)
 
     monkeypatch.setattr(ops, "damped_newton", capture)
     C.solve_coupled(cover, dens, C.CoupledConfig(degree=1))
@@ -272,13 +275,13 @@ def readme_cover_density(level):
                              S.Divisor([(5, 1)])), 1, 0.218968697, 0.25450356),
     (lambda: S.synth_density(build_base_surface(refinement=2),
                              S.Divisor([(7, 1)])), 1, 0.220948648, 0.26058307),
-    (lambda: readme_cover_density(3), 2, 2.33884522e-3, 1.20070514e-3),
-    (lambda: readme_cover_density(4), 2, 3.63580963e-4, 1.83245729e-4),
+    (lambda: readme_cover_density(3), 2, 0.150929091, 0.0677793149),
+    (lambda: readme_cover_density(4), 2, 0.147254544, 0.0649453319),
 ], ids=["l3-base-5", "l2-base-7", "l3-cover-readme", "l4-cover-readme"])
 def test_ascent_below_J_rounding_certifies(make, degree, sup_af, t):
     # Near these maximizers a Newton step gains less in J than J's own
-    # rounding, so the Armijo test alone used to stall above the gradient
-    # tolerance; the ascent now takes such steps by the gradient norm.
+    # rounding, which once stalled an ascent that tested J; the ascent
+    # tests only the gradient norm, and the certificates keep these values.
     dens = make()
     cert = C.solve_coupled(dens.mesh, dens,
                            C.CoupledConfig(degree=degree)).certificate
@@ -289,17 +292,44 @@ def test_ascent_below_J_rounding_certifies(make, degree, sup_af, t):
 
 
 def test_stalled_ascent_stops_early():
-    # Level-3 2-cover, fresh zero 16, degree 1: the J ascent used to stall
-    # at a gradient norm of 1.58e-8 > 1e-9 and run all 10 000 iterations.
+    # Level-3 2-cover, fresh zero 16: at degree 1 the J ascent once stalled
+    # at a gradient norm of 1.58e-8 > 1e-9 and ran all 10 000 iterations.
+    # It certifies at degrees 1 and 2.
     base = build_base_surface(refinement=3)
     base_dens = S.synth_density(
         base, S.Divisor([(0, 1), (1, 1), (5, 1), (20, 1)]))
     cover = build_cover(base, CoverSpec.cyclic(2))
     dens, _ = S.balanced_lift(base_dens, cover, z_n=16)
     start = time.perf_counter()
-    try:
-        result = C.solve_coupled(cover, dens, C.CoupledConfig(degree=1))
-        assert result.certificate.converged
-    except NonConvergence as exc:
-        assert "stalled" in str(exc) and "grad norm" in str(exc)
+    for degree in (1, 2):
+        cert = C.solve_coupled(cover, dens,
+                               C.CoupledConfig(degree=degree)).certificate
+        assert cert.converged and cert.almost_fuchsian
     assert time.perf_counter() - start < 10.0
+
+
+def test_degree_two_certificate_is_the_degree_one_certificate():
+    # c = t 2 pi d / Vol: the degree-2 scale choice runs the degree-1
+    # trials at half the t, so only degree and t differ.
+    dens = readme_cover_density(3)
+    one, two = (C.solve_coupled(dens.mesh, dens,
+                                C.CoupledConfig(degree=d)).certificate
+                for d in (1, 2))
+    assert two.t == 0.5 * one.t
+    assert two.degree == 2 and one.degree == 1
+    differ = {key for key, value in two.to_dict().items()
+              if one.to_dict()[key] != value}
+    assert differ == {"degree", "t"}
+
+
+def test_degree_two_solve_is_insensitive_to_the_forcing_cap(monkeypatch):
+    # Every degree-2 trial is subcritical, so a looser cap on the Newton
+    # steps' rtol moves the chosen t and sup_af only within tolerance; on
+    # this density a trial at rho = 8 pi let the cap move both by half.
+    dens = readme_cover_density(3)
+    config = C.CoupledConfig(degree=2)
+    default = C.solve_coupled(dens.mesh, dens, config).certificate
+    monkeypatch.setattr(ops, "FORCING_CAP", 1e-4)
+    loose = C.solve_coupled(dens.mesh, dens, config).certificate
+    assert loose.t == pytest.approx(default.t, rel=1e-8)
+    assert loose.sup_af == pytest.approx(default.sup_af, rel=1e-8)
