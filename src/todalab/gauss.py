@@ -150,17 +150,14 @@ def solve_gauss(problem, u0=None):
                          box_margin=_box_margin(u, problem.box_lower))
 
 
-# Shift lam of the monotone scheme: sup R' over u <= 0, the smallest value
-# that keeps its update order-preserving (see ``monotone_solve_gauss``).
-MONOTONE_SHIFT = 2.0
-
-
 def monotone_solve_gauss(problem):
     """Monotone scheme from the supersolution u = 0: iterates nonincreasing.
 
     Solves (S + lam M) u+ = lam M u - M R(u) repeatedly, lam =
-    MONOTONE_SHIFT.  The SPD matrix S + lam M is factored once per call and
-    every sweep reuses the factor.  The update is order-preserving when
+    ``operators.MONOTONE_SHIFT``.  The SPD matrix S + lam M is factored
+    once per mesh, on first use, and kept in the operator bundle
+    (``Operators.monotone_lu``): every sweep of every call reuses it.  The
+    update is order-preserving when
     lam u - R(u) is nondecreasing, i.e. lam >= R'(u), on the values the
     iterates take: S + lam M is an M-matrix, so its inverse is nonnegative.
     The iterates start at u = 0 and decrease, so u <= 0, where
@@ -168,14 +165,15 @@ def monotone_solve_gauss(problem):
     lam = 2 suffices, and the sequence decreases pointwise to the box
     solution.  A smaller lam contracts faster.  Linear convergence degrades
     to sublinear when the data touch the double root f = 1/4.  The factor
-    is its own, not the bundle's S + M: the scheme is the independent
-    cross-check of the Newton solver, so it shares none of its solves.
+    is its own, not the S + M preconditioner of the Newton solvers: the
+    scheme is the independent cross-check of the Newton solver, so it
+    shares none of its solves.
     """
     mesh = problem.mesh
     ops = operators.of(mesh)
     m = ops.m
-    lam, sweeps = MONOTONE_SHIFT, 5000
-    lu = operators.factor(ops.shifted(1.0, lam * m))
+    lam, sweeps = operators.MONOTONE_SHIFT, 5000
+    lu = ops.monotone_lu
     u = np.zeros(mesh.num_vertices)
     for it in range(sweeps):
         res = gauss_residual(mesh, u, problem.f)

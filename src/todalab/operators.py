@@ -12,14 +12,19 @@ Every solver reads these from one ``Operators`` bundle per mesh, which
 ``of(mesh)`` assembles once and keeps on the mesh (the systole is kept
 beside it); ``laplacian``, ``mass_vector``, ``stiffness`` and ``volume``
 are views of it.  Every sparse factorization in the package goes through
-``factor``.  The bundle holds one factor, of the SPD matrix S + M, and
+``factor``.  The bundle holds the factor of the SPD matrix S + M, and
 every solve with S or a shifted S on the mesh uses it: the Newton systems
 of the Gauss, J, Ricci and coupled solvers and the Green solves of the
 section densities by MINRES preconditioned with it (``newton_solve``; the
 coupled system's two V-blocks are solved in one call on the V x 2 array
 of blocks), and ``eig_low`` as its shift-invert operator at sigma = -1.
-So a mesh is factored once however many solves its solvers make, and a
-solve's cost is its number of preconditioner solves.  No Newton step
+Beside it the bundle keeps the factor of S + MONOTONE_SHIFT M, the
+monotone Gauss scheme's own matrix, which no other solver uses, so that
+the scheme stays a cross-check sharing no solve with the Newton solvers.
+So a mesh is factored at most twice however many solves its solvers
+make, and a solve's cost is its number of preconditioner solves; only
+``eigs_nearest`` factors on every call, because its matrix changes with
+the data.  No Newton step
 assembles a sparse matrix either: each Newton matrix is a * S + diag(d),
 or the coupled 2 x 2 block of such matrices with diagonal coupling, and
 ``Operators.shifted`` and ``Operators.coupled_jacobian`` fill its values
@@ -144,8 +149,9 @@ def _diagonal_slots(A):
 
 class Operators:
     """Per-mesh operators: S (CSR), lumped masses m, M = diag(m), the
-    total area vol = m.sum(), lap and log_mean.  The path graph, the S + M
-    factor and lambda0/lambda1 are built on first use, and so are the index
+    total area vol = m.sum(), lap and log_mean.  The path graph, the
+    factors of S + M and S + MONOTONE_SHIFT M and lambda0/lambda1 are
+    built on first use, and so are the index
     structures on which ``shifted`` and ``coupled_jacobian`` fill every
     Newton matrix without assembling one: the slots of S's diagonal in
     S.data (``diagonal_slots``; the cotangent S stores its whole diagonal)
@@ -242,8 +248,15 @@ class Operators:
 
     @cached_property
     def screened_lu(self):
-        """Factor of the SPD screened matrix S + M, the bundle's one factor."""
+        """Factor of the SPD screened matrix S + M, the preconditioner of
+        every Newton and Green solve and ``eig_low``'s inverse."""
         return factor(self.S + self.M)
+
+    @cached_property
+    def monotone_lu(self):
+        """Factor of the SPD matrix S + MONOTONE_SHIFT M, the monotone
+        Gauss scheme's alone (``gauss.monotone_solve_gauss``)."""
+        return factor(self.shifted(1.0, MONOTONE_SHIFT * self.m))
 
     @cached_property
     def path_graph(self):
@@ -267,6 +280,12 @@ class Operators:
         return graph, pair_keys, kept
 
 
+# Shift lam of the monotone Gauss scheme's matrix S + lam M: sup R' over
+# u <= 0, the smallest value that keeps its update order-preserving (see
+# ``gauss.monotone_solve_gauss``).
+MONOTONE_SHIFT = 2.0
+
+
 def of(mesh):
     """The operator bundle of mesh, assembled on first use and kept."""
     if "operators" not in mesh._cache:
@@ -277,9 +296,9 @@ def of(mesh):
 def factor(A):
     """SuperLU factors of a sparse matrix with a symmetric pattern.
 
-    Every matrix factored here (the bundle's screened S + M, the monotone
-    Gauss matrix S + lam M and the shift-invert operators of
-    ``eigs_nearest``) is structurally symmetric,
+    Every matrix factored here (the bundle's S + M and S + MONOTONE_SHIFT M
+    and the shift-invert operators of ``eigs_nearest``) is structurally
+    symmetric,
     so the columns are ordered by minimum degree on the pattern of A + A^T
     (George & Liu 1989) and SuperLU runs in symmetric mode, preferring
     diagonal pivots.  SuperLU's default pivot threshold is kept because
@@ -378,7 +397,7 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False,
 
 
 def damped_newton(ops, x, residual, system, name, tol, inside=None,
-                  zero_mean=False, max_iters=200):
+                  gain=None, zero_mean=False, max_iters=200):
     """Damped Newton from x until residual(x) <= tol; returns
     (x, residual(x), steps).
 
@@ -386,7 +405,11 @@ def damped_newton(ops, x, residual, system, name, tol, inside=None,
     system(x) = (A, b) or (A, b, q) by ``newton_solve`` (with rank_one q
     and zero_mean) to the rtol of ``forcing`` and halves its length, at
     most 60 times, until the candidate is ``inside`` (when given) and its
-    residual is no larger than the current one.  The residual is checked
+    residual is no larger than the current one.  An ascent (the J
+    maximization) passes gain(x, candidate), the increase of the function
+    it maximizes, whose gradient b is: its steps are accepted when the
+    gain is >= 0 instead, and a step that descends (b . step < 0, which an
+    indefinite A allows) is reversed first.  The residual is checked
     before the first step, so an exact start returns in zero steps.
     Raises NonConvergence naming the solver when the line search stalls or
     max_iters steps leave the residual above tol.
@@ -401,12 +424,15 @@ def damped_newton(ops, x, residual, system, name, tol, inside=None,
         A, b, *q = system(x)
         step = newton_solve(ops, A, b, name, rank_one=q[0] if q else None,
                             zero_mean=zero_mean, rtol=forcing(res, prev, tol))
+        if gain is not None and b @ step < 0:
+            step = -step
         t = 1.0
         for _ in range(60):
             cand = x + t * step
             if inside is None or inside(cand):
                 cand_res = residual(cand)
-                if cand_res <= res:
+                if (cand_res <= res if gain is None
+                        else gain(x, cand) >= 0):
                     break
             t *= 0.5
         else:

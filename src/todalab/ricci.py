@@ -23,8 +23,9 @@ Two routes are provided and cross-checked:
   translate of w (``translate_v``), its Hessian is negative definite on
   zero-mean fields when 2 sup e^{2v} F < lambda_1 (the stability
   hypothesis below) and may be indefinite otherwise.  ``maximize_J``
-  runs Newton on grad J = 0 from w = 0, with no gradient fallback, and
-  refuses rho = 2 c Vol >= 8 pi, where J is critical or unbounded (Moser,
+  runs Newton on grad J = 0 from w = 0, each step accepted by the
+  increase of J and reversed when it does not ascend, and refuses
+  rho = 2 c Vol >= 8 pi, where J is critical or unbounded (Moser,
   Indiana Univ. Math. J. 20, 1971; Fontana, Comment. Math. Helv. 68,
   1993);
 * a direct damped Newton iteration on the equation residual from a given
@@ -58,6 +59,7 @@ ordered SuperLU factors) instead of a dense V x V solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -165,6 +167,28 @@ def grad_J(problem, w):
     return g - 2.0 / ops.vol
 
 
+def J_increase(problem, w, w_new):
+    """J(w_new) - J(w) on zero-M-mean fields, accurate where J's own
+    rounding, about eps max(1, |J|), would swamp it.
+
+    With d the zero-M-mean part of w_new - w (J grows by 2 kappa along a
+    constant kappa, so the rounding of w_new off zero mean is dropped) and
+    p the softmax weights at w (sum 1), it is
+    ln(sum p e^{2d}) - (2 w^T S d + d^T S d) / (c Vol), the first term as
+    log1p(sum p expm1(2d)); a step so long that the sum overflows gives
+    -inf or nan, never an increase.
+    """
+    ops = operators.of(problem.mesh)
+    d = w_new - w
+    d -= (ops.m @ d) / ops.vol
+    p = _softmax_weights(problem, w)
+    Sd = ops.S @ d
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_ratio = np.log1p(p @ np.expm1(2.0 * d))
+        return float(log_ratio
+                     - (2.0 * (w @ Sd) + d @ Sd) / (problem.c * ops.vol))
+
+
 def _softmax_weights(problem, w):
     loga = (problem.log_weight() + 2.0 * w
             + np.log(operators.of(problem.mesh).m))
@@ -200,13 +224,19 @@ def maximize_J(problem):
     Indiana Univ. Math. J. 20, 1971; Fontana, Comment. Math. Helv. 68,
     1993), and at rho >= 8 pi the discrete maximizer is a mesh-scale
     bubble, not an approximate solution.  So rho >= 8 pi, up to the
-    rounding of c Vol, raises UnboundedDetected.
+    rounding of c Vol, raises UnboundedDetected.  At the other end, a c so
+    small that 2/(c Vol) overflows (d t below about 1.8e-309) raises
+    ValueError.
 
     For rho < 8 pi the loop is ``operators.damped_newton`` with residual
     max |grad J|.  Its system -H = (2/(c Vol)) S - 4 diag(p) + 4 p p^T,
-    sparse plus a rank-1 term, is solved on zero-M-mean fields by MINRES
-    (``operators.newton_solve``), and the line search keeps the gradient's
-    max-norm from growing.
+    sparse plus a rank-1 term, divided by a power of 4 near 2/(c Vol)
+    when that exceeds 4, is solved on zero-M-mean fields by MINRES
+    (``operators.newton_solve``).  The line search keeps J from falling
+    (``J_increase``), not the gradient's max-norm from growing: where -H
+    is indefinite the Newton step can be long, and a gradient-norm test
+    shortens it until the ascent stalls.  A step that is not an ascent
+    direction is reversed; along it J is convex wherever -H curves down.
     """
     ops = operators.of(problem.mesh)
     ratio = problem.c * ops.vol / (4.0 * np.pi)
@@ -217,16 +247,30 @@ def maximize_J(problem):
             "maximizer is a mesh-scale bubble; lower c = 2 pi d t / Vol "
             "to d t < 2")
     scale = 2.0 / (problem.c * ops.vol)
+    if not math.isfinite(scale):
+        raise ValueError(
+            f"d t = {2.0 * ratio:.6g} with c = 2 pi d t / Vol is too small: "
+            "J's Newton matrix (2/(c Vol)) S overflows; raise t")
+    # Newton runs on y = s w, s = 4^k the largest power of 4 not above
+    # max(1, scale), so its system is -H / s, of order 1 at every c: at a
+    # tiny c the MINRES inner products of -H overflow.  Dividing by a power
+    # of 4 is exact (q q^T / s = (q / 2^k)(q / 2^k)^T), and s = 1, the
+    # system -H itself, when scale < 4, i.e. d t > 1/(4 pi).
+    s = 4.0 ** max(0, (math.frexp(scale)[1] - 1) // 2)
 
-    def system(w):
+    def system(y):
+        w = y / s
         p = _softmax_weights(problem, w)
-        return (ops.shifted(scale, -(4.0 * p)), ops.m * grad_J(problem, w),
-                2.0 * p)
+        return (ops.shifted(scale / s, -(4.0 * p) / s),
+                ops.m * grad_J(problem, w), 2.0 * p / math.sqrt(s))
 
-    w, gnorm, steps = operators.damped_newton(
+    y, gnorm, steps = operators.damped_newton(
         ops, np.zeros(problem.mesh.num_vertices),
-        lambda w: float(np.abs(grad_J(problem, w)).max()), system,
-        "J maximization", problem.tol, zero_mean=True)
+        lambda y: float(np.abs(grad_J(problem, y / s)).max()), system,
+        "J maximization", problem.tol,
+        gain=lambda y, cand: J_increase(problem, y / s, cand / s),
+        zero_mean=True)
+    w = y / s
     v = translate_v(problem, w)
     return RicciSolution(
         v=v, w=w, J_value=eval_J(problem, w), grad_norm=gnorm,

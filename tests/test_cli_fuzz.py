@@ -4,12 +4,14 @@ files against every subcommand that reads one.
 Each case must end in exit 1 (domain error) or 2 (usage error) with a
 single ``error:`` or ``usage error:`` line on stderr (``verify: FAIL:``
 for a run that fails verification): never a traceback, never a
-non-convergence report caused by the input, never exit 0.
+non-convergence report caused by the input, never exit 0.  A tiny but
+representable ``--scale`` is not a bad value: it solves, silently.
 """
 
 import json
 import os
 import shutil
+import warnings
 
 import pytest
 
@@ -96,6 +98,13 @@ CASES = {
                         "--scale must be finite and > 0"),
     "ricci-scale-inf": (_solve("solve-ricci", "--scale", "inf"), 2,
                         "--scale must be finite and > 0"),
+    # Below d t = 1.8e-309 the J ascent's matrix (2/(c Vol)) S overflows;
+    # tiny scales above it solve (test_tiny_scale_solves_silently).
+    "ricci-scale-below-float-range": (
+        _solve("solve-ricci", "--scale", "1e-310"), 2, "d t = 1e-310 "),
+    "coupled-scale-below-float-range": (
+        _solve("solve-coupled", "--degree", "1", "--scale", "1e-310"), 2,
+        "d t = 1e-310 "),
     "gauss-constant-nan": (_gauss("--constant", "nan"), 2,
                            "data f must be finite"),
     # Tolerances, the iteration caps, the Gauss method and the density
@@ -184,6 +193,21 @@ def test_bad_input_is_one_error_line(name, workspace, tmp_path, capsys):
     argv, code, message = CASES[name]
     argv = [arg.format(out=tmp_path, **workspace) for arg in argv]
     _assert_one_error_line(argv, code, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("scale", ["1e-155", "1e-200"])
+@pytest.mark.parametrize("command", ["solve-ricci", "solve-coupled"])
+def test_tiny_scale_solves_silently(command, scale, workspace, tmp_path,
+                                    capsys):
+    # A tiny --scale is a valid input: the J ascent's Newton matrix, about
+    # 1e199 S at 1e-200, is solved scaled down, so the run exits 0 with
+    # nothing on stderr and no floating-point warning.
+    argv = [arg.format(out=tmp_path, **workspace)
+            for arg in _solve(command, "--degree", "1", "--scale", scale)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("mesh", BAD_MESHES)

@@ -129,7 +129,7 @@ def test_monotone_iterates_nonincreasing(mesh):
     f = bound * rng.random(mesh.num_vertices)
     f[np.argmax(f)] = bound
     prob = G.GaussProblem(mesh=mesh, f=f)
-    lam = G.MONOTONE_SHIFT
+    lam = ops.MONOTONE_SHIFT
     St = ops.stiffness(mesh)
     m = ops.mass_vector(mesh)
     lu = spla.splu((St + sp.diags(lam * m)).tocsc())
@@ -144,6 +144,42 @@ def test_monotone_iterates_nonincreasing(mesh):
     else:
         pytest.fail("monotone sweeps did not converge")
     assert sweeps == G.monotone_solve_gauss(prob).iterations
+
+
+def test_monotone_factor_is_made_once_per_mesh(monkeypatch):
+    # Two calls on one mesh factor S + 2M once, through operators.factor,
+    # never touch the Newton solvers' S + M factor, and give the bits of
+    # a sweep loop on a freshly factored S + 2M.
+    mesh = build_base_surface(refinement=2)
+    rng = np.random.default_rng(3)
+    f = 0.2 * rng.random(mesh.num_vertices)
+    prob = G.GaussProblem(mesh=mesh, f=f)
+    bundle = ops.of(mesh)
+    factored = []
+    true_factor = ops.factor
+
+    def counting_factor(A):
+        factored.append(A.shape)
+        return true_factor(A)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ops, "factor", counting_factor)
+        first = G.monotone_solve_gauss(prob)
+        second = G.monotone_solve_gauss(prob)
+    assert factored == [(mesh.num_vertices, mesh.num_vertices)]
+    assert "screened_lu" not in vars(bundle)
+
+    lam, m = 2.0, bundle.m
+    lu = true_factor(bundle.S + sp.diags(lam * m))
+    u = np.zeros(mesh.num_vertices)
+    for sweeps in range(5000):
+        if G.gauss_residual(mesh, u, f) <= prob.tol:
+            break
+        reaction = np.exp(2 * u) - 1 + np.exp(-2 * u) * f
+        u = lu.solve(lam * m * u - m * reaction)
+    for sol in (first, second):
+        assert sol.iterations == sweeps
+        assert np.array_equal(sol.u.view(np.uint64), u.view(np.uint64))
 
 
 def test_stability_probe(mesh):

@@ -120,6 +120,49 @@ def test_ascent_refuses_rho_at_8_pi(level, sheets):
         R.maximize_J(problem)
 
 
+def test_ascent_solves_at_tiny_scale(problem):
+    # At c = 1e-100 .. 1e-300 the Newton matrix (2/(c Vol)) S reaches 1e300,
+    # and the maximizer is w = (c Vol / 2) y + O(c^2) with y independent of
+    # c: every run converges without a floating-point warning and gives
+    # the same y.  Below the float range of 2/(c Vol) the ascent refuses.
+    mesh = problem.mesh
+    vol = ops.volume(mesh)
+    ys = []
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for t in (1e-100, 1e-200, 1e-300):
+            tiny = R.RicciProblem(mesh=mesh, u=problem.u,
+                                  density=problem.density, c=t * problem.c)
+            sol = R.maximize_J(tiny)
+            assert sol.grad_norm <= tiny.tol
+            ys.append(sol.w * (2.0 / (tiny.c * vol)))
+    for y in ys[1:]:
+        assert np.abs(y - ys[0]).max() <= 1e-12 * np.abs(ys[0]).max()
+    below = R.RicciProblem(mesh=mesh, u=problem.u, density=problem.density,
+                           c=2 * np.pi * 1e-310 / vol)
+    with pytest.raises(ValueError, match=r"^d t = 1e-310 "):
+        R.maximize_J(below)
+
+
+def test_J_increase_matches_J_and_resolves_tiny_steps(problem):
+    # J_increase is J(w_new) - J(w) where J itself resolves the difference,
+    # and keeps its sign and size where J's rounding swamps it: along a
+    # zero-mean direction d at the maximizer the increase is
+    # -(h^2 / 2) d^T (-H) d, negative and quadratic in h.
+    rng = np.random.default_rng(4)
+    mesh = problem.mesh
+    w = 0.3 * zero_mean_direction(mesh, rng)
+    d = zero_mean_direction(mesh, rng)
+    for h in (1.0, 0.1):
+        want = R.eval_J(problem, w + h * d) - R.eval_J(problem, w)
+        assert R.J_increase(problem, w, w + h * d) == pytest.approx(
+            want, rel=1e-9)
+    w_max = R.maximize_J(problem).w
+    small = [R.J_increase(problem, w_max, w_max + h * d)
+             for h in (1e-6, 1e-7)]
+    assert small[0] < 0 and small[1] < 0
+    assert small[0] / small[1] == pytest.approx(100.0, rel=1e-2)
+
+
 def test_newton_seeded_at_variational(problem):
     var = R.maximize_J(problem)
     newt = R.solve_ricci_newton(problem, v_init=var.v)
