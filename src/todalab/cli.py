@@ -27,7 +27,8 @@ from .mesh import CoverSpec, build_base_surface, build_cover, \
     mesh_from_dict, mesh_to_json
 
 # The solver modules (and SciPy with them) are imported inside the
-# subcommands that run them, so `mesh` and `cover` start without SciPy.
+# subcommands that run them, so `mesh`, `cover` and `export` start without
+# SciPy.
 
 
 def _read_mesh(path):
@@ -120,7 +121,7 @@ def cmd_solve_gauss(args):
 
 def cmd_solve_ricci(args):
     from .operators import volume
-    from .ricci import RicciProblem, maximize_J
+    from .ricci import RicciProblem, check_scale, maximize_J
     mesh = _read_mesh(args.mesh)
     density = fileio.read_density(args.density, mesh)
     if args.u is not None:
@@ -128,6 +129,7 @@ def cmd_solve_ricci(args):
     else:
         u = np.zeros(mesh.num_vertices)
     c_eff = args.scale * 2.0 * np.pi * args.degree / volume(mesh)
+    check_scale(c_eff, args.degree, args.scale)
     problem = RicciProblem(mesh=mesh, u=u, density=density, c=c_eff)
     solution = maximize_J(problem)
     fileio.write_field_csv(args.output + "_v.csv", "v", solution.v)

@@ -178,6 +178,7 @@ def _choose_scale(mesh, density, config, c_full):
     t = 1.0 / max(1, config.degree) if config.t is None else config.t
     u0 = np.zeros(mesh.num_vertices)
     for attempt in range(4):
+        ricci_mod.check_scale(t * c_full, config.degree, t)
         sol = ricci_mod.maximize_J(ricci_mod.RicciProblem(
             mesh=mesh, u=u0, density=density, c=t * c_full, tol=RICCI_TOL))
         m1 = float(np.exp(density.log_density + 2.0 * sol.v).max())

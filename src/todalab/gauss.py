@@ -202,9 +202,9 @@ def gauss_stability_probe(mesh, u, f, seed=0):
     """
     ops = operators.of(mesh)
     slope = _reaction_slope(u, f)
-    A = ops.shifted(1.0, ops.m * slope)
     sigma = float(slope.min()) - 1.0
-    min_eig = float(operators.eigs_nearest(A, ops.m, sigma)[0])
+    min_eig = float(operators.eigs_nearest(ops, 1.0, ops.m * slope,
+                                           sigma)[0])
 
     rng = np.random.default_rng(seed)
     df = 1e-6 * rng.standard_normal(mesh.num_vertices)

@@ -21,10 +21,12 @@ of blocks), and ``eig_low`` as its shift-invert operator at sigma = -1.
 Beside it the bundle keeps the factor of S + MONOTONE_SHIFT M, the
 monotone Gauss scheme's own matrix, which no other solver uses, so that
 the scheme stays a cross-check sharing no solve with the Newton solvers.
-So a mesh is factored at most twice however many solves its solvers
-make, and a solve's cost is its number of preconditioner solves; only
-``eigs_nearest`` factors on every call, because its matrix changes with
-the data.  No Newton step
+So a mesh is ordered once and factored at most twice however many solves
+its solvers make, and a solve's cost is its number of preconditioner
+solves; only ``eigs_nearest`` factors on every call, because its matrix
+changes with the data, and that factor reuses the S + M factor's
+fill-reducing ordering on the bundle's kept pattern (``kept_ordering``):
+it neither adds sparse matrices nor orders anything.  No Newton step
 assembles a sparse matrix either: each Newton matrix is a * S + diag(d),
 or the coupled 2 x 2 block of such matrices with diagonal coupling, and
 ``Operators.shifted`` and ``Operators.coupled_jacobian`` fill its values
@@ -156,7 +158,9 @@ class Operators:
     Newton matrix without assembling one: the slots of S's diagonal in
     S.data (``diagonal_slots``; the cotangent S stores its whole diagonal)
     and the CSR pattern of [[S, I], [I, S]] with its diagonal slots and
-    the gather index of its entries (``block_pattern``).
+    the gather index of its entries (``block_pattern``); and the one on
+    which ``eigs_nearest`` fills its shift-invert matrix, S's pattern
+    permuted by the S + M factor's ordering (``kept_ordering``).
     """
 
     def __init__(self, mesh):
@@ -239,6 +243,21 @@ class Operators:
         return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
     @cached_property
+    def kept_ordering(self):
+        """(order, indptr, indices, gather): the fill-reducing ordering of
+        the S + M factor, vertex order[j] eliminated j-th, and the CSC
+        pattern of S permuted symmetrically by it, S[order][:, order],
+        whose entry k holds S.data[gather[k]].  Every a * S + diag(d)
+        shares this pattern, so its factor on this ordering has the fill
+        of the S + M factor wherever SuperLU keeps the diagonal pivots."""
+        S = self.S
+        order = np.argsort(self.screened_lu.perm_c)
+        code = sp.csr_matrix((np.arange(1.0, S.nnz + 1), S.indices, S.indptr),
+                             shape=S.shape)
+        P = code[order][:, order].tocsc()
+        return order, P.indptr, P.indices, P.data.astype(np.intp) - 1
+
+    @cached_property
     def low_eigenvalues(self):
         """(lambda0, lambda1) from ``eig_low(k=2)``."""
         vals = eig_low(self.mesh, k=2)[0]
@@ -293,19 +312,22 @@ def of(mesh):
     return mesh._cache["operators"]
 
 
-def factor(A):
+def factor(A, ordered=False):
     """SuperLU factors of a sparse matrix with a symmetric pattern.
 
     Every matrix factored here (the bundle's S + M and S + MONOTONE_SHIFT M
     and the shift-invert operators of ``eigs_nearest``) is structurally
     symmetric,
-    so the columns are ordered by minimum degree on the pattern of A + A^T
-    (George & Liu 1989) and SuperLU runs in symmetric mode, preferring
-    diagonal pivots.  SuperLU's default pivot threshold is kept because
-    the shifted matrices are indefinite.  Raises RuntimeError when A is
-    exactly singular.
+    so SuperLU runs in symmetric mode, preferring diagonal pivots, and the
+    columns are ordered by minimum degree on the pattern of A + A^T
+    (George & Liu 1989).  A matrix already permuted into that order
+    (``ordered``: ``eigs_nearest``'s, on ``Operators.kept_ordering``) keeps
+    its natural order instead, so a mesh's pattern is ordered once.
+    SuperLU's default pivot threshold is kept because the shifted matrices
+    are indefinite.  Raises RuntimeError when A is exactly singular.
     """
-    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+    return spla.splu(sp.csc_matrix(A),
+                     permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
                      options=dict(SymmetricMode=True))
 
 
@@ -411,12 +433,15 @@ def damped_newton(ops, x, residual, system, name, tol, inside=None,
     gain is >= 0 instead, and a step that descends (b . step < 0, which an
     indefinite A allows) is reversed first.  The residual is checked
     before the first step, so an exact start returns in zero steps.
-    Raises NonConvergence naming the solver when the line search stalls or
-    max_iters steps leave the residual above tol.
+    Raises NonConvergence naming the solver when the residual is not
+    finite, the line search stalls or max_iters steps leave the residual
+    above tol.
     """
     res, prev = residual(x), None
     steps = 0
-    while res > tol:
+    while not res <= tol:
+        if not np.isfinite(res):
+            raise NonConvergence(f"{name}: the residual is {res}, not finite")
         if steps == max_iters:
             raise NonConvergence(
                 f"{name} did not reach tol {tol} in {max_iters} iterations "
@@ -513,29 +538,45 @@ def eig_low(mesh, k=2):
     return vals[order], vecs[:, order]
 
 
-def eigs_nearest(A, m, sigma, enough=lambda vals: True):
-    """Eigenvalues of A x = mu diag(m) x nearest sigma, nearest first.
+def eigs_nearest(ops, a, d, sigma, enough=lambda vals: True):
+    """Eigenvalues of A x = mu M x nearest sigma, nearest first, for
+    A = a * S + diag(d) on the bundle ops.
 
-    A is sparse symmetric and m positive.  Shift-invert Lanczos: ARPACK
-    finds the largest eigenvalues theta = 1/(mu - sigma) of
-    (A - sigma M)^{-1} M, i.e. the mu nearest sigma (Ericsson & Ruhe 1980).
-    One ``factor`` of A - sigma M serves every k: k starts at 1 and doubles
-    until ``enough(vals)`` holds (by default at once).  Only when k would
-    reach V - 1 is the full spectrum computed densely instead (tiny meshes).
-    The factor is not the bundle's: A and sigma change with every call.
+    Shift-invert Lanczos: ARPACK finds the largest eigenvalues
+    theta = 1/(mu - sigma) of (A - sigma M)^{-1} M, i.e. the mu nearest
+    sigma (Ericsson & Ruhe 1980).  One ``factor`` of A - sigma M serves
+    every k: its values are filled into ``Operators.kept_ordering``'s
+    permuted pattern of S and factored in that order, so nothing is
+    assembled or ordered here.  k starts at 1 and doubles until
+    ``enough(vals)`` holds (by default at once); each run's Krylov space
+    has max(2k + 1, 10) vectors, at most V, which at k = 1 takes about
+    half the solves of ARPACK's default 20 (Lehoucq & Sorensen, SIAM J.
+    Matrix Anal. Appl. 17, 1996).  Only when k would reach V - 1 is the
+    full spectrum computed densely instead (tiny meshes).
 
     Raises RuntimeError when A - sigma M is exactly singular (SuperLU) and
     NonConvergence when ARPACK fails.
     """
+    A, M = ops.shifted(a, d), ops.M
     V = A.shape[0]
-    M = sp.diags(m).tocsr()
-    op = spla.LinearOperator((V, V), matvec=factor(A - sigma * M).solve,
-                             dtype=float)
+    order, indptr, indices, gather = ops.kept_ordering
+    data = A.data.copy()
+    data[ops.diagonal_slots] -= sigma * ops.m
+    lu = factor(sp.csc_matrix((data[gather], indices, indptr), shape=(V, V)),
+                ordered=True)
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[order] = lu.solve(b[order])
+        return x
+
+    op = spla.LinearOperator((V, V), matvec=solve, dtype=float)
     v0 = _start_vector(V)
     k = 1
     while k < V - 1:
         try:
             vals = spla.eigsh(A, k=k, M=M, sigma=sigma, OPinv=op, v0=v0,
+                              ncv=min(V, max(2 * k + 1, 10)),
                               return_eigenvectors=False)
         except spla.ArpackError as exc:
             raise NonConvergence(

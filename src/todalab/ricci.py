@@ -53,8 +53,9 @@ quotient 2c, so the largest is at least 2c.  When 2 sup e^{2v} f < lambda_1
 the window contains 0 and the inverse of the linearization is bounded by
 max(1/(lambda_1 - 2 sup e^{2v} f), 1/c).  The check confirms both
 numerically by sparse shift-invert Lanczos at the window's midpoint (see
-``stability_check``), on one sparse ``operators.factor`` (minimum-degree
-ordered SuperLU factors) instead of a dense V x V solve.
+``stability_check``), on one sparse ``operators.factor`` instead of a
+dense V x V solve: SuperLU factors in the S + M factor's minimum-degree
+ordering, which the operator bundle keeps for the mesh.
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ class RicciProblem:
         self.u = np.asarray(self.u, dtype=float)
         if self.u.shape != (self.mesh.num_vertices,):
             raise ValueError("u must be a per-vertex array")
+        bad = np.flatnonzero(~np.isfinite(self.u))
+        if bad.size:
+            raise ValueError(f"u must be finite: u = {self.u[bad[0]]} at "
+                             f"vertex {bad[0]}")
         if self.c is None:
             self.c = self.density.curvature_constant
         self.c = float(self.c)
@@ -101,6 +106,19 @@ class RicciProblem:
     def log_weight(self):
         """log F = log rho - 2u, the weight in front of e^{2v}."""
         return self.density.log_density - 2.0 * self.u
+
+
+def check_scale(c, d, t):
+    """Refuse a c = 2 pi d t / Vol that rounds to 0 although d t > 0.
+
+    Such a t lies below the float range, as a d t at which ``maximize_J``'s
+    Newton matrix overflows does, so it is a ValueError naming d t, not the
+    InfeasibleDegree that ``RicciProblem`` raises for c = 0 at d = 0.
+    """
+    if c == 0 and d * t > 0:
+        raise ValueError(
+            f"d t = {d * t:.6g} with c = 2 pi d t / Vol is too small: c "
+            "rounds to 0; raise t")
 
 
 @dataclass
@@ -346,7 +364,7 @@ def stability_check(mesh, v, f):
     c = float((m * weight).sum() / ops.vol)
     lam1 = ops.low_eigenvalues[1]
 
-    A = ops.shifted(-1.0, 2.0 * m * weight)
+    d = 2.0 * m * weight
     lo = -lam1 + sup_term
     hi = 2.0 * c
     window = (lo, hi)
@@ -362,13 +380,14 @@ def stability_check(mesh, v, f):
             return (not inside(vals[-1]) and abs(vals[-1] - mid)
                     >= abs(mid) + np.abs(vals).min())
 
-        nearest = operators.eigs_nearest(A, m, mid, enough)
+        nearest = operators.eigs_nearest(ops, -1.0, d, mid, enough)
         violating = sorted(float(x) for x in nearest if inside(x))
         hinv = float(1.0 / np.abs(nearest).min())
     else:
         violating = []
         try:
-            hinv = float(1.0 / abs(operators.eigs_nearest(A, m, 0.0)[0]))
+            nearest = operators.eigs_nearest(ops, -1.0, d, 0.0)
+            hinv = float(1.0 / abs(nearest[0]))
         except RuntimeError:  # SuperLU: A itself is exactly singular
             hinv = np.inf
 

@@ -25,8 +25,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import operators
 from .errors import TodaError
+
+# ``operators`` (and SciPy with it) is imported inside the functions that
+# use it, so reading a density file, as ``toda export`` does, needs no
+# SciPy.
 
 
 @dataclass
@@ -89,6 +92,7 @@ class SectionDensity:
         return np.exp(self.log_density)
 
     def mean(self):
+        from . import operators
         return float(np.exp(operators.of(self.mesh).log_mean(self.log_density)))
 
     def sup(self):
@@ -133,6 +137,7 @@ def poisson_zero_mean(mesh, rhs_measure):
 
     One MINRES solve on zero-mean fields against the bundle's S + M factor.
     """
+    from . import operators
     ops = operators.of(mesh)
     # L = -S, so S u = -rhs
     return operators.newton_solve(ops, ops.S, -np.asarray(rhs_measure, float),
@@ -151,6 +156,7 @@ def synth_density(mesh, divisor):
     scales the density to unit mean; any other constant is a gauge that
     the bundle factor v absorbs.
     """
+    from . import operators
     divisor.check_range(mesh.num_vertices)
     ops = operators.of(mesh)
     ld = np.zeros(mesh.num_vertices)
@@ -167,6 +173,7 @@ def synth_density(mesh, divisor):
 
 def poincare_lelong_residual(density):
     """Max-abs defect of L log|alpha|^2 = 4 pi (divisor) - 2 c_L M 1."""
+    from . import operators
     mesh = density.mesh
     ops = operators.of(mesh)
     lhs = -(ops.S @ density.log_density)
@@ -180,6 +187,7 @@ def poincare_lelong_residual(density):
 
 def lift_density(base, cover_mesh):
     """Pull a base density back through the cover's covering map."""
+    from . import operators
     cover_map = cover_mesh.base_vertex
     if cover_map is None:
         raise TodaError("cover mesh carries no covering map")
@@ -207,6 +215,7 @@ def balanced_lift(base, cover_mesh, z_n):
     the result has degree n*(4g-4) + 1 on the degree-n cover, scaled to unit
     mean.  Returns the density together with its balance report.
     """
+    from . import operators
     expected = 4 * base.mesh.genus - 4
     if base.degree != expected:
         raise ValueError(
@@ -245,6 +254,7 @@ def schwarz_check(density, radius):
     bound only in the safe direction).  Returns a report dict; "ok" is True
     when every checked vertex passes.
     """
+    from . import operators
     mesh = density.mesh
     dist = operators.graph_distances(mesh, density.divisor.entries[0][0])
     inside = dist <= radius

@@ -1,7 +1,7 @@
 """Shared fixtures: deck-invariant smooth bump fields built from positions,
 the reference systole search, cover construction, refinement, mesh JSON
 encoder and direct Newton step, a mesh document of the retired layout,
-and the dense stability oracles."""
+the dense stability oracles and a factor that counts its solves."""
 
 import heapq
 import json
@@ -406,6 +406,17 @@ def reference_gauss_min_eig(mesh, u, f):
     A = (S + sp.diags(m * gauss._reaction_slope(u, f))).toarray()
     return float(sla.eigh(A, np.diag(m), eigvals_only=True,
                           subset_by_index=[0, 0])[0])
+
+
+class CountingFactor:
+    """A factor whose solves are counted."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
 
 
 # ----------------------------------------------------------------------

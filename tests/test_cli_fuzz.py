@@ -47,16 +47,27 @@ BAD_MESHES = {
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Level-2 base mesh, a degree-4 density on it, its 2-cover, a level-0
-    mesh with a degree-4 density, and the files of BAD_MESHES."""
+    """Level-2 base mesh, a degree-4 density on it, its 2-cover with a
+    balanced density, a level-0 mesh with a degree-4 density, background
+    fields u on the base with +inf or -inf at vertex 1, and the files of
+    BAD_MESHES."""
     root = tmp_path_factory.mktemp("fuzz")
     mesh, density = str(root / "base.json"), str(root / "dens")
-    cover = str(root / "cover.json")
+    cover, cover_density = str(root / "cover.json"), str(root / "cdens")
     mesh0, density0 = str(root / "base0.json"), str(root / "dens0")
     assert main(["mesh", "--refine", "2", "-o", mesh]) == 0
     assert main(["section", "--mesh", mesh, "--divisor", "0:1,1:1,5:1,20:1",
                  "-o", density]) == 0
     assert main(["cover", "--mesh", mesh, "--n", "2", "-o", cover]) == 0
+    assert main(["section", "--mesh", cover, "--balanced", "--base-mesh",
+                 mesh, "--base-density", density, "--zero-vertex", "3",
+                 "-o", cover_density]) == 0
+    fields = {}
+    for key, value in (("u_posinf", "inf"), ("u_neginf", "-inf")):
+        fields[key] = str(root / f"{key}.csv")
+        rows = [f"{i},{value if i == 1 else 0.0}" for i in range(62)]
+        with open(fields[key], "w") as handle:
+            handle.write("\n".join(["vertex_index,u", *rows]) + "\n")
     assert main(["mesh", "--refine", "0", "-o", mesh0]) == 0
     assert main(["section", "--mesh", mesh0, "--divisor", "0:2,1:2",
                  "-o", density0]) == 0
@@ -68,7 +79,8 @@ def workspace(tmp_path_factory):
         with open(bad[name], "w") as handle:
             json.dump(doc, handle)
     return {"mesh": mesh, "density": density, "cover": cover,
-            "mesh0": mesh0, "density0": density0, **bad}
+            "cover_density": cover_density, "mesh0": mesh0,
+            "density0": density0, **fields, **bad}
 
 
 def _solve(command, *flags):
@@ -105,6 +117,26 @@ CASES = {
     "coupled-scale-below-float-range": (
         _solve("solve-coupled", "--degree", "1", "--scale", "1e-310"), 2,
         "d t = 1e-310 "),
+    # On the 2-cover, c = 2 pi d t / Vol rounds to 0 at d t = 5e-324: the
+    # scale is too small, not the degree infeasible.
+    "ricci-scale-c-rounds-to-0": (
+        ["solve-ricci", "--mesh", "{cover}", "--density", "{cover_density}",
+         "--scale", "5e-324", "-o", "{out}/run"], 2,
+        "d t = 4.94066e-324 with c = 2 pi d t / Vol is too small: c rounds "
+        "to 0"),
+    "coupled-scale-c-rounds-to-0": (
+        ["solve-coupled", "--mesh", "{cover}", "--density",
+         "{cover_density}", "--degree", "1", "--scale", "5e-324", "-o",
+         "{out}/run"], 2,
+        "d t = 4.94066e-324 with c = 2 pi d t / Vol is too small: c rounds "
+        "to 0"),
+    # A background u that is not finite would give v = -inf everywhere.
+    "ricci-u-posinf": (
+        _solve("solve-ricci", "--u", "{u_posinf}", "--scale", "0.1"), 2,
+        "u must be finite: u = inf at vertex 1"),
+    "ricci-u-neginf": (
+        _solve("solve-ricci", "--u", "{u_neginf}", "--scale", "0.1"), 2,
+        "u must be finite: u = -inf at vertex 1"),
     "gauss-constant-nan": (_gauss("--constant", "nan"), 2,
                            "data f must be finite"),
     # Tolerances, the iteration caps, the Gauss method and the density

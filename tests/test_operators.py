@@ -10,8 +10,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from helpers import (reference_dijkstra, reference_newton_step,
-                     reference_systole)
+from helpers import (CountingFactor, reference_dijkstra,
+                     reference_newton_step, reference_systole)
 from todalab import coupled, gauss, group, ricci
 from todalab import sections as S
 from todalab import hyperbolic as H
@@ -508,17 +508,6 @@ def test_inexact_newton_matches_exact(level, sheets, monkeypatch):
         assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
 
 
-class CountingFactor:
-    """A factor whose solves are counted."""
-
-    def __init__(self, lu):
-        self.lu, self.solves = lu, 0
-
-    def solve(self, b):
-        self.solves += 1
-        return self.lu.solve(b)
-
-
 def screened_solves(mesh, monkeypatch):
     """S + M solves of ``newton_solutions(mesh)``, by solver name."""
     bundle = ops.of(mesh)
@@ -569,6 +558,18 @@ def test_forcing_cap_floor_and_first_step():
     assert ops.forcing(1e-5, 1e-1, 1e-10) == pytest.approx(1e-8, rel=1e-12)
     # near tol the floor exceeds the cap, and the cap wins
     assert ops.forcing(2e-10, 1.0, 1e-10) == cap
+
+
+@pytest.mark.parametrize("start", [np.nan, np.inf])
+def test_damped_newton_refuses_a_residual_that_is_not_finite(mesh2, start):
+    # NaN > tol is false, so a loop on "residual above tol" would return a
+    # NaN start as converged; it raises naming the solver, before any step.
+    def system(x):
+        raise AssertionError("a step was taken")
+
+    with pytest.raises(NonConvergence, match="probe newton: the residual"):
+        ops.damped_newton(ops.of(mesh2), np.zeros(mesh2.num_vertices),
+                          lambda x: start, system, "probe newton", 1e-9)
 
 
 LOGSUMEXP_CASES = ["random", "ties", "neg-inf", "all-neg-inf", "wide"]

@@ -9,7 +9,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from helpers import reference_gauss_min_eig, reference_stability_check
+from helpers import (CountingFactor, reference_gauss_min_eig,
+                     reference_stability_check)
 from todalab import coupled as C
 from todalab import gauss as G
 from todalab import operators as ops
@@ -83,27 +84,43 @@ def test_sparse_reports_match_dense(name, make):
                                     rel=1e-9)
 
 
+def counting_factors(monkeypatch):
+    """Every factor ``operators.factor`` makes from now on, solves counted."""
+    made, true_factor = [], ops.factor
+
+    def counting(A, ordered=False):
+        made.append(CountingFactor(true_factor(A, ordered)))
+        return made[-1]
+
+    monkeypatch.setattr(ops, "factor", counting)
+    return made
+
+
 def test_check_factors_once_and_runs_one_lanczos(monkeypatch):
     # The window and the inverse norm come from one shift at the window's
-    # midpoint: one factor of A - mid M and one eigsh run.
+    # midpoint: one factor of A - mid M, on the S + M factor's ordering and
+    # with its fill, and one eigsh run of at most 12 shift-invert solves
+    # (ARPACK's default Krylov space of 20 vectors takes 21).
     mesh, base = MESHES["cover-3"]
     v, f, _, _ = _coupled(mesh, base)
-    ops.of(mesh).low_eigenvalues  # lambda_1 is not part of the check
-    calls = {"factor": 0, "eigsh": 0}
-    true_factor, true_eigsh = ops.factor, scipy.sparse.linalg.eigsh
-
-    def counting_factor(A):
-        calls["factor"] += 1
-        return true_factor(A)
+    bundle = ops.of(mesh)
+    bundle.low_eigenvalues  # lambda_1 is not part of the check
+    bundle.kept_ordering  # nor is the mesh's ordering
+    calls = {"eigsh": 0}
+    true_eigsh = scipy.sparse.linalg.eigsh
 
     def counting_eigsh(*args, **kwargs):
         calls["eigsh"] += 1
         return true_eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(ops, "factor", counting_factor)
+    made = counting_factors(monkeypatch)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting_eigsh)
     rep = R.stability_check(mesh, v, f)
-    assert calls == {"factor": 1, "eigsh": 1}
+    assert len(made) == 1 and calls == {"eigsh": 1}
+    screened = bundle.screened_lu
+    lu = made[0].lu
+    assert lu.L.nnz + lu.U.nnz == screened.L.nnz + screened.U.nnz
+    assert made[0].solves <= 12
     assert rep.window_empty and rep.hypothesis_ok
 
 
@@ -111,21 +128,25 @@ def test_k_grows_until_the_eigenvalue_nearest_zero_is_returned(monkeypatch):
     # Constant weight 0.3 with one vertex raised to 0.4: the window stays
     # empty, its midpoint lies nearest the eigenvalue just above 2c, but the
     # eigenvalue nearest 0 is the one just below -lambda_1 + 2 sup e^{2v} f.
-    # k = 1 settles the window; only the inverse norm needs k = 2.
+    # k = 1 settles the window; only the inverse norm needs k = 2.  Krylov
+    # spaces sized to k take at most 30 solves for both runs (42 with
+    # ARPACK's default 20 vectors at k = 1 and 2).
     mesh = MESHES["cover-2"][0]
     n = mesh.num_vertices
     v, f = np.zeros(n), np.full(n, 0.3)
     f[0] = 0.4
+    ops.of(mesh).kept_ordering  # the mesh's ordering is not part of it
     true_nearest = ops.eigs_nearest
     seen = []
 
-    def spying(A, m, sigma, enough=lambda vals: True):
+    def spying(bundle, a, d, sigma, enough=lambda vals: True):
         def spy(vals):
             seen.append((vals.copy(), enough(vals)))
             return seen[-1][1]
-        return true_nearest(A, m, sigma, spy)
+        return true_nearest(bundle, a, d, sigma, spy)
 
     monkeypatch.setattr(ops, "eigs_nearest", spying)
+    made = counting_factors(monkeypatch)
     rep = R.stability_check(mesh, v, f)
     ref = reference_stability_check(mesh, v, f)
     lo, hi = rep.window
@@ -135,6 +156,7 @@ def test_k_grows_until_the_eigenvalue_nearest_zero_is_returned(monkeypatch):
     assert abs(second[1]) < abs(first[0])
     assert rep.violating == ref.violating == []
     assert rep.hinv_norm == pytest.approx(ref.hinv_norm, rel=1e-9)
+    assert len(made) == 1 and made[0].solves <= 30
 
 
 def test_nearest_eigenvalues_grow_k_until_enough():
@@ -150,7 +172,7 @@ def test_nearest_eigenvalues_grow_k_until_enough():
         seen.append(len(vals))
         return len(vals) >= 5
 
-    vals = ops.eigs_nearest(A, m, sigma, enough)
+    vals = ops.eigs_nearest(ops.of(mesh), -1.0, 0.5 * m, sigma, enough)
     assert seen == [1, 2, 4, 8]
     assert np.abs(vals - expected[:8]).max() < 1e-10
 
@@ -163,7 +185,8 @@ def test_nearest_eigenvalues_go_dense_only_at_full_spectrum():
         m = ops.mass_vector(mesh)
         A = (-ops.stiffness(mesh) + sp.diags(0.5 * m)).tocsr()
         dense = scipy.linalg.eigh(A.toarray(), np.diag(m), eigvals_only=True)
-        vals = ops.eigs_nearest(A, m, 0.3, lambda vals: False)
+        vals = ops.eigs_nearest(ops.of(mesh), -1.0, 0.5 * m, 0.3,
+                                lambda vals: False)
         assert len(vals) == mesh.num_vertices
         assert np.abs(np.sort(vals) - dense).max() < 1e-10
         assert list(np.argsort(np.abs(vals - 0.3))) == list(range(len(vals)))
