@@ -46,8 +46,7 @@ _EXPORTS = {
         "sections"),
     **dict.fromkeys((
         "GaussProblem", "GaussSolution", "admissible_bound",
-        "gauss_residual", "gauss_stability_probe", "monotone_solve_gauss",
-        "solve_gauss"), "gauss"),
+        "gauss_residual", "monotone_solve_gauss", "solve_gauss"), "gauss"),
     **dict.fromkeys((
         "RicciProblem", "RicciSolution", "StabilityReport", "eval_J",
         "grad_J", "maximize_J", "mt_probe", "solve_ricci_newton",

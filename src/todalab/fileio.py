@@ -202,7 +202,10 @@ def read_density(prefix, mesh):
         c_L = math.inf
     if not math.isfinite(c_L):
         raise TodaError(f"{prefix}.json has c_L = {c_L}, not a finite number")
-    divisor = Divisor([(v, m) for v, m in sidecar["divisor"]])
+    try:
+        divisor = Divisor([(v, m) for v, m in sidecar["divisor"]])
+    except ValueError as exc:  # a repeated vertex or a multiplicity < 1
+        raise TodaError(f"{prefix}.json divisor: {exc}") from exc
     divisor.check_range(mesh.num_vertices)
     if divisor.degree != int(sidecar["degree"]):
         raise TodaError("divisor degree disagrees with sidecar degree")

@@ -187,33 +187,3 @@ def monotone_solve_gauss(problem):
         f"monotone gauss scheme did not reach tol {problem.tol} in "
         f"{sweeps} sweeps (last residual {res:.3e})")
 
-
-def gauss_stability_probe(mesh, u, f, seed=0):
-    """Linearized stability at a solution plus a measured response ratio.
-
-    Returns (min_eig, response) where min_eig is the smallest eigenvalue of
-    the linearization S + M diag(R'(u)) in the M inner product (positive
-    means the solution is strictly stable) and response is the measured
-    ||du||_inf / ||df||_inf under a random admissible 1e-6 perturbation of f.
-
-    min_eig comes from sparse shift-invert Lanczos at sigma = min R' - 1:
-    S is PSD, so every eigenvalue is at least min R' > sigma, the shifted
-    matrix is SPD, and the eigenvalue nearest sigma is the smallest.
-    """
-    ops = operators.of(mesh)
-    slope = _reaction_slope(u, f)
-    sigma = float(slope.min()) - 1.0
-    min_eig = float(operators.eigs_nearest(ops, 1.0, ops.m * slope,
-                                           sigma)[0])
-
-    rng = np.random.default_rng(seed)
-    df = 1e-6 * rng.standard_normal(mesh.num_vertices)
-    f2 = np.clip(f + df, 0.0, None)
-    eta = 1.0
-    bound = admissible_bound(eta)
-    f2 = np.minimum(f2, bound)
-    prob2 = GaussProblem(mesh=mesh, f=f2, eta=eta, tol=1e-12)
-    sol2 = solve_gauss(prob2, u0=u)
-    denom = float(np.abs(f2 - f).max())
-    response = float(np.abs(sol2.u - u).max()) / denom if denom > 0 else 0.0
-    return min_eig, response

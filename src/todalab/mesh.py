@@ -636,12 +636,11 @@ def mesh_from_dict(doc):
         parsed = {s: group.parse_word(s) for s in dict.fromkeys(words)}
     except ValueError as exc:
         raise MeshError(str(exc)) from exc
-    try:
-        genus, level = int(doc["genus"]), int(doc["level"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MeshError(f"mesh genus or level is missing or malformed: "
-                        f"{exc}") from exc
-    mesh = HyperbolicMesh(genus=genus, level=level,
+    for key in ("genus", "level"):
+        if type(doc.get(key)) is not int:
+            raise MeshError(f"mesh genus or level is missing or malformed: "
+                            f"{key!r} is {doc.get(key)!r}, not an integer")
+    mesh = HyperbolicMesh(genus=doc["genus"], level=doc["level"],
                           edge_words=[parsed[s] for s in words], **tables)
     mesh._check_tables()
     return mesh

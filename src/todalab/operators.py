@@ -23,20 +23,21 @@ monotone Gauss scheme's own matrix, which no other solver uses, so that
 the scheme stays a cross-check sharing no solve with the Newton solvers.
 So a mesh is ordered once and factored at most twice however many solves
 its solvers make, and a solve's cost is its number of preconditioner
-solves; only ``eigs_nearest`` factors on every call, because its matrix
-changes with the data, and that factor reuses the S + M factor's
-fill-reducing ordering on the bundle's kept pattern (``kept_ordering``):
-it neither adds sparse matrices nor orders anything.  No Newton step
-assembles a sparse matrix either: each Newton matrix is a * S + diag(d),
-or the coupled 2 x 2 block of such matrices with diagonal coupling, and
-``Operators.shifted`` and ``Operators.coupled_jacobian`` fill its values
-into index structures the bundle caches.  The Green solves run MINRES to
-NEWTON_RTOL.  The Newton steps are inexact (Eisenstat & Walker, SIAM J.
-Sci. Comput. 17, 1996): ``forcing`` sets each step's rtol from the outer
-residuals, so no inner system is solved more accurately than the outer
-test can use.  The Gauss, J, Ricci and coupled solvers share one
-damped-Newton loop, ``damped_newton``: its residual test, line search,
-iteration cap, forcing and failure messages.
+solves; only ``eigs_nearest``, the stability check's one search,
+factors on every call, because its matrix changes with the data, and
+that factor reuses the S + M factor's fill-reducing ordering on the
+bundle's kept pattern (``kept_ordering``): it neither adds sparse
+matrices nor orders anything.  No Newton step assembles a sparse matrix
+either: each Newton matrix is a * S + diag(d), or the coupled 2 x 2
+block of such matrices with diagonal coupling, and ``Operators.shifted``
+and ``Operators.coupled_jacobian`` fill its values into index structures
+the bundle caches.  The Green solves run MINRES to NEWTON_RTOL.  The
+Newton steps are inexact (Eisenstat & Walker, SIAM J. Sci. Comput. 17,
+1996): ``forcing`` sets each step's rtol from the outer residuals, so no
+inner system is solved more accurately than the outer test can use.  The
+Gauss, J, Ricci and coupled solvers share one damped-Newton loop,
+``damped_newton``: its residual test, line search, step cap
+NEWTON_MAX_STEPS, forcing and failure messages.
 
 The systole is approximated on the edge graph: the shortest closed edge
 loop whose accumulated holonomy word is not the identity.  Every such loop
@@ -337,6 +338,8 @@ def factor(A, ordered=False):
 # rtol of ``forcing`` 5-8.
 NEWTON_RTOL = 1e-13
 NEWTON_MAXITER = 300
+# Step cap of ``damped_newton``, in the Gauss, J, Ricci and coupled solvers.
+NEWTON_MAX_STEPS = 200
 # Largest rtol ``forcing`` asks of a ``damped_newton`` step, in the Gauss,
 # J, Ricci and coupled solvers alike.  A cap of 1e-2 stalls the Ricci line
 # search, which tests the max-norm of the residual, at 1.3e-7.
@@ -419,7 +422,7 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False,
 
 
 def damped_newton(ops, x, residual, system, name, tol, inside=None,
-                  gain=None, zero_mean=False, max_iters=200):
+                  gain=None, zero_mean=False):
     """Damped Newton from x until residual(x) <= tol; returns
     (x, residual(x), steps).
 
@@ -434,18 +437,18 @@ def damped_newton(ops, x, residual, system, name, tol, inside=None,
     indefinite A allows) is reversed first.  The residual is checked
     before the first step, so an exact start returns in zero steps.
     Raises NonConvergence naming the solver when the residual is not
-    finite, the line search stalls or max_iters steps leave the residual
-    above tol.
+    finite, the line search stalls or NEWTON_MAX_STEPS steps leave the
+    residual above tol.
     """
     res, prev = residual(x), None
     steps = 0
     while not res <= tol:
         if not np.isfinite(res):
             raise NonConvergence(f"{name}: the residual is {res}, not finite")
-        if steps == max_iters:
+        if steps == NEWTON_MAX_STEPS:
             raise NonConvergence(
-                f"{name} did not reach tol {tol} in {max_iters} iterations "
-                f"(last residual {res:.3e})")
+                f"{name} did not reach tol {tol} in {NEWTON_MAX_STEPS} "
+                f"iterations (last residual {res:.3e})")
         A, b, *q = system(x)
         step = newton_solve(ops, A, b, name, rank_one=q[0] if q else None,
                             zero_mean=zero_mean, rtol=forcing(res, prev, tol))
@@ -538,9 +541,10 @@ def eig_low(mesh, k=2):
     return vals[order], vecs[:, order]
 
 
-def eigs_nearest(ops, a, d, sigma, enough=lambda vals: True):
+def eigs_nearest(ops, d, sigma, enough):
     """Eigenvalues of A x = mu M x nearest sigma, nearest first, for
-    A = a * S + diag(d) on the bundle ops.
+    A = L + diag(d) = -S + diag(d) on the bundle ops: the linearized
+    operator of ``ricci.stability_check``, its one caller.
 
     Shift-invert Lanczos: ARPACK finds the largest eigenvalues
     theta = 1/(mu - sigma) of (A - sigma M)^{-1} M, i.e. the mu nearest
@@ -548,16 +552,16 @@ def eigs_nearest(ops, a, d, sigma, enough=lambda vals: True):
     every k: its values are filled into ``Operators.kept_ordering``'s
     permuted pattern of S and factored in that order, so nothing is
     assembled or ordered here.  k starts at 1 and doubles until
-    ``enough(vals)`` holds (by default at once); each run's Krylov space
-    has max(2k + 1, 10) vectors, at most V, which at k = 1 takes about
-    half the solves of ARPACK's default 20 (Lehoucq & Sorensen, SIAM J.
-    Matrix Anal. Appl. 17, 1996).  Only when k would reach V - 1 is the
-    full spectrum computed densely instead (tiny meshes).
+    ``enough(vals)`` holds; each run's Krylov space has max(2k + 1, 10)
+    vectors, at most V, which at k = 1 takes about half the solves of
+    ARPACK's default 20 (Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl.
+    17, 1996).  Only when k would reach V - 1 is the full spectrum
+    computed densely instead (tiny meshes).
 
     Raises RuntimeError when A - sigma M is exactly singular (SuperLU) and
     NonConvergence when ARPACK fails.
     """
-    A, M = ops.shifted(a, d), ops.M
+    A, M = ops.shifted(-1.0, d), ops.M
     V = A.shape[0]
     order, indptr, indices, gather = ops.kept_ordering
     data = A.data.copy()

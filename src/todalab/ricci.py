@@ -296,7 +296,7 @@ def maximize_J(problem):
         iterations=steps)
 
 
-def solve_ricci_newton(problem, v_init, max_iters=200):
+def solve_ricci_newton(problem, v_init):
     """Damped Newton on G(v) = -S v - M c + M F e^{2v} from a given seed.
 
     The Jacobian -S + 2 M diag(F e^{2v}) is indefinite; each step solves it
@@ -317,7 +317,7 @@ def solve_ricci_newton(problem, v_init, max_iters=200):
     v, _, steps = operators.damped_newton(
         ops, np.array(v_init, dtype=float),
         lambda v: equation_residual(problem, v), system, "ricci newton",
-        problem.tol, max_iters=max_iters)
+        problem.tol)
     w = v - (m @ v) / ops.vol
     return RicciSolution(
         v=v, w=w, J_value=eval_J(problem, w),
@@ -341,21 +341,22 @@ def stability_check(mesh, v, f):
 
     Both spectral questions are answered by one ``operators.eigs_nearest``
     call on A = -S + 2 diag(m e^{2v} f) relative to M = diag(m): sparse
-    shift-invert Lanczos at the window's midpoint, on one factor of
-    A - mid M, never a dense solve.  It returns the k eigenvalues nearest
-    mid, k doubling until the farthest of them, x, satisfies both:
+    shift-invert Lanczos at sigma, the window's midpoint (0 when the
+    window is empty as an interval), on one factor of A - sigma M, never a
+    dense solve.  It returns the k eigenvalues nearest sigma, k doubling
+    until the farthest of them, x, satisfies both:
 
     * x lies outside the window.  The eigenvalues inside are a prefix of
-      the eigenvalues ordered by distance from mid, so all are returned;
-    * |x - mid| >= |mid| + min |vals|.  An eigenvalue nearer 0 than every
-      returned one would lie nearer mid than x and so be returned, hence
-      1/min |vals| is the inverse norm.
+      the eigenvalues ordered by distance from sigma, so all are returned;
+    * |x - sigma| >= |sigma| + min |vals|.  An eigenvalue nearer 0 than
+      every returned one would lie nearer sigma than x and so be returned,
+      hence 1/min |vals| is the inverse norm.
 
-    k = 1 suffices when the eigenvalue nearest mid lies outside the window
-    on the other side of 0 from mid.  When the window is empty as an
-    interval only the inverse norm is asked, from the eigenvalue nearest
-    sigma = 0; an exactly singular factor there gives inf.  lambda_1 is
-    the operator bundle's, computed once per mesh.
+    k = 1 suffices when the eigenvalue nearest sigma lies outside the
+    window on the other side of 0 from sigma, and always at sigma = 0.
+    An exactly singular factor makes sigma an eigenvalue, listed if inside
+    the window, and the inverse norm inf.  lambda_1 is the operator
+    bundle's, computed once per mesh.
     """
     ops = operators.of(mesh)
     m = ops.m
@@ -364,7 +365,6 @@ def stability_check(mesh, v, f):
     c = float((m * weight).sum() / ops.vol)
     lam1 = ops.low_eigenvalues[1]
 
-    d = 2.0 * m * weight
     lo = -lam1 + sup_term
     hi = 2.0 * c
     window = (lo, hi)
@@ -373,23 +373,18 @@ def stability_check(mesh, v, f):
     def inside(x):
         return lo + pad < x < hi - pad
 
-    if lo + pad < hi - pad:
-        mid = 0.5 * (lo + hi)
+    sigma = 0.5 * (lo + hi) if lo + pad < hi - pad else 0.0
 
-        def enough(vals):
-            return (not inside(vals[-1]) and abs(vals[-1] - mid)
-                    >= abs(mid) + np.abs(vals).min())
+    def enough(vals):
+        return (not inside(vals[-1]) and abs(vals[-1] - sigma)
+                >= abs(sigma) + np.abs(vals).min())
 
-        nearest = operators.eigs_nearest(ops, -1.0, d, mid, enough)
-        violating = sorted(float(x) for x in nearest if inside(x))
+    try:
+        nearest = operators.eigs_nearest(ops, 2 * m * weight, sigma, enough)
         hinv = float(1.0 / np.abs(nearest).min())
-    else:
-        violating = []
-        try:
-            nearest = operators.eigs_nearest(ops, -1.0, d, 0.0)
-            hinv = float(1.0 / abs(nearest[0]))
-        except RuntimeError:  # SuperLU: A itself is exactly singular
-            hinv = np.inf
+    except RuntimeError:  # SuperLU: A - sigma M is exactly singular
+        nearest, hinv = [sigma], np.inf
+    violating = sorted(float(x) for x in nearest if inside(x))
 
     hypothesis_ok = sup_term < lam1
     if hypothesis_ok and c > 0:

@@ -365,9 +365,9 @@ def v1_mesh_document(mesh):
 
 # ----------------------------------------------------------------------
 # Dense stability oracles: the full generalized eigen-solves that the
-# sparse shift-invert checks in ``ricci.stability_check`` and
-# ``gauss.gauss_stability_probe`` replace.  O(V^3) time and O(V^2) memory,
-# so for small meshes only.
+# sparse shift-invert ``operators.eigs_nearest`` replaces, in
+# ``ricci.stability_check`` and in the tests' Gauss linearization checks.
+# O(V^3) time and O(V^2) memory, so for small meshes only.
 
 def reference_stability_check(mesh, v, f):
     """``ricci.stability_check`` from the whole dense spectrum."""

@@ -42,6 +42,21 @@ BAD_MESHES = {
                     "'base_vertex' entry 3 is -1, not a vertex id"),
     "v1_layout": (lambda doc: v1_mesh_document(mesh_from_json(
         json.dumps(doc))), "mesh format None is not 2: rebuild the mesh"),
+    # genus and level are JSON integers: not a number beyond the float
+    # range, a fraction or a string.
+    "genus_inf": (lambda doc: {**doc, "genus": float("inf")},
+                  "'genus' is inf, not an integer"),
+    "level_fraction": (lambda doc: {**doc, "level": 2.5},
+                       "'level' is 2.5, not an integer"),
+    "genus_string": (lambda doc: {**doc, "genus": "2"},
+                     "'genus' is '2', not an integer"),
+}
+
+# Density sidecars that verify --density must reject, each an edit of the
+# level-2 density's divisor [[0, 1], [1, 1], [5, 1], [20, 1]].
+BAD_DIVISORS = {
+    "dens_repeated": [[0, 1], [0, 1], [5, 1], [20, 1]],
+    "dens_mult0": [[0, 0], [1, 1], [5, 1], [20, 1]],
 }
 
 
@@ -50,7 +65,7 @@ def workspace(tmp_path_factory):
     """Level-2 base mesh, a degree-4 density on it, its 2-cover with a
     balanced density, a level-0 mesh with a degree-4 density, background
     fields u on the base with +inf or -inf at vertex 1, and the files of
-    BAD_MESHES."""
+    BAD_MESHES and BAD_DIVISORS."""
     root = tmp_path_factory.mktemp("fuzz")
     mesh, density = str(root / "base.json"), str(root / "dens")
     cover, cover_density = str(root / "cover.json"), str(root / "cdens")
@@ -78,6 +93,13 @@ def workspace(tmp_path_factory):
         bad[name] = str(root / f"{name}.json")
         with open(bad[name], "w") as handle:
             json.dump(doc, handle)
+    for name, divisor in BAD_DIVISORS.items():
+        bad[name] = str(root / name)
+        shutil.copy(density + ".csv", bad[name] + ".csv")
+        with open(density + ".json") as handle:
+            sidecar = json.load(handle)
+        with open(bad[name] + ".json", "w") as handle:
+            json.dump({**sidecar, "divisor": divisor}, handle)
     return {"mesh": mesh, "density": density, "cover": cover,
             "cover_density": cover_density, "mesh0": mesh0,
             "density0": density0, **fields, **bad}
@@ -179,6 +201,13 @@ CASES = {
                          "--divisor expects integer vertex:mult pairs"),
     "divisor-bad-mult": (_section("0:x"), 2,
                          "--divisor expects integer vertex:mult pairs"),
+    # A divisor the sidecar states but Divisor refuses names the file.
+    "density-divisor-repeated": (
+        ["verify", "--mesh", "{mesh}", "--density", "{dens_repeated}"], 1,
+        "dens_repeated.json divisor: divisor vertices must be distinct"),
+    "density-divisor-mult-0": (
+        ["verify", "--mesh", "{mesh}", "--density", "{dens_mult0}"], 1,
+        "dens_mult0.json divisor: divisor multiplicities must be >= 1"),
     # The cover's vertex count is a multiple of the base's, but its
     # covering map names vertices the base mesh does not have.
     "balanced-base-mismatch": (

@@ -89,14 +89,22 @@ def test_constant_eigenvector(mesh2):
     assert np.abs(v0 - v0.mean()).max() < 1e-8 * max(1.0, abs(v0.mean()))
 
 
-def test_sparse_matches_dense_on_cover(mesh3):
-    cover = build_cover(mesh3, CoverSpec.cyclic(2))
-    assert cover.num_vertices == 508
-    vals_sparse, _ = ops.eig_low(cover, k=4)
+# The level-2 covers lie below eig_low's dense cutoff and have repeated
+# eigenvalues: ARPACK from _start_vector returns one copy too few there
+# (up to 0.66 off at k = 8 on the 2-cover, 1.0 at k = 5 on the 3-cover),
+# so these cases pin the dense path for small meshes.
+@pytest.mark.parametrize("level, sheets, k, V",
+                         [(3, 2, 4, 508), (2, 2, 8, 124), (2, 3, 5, 186)],
+                         ids=["l3c2-k4", "l2c2-k8", "l2c3-k5"])
+def test_sparse_matches_dense_on_cover(level, sheets, k, V):
+    cover = build_cover(build_base_surface(refinement=level),
+                        CoverSpec.cyclic(sheets))
+    assert cover.num_vertices == V
+    vals_sparse, _ = ops.eig_low(cover, k=k)
     S = ops.stiffness(cover).toarray()
     m = ops.mass_vector(cover)
     vals_dense = sla.eigh(S, np.diag(m), eigvals_only=True,
-                          subset_by_index=[0, 3])
+                          subset_by_index=[0, k - 1])
     assert np.abs(vals_sparse - vals_dense).max() < 1e-8
 
 

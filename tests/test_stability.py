@@ -79,7 +79,12 @@ def test_sparse_reports_match_dense(name, make):
                 "hinv_bound"):
         assert getattr(rep, key) == getattr(ref, key), key
 
-    min_eig, _ = G.gauss_stability_probe(mesh, u, g)
+    # The Gauss linearization S + M diag(R'(u)) is minus -S + diag(-m R'),
+    # whose eigenvalues all lie at or below -min R', so its smallest
+    # eigenvalue is minus the one nearest 1 - min R'.
+    slope, m = G._reaction_slope(u, g), ops.mass_vector(mesh)
+    min_eig = -ops.eigs_nearest(ops.of(mesh), -m * slope, 1.0 - slope.min(),
+                                lambda vals: True)[0]
     assert min_eig == pytest.approx(reference_gauss_min_eig(mesh, u, g),
                                     rel=1e-9)
 
@@ -139,11 +144,11 @@ def test_k_grows_until_the_eigenvalue_nearest_zero_is_returned(monkeypatch):
     true_nearest = ops.eigs_nearest
     seen = []
 
-    def spying(bundle, a, d, sigma, enough=lambda vals: True):
+    def spying(bundle, d, sigma, enough):
         def spy(vals):
             seen.append((vals.copy(), enough(vals)))
             return seen[-1][1]
-        return true_nearest(bundle, a, d, sigma, spy)
+        return true_nearest(bundle, d, sigma, spy)
 
     monkeypatch.setattr(ops, "eigs_nearest", spying)
     made = counting_factors(monkeypatch)
@@ -172,7 +177,7 @@ def test_nearest_eigenvalues_grow_k_until_enough():
         seen.append(len(vals))
         return len(vals) >= 5
 
-    vals = ops.eigs_nearest(ops.of(mesh), -1.0, 0.5 * m, sigma, enough)
+    vals = ops.eigs_nearest(ops.of(mesh), 0.5 * m, sigma, enough)
     assert seen == [1, 2, 4, 8]
     assert np.abs(vals - expected[:8]).max() < 1e-10
 
@@ -185,7 +190,7 @@ def test_nearest_eigenvalues_go_dense_only_at_full_spectrum():
         m = ops.mass_vector(mesh)
         A = (-ops.stiffness(mesh) + sp.diags(0.5 * m)).tocsr()
         dense = scipy.linalg.eigh(A.toarray(), np.diag(m), eigvals_only=True)
-        vals = ops.eigs_nearest(ops.of(mesh), -1.0, 0.5 * m, 0.3,
+        vals = ops.eigs_nearest(ops.of(mesh), 0.5 * m, 0.3,
                                 lambda vals: False)
         assert len(vals) == mesh.num_vertices
         assert np.abs(np.sort(vals) - dense).max() < 1e-10
@@ -211,7 +216,9 @@ def test_level4_cover_check_is_sparse(monkeypatch):
     tracemalloc.start()
     try:
         rep = R.stability_check(cover, v, f)
-        G.gauss_stability_probe(cover, u, f)
+        slope = G._reaction_slope(u, f)
+        ops.eigs_nearest(ops.of(cover), -ops.mass_vector(cover) * slope,
+                         1.0 - slope.min(), lambda vals: True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -240,3 +247,28 @@ def test_violating_eigenvalues_are_all_found(monkeypatch):
     assert len(rep.violating) == len(ref.violating)
     assert np.allclose(rep.violating, ref.violating, rtol=1e-9, atol=0)
     assert not rep.window_empty
+
+
+def test_singular_factor_lists_sigma_and_claims_no_inverse_bound(
+        monkeypatch):
+    # SuperLU refuses an exactly singular A - sigma M: sigma is then an
+    # eigenvalue, listed when it lies inside the window, and the inverse
+    # norm is reported as inf.  One vertex of weight 10 empties the window
+    # (sigma = 0); constant weight 0.3 leaves it open (sigma = its midpoint).
+    mesh = MESHES["cover-1"][0]
+    n = mesh.num_vertices
+    ops.of(mesh).kept_ordering  # factors S + M before factor is replaced
+
+    def singular(A, ordered=False):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(ops, "factor", singular)
+    peaked = np.full(n, 0.3)
+    peaked[0] = 10.0
+    empty = R.stability_check(mesh, np.zeros(n), peaked)
+    lo, hi = empty.window
+    assert lo > hi and empty.violating == [] and empty.hinv_norm == np.inf
+    open_ = R.stability_check(mesh, np.zeros(n), np.full(n, 0.3))
+    lo, hi = open_.window
+    assert lo < hi and open_.violating == [0.5 * (lo + hi)]
+    assert open_.hinv_norm == np.inf
