@@ -191,8 +191,8 @@ def _check_admissible(f, eta):
     bound = gauss_mod.admissible_bound(eta)
     if f.max() > bound:
         raise AdmissibilityLost(
-            f"sup e^{{2v}} rho = {f.max():.6g} exceeds the "
-            f"admissible bound {bound:.6g} for eta = {eta}")
+            f"sup e^{{2v}} rho = {float(f.max())!r} exceeds the "
+            f"admissible bound {float(bound)!r} for eta = {eta}")
 
 
 def solve_coupled(mesh, density, config=None):

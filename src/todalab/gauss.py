@@ -57,8 +57,8 @@ class GaussProblem:
         bound = admissible_bound(self.eta)
         if self.f.max() > bound:
             raise AdmissibilityError(
-                f"sup f = {self.f.max():.6g} exceeds the admissible bound "
-                f"{bound:.6g} for eta = {self.eta}")
+                f"sup f = {float(self.f.max())!r} exceeds the admissible "
+                f"bound {float(bound)!r} for eta = {self.eta}")
 
     @property
     def box_lower(self):

@@ -496,47 +496,44 @@ def stiffness(mesh):
 # ----------------------------------------------------------------------
 # Spectrum
 
-# Above this vertex count an ARPACK failure in eig_low is reported instead
-# of being replaced by a dense solve (~0.3 s and ~35 MB at this size,
-# growing as V^3 and V^2).
-DENSE_FALLBACK_MAX_V = 1024
-
 EIG_TOL = 1e-9  # relative accuracy asked of ARPACK in eig_low
 
 
-def _start_vector(V):
-    """ARPACK's start vector: ones plus a small fixed perturbation."""
-    rng = np.random.default_rng(0)
-    return np.ones(V) + 0.01 * rng.standard_normal(V)
+def _lanczos(A, M, sigma, solve, k, **options):
+    """``spla.eigsh`` in shift-invert mode at sigma, the package's one
+    eigen-solve call: solve applies (A - sigma M)^{-1}, ARPACK starts from
+    ones plus a small fixed perturbation and options pass through
+    (Ericsson & Ruhe 1980; Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
+    SIAM 1998).  An ARPACK failure raises NonConvergence naming sigma, k
+    and V at every size.
+    """
+    V = A.shape[0]
+    inverse = spla.LinearOperator((V, V), matvec=solve, dtype=float)
+    v0 = np.ones(V) + 0.01 * np.random.default_rng(0).standard_normal(V)
+    try:
+        return spla.eigsh(A, k=k, M=M, sigma=sigma, OPinv=inverse, v0=v0,
+                          **options)
+    except spla.ArpackError as exc:
+        raise NonConvergence(
+            f"shift-invert eigen-solve at sigma = {sigma:.6g} "
+            f"(k = {k}, V = {V}) failed: {exc}") from exc
 
 
 def eig_low(mesh, k=2):
     """Smallest k generalized eigenpairs of S x = lambda M x, ascending.
 
-    Shift-invert Lanczos at sigma = -1, where S - sigma M is the bundle's
-    S + M, so its factor serves as the inverse.  Deterministic: the
-    iterative solver is started from a fixed vector.  Small problems
-    are solved densely; an ARPACK RuntimeError falls back to the dense
-    solve up to DENSE_FALLBACK_MAX_V vertices and raises NonConvergence
-    above that.
+    Shift-invert Lanczos (``_lanczos``) at sigma = -1, where S - sigma M
+    is the bundle's S + M, so its factor serves as the inverse.  Small
+    problems (V <= max(4k + 20, 300)) are solved densely; an ARPACK
+    failure raises NonConvergence at every size.
     """
     ops = of(mesh)
     S, M = ops.S, ops.M
     V = S.shape[0]
     if V <= max(4 * k + 20, 300):
         return _eig_dense(S, M, k)
-    screened_inverse = spla.LinearOperator(
-        (V, V), matvec=ops.screened_lu.solve, dtype=float)
-    try:
-        vals, vecs = spla.eigsh(S, k=k, M=M, sigma=-1.0, which="LM",
-                                OPinv=screened_inverse,
-                                v0=_start_vector(V), tol=EIG_TOL)
-    except RuntimeError as exc:
-        if V > DENSE_FALLBACK_MAX_V:
-            raise NonConvergence(
-                f"sparse eigen-solve failed at V = {V} (no dense fallback "
-                f"above {DENSE_FALLBACK_MAX_V} vertices): {exc}") from exc
-        return _eig_dense(S, M, k)
+    vals, vecs = _lanczos(S, M, -1.0, ops.screened_lu.solve, k, which="LM",
+                          tol=EIG_TOL)
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
@@ -546,9 +543,9 @@ def eigs_nearest(ops, d, sigma, enough):
     A = L + diag(d) = -S + diag(d) on the bundle ops: the linearized
     operator of ``ricci.stability_check``, its one caller.
 
-    Shift-invert Lanczos: ARPACK finds the largest eigenvalues
-    theta = 1/(mu - sigma) of (A - sigma M)^{-1} M, i.e. the mu nearest
-    sigma (Ericsson & Ruhe 1980).  One ``factor`` of A - sigma M serves
+    Shift-invert Lanczos (``_lanczos``): ARPACK finds the largest
+    eigenvalues theta = 1/(mu - sigma) of (A - sigma M)^{-1} M, i.e. the
+    mu nearest sigma.  One ``factor`` of A - sigma M serves
     every k: its values are filled into ``Operators.kept_ordering``'s
     permuted pattern of S and factored in that order, so nothing is
     assembled or ordered here.  k starts at 1 and doubles until
@@ -574,18 +571,10 @@ def eigs_nearest(ops, d, sigma, enough):
         x[order] = lu.solve(b[order])
         return x
 
-    op = spla.LinearOperator((V, V), matvec=solve, dtype=float)
-    v0 = _start_vector(V)
     k = 1
     while k < V - 1:
-        try:
-            vals = spla.eigsh(A, k=k, M=M, sigma=sigma, OPinv=op, v0=v0,
-                              ncv=min(V, max(2 * k + 1, 10)),
-                              return_eigenvectors=False)
-        except spla.ArpackError as exc:
-            raise NonConvergence(
-                f"shift-invert eigen-solve at sigma = {sigma:.6g} "
-                f"(k = {k}, V = {V}) failed: {exc}") from exc
+        vals = _lanczos(A, M, sigma, solve, k, ncv=min(V, max(2 * k + 1, 10)),
+                        return_eigenvectors=False)
         vals = vals[np.argsort(np.abs(vals - sigma), kind="stable")]
         if enough(vals):
             return vals

@@ -355,8 +355,9 @@ def stability_check(mesh, v, f):
     k = 1 suffices when the eigenvalue nearest sigma lies outside the
     window on the other side of 0 from sigma, and always at sigma = 0.
     An exactly singular factor makes sigma an eigenvalue, listed if inside
-    the window, and the inverse norm inf.  lambda_1 is the operator
-    bundle's, computed once per mesh.
+    the window, and the inverse norm inf; so does an eigenvalue within
+    the window test's pad of 0, a rounded 0 (at v = 0, f = 0, A = -S is
+    singular).  lambda_1 is the operator bundle's, computed once per mesh.
     """
     ops = operators.of(mesh)
     m = ops.m
@@ -381,7 +382,8 @@ def stability_check(mesh, v, f):
 
     try:
         nearest = operators.eigs_nearest(ops, 2 * m * weight, sigma, enough)
-        hinv = float(1.0 / np.abs(nearest).min())
+        smallest = float(np.abs(nearest).min())
+        hinv = np.inf if smallest <= pad else 1.0 / smallest
     except RuntimeError:  # SuperLU: A - sigma M is exactly singular
         nearest, hinv = [sigma], np.inf
     violating = sorted(float(x) for x in nearest if inside(x))

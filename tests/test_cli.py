@@ -70,11 +70,16 @@ def test_solve_gauss_constant(workspace, tmp_path):
     assert report["residual"] <= 1e-10
 
 
-def test_solve_gauss_rejects_inadmissible(workspace, tmp_path):
+def test_solve_gauss_rejects_inadmissible(workspace, tmp_path, capsys):
+    # Both numbers print as round-trip floats, so a value just above the
+    # bound does not read as equal to it.
     out = str(tmp_path / "g")
-    code = main(["solve-gauss", "--mesh", workspace["base"],
-                 "--constant", "0.3", "-o", out])
-    assert code == 1
+    for constant in ("0.3", "0.2500001"):
+        code = main(["solve-gauss", "--mesh", workspace["base"],
+                     "--constant", constant, "-o", out])
+        assert code == 1
+        assert (f"sup f = {constant} exceeds the admissible bound 0.25 for "
+                f"eta = 1.0") in capsys.readouterr().err
 
 
 def test_solve_gauss_rejects_empty_data(workspace, tmp_path, capsys):

@@ -90,9 +90,9 @@ def test_constant_eigenvector(mesh2):
 
 
 # The level-2 covers lie below eig_low's dense cutoff and have repeated
-# eigenvalues: ARPACK from _start_vector returns one copy too few there
-# (up to 0.66 off at k = 8 on the 2-cover, 1.0 at k = 5 on the 3-cover),
-# so these cases pin the dense path for small meshes.
+# eigenvalues: ARPACK from its fixed start vector returns one copy too few
+# there (up to 0.66 off at k = 8 on the 2-cover, 1.0 at k = 5 on the
+# 3-cover), so these cases pin the dense path for small meshes.
 @pytest.mark.parametrize("level, sheets, k, V",
                          [(3, 2, 4, 508), (2, 2, 8, 124), (2, 3, 5, 186)],
                          ids=["l3c2-k4", "l2c2-k8", "l2c3-k5"])
@@ -108,42 +108,30 @@ def test_sparse_matches_dense_on_cover(level, sheets, k, V):
     assert np.abs(vals_sparse - vals_dense).max() < 1e-8
 
 
-def test_eig_low_falls_back_only_on_runtime_errors(mesh3, monkeypatch):
+def test_arpack_failure_is_nonconvergence_at_every_size(mesh3, monkeypatch):
+    # No dense fallback: an ARPACK failure above the dense cutoff is
+    # reported with sigma, k and V, and no dense eigh runs; any other
+    # error from eigsh propagates as it is.
     cover = build_cover(mesh3, CoverSpec.cyclic(2))
-    assert cover.num_vertices > 300  # above the dense cutoff
-    dense = sla.eigh(ops.stiffness(cover).toarray(),
-                     np.diag(ops.mass_vector(cover)), eigvals_only=True,
-                     subset_by_index=[0, 1])
+    assert cover.num_vertices == 508 > 300  # above the dense cutoff
 
     def no_convergence(*args, **kwargs):
-        raise ops.spla.ArpackNoConvergence("no convergence", [], [])
-
-    monkeypatch.setattr(ops.spla, "eigsh", no_convergence)
-    vals, _ = ops.eig_low(cover, k=2)
-    assert np.abs(vals - dense).max() < 1e-10
-
-    def bad_argument(*args, **kwargs):
-        raise ValueError("bad eigsh argument")
-
-    monkeypatch.setattr(ops.spla, "eigsh", bad_argument)
-    with pytest.raises(ValueError, match="bad eigsh argument"):
-        ops.eig_low(cover, k=2)
-
-
-def test_eig_low_raises_above_dense_fallback_bound(monkeypatch):
-    cover = build_cover(build_base_surface(refinement=4), CoverSpec.cyclic(2))
-    assert cover.num_vertices == 2044 > ops.DENSE_FALLBACK_MAX_V
-
-    def no_convergence(*args, **kwargs):
-        raise ops.spla.ArpackNoConvergence(
-            "ARPACK error -1: No convergence", [], [])
+        raise ops.spla.ArpackNoConvergence("No convergence", [], [])
 
     def no_dense(*args, **kwargs):
         raise AssertionError("dense eigen-solve called")
 
     monkeypatch.setattr(ops.spla, "eigsh", no_convergence)
     monkeypatch.setattr(sla, "eigh", no_dense)
-    with pytest.raises(NonConvergence, match="ARPACK error -1: No convergence"):
+    with pytest.raises(NonConvergence, match=r"sigma = -1 \(k = 2, V = 508\)"
+                       r" failed: ARPACK error -1: No convergence"):
+        ops.eig_low(cover, k=2)
+
+    def bad_argument(*args, **kwargs):
+        raise ValueError("bad eigsh argument")
+
+    monkeypatch.setattr(ops.spla, "eigsh", bad_argument)
+    with pytest.raises(ValueError, match="bad eigsh argument"):
         ops.eig_low(cover, k=2)
 
 
@@ -418,14 +406,15 @@ SOLVER_NAMES = {"splu", "spsolve", "spilu", "factorized"}
 def test_every_sparse_factorization_goes_through_factor():
     # One factorization path: SuperLU is reached only inside
     # operators.factor, and no shift-invert eigsh factors on its own.
-    offenders = []
+    # One eigen-solve path: the package's only eigsh call is the one in
+    # operators._lanczos.
+    offenders, eigsh_calls = [], []
     for path in sorted(pathlib.Path(ops.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        allowed = set()
+        allowed = lanczos = set()
         if path.name == "operators.py":
-            allowed = {id(node) for top in tree.body
-                       if isinstance(top, ast.FunctionDef)
-                       and top.name == "factor" for node in ast.walk(top)}
+            allowed = nodes_of(tree, "factor")
+            lanczos = nodes_of(tree, "_lanczos")
         for node in ast.walk(tree):
             name = (node.attr if isinstance(node, ast.Attribute)
                     else node.id if isinstance(node, ast.Name)
@@ -435,12 +424,22 @@ def test_every_sparse_factorization_goes_through_factor():
                              if a.name in SOLVER_NAMES), None)
             if name in SOLVER_NAMES and id(node) not in allowed:
                 offenders.append(f"{path.name}:{node.lineno} {name}")
-            if isinstance(node, ast.Call) and getattr(
-                    node.func, "attr", None) == "eigsh":
+            if isinstance(node, ast.Call) and "eigsh" in (
+                    getattr(node.func, "attr", None),
+                    getattr(node.func, "id", None)):
                 keywords = {k.arg for k in node.keywords}
                 if "sigma" in keywords and "OPinv" not in keywords:
                     offenders.append(f"{path.name}:{node.lineno} eigsh")
+                eigsh_calls.append((path.name, id(node) in lanczos))
     assert offenders == []
+    assert eigsh_calls == [("operators.py", True)]
+
+
+def nodes_of(tree, function):
+    """ids of the AST nodes of a top-level function of tree."""
+    return {id(node) for top in tree.body
+            if isinstance(top, ast.FunctionDef) and top.name == function
+            for node in ast.walk(top)}
 
 
 def newton_solutions(mesh):

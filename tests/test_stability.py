@@ -89,6 +89,19 @@ def test_sparse_reports_match_dense(name, make):
                                     rel=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", list(MESHES))
+def test_zero_weight_reports_a_singular_operator(name):
+    # v = 0, f = 0: A = -S is singular.  ARPACK returns its zero eigenvalue
+    # exactly (level-2 cover) or rounded to below 2e-15 (the other meshes);
+    # either way the inverse norm is inf, with no division by 0.
+    mesh = MESHES[name][0]
+    zero = np.zeros(mesh.num_vertices)
+    rep = R.stability_check(mesh, zero, zero)
+    assert rep.hinv_norm == np.inf
+    assert rep.violating == [] and rep.c == 0.0 and rep.hinv_bound == np.inf
+
+
 def counting_factors(monkeypatch):
     """Every factor ``operators.factor`` makes from now on, solves counted."""
     made, true_factor = [], ops.factor
@@ -201,7 +214,7 @@ def test_level4_cover_check_is_sparse(monkeypatch):
     base = build_base_surface(refinement=4)
     cover = build_cover(base, CoverSpec.cyclic(2))
     V = cover.num_vertices
-    assert V == 2044 and V > ops.DENSE_FALLBACK_MAX_V
+    assert V == 2044
     rng = np.random.default_rng(0)
     v = 0.1 * rng.standard_normal(V)
     f = np.full(V, 0.1)
