@@ -108,21 +108,23 @@ def test_sparse_matches_dense_on_cover(level, sheets, k, V):
     assert np.abs(vals_sparse - vals_dense).max() < 1e-8
 
 
-def test_arpack_failure_is_nonconvergence_at_every_size(mesh3, monkeypatch):
-    # No dense fallback: an ARPACK failure above the dense cutoff is
-    # reported with sigma, k and V, and no dense eigh runs; any other
-    # error from eigsh propagates as it is.
+def _no_convergence(*args, **kwargs):
+    raise ops.spla.ArpackNoConvergence("No convergence", [], [])
+
+
+def _no_dense(*args, **kwargs):
+    raise AssertionError("dense eigen-solve called")
+
+
+def test_eig_low_falls_back_only_on_runtime_errors(mesh3, monkeypatch):
+    # ARPACK's failure (a RuntimeError) is the one error eig_low handles:
+    # it becomes NonConvergence naming sigma, k and V, with no dense
+    # re-solve; any other error from eigsh propagates as it is.
     cover = build_cover(mesh3, CoverSpec.cyclic(2))
     assert cover.num_vertices == 508 > 300  # above the dense cutoff
 
-    def no_convergence(*args, **kwargs):
-        raise ops.spla.ArpackNoConvergence("No convergence", [], [])
-
-    def no_dense(*args, **kwargs):
-        raise AssertionError("dense eigen-solve called")
-
-    monkeypatch.setattr(ops.spla, "eigsh", no_convergence)
-    monkeypatch.setattr(sla, "eigh", no_dense)
+    monkeypatch.setattr(ops.spla, "eigsh", _no_convergence)
+    monkeypatch.setattr(sla, "eigh", _no_dense)
     with pytest.raises(NonConvergence, match=r"sigma = -1 \(k = 2, V = 508\)"
                        r" failed: ARPACK error -1: No convergence"):
         ops.eig_low(cover, k=2)
@@ -132,6 +134,19 @@ def test_arpack_failure_is_nonconvergence_at_every_size(mesh3, monkeypatch):
 
     monkeypatch.setattr(ops.spla, "eigsh", bad_argument)
     with pytest.raises(ValueError, match="bad eigsh argument"):
+        ops.eig_low(cover, k=2)
+
+
+def test_eig_low_raises_above_dense_fallback_bound(monkeypatch):
+    # The size bound on a dense re-solve is gone: on the level-4 2-cover,
+    # as on every mesh above the dense cutoff, an ARPACK failure raises.
+    cover = build_cover(build_base_surface(refinement=4), CoverSpec.cyclic(2))
+    assert cover.num_vertices == 2044 > 300
+
+    monkeypatch.setattr(ops.spla, "eigsh", _no_convergence)
+    monkeypatch.setattr(sla, "eigh", _no_dense)
+    with pytest.raises(NonConvergence, match=r"sigma = -1 \(k = 2, V = 2044\)"
+                       r" failed: ARPACK error -1: No convergence"):
         ops.eig_low(cover, k=2)
 
 
