@@ -23,12 +23,14 @@ block-diagonal preconditioner diag(S + M, S + M) on the mesh's one factor
 blocks in one solve call.  Each step fills the matrix by
 ``Operators.coupled_jacobian`` on the pattern of [[S, I], [I, S]] that the
 mesh's operator bundle caches, so no step assembles a sparse matrix.  It
-starts at v0 from the scale choice and u0 = ``gauss.warm_start`` of
-f = e^{2 v0} rho, keeps u in the Gauss solver's line-search box, and stops
-once both residuals are at most GAUSS_TOL and RICCI_TOL.  The data must
-stay admissible, sup f <= eta/(1+eta)^2, at the start and at the result,
-and u must end in the box (-(1/2) ln 2 <= u <= 0, -1 <= M^{-1} L u <= 1);
-a violation aborts, it is never clamped.  The curvature constant is
+starts at v0 from the scale choice (one J ascent at t0 = 1/max(1, d);
+when t is cut below t0, its maximizer scaled by t/t0 and translated to
+c) and u0 = ``gauss.warm_start`` of f = e^{2 v0} rho, keeps u in the
+Gauss solver's line-search box, and stops once both residuals are at
+most GAUSS_TOL and RICCI_TOL.  The data must stay admissible,
+sup f <= eta/(1+eta)^2, at the start and at the result, and u must end
+in the box (-(1/2) ln 2 <= u <= 0, -1 <= M^{-1} L u <= 1); a violation
+aborts, it is never clamped.  The curvature constant is
 c = 2 pi d / Vol for a normal-bundle degree d in [0, 2g-2], times a
 rescaling knob t in (0, 1] standing in for the genus-growth regime
 (recorded in the certificate, chosen automatically unless pinned).
@@ -42,7 +44,8 @@ independently of solver internals.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -70,6 +73,12 @@ class CoupledConfig:
     t: float = None
 
     def __post_init__(self):
+        # certify records int(degree), so a float degree would be solved
+        # at one c and certified at another.
+        if (isinstance(self.degree, bool)
+                or not isinstance(self.degree, numbers.Integral)):
+            raise ValueError(
+                f"degree must be an integer, got {self.degree!r}")
         if not 0 < self.eta < 1:
             raise ValueError("eta must lie in (0, 1)")
         if self.t is not None and not 0 < self.t <= 1:
@@ -161,30 +170,34 @@ def _box_check(mesh, u):
 
 
 def _choose_scale(mesh, density, config, c_full):
-    """Pick t so the first bundle solve lands below the admissibility target.
+    """Pick t so the first bundle solve lands below the admissibility
+    target, and return it with the coupled Newton's starting v.
 
-    The target min(1/2, eta/(1+eta)^2) bounds m1 = sup e^{2v} rho.  Each
-    trial t is solved by maximize_J from w = 0, and t is cut in proportion
-    to the excess, at most three times.  The first trial is
-    t0 = 1 / max(1, d), so rho = 2 c Vol = 4 pi d t0 = 4 pi at every degree
-    d, below the 8 pi that maximize_J refuses, and every cut lowers t.  m1
-    is not linear in t: with t1 = 0.9 t0 target / m1(t0) the first cut,
-    t0 m1(t1) / (t1 m1(t0)) on the README density is 0.66-0.69 at degree 1
-    (levels 3-5), so the solve at one t cannot be scaled to another.  The
-    t0 solve is what decides t: it is kept when it lands below the
-    target, and otherwise its m1 sets the first cut.
+    The target min(1/2, eta/(1+eta)^2) bounds m1 = sup e^{2v} rho.  One
+    maximize_J ascent from w = 0 at t0 = 1 / max(1, d) (rho = 2 c Vol = 4 pi
+    at every degree d, below the 8 pi that maximize_J refuses) decides t:
+    t0 and its v are kept when m1(t0) <= 0.95 target or t is pinned, and
+    otherwise t is cut once, to t1 = 0.9 t0 target / m1(t0).  That lands
+    below the target while m1(t)/t does not grow as t is cut (on the README
+    density t0 m1(t1) / (t1 m1(t0)) is 0.66-0.69, levels 3-5).  The start
+    at t1 is a predictor step (Allgower & Georg, Numerical Continuation
+    Methods, 1990): grad J = 0 reads S w = c (Vol p - m), p the softmax
+    weights, so w1 = (t1/t0) w(t0), translated to v at c1 = t1 c_full,
+    needs no second solve; solve_coupled's admissibility checks guard it.
     """
     target = min(0.5, gauss_mod.admissible_bound(config.eta))
     t = 1.0 / max(1, config.degree) if config.t is None else config.t
-    u0 = np.zeros(mesh.num_vertices)
-    for attempt in range(4):
-        ricci_mod.check_scale(t * c_full, config.degree, t)
-        sol = ricci_mod.maximize_J(ricci_mod.RicciProblem(
-            mesh=mesh, u=u0, density=density, c=t * c_full, tol=RICCI_TOL))
-        m1 = float(np.exp(density.log_density + 2.0 * sol.v).max())
-        if config.t is not None or attempt == 3 or m1 <= 0.95 * target:
-            return t, sol.v
-        t = min(1.0, t * 0.9 * target / m1)
+    ricci_mod.check_scale(t * c_full, config.degree, t)
+    problem = ricci_mod.RicciProblem(
+        mesh=mesh, u=np.zeros(mesh.num_vertices), density=density,
+        c=t * c_full, tol=RICCI_TOL)
+    sol = ricci_mod.maximize_J(problem)
+    m1 = float(np.exp(density.log_density + 2.0 * sol.v).max())
+    if config.t is not None or m1 <= 0.95 * target:
+        return t, sol.v
+    cut = t * 0.9 * target / m1
+    return cut, ricci_mod.translate_v(
+        replace(problem, c=cut * c_full), (cut / t) * sol.w)
 
 
 def _check_admissible(f, eta):

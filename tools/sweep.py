@@ -14,13 +14,15 @@ at every degree of `--degrees` that the cover's genus allows:
 Each tree runs in a fresh process per cover degree, and the trees
 alternate which goes first.  Per tree it prints, as one JSON object:
 - the failures: zero, n, degree, error type and the message's first line;
-- per degree, the runs, the number certified, the wall time and the
+- per degree, the runs, the number certified, the wall time, the
   number of solves with the cover's S + M factor (the child wraps the
   factor's `solve` and counts right-hand sides, so one call on the V x 2
-  blocks of a coupled Newton step counts 2), and the largest Gauss and
-  Ricci residual of the certificates;
-- per degree, the largest relative move of each certificate value but
-  the residuals against the first tree, over the runs both certify.
+  blocks of a coupled Newton step counts 2), the sum of the certificates'
+  `outer_iters` (coupled Newton steps), and the largest Gauss and Ricci
+  residual of the certificates;
+- per degree, against the first tree over the runs both certify: the
+  number of runs whose `t` differs bitwise, and the largest relative move
+  of each certificate value but the residuals.
 BLAS runs one thread (`TODA_THREADS=1`).
 """
 
@@ -91,39 +93,46 @@ def sweep_once(src, refine, n, stride, degrees):
     return json.loads(proc.stdout)
 
 
-def largest_moves(runs, reference):
-    """Per degree, the largest |a - b| / |b| of each float certificate
-    value over the runs certified in both lists."""
+def compare(runs, reference):
+    """Per degree, over the runs certified in both lists: the number whose
+    t differs bitwise, and the largest |a - b| / |b| of each float
+    certificate value."""
     certified = {(r["zero"], r["n"], r["degree"]): r["certificate"]
                  for r in reference if "certificate" in r}
-    moves = {}
+    out = {}
     for run in runs:
         want = certified.get((run["zero"], run["n"], run["degree"]))
         if want is None or "certificate" not in run:
             continue
-        worst = moves.setdefault(str(run["degree"]), {})
+        row = out.setdefault(str(run["degree"]), {
+            "t_differs": 0, "largest_relative_move": {}})
+        row["t_differs"] += run["certificate"]["t"] != want["t"]
+        worst = row["largest_relative_move"]
         for key, value in want.items():
             if isinstance(value, float) and not key.endswith("_residual"):
                 move = (abs(run["certificate"][key] - value)
                         / max(abs(value), 1e-300))
                 worst[key] = max(worst.get(key, 0.0), move)
-    return moves
+    return out
 
 
 def by_degree(runs):
-    """Per degree: runs, certified, seconds, S + M solves and the largest
-    certificate residuals."""
+    """Per degree: runs, certified, seconds, S + M solves, coupled Newton
+    steps (the certificates' outer_iters) and the largest certificate
+    residuals."""
     out = {}
     for run in runs:
         row = out.setdefault(str(run["degree"]), {
             "runs": 0, "certified": 0, "seconds": 0.0, "screened_solves": 0,
-            "max_gauss_residual": 0.0, "max_ricci_residual": 0.0})
+            "outer_iters": 0, "max_gauss_residual": 0.0,
+            "max_ricci_residual": 0.0})
         row["runs"] += 1
         row["seconds"] += run["seconds"]
         row["screened_solves"] += run["screened_solves"]
         cert = run.get("certificate")
         if cert is not None:
             row["certified"] += 1
+            row["outer_iters"] += cert["outer_iters"]
             for key in ("gauss_residual", "ricci_residual"):
                 row[f"max_{key}"] = max(row[f"max_{key}"], cert[key])
     for row in out.values():
@@ -173,8 +182,7 @@ def main(argv=None):
             "certified": sum("certificate" in r for r in tree_runs),
             "by_degree": by_degree(tree_runs),
             **({} if label == first else {
-                f"largest_relative_move_to_{first}": largest_moves(
-                    tree_runs, runs[first])})}
+                f"against_{first}": compare(tree_runs, runs[first])})}
             for label, tree_runs in runs.items()},
     }
     emit(result, args.output)
