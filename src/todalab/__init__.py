@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys((
         "AdmissibilityError", "AdmissibilityLost", "DegreeRangeError",
-        "DisconnectedCoverError", "InfeasibleDegree", "InfeasibleError",
+        "DisconnectedCoverError", "InfeasibleDegree",
         "MeshError", "NonConvergence", "RelatorError", "TodaError",
         "UnboundedDetected", "errors"), "errors"),
     **dict.fromkeys((

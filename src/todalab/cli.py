@@ -120,17 +120,16 @@ def cmd_solve_gauss(args):
 
 
 def cmd_solve_ricci(args):
-    from .operators import volume
-    from .ricci import RicciProblem, check_scale, maximize_J
+    from .operators import curvature_constant
+    from .ricci import RicciProblem, maximize_J
     mesh = _read_mesh(args.mesh)
     density = fileio.read_density(args.density, mesh)
     if args.u is not None:
         _, u = fileio.read_field_csv(args.u, size=mesh.num_vertices)
     else:
         u = np.zeros(mesh.num_vertices)
-    c_eff = args.scale * 2.0 * np.pi * args.degree / volume(mesh)
-    check_scale(c_eff, args.degree, args.scale)
-    problem = RicciProblem(mesh=mesh, u=u, density=density, c=c_eff)
+    c = curvature_constant(mesh, args.degree, args.scale)
+    problem = RicciProblem(mesh=mesh, u=u, density=density, c=c)
     solution = maximize_J(problem)
     fileio.write_field_csv(args.output + "_v.csv", "v", solution.v)
     fileio.write_field_csv(args.output + "_w.csv", "w", solution.w)
@@ -428,7 +427,7 @@ def main(argv=None):
     except TodaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,10 +31,10 @@ most GAUSS_TOL and RICCI_TOL.  The data must stay admissible,
 sup f <= eta/(1+eta)^2, at the start and at the result, and u must end
 in the box (-(1/2) ln 2 <= u <= 0, -1 <= M^{-1} L u <= 1); a violation
 aborts, it is never clamped.  The curvature constant is
-c = 2 pi d / Vol for a normal-bundle degree d in [0, 2g-2], times a
-rescaling knob t in (0, 1] standing in for the genus-growth regime
-(recorded in the certificate, chosen automatically unless pinned).
-CoupledConfig holds only the inputs eta, degree and t.
+c = t 2 pi d / Vol (``operators.curvature_constant``, which checks d and
+t) for a normal-bundle degree d in [0, 2g-2] and a rescaling knob t in
+(0, 1] for the genus-growth regime (recorded in the certificate, chosen
+automatically unless pinned).  CoupledConfig holds eta, degree and t.
 
 The terminal artifact is the certificate: residuals of both equations,
 the mean identity defect, and sup e^{-4u} e^{2v} rho, all recomputed from
@@ -44,7 +44,6 @@ independently of solver internals.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -73,16 +72,10 @@ class CoupledConfig:
     t: float = None
 
     def __post_init__(self):
-        # certify records int(degree), so a float degree would be solved
-        # at one c and certified at another.
-        if (isinstance(self.degree, bool)
-                or not isinstance(self.degree, numbers.Integral)):
-            raise ValueError(
-                f"degree must be an integer, got {self.degree!r}")
+        operators.check_curvature_inputs(
+            self.degree, 1.0 if self.t is None else self.t)
         if not 0 < self.eta < 1:
             raise ValueError("eta must lie in (0, 1)")
-        if self.t is not None and not 0 < self.t <= 1:
-            raise ValueError("rescaling knob t must lie in (0, 1]")
 
 
 @dataclass
@@ -119,10 +112,6 @@ class CoupledResult:
         return iter((self.u, self.v, self.certificate))
 
 
-def _curvature_constant(mesh, degree):
-    return 2.0 * np.pi * degree / operators.of(mesh).vol
-
-
 def _residuals(mesh, u, v, log_density, c_eff):
     """(Gauss, Ricci) max-norm residuals of the pair (u, v), and the
     fields f = e^{2v} rho and e^{-2u} e^{2v} rho they are built from."""
@@ -138,7 +127,7 @@ def certify(mesh, u, v, density, eta, degree=1, t=1.0,
     ops = operators.of(mesh)
     m = ops.m
     ld = density.log_density
-    c_eff = t * _curvature_constant(mesh, degree)
+    c_eff = operators.curvature_constant(mesh, degree, t)
 
     # The zero section (ld = -inf) needs no branch: exp(-inf) = 0.
     gauss_res, ricci_res, f, weighted = _residuals(mesh, u, v, ld, c_eff)
@@ -169,7 +158,7 @@ def _box_check(mesh, u):
             f"max |M^-1 L u| = {np.abs(lap).max():.6f}")
 
 
-def _choose_scale(mesh, density, config, c_full):
+def _choose_scale(mesh, density, config):
     """Pick t so the first bundle solve lands below the admissibility
     target, and return it with the coupled Newton's starting v.
 
@@ -182,22 +171,23 @@ def _choose_scale(mesh, density, config, c_full):
     density t0 m1(t1) / (t1 m1(t0)) is 0.66-0.69, levels 3-5).  The start
     at t1 is a predictor step (Allgower & Georg, Numerical Continuation
     Methods, 1990): grad J = 0 reads S w = c (Vol p - m), p the softmax
-    weights, so w1 = (t1/t0) w(t0), translated to v at c1 = t1 c_full,
-    needs no second solve; solve_coupled's admissibility checks guard it.
+    weights, so w1 = (t1/t0) w(t0), translated to v at c(t1), needs no
+    second solve; solve_coupled's admissibility checks guard it.
     """
     target = min(0.5, gauss_mod.admissible_bound(config.eta))
     t = 1.0 / max(1, config.degree) if config.t is None else config.t
-    ricci_mod.check_scale(t * c_full, config.degree, t)
     problem = ricci_mod.RicciProblem(
         mesh=mesh, u=np.zeros(mesh.num_vertices), density=density,
-        c=t * c_full, tol=RICCI_TOL)
+        c=operators.curvature_constant(mesh, config.degree, t),
+        tol=RICCI_TOL)
     sol = ricci_mod.maximize_J(problem)
     m1 = float(np.exp(density.log_density + 2.0 * sol.v).max())
     if config.t is not None or m1 <= 0.95 * target:
         return t, sol.v
     cut = t * 0.9 * target / m1
-    return cut, ricci_mod.translate_v(
-        replace(problem, c=cut * c_full), (cut / t) * sol.w)
+    c_cut = operators.curvature_constant(mesh, config.degree, cut)
+    return cut, ricci_mod.translate_v(replace(problem, c=c_cut),
+                                      (cut / t) * sol.w)
 
 
 def _check_admissible(f, eta):
@@ -229,13 +219,11 @@ def solve_coupled(mesh, density, config=None):
     if density.is_zero and config.degree == 0:
         u = np.zeros(V)
         v = np.zeros(V)
-        cert = certify(mesh, u, v, density, config.eta, degree=0, t=1.0,
-                       outer_iters=0, converged=True)
+        cert = certify(mesh, u, v, density, config.eta, degree=0)
         return CoupledResult(u=u, v=v, certificate=cert)
 
-    c_full = _curvature_constant(mesh, config.degree)
-    t, v = _choose_scale(mesh, density, config, c_full)
-    c_eff = t * c_full
+    t, v = _choose_scale(mesh, density, config)
+    c_eff = operators.curvature_constant(mesh, config.degree, t)
     ld = density.log_density
     f = np.exp(ld + 2.0 * v)
     _check_admissible(f, config.eta)

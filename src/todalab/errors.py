@@ -39,11 +39,7 @@ class UnboundedDetected(TodaError):
     rho = 2c*Vol >= 8 pi, where it is critical or unbounded above."""
 
 
-class InfeasibleError(TodaError):
-    """The Ricci equation has no solution (integral obstruction)."""
-
-
-class InfeasibleDegree(InfeasibleError):
+class InfeasibleDegree(TodaError):
     """Zero section density with positive degree: integrating the curvature
     equation over the surface gives 0 on one side and c*Vol > 0 on the other."""
 

@@ -99,6 +99,7 @@ position tolerance.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -476,6 +477,29 @@ def volume(mesh):
     return of(mesh).vol
 
 
+def check_curvature_inputs(degree, t):
+    """ValueError unless degree is an integer, not a bool (``certify``
+    records int(degree)), and the rescaling knob t lies in (0, 1]."""
+    if isinstance(degree, bool) or not isinstance(degree, numbers.Integral):
+        raise ValueError(f"degree must be an integer, got {degree!r}")
+    if not 0 < float(t) <= 1:
+        raise ValueError("rescaling knob t must lie in (0, 1]")
+
+
+def curvature_constant(mesh, degree, t=1.0):
+    """c = t 2 pi d / Vol, the package's one formula for the curvature
+    constant, after ``check_curvature_inputs``.  A c that rounds to 0 while
+    d t > 0 (a t below the float range) is a ValueError naming d t, not
+    the InfeasibleDegree of c = 0 at d = 0."""
+    check_curvature_inputs(degree, t)
+    c = float(t * (2.0 * np.pi * degree / of(mesh).vol))
+    if c == 0 and degree * t > 0:
+        raise ValueError(
+            f"d t = {degree * t:.6g} with c = 2 pi d t / Vol is too small: c "
+            "rounds to 0; raise t")
+    return c
+
+
 def mass_vector(mesh):
     """Lumped vertex areas: one third of each incident triangle's area."""
     return of(mesh).m
@@ -497,6 +521,7 @@ def stiffness(mesh):
 # Spectrum
 
 EIG_TOL = 1e-9  # relative accuracy asked of ARPACK in eig_low
+DENSE_MAX_V = 300  # largest V that eig_low and eigs_nearest solve densely
 
 
 def _lanczos(A, M, sigma, solve, k, **options):
@@ -524,13 +549,13 @@ def eig_low(mesh, k=2):
 
     Shift-invert Lanczos (``_lanczos``) at sigma = -1, where S - sigma M
     is the bundle's S + M, so its factor serves as the inverse.  Small
-    problems (V <= max(4k + 20, 300)) are solved densely; an ARPACK
+    problems (V <= max(4k + 20, DENSE_MAX_V)) are solved densely; an ARPACK
     failure raises NonConvergence at every size.
     """
     ops = of(mesh)
     S, M = ops.S, ops.M
     V = S.shape[0]
-    if V <= max(4 * k + 20, 300):
+    if V <= max(4 * k + 20, DENSE_MAX_V):
         return _eig_dense(S, M, k)
     vals, vecs = _lanczos(S, M, -1.0, ops.screened_lu.solve, k, which="LM",
                           tol=EIG_TOL)
@@ -552,11 +577,12 @@ def eigs_nearest(ops, d, sigma, enough):
     ``enough(vals)`` holds; each run's Krylov space has max(2k + 1, 10)
     vectors, at most V, which at k = 1 takes about half the solves of
     ARPACK's default 20 (Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl.
-    17, 1996).  Only when k would reach V - 1 is the full spectrum
-    computed densely instead (tiny meshes).
+    17, 1996).  When k would reach V - 1, the full spectrum is computed
+    densely if V <= DENSE_MAX_V; above it that O(V^3) solve is refused.
 
-    Raises RuntimeError when A - sigma M is exactly singular (SuperLU) and
-    NonConvergence when ARPACK fails.
+    Raises RuntimeError when A - sigma M is exactly singular (SuperLU), and
+    NonConvergence when ARPACK fails or, above DENSE_MAX_V, when k reaches
+    V - 1 without ``enough``.
     """
     A, M = ops.shifted(-1.0, d), ops.M
     V = A.shape[0]
@@ -579,6 +605,10 @@ def eigs_nearest(ops, d, sigma, enough):
         if enough(vals):
             return vals
         k *= 2
+    if V > DENSE_MAX_V:
+        raise NonConvergence(
+            f"no k up to {k // 2} gave enough eigenvalues nearest sigma = "
+            f"{sigma:.6g} (V = {V}), and V > DENSE_MAX_V = {DENSE_MAX_V}")
     vals, _ = _eig_dense(A, M, V)
     return vals[np.argsort(np.abs(vals - sigma), kind="stable")]
 

@@ -108,19 +108,6 @@ class RicciProblem:
         return self.density.log_density - 2.0 * self.u
 
 
-def check_scale(c, d, t):
-    """Refuse a c = 2 pi d t / Vol that rounds to 0 although d t > 0.
-
-    Such a t lies below the float range, as a d t at which ``maximize_J``'s
-    Newton matrix overflows does, so it is a ValueError naming d t, not the
-    InfeasibleDegree that ``RicciProblem`` raises for c = 0 at d = 0.
-    """
-    if c == 0 and d * t > 0:
-        raise ValueError(
-            f"d t = {d * t:.6g} with c = 2 pi d t / Vol is too small: c "
-            "rounds to 0; raise t")
-
-
 @dataclass
 class RicciSolution:
     v: np.ndarray

@@ -6,7 +6,7 @@ It is synthesized from discrete Green functions so that the distributional
 curvature identity
 
     L log|alpha|^2 = 4 pi sum_j m_j delta_{z_j} - 2 c_L M 1,
-    c_L = 2 pi deg / Vol
+    c_L = 2 pi deg / Vol  (``operators.curvature_constant`` at t = 1)
 
 holds up to the tolerance of the Green solve, a MINRES solve to relative
 residual ``operators.NEWTON_RTOL`` = 1e-13 (both sides have zero total
@@ -165,10 +165,9 @@ def synth_density(mesh, divisor):
                - divisor.degree * ops.m / ops.vol)
         ld = 4.0 * np.pi * poisson_zero_mean(mesh, rhs)
     ld -= ops.log_mean(ld)
-    c_L = 2.0 * np.pi * divisor.degree / ops.vol
+    c_L = operators.curvature_constant(mesh, divisor.degree)
     return SectionDensity(mesh=mesh, log_density=ld, divisor=divisor,
-                          curvature_constant=float(c_L),
-                          normalization="unit_mean")
+                          curvature_constant=c_L, normalization="unit_mean")
 
 
 def poincare_lelong_residual(density):
@@ -202,9 +201,9 @@ def lift_density(base, cover_mesh):
     base_div = dict(base.divisor.entries)
     divisor = Divisor([(i, base_div[int(b)]) for i, b in enumerate(cover_map)
                        if int(b) in base_div])
-    c_L = 2.0 * np.pi * divisor.degree / operators.of(cover_mesh).vol
+    c_L = operators.curvature_constant(cover_mesh, divisor.degree)
     return SectionDensity(mesh=cover_mesh, log_density=ld, divisor=divisor,
-                          curvature_constant=float(c_L),
+                          curvature_constant=c_L,
                           normalization=base.normalization)
 
 
@@ -228,10 +227,9 @@ def balanced_lift(base, cover_mesh, z_n):
     entries = {v: mult for v, mult in lifted.divisor.entries}
     entries[int(z_n)] = entries.get(int(z_n), 0) + 1
     divisor = Divisor(sorted(entries.items()))
-    c_L = 2.0 * np.pi * divisor.degree / ops.vol
+    c_L = operators.curvature_constant(cover_mesh, divisor.degree)
     density = SectionDensity(mesh=cover_mesh, log_density=ld, divisor=divisor,
-                             curvature_constant=float(c_L),
-                             normalization="unit_mean")
+                             curvature_constant=c_L, normalization="unit_mean")
     return density, balance_report(density)
 
 

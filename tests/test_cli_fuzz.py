@@ -132,6 +132,12 @@ CASES = {
                         "--scale must be finite and > 0"),
     "ricci-scale-inf": (_solve("solve-ricci", "--scale", "inf"), 2,
                         "--scale must be finite and > 0"),
+    # t lies in (0, 1] for solve-ricci as for solve-coupled.
+    "ricci-scale-above-1": (_solve("solve-ricci", "--scale", "1.5"), 2,
+                            "rescaling knob t must lie in (0, 1]"),
+    # A degree beyond the float range leaves c undefined.
+    "ricci-degree-huge": (_solve("solve-ricci", "--degree", "1" + "0" * 400),
+                          2, "int too large to convert to float"),
     # Below d t = 1.8e-309 the J ascent's matrix (2/(c Vol)) S overflows;
     # tiny scales above it solve (test_tiny_scale_solves_silently).
     "ricci-scale-below-float-range": (

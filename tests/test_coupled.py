@@ -248,6 +248,17 @@ def test_certify_constant_closed_form(mesh):
     assert len(d) == 14
 
 
+@pytest.mark.parametrize("degree", [1.5, True])
+def test_certify_refuses_a_degree_that_is_not_an_integer(mesh, degree):
+    # certify records int(degree): at degree 1.5 it would recompute c at
+    # d = 1.5 and record degree 1, a certificate that verify cannot match.
+    dens = S.synth_density(mesh, S.Divisor([(5, 1)]))
+    n = mesh.num_vertices
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        C.certify(mesh, np.full(n, -0.1), np.zeros(n), dens, eta=0.5,
+                  degree=degree)
+
+
 def test_certify_detects_perturbation(mesh):
     u0 = -0.2
     c = 1.0 - np.exp(2 * u0)
@@ -341,7 +352,7 @@ def test_chosen_scale_lands_below_the_target(level, degree):
     assert t < 1.0 / degree
     sol = R.maximize_J(R.RicciProblem(
         mesh=dens.mesh, u=np.zeros(dens.mesh.num_vertices), density=dens,
-        c=t * C._curvature_constant(dens.mesh, degree), tol=C.RICCI_TOL))
+        c=ops.curvature_constant(dens.mesh, degree, t), tol=C.RICCI_TOL))
     m1 = np.exp(dens.log_density + 2.0 * sol.v).max()
     target = min(0.5, G.admissible_bound(config.eta))
     assert m1 <= 0.95 * target

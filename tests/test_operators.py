@@ -450,6 +450,51 @@ def test_every_sparse_factorization_goes_through_factor():
     assert eigsh_calls == [("operators.py", True)]
 
 
+def _mentions(node, names):
+    return any((isinstance(n, ast.Attribute) and n.attr in names)
+               or (isinstance(n, ast.Name) and n.id in names)
+               for n in ast.walk(node))
+
+
+def test_only_curvature_constant_computes_it():
+    # One formula for c = 2 pi d t / Vol: no module divides a multiple of
+    # pi by the volume outside operators.curvature_constant.
+    offenders = []
+    for path in sorted(pathlib.Path(ops.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "operators.py":
+            allowed = nodes_of(tree, "curvature_constant")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                    and _mentions(node.left, {"pi"})
+                    and _mentions(node.right, {"vol", "volume"})
+                    and id(node) not in allowed):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_curvature_constant_and_its_input_rules(mesh2):
+    vol = ops.volume(mesh2)
+    # Bit for bit 2 pi d / Vol, times t.
+    assert ops.curvature_constant(mesh2, 3) == 2.0 * np.pi * 3 / vol
+    assert (ops.curvature_constant(mesh2, 2, 0.3)
+            == 0.3 * (2.0 * np.pi * 2 / vol))
+    assert ops.curvature_constant(mesh2, 0) == 0.0
+    for degree in (1.5, 1.0, True, "1", None):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            ops.curvature_constant(mesh2, degree)
+    for t in (0.0, -0.5, 1.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"t must lie in \(0, 1\]"):
+            ops.curvature_constant(mesh2, 1, t)
+    # Vol is about 8 pi on the 2-cover: c, about t / 4, rounds to 0 at the
+    # smallest t.
+    cover = build_cover(mesh2, CoverSpec.cyclic(2))
+    with pytest.raises(ValueError, match="d t = 4.94066e-324 with c = 2 pi "
+                       "d t / Vol is too small: c rounds to 0; raise t"):
+        ops.curvature_constant(cover, 1, 5e-324)
+
+
 def nodes_of(tree, function):
     """ids of the AST nodes of a top-level function of tree."""
     return {id(node) for top in tree.body

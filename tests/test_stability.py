@@ -16,6 +16,7 @@ from todalab import gauss as G
 from todalab import operators as ops
 from todalab import ricci as R
 from todalab import sections as S
+from todalab.errors import NonConvergence
 from todalab.mesh import CoverSpec, build_base_surface, build_cover
 
 # Degree 4 = 4g - 4 on the genus-2 base, as balanced_lift needs; every
@@ -208,6 +209,22 @@ def test_nearest_eigenvalues_go_dense_only_at_full_spectrum():
         assert len(vals) == mesh.num_vertices
         assert np.abs(np.sort(vals) - dense).max() < 1e-10
         assert list(np.argsort(np.abs(vals - 0.3))) == list(range(len(vals)))
+
+
+def test_nearest_eigenvalues_never_go_dense_above_the_cutoff(monkeypatch):
+    # The level-3 2-cover is above the dense cutoff: a predicate that is
+    # never satisfied ends in NonConvergence naming k and V once k would
+    # reach V - 1, not in a dense V x V solve.
+    mesh = MESHES["cover-3"][0]
+    assert mesh.num_vertices == 508 > ops.DENSE_MAX_V
+    m = ops.mass_vector(mesh)
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense eigen-solve called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_dense)
+    with pytest.raises(NonConvergence, match=r"no k up to 256 .*\(V = 508\)"):
+        ops.eigs_nearest(ops.of(mesh), 0.5 * m, 0.3, lambda vals: False)
 
 
 def test_level4_cover_check_is_sparse(monkeypatch):

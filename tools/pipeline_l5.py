@@ -29,7 +29,8 @@ import sys
 import tempfile
 import time
 
-from trees import alternating, emit, machine_info, parse_args, summary
+from trees import (alternating, child_env, emit, machine_info, parse_args,
+                   summary)
 
 DIVISOR = "0:1,1:1,5:1,20:1"
 ZERO_VERTEX = "3"
@@ -59,7 +60,7 @@ def steps(refine, n):
 
 def run_pipeline(src, work, refine, n):
     """Seconds per step of one pipeline run in the empty directory work."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), TODA_THREADS="1")
+    env = child_env(src)
     times = {}
     for name, args in steps(refine, n):
         start = time.perf_counter()

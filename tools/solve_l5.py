@@ -27,24 +27,19 @@ S + M factor that the timed call made (the MINRES preconditioner solves
 and those of `eig_low`; the child wraps the factor's `solve` and counts
 right-hand sides, so one call on the V x 2 blocks of a coupled Newton
 step counts 2).  BLAS runs one thread (`TODA_THREADS=1`).  The command
-line and the output helpers are shared with `pipeline_l5.py`
-(`trees.py`).
+line, the child's prologue and runner and the output helpers are shared
+with `pipeline_l5.py` and `sweep.py` (`trees.py`).
 """
 
-import json
-import os
-import subprocess
 import sys
 
-from trees import alternating, emit, machine_info, parse_args, summary
+from trees import (alternating, emit, machine_info, parse_args, run_child,
+                   summary)
 
 DIVISOR = [(0, 1), (1, 1), (5, 1), (20, 1)]
 ZERO_VERTEX = 3
 
 CHILD = """
-import json, sys, time
-import todalab
-from todalab import operators
 base = todalab.build_base_surface(refinement={refine})
 cover = todalab.build_cover(base, todalab.CoverSpec.cyclic({n}))
 start = time.perf_counter()
@@ -57,17 +52,7 @@ mesh_bytes = len(text.encode())
 del text
 base_density = todalab.synth_density(base, todalab.Divisor({divisor!r}))
 density, _ = todalab.balanced_lift(base_density, cover, {zero})
-operators.systole(cover)
-bundle = operators.of(cover)
-lu = bundle.screened_lu
-solves = [0]
-
-class CountingFactor:
-    def solve(self, b):
-        solves[0] += 1 if b.ndim == 1 else b.shape[1]
-        return lu.solve(b)
-
-bundle.screened_lu = CountingFactor()
+solves = count_solves(cover)
 start = time.perf_counter()
 result = todalab.solve_coupled(cover, density,
                                todalab.CoupledConfig(degree=1))
@@ -81,14 +66,8 @@ json.dump({{"seconds": seconds, "screened_solves": solves[0],
 def run_once(src, refine, n):
     """The child's output of one timed solve in a fresh process: seconds,
     S + M solves, mesh write_s, read_s and mesh_bytes, certificate."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), TODA_THREADS="1")
-    code = CHILD.format(refine=refine, n=n, divisor=DIVISOR, zero=ZERO_VERTEX)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"{src}: solve exited {proc.returncode}: "
-                         f"{proc.stderr.strip()}")
-    return json.loads(proc.stdout)
+    return run_child(src, CHILD.format(refine=refine, n=n, divisor=DIVISOR,
+                                       zero=ZERO_VERTEX), "solve")
 
 
 def relative_differences(cert, reference):

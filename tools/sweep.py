@@ -26,19 +26,14 @@ alternate which goes first.  Per tree it prints, as one JSON object:
 BLAS runs one thread (`TODA_THREADS=1`).
 """
 
-import json
-import os
-import subprocess
 import sys
 
-from trees import alternating, emit, machine_info, tree_parser, trees_of
+from trees import (alternating, emit, machine_info, run_child, tree_parser,
+                   trees_of)
 
 DIVISOR = [(0, 1), (1, 1), (5, 1), (20, 1)]
 
 CHILD = """
-import json, sys, time
-import todalab
-from todalab import operators
 base = todalab.build_base_surface(refinement={refine})
 base_density = todalab.synth_density(base, todalab.Divisor({divisor!r}))
 cover = todalab.build_cover(base, todalab.CoverSpec.cyclic({n}))
@@ -47,17 +42,7 @@ taken = {{v for v, _ in todalab.lift_density(base_density, cover)
 zeros = [z for z in range(cover.num_vertices) if z not in taken]
 degrees = [d for d in {degrees!r}
            if todalab.degree_bound_check(d, cover.genus)]
-operators.systole(cover)
-bundle = operators.of(cover)
-lu = bundle.screened_lu
-solves = [0]
-
-class CountingFactor:
-    def solve(self, b):
-        solves[0] += 1 if b.ndim == 1 else b.shape[1]
-        return lu.solve(b)
-
-bundle.screened_lu = CountingFactor()
+solves = count_solves(cover)
 runs = []
 for zero in zeros[::{stride}]:
     density, _ = todalab.balanced_lift(base_density, cover, zero)
@@ -82,15 +67,9 @@ json.dump(runs, sys.stdout)
 def sweep_once(src, refine, n, stride, degrees):
     """The runs of one tree on the n-cover, each a dict of zero, n,
     degree, seconds, screened_solves and a certificate or an error."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), TODA_THREADS="1")
-    code = CHILD.format(refine=refine, n=n, divisor=DIVISOR, stride=stride,
-                        degrees=degrees)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"{src}: sweep exited {proc.returncode}: "
-                         f"{proc.stderr.strip()}")
-    return json.loads(proc.stdout)
+    return run_child(src, CHILD.format(refine=refine, n=n, divisor=DIVISOR,
+                                       stride=stride, degrees=degrees),
+                     "sweep")
 
 
 def compare(runs, reference):

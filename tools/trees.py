@@ -1,5 +1,6 @@
 """What the tools share: their command line, the alternating order in
-which they run several source trees, and their JSON output.
+which they run several source trees, the child processes that run a tree,
+and their JSON output.
 
 Each tool takes `--tree LABEL=SRC` (repeatable; default `change=src`),
 `--refine` (default 5) and `-o`; the timing tools also take `--runs` (at
@@ -13,6 +14,33 @@ import json
 import os
 import platform
 import statistics
+import subprocess
+import sys
+
+# The start of every child's code: the imports, and count_solves(mesh),
+# which pays for the mesh's systole and S + M factor and wraps the
+# factor's `solve` to count right-hand sides (one call on the V x 2 blocks
+# of a coupled Newton step counts 2); it returns the one-element count.
+PROLOGUE = """
+import json, sys, time
+import todalab
+from todalab import operators
+
+
+def count_solves(mesh):
+    operators.systole(mesh)
+    bundle = operators.of(mesh)
+    lu = bundle.screened_lu
+    solves = [0]
+
+    class CountingFactor:
+        def solve(self, b):
+            solves[0] += 1 if b.ndim == 1 else b.shape[1]
+            return lu.solve(b)
+
+    bundle.screened_lu = CountingFactor()
+    return solves
+"""
 
 
 def tree_parser(description):
@@ -49,6 +77,25 @@ def parse_args(description, argv=None):
     if args.n < 1:
         parser.error("--n must be at least 1")
     return args, trees_of(parser, args)
+
+
+def child_env(src):
+    """The environment of a child process that imports todalab from src,
+    with BLAS on one thread."""
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src),
+                TODA_THREADS="1")
+
+
+def run_child(src, body, what):
+    """The JSON a child printed: PROLOGUE + body run in a fresh process on
+    the todalab in src.  A failed child ends the tool, naming src and
+    what it ran."""
+    proc = subprocess.run([sys.executable, "-c", PROLOGUE + body],
+                          env=child_env(src), capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{src}: {what} exited {proc.returncode}: "
+                         f"{proc.stderr.strip()}")
+    return json.loads(proc.stdout)
 
 
 def alternating(trees, runs):
