@@ -15,7 +15,6 @@ the library, not flags.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -406,10 +405,9 @@ def build_parser():
 
 
 def _check_args(args):
-    """Usage errors for flag values of the right type but out of range."""
-    scale = getattr(args, "scale", None)
-    if scale is not None and not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"--scale must be finite and > 0, got {scale}")
+    """Usage errors for flag values of the right type but out of range.
+    ``--scale`` is checked where c is formed
+    (``operators.check_curvature_inputs``)."""
     if getattr(args, "samples", 1) < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if getattr(args, "seed", 0) < 0:

@@ -20,11 +20,12 @@ so its Newton system is symmetric; with Q = 2 M diag q it reads
 indefinite, and ``operators.damped_newton`` solves it by MINRES with the
 block-diagonal preconditioner diag(S + M, S + M) on the mesh's one factor
 (Paige & Saunders 1975; Benzi, Golub & Liesen 2005, section 10), both
-blocks in one solve call.  Each step fills the matrix by
-``Operators.coupled_jacobian`` on the pattern of [[S, I], [I, S]] that the
-mesh's operator bundle caches, so no step assembles a sparse matrix.  It
-starts at v0 from the scale choice (one J ascent at t0 = 1/max(1, d);
-when t is cut below t0, its maximizer scaled by t/t0 and translated to
+blocks in one solve call.  MINRES only multiplies by the matrix, so
+each step passes it as the function
+(du, dv) -> (S du + D du + Q dv, S dv + Q (du - dv)) with the diagonal
+D = M diag(2 e^{2u}) - Q, and no step forms a sparse matrix.  It starts
+at v0 from the scale choice (one J ascent at t0 = 1/max(1, d); when t
+is cut below t0, its maximizer scaled by t/t0 and translated to
 c) and u0 = ``gauss.warm_start`` of f = e^{2 v0} rho, keeps u in the
 Gauss solver's line-search box, and stops once both residuals are at
 most GAUSS_TOL and RICCI_TOL.  The data must stay admissible,
@@ -240,12 +241,17 @@ def solve_coupled(mesh, density, config=None):
         u, v = x[:V], x[V:]
         e2u = np.exp(2.0 * u)
         q = np.exp(ld + 2.0 * v - 2.0 * u)
+        d = m * (2.0 * e2u - 2.0 * q)
         coupling = 2.0 * m * q
-        A = ops.coupled_jacobian(m * (2.0 * e2u - 2.0 * q), coupling,
-                                 -coupling)
+
+        def jacobian(y):
+            du, dv = y[:V], y[V:]
+            return np.concatenate([S @ du + d * du + coupling * dv,
+                                   S @ dv + coupling * (du - dv)])
+
         b = -np.concatenate([S @ u + m * (e2u - 1.0 + q),
                              S @ v + m * (c_eff - q)])
-        return A, b
+        return jacobian, b
 
     x, _, steps = operators.damped_newton(
         ops, np.concatenate([gauss_mod.warm_start(start), v]), residual,

@@ -50,11 +50,9 @@ class GaussProblem:
             raise ValueError("data f must be a per-vertex array")
         if not np.isfinite(self.f).all():
             raise ValueError("data f must be finite")
-        if not 0 < self.eta <= 1:
-            raise ValueError("eta must lie in (0, 1]")
+        bound = admissible_bound(self.eta)
         if (self.f < 0).any():
             raise AdmissibilityError("data f must be nonnegative")
-        bound = admissible_bound(self.eta)
         if self.f.max() > bound:
             raise AdmissibilityError(
                 f"sup f = {float(self.f.max())!r} exceeds the admissible "
@@ -127,20 +125,19 @@ def solve_gauss(problem, u0=None):
 
     The Jacobian S + M diag(R'(u)) is positive definite on the box because
     R' >= 0 there, so the Newton direction exists; it is solved by MINRES
-    preconditioned with the mesh's S + M factor, so no step factors the
-    Jacobian, which ``Operators.shifted`` fills on S's pattern.  The loop
-    is ``operators.damped_newton``, whose backtracking keeps the iterates
-    in ``GaussProblem.in_search_box``.  Residuals are
-    checked before the first step, so exact warm starts return in zero
-    iterations.
+    preconditioned with the mesh's S + M factor, which multiplies by the
+    Jacobian as the function y -> S y + M R'(u) y and never forms it.  The
+    loop is ``operators.damped_newton``, whose backtracking keeps the
+    iterates in ``GaussProblem.in_search_box``.  Residuals are checked
+    before the first step, so exact warm starts return in zero iterations.
     """
     mesh = problem.mesh
     ops = operators.of(mesh)
     S, m, f = ops.S, ops.m, problem.f
 
     def system(u):
-        return (ops.shifted(1.0, m * _reaction_slope(u, f)),
-                -(S @ u + m * _reaction(u, f)))
+        d = m * _reaction_slope(u, f)
+        return lambda y: S @ y + d * y, -(S @ u + m * _reaction(u, f))
 
     u0 = warm_start(problem) if u0 is None else np.asarray(u0, dtype=float)
     u, res, steps = operators.damped_newton(

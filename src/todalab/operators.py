@@ -27,11 +27,12 @@ solves; only ``eigs_nearest``, the stability check's one search,
 factors on every call, because its matrix changes with the data, and
 that factor reuses the S + M factor's fill-reducing ordering on the
 bundle's kept pattern (``kept_ordering``): it neither adds sparse
-matrices nor orders anything.  No Newton step assembles a sparse matrix
-either: each Newton matrix is a * S + diag(d), or the coupled 2 x 2
-block of such matrices with diagonal coupling, and ``Operators.shifted``
-and ``Operators.coupled_jacobian`` fill its values into index structures
-the bundle caches.  The Green solves run MINRES to NEWTON_RTOL.  The
+matrices nor orders anything.  No Newton step or Green solve builds a
+sparse matrix either: MINRES only multiplies by its matrix, a * S +
+diag(d) or the coupled 2 x 2 block of such matrices with diagonal
+coupling, so each solver passes it as the function y -> a S y + d y
+(Jacobian-free Newton-Krylov; Knoll & Keyes, J. Comput. Phys. 193,
+2004).  The Green solves run MINRES to NEWTON_RTOL.  The
 Newton steps are inexact (Eisenstat & Walker, SIAM J. Sci. Comput. 17,
 1996): ``forcing`` sets each step's rtol from the outer residuals, so no
 inner system is solved more accurately than the outer test can use.  The
@@ -142,27 +143,17 @@ def logsumexp(a, b=None):
     return out
 
 
-def _diagonal_slots(A):
-    """Positions of the diagonal entries of a canonical CSR matrix A in
-    A.data, row by row; asserts that A stores each of them."""
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    slots = np.flatnonzero(A.indices == rows)
-    assert slots.size == A.shape[0], "a diagonal entry is not stored"
-    return slots
-
-
 class Operators:
     """Per-mesh operators: S (CSR), lumped masses m, M = diag(m), the
     total area vol = m.sum(), lap and log_mean.  The path graph, the
     factors of S + M and S + MONOTONE_SHIFT M and lambda0/lambda1 are
-    built on first use, and so are the index
-    structures on which ``shifted`` and ``coupled_jacobian`` fill every
-    Newton matrix without assembling one: the slots of S's diagonal in
-    S.data (``diagonal_slots``; the cotangent S stores its whole diagonal)
-    and the CSR pattern of [[S, I], [I, S]] with its diagonal slots and
-    the gather index of its entries (``block_pattern``); and the one on
-    which ``eigs_nearest`` fills its shift-invert matrix, S's pattern
-    permuted by the S + M factor's ordering (``kept_ordering``).
+    built on first use, and so are the index structures on which the two
+    matrices factored after S + M are filled without assembling them: the
+    slots of S's diagonal in S.data (``diagonal_slots``; the cotangent S
+    stores its whole diagonal), on which ``shifted`` fills a * S + diag(d)
+    for ``monotone_lu`` and ``eigs_nearest``, and S's pattern permuted by
+    the S + M factor's ordering (``kept_ordering``), on which
+    ``eigs_nearest`` fills its shift-invert matrix.
     """
 
     def __init__(self, mesh):
@@ -205,8 +196,13 @@ class Operators:
 
     @cached_property
     def diagonal_slots(self):
-        """Positions of S's diagonal entries in S.data, row by row."""
-        return _diagonal_slots(self.S)
+        """Positions of S's diagonal entries in S.data, row by row; asserts
+        that S stores each of them."""
+        S = self.S
+        rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+        slots = np.flatnonzero(S.indices == rows)
+        assert slots.size == S.shape[0], "a diagonal entry is not stored"
+        return slots
 
     def shifted(self, a, d):
         """a * S + diag(d) as CSR on S's pattern: S's values scaled by a,
@@ -218,31 +214,6 @@ class Operators:
         data = a * S.data
         data[self.diagonal_slots] += d
         return sp.csr_matrix((data, S.indices, S.indptr), shape=S.shape)
-
-    @cached_property
-    def block_pattern(self):
-        """(indptr, indices, gather, diagonal) of the CSR matrix
-        [[S, I], [I, S]] in ``sp.bmat``'s entry order: entry k holds
-        np.concatenate((S.data, c))[gather[k]] for a coupling vector c, and
-        ``diagonal`` lists its diagonal slots, row by row."""
-        S, V = self.S, self.m.size
-        code = sp.csr_matrix((np.arange(1.0, S.nnz + 1), S.indices, S.indptr),
-                             shape=S.shape)
-        link = sp.diags(np.arange(S.nnz + 1.0, S.nnz + V + 1))
-        B = sp.bmat([[code, link], [link, code]], format="csr")
-        gather = B.data.astype(np.intp) - 1
-        return B.indptr, B.indices, gather, _diagonal_slots(B)
-
-    def coupled_jacobian(self, d1, c, d2):
-        """[[S + diag d1, diag c], [diag c, S + diag d2]] as CSR on
-        ``block_pattern``: one gather of S's values and c, then d1 and d2
-        added on the diagonal.  Entries equal those of ``sp.bmat`` of the
-        blocks bit for bit (entries c_i = 0 are kept, which bmat drops)."""
-        indptr, indices, gather, diagonal = self.block_pattern
-        data = np.concatenate((self.S.data, c))[gather]
-        data[diagonal] += np.concatenate((d1, d2))
-        n = 2 * self.m.size
-        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
     @cached_property
     def kept_ordering(self):
@@ -369,9 +340,10 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False,
     """Solve the symmetric Newton system (A + q q^T) x = b by MINRES.
 
     The Green solves S x = b on zero-mean fields go through it too.  A is
-    sparse symmetric, possibly indefinite, and q = rank_one (if given).
-    A is V x V, or a system of k x k blocks of size V x V (the coupled
-    solve's k = 2).
+    the function x -> A x of a symmetric, possibly indefinite matrix, and
+    q = rank_one (if given).  The size n of the system is b's: V, or kV
+    for a system of k x k blocks of size V x V (the coupled solve's
+    k = 2).
     With zero_mean the system is posed on zero-M-mean fields: x has zero
     M-mean and the residual may have any component along m, as
     in the KKT system with the constraint m^T x = 0.  It is applied
@@ -387,7 +359,7 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False,
     loops pass ``forcing``).  Raises NonConvergence naming the solver when
     MINRES stops without reaching rtol or returns a non-finite x.
     """
-    n = A.shape[0]
+    n = b.size
     m, vol = ops.m, ops.vol
 
     def project(x):
@@ -396,7 +368,7 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False,
     def matvec(x):
         if zero_mean:
             x = project(x)
-        y = A @ x
+        y = A(x)
         if rank_one is not None:
             y = y + rank_one * (rank_one @ x)
         if zero_mean:
@@ -428,14 +400,15 @@ def damped_newton(ops, x, residual, system, name, tol, inside=None,
     (x, residual(x), steps).
 
     The loop of the Gauss, J, Ricci and coupled solvers.  Each step solves
-    system(x) = (A, b) or (A, b, q) by ``newton_solve`` (with rank_one q
-    and zero_mean) to the rtol of ``forcing`` and halves its length, at
-    most 60 times, until the candidate is ``inside`` (when given) and its
-    residual is no larger than the current one.  An ascent (the J
-    maximization) passes gain(x, candidate), the increase of the function
-    it maximizes, whose gradient b is: its steps are accepted when the
-    gain is >= 0 instead, and a step that descends (b . step < 0, which an
-    indefinite A allows) is reversed first.  The residual is checked
+    system(x) = (A, b) or (A, b, q), A the function y -> A y of the Newton
+    matrix, by ``newton_solve`` (with rank_one q and zero_mean) to the
+    rtol of ``forcing`` and halves its length, at most 60 times, until
+    the candidate is ``inside`` (when given) and its residual is no larger
+    than the current one.  An ascent (the J maximization) passes
+    gain(x, candidate), the increase of the function it maximizes, whose
+    gradient b is: its steps are accepted when the gain is >= 0 instead,
+    and a step that descends (b . step < 0, which an indefinite A allows)
+    is reversed first.  The residual is checked
     before the first step, so an exact start returns in zero steps.
     Raises NonConvergence naming the solver when the residual is not
     finite, the line search stalls or NEWTON_MAX_STEPS steps leave the

@@ -36,9 +36,9 @@ coupled solvers.
 
 Both Newton systems are symmetric and may be indefinite, so both are
 solved by MINRES preconditioned with the mesh's S + M factor
-(``operators.newton_solve``); no Newton step factors a matrix, and
-each fills its matrix, a * S + diag(d), on S's pattern
-(``Operators.shifted``) instead of assembling one.
+(``operators.newton_solve``); no Newton step factors or forms a matrix:
+each passes its matrix, a * S + diag(d), as the function
+y -> a S y + d y.
 
 The stability check locates the spectrum of the linearized operator
 L + 2 M diag(e^{2v} f) relative to M, with c = avg(e^{2v} f): it lies in
@@ -266,7 +266,8 @@ def maximize_J(problem):
     def system(y):
         w = y / s
         p = _softmax_weights(problem, w)
-        return (ops.shifted(scale / s, -(4.0 * p) / s),
+        a, d = scale / s, -(4.0 * p) / s
+        return (lambda x: a * (ops.S @ x) + d * x,
                 ops.m * grad_J(problem, w), 2.0 * p / math.sqrt(s))
 
     y, gnorm, steps = operators.damped_newton(
@@ -299,7 +300,8 @@ def solve_ricci_newton(problem, v_init):
 
     def system(v):
         Fe = np.exp(logF + 2.0 * v)
-        return ops.shifted(-1.0, 2.0 * m * Fe), S @ v + m * c - m * Fe
+        d = 2.0 * m * Fe
+        return lambda y: d * y - S @ y, S @ v + m * c - m * Fe
 
     v, _, steps = operators.damped_newton(
         ops, np.array(v_init, dtype=float),

@@ -140,7 +140,8 @@ def poisson_zero_mean(mesh, rhs_measure):
     from . import operators
     ops = operators.of(mesh)
     # L = -S, so S u = -rhs
-    return operators.newton_solve(ops, ops.S, -np.asarray(rhs_measure, float),
+    return operators.newton_solve(ops, lambda y: ops.S @ y,
+                                  -np.asarray(rhs_measure, float),
                                   "green solve", zero_mean=True)
 
 

@@ -3,10 +3,12 @@ the reference systole search, cover construction, refinement, mesh JSON
 encoder and direct Newton step, a mesh document of the retired layout,
 the dense stability oracles and a factor that counts its solves."""
 
+import functools
 import heapq
 import json
 
 import numpy as np
+import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
@@ -420,16 +422,89 @@ class CountingFactor:
 
 
 # ----------------------------------------------------------------------
+# The Newton system of a solver, captured where it enters damped_newton.
+
+class Captured(Exception):
+    """Raised in place of a Newton loop, carrying its (x, system)."""
+
+
+def first_system(monkeypatch, name, solve):
+    """(x, system) of the first ``damped_newton`` loop named name that
+    solve() starts; that loop is not run, the loops before it are."""
+    damped_newton = operators.damped_newton
+
+    def capture(bundle, x, residual, system, loop, *args, **kwargs):
+        if loop == name:
+            raise Captured(x.copy(), system)
+        return damped_newton(bundle, x, residual, system, loop, *args,
+                             **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "damped_newton", capture)
+        with pytest.raises(Captured) as info:
+            solve()
+    return info.value.args
+
+
+# ----------------------------------------------------------------------
 # Reference Newton step: the direct solve every Newton step made before
 # the Krylov path, one factorization per step.  The J system is the
 # bordered KKT matrix [[A, m], [m^T, 0]] with the rank-1 term added by a
 # Sherman-Morrison update.  Same signature as ``operators.newton_solve``,
 # so a test can substitute it and compare the solutions; a direct solve is
-# exact, so it ignores rtol.
+# exact, so it ignores rtol.  The solvers pass A as the function x -> A x,
+# so its matrix is read off by probing (``probed_matrix``).
+
+@functools.lru_cache(maxsize=1)
+def distance2_colouring(ops):
+    """Greedy colouring of the graph of the bundle's S in which two
+    vertices at most two edges apart get different colours: no row of S
+    has entries in two columns of one colour.  Kept for the last bundle,
+    whose Newton steps come in a row."""
+    S = ops.S
+    B = S.copy()
+    B.data[:] = 1.0
+    near = (B @ B).tocsr()
+    indptr, indices = near.indptr.tolist(), near.indices.tolist()
+    colour = [-1] * S.shape[0]
+    for j in range(S.shape[0]):
+        taken = {colour[i] for i in indices[indptr[j]:indptr[j + 1]]}
+        c = 0
+        while c in taken:
+            c += 1
+        colour[j] = c
+    return np.array(colour)
+
+
+def probed_matrix(ops, A, n):
+    """The CSR matrix of the function A on n = k V unknowns.
+
+    Each of its k x k blocks of size V x V lies on S's pattern (S stores
+    its diagonal), so one call of A on the indicator of the columns of one
+    block and one colour of ``distance2_colouring`` returns each of
+    those columns on its own rows (Curtis, Powell & Reid, IMA J. Appl.
+    Math. 13, 1974).
+    """
+    S = ops.S
+    V = S.shape[0]
+    k = n // V
+    colour = distance2_colouring(ops)
+    colours = int(colour.max()) + 1
+    group = np.tile(colour, k) + colours * np.repeat(np.arange(k), V)
+    probes = np.zeros((n, k * colours))
+    probes[np.arange(n), group] = 1.0
+    Y = np.column_stack([A(probe) for probe in probes.T])
+    B = S.copy()
+    B.data[:] = 1.0
+    pattern = sp.kron(np.ones((k, k)), B, format="coo")
+    rows, cols = pattern.row, pattern.col
+    return sp.csr_matrix((Y[rows, group[cols]], (rows, cols)), shape=(n, n))
+
 
 def reference_newton_step(ops, A, b, name, rank_one=None, zero_mean=False,
                           rtol=None):
-    V = A.shape[0]
+    V = b.size
+    A = probed_matrix(ops, A, V)
     K, pad = A, []
     if zero_mean:
         m_col = sp.csr_matrix(ops.m.reshape(V, 1))

@@ -126,15 +126,22 @@ CASES = {
                          "error: c = 0 is not positive"),
     "ricci-degree-0": (_solve("solve-ricci", "--degree", "0"), 1,
                        "error: c = 0 is not positive"),
+    # t lies in (0, 1] for solve-ricci as for solve-coupled, one rule with
+    # one message.
     "ricci-scale-0": (_solve("solve-ricci", "--scale", "0"), 2,
-                      "--scale must be finite and > 0"),
+                      "rescaling knob t must lie in (0, 1]"),
     "ricci-scale-nan": (_solve("solve-ricci", "--scale", "nan"), 2,
-                        "--scale must be finite and > 0"),
+                        "rescaling knob t must lie in (0, 1]"),
     "ricci-scale-inf": (_solve("solve-ricci", "--scale", "inf"), 2,
-                        "--scale must be finite and > 0"),
-    # t lies in (0, 1] for solve-ricci as for solve-coupled.
+                        "rescaling knob t must lie in (0, 1]"),
     "ricci-scale-above-1": (_solve("solve-ricci", "--scale", "1.5"), 2,
                             "rescaling knob t must lie in (0, 1]"),
+    "coupled-scale-0": (
+        _solve("solve-coupled", "--degree", "1", "--scale", "0"), 2,
+        "rescaling knob t must lie in (0, 1]"),
+    "coupled-scale-nan": (
+        _solve("solve-coupled", "--degree", "1", "--scale", "nan"), 2,
+        "rescaling knob t must lie in (0, 1]"),
     # A degree beyond the float range leaves c undefined.
     "ricci-degree-huge": (_solve("solve-ricci", "--degree", "1" + "0" * 400),
                           2, "int too large to convert to float"),

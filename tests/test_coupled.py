@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from helpers import first_system
 from todalab import coupled as C
 from todalab import gauss as G
 from todalab import operators as ops
@@ -167,37 +168,33 @@ def test_rescaled_degree_two_cover_run_certifies(cover_setup):
 
 def test_newton_system_is_the_symmetric_jacobian(cover_setup, monkeypatch):
     # The coupled residual map is the gradient of one functional, so the
-    # matrix of its Newton system is symmetric; it is that map's Jacobian,
-    # checked against central differences at the solve's starting point.
+    # matrix of its Newton system is symmetric (x . A y = y . A x on random
+    # probes); it is that map's Jacobian, checked against central
+    # differences at the solve's starting point.
     cover, dens = cover_setup
-    captured = []
-    damped_newton = ops.damped_newton
-
-    def capture(bundle, x, residual, system, name, *args, **kwargs):
-        if name == "coupled newton":
-            captured.append((x.copy(), system))
-        return damped_newton(bundle, x, residual, system, name, *args,
-                             **kwargs)
-
-    monkeypatch.setattr(ops, "damped_newton", capture)
-    C.solve_coupled(cover, dens, C.CoupledConfig(degree=1))
-    (x, system), = captured
+    x, system = first_system(
+        monkeypatch, "coupled newton",
+        lambda: C.solve_coupled(cover, dens, C.CoupledConfig(degree=1)))
     A, _ = system(x)
-    assert A.shape == (2 * cover.num_vertices,) * 2
-    assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
     rng = np.random.default_rng(0)
+    for _ in range(4):
+        p, q = rng.standard_normal((2, x.size))
+        Ap, Aq = A(p), A(q)
+        assert Ap.shape == (2 * cover.num_vertices,)
+        assert abs(q @ Ap - p @ Aq) <= 1e-14 * np.abs(q * Ap).sum()
     h = 1e-5
     for _ in range(4):
         d = rng.standard_normal(x.size)
         # The residual map is -b of the system.
         diff = (system(x - h * d)[1] - system(x + h * d)[1]) / (2 * h)
-        assert np.linalg.norm(diff - A @ d) <= 1e-6 * np.linalg.norm(A @ d)
+        assert np.linalg.norm(diff - A(d)) <= 1e-6 * np.linalg.norm(A(d))
 
 
 def test_newton_steps_assemble_no_sparse_matrix(cover_setup, monkeypatch):
-    # Every Newton matrix is filled on the bundle's cached patterns: once
-    # a first solve has built them, a second calls neither sp.bmat nor
-    # sp.diags, and the solver modules do not import scipy.sparse.
+    # Every Newton matrix is passed to MINRES as a function, never formed:
+    # once a first solve has built the bundle's factors, a second calls
+    # neither sp.bmat nor sp.diags, and the solver modules do not import
+    # scipy.sparse.
     cover, dens = cover_setup
     C.solve_coupled(cover, dens, C.CoupledConfig(degree=1))
     calls = []

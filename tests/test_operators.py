@@ -10,7 +10,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from helpers import (CountingFactor, reference_dijkstra,
+from helpers import (CountingFactor, first_system, reference_dijkstra,
                      reference_newton_step, reference_systole)
 from todalab import coupled, gauss, group, ricci
 from todalab import sections as S
@@ -369,20 +369,64 @@ def same_csr(got, want):
 
 @pytest.mark.parametrize("level", [2, 3])
 @pytest.mark.parametrize("sheets", [1, 2], ids=["base", "cover2"])
-def test_newton_matrices_equal_scipy_assembly_bit_for_bit(level, sheets):
-    # shifted and coupled_jacobian fill the bundle's cached patterns; the
-    # result is the matrix sparse arithmetic and sp.bmat assemble, to the
-    # bit, so the Newton solves on it are unchanged.
-    bundle = ops.of(level_mesh(level, sheets))
-    S, V = bundle.S, bundle.m.size
+def test_newton_operators_equal_scipy_assembly(level, sheets, monkeypatch):
+    # Each solver passes its Newton matrix to MINRES as a function; on
+    # random vectors it multiplies as the matrix that sparse arithmetic and
+    # sp.bmat assemble from the Jacobian's formula, to rounding.  shifted,
+    # which fills the two factored matrices a * S + diag(d) (monotone_lu's
+    # and eigs_nearest's), is that sum bit for bit.
+    mesh = level_mesh(level, sheets)
+    bundle = ops.of(mesh)
+    S, m, V = bundle.S, bundle.m, mesh.num_vertices
     rng = np.random.default_rng(level)
-    d1, d2 = rng.normal(size=(2, V))
-    c = rng.uniform(0.1, 1.0, size=V)
+    d = rng.normal(size=V)
     for a in (1.0, -1.0, 0.37):
-        assert same_csr(bundle.shifted(a, d1), a * S + sp.diags(d1))
-    want = sp.bmat([[S + sp.diags(d1), sp.diags(c)],
-                    [sp.diags(c), S + sp.diags(d2)]], format="csr")
-    assert same_csr(bundle.coupled_jacobian(d1, c, d2), want)
+        assert same_csr(bundle.shifted(a, d), a * S + sp.diags(d))
+
+    density = divisor_density(mesh)
+    rho = np.exp(density.log_density)
+    f = 0.8 * gauss.admissible_bound(0.5) * rho / rho.max()
+    start = gauss.GaussProblem(mesh=mesh, f=f, eta=0.5)
+    problem = ricci.RicciProblem(mesh=mesh, u=gauss.warm_start(start),
+                                 density=density,
+                                 c=0.15 * 2.0 * np.pi / bundle.vol)
+    # 2/(c Vol) < 4, so maximize_J's system is -H itself, not -H / 4^k
+    scale = 2.0 / (problem.c * bundle.vol)
+    assert scale < 4.0
+
+    def gauss_matrix(u):
+        return S + sp.diags(m * gauss._reaction_slope(u, f))
+
+    def J_matrix(y):
+        return scale * S - sp.diags(4.0 * ricci._softmax_weights(problem, y))
+
+    def ricci_matrix(v):
+        return -S + sp.diags(2.0 * m * np.exp(problem.log_weight() + 2.0 * v))
+
+    def coupled_matrix(x):
+        u, v = x[:V], x[V:]
+        Q = sp.diags(2.0 * m * np.exp(density.log_density + 2.0 * v - 2.0 * u))
+        return sp.bmat([[S + sp.diags(2.0 * m * np.exp(2.0 * u)) - Q, Q],
+                        [Q, S - Q]])
+
+    cases = [
+        ("gauss newton", lambda: gauss.solve_gauss(start), gauss_matrix),
+        ("J maximization", lambda: ricci.maximize_J(problem), J_matrix),
+        ("ricci newton",
+         lambda: ricci.solve_ricci_newton(problem, np.zeros(V)),
+         ricci_matrix),
+        ("coupled newton", lambda: coupled.solve_coupled(
+            mesh, density, coupled.CoupledConfig(degree=1)), coupled_matrix),
+    ]
+    for name, solve, matrix in cases:
+        x, system = first_system(monkeypatch, name, solve)
+        for point in (x, x + 0.1 * rng.standard_normal(x.size)):
+            A = system(point)[0]
+            want = matrix(point)
+            for _ in range(3):
+                y = rng.standard_normal(x.size)
+                bound = 1e-14 * (abs(want) @ np.abs(y)).max()
+                assert np.abs(A(y) - want @ y).max() <= bound, name
 
 
 def test_block_preconditioner_one_call_equals_single_solves_bit_for_bit():
@@ -396,7 +440,13 @@ def test_block_preconditioner_one_call_equals_single_solves_bit_for_bit():
     rng = np.random.default_rng(0)
     d1 = bundle.m * rng.uniform(1.0, 2.0, size=V)
     c = bundle.m * rng.uniform(0.0, 0.5, size=V)
-    A = bundle.coupled_jacobian(d1, c, -c)
+    S = bundle.S
+
+    def A(x):
+        du, dv = x[:V], x[V:]
+        return np.concatenate([S @ du + d1 * du + c * dv,
+                               S @ dv + c * (du - dv)])
+
     b = rng.normal(size=2 * V)
     calls = []
 
@@ -502,15 +552,20 @@ def nodes_of(tree, function):
             for node in ast.walk(top)}
 
 
-def newton_solutions(mesh):
-    """(u, v_J, v_Newton) of the Gauss, J and Ricci solvers on one mesh."""
+def divisor_density(mesh):
+    """The density of the divisor 0:1,1:1,5:1,20:1 on a base mesh, or its
+    balanced lift with the fresh zero 3 on a cover."""
     base_divisor = S.Divisor([(0, 1), (1, 1), (5, 1), (20, 1)])
     if mesh.base_vertex is None:
-        density = S.synth_density(mesh, base_divisor)
-    else:
-        base = build_base_surface(refinement=mesh.level)
-        density, _ = S.balanced_lift(S.synth_density(base, base_divisor),
-                                     mesh, z_n=3)
+        return S.synth_density(mesh, base_divisor)
+    base = build_base_surface(refinement=mesh.level)
+    return S.balanced_lift(S.synth_density(base, base_divisor), mesh,
+                           z_n=3)[0]
+
+
+def newton_solutions(mesh):
+    """(u, v_J, v_Newton) of the Gauss, J and Ricci solvers on one mesh."""
+    density = divisor_density(mesh)
     rho = np.exp(density.log_density)
     f = 0.8 * gauss.admissible_bound(0.5) * rho / rho.max()
     u = gauss.solve_gauss(gauss.GaussProblem(mesh=mesh, f=f, eta=0.5,

@@ -21,20 +21,21 @@ machine lands on all of them alike:
 
 Prints the median and quartiles per tree (of the solve and of the mesh
 write and read, with the mesh file's size) as one JSON object, with each
-tree's certificate, the largest relative difference of every certificate
-value against the first tree, and the number of solves with the cover's
-S + M factor that the timed call made (the MINRES preconditioner solves
-and those of `eig_low`; the child wraps the factor's `solve` and counts
-right-hand sides, so one call on the V x 2 blocks of a coupled Newton
-step counts 2).  BLAS runs one thread (`TODA_THREADS=1`).  The command
-line, the child's prologue and runner and the output helpers are shared
-with `pipeline_l5.py` and `sweep.py` (`trees.py`).
+tree's certificate, the relative difference of every certificate value
+but the residuals against the first tree, and the number of solves with
+the cover's S + M factor that the timed call made (the MINRES
+preconditioner solves and those of `eig_low`; the child wraps the
+factor's `solve` and counts right-hand sides, so one call on the V x 2
+blocks of a coupled Newton step counts 2).  BLAS runs one thread
+(`TODA_THREADS=1`).  The command line, the child's prologue and runner
+and the output helpers are shared with `pipeline_l5.py` and `sweep.py`
+(`trees.py`).
 """
 
 import sys
 
-from trees import (alternating, emit, machine_info, parse_args, run_child,
-                   summary)
+from trees import (alternating, emit, machine_info, parse_args,
+                   relative_moves, run_child, summary)
 
 DIVISOR = [(0, 1), (1, 1), (5, 1), (20, 1)]
 ZERO_VERTEX = 3
@@ -71,14 +72,12 @@ def run_once(src, refine, n):
 
 
 def relative_differences(cert, reference):
-    """|a - b| / max(|b|, tiny) of every numeric certificate value."""
-    diffs = {}
-    for key, want in reference.items():
-        got = cert[key]
-        if isinstance(want, float):
-            diffs[key] = abs(got - want) / max(abs(want), 1e-300)
-        elif got != want:
-            diffs[key] = f"{got!r} != {want!r}"
+    """``relative_moves`` of the float certificate values, and each other
+    value that differs, as "got != want"."""
+    diffs = relative_moves(cert, reference)
+    diffs.update({key: f"{cert[key]!r} != {want!r}"
+                  for key, want in reference.items()
+                  if not isinstance(want, float) and cert[key] != want})
     return diffs
 
 

@@ -28,8 +28,8 @@ BLAS runs one thread (`TODA_THREADS=1`).
 
 import sys
 
-from trees import (alternating, emit, machine_info, run_child, tree_parser,
-                   trees_of)
+from trees import (alternating, emit, machine_info, relative_moves,
+                   run_child, tree_parser, trees_of)
 
 DIVISOR = [(0, 1), (1, 1), (5, 1), (20, 1)]
 
@@ -74,7 +74,7 @@ def sweep_once(src, refine, n, stride, degrees):
 
 def compare(runs, reference):
     """Per degree, over the runs certified in both lists: the number whose
-    t differs bitwise, and the largest |a - b| / |b| of each float
+    t differs bitwise, and the largest ``relative_moves`` of each
     certificate value."""
     certified = {(r["zero"], r["n"], r["degree"]): r["certificate"]
                  for r in reference if "certificate" in r}
@@ -87,11 +87,8 @@ def compare(runs, reference):
             "t_differs": 0, "largest_relative_move": {}})
         row["t_differs"] += run["certificate"]["t"] != want["t"]
         worst = row["largest_relative_move"]
-        for key, value in want.items():
-            if isinstance(value, float) and not key.endswith("_residual"):
-                move = (abs(run["certificate"][key] - value)
-                        / max(abs(value), 1e-300))
-                worst[key] = max(worst.get(key, 0.0), move)
+        for key, move in relative_moves(run["certificate"], want).items():
+            worst[key] = max(worst.get(key, 0.0), move)
     return out
 
 

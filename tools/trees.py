@@ -107,6 +107,16 @@ def alternating(trees, runs):
             yield i, label
 
 
+def relative_moves(cert, reference):
+    """|a - b| / max(|b|, 1e-300) of each float value of a certificate
+    against the reference's, the residuals left out: two trees that both
+    solve to tolerance leave residuals near 0 whose ratio means nothing,
+    so they are compared with the tolerances, not with each other."""
+    return {key: abs(cert[key] - want) / max(abs(want), 1e-300)
+            for key, want in reference.items()
+            if isinstance(want, float) and not key.endswith("_residual")}
+
+
 def summary(samples):
     """Median and quartiles of a list of seconds."""
     q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
