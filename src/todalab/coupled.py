@@ -18,9 +18,12 @@ so its Newton system is symmetric; with Q = 2 M diag q it reads
     [            Q               S - Q   ] [dv] = - [K],
 
 indefinite, and ``operators.damped_newton`` solves it by MINRES with the
-block-diagonal preconditioner diag(S + M, S + M) on the mesh's one factor
-(Paige & Saunders 1975; Benzi, Golub & Liesen 2005, section 10), both
-blocks in one solve call.  MINRES only multiplies by the matrix, so
+block-diagonal preconditioner diag(S + 2 M, S + eps M) on two of the
+mesh's kept factors (Paige & Saunders 1975; Benzi, Golub & Liesen 2005,
+section 10): the u-block is the Gauss Jacobian, whose diagonal
+2 e^{2u} - 2q is at most about 2 on the box (``Operators.monotone_lu``),
+and the v-block S - Q is nearly the Laplacian (``Operators.laplace_lu``,
+eps = LAPLACE_SHIFT).  MINRES only multiplies by the matrix, so
 each step passes it as the function
 (du, dv) -> (S du + D du + Q dv, S dv + Q (du - dv)) with the diagonal
 D = M diag(2 e^{2u}) - Q, and no step forms a sparse matrix.  It starts
@@ -256,6 +259,7 @@ def solve_coupled(mesh, density, config=None):
     x, _, steps = operators.damped_newton(
         ops, np.concatenate([gauss_mod.warm_start(start), v]), residual,
         system, "coupled newton", 1.0,
+        factors=[ops.monotone_lu, ops.laplace_lu],
         inside=lambda x: start.in_search_box(x[:V]))
     u, v = x[:V], x[V:]
     _check_admissible(np.exp(ld + 2.0 * v), config.eta)

@@ -17,7 +17,11 @@ Two solvers are provided: a damped Newton iteration (fast, used by
 default; its loop is ``operators.damped_newton``, shared with the Ricci
 solver) and a monotone fixed-point scheme (S + lam M) u+ = lam M u - M R(u)
 whose iterates decrease from the supersolution u = 0, useful as an
-independent cross-check.
+independent cross-check.  Both use the mesh's kept factor of S + 2 M
+(``Operators.monotone_lu``), the scheme as its matrix and Newton as its
+MINRES preconditioner.  They stay independent: Newton's result is fixed by
+its residual test on S, not by its preconditioner, so a wrong factor would
+move the scheme's fixed point but only slow Newton down.
 """
 
 from __future__ import annotations
@@ -125,7 +129,8 @@ def solve_gauss(problem, u0=None):
 
     The Jacobian S + M diag(R'(u)) is positive definite on the box because
     R' >= 0 there, so the Newton direction exists; it is solved by MINRES
-    preconditioned with the mesh's S + M factor, which multiplies by the
+    preconditioned with the mesh's kept factor of S + MONOTONE_SHIFT M
+    (``Operators.monotone_lu``; R' <= 2 on the box), which multiplies by the
     Jacobian as the function y -> S y + M R'(u) y and never forms it.  The
     loop is ``operators.damped_newton``, whose backtracking keeps the
     iterates in ``GaussProblem.in_search_box``.  Residuals are checked
@@ -142,7 +147,8 @@ def solve_gauss(problem, u0=None):
     u0 = warm_start(problem) if u0 is None else np.asarray(u0, dtype=float)
     u, res, steps = operators.damped_newton(
         ops, u0, lambda u: gauss_residual(mesh, u, f), system,
-        "gauss newton", problem.tol, inside=problem.in_search_box)
+        "gauss newton", problem.tol, factors=[ops.monotone_lu],
+        inside=problem.in_search_box)
     return GaussSolution(u=u, residual_norm=res, iterations=steps,
                          box_margin=_box_margin(u, problem.box_lower))
 
@@ -162,9 +168,10 @@ def monotone_solve_gauss(problem):
     lam = 2 suffices, and the sequence decreases pointwise to the box
     solution.  A smaller lam contracts faster.  Linear convergence degrades
     to sublinear when the data touch the double root f = 1/4.  The factor
-    is its own, not the S + M preconditioner of the Newton solvers: the
-    scheme is the independent cross-check of the Newton solver, so it
-    shares none of its solves.
+    also preconditions ``solve_gauss``, yet the scheme stays its
+    independent cross-check: Newton's result is fixed by its residual test,
+    so a wrong factor would move this scheme's fixed point but only slow
+    Newton down.
     """
     mesh = problem.mesh
     ops = operators.of(mesh)

@@ -12,24 +12,34 @@ Every solver reads these from one ``Operators`` bundle per mesh, which
 ``of(mesh)`` assembles once and keeps on the mesh (the systole is kept
 beside it); ``laplacian``, ``mass_vector``, ``stiffness`` and ``volume``
 are views of it.  Every sparse factorization in the package goes through
-``factor``.  The bundle holds the factor of the SPD matrix S + M, and
-every solve with S or a shifted S on the mesh uses it: the Newton systems
-of the Gauss, J, Ricci and coupled solvers and the Green solves of the
-section densities by MINRES preconditioned with it (``newton_solve``; the
-coupled system's two V-blocks are solved in one call on the V x 2 array
-of blocks), and ``eig_low`` as its shift-invert operator at sigma = -1.
-Beside it the bundle keeps the factor of S + MONOTONE_SHIFT M, the
-monotone Gauss scheme's own matrix, which no other solver uses, so that
-the scheme stays a cross-check sharing no solve with the Newton solvers.
-So a mesh is ordered once and factored at most twice however many solves
-its solvers make, and a solve's cost is its number of preconditioner
-solves; only ``eigs_nearest``, the stability check's one search,
-factors on every call, because its matrix changes with the data, and
-that factor reuses the S + M factor's fill-reducing ordering on the
-bundle's kept pattern (``kept_ordering``): it neither adds sparse
-matrices nor orders anything.  No Newton step or Green solve builds a
-sparse matrix either: MINRES only multiplies by its matrix, a * S +
-diag(d) or the coupled 2 x 2 block of such matrices with diagonal
+``factor``.  The bundle keeps three SPD factors, each made on first use,
+and every solve with S or a shifted S on the mesh uses one of them:
+
+* ``screened_lu``, S + M, serves every solve whose bits are stored or
+  re-derived from the mesh: the Green solves of the section densities,
+  ``eig_low`` as its shift-invert operator at sigma = -1 (so lambda0 and
+  lambda1), ``ricci.mt_probe`` and the ordering ``kept_ordering``;
+* ``monotone_lu``, S + MONOTONE_SHIFT M, is the monotone Gauss scheme's
+  matrix and preconditions the Gauss-like Newton blocks, S + M diag(R')
+  with R' up to 2: ``gauss.solve_gauss`` and the coupled system's u-block;
+* ``laplace_lu``, S + LAPLACE_SHIFT M, preconditions the blocks that are
+  a * S plus a small diagonal, nearly the Laplacian: ``ricci.maximize_J``,
+  ``ricci.solve_ricci_newton`` and the coupled system's v-block.
+
+The Newton systems and the Green solves are solved by MINRES
+(``newton_solve``) with a block-diagonal preconditioner whose block i is
+the factor the solver names for its i-th V-block (Benzi, Golub & Liesen,
+Acta Numer. 14, 2005, section 10).  A Newton solve's result is fixed by
+its residual test on S, not by its preconditioner: a wrong factor would
+only slow it down.  So a mesh is factored at most three times however
+many solves its solvers make, and a solve's cost is its
+number of preconditioner solves; only ``eigs_nearest``, the stability
+check's one search, factors on every call, because its matrix changes
+with the data, and that factor reuses the S + M factor's fill-reducing
+ordering on the bundle's kept pattern (``kept_ordering``): it neither
+adds sparse matrices nor orders anything.  No Newton step or Green solve
+builds a sparse matrix either: MINRES only multiplies by its matrix,
+a * S + diag(d) or the coupled 2 x 2 block of such matrices with diagonal
 coupling, so each solver passes it as the function y -> a S y + d y
 (Jacobian-free Newton-Krylov; Knoll & Keyes, J. Comput. Phys. 193,
 2004).  The Green solves run MINRES to NEWTON_RTOL.  The
@@ -145,14 +155,16 @@ def logsumexp(a, b=None):
 
 class Operators:
     """Per-mesh operators: S (CSR), lumped masses m, M = diag(m), the
-    total area vol = m.sum(), lap and log_mean.  The path graph, the
-    factors of S + M and S + MONOTONE_SHIFT M and lambda0/lambda1 are
-    built on first use, and so are the index structures on which the two
-    matrices factored after S + M are filled without assembling them: the
-    slots of S's diagonal in S.data (``diagonal_slots``; the cotangent S
-    stores its whole diagonal), on which ``shifted`` fills a * S + diag(d)
-    for ``monotone_lu`` and ``eigs_nearest``, and S's pattern permuted by
-    the S + M factor's ordering (``kept_ordering``), on which
+    total area vol = m.sum(), lap and log_mean.  The path graph, the three
+    kept factors (``screened_lu``, S + M; ``monotone_lu``,
+    S + MONOTONE_SHIFT M; ``laplace_lu``, S + LAPLACE_SHIFT M; the module
+    docstring says which solve uses which) and lambda0/lambda1 are built
+    on first use, and so are the index structures on which the matrices
+    factored after S + M are filled without assembling them: the slots of
+    S's diagonal in S.data (``diagonal_slots``; the cotangent S stores its
+    whole diagonal), on which ``shifted`` fills a * S + diag(d) for
+    ``monotone_lu``, ``laplace_lu`` and ``eigs_nearest``, and S's pattern
+    permuted by the S + M factor's ordering (``kept_ordering``), on which
     ``eigs_nearest`` fills its shift-invert matrix.
     """
 
@@ -240,15 +252,24 @@ class Operators:
 
     @cached_property
     def screened_lu(self):
-        """Factor of the SPD screened matrix S + M, the preconditioner of
-        every Newton and Green solve and ``eig_low``'s inverse."""
+        """Factor of the SPD screened matrix S + M: ``eig_low``'s inverse,
+        the Green solves' preconditioner, ``ricci.mt_probe``'s smoother and
+        the source of ``kept_ordering``."""
         return factor(self.S + self.M)
 
     @cached_property
     def monotone_lu(self):
-        """Factor of the SPD matrix S + MONOTONE_SHIFT M, the monotone
-        Gauss scheme's alone (``gauss.monotone_solve_gauss``)."""
+        """Factor of the SPD matrix S + MONOTONE_SHIFT M: the monotone
+        Gauss scheme's matrix (``gauss.monotone_solve_gauss``) and the
+        preconditioner of ``gauss.solve_gauss`` and the coupled u-block."""
         return factor(self.shifted(1.0, MONOTONE_SHIFT * self.m))
+
+    @cached_property
+    def laplace_lu(self):
+        """Factor of the SPD matrix S + LAPLACE_SHIFT M, the preconditioner
+        of ``ricci.maximize_J``, ``ricci.solve_ricci_newton`` and the
+        coupled v-block."""
+        return factor(self.shifted(1.0, LAPLACE_SHIFT * self.m))
 
     @cached_property
     def path_graph(self):
@@ -276,6 +297,15 @@ class Operators:
 # u <= 0, the smallest value that keeps its update order-preserving (see
 # ``gauss.monotone_solve_gauss``).
 MONOTONE_SHIFT = 2.0
+# Shift eps of the preconditioner S + eps M of the near-Laplacian Newton
+# blocks (``Operators.laplace_lu``).  It keeps the factor SPD and must stay
+# well below lambda1 of the meshes solved (0.032 on the level-3 12-cover).
+# On the README coupled solve of the level-4 and -5 2-covers, the level-3
+# and -4 6-covers and the level-3 12-cover, 0.005 and 0.01 need at most
+# 11 % more Newton preconditioner solves than the fewest over
+# 0.002-1, 0.02 up to 26 % more (on the 12-cover) and 1, the S + M
+# factor, 1.5-3.4 times as many.
+LAPLACE_SHIFT = 0.01
 
 
 def of(mesh):
@@ -288,9 +318,8 @@ def of(mesh):
 def factor(A, ordered=False):
     """SuperLU factors of a sparse matrix with a symmetric pattern.
 
-    Every matrix factored here (the bundle's S + M and S + MONOTONE_SHIFT M
-    and the shift-invert operators of ``eigs_nearest``) is structurally
-    symmetric,
+    Every matrix factored here (the bundle's three kept factors and the
+    shift-invert operators of ``eigs_nearest``) is structurally symmetric,
     so SuperLU runs in symmetric mode, preferring diagonal pivots, and the
     columns are ordered by minimum degree on the pattern of A + A^T
     (George & Liu 1989).  A matrix already permuted into that order
@@ -306,8 +335,8 @@ def factor(A, ordered=False):
 
 # Relative residual of an exact MINRES solve (the Green solves) and the
 # iteration cap of every MINRES solve.  With the S + M preconditioner an
-# exact solve takes 10-14 iterations on levels 2-5, a Newton step at the
-# rtol of ``forcing`` 5-8.
+# exact Green solve takes 10-14 iterations on levels 2-5, a Newton step at
+# the rtol of ``forcing`` 5-8.
 NEWTON_RTOL = 1e-13
 NEWTON_MAXITER = 300
 # Step cap of ``damped_newton``, in the Gauss, J, Ricci and coupled solvers.
@@ -335,15 +364,15 @@ def forcing(res, prev, tol):
     return min(FORCING_CAP, max(0.9 * (res / prev) ** 2, 1e-3 * tol / res))
 
 
-def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False,
+def newton_solve(ops, A, b, name, factors, rank_one=None, zero_mean=False,
                  rtol=NEWTON_RTOL):
     """Solve the symmetric Newton system (A + q q^T) x = b by MINRES.
 
     The Green solves S x = b on zero-mean fields go through it too.  A is
     the function x -> A x of a symmetric, possibly indefinite matrix, and
-    q = rank_one (if given).  The size n of the system is b's: V, or kV
-    for a system of k x k blocks of size V x V (the coupled solve's
-    k = 2).
+    q = rank_one (if given).  The system has k x k blocks of size V x V,
+    one per entry of factors (k = 1, or the coupled solve's 2), so b has
+    kV entries.
     With zero_mean the system is posed on zero-M-mean fields: x has zero
     M-mean and the residual may have any component along m, as
     in the KKT system with the constraint m^T x = 0.  It is applied
@@ -351,16 +380,18 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False,
     singular but consistent system whose solution is projected by P.
 
     MINRES (Paige & Saunders 1975) handles indefinite systems with an SPD
-    preconditioner; here that is the bundle's factor of S + M, block
-    diagonal for a block system (Benzi, Golub & Liesen, Acta Numer. 14,
-    2005, section 10), applied by one ``solve`` call on the V x k array of
-    the blocks, so no Newton step or Green solve factors anything.  MINRES
-    stops at relative residual rtol (NEWTON_RTOL by default; the Newton
-    loops pass ``forcing``).  Raises NonConvergence naming the solver when
-    MINRES stops without reaching rtol or returns a non-finite x.
+    preconditioner; here that is block diagonal, factors[i] applied to
+    block i (Benzi, Golub & Liesen, Acta Numer. 14, 2005, section 10):
+    each solver names the bundle's kept factor whose shift matches its
+    block's diagonal, so no Newton step or Green solve factors anything.
+    MINRES stops at relative residual rtol (NEWTON_RTOL by default; the
+    Newton loops pass ``forcing``).  Raises NonConvergence naming the
+    solver when MINRES stops without reaching rtol or returns a non-finite
+    x.
     """
     n = b.size
     m, vol = ops.m, ops.vol
+    assert n == len(factors) * m.size, "one factor per V-block"
 
     def project(x):
         return x - (m @ x) / vol
@@ -378,11 +409,11 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False,
     if zero_mean:
         b = b - m * (b.sum() / vol)
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
-    lu = ops.screened_lu
-    blocks = n // m.size
 
     def precondition(x):
-        return lu.solve(np.reshape(x, (blocks, -1)).T).T.reshape(-1)
+        blocks = np.split(np.ravel(x), len(factors))
+        return np.concatenate([lu.solve(block)
+                               for lu, block in zip(factors, blocks)])
 
     precond = spla.LinearOperator((n, n), matvec=precondition, dtype=float)
     x, info = spla.minres(op, b, rtol=rtol, maxiter=NEWTON_MAXITER,
@@ -394,15 +425,16 @@ def newton_solve(ops, A, b, name, rank_one=None, zero_mean=False,
     return project(x) if zero_mean else x
 
 
-def damped_newton(ops, x, residual, system, name, tol, inside=None,
+def damped_newton(ops, x, residual, system, name, tol, factors, inside=None,
                   gain=None, zero_mean=False):
     """Damped Newton from x until residual(x) <= tol; returns
     (x, residual(x), steps).
 
     The loop of the Gauss, J, Ricci and coupled solvers.  Each step solves
     system(x) = (A, b) or (A, b, q), A the function y -> A y of the Newton
-    matrix, by ``newton_solve`` (with rank_one q and zero_mean) to the
-    rtol of ``forcing`` and halves its length, at most 60 times, until
+    matrix, by ``newton_solve`` (with factors, one kept factor per V-block,
+    rank_one q and zero_mean) to the rtol of ``forcing`` and halves its
+    length, at most 60 times, until
     the candidate is ``inside`` (when given) and its residual is no larger
     than the current one.  An ascent (the J maximization) passes
     gain(x, candidate), the increase of the function it maximizes, whose
@@ -424,7 +456,8 @@ def damped_newton(ops, x, residual, system, name, tol, inside=None,
                 f"{name} did not reach tol {tol} in {NEWTON_MAX_STEPS} "
                 f"iterations (last residual {res:.3e})")
         A, b, *q = system(x)
-        step = newton_solve(ops, A, b, name, rank_one=q[0] if q else None,
+        step = newton_solve(ops, A, b, name, factors=factors,
+                            rank_one=q[0] if q else None,
                             zero_mean=zero_mean, rtol=forcing(res, prev, tol))
         if gain is not None and b @ step < 0:
             step = -step

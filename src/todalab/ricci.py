@@ -35,10 +35,12 @@ Both loops are ``operators.damped_newton``, shared with the Gauss and
 coupled solvers.
 
 Both Newton systems are symmetric and may be indefinite, so both are
-solved by MINRES preconditioned with the mesh's S + M factor
-(``operators.newton_solve``); no Newton step factors or forms a matrix:
-each passes its matrix, a * S + diag(d), as the function
-y -> a S y + d y.
+solved by MINRES (``operators.newton_solve``) preconditioned with the
+mesh's kept factor of S + LAPLACE_SHIFT M (``Operators.laplace_lu``): each
+matrix is a * S plus a small diagonal, nearly the Laplacian.  No Newton
+step factors or forms a matrix: each passes its matrix, a * S + diag(d),
+as the function y -> a S y + d y.  ``mt_probe`` smooths with the S + M
+factor (``Operators.screened_lu``).
 
 The stability check locates the spectrum of the linearized operator
 L + 2 M diag(e^{2v} f) relative to M, with c = avg(e^{2v} f): it lies in
@@ -237,7 +239,8 @@ def maximize_J(problem):
     max |grad J|.  Its system -H = (2/(c Vol)) S - 4 diag(p) + 4 p p^T,
     sparse plus a rank-1 term, divided by a power of 4 near 2/(c Vol)
     when that exceeds 4, is solved on zero-M-mean fields by MINRES
-    (``operators.newton_solve``).  The line search keeps J from falling
+    (``operators.newton_solve``) preconditioned with the S + LAPLACE_SHIFT M
+    factor.  The line search keeps J from falling
     (``J_increase``), not the gradient's max-norm from growing: where -H
     is indefinite the Newton step can be long, and a gradient-norm test
     shortens it until the ascent stalls.  A step that is not an ascent
@@ -273,7 +276,7 @@ def maximize_J(problem):
     y, gnorm, steps = operators.damped_newton(
         ops, np.zeros(problem.mesh.num_vertices),
         lambda y: float(np.abs(grad_J(problem, y / s)).max()), system,
-        "J maximization", problem.tol,
+        "J maximization", problem.tol, factors=[ops.laplace_lu],
         gain=lambda y, cand: J_increase(problem, y / s, cand / s),
         zero_mean=True)
     w = y / s
@@ -288,7 +291,8 @@ def solve_ricci_newton(problem, v_init):
     """Damped Newton on G(v) = -S v - M c + M F e^{2v} from a given seed.
 
     The Jacobian -S + 2 M diag(F e^{2v}) is indefinite; each step solves it
-    by MINRES preconditioned with the mesh's S + M factor, and the loop is
+    by MINRES preconditioned with the mesh's S + LAPLACE_SHIFT M factor
+    (``Operators.laplace_lu``), and the loop is
     ``operators.damped_newton``, whose backtracking controls the residual.
     Converges in a couple of steps when seeded near a solution (e.g. at the
     variational maximizer) but, unlike the variational route, carries no
@@ -306,7 +310,7 @@ def solve_ricci_newton(problem, v_init):
     v, _, steps = operators.damped_newton(
         ops, np.array(v_init, dtype=float),
         lambda v: equation_residual(problem, v), system, "ricci newton",
-        problem.tol)
+        problem.tol, factors=[ops.laplace_lu])
     w = v - (m @ v) / ops.vol
     return RicciSolution(
         v=v, w=w, J_value=eval_J(problem, w),

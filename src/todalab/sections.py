@@ -135,14 +135,17 @@ def balance_report(density):
 def poisson_zero_mean(mesh, rhs_measure):
     """Solve L u = rhs (a measure with zero total mass) with M-mean-zero u.
 
-    One MINRES solve on zero-mean fields against the bundle's S + M factor.
+    One MINRES solve on zero-mean fields preconditioned with the bundle's
+    S + M factor (``Operators.screened_lu``), the one whose solves keep the
+    density files' bits.
     """
     from . import operators
     ops = operators.of(mesh)
     # L = -S, so S u = -rhs
     return operators.newton_solve(ops, lambda y: ops.S @ y,
                                   -np.asarray(rhs_measure, float),
-                                  "green solve", zero_mean=True)
+                                  "green solve", factors=[ops.screened_lu],
+                                  zero_mean=True)
 
 
 # ----------------------------------------------------------------------

@@ -452,8 +452,9 @@ def first_system(monkeypatch, name, solve):
 # bordered KKT matrix [[A, m], [m^T, 0]] with the rank-1 term added by a
 # Sherman-Morrison update.  Same signature as ``operators.newton_solve``,
 # so a test can substitute it and compare the solutions; a direct solve is
-# exact, so it ignores rtol.  The solvers pass A as the function x -> A x,
-# so its matrix is read off by probing (``probed_matrix``).
+# exact, so it ignores rtol and the preconditioner's factors.  The solvers
+# pass A as the function x -> A x, so its matrix is read off by probing
+# (``probed_matrix``).
 
 @functools.lru_cache(maxsize=1)
 def distance2_colouring(ops):
@@ -501,8 +502,8 @@ def probed_matrix(ops, A, n):
     return sp.csr_matrix((Y[rows, group[cols]], (rows, cols)), shape=(n, n))
 
 
-def reference_newton_step(ops, A, b, name, rank_one=None, zero_mean=False,
-                          rtol=None):
+def reference_newton_step(ops, A, b, name, factors, rank_one=None,
+                          zero_mean=False, rtol=None):
     V = b.size
     A = probed_matrix(ops, A, V)
     K, pad = A, []

@@ -323,12 +323,17 @@ def test_stalled_ascent_stops_early():
 
 
 def test_degree_two_certificate_is_the_degree_one_certificate():
-    # c = t 2 pi d / Vol: the degree-2 scale choice runs the degree-1
-    # trials at half the t, so only degree and t differ.
+    # c = t 2 pi d / Vol: under automatic t the degree-2 scale choice runs
+    # the degree-1 trials at half the t, with the same c bit for bit, so
+    # the solve is the same: u and v are bit-identical, and of the
+    # certificate only degree and t (halved) differ.
     dens = readme_cover_density(3)
-    one, two = (C.solve_coupled(dens.mesh, dens,
-                                C.CoupledConfig(degree=d)).certificate
-                for d in (1, 2))
+    runs = [C.solve_coupled(dens.mesh, dens, C.CoupledConfig(degree=d))
+            for d in (1, 2)]
+    for field in ("u", "v"):
+        first, second = (getattr(run, field) for run in runs)
+        assert np.array_equal(first.view(np.uint64), second.view(np.uint64))
+    one, two = (run.certificate for run in runs)
     assert two.t == 0.5 * one.t
     assert two.degree == 2 and one.degree == 1
     differ = {key for key, value in two.to_dict().items()

@@ -148,8 +148,8 @@ def test_monotone_iterates_nonincreasing(mesh):
 
 def test_monotone_factor_is_made_once_per_mesh(monkeypatch):
     # Two calls on one mesh factor S + 2M once, through operators.factor,
-    # never touch the Newton solvers' S + M factor, and give the bits of
-    # a sweep loop on a freshly factored S + 2M.
+    # never make the S + M factor, and give the bits of a sweep loop on a
+    # freshly factored S + 2M.
     mesh = build_base_surface(refinement=2)
     rng = np.random.default_rng(3)
     f = 0.2 * rng.random(mesh.num_vertices)

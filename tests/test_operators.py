@@ -310,16 +310,33 @@ def test_low_eigenvalues_computed_once_per_mesh(monkeypatch):
     assert report.lambda1 == first.lambda1
 
 
+KEPT_SHIFTS = {"screened_lu": 1.0, "monotone_lu": ops.MONOTONE_SHIFT,
+               "laplace_lu": ops.LAPLACE_SHIFT}
+
+
+def kept_factor_of(A, bundle):
+    """The name of the bundle's kept factor whose matrix S + shift M is A,
+    or None."""
+    for name, shift in KEPT_SHIFTS.items():
+        want = bundle.S + shift * bundle.M
+        if A.shape == want.shape and abs(A - want).max() <= 1e-12:
+            return name
+    return None
+
+
 def test_each_mesh_is_factored_once(monkeypatch):
-    # Green solves, Newton steps and eig_low's shift-invert all use the
-    # bundle's S + M factor: the README pipeline (base density, balanced
-    # 2-cover density, coupled solve, certificate) factors each of its two
-    # meshes once.  The cover (V = 508) is above eig_low's dense cutoff.
+    # Each kept matrix is factored at most once per mesh, on first use: the
+    # README pipeline (base density, balanced 2-cover density, coupled
+    # solve, certificate) factors the base once (S + M, its Green solve)
+    # and the cover three times (S + M for its Green solve and eig_low,
+    # S + 2M and S + eps M for the Newton solves), and a second coupled
+    # solve factors nothing.  The cover (V = 508) is above eig_low's dense
+    # cutoff.
     factored = []
     true_factor = ops.factor
 
     def counting(A):
-        factored.append(A.shape[0])
+        factored.append(A)
         return true_factor(A)
 
     monkeypatch.setattr(ops, "factor", counting)
@@ -332,7 +349,13 @@ def test_each_mesh_is_factored_once(monkeypatch):
     again = coupled.certify(cover, u, v, density, eta=0.5, t=cert.t,
                             outer_iters=cert.outer_iters)
     assert again.to_dict() == cert.to_dict()
-    assert factored == [base.num_vertices, cover.num_vertices]
+    coupled.solve_coupled(cover, density)
+    made = [(A.shape[0], kept_factor_of(A, ops.of(mesh)))
+            for A in factored
+            for mesh in (base, cover) if A.shape[0] == mesh.num_vertices]
+    assert sorted(made) == sorted(
+        [(base.num_vertices, "screened_lu")]
+        + [(cover.num_vertices, name) for name in KEPT_SHIFTS])
 
 
 def test_replaced_mesh_gets_its_own_bundle(mesh2):
@@ -429,13 +452,14 @@ def test_newton_operators_equal_scipy_assembly(level, sheets, monkeypatch):
                 assert np.abs(A(y) - want @ y).max() <= bound, name
 
 
-def test_block_preconditioner_one_call_equals_single_solves_bit_for_bit():
-    # The block preconditioner's one solve of the (V, 2) array of blocks
-    # gives the bits of two single solves: a coupled Newton step solved
-    # with a factor that solves column by column is the same step.
+def test_each_block_is_solved_by_its_own_factor():
+    # The block-diagonal preconditioner solves block i with factors[i]:
+    # a coupled Newton step has the bits of MINRES preconditioned by
+    # diag(S + 2M, S + eps M) written out here, each factor sees only
+    # vectors of one block, once per MINRES iteration, and the swapped
+    # factors give other bits.
     mesh = level_mesh(3, 2)
     bundle = ops.of(mesh)
-    lu = bundle.screened_lu
     V = mesh.num_vertices
     rng = np.random.default_rng(0)
     d1 = bundle.m * rng.uniform(1.0, 2.0, size=V)
@@ -448,21 +472,37 @@ def test_block_preconditioner_one_call_equals_single_solves_bit_for_bit():
                                S @ dv + c * (du - dv)])
 
     b = rng.normal(size=2 * V)
+    gauss_lu, laplace_lu = bundle.monotone_lu, bundle.laplace_lu
     calls = []
 
-    class ColumnByColumn:
-        def solve(self, rhs):
-            calls.append(rhs.shape)
-            return np.column_stack([lu.solve(col) for col in rhs.T])
+    class Spy:
+        def __init__(self, lu, block):
+            self.lu, self.block = lu, block
 
-    x = ops.newton_solve(bundle, A, b, "coupled")
-    bundle.screened_lu = ColumnByColumn()
-    try:
-        y = ops.newton_solve(bundle, A, b, "coupled")
-    finally:
-        bundle.screened_lu = lu
-    assert calls and set(calls) == {(V, 2)}
-    assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+        def solve(self, rhs):
+            calls.append((self.block, rhs.shape))
+            return self.lu.solve(rhs)
+
+    x = ops.newton_solve(bundle, A, b, "coupled",
+                         factors=[Spy(gauss_lu, "u"), Spy(laplace_lu, "v")])
+    iterations = len(calls) // 2
+    assert iterations > 0
+    assert calls == [("u", (V,)), ("v", (V,))] * iterations
+
+    def by_hand(x):
+        return np.concatenate([gauss_lu.solve(x[:V]),
+                               laplace_lu.solve(x[V:])])
+
+    op = spla.LinearOperator((2 * V, 2 * V), matvec=A, dtype=float)
+    precond = spla.LinearOperator((2 * V, 2 * V), matvec=by_hand,
+                                  dtype=float)
+    want, info = spla.minres(op, b, rtol=ops.NEWTON_RTOL,
+                             maxiter=ops.NEWTON_MAXITER, M=precond)
+    assert info == 0
+    assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
+    swapped = ops.newton_solve(bundle, A, b, "coupled",
+                               factors=[laplace_lu, gauss_lu])
+    assert not np.array_equal(swapped, x)
 
 
 SOLVER_NAMES = {"splu", "spsolve", "spilu", "factorized"}
@@ -630,38 +670,100 @@ def test_inexact_newton_matches_exact(level, sheets, monkeypatch):
         assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
 
 
-def screened_solves(mesh, monkeypatch):
-    """S + M solves of ``newton_solutions(mesh)``, by solver name."""
+def solves_by_factor(run, mesh, monkeypatch):
+    """{solver name: {kept factor name: solves}} of run(), counted on
+    every kept factor of mesh's bundle."""
     bundle = ops.of(mesh)
-    counting = CountingFactor(bundle.screened_lu)
-    solves = dict.fromkeys(["green solve", "gauss newton", "J maximization",
-                            "ricci newton"], 0)
+    counting = {name: CountingFactor(getattr(bundle, name))
+                for name in KEPT_SHIFTS}
+    solves = {}
     true_solve = ops.newton_solve
 
     def counted(bundle, A, b, name, **kwargs):
-        before = counting.solves
+        before = {key: lu.solves for key, lu in counting.items()}
         x = true_solve(bundle, A, b, name, **kwargs)
-        solves[name] += counting.solves - before
+        row = solves.setdefault(name, dict.fromkeys(counting, 0))
+        for key, lu in counting.items():
+            row[key] += lu.solves - before[key]
         return x
 
     with monkeypatch.context() as patch:
-        patch.setattr(bundle, "screened_lu", counting)
+        for name, lu in counting.items():
+            patch.setattr(bundle, name, lu)
         patch.setattr(ops, "newton_solve", counted)
-        newton_solutions(mesh)
+        run()
     return solves
+
+
+def preconditioner_solves(mesh, monkeypatch):
+    """Solves on every kept factor of ``newton_solutions(mesh)``, by
+    solver name."""
+    solves = solves_by_factor(lambda: newton_solutions(mesh), mesh,
+                              monkeypatch)
+    return {name: sum(row.values()) for name, row in solves.items()}
 
 
 @pytest.mark.parametrize("level", [3, 4])
 def test_forcing_saves_preconditioner_solves(level, monkeypatch):
-    # solve_gauss, maximize_J and solve_ricci_newton make fewer S + M
-    # solves with forcing on than with every Newton step solved to
-    # NEWTON_RTOL; the Green solves stay exact, so theirs do not change.
-    inexact = screened_solves(level_mesh(level, 2), monkeypatch)
+    # solve_gauss, maximize_J and solve_ricci_newton make fewer
+    # preconditioner solves, counted on every kept factor, with forcing on
+    # than with every Newton step solved to NEWTON_RTOL; the Green solves
+    # stay exact, so theirs do not change.
+    inexact = preconditioner_solves(level_mesh(level, 2), monkeypatch)
     exact_forcing(monkeypatch)
-    exact = screened_solves(level_mesh(level, 2), monkeypatch)
+    exact = preconditioner_solves(level_mesh(level, 2), monkeypatch)
     assert inexact["green solve"] == exact["green solve"] > 0
     for name in ("gauss newton", "J maximization", "ricci newton"):
         assert 0 < inexact[name] < exact[name], (inexact, exact)
+
+
+def test_each_solver_names_the_factor_that_matches_its_blocks(monkeypatch):
+    # Spies on the three kept factors: the Green solves use S + M alone,
+    # the Gauss Newton solver and the coupled u-block S + 2M, and the J
+    # ascent, the Ricci Newton solver and the coupled v-block S + eps M.
+    mesh = level_mesh(3, 2)
+    density = divisor_density(mesh)
+    named = {}
+    true_solve = ops.newton_solve
+
+    def spy(bundle, A, b, name, factors, **kwargs):
+        names = tuple(next(key for key in KEPT_SHIFTS
+                           if lu is getattr(bundle, key)) for lu in factors)
+        named.setdefault(name, set()).add(names)
+        return true_solve(bundle, A, b, name, factors=factors, **kwargs)
+
+    def run():
+        newton_solutions(mesh)
+        coupled.solve_coupled(mesh, density, coupled.CoupledConfig(degree=1))
+
+    monkeypatch.setattr(ops, "newton_solve", spy)
+    solves = solves_by_factor(run, mesh, monkeypatch)
+    expected = {"green solve": ("screened_lu",),
+                "gauss newton": ("monotone_lu",),
+                "J maximization": ("laplace_lu",),
+                "ricci newton": ("laplace_lu",),
+                "coupled newton": ("monotone_lu", "laplace_lu")}
+    assert named == {name: {used} for name, used in expected.items()}
+    for name, used in expected.items():
+        assert {key for key, n in solves[name].items() if n} == set(used)
+    coupled_solves = solves["coupled newton"]
+    assert coupled_solves["monotone_lu"] == coupled_solves["laplace_lu"]
+
+
+def test_stored_bits_depend_on_the_screened_factor_alone():
+    # Density files and lambda0/lambda1 are stored or re-derived from the
+    # mesh, so their solves use S + M alone: after the Green solves,
+    # eig_low (V = 508, above its dense cutoff), mt_probe and kept_ordering
+    # the bundles hold no other kept factor.
+    mesh = level_mesh(3, 2)
+    density = divisor_density(mesh)
+    bundle = ops.of(mesh)
+    bundle.low_eigenvalues
+    ricci.mt_probe(mesh)
+    bundle.kept_ordering
+    for kept in (bundle, ops.of(density.mesh)):
+        assert {name for name in vars(kept) if name.endswith("_lu")} == {
+            "screened_lu"}
 
 
 def test_forcing_cap_floor_and_first_step():
@@ -690,8 +792,10 @@ def test_damped_newton_refuses_a_residual_that_is_not_finite(mesh2, start):
         raise AssertionError("a step was taken")
 
     with pytest.raises(NonConvergence, match="probe newton: the residual"):
-        ops.damped_newton(ops.of(mesh2), np.zeros(mesh2.num_vertices),
-                          lambda x: start, system, "probe newton", 1e-9)
+        bundle = ops.of(mesh2)
+        ops.damped_newton(bundle, np.zeros(mesh2.num_vertices),
+                          lambda x: start, system, "probe newton", 1e-9,
+                          factors=[bundle.screened_lu])
 
 
 LOGSUMEXP_CASES = ["random", "ties", "neg-inf", "all-neg-inf", "wide"]

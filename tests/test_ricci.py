@@ -241,9 +241,11 @@ def test_field_csv_text(mesh):
 
 
 def test_accepted_newton_steps_build_no_preconditioner(problem, monkeypatch):
-    # Once the mesh's S + M factor exists, accepted Newton steps of the
-    # three solvers factor nothing: each is a MINRES solve against it.
-    ops.of(problem.mesh).screened_lu
+    # Once the mesh's kept factors exist, accepted Newton steps of the
+    # three solvers factor nothing: each is a MINRES solve preconditioned
+    # with one of them.
+    bundle = ops.of(problem.mesh)
+    bundle.monotone_lu, bundle.laplace_lu
     shapes = []
     true_factor = ops.factor
 

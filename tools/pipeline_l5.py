@@ -7,9 +7,13 @@ for the 2-cover at level 5):
     mesh, cover, section (base), section (balanced cover),
     solve-coupled, verify --mesh --density --run
 
-and prints per-step medians over several runs as one JSON object.  Several
-source trees can be timed in one call; their runs alternate, so a slow
-spell of a shared machine lands on all of them alike:
+and prints per-step medians over several runs as one JSON object: of the
+wall time, and of the step's peak resident set size in MB, read from the
+child's own rusage (`os.wait4`, `ru_maxrss`), so that the memory of a step
+(`solve_coupled` keeps a factor per kind of Newton block) is measured
+beside its time.  Several source trees can be timed in one call; their
+runs alternate, so a slow spell of a shared machine lands on all of them
+alike:
 
     python3 tools/pipeline_l5.py --tree change=src --runs 5
     python3 tools/pipeline_l5.py --tree parent=../old/src --tree change=src \\
@@ -58,20 +62,36 @@ def steps(refine, n):
     ]
 
 
-def run_pipeline(src, work, refine, n):
-    """Seconds per step of one pipeline run in the empty directory work."""
-    env = child_env(src)
-    times = {}
-    for name, args in steps(refine, n):
+def run_step(args, work, env):
+    """(seconds, peak RSS in MB, exit code, stderr) of one `toda` child.
+
+    The child is reaped by `os.wait4`, whose rusage is the child's own:
+    its `ru_maxrss` (KiB on Linux) is the step's peak resident set size.
+    Its output goes to unnamed temporary files, not pipes, so the child
+    never blocks on a full pipe before it is reaped."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "todalab.cli"] + args,
-                              cwd=work, env=env, capture_output=True,
-                              text=True)
-        times[name] = time.perf_counter() - start
-        if proc.returncode != 0:
-            raise SystemExit(f"{src}: toda {args[0]} exited "
-                             f"{proc.returncode}: {proc.stderr.strip()}")
-    return times
+        proc = subprocess.Popen([sys.executable, "-m", "todalab.cli"] + args,
+                                cwd=work, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        return (seconds, usage.ru_maxrss / 1024.0, proc.returncode,
+                err.read().decode(errors="replace"))
+
+
+def run_pipeline(src, work, refine, n):
+    """({step: seconds}, {step: peak RSS in MB}) of one pipeline run in
+    the empty directory work."""
+    env = child_env(src)
+    times, rss = {}, {}
+    for name, args in steps(refine, n):
+        times[name], rss[name], code, stderr = run_step(args, work, env)
+        if code != 0:
+            raise SystemExit(f"{src}: toda {args[0]} exited {code}: "
+                             f"{stderr.strip()}")
+    return times, rss
 
 
 def output_hashes(work):
@@ -92,14 +112,16 @@ def main(argv=None):
     names = [name for name, _ in steps(args.refine, args.n)]
     samples = {label: {name: [] for name in names + ["total"]}
                for label in trees}
+    peaks = {label: {name: [] for name in names} for label in trees}
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
         for i, label in alternating(trees, args.runs):
             work = os.path.join(tmp, label)
             os.makedirs(work)
-            times = run_pipeline(trees[label], work, args.refine, args.n)
+            times, rss = run_pipeline(trees[label], work, args.refine, args.n)
             for name, seconds in times.items():
                 samples[label][name].append(seconds)
+                peaks[label][name].append(rss[name])
             samples[label]["total"].append(sum(times.values()))
             if label not in hashes:
                 hashes[label] = output_hashes(work)
@@ -118,6 +140,10 @@ def main(argv=None):
                         for name, values in samples[label].items()},
             "samples_s": {name: [round(x, 4) for x in values]
                           for name, values in samples[label].items()},
+            "peak_rss_mb": {name: summary(values)
+                            for name, values in peaks[label].items()},
+            "samples_peak_rss_mb": {name: [round(x, 1) for x in values]
+                                    for name, values in peaks[label].items()},
             "output_sha1": hashes[label]} for label in trees},
     }
     emit(result, args.output)

@@ -23,10 +23,13 @@ Prints the median and quartiles per tree (of the solve and of the mesh
 write and read, with the mesh file's size) as one JSON object, with each
 tree's certificate, the relative difference of every certificate value
 but the residuals against the first tree, and the number of solves with
-the cover's S + M factor that the timed call made (the MINRES
-preconditioner solves and those of `eig_low`; the child wraps the
-factor's `solve` and counts right-hand sides, so one call on the V x 2
-blocks of a coupled Newton step counts 2).  BLAS runs one thread
+each factor the cover's bundle keeps that the timed call made
+(`screened_solves` on S + M: `eig_low`'s, and on trees that precondition
+Newton with it the MINRES solves too; `monotone_solves` on S + 2M and,
+where the tree has it, `laplace_solves` on S + eps M; the child wraps
+each factor's `solve` and counts right-hand sides).  A kept factor other
+than S + M is made on its first solve, inside the timed call, as without
+the counting.  BLAS runs one thread
 (`TODA_THREADS=1`).  The command line, the child's prologue and runner
 and the output helpers are shared with `pipeline_l5.py` and `sweep.py`
 (`trees.py`).
@@ -58,7 +61,8 @@ start = time.perf_counter()
 result = todalab.solve_coupled(cover, density,
                                todalab.CoupledConfig(degree=1))
 seconds = time.perf_counter() - start
-json.dump({{"seconds": seconds, "screened_solves": solves[0],
+json.dump({{"seconds": seconds,
+           **{{f"{{key}}_solves": n for key, n in solves.items()}},
            "write_s": write_s, "read_s": read_s, "mesh_bytes": mesh_bytes,
            "certificate": result.certificate.to_dict()}}, sys.stdout)
 """
@@ -66,9 +70,15 @@ json.dump({{"seconds": seconds, "screened_solves": solves[0],
 
 def run_once(src, refine, n):
     """The child's output of one timed solve in a fresh process: seconds,
-    S + M solves, mesh write_s, read_s and mesh_bytes, certificate."""
+    solves per kept factor, mesh write_s, read_s and mesh_bytes,
+    certificate."""
     return run_child(src, CHILD.format(refine=refine, n=n, divisor=DIVISOR,
                                        zero=ZERO_VERTEX), "solve")
+
+
+def solve_keys(out):
+    """The `<factor>_solves` keys of a child's output."""
+    return [key for key in out if key.endswith("_solves")]
 
 
 def relative_differences(cert, reference):
@@ -88,10 +98,10 @@ def main(argv=None):
     for i, label in alternating(trees, args.runs):
         out = run_once(trees[label], args.refine, args.n)
         outs[label].append(out)
+        solves = ", ".join(f"{out[key]} {key}" for key in solve_keys(out))
         print(f"run {i + 1}/{args.runs} {label}: {out['seconds']:.3f} s, "
-              f"{out['screened_solves']} S + M solves, mesh write "
-              f"{out['write_s']:.3f} s, read {out['read_s']:.3f} s",
-              file=sys.stderr)
+              f"{solves}, mesh write {out['write_s']:.3f} s, read "
+              f"{out['read_s']:.3f} s", file=sys.stderr)
 
     certificates = {label: runs[0]["certificate"]
                     for label, runs in outs.items()}
@@ -104,7 +114,8 @@ def main(argv=None):
         "trees": {label: {
             "solve_coupled_s": summary([r["seconds"] for r in runs]),
             "samples_s": [round(r["seconds"], 4) for r in runs],
-            "screened_solves": sorted({r["screened_solves"] for r in runs}),
+            **{key: sorted({r[key] for r in runs})
+               for key in solve_keys(runs[0])},
             "mesh_bytes": runs[0]["mesh_bytes"],
             "mesh_write_s": summary([r["write_s"] for r in runs]),
             "mesh_read_s": summary([r["read_s"] for r in runs]),

@@ -15,14 +15,20 @@ Each tree runs in a fresh process per cover degree, and the trees
 alternate which goes first.  Per tree it prints, as one JSON object:
 - the failures: zero, n, degree, error type and the message's first line;
 - per degree, the runs, the number certified, the wall time, the
-  number of solves with the cover's S + M factor (the child wraps the
-  factor's `solve` and counts right-hand sides, so one call on the V x 2
-  blocks of a coupled Newton step counts 2), the sum of the certificates'
-  `outer_iters` (coupled Newton steps), and the largest Gauss and Ricci
-  residual of the certificates;
+  number of solves with each factor the cover's bundle keeps
+  (`screened_solves` on S + M, `monotone_solves` on S + 2M and, where the
+  tree has it, `laplace_solves` on S + eps M; the child wraps each
+  factor's `solve` and counts right-hand sides), the sum of the
+  certificates' `outer_iters` (coupled Newton steps), and the largest
+  Gauss and Ricci residual of the certificates;
 - per degree, against the first tree over the runs both certify: the
   number of runs whose `t` differs bitwise, and the largest relative move
   of each certificate value but the residuals.
+Under automatic t, degrees 1 and 2 give the same solve: the degree-2
+scale choice runs at half the t, so c = t 2 pi d / Vol and every field
+are the same bits, and the two degrees' rows differ only in their times
+and in the S + M solves of lambda_1, which the first run pays for the
+mesh.
 BLAS runs one thread (`TODA_THREADS=1`).
 """
 
@@ -47,7 +53,7 @@ runs = []
 for zero in zeros[::{stride}]:
     density, _ = todalab.balanced_lift(base_density, cover, zero)
     for degree in degrees:
-        solves[0] = 0
+        solves.update(dict.fromkeys(solves, 0))
         start = time.perf_counter()
         run = {{"zero": zero, "n": {n}, "degree": degree}}
         try:
@@ -58,7 +64,7 @@ for zero in zeros[::{stride}]:
             run["error"] = type(exc).__name__
             run["message"] = str(exc).splitlines()[0]
         run["seconds"] = time.perf_counter() - start
-        run["screened_solves"] = solves[0]
+        run.update({{f"{{key}}_solves": n for key, n in solves.items()}})
         runs.append(run)
 json.dump(runs, sys.stdout)
 """
@@ -66,7 +72,8 @@ json.dump(runs, sys.stdout)
 
 def sweep_once(src, refine, n, stride, degrees):
     """The runs of one tree on the n-cover, each a dict of zero, n,
-    degree, seconds, screened_solves and a certificate or an error."""
+    degree, seconds, the solves per kept factor (`<factor>_solves`) and a
+    certificate or an error."""
     return run_child(src, CHILD.format(refine=refine, n=n, divisor=DIVISOR,
                                        stride=stride, degrees=degrees),
                      "sweep")
@@ -93,18 +100,21 @@ def compare(runs, reference):
 
 
 def by_degree(runs):
-    """Per degree: runs, certified, seconds, S + M solves, coupled Newton
-    steps (the certificates' outer_iters) and the largest certificate
-    residuals."""
+    """Per degree: runs, certified, seconds, solves per kept factor,
+    coupled Newton steps (the certificates' outer_iters) and the largest
+    certificate residuals."""
     out = {}
     for run in runs:
         row = out.setdefault(str(run["degree"]), {
-            "runs": 0, "certified": 0, "seconds": 0.0, "screened_solves": 0,
+            "runs": 0, "certified": 0, "seconds": 0.0,
+            **{key: 0 for key in run if key.endswith("_solves")},
             "outer_iters": 0, "max_gauss_residual": 0.0,
             "max_ricci_residual": 0.0})
         row["runs"] += 1
         row["seconds"] += run["seconds"]
-        row["screened_solves"] += run["screened_solves"]
+        for key in run:
+            if key.endswith("_solves"):
+                row[key] += run[key]
         cert = run.get("certificate")
         if cert is not None:
             row["certified"] += 1

@@ -18,11 +18,18 @@ import subprocess
 import sys
 
 # The start of every child's code: the imports, and count_solves(mesh),
-# which pays for the mesh's systole and S + M factor and wraps the
-# factor's `solve` to count right-hand sides (one call on the V x 2 blocks
-# of a coupled Newton step counts 2); it returns the one-element count.
+# which pays for the mesh's systole and S + M factor and wraps the `solve`
+# of every factor the bundle keeps (each `Operators` cached property whose
+# name ends in `_lu`: `screened_lu`, `monotone_lu` and, where the tree has
+# it, `laplace_lu`) to count right-hand sides (a call on a V x k array
+# counts k).  A factor not made yet is made on its first solve, as
+# without the wrapper, so its factorization is paid where the tree pays
+# it.  It returns the counts as a dict keyed by the factor's name without
+# `_lu` (`screened`, `monotone`, `laplace`), which the tools report as
+# `<key>_solves`.
 PROLOGUE = """
 import json, sys, time
+from functools import cached_property
 import todalab
 from todalab import operators
 
@@ -30,15 +37,25 @@ from todalab import operators
 def count_solves(mesh):
     operators.systole(mesh)
     bundle = operators.of(mesh)
-    lu = bundle.screened_lu
-    solves = [0]
+    bundle.screened_lu
+    solves = {}
 
     class CountingFactor:
-        def solve(self, b):
-            solves[0] += 1 if b.ndim == 1 else b.shape[1]
-            return lu.solve(b)
+        def __init__(self, key, lu, make):
+            self.key, self.lu, self.make = key, lu, make
 
-    bundle.screened_lu = CountingFactor()
+        def solve(self, b):
+            if self.lu is None:
+                self.lu = self.make(bundle)
+            solves[self.key] += 1 if b.ndim == 1 else b.shape[1]
+            return self.lu.solve(b)
+
+    for name, prop in vars(type(bundle)).items():
+        if isinstance(prop, cached_property) and name.endswith("_lu"):
+            key = name[:-len("_lu")]
+            solves[key] = 0
+            setattr(bundle, name,
+                    CountingFactor(key, vars(bundle).get(name), prop.func))
     return solves
 """
 
@@ -118,7 +135,7 @@ def relative_moves(cert, reference):
 
 
 def summary(samples):
-    """Median and quartiles of a list of seconds."""
+    """Median and quartiles of a list of samples (seconds or MB)."""
     q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"median": round(q2, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
