@@ -17,8 +17,9 @@ and every solve with S or a shifted S on the mesh uses one of them:
 
 * ``screened_lu``, S + M, serves every solve whose bits are stored or
   re-derived from the mesh: the Green solves of the section densities,
-  ``eig_low`` as its shift-invert operator at sigma = -1 (so lambda0 and
-  lambda1), ``ricci.mt_probe`` and the ordering ``kept_ordering``;
+  ``eig_low``'s shift-invert Lanczos at sigma = -1 (so lambda0 and
+  lambda1), posed in standard form on M^{1/2} (S + M)^{-1} M^{1/2} (see
+  ``_lanczos``), ``ricci.mt_probe`` and the ordering ``kept_ordering``;
 * ``monotone_lu``, S + MONOTONE_SHIFT M, is the monotone Gauss scheme's
   matrix and preconditions the Gauss-like Newton blocks, S + M diag(R')
   with R' up to 2: ``gauss.solve_gauss`` and the coupled system's u-block;
@@ -530,43 +531,59 @@ EIG_TOL = 1e-9  # relative accuracy asked of ARPACK in eig_low
 DENSE_MAX_V = 300  # largest V that eig_low and eigs_nearest solve densely
 
 
-def _lanczos(A, M, sigma, solve, k, **options):
-    """``spla.eigsh`` in shift-invert mode at sigma, the package's one
-    eigen-solve call: solve applies (A - sigma M)^{-1}, ARPACK starts from
-    ones plus a small fixed perturbation and options pass through
-    (Ericsson & Ruhe 1980; Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
-    SIAM 1998).  An ARPACK failure raises NonConvergence naming sigma, k
-    and V at every size.
+def _lanczos(solve, m, sigma, k, **options):
+    """The k eigenvalues nearest sigma of A x = lambda M x, M = diag(m),
+    by shift-invert Lanczos: ``spla.eigsh``, the package's one eigen-solve
+    call, with solve applying (A - sigma M)^{-1}.
+
+    M is diagonal, so the spectral transformation is posed in standard
+    form (Ericsson & Ruhe, Math. Comp. 35, 1980; Lehoucq, Sorensen & Yang,
+    ARPACK Users' Guide, SIAM 1998, section 4): with D = M^{1/2}, ARPACK's
+    mode 1 finds the k eigenvalues theta of largest magnitude of the
+    symmetric operator y -> D (A - sigma M)^{-1} D y, one solve and no
+    M-product per step, and lambda = sigma + 1/theta.  The start vector
+    is ones plus a small fixed perturbation, scaled by D; options pass
+    through.  Returns the lambdas ascending and, unless
+    return_eigenvectors is False, their vectors x = D^{-1} y, which are
+    M-orthonormal.  An ARPACK failure raises NonConvergence naming sigma,
+    k and V at every size.
     """
-    V = A.shape[0]
-    inverse = spla.LinearOperator((V, V), matvec=solve, dtype=float)
+    V = m.size
+    scale = np.sqrt(m)
+    inverse = spla.LinearOperator(
+        (V, V), matvec=lambda y: scale * solve(scale * y), dtype=float)
     v0 = np.ones(V) + 0.01 * np.random.default_rng(0).standard_normal(V)
     try:
-        return spla.eigsh(A, k=k, M=M, sigma=sigma, OPinv=inverse, v0=v0,
-                          **options)
+        found = spla.eigsh(inverse, k=k, which="LM", v0=scale * v0,
+                           **options)
     except spla.ArpackError as exc:
         raise NonConvergence(
             f"shift-invert eigen-solve at sigma = {sigma:.6g} "
             f"(k = {k}, V = {V}) failed: {exc}") from exc
+    theta, y = found if isinstance(found, tuple) else (found, None)
+    vals = sigma + 1.0 / theta
+    order = np.argsort(vals)
+    if y is None:
+        return vals[order]
+    return vals[order], y[:, order] / scale[:, None]
 
 
 def eig_low(mesh, k=2):
-    """Smallest k generalized eigenpairs of S x = lambda M x, ascending.
+    """Smallest k generalized eigenpairs of S x = lambda M x, ascending,
+    the vectors M-orthonormal.
 
     Shift-invert Lanczos (``_lanczos``) at sigma = -1, where S - sigma M
-    is the bundle's S + M, so its factor serves as the inverse.  Small
+    is the bundle's S + M, so its factor serves as the inverse: ARPACK
+    runs in standard form on M^{1/2} (S + M)^{-1} M^{1/2} from the
+    M^{1/2}-scaled start vector, and lambda = 1/theta - 1.  Small
     problems (V <= max(4k + 20, DENSE_MAX_V)) are solved densely; an ARPACK
     failure raises NonConvergence at every size.
     """
     ops = of(mesh)
-    S, M = ops.S, ops.M
-    V = S.shape[0]
+    V = ops.m.size
     if V <= max(4 * k + 20, DENSE_MAX_V):
-        return _eig_dense(S, M, k)
-    vals, vecs = _lanczos(S, M, -1.0, ops.screened_lu.solve, k, which="LM",
-                          tol=EIG_TOL)
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+        return _eig_dense(ops.S, ops.M, k)
+    return _lanczos(ops.screened_lu.solve, ops.m, -1.0, k, tol=EIG_TOL)
 
 
 def eigs_nearest(ops, d, sigma, enough):
@@ -575,8 +592,9 @@ def eigs_nearest(ops, d, sigma, enough):
     operator of ``ricci.stability_check``, its one caller.
 
     Shift-invert Lanczos (``_lanczos``): ARPACK finds the largest
-    eigenvalues theta = 1/(mu - sigma) of (A - sigma M)^{-1} M, i.e. the
-    mu nearest sigma.  One ``factor`` of A - sigma M serves
+    eigenvalues theta = 1/(mu - sigma) of M^{1/2} (A - sigma M)^{-1}
+    M^{1/2} in standard form, i.e. the mu = sigma + 1/theta nearest sigma.
+    One ``factor`` of A - sigma M serves
     every k: its values are filled into ``Operators.kept_ordering``'s
     permuted pattern of S and factored in that order, so nothing is
     assembled or ordered here.  k starts at 1 and doubles until
@@ -590,7 +608,7 @@ def eigs_nearest(ops, d, sigma, enough):
     NonConvergence when ARPACK fails or, above DENSE_MAX_V, when k reaches
     V - 1 without ``enough``.
     """
-    A, M = ops.shifted(-1.0, d), ops.M
+    A = ops.shifted(-1.0, d)
     V = A.shape[0]
     order, indptr, indices, gather = ops.kept_ordering
     data = A.data.copy()
@@ -605,7 +623,8 @@ def eigs_nearest(ops, d, sigma, enough):
 
     k = 1
     while k < V - 1:
-        vals = _lanczos(A, M, sigma, solve, k, ncv=min(V, max(2 * k + 1, 10)),
+        vals = _lanczos(solve, ops.m, sigma, k,
+                        ncv=min(V, max(2 * k + 1, 10)),
                         return_eigenvectors=False)
         vals = vals[np.argsort(np.abs(vals - sigma), kind="stable")]
         if enough(vals):
@@ -615,7 +634,7 @@ def eigs_nearest(ops, d, sigma, enough):
         raise NonConvergence(
             f"no k up to {k // 2} gave enough eigenvalues nearest sigma = "
             f"{sigma:.6g} (V = {V}), and V > DENSE_MAX_V = {DENSE_MAX_V}")
-    vals, _ = _eig_dense(A, M, V)
+    vals, _ = _eig_dense(A, ops.M, V)
     return vals[np.argsort(np.abs(vals - sigma), kind="stable")]
 
 

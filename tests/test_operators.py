@@ -158,6 +158,50 @@ def test_cover_spectrum_contains_base(mesh2):
         assert np.abs(cover_vals - bv).min() < 1e-6
 
 
+def test_eig_low_vectors_are_m_orthonormal_eigenvectors(mesh3):
+    # The standard-form Lanczos returns x = M^{-1/2} y for orthonormal y:
+    # X^T M X = I, and each x solves S x = lambda M x.
+    cover = build_cover(mesh3, CoverSpec.cyclic(2))
+    assert cover.num_vertices == 508 > ops.DENSE_MAX_V  # the sparse path
+    vals, X = ops.eig_low(cover, k=6)
+    S, m = ops.stiffness(cover), ops.mass_vector(cover)
+    assert np.all(np.diff(vals) >= 0)
+    assert np.abs(X.T @ (m[:, None] * X) - np.eye(6)).max() < 1e-10
+    SX = S @ X
+    assert (np.linalg.norm(SX - m[:, None] * X * vals)
+            <= 1e-8 * np.linalg.norm(SX))
+
+
+# eig_low's lists at k = 3-20 above the dense cutoff on five meshes, checked
+# against a dense eigh.  From its fixed start vector at EIG_TOL, ARPACK
+# skips copies of repeated eigenvalues on these symmetric meshes and
+# returns a larger value instead; these lists are wrong today (by up to
+# 5.3).  Every other list is right, and must stay right.
+SURVEY_MESHES = {"l3c2": (3, 2), "l3c3": (3, 3), "l3c4": (3, 4),
+                 "l4b": (4, 1), "l4c2": (4, 2)}
+KNOWN_WRONG = {
+    "l3c2-k7", "l3c2-k8", "l3c2-k9", "l3c2-k10", "l3c2-k11",
+    "l3c4-k3", "l3c4-k7", "l3c4-k8",
+    "l4b-k12", "l4b-k13", "l4b-k14", "l4b-k15", "l4b-k16", "l4b-k18",
+    "l4b-k19",
+    "l4c2-k7", "l4c2-k8", "l4c2-k12",
+}
+
+
+def test_eig_low_survey_lists_are_right_but_the_known_wrong():
+    wrong = set()
+    for name, (level, sheets) in SURVEY_MESHES.items():
+        mesh = level_mesh(level, sheets)
+        S, m = ops.stiffness(mesh), ops.mass_vector(mesh)
+        dense = sla.eigh(S.toarray(), np.diag(m), eigvals_only=True,
+                         subset_by_index=[0, 19])
+        for k in range(3, 21):
+            assert mesh.num_vertices > max(4 * k + 20, ops.DENSE_MAX_V)
+            if np.abs(ops.eig_low(mesh, k=k)[0] - dense[:k]).max() > 1e-9:
+                wrong.add(f"{name}-k{k}")
+    assert wrong <= KNOWN_WRONG
+
+
 def test_systole_frozen_value():
     # Every base level and cyclic cover keeps the octagon side loops,
     # which realize the shortest noncontractible length.
@@ -512,7 +556,8 @@ def test_every_sparse_factorization_goes_through_factor():
     # One factorization path: SuperLU is reached only inside
     # operators.factor, and no shift-invert eigsh factors on its own.
     # One eigen-solve path: the package's only eigsh call is the one in
-    # operators._lanczos.
+    # operators._lanczos, in standard form: it passes no M, sigma or OPinv
+    # (ARPACK's generalized shift-invert mode), by keyword or position.
     offenders, eigsh_calls = [], []
     for path in sorted(pathlib.Path(ops.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -533,7 +578,7 @@ def test_every_sparse_factorization_goes_through_factor():
                     getattr(node.func, "attr", None),
                     getattr(node.func, "id", None)):
                 keywords = {k.arg for k in node.keywords}
-                if "sigma" in keywords and "OPinv" not in keywords:
+                if {"M", "sigma", "OPinv"} & keywords or len(node.args) > 2:
                     offenders.append(f"{path.name}:{node.lineno} eigsh")
                 eigsh_calls.append((path.name, id(node) in lanczos))
     assert offenders == []
