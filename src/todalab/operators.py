@@ -19,7 +19,8 @@ and every solve with S or a shifted S on the mesh uses one of them:
   re-derived from the mesh: the Green solves of the section densities,
   ``eig_low``'s shift-invert Lanczos at sigma = -1 (so lambda0 and
   lambda1), posed in standard form on M^{1/2} (S + M)^{-1} M^{1/2} (see
-  ``_lanczos``), ``ricci.mt_probe`` and the ordering ``kept_ordering``;
+  ``_lanczos``), ``ricci.mt_probe`` (one multi-column solve per block of
+  up to 8 samples) and the ordering ``kept_ordering``;
 * ``monotone_lu``, S + MONOTONE_SHIFT M, is the monotone Gauss scheme's
   matrix and preconditions the Gauss-like Newton blocks, S + M diag(R')
   with R' up to 2: ``gauss.solve_gauss`` and the coupled system's u-block;

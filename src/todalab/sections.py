@@ -293,23 +293,3 @@ def schwarz_check(density, radius):
         "systole": delta,
     }
 
-
-def radial_barrier(r, a, B):
-    """Barrier h(r) = -2a ln cosh(r/2) + B + ln tanh(r/2), r > 0.
-
-    With a = 1/(2 sinh^2(delta/2)) = 2 pi / Vol(D(delta)) the derivative
-    vanishes at r = delta, and h satisfies h'' + coth(r) h' = -a for all r.
-    """
-    r = np.asarray(r, dtype=float)
-    if (r <= 0).any():
-        raise ValueError("radial barrier needs r > 0")
-    return -2.0 * a * np.log(np.cosh(r / 2.0)) + B + np.log(np.tanh(r / 2.0))
-
-
-def radial_barrier_derivative(r, a):
-    """d/dr of the radial barrier: -a tanh(r/2) + 1/sinh(r)."""
-    r = np.asarray(r, dtype=float)
-    if (r <= 0).any():
-        raise ValueError("radial barrier needs r > 0")
-    return -a * np.tanh(r / 2.0) + 1.0 / np.sinh(r)
-

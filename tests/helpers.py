@@ -410,14 +410,43 @@ def reference_gauss_min_eig(mesh, u, f):
                           subset_by_index=[0, 0])[0])
 
 
+def level_mesh(level, sheets):
+    """The base surface at refinement level, or its cyclic cover."""
+    mesh = mesh_module.build_base_surface(refinement=level)
+    if sheets == 1:
+        return mesh
+    return mesh_module.build_cover(mesh, mesh_module.CoverSpec.cyclic(sheets))
+
+
+def reference_mt_probe(mesh, samples=8, seed=0):
+    """``ricci.mt_probe`` one sample at a time: one draw and one
+    single-column S + M solve per sample."""
+    rng = np.random.default_rng(seed)
+    ops = operators.of(mesh)
+    m, S, vol = ops.m, ops.S, ops.vol
+    worst = 0.0
+    for _ in range(samples):
+        z = rng.standard_normal(mesh.num_vertices)
+        y = ops.screened_lu.solve(m * z)
+        y -= (m @ y) / vol
+        en = float(y @ (S @ y))
+        if en <= 0:
+            continue
+        y /= np.sqrt(en)
+        val = float((m * np.expm1(4.0 * np.pi * y ** 2)).sum())
+        worst = max(worst, val)
+    return worst
+
+
 class CountingFactor:
-    """A factor whose solves are counted."""
+    """A factor whose solves are counted, one per right-hand-side
+    column."""
 
     def __init__(self, lu):
         self.lu, self.solves = lu, 0
 
     def solve(self, b):
-        self.solves += 1
+        self.solves += 1 if b.ndim == 1 else b.shape[1]
         return self.lu.solve(b)
 
 

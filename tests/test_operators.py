@@ -10,8 +10,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from helpers import (CountingFactor, first_system, reference_dijkstra,
-                     reference_newton_step, reference_systole)
+from helpers import (CountingFactor, first_system, level_mesh,
+                     reference_dijkstra, reference_newton_step,
+                     reference_systole)
 from todalab import coupled, gauss, group, ricci
 from todalab import sections as S
 from todalab import hyperbolic as H
@@ -661,11 +662,6 @@ def newton_solutions(mesh):
     v_J = ricci.maximize_J(problem).v
     v_newton = ricci.solve_ricci_newton(problem, v_init=v_J + 0.1).v
     return u, v_J, v_newton
-
-
-def level_mesh(level, sheets):
-    mesh = build_base_surface(refinement=level)
-    return build_cover(mesh, CoverSpec.cyclic(sheets)) if sheets > 1 else mesh
 
 
 def exact_forcing(monkeypatch):

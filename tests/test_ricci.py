@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import level_mesh, reference_mt_probe
 from todalab import fileio
 from todalab import gauss as G
 from todalab import operators as ops
@@ -231,6 +232,45 @@ def test_mt_probe_properties(mesh):
     assert val > 0
     other = R.mt_probe(mesh, samples=4, seed=1)
     assert other > 0
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("sheets", [1, 2], ids=["base", "cover2"])
+def test_mt_probe_matches_the_sample_by_sample_probe(level, sheets):
+    # Blocks of up to 8 samples draw the same stream and smooth it by one
+    # solve each; only that solve's rounding differs.
+    mesh = level_mesh(level, sheets)
+    for samples in (1, 7, 8, 9, 17):
+        for seed in range(5):
+            want = reference_mt_probe(mesh, samples, seed)
+            got = R.mt_probe(mesh, samples, seed)
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_mt_probe_solves_each_block_of_8_at_once(monkeypatch):
+    mesh = level_mesh(3, 2)
+    bundle = ops.of(mesh)
+    screened, shapes = bundle.screened_lu, []
+
+    class Spy:
+        def solve(self, b):
+            shapes.append(b.shape)
+            return screened.solve(b)
+
+    monkeypatch.setattr(bundle, "screened_lu", Spy())
+    for samples in (1, 7, 8, 9, 17):
+        shapes.clear()
+        R.mt_probe(mesh, samples)
+        assert len(shapes) == -(-samples // 8)
+        assert all(len(shape) == 2 and shape[0] == mesh.num_vertices
+                   and 1 <= shape[1] <= 8 for shape in shapes)
+        assert sum(shape[1] for shape in shapes) == samples
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_mt_probe_refuses_fewer_than_one_sample(mesh, samples):
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        R.mt_probe(mesh, samples=samples)
 
 
 def test_field_csv_text(mesh):
