@@ -9,7 +9,11 @@ deterministic (sorted JSON keys, shortest round-trip float repr) so
 identical inputs produce byte-identical outputs.
 
 Formats:
-  * field CSV         -- header ``vertex_index,<name>``, one row per vertex
+  * field CSV         -- header ``vertex_index,<name>``, then one
+                         ``index,value`` row per vertex, in any order but
+                         each index once; blank rows and comments are
+                         refused.  The rows are parsed in one NumPy pass
+                         (read_field_csv).
   * density CSV+JSON  -- log-density field plus divisor sidecar
   * certificate JSON  -- almost-Fuchsian certificate dict
   * run manifest JSON -- input paths, config, git-style blob hashes
@@ -22,36 +26,36 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
 from .errors import TodaError
 
 
-def _umask():
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def atomic_write_text(path, text):
     """Write text to path via a temp file in the same directory + rename.
 
-    The file gets the mode open() would give it (0666 less the process
-    umask, not mkstemp's 0600).  A missing directory is a
-    FileNotFoundError: no directory is created.
+    The temp file is created with mode 0666, which the kernel lessens by
+    the process umask, so the file gets the mode open() would give it.  A
+    missing directory is a FileNotFoundError: no directory is created.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    except FileNotFoundError as exc:
-        raise FileNotFoundError(
-            f"output directory {directory} does not exist") from exc
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    for _ in range(100):
+        tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, flags, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except FileNotFoundError as exc:
+            raise FileNotFoundError(
+                f"output directory {directory} does not exist") from exc
+    else:
+        raise FileExistsError(f"no free temporary file name in {directory}")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -109,19 +113,51 @@ def read_json_object(path, fields):
 # Field CSV
 
 def field_csv_text(name, values):
-    lines = [f"vertex_index,{name}"]
-    for i, val in enumerate(values):
-        lines.append(f"{i},{float(val)!r}")
-    return "\n".join(lines) + "\n"
+    rows = [f"{i},{x!r}\n"
+            for i, x in enumerate(np.asarray(values, float).tolist())]
+    return f"vertex_index,{name}\n" + "".join(rows)
 
 
 def write_field_csv(path, name, values):
     atomic_write_text(path, field_csv_text(name, values))
 
 
+# One parsed body row of a field CSV.
+_ROW = np.dtype([("index", np.int64), ("value", np.float64)])
+
+
+def _bad_row(path, rows, exc):
+    """The TodaError of a body that the bulk parse refused with exc: it
+    names the first row that is not ``index,value``.  Only this message
+    is built row by row.
+
+    Python's int() and float() also take what NumPy's reader refuses
+    (digit-group underscores, non-ASCII digits, an index past int64); if
+    every row passes them, the error quotes NumPy's message instead."""
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            idx_s, val_s = row.split(",")
+            int(idx_s), float(val_s)
+        except ValueError:
+            return TodaError(f"field CSV {path} line {line} is not an "
+                             f"'index,value' row: {row!r}")
+    return TodaError(f"field CSV {path} is not a list of 'index,value' "
+                     f"rows: {exc}")
+
+
 def read_field_csv(path, expected_name=None, size=None):
-    """Returns (name, values). Rows may arrive in any vertex order; size,
-    if given, is the vertex count the field must have."""
+    """Returns (name, values); size, if given, is the vertex count the
+    field must have.
+
+    The format: whitespace around the file is dropped, the first line is
+    the header ``vertex_index,<name>`` and every further line is one
+    ``index,value`` row of an ASCII decimal integer and float (``inf``
+    and ``-inf`` included, NaN refused).  Rows may come in any vertex
+    order, but each index 0..n-1 appears exactly once.  Blank rows and
+    comments are refused.  The body is parsed in one NumPy pass
+    (np.loadtxt), whose floats are the ones float() reads from the same
+    text, bit for bit.
+    """
     with open(path) as handle:
         rows = handle.read().strip().splitlines()
     if not rows:
@@ -135,18 +171,19 @@ def read_field_csv(path, expected_name=None, size=None):
             f"field CSV {path} holds {name!r}, expected {expected_name!r}")
     n = len(rows) - 1
     values = np.empty(n)
-    seen = np.zeros(n, dtype=bool)
-    for line, row in enumerate(rows[1:], start=2):
+    if n:  # with no body row, loadtxt would warn that it found no data
         try:
-            idx_s, val_s = row.split(",")
-            idx, val = int(idx_s), float(val_s)
-        except ValueError:
-            raise TodaError(f"field CSV {path} line {line} is not an "
-                            f"'index,value' row: {row!r}") from None
-        if not 0 <= idx < n or seen[idx]:
+            parsed = np.loadtxt(rows, dtype=_ROW, delimiter=",",
+                                comments=None, skiprows=1, ndmin=1)
+            if len(parsed) != n:  # loadtxt skips blank rows
+                raise ValueError("a blank row")
+        except ValueError as exc:
+            raise _bad_row(path, rows, exc) from None
+        index = parsed["index"]
+        if not (index.min() >= 0 and index.max() < n
+                and np.bincount(index, minlength=n).max() == 1):
             raise TodaError(f"field CSV {path} has bad vertex indexing")
-        values[idx] = val
-        seen[idx] = True
+        values[index] = parsed["value"]
     if size is not None and len(values) != size:
         raise TodaError(f"field CSV {path} holds {len(values)} values for a "
                         f"mesh with {size} vertices")

@@ -1,7 +1,8 @@
 """Shared fixtures: deck-invariant smooth bump fields built from positions,
 the reference systole search, cover construction, refinement, mesh JSON
 encoder and direct Newton step, a mesh document of the retired layout,
-the dense stability oracles and a factor that counts its solves."""
+the dense stability oracles, a factor that counts its solves and the
+row-by-row field CSV writer and reader."""
 
 import functools
 import heapq
@@ -18,7 +19,7 @@ from todalab import hyperbolic as H
 from todalab import mesh as mesh_module
 from todalab import operators
 from todalab import ricci
-from todalab.errors import MeshError, NonConvergence
+from todalab.errors import MeshError, NonConvergence, TodaError
 
 
 def enumerate_translates(cutoff, max_len=3):
@@ -436,6 +437,52 @@ def reference_mt_probe(mesh, samples=8, seed=0):
         val = float((m * np.expm1(4.0 * np.pi * y ** 2)).sum())
         worst = max(worst, val)
     return worst
+
+
+def reference_field_csv_text(name, values):
+    """``fileio.field_csv_text`` one row at a time: float() of each
+    value, rows joined by newlines."""
+    lines = [f"vertex_index,{name}"]
+    for i, val in enumerate(values):
+        lines.append(f"{i},{float(val)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_read_field_csv(path, expected_name=None, size=None):
+    """``fileio.read_field_csv`` one row at a time: int() and float() of
+    each row's two fields, each stored at its index."""
+    with open(path) as handle:
+        rows = handle.read().strip().splitlines()
+    if not rows:
+        raise TodaError(f"field CSV {path} is empty")
+    header = rows[0].split(",")
+    if len(header) != 2 or header[0] != "vertex_index":
+        raise TodaError(f"bad field CSV header in {path}: {rows[0]!r}")
+    name = header[1]
+    if expected_name is not None and name != expected_name:
+        raise TodaError(
+            f"field CSV {path} holds {name!r}, expected {expected_name!r}")
+    n = len(rows) - 1
+    values = np.empty(n)
+    seen = np.zeros(n, dtype=bool)
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            idx_s, val_s = row.split(",")
+            idx, val = int(idx_s), float(val_s)
+        except ValueError:
+            raise TodaError(f"field CSV {path} line {line} is not an "
+                            f"'index,value' row: {row!r}") from None
+        if not 0 <= idx < n or seen[idx]:
+            raise TodaError(f"field CSV {path} has bad vertex indexing")
+        values[idx] = val
+        seen[idx] = True
+    if size is not None and len(values) != size:
+        raise TodaError(f"field CSV {path} holds {len(values)} values for a "
+                        f"mesh with {size} vertices")
+    nan = np.flatnonzero(np.isnan(values))
+    if nan.size:
+        raise TodaError(f"field CSV {path} holds NaN at vertex {nan[0]}")
+    return name, values
 
 
 class CountingFactor:

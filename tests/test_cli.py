@@ -9,6 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
+from helpers import reference_read_field_csv
 from todalab import cli, fileio
 from todalab.cli import main
 from todalab.errors import TodaError
@@ -331,6 +332,24 @@ def run_dir(workspace):
                  "--density", workspace["cover_dens"], "--degree", "1",
                  "-o", run]) == 0
     return run
+
+
+def test_field_files_read_as_the_row_by_row_reader_reads_them(
+        workspace, run_dir, tmp_path):
+    out = str(tmp_path / "out")
+    assert main(["solve-gauss", "--mesh", workspace["base"],
+                 "--constant", "0.1", "-o", out]) == 0
+    assert main(["solve-ricci", "--mesh", workspace["base"],
+                 "--density", workspace["base_dens"], "--scale", "0.1",
+                 "--degree", "1", "-o", out]) == 0
+    paths = [workspace["base_dens"] + ".csv", workspace["cover_dens"] + ".csv",
+             os.path.join(run_dir, "u.csv"), os.path.join(run_dir, "v.csv"),
+             out + "_u.csv", out + "_v.csv"]
+    for path in paths:
+        name, values = fileio.read_field_csv(path)
+        old_name, old = reference_read_field_csv(path)
+        assert name == old_name
+        assert values.tobytes() == old.tobytes()
 
 
 def _drop_key(key):
