@@ -290,19 +290,16 @@ def vtk_text(mesh, scalars):
              "ASCII",
              "DATASET POLYDATA",
              f"POINTS {mesh.num_vertices} double"]
-    for z in pos:
-        lines.append(f"{float(z.real)!r} {float(z.imag)!r} 0.0")
+    lines += [f"{x!r} {y!r} 0.0"
+              for x, y in zip(pos.real.tolist(), pos.imag.tolist())]
     F = mesh.num_faces
     lines.append(f"POLYGONS {F} {4 * F}")
-    for tri in mesh.triangles:
-        lines.append(f"3 {tri[0]} {tri[1]} {tri[2]}")
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist()]
     lines.append(f"POINT_DATA {mesh.num_vertices}")
     for name, values in scalars:
         clean = np.where(np.isfinite(values), values, -1e300)
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        for val in clean:
-            lines.append(repr(float(val)))
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        lines += map(repr, clean.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -39,9 +39,13 @@ the tables of :data:`TABLES` under their field names: ``edges``,
 ``edge_lengths``, ``tri_edges``, ``tri_edge_signs``, ``positions`` (re and
 im interleaved) and, for covers, ``base_vertex``, each one flat row-major
 list.  Triangles are not stored: they follow from the slots (see
-:attr:`HyperbolicMesh.triangles`).  The text is ``json.dumps(doc,
-separators=(",", ":"), sort_keys=True)``, and run manifests hash it, so
-its bytes are fixed: a mesh read back serializes to the same bytes.
+:attr:`HyperbolicMesh.triangles`).  The text is defined as ``json.dumps(doc,
+separators=(",", ":"), sort_keys=True)`` of that object, and run manifests
+hash it, so its bytes are fixed: a mesh read back serializes to the same
+bytes.  :func:`mesh_to_json` produces those bytes without that call on the
+tables: it formats each distinct number once (a level-5 2-cover has 628
+distinct edge lengths among 24 576) and joins the texts by index, then
+assembles the object's ``"key":text`` parts in sorted key order.
 :func:`mesh_from_dict` is the one reader: it rejects any other format
 (meshes written before format 2 must be rebuilt), malformed tables and
 out-of-range indices with a MeshError, and parses each distinct word once.
@@ -564,6 +568,21 @@ TABLES = (("edges", 2, np.int64), ("edge_lengths", 1, float),
           ("positions", 2, complex), ("base_vertex", 1, np.int64))
 
 
+def _list_text(values):
+    """The compact JSON text of the flat integer or finite float array
+    values, as ``json.dumps(values.tolist())`` gives it, with each distinct
+    number formatted once: floats by their bit patterns (so -0.0 and 0.0
+    stay apart) and integers from one table over their range."""
+    if values.dtype.kind == "f":
+        bits, index = np.unique(values.view(np.int64), return_inverse=True)
+        text = list(map(float.__repr__, bits.view(float).tolist()))
+    else:
+        low = int(values.min(initial=0))
+        index = values - low
+        text = list(map(str, range(low, int(values.max(initial=0)) + 1)))
+    return "[" + ",".join(np.array(text, dtype=object)[index].tolist()) + "]"
+
+
 def mesh_to_json(mesh):
     """The mesh as format-2 JSON text (see "Serialization" in the module
     docstring).  Raises MeshError for a non-finite position or edge
@@ -573,16 +592,21 @@ def mesh_to_json(mesh):
         raise MeshError("a vertex position or edge length is not finite")
     table = mesh.word_table()
     words = np.array([group.word_str(w) for w in table.words], dtype=object)
+    # The JSON text of each value under its key; the number tables are
+    # formatted by _list_text, the rest by json.dumps.
     doc = {"format": FORMAT, "genus": int(mesh.genus),
            "level": int(mesh.level), "edge_words": words[table.ids].tolist()}
+    parts = {key: json.dumps(value, separators=(",", ":"))
+             for key, value in doc.items()}
     for key, _, dtype in TABLES:
         value = getattr(mesh, key)
         if value is not None:
             value = np.ascontiguousarray(value, dtype)
             if dtype is complex:
                 value = value.view(float)
-            doc[key] = value.ravel().tolist()
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+            parts[key] = _list_text(value.ravel())
+    return "{" + ",".join(f"{json.dumps(key)}:{parts[key]}"
+                          for key in sorted(parts)) + "}"
 
 
 def _table(doc, key, width, dtype):

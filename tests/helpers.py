@@ -448,6 +448,31 @@ def reference_field_csv_text(name, values):
     return "\n".join(lines) + "\n"
 
 
+def reference_vtk_text(mesh, scalars):
+    """``fileio.vtk_text`` one row at a time: float() of each position
+    and scalar, the NumPy integers of each triangle row."""
+    pos = mesh.positions
+    lines = ["# vtk DataFile Version 3.0",
+             "hyperbolic surface fields",
+             "ASCII",
+             "DATASET POLYDATA",
+             f"POINTS {mesh.num_vertices} double"]
+    for z in pos:
+        lines.append(f"{float(z.real)!r} {float(z.imag)!r} 0.0")
+    F = mesh.num_faces
+    lines.append(f"POLYGONS {F} {4 * F}")
+    for tri in mesh.triangles:
+        lines.append(f"3 {tri[0]} {tri[1]} {tri[2]}")
+    lines.append(f"POINT_DATA {mesh.num_vertices}")
+    for name, values in scalars:
+        clean = np.where(np.isfinite(values), values, -1e300)
+        lines.append(f"SCALARS {name} double 1")
+        lines.append("LOOKUP_TABLE default")
+        for val in clean:
+            lines.append(repr(float(val)))
+    return "\n".join(lines) + "\n"
+
+
 def reference_read_field_csv(path, expected_name=None, size=None):
     """``fileio.read_field_csv`` one row at a time: int() and float() of
     each row's two fields, each stored at its index."""

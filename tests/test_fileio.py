@@ -1,4 +1,5 @@
-"""The field CSV format and the atomic writer of ``fileio``."""
+"""The field CSV format, the VTK export text and the atomic writer of
+``fileio``."""
 
 import os
 import re
@@ -7,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import reference_field_csv_text, reference_read_field_csv
+from helpers import (level_mesh, reference_field_csv_text,
+                     reference_read_field_csv, reference_vtk_text)
 from todalab import fileio
 from todalab.errors import TodaError
 
@@ -54,6 +56,25 @@ def test_field_csv_text_takes_lists_and_integers():
         assert (fileio.field_csv_text("f", values)
                 == reference_field_csv_text("f", values))
     assert fileio.field_csv_text("f", []) == "vertex_index,f\n"
+
+
+@pytest.mark.parametrize("level", [2, 5])
+def test_vtk_text_matches_the_row_by_row_writer(level):
+    mesh = level_mesh(level, 2)
+    V = mesh.num_vertices
+    rng = np.random.default_rng(level)
+    channels = [
+        ("hard", np.resize(np.array(HARD + [np.nan]), V)),
+        ("random", (rng.standard_normal(V)
+                    * 10.0 ** rng.integers(-300, 300, V))),
+        ("integers", np.arange(V))]
+    text = fileio.vtk_text(mesh, channels)
+    assert text == reference_vtk_text(mesh, channels)
+    # -inf and NaN both become the sentinel.
+    lines = text.split("\n")
+    start = lines.index("SCALARS hard double 1") + 2
+    hard = lines[start:start + len(HARD) + 1]
+    assert hard[HARD.index(-np.inf)] == hard[-1] == repr(-1e300)
 
 
 def test_shuffled_rows_read_in_vertex_order(tmp_path):

@@ -11,6 +11,7 @@ from helpers import (reference_build_cover, reference_mesh_json,
                      reference_refine, v1_mesh_document)
 from todalab import group as G
 from todalab import hyperbolic as H
+from todalab import mesh as mesh_module
 from todalab import operators as ops
 from todalab.errors import DisconnectedCoverError, MeshError, RelatorError
 from todalab.mesh import (CoverSpec, build_base_surface, build_cover,
@@ -377,15 +378,63 @@ def test_json_matches_reference_encoder_at_level_5():
     assert_same_text(mesh_to_json(build()), mesh_to_json(cover))
 
 
+def _neighbours(x):
+    """x and the floats one bit below and above it."""
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# Float values whose text is easy to get wrong when each distinct value is
+# formatted once: signed zeros (equal as floats, distinct as text), the
+# smallest subnormal, the magnitudes where repr switches to exponent form
+# (1e16 and 1e-4), and bit neighbours, which differ only in their last
+# digits.  Negative values sort apart from positive ones by bit pattern.
+HARD_POSITIONS = [
+    [0.0, -0.0, -0.0, 0.0],
+    [5e-324, -5e-324, 0.0, -0.0],
+    [1e16, 9999999999999998.0, -1e16, 1e16],
+    _neighbours(1e-5) + _neighbours(-1e-5),
+    _neighbours(1e-4) + [1e-4, 1.7976931348623157e308,
+                         2.2250738585072014e-308],
+]
+HARD_LENGTHS = [
+    [0.5, 0.5, 0.5, 0.5],
+    _neighbours(1.0) + _neighbours(1.0) + [1.0],
+    [x for x in _neighbours(np.pi) for _ in range(3)],
+    _neighbours(5e-324)[1:] + _neighbours(1e16) + [0.0, 0.0],
+]
+
+
+@pytest.mark.parametrize("name, values", [
+    *(("positions", values) for values in HARD_POSITIONS),
+    *(("edge_lengths", values) for values in HARD_LENGTHS)])
+def test_json_matches_reference_encoder_on_hard_values(meshes, name, values):
+    mesh = dataclasses.replace(meshes[1])
+    table = getattr(mesh, name).copy()
+    flat = table.view(float)
+    # The case twice, the second copy at the table's end, so repeats of a
+    # value sit both side by side and far apart.
+    flat[:len(values)] = values
+    flat[-len(values):] = values
+    setattr(mesh, name, table)
+    assert_matches_reference_encoder(mesh)
+    text = mesh_to_json(mesh)
+    got = np.array(json.loads(text)[name], dtype=float)
+    assert np.array_equal(got.view(np.int64), flat.view(np.int64))
+
+
 @pytest.mark.parametrize("name, index, value", [
     ("positions", 3, complex(np.nan, 0.0)),
     ("positions", 0, complex(0.0, np.inf)),
     ("edge_lengths", 5, np.inf),
     ("edge_lengths", 0, -np.inf)])
-def test_non_finite_mesh_data_is_not_written(meshes, name, index, value):
+def test_non_finite_mesh_data_is_not_written(monkeypatch, meshes, name, index,
+                                             value):
     mesh = dataclasses.replace(meshes[1])
     setattr(mesh, name, getattr(mesh, name).copy())
     getattr(mesh, name)[index] = value
+    # Nothing is formatted before the check refuses the mesh.
+    monkeypatch.setattr(mesh_module, "_list_text", None)
+    monkeypatch.setattr(G, "word_str", None)
     with pytest.raises(MeshError, match="not finite"):
         mesh_to_json(mesh)
 

@@ -6,7 +6,9 @@ at level 5, 32 764 at level 6),
 the canonical divisor 0:1,1:1,5:1,20:1 on the base and its balanced lift
 with the fresh zero 3.  Right after building the cover it times one write
 of the cover's mesh file (`mesh_to_json`) and one read (`json.loads` plus
-`mesh_from_dict`).  Set-up pays for the cover's systole and its S + M
+`mesh_from_dict`), and hashes the text it wrote (`mesh_sha1`, the git blob
+sha1), so that trees timed against each other are seen to write the same
+bytes.  Set-up pays for the cover's systole and its S + M
 factor (`balanced_lift`'s Green solve runs on it), so both are cached when
 `solve_coupled(..., degree 1)` is timed; lambda_1 is paid inside the timed
 call.  Trees whose Green solves build their own factor pay for the S + M
@@ -20,9 +22,11 @@ machine lands on all of them alike:
         --runs 10 --refine 6 -o BENCH.json
 
 Prints the median and quartiles per tree (of the solve and of the mesh
-write and read, with the mesh file's size) as one JSON object, with each
-tree's certificate, the relative difference of every certificate value
-but the residuals against the first tree, and the number of solves with
+write and read, with the mesh file's size and sha1) as one JSON object,
+with `mesh_sha1_differs` listing the trees whose mesh bytes differ from
+the first tree's (or differ between runs), each tree's certificate, the
+relative difference of every certificate value but the residuals
+against the first tree, and the number of solves with
 each factor the cover's bundle keeps that the timed call made
 (`screened_solves` on S + M: `eig_low`'s, and on trees that precondition
 Newton with it the MINRES solves too; `monotone_solves` on S + 2M and,
@@ -44,6 +48,7 @@ DIVISOR = [(0, 1), (1, 1), (5, 1), (20, 1)]
 ZERO_VERTEX = 3
 
 CHILD = """
+from todalab import fileio
 base = todalab.build_base_surface(refinement={refine})
 cover = todalab.build_cover(base, todalab.CoverSpec.cyclic({n}))
 start = time.perf_counter()
@@ -53,6 +58,7 @@ start = time.perf_counter()
 todalab.mesh_from_dict(json.loads(text))
 read_s = time.perf_counter() - start
 mesh_bytes = len(text.encode())
+mesh_sha1 = fileio.git_blob_sha1(text)
 del text
 base_density = todalab.synth_density(base, todalab.Divisor({divisor!r}))
 density, _ = todalab.balanced_lift(base_density, cover, {zero})
@@ -64,14 +70,15 @@ seconds = time.perf_counter() - start
 json.dump({{"seconds": seconds,
            **{{f"{{key}}_solves": n for key, n in solves.items()}},
            "write_s": write_s, "read_s": read_s, "mesh_bytes": mesh_bytes,
+           "mesh_sha1": mesh_sha1,
            "certificate": result.certificate.to_dict()}}, sys.stdout)
 """
 
 
 def run_once(src, refine, n):
     """The child's output of one timed solve in a fresh process: seconds,
-    solves per kept factor, mesh write_s, read_s and mesh_bytes,
-    certificate."""
+    solves per kept factor, mesh write_s, read_s, mesh_bytes and
+    mesh_sha1, certificate."""
     return run_child(src, CHILD.format(refine=refine, n=n, divisor=DIVISOR,
                                        zero=ZERO_VERTEX), "solve")
 
@@ -106,17 +113,25 @@ def main(argv=None):
     certificates = {label: runs[0]["certificate"]
                     for label, runs in outs.items()}
     first = next(iter(trees))
+    mesh_sha1 = {label: sorted({r["mesh_sha1"] for r in runs})
+                 for label, runs in outs.items()}
+    differs = [label for label, sha1 in mesh_sha1.items()
+               if sha1 != mesh_sha1[first] or len(sha1) > 1]
+    if differs:
+        print(f"mesh bytes differ between runs or from {first}'s: "
+              f"{', '.join(differs)}", file=sys.stderr)
     result = {
         "script": "tools/solve_l5.py",
         "refine": args.refine, "cover_degree": args.n, "divisor": DIVISOR,
         "zero_vertex": ZERO_VERTEX, "degree": 1, "runs": args.runs,
-        "machine": machine_info(),
+        "machine": machine_info(), "mesh_sha1_differs": differs,
         "trees": {label: {
             "solve_coupled_s": summary([r["seconds"] for r in runs]),
             "samples_s": [round(r["seconds"], 4) for r in runs],
             **{key: sorted({r[key] for r in runs})
                for key in solve_keys(runs[0])},
             "mesh_bytes": runs[0]["mesh_bytes"],
+            "mesh_sha1": mesh_sha1[label],
             "mesh_write_s": summary([r["write_s"] for r in runs]),
             "mesh_read_s": summary([r["read_s"] for r in runs]),
             "certificate": certificates[label],
