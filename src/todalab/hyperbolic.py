@@ -109,24 +109,28 @@ def disk_midpoint(z, w):
 # ----------------------------------------------------------------------
 # Intrinsic triangle computations from edge lengths
 
+def _corner_angle(ch_adj1, sh_adj1, ch_adj2, sh_adj2, ch_opp):
+    """Angle between two sides from the cosh and sinh of both and the cosh
+    of the opposite side (law of cosines)."""
+    x = (ch_adj1 * ch_adj2 - ch_opp) / (sh_adj1 * sh_adj2)
+    return np.arccos(np.clip(x, -1.0, 1.0))
+
+
 def triangle_angles(l01, l12, l20):
     """Interior angles (at corners 0, 1, 2) of hyperbolic triangles.
 
     Side l01 joins corners 0,1 etc.; inputs broadcast.  Law of cosines:
-    cos A = (cosh b cosh c - cosh a) / (sinh b sinh c) with a opposite A.
+    cos A = (cosh b cosh c - cosh a) / (sinh b sinh c) with a opposite A,
+    on one cosh and one sinh per side.
     """
     l01, l12, l20 = np.broadcast_arrays(np.asarray(l01, float),
                                         np.asarray(l12, float),
                                         np.asarray(l20, float))
-
-    def angle(adj1, adj2, opp):
-        x = (np.cosh(adj1) * np.cosh(adj2) - np.cosh(opp)) / (
-            np.sinh(adj1) * np.sinh(adj2))
-        return np.arccos(np.clip(x, -1.0, 1.0))
-
-    a0 = angle(l01, l20, l12)
-    a1 = angle(l01, l12, l20)
-    a2 = angle(l12, l20, l01)
+    c01, c12, c20 = np.cosh(l01), np.cosh(l12), np.cosh(l20)
+    s01, s12, s20 = np.sinh(l01), np.sinh(l12), np.sinh(l20)
+    a0 = _corner_angle(c01, s01, c20, s20, c12)
+    a1 = _corner_angle(c01, s01, c12, s12, c20)
+    a2 = _corner_angle(c12, s12, c20, s20, c01)
     return a0, a1, a2
 
 
@@ -151,13 +155,14 @@ def medial_lengths(l01, l12, l20):
     l01 = np.atleast_1d(np.asarray(l01, float))
     l12 = np.atleast_1d(np.asarray(l12, float))
     l20 = np.atleast_1d(np.asarray(l20, float))
-    a0, _, _ = triangle_angles(l01, l12, l20)
+    c01, c20 = np.cosh(l01), np.cosh(l20)
+    s01, s20 = np.sinh(l01), np.sinh(l20)
+    a0 = _corner_angle(c01, s01, c20, s20, np.cosh(l12))
 
     zeros = np.zeros_like(l01)
     p0 = np.stack([zeros, zeros, np.ones_like(l01)])
-    p1 = np.stack([np.sinh(l01), zeros, np.cosh(l01)])
-    p2 = np.stack([np.sinh(l20) * np.cos(a0), np.sinh(l20) * np.sin(a0),
-                   np.cosh(l20)])
+    p1 = np.stack([s01, zeros, c01])
+    p2 = np.stack([s20 * np.cos(a0), s20 * np.sin(a0), c20])
 
     m01 = _mink_midpoint(p0, p1)
     m12 = _mink_midpoint(p1, p2)

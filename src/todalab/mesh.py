@@ -23,8 +23,10 @@ Schreier transversal so it stays in the base group.
 
 A mesh carries few distinct holonomy words (20 among the 12 288 edges at
 level 5), so the word work is done once per distinct word:
-:meth:`HyperbolicMesh.word_table` numbers them and keeps one SU(1,1)
-matrix each, :func:`build_cover` takes one sheet permutation per word and
+:meth:`HyperbolicMesh.word_table` numbers them in order of first use and
+keeps one SU(1,1) matrix each (built from the edge words on first use,
+or by :func:`mesh_from_dict` as it reads the file's word strings),
+:func:`build_cover` takes one sheet permutation per word and
 fills the cell tables sheet by sheet with array operations, and
 :meth:`HyperbolicMesh.slot_triples` numbers the distinct triples of slot
 words and signs (86 among the 8192 triangles at level 5): ``validate``
@@ -44,17 +46,23 @@ separators=(",", ":"), sort_keys=True)`` of that object, and run manifests
 hash it, so its bytes are fixed: a mesh read back serializes to the same
 bytes.  :func:`mesh_to_json` produces those bytes without that call on the
 tables: it formats each distinct number once (a level-5 2-cover has 628
-distinct edge lengths among 24 576) and joins the texts by index, then
+distinct edge lengths among 24 576) and each distinct word of the word
+table once (34 among its 24 576 edges), joins the texts by index, then
 assembles the object's ``"key":text`` parts in sorted key order.
 :func:`mesh_from_dict` is the one reader: it rejects any other format
 (meshes written before format 2 must be rebuilt), malformed tables and
-out-of-range indices with a MeshError, and parses each distinct word once.
+out-of-range indices with a MeshError.  It numbers the distinct word
+strings in order of first use, parses each once, and hands the mesh the
+word table those give, the one ``word_table`` would build from the edge
+words, so a mesh read back does not derive it again.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -147,15 +155,13 @@ class HyperbolicMesh:
         return group.concat(*(self._slot_word(t, k) for k in range(3)))
 
     def word_table(self):
-        """The edges' distinct holonomy words, built once per mesh."""
+        """The edges' distinct holonomy words, built once per mesh: here
+        from ``edge_words``, or by :func:`mesh_from_dict` from the
+        distinct word strings of the file it reads."""
         if "words" not in self._cache:
             index = {}
             ids = [index.setdefault(w, len(index)) for w in self.edge_words]
-            words = list(index)
-            self._cache["words"] = WordTable(
-                words=words, ids=np.array(ids, dtype=np.intp),
-                matrices=np.array([hyperbolic.word_matrix(w) for w in words],
-                                  dtype=complex).reshape(-1, 2, 2))
+            self._cache["words"] = WordTable.of(list(index), ids)
         return self._cache["words"]
 
     def slot_triples(self):
@@ -187,7 +193,7 @@ class HyperbolicMesh:
         slot_edges = self.tri_edges
         ends = np.take(self.edges.ravel(),
                        2 * slot_edges + (self.tri_edge_signs > 0))
-        ok = ends == np.roll(self.triangles, -1, axis=1)
+        ok = ends == self.triangles[:, [1, 2, 0]]
         if not ok.all():
             t, k = divmod(int(np.flatnonzero(~ok)[0]), 3)
             raise MeshError(
@@ -202,7 +208,7 @@ class HyperbolicMesh:
 
         # strict triangle inequalities (nondegeneracy)
         sl = self.slot_lengths()
-        strict = sl < np.roll(sl, -1, axis=1) + np.roll(sl, -2, axis=1)
+        strict = sl < sl[:, [1, 2, 0]] + sl[:, [2, 0, 1]]
         if not strict.all():
             t = int(np.flatnonzero(~strict.all(axis=1))[0])
             raise MeshError(f"triangle {t} violates the triangle inequality")
@@ -288,6 +294,14 @@ class WordTable(NamedTuple):
     words: list
     ids: np.ndarray
     matrices: np.ndarray
+
+    @classmethod
+    def of(cls, words, ids):
+        """The table of the distinct words and each edge's index among
+        them, with the words' matrices."""
+        matrices = [hyperbolic.word_matrix(w) for w in words]
+        return cls(words=words, ids=np.asarray(ids, dtype=np.intp),
+                   matrices=np.array(matrices, complex).reshape(-1, 2, 2))
 
 
 # ----------------------------------------------------------------------
@@ -568,6 +582,11 @@ TABLES = (("edges", 2, np.int64), ("edge_lengths", 1, float),
           ("positions", 2, complex), ("base_vertex", 1, np.int64))
 
 
+def _joined(text, index):
+    """The JSON list whose entries have the texts text[index]."""
+    return "[" + ",".join(np.array(text, dtype=object)[index].tolist()) + "]"
+
+
 def _list_text(values):
     """The compact JSON text of the flat integer or finite float array
     values, as ``json.dumps(values.tolist())`` gives it, with each distinct
@@ -580,7 +599,7 @@ def _list_text(values):
         low = int(values.min(initial=0))
         index = values - low
         text = list(map(str, range(low, int(values.max(initial=0)) + 1)))
-    return "[" + ",".join(np.array(text, dtype=object)[index].tolist()) + "]"
+    return _joined(text, index)
 
 
 def mesh_to_json(mesh):
@@ -590,14 +609,15 @@ def mesh_to_json(mesh):
     if not (np.isfinite(mesh.positions).all()
             and np.isfinite(mesh.edge_lengths).all()):
         raise MeshError("a vertex position or edge length is not finite")
-    table = mesh.word_table()
-    words = np.array([group.word_str(w) for w in table.words], dtype=object)
-    # The JSON text of each value under its key; the number tables are
-    # formatted by _list_text, the rest by json.dumps.
+    # The JSON text of each value under its key: the scalars by json.dumps,
+    # the edge words from the word table's strings, the number tables by
+    # _list_text.
     doc = {"format": FORMAT, "genus": int(mesh.genus),
-           "level": int(mesh.level), "edge_words": words[table.ids].tolist()}
-    parts = {key: json.dumps(value, separators=(",", ":"))
-             for key, value in doc.items()}
+           "level": int(mesh.level)}
+    parts = {key: json.dumps(value) for key, value in doc.items()}
+    table = mesh.word_table()
+    parts["edge_words"] = _joined(
+        [json.dumps(group.word_str(w)) for w in table.words], table.ids)
     for key, _, dtype in TABLES:
         value = getattr(mesh, key)
         if value is not None:
@@ -642,9 +662,10 @@ def _table(doc, key, width, dtype):
 
 
 def mesh_from_dict(doc):
-    """Inverse of :func:`mesh_to_json` on the parsed document; MeshError
-    for another format, for tables of the wrong shape or type, for an
-    index out of range and for bad holonomy words."""
+    """Inverse of :func:`mesh_to_json` on the parsed document, with the
+    mesh's word table built from the distinct word strings; MeshError for
+    another format, for tables of the wrong shape or type, for an index
+    out of range and for bad holonomy words."""
     version = doc.get("format") if isinstance(doc, dict) else None
     if version != FORMAT:
         raise MeshError(f"mesh format {version!r} is not {FORMAT}: rebuild "
@@ -652,12 +673,19 @@ def mesh_from_dict(doc):
     tables = {key: _table(doc, key, width, dtype)
               for key, width, dtype in TABLES
               if key != "base_vertex" or doc.get(key) is not None}
-    words = doc.get("edge_words")
-    if not isinstance(words, list) or set(map(type, words)) != {str}:
+    strings = doc.get("edge_words")
+    if not isinstance(strings, list) or set(map(type, strings)) != {str}:
         raise MeshError("mesh table 'edge_words' is malformed: not a list "
                         "of strings")
+    # the word table: each edge's id, numbered in order of first use by one
+    # lookup call (a new string takes the next id; with a key in front, the
+    # getter returns a tuple however few the edges), and each distinct
+    # string parsed once (distinct strings are distinct words)
+    index = defaultdict(itertools.count().__next__)
+    ids = np.fromiter(operator.itemgetter(strings[0], *strings)(index),
+                      np.intp, len(strings) + 1)[1:]
     try:
-        parsed = {s: group.parse_word(s) for s in dict.fromkeys(words)}
+        words = [group.parse_word(s) for s in index]
     except ValueError as exc:
         raise MeshError(str(exc)) from exc
     for key in ("genus", "level"):
@@ -665,8 +693,10 @@ def mesh_from_dict(doc):
             raise MeshError(f"mesh genus or level is missing or malformed: "
                             f"{key!r} is {doc.get(key)!r}, not an integer")
     mesh = HyperbolicMesh(genus=doc["genus"], level=doc["level"],
-                          edge_words=[parsed[s] for s in words], **tables)
+                          edge_words=np.fromiter(words, object)[ids].tolist(),
+                          **tables)
     mesh._check_tables()
+    mesh._cache["words"] = WordTable.of(words, ids)
     return mesh
 
 

@@ -156,9 +156,10 @@ def logsumexp(a, b=None):
 
 
 class Operators:
-    """Per-mesh operators: S (CSR), lumped masses m, M = diag(m), the
-    total area vol = m.sum(), lap and log_mean.  The path graph, the three
-    kept factors (``screened_lu``, S + M; ``monotone_lu``,
+    """Per-mesh operators: S (CSR), lumped masses m, the total area
+    vol = m.sum(), lap and log_mean.  M = diag(m) as CSR (which reading a
+    mesh back and checking a density's identity never need), the path
+    graph, the three kept factors (``screened_lu``, S + M; ``monotone_lu``,
     S + MONOTONE_SHIFT M; ``laplace_lu``, S + LAPLACE_SHIFT M; the module
     docstring says which solve uses which) and lambda0/lambda1 are built
     on first use, and so are the index structures on which the matrices
@@ -173,8 +174,8 @@ class Operators:
     def __init__(self, mesh):
         self.mesh = mesh
         sl = mesh.slot_lengths()
-        a0, a1, a2 = hyperbolic.triangle_angles(sl[:, 0], sl[:, 1], sl[:, 2])
-        angles = np.stack([a0, a1, a2], axis=1)
+        angles = np.stack(
+            hyperbolic.triangle_angles(sl[:, 0], sl[:, 1], sl[:, 2]), axis=1)
         if not np.isfinite(angles).all() or (angles <= 0).any():
             raise MeshError("degenerate triangle (bad corner angle)")
         areas = np.pi - angles.sum(axis=1)
@@ -182,22 +183,28 @@ class Operators:
             raise MeshError("degenerate triangle (nonpositive area)")
 
         V, tri = mesh.num_vertices, mesh.triangles
-        self.m = m = np.zeros(V)
-        for k in range(3):
-            np.add.at(m, tri[:, k], areas / 3.0)
+        # each vertex sums its corners' thirds k-major: the corners 0 of
+        # all triangles, then the corners 1, then the corners 2
+        self.m = m = np.bincount(tri.T.ravel(), np.tile(areas / 3.0, 3),
+                                 minlength=V)
         self.vol = float(m.sum())
-        self.M = sp.diags(m).tocsr()
 
-        rows, cols, data = [], [], []
-        for k in range(3):
-            w = 0.5 / np.tan(angles[:, (k + 2) % 3])
-            i, j = tri[:, k], tri[:, (k + 1) % 3]
-            rows.extend([i, j, i, j])
-            cols.extend([i, j, j, i])
-            data.extend([w, w, -w, -w])
+        # entries (i, i, w), (j, j, w), (i, j, -w), (j, i, -w) of each slot
+        # k joining corners i = k and j = k + 1, k-major, on index arrays of
+        # the dtype SciPy keeps; SciPy sums the duplicates in this order
+        i = tri.T.astype(sp.get_index_dtype(maxval=max(V, tri.size * 4)))
+        j = i[[1, 2, 0]]
+        w = (0.5 / np.tan(angles[:, [2, 0, 1]])).T
         self.S = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            (np.stack([w, w, -w, -w], axis=1).ravel(),
+             (np.stack([i, j, i, j], axis=1).ravel(),
+              np.stack([i, j, j, i], axis=1).ravel())),
             shape=(V, V)).tocsr()
+
+    @cached_property
+    def M(self):
+        """The lumped mass matrix diag(m) as CSR."""
+        return sp.diags(self.m).tocsr()
 
     def lap(self, x):
         """M^{-1} L x = -M^{-1} S x, the pointwise discrete Laplacian of a

@@ -203,8 +203,9 @@ def lift_density(base, cover_mesh):
 
     ld = base.log_density[cover_map]
     base_div = dict(base.divisor.entries)
-    divisor = Divisor([(i, base_div[int(b)]) for i, b in enumerate(cover_map)
-                       if int(b) in base_div])
+    lifted = np.flatnonzero(np.isin(cover_map, list(base_div)))
+    divisor = Divisor([(i, base_div[b]) for i, b in
+                       zip(lifted.tolist(), cover_map[lifted].tolist())])
     c_L = operators.curvature_constant(cover_mesh, divisor.degree)
     return SectionDensity(mesh=cover_mesh, log_density=ld, divisor=divisor,
                           curvature_constant=c_L,

@@ -1,6 +1,7 @@
 """Shared fixtures: deck-invariant smooth bump fields built from positions,
-the reference systole search, cover construction, refinement, mesh JSON
-encoder and direct Newton step, a mesh document of the retired layout,
+the reference systole search, cover construction, refinement, operator
+assembly, mesh JSON encoder and direct Newton step, the meshes of the
+bit-identity tests, a mesh document of the retired layout,
 the dense stability oracles, a factor that counts its solves and the
 row-by-row field CSV writer and reader."""
 
@@ -417,6 +418,57 @@ def level_mesh(level, sheets):
     if sheets == 1:
         return mesh
     return mesh_module.build_cover(mesh, mesh_module.CoverSpec.cyclic(sheets))
+
+
+# Transpositions that do not all commute, yet kill the relator.
+NONABELIAN_SPEC = mesh_module.CoverSpec(degree=3, generator_images={
+    1: [0, 2, 1], 2: [0, 2, 1], 3: [1, 0, 2], 4: [1, 0, 2]})
+
+
+@functools.lru_cache(maxsize=1)
+def identity_meshes():
+    """{name: mesh}, the meshes of the bit-identity tests: the base surface
+    at levels 0-5, its cyclic 2- and 3-covers at levels 2-4 and its
+    non-abelian 3-sheet cover at level 2."""
+    meshes = {f"l{level}": level_mesh(level, 1) for level in range(6)}
+    meshes.update({f"l{level}c{n}": level_mesh(level, n)
+                   for level in (2, 3, 4) for n in (2, 3)})
+    meshes["l2-nonabelian"] = mesh_module.build_cover(meshes["l2"],
+                                                      NONABELIAN_SPEC)
+    return meshes
+
+
+def reference_operators(mesh):
+    """(angles, S, m, vol) as the bundle was assembled before it shared
+    each side's cosh and sinh and summed the masses by one ``bincount``:
+    three cosh and two sinh per corner angle, the masses by one
+    ``np.add.at`` per corner, S from int64 COO index lists."""
+    sl = mesh.slot_lengths()
+
+    def angle(adj1, adj2, opp):
+        x = (np.cosh(adj1) * np.cosh(adj2) - np.cosh(opp)) / (
+            np.sinh(adj1) * np.sinh(adj2))
+        return np.arccos(np.clip(x, -1.0, 1.0))
+
+    l01, l12, l20 = sl.T
+    angles = np.stack([angle(l01, l20, l12), angle(l01, l12, l20),
+                       angle(l12, l20, l01)], axis=1)
+    areas = np.pi - angles.sum(axis=1)
+    V, tri = mesh.num_vertices, mesh.triangles
+    m = np.zeros(V)
+    for k in range(3):
+        np.add.at(m, tri[:, k], areas / 3.0)
+    rows, cols, data = [], [], []
+    for k in range(3):
+        w = 0.5 / np.tan(angles[:, (k + 2) % 3])
+        i, j = tri[:, k], tri[:, (k + 1) % 3]
+        rows.extend([i, j, i, j])
+        cols.extend([i, j, j, i])
+        data.extend([w, w, -w, -w])
+    S = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(V, V)).tocsr()
+    return angles, S, m, float(m.sum())
 
 
 def reference_mt_probe(mesh, samples=8, seed=0):

@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (reference_build_cover, reference_mesh_json,
-                     reference_refine, v1_mesh_document)
+from helpers import (NONABELIAN_SPEC, identity_meshes, reference_build_cover,
+                     reference_mesh_json, reference_refine, v1_mesh_document)
 from todalab import group as G
 from todalab import hyperbolic as H
 from todalab import mesh as mesh_module
@@ -248,9 +248,7 @@ def test_tampered_mesh_names_first_failure(meshes, level, edit, message):
 
 COVER_SPECS = pytest.mark.parametrize("spec", [
     CoverSpec.cyclic(1), CoverSpec.cyclic(2), CoverSpec.cyclic(3),
-    # transpositions that do not all commute, yet kill the relator
-    CoverSpec(degree=3, generator_images={
-        1: [0, 2, 1], 2: [0, 2, 1], 3: [1, 0, 2], 4: [1, 0, 2]})],
+    NONABELIAN_SPEC],
     ids=["cyclic1", "cyclic2", "cyclic3", "nonabelian3"])
 
 
@@ -317,6 +315,22 @@ def test_word_table(meshes):
     for w, mat in zip(table.words, table.matrices):
         assert np.array_equal(mat, H.word_matrix(w))
     assert m.word_table() is table
+
+
+@pytest.mark.parametrize("name", list(identity_meshes()))
+def test_read_back_mesh_carries_the_word_table(name):
+    mesh = identity_meshes()[name]
+    read = mesh_from_json(mesh_to_json(mesh))
+    assert "words" in read._cache
+    assert read.edge_words == mesh.edge_words
+    table = read.word_table()
+    fresh = dataclasses.replace(read).word_table()
+    assert fresh is not table
+    assert table.words == fresh.words
+    assert table.ids.dtype == fresh.ids.dtype
+    assert np.array_equal(table.ids, fresh.ids)
+    assert table.matrices.dtype == fresh.matrices.dtype
+    assert table.matrices.tobytes() == fresh.matrices.tobytes()
 
 
 def test_slot_structure(meshes):

@@ -10,8 +10,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from helpers import (CountingFactor, first_system, level_mesh,
-                     reference_dijkstra, reference_newton_step,
+from helpers import (NONABELIAN_SPEC, CountingFactor, first_system,
+                     identity_meshes, level_mesh, reference_dijkstra,
+                     reference_newton_step, reference_operators,
                      reference_systole)
 from todalab import coupled, gauss, group, ricci
 from todalab import sections as S
@@ -35,6 +36,27 @@ def mesh2():
 @pytest.fixture(scope="module")
 def mesh3():
     return build_base_surface(refinement=3)
+
+
+def same_bits(got, want):
+    """Equal dtypes, shapes and bits."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("name", list(identity_meshes()))
+def test_bundle_matches_reference_assembly_bit_for_bit(name):
+    mesh = identity_meshes()[name]
+    angles, S, m, vol = reference_operators(mesh)
+    got = np.stack(H.triangle_angles(*mesh.slot_lengths().T), axis=1)
+    assert same_bits(got, angles)
+    bundle = ops.Operators(mesh)
+    for key in ("data", "indices", "indptr"):
+        assert same_bits(getattr(bundle.S, key), getattr(S, key)), key
+    assert same_bits(bundle.m, m)
+    assert same_bits(bundle.vol, vol)
+    assert same_bits(bundle.M.diagonal(), m)
 
 
 def test_laplacian_structure(mesh2):
@@ -230,10 +252,7 @@ def test_systole_matches_reference_on_cyclic_covers(level, n):
 
 @pytest.mark.parametrize("level", range(3))
 def test_systole_matches_reference_on_nonabelian_cover(level):
-    # transpositions that do not all commute, yet kill the relator
-    spec = CoverSpec(degree=3, generator_images={
-        1: [0, 2, 1], 2: [0, 2, 1], 3: [1, 0, 2], 4: [1, 0, 2]})
-    cover = build_cover(build_base_surface(refinement=level), spec)
+    cover = build_cover(build_base_surface(refinement=level), NONABELIAN_SPEC)
     cover.validate()
     assert ops.systole(cover) == reference_systole(cover)
 

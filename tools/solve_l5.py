@@ -8,7 +8,10 @@ with the fresh zero 3.  Right after building the cover it times one write
 of the cover's mesh file (`mesh_to_json`) and one read (`json.loads` plus
 `mesh_from_dict`), and hashes the text it wrote (`mesh_sha1`, the git blob
 sha1), so that trees timed against each other are seen to write the same
-bytes.  Set-up pays for the cover's systole and its S + M
+bytes.  Once the density is lifted it times the read-back that `toda
+verify` pays before its solves (`readback_s`): `mesh_from_json` of that
+text, `validate()`, the read mesh's operator assembly and the density's
+curvature identity on it.  Set-up pays for the cover's systole and its S + M
 factor (`balanced_lift`'s Green solve runs on it), so both are cached when
 `solve_coupled(..., degree 1)` is timed; lambda_1 is paid inside the timed
 call.  Trees whose Green solves build their own factor pay for the S + M
@@ -21,8 +24,9 @@ machine lands on all of them alike:
     python3 tools/solve_l5.py --tree parent=../old/src --tree change=src \\
         --runs 10 --refine 6 -o BENCH.json
 
-Prints the median and quartiles per tree (of the solve and of the mesh
-write and read, with the mesh file's size and sha1) as one JSON object,
+Prints the median and quartiles per tree (of the solve, of the mesh
+write and read and of the read-back, with the mesh file's size and sha1)
+as one JSON object,
 with `mesh_sha1_differs` listing the trees whose mesh bytes differ from
 the first tree's (or differ between runs), each tree's certificate, the
 relative difference of every certificate value but the residuals
@@ -48,7 +52,8 @@ DIVISOR = [(0, 1), (1, 1), (5, 1), (20, 1)]
 ZERO_VERTEX = 3
 
 CHILD = """
-from todalab import fileio
+import dataclasses, gc
+from todalab import fileio, sections
 base = todalab.build_base_surface(refinement={refine})
 cover = todalab.build_cover(base, todalab.CoverSpec.cyclic({n}))
 start = time.perf_counter()
@@ -59,9 +64,16 @@ todalab.mesh_from_dict(json.loads(text))
 read_s = time.perf_counter() - start
 mesh_bytes = len(text.encode())
 mesh_sha1 = fileio.git_blob_sha1(text)
-del text
 base_density = todalab.synth_density(base, todalab.Divisor({divisor!r}))
 density, _ = todalab.balanced_lift(base_density, cover, {zero})
+start = time.perf_counter()
+mesh = todalab.mesh_from_json(text)
+mesh.validate()
+operators.of(mesh)
+sections.poincare_lelong_residual(dataclasses.replace(density, mesh=mesh))
+readback_s = time.perf_counter() - start
+del text, mesh
+gc.collect()
 solves = count_solves(cover)
 start = time.perf_counter()
 result = todalab.solve_coupled(cover, density,
@@ -69,7 +81,8 @@ result = todalab.solve_coupled(cover, density,
 seconds = time.perf_counter() - start
 json.dump({{"seconds": seconds,
            **{{f"{{key}}_solves": n for key, n in solves.items()}},
-           "write_s": write_s, "read_s": read_s, "mesh_bytes": mesh_bytes,
+           "write_s": write_s, "read_s": read_s, "readback_s": readback_s,
+           "mesh_bytes": mesh_bytes,
            "mesh_sha1": mesh_sha1,
            "certificate": result.certificate.to_dict()}}, sys.stdout)
 """
@@ -77,8 +90,8 @@ json.dump({{"seconds": seconds,
 
 def run_once(src, refine, n):
     """The child's output of one timed solve in a fresh process: seconds,
-    solves per kept factor, mesh write_s, read_s, mesh_bytes and
-    mesh_sha1, certificate."""
+    solves per kept factor, mesh write_s, read_s, readback_s, mesh_bytes
+    and mesh_sha1, certificate."""
     return run_child(src, CHILD.format(refine=refine, n=n, divisor=DIVISOR,
                                        zero=ZERO_VERTEX), "solve")
 
@@ -108,7 +121,8 @@ def main(argv=None):
         solves = ", ".join(f"{out[key]} {key}" for key in solve_keys(out))
         print(f"run {i + 1}/{args.runs} {label}: {out['seconds']:.3f} s, "
               f"{solves}, mesh write {out['write_s']:.3f} s, read "
-              f"{out['read_s']:.3f} s", file=sys.stderr)
+              f"{out['read_s']:.3f} s, read-back {out['readback_s']:.4f} s",
+              file=sys.stderr)
 
     certificates = {label: runs[0]["certificate"]
                     for label, runs in outs.items()}
@@ -134,6 +148,8 @@ def main(argv=None):
             "mesh_sha1": mesh_sha1[label],
             "mesh_write_s": summary([r["write_s"] for r in runs]),
             "mesh_read_s": summary([r["read_s"] for r in runs]),
+            "readback_s": summary([r["readback_s"] for r in runs]),
+            "readback_samples_s": [round(r["readback_s"], 5) for r in runs],
             "certificate": certificates[label],
             f"relative_difference_to_{first}": relative_differences(
                 certificates[label], certificates[first])}
