@@ -73,9 +73,6 @@ class GaussProblem:
         pad = 0.1
         return u.min() >= self.box_lower - pad and u.max() <= pad
 
-    def admissibility_margin(self):
-        return float(admissible_bound(self.eta) - self.f.max())
-
 
 @dataclass
 class GaussSolution:
@@ -83,7 +80,6 @@ class GaussSolution:
     residual_norm: float
     iterations: int
     box_margin: float
-    method: str = "newton"
 
     def to_dict(self, problem):
         return {"residual": self.residual_norm,
@@ -183,8 +179,7 @@ def monotone_solve_gauss(problem):
         res = gauss_residual(mesh, u, problem.f)
         if res <= problem.tol:
             return GaussSolution(u=u, residual_norm=res, iterations=it,
-                                 box_margin=_box_margin(u, problem.box_lower),
-                                 method="monotone")
+                                 box_margin=_box_margin(u, problem.box_lower))
         rhs = lam * m * u - m * _reaction(u, problem.f)
         u = lu.solve(rhs)
     raise NonConvergence(

@@ -278,10 +278,6 @@ class HyperbolicMesh:
                                      self.drawn_heads())
         return np.abs(d - self.edge_lengths)
 
-    def position_length_defect(self):
-        """Max |stored length - disk distance of the drawn representative|."""
-        return float(np.max(self._length_defects(), initial=0.0))
-
 
 class WordTable(NamedTuple):
     """Distinct holonomy words of a mesh's edges.

@@ -12,8 +12,10 @@ Every solver reads these from one ``Operators`` bundle per mesh, which
 ``of(mesh)`` assembles once and keeps on the mesh (the systole is kept
 beside it); ``laplacian``, ``mass_vector``, ``stiffness`` and ``volume``
 are views of it.  Every sparse factorization in the package goes through
-``factor``.  The bundle keeps three SPD factors, each made on first use,
-and every solve with S or a shifted S on the mesh uses one of them:
+``factor``.  The bundle keeps the lumped mass once, as the vector m
+(M = diag(m) is never stored), and three SPD factors of S + s M, each
+filled by ``shifted`` on S's pattern and made on first use; every solve
+with S or a shifted S on the mesh uses one of them:
 
 * ``screened_lu``, S + M, serves every solve whose bits are stored or
   re-derived from the mesh: the Green solves of the section densities,
@@ -59,8 +61,7 @@ the true systole; the octagon side loops realize the true systole exactly
 at every refinement level, so for this family the bound is sharp.
 
 The search rests on four facts.  The first three keep the exact minimum;
-the fourth, the Bolza stop, keeps it up to rounding and ``validate``'s
-position tolerance.
+the fourth, the Bolza stop, keeps it up to a stated rounding bound.
 
 * Sources.  A loop's word is the product of its edge words, so a loop
   whose edges all carry the empty word is trivial: every non-trivial loop
@@ -86,28 +87,36 @@ position tolerance.
   accepted only when Dehn reduction (``group.is_identity``) says their
   word is not the identity.
 * Bolza stop.  On a mesh that passes ``HyperbolicMesh.validate``, no
-  non-trivial edge loop is shorter than ``hyperbolic.SYSTOLE`` =
-  2 arccosh(1 + sqrt 2), the systole of the Bolza surface.  Every edge
-  word lies in the octagon group G (a cover's loops have holonomy in a
-  finite-index subgroup of G).  Developed in the disk from the lift p of
-  its first vertex, a loop with holonomy gamma != 1 becomes a chain of
-  geodesic segments from p to gamma p, and ``validate`` checks that each
-  segment's drawn length is its stored length (to its position
-  tolerance).  So the loop is at least d(p, gamma p) long, which is at
-  least the translation length of gamma, hence at least sys(G).  Once the
-  best loop reaches the constant the search stops.  In exact arithmetic no
-  later source could lower it; in floats a later loop could still sum to
-  a few ulp below the constant, or up to k times the position tolerance
-  for a k-edge loop of a mesh read from JSON, so on such a mesh the
-  result may exceed the exhaustive one by that much.  The comparison has
-  no margin: on every mesh checked (levels 0-5 and their cyclic 2- and
-  3-covers) the search reaches exactly this float at its first source
-  (its second at level 0), while a mesh whose first loop found is a few
-  ulp longer (a relabelled cover) runs on to the sources that give the
-  float.  The result equals the exhaustive search (``reference_systole``
-  in the tests) on base levels 0-3, cyclic 2- and 3-covers of levels
-  0-2, a relabelled 2-cover of level 2 and a non-abelian 3-sheet cover of
-  levels 0-2.
+  non-trivial edge loop is shorter than sys = 2 arccosh(1 + sqrt 2), the
+  systole of the Bolza surface.  Every edge word lies in the octagon group
+  G (a cover's loops have holonomy in a finite-index subgroup of G).
+  Developed in the disk from the lift p of its first vertex, a loop with
+  holonomy gamma != 1 becomes a chain of geodesic segments from p to
+  gamma p, and ``validate`` checks that each segment's drawn length is its
+  stored length.  So the loop is at least d(p, gamma p) long, which is at
+  least the translation length of gamma, hence at least sys(G).  In
+  floats, a candidate's length is a sum of its k stored edge lengths in
+  k - 1 additions of positive terms, in some order, so its relative error
+  is at most (k - 1) u / (1 - (k - 1) u) < k u, u = 2^-53 (Higham,
+  *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
+  section 4.2); ``hyperbolic.SYSTOLE`` is sys correctly rounded (0.31 u
+  above it).  Take k = best / the shortest edge, the most edges of any
+  loop not longer than best.  Then (a) a loop of exact length sys sums to
+  at most SYSTOLE (1 + k 2^-52), so the search stops once best is within
+  that bound, as it is once a shortest loop is found, and (b) every
+  loop that a later source could find sums to at least
+  SYSTOLE (1 - (k + 1) u).  So the result, min(best, SYSTOLE), is within
+  SYSTOLE k 2^-52 (about 1.4 k ulp) of the exhaustive search's.  A loop
+  found above the constant is reported as the constant, its excess being
+  rounding alone; a loop not above it keeps its bits, so every mesh whose
+  first loop sums to the constant exactly keeps its value (levels 0-5
+  with their cyclic 2- and 3-covers, levels 6-7 with their 2-covers).
+  The argument takes each stored length as the drawn one, which
+  ``validate`` checks to POSITION_TOL per edge; that slack, at most
+  k POSITION_TOL, the stop does not cover.  The result equals the
+  exhaustive search (``reference_systole`` in the tests) on base levels
+  0-3, cyclic 2- and 3-covers of levels 0-2, a relabelled 2-cover of
+  level 2 and a non-abelian 3-sheet cover of levels 0-2.
 """
 
 from __future__ import annotations
@@ -156,19 +165,19 @@ def logsumexp(a, b=None):
 
 
 class Operators:
-    """Per-mesh operators: S (CSR), lumped masses m, the total area
-    vol = m.sum(), lap and log_mean.  M = diag(m) as CSR (which reading a
-    mesh back and checking a density's identity never need), the path
-    graph, the three kept factors (``screened_lu``, S + M; ``monotone_lu``,
-    S + MONOTONE_SHIFT M; ``laplace_lu``, S + LAPLACE_SHIFT M; the module
-    docstring says which solve uses which) and lambda0/lambda1 are built
-    on first use, and so are the index structures on which the matrices
-    factored after S + M are filled without assembling them: the slots of
-    S's diagonal in S.data (``diagonal_slots``; the cotangent S stores its
-    whole diagonal), on which ``shifted`` fills a * S + diag(d) for
-    ``monotone_lu``, ``laplace_lu`` and ``eigs_nearest``, and S's pattern
-    permuted by the S + M factor's ordering (``kept_ordering``), on which
-    ``eigs_nearest`` fills its shift-invert matrix.
+    """Per-mesh operators: S (CSR), lumped masses m (the mass matrix is
+    M = diag(m), kept only as this vector), the total area vol = m.sum(),
+    lap and log_mean.  The path graph, the three kept factors
+    (``screened_lu``, S + M; ``monotone_lu``, S + MONOTONE_SHIFT M;
+    ``laplace_lu``, S + LAPLACE_SHIFT M; the module docstring says which
+    solve uses which) and lambda0/lambda1 are built on first use, and so
+    are the index structures on which the factored matrices are filled
+    without assembling them: the slots of S's diagonal in S.data
+    (``diagonal_slots``; the cotangent S stores its whole diagonal), on
+    which ``shifted`` fills a * S + diag(d) for the three kept factors and
+    ``eigs_nearest``, and S's pattern permuted by the S + M factor's
+    ordering (``kept_ordering``), on which ``eigs_nearest`` fills its
+    shift-invert matrix.
     """
 
     def __init__(self, mesh):
@@ -200,11 +209,6 @@ class Operators:
              (np.stack([i, j, i, j], axis=1).ravel(),
               np.stack([i, j, j, i], axis=1).ravel())),
             shape=(V, V)).tocsr()
-
-    @cached_property
-    def M(self):
-        """The lumped mass matrix diag(m) as CSR."""
-        return sp.diags(self.m).tocsr()
 
     def lap(self, x):
         """M^{-1} L x = -M^{-1} S x, the pointwise discrete Laplacian of a
@@ -264,7 +268,7 @@ class Operators:
         """Factor of the SPD screened matrix S + M: ``eig_low``'s inverse,
         the Green solves' preconditioner, ``ricci.mt_probe``'s smoother and
         the source of ``kept_ordering``."""
-        return factor(self.S + self.M)
+        return factor(self.shifted(1.0, self.m))
 
     @cached_property
     def monotone_lu(self):
@@ -524,7 +528,7 @@ def laplacian(mesh):
     """(L, M): the cotangent Laplacian L = -S (rows sum to 0) and the lumped
     mass matrix; g^T L f = -(discrete Dirichlet pairing of f and g)."""
     ops = of(mesh)
-    return -ops.S, ops.M
+    return -ops.S, sp.diags(ops.m, format="csr")
 
 
 def stiffness(mesh):
@@ -536,7 +540,7 @@ def stiffness(mesh):
 # Spectrum
 
 EIG_TOL = 1e-9  # relative accuracy asked of ARPACK in eig_low
-DENSE_MAX_V = 300  # largest V that eig_low and eigs_nearest solve densely
+DENSE_MAX_V = 300  # largest V that eig_low solves densely at any k
 
 
 def _lanczos(solve, m, sigma, k, **options):
@@ -584,13 +588,17 @@ def eig_low(mesh, k=2):
     is the bundle's S + M, so its factor serves as the inverse: ARPACK
     runs in standard form on M^{1/2} (S + M)^{-1} M^{1/2} from the
     M^{1/2}-scaled start vector, and lambda = 1/theta - 1.  Small
-    problems (V <= max(4k + 20, DENSE_MAX_V)) are solved densely; an ARPACK
+    problems (V <= max(4k + 20, DENSE_MAX_V)) are solved densely, by the
+    package's one ``eigh`` call: at large k that gives the right lists
+    where ARPACK can skip copies of repeated eigenvalues.  An ARPACK
     failure raises NonConvergence at every size.
     """
     ops = of(mesh)
     V = ops.m.size
     if V <= max(4 * k + 20, DENSE_MAX_V):
-        return _eig_dense(ops.S, ops.M, k)
+        from scipy.linalg import eigh
+        vals, vecs = eigh(ops.S.toarray(), np.diag(ops.m))
+        return vals[:k], vecs[:, :k]
     return _lanczos(ops.screened_lu.solve, ops.m, -1.0, k, tol=EIG_TOL)
 
 
@@ -605,21 +613,19 @@ def eigs_nearest(ops, d, sigma, enough):
     One ``factor`` of A - sigma M serves
     every k: its values are filled into ``Operators.kept_ordering``'s
     permuted pattern of S and factored in that order, so nothing is
-    assembled or ordered here.  k starts at 1 and doubles until
-    ``enough(vals)`` holds; each run's Krylov space has max(2k + 1, 10)
-    vectors, at most V, which at k = 1 takes about half the solves of
-    ARPACK's default 20 (Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl.
-    17, 1996).  When k would reach V - 1, the full spectrum is computed
-    densely if V <= DENSE_MAX_V; above it that O(V^3) solve is refused.
+    assembled or ordered here.  k starts at 1 and doubles, capped at
+    V - 1 (the most eigsh's symmetric mode takes), until ``enough(vals)``
+    holds; each run's Krylov space has max(2k + 1, 10) vectors, at most
+    V, which at k = 1 takes about half the solves of ARPACK's default 20
+    (Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17, 1996).  No size
+    falls back to a dense solve.
 
     Raises RuntimeError when A - sigma M is exactly singular (SuperLU), and
-    NonConvergence when ARPACK fails or, above DENSE_MAX_V, when k reaches
-    V - 1 without ``enough``.
+    NonConvergence when ARPACK fails or k reaches V - 1 without ``enough``.
     """
-    A = ops.shifted(-1.0, d)
-    V = A.shape[0]
+    V = ops.m.size
     order, indptr, indices, gather = ops.kept_ordering
-    data = A.data.copy()
+    data = ops.shifted(-1.0, d).data
     data[ops.diagonal_slots] -= sigma * ops.m
     lu = factor(sp.csc_matrix((data[gather], indices, indptr), shape=(V, V)),
                 ordered=True)
@@ -630,27 +636,18 @@ def eigs_nearest(ops, d, sigma, enough):
         return x
 
     k = 1
-    while k < V - 1:
+    while True:
         vals = _lanczos(solve, ops.m, sigma, k,
                         ncv=min(V, max(2 * k + 1, 10)),
                         return_eigenvectors=False)
         vals = vals[np.argsort(np.abs(vals - sigma), kind="stable")]
         if enough(vals):
             return vals
-        k *= 2
-    if V > DENSE_MAX_V:
-        raise NonConvergence(
-            f"no k up to {k // 2} gave enough eigenvalues nearest sigma = "
-            f"{sigma:.6g} (V = {V}), and V > DENSE_MAX_V = {DENSE_MAX_V}")
-    vals, _ = _eig_dense(A, ops.M, V)
-    return vals[np.argsort(np.abs(vals - sigma), kind="stable")]
-
-
-def _eig_dense(A, M, k):
-    """Smallest k eigenpairs of A x = lambda M x by a dense solve."""
-    from scipy.linalg import eigh
-    vals, vecs = eigh(A.toarray(), M.toarray())
-    return vals[:k], vecs[:, :k]
+        if k == V - 1:
+            raise NonConvergence(
+                f"no k up to {k} gave enough eigenvalues nearest sigma = "
+                f"{sigma:.6g} (V = {V})")
+        k = min(2 * k, V - 1)
 
 
 @dataclass
@@ -705,9 +702,11 @@ def systole(mesh):
     |tr(H_x W_e H_y^-1)| < 3 (identity: 2, any other group element: at
     least 2 cosh(systole/2) > 4.8), and the survivors, shortest first, are
     accepted only by Dehn reduction of their word.  The search stops once
-    the best loop reaches the Bolza bound, which no loop beats in exact
-    arithmetic (in floats, only by rounding and ``validate``'s position
-    tolerance).
+    the best loop is within SYSTOLE (1 + k 2^-52) of the Bolza bound, k
+    the most edges of a loop that long, and then returns min(best,
+    SYSTOLE): no loop beats the bound in exact arithmetic, so a later
+    source could lower the value by rounding alone, by at most that much
+    (module docstring).
     """
     key = "systole"
     if key in mesh._cache:
@@ -723,6 +722,10 @@ def systole(mesh):
     nontrivial = np.array([len(w) > 0 for w in table.words], dtype=bool)
     sources = np.unique(mesh.edges[nontrivial[table.ids]])
     slack = float(lengths.max())
+    # the Bolza stop best <= SYSTOLE (1 + k 2^-52) with k = best / shortest
+    # edge, the most edges a loop of length best has, solved for best
+    stop = hyperbolic.SYSTOLE / (
+        1.0 - hyperbolic.SYSTOLE / float(lengths.min()) * 2.0**-52)
 
     best = np.inf
     for src in sources:
@@ -770,7 +773,8 @@ def systole(mesh):
             if not group.is_identity(word):
                 best = float(total[e])
                 break
-        if best <= hyperbolic.SYSTOLE:
+        if best <= stop:
+            best = min(best, hyperbolic.SYSTOLE)
             break
     mesh._cache[key] = float(best)
     return float(best)

@@ -55,7 +55,7 @@ def test_base_edge_lengths(meshes):
 
 def test_positions_match_lengths(meshes):
     for m in meshes.values():
-        assert m.position_length_defect() < 1e-12
+        assert m._length_defects().max() < 1e-12
 
 
 def test_refinement_prefix_property(meshes):
@@ -106,7 +106,7 @@ def test_cover_counts_and_genus(meshes):
 
 def test_cover_positions_consistent(meshes):
     cover = build_cover(meshes[1], CoverSpec.cyclic(3))
-    assert cover.position_length_defect() < 1e-11
+    assert cover._length_defects().max() < 1e-11
 
 
 def test_disconnected_cover_rejected():
@@ -292,7 +292,7 @@ def test_refine_matches_reference_loops(meshes):
         fine.validate()
 
 
-def test_position_length_defect_matches_edge_loop(meshes):
+def test_length_defects_match_edge_loop(meshes):
     def loop(mesh):
         worst = 0.0
         for e in range(mesh.num_edges):
@@ -304,7 +304,7 @@ def test_position_length_defect_matches_edge_loop(meshes):
         return worst
 
     for mesh in (meshes[3], build_cover(meshes[2], CoverSpec.cyclic(3))):
-        assert mesh.position_length_defect() == loop(mesh)
+        assert mesh._length_defects().max() == loop(mesh)
 
 
 def test_word_table(meshes):

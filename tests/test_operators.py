@@ -56,7 +56,11 @@ def test_bundle_matches_reference_assembly_bit_for_bit(name):
         assert same_bits(getattr(bundle.S, key), getattr(S, key)), key
     assert same_bits(bundle.m, m)
     assert same_bits(bundle.vol, vol)
-    assert same_bits(bundle.M.diagonal(), m)
+    # each kept factor's matrix S + s M, filled on S's pattern, is SciPy's
+    # sum of the reference S and s diag(m) bit for bit
+    for shift in KEPT_SHIFTS.values():
+        assert same_csr(bundle.shifted(1.0, shift * bundle.m),
+                        S + shift * sp.diags(m).tocsr()), shift
 
 
 def test_laplacian_structure(mesh2):
@@ -298,13 +302,15 @@ def test_systole_stops_at_bolza_bound(level, n, monkeypatch):
 
 
 def test_systole_runs_on_above_bolza_bound(monkeypatch):
-    # The relabelled cover's first loop is a few ulp above the constant,
-    # so the search goes on to later sources and still finds the bound.
+    # The relabelled cover's first source finds a loop far above the
+    # constant, so the search runs on; its second finds one 5 ulp above,
+    # within the rounding bound of the Bolza stop, so the search stops
+    # there and reports the constant, which the exhaustive search finds.
     relabelled = relabel_vertices(
         build_cover(build_base_surface(refinement=2), CoverSpec.cyclic(2)))
     sources = _counting_dijkstra(monkeypatch)
     assert ops.systole(relabelled) == H.SYSTOLE
-    assert len(sources) > 1
+    assert len(sources) == 2
 
 
 def test_trace_filter_passes_only_nontrivial_loops(monkeypatch):
@@ -379,11 +385,10 @@ KEPT_SHIFTS = {"screened_lu": 1.0, "monotone_lu": ops.MONOTONE_SHIFT,
 
 
 def kept_factor_of(A, bundle):
-    """The name of the bundle's kept factor whose matrix S + shift M is A,
-    or None."""
+    """The name of the bundle's kept factor whose matrix S + shift M,
+    filled by ``shifted``, is A bit for bit, or None."""
     for name, shift in KEPT_SHIFTS.items():
-        want = bundle.S + shift * bundle.M
-        if A.shape == want.shape and abs(A - want).max() <= 1e-12:
+        if same_csr(A, bundle.shifted(1.0, shift * bundle.m)):
             return name
     return None
 
@@ -437,7 +442,7 @@ def test_factor_orders_symmetric_patterns_by_minimum_degree(mesh3):
     # smaller, and both solve to rounding.
     bundle = ops.of(mesh3)
     b = np.ones(mesh3.num_vertices)
-    for A in (bundle.S + bundle.M, -bundle.S + bundle.M):
+    for A in (bundle.shifted(1.0, bundle.m), bundle.shifted(-1.0, bundle.m)):
         lu = ops.factor(A)
         colamd = spla.splu(sp.csc_matrix(A))
         assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
@@ -578,17 +583,29 @@ def test_every_sparse_factorization_goes_through_factor():
     # One eigen-solve path: the package's only eigsh call is the one in
     # operators._lanczos, in standard form: it passes no M, sigma or OPinv
     # (ARPACK's generalized shift-invert mode), by keyword or position.
-    offenders, eigsh_calls = [], []
+    # One dense rule: the package's only dense eigen-solve is the eigh call
+    # in operators.eig_low, the only reader of DENSE_MAX_V.  One mass form:
+    # the bundle keeps the vector m, and nothing reads a mass matrix .M.
+    offenders, eigsh_calls, eigh_calls, cutoff_reads = [], [], [], []
     for path in sorted(pathlib.Path(ops.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        allowed = lanczos = set()
+        allowed = lanczos = dense = set()
         if path.name == "operators.py":
             allowed = nodes_of(tree, "factor")
             lanczos = nodes_of(tree, "_lanczos")
+            dense = nodes_of(tree, "eig_low")
         for node in ast.walk(tree):
             name = (node.attr if isinstance(node, ast.Attribute)
                     else node.id if isinstance(node, ast.Name)
                     else None)
+            if name == "M" and isinstance(node, ast.Attribute):
+                offenders.append(f"{path.name}:{node.lineno} .M")
+            if name == "DENSE_MAX_V" and isinstance(node.ctx, ast.Load):
+                cutoff_reads.append((path.name, id(node) in dense))
+            if isinstance(node, ast.Call) and {"eigh", "eigvalsh"} & {
+                    getattr(node.func, "attr", None),
+                    getattr(node.func, "id", None)}:
+                eigh_calls.append((path.name, id(node) in dense))
             if isinstance(node, ast.ImportFrom):
                 name = next((a.name for a in node.names
                              if a.name in SOLVER_NAMES), None)
@@ -603,6 +620,9 @@ def test_every_sparse_factorization_goes_through_factor():
                 eigsh_calls.append((path.name, id(node) in lanczos))
     assert offenders == []
     assert eigsh_calls == [("operators.py", True)]
+    assert eigh_calls == [("operators.py", True)]
+    assert cutoff_reads == [("operators.py", True)]
+    assert not hasattr(ops.Operators, "M")
 
 
 def _mentions(node, names):

@@ -11,9 +11,10 @@ and prints per-step medians over several runs as one JSON object: of the
 wall time, and of the step's peak resident set size in MB, read from the
 child's own rusage (`os.wait4`, `ru_maxrss`), so that the memory of a step
 (`solve_coupled` keeps a factor per kind of Newton block) is measured
-beside its time.  Several source trees can be timed in one call; their
-runs alternate, so a slow spell of a shared machine lands on all of them
-alike:
+beside its time.  Each finished step also prints its name, seconds and
+peak MB to stderr as it ends.  Several source trees can be timed in one
+call; their runs alternate, so a slow spell of a shared machine lands on
+all of them alike:
 
     python3 tools/pipeline_l5.py --tree change=src --runs 5
     python3 tools/pipeline_l5.py --tree parent=../old/src --tree change=src \\
@@ -91,6 +92,10 @@ def run_pipeline(src, work, refine, n):
         if code != 0:
             raise SystemExit(f"{src}: toda {args[0]} exited {code}: "
                              f"{stderr.strip()}")
+        # one line per finished step, so a step that stalls shows as the
+        # one after the last line
+        print(f"  {name}: {times[name]:.2f} s, {rss[name]:.0f} MB",
+              file=sys.stderr)
     return times, rss
 
 
