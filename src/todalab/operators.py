@@ -12,10 +12,9 @@ Every solver reads these from one ``Operators`` bundle per mesh, which
 ``of(mesh)`` assembles once and keeps on the mesh (the systole is kept
 beside it); ``laplacian``, ``mass_vector``, ``stiffness`` and ``volume``
 are views of it.  Every sparse factorization in the package goes through
-``factor``.  The bundle keeps the lumped mass once, as the vector m
-(M = diag(m) is never stored), and three SPD factors of S + s M, each
-filled by ``shifted`` on S's pattern and made on first use; every solve
-with S or a shifted S on the mesh uses one of them:
+``factor``.  The bundle keeps the mass only as the vector m, and three
+SPD factors of S + s M, filled by ``shifted`` and made on first use;
+every solve with S or a shifted S on the mesh uses one of them:
 
 * ``screened_lu``, S + M, serves every solve whose bits are stored or
   re-derived from the mesh: the Green solves of the section densities,
@@ -95,28 +94,26 @@ the fourth, the Bolza stop, keeps it up to a stated rounding bound.
   gamma p, and ``validate`` checks that each segment's drawn length is its
   stored length.  So the loop is at least d(p, gamma p) long, which is at
   least the translation length of gamma, hence at least sys(G).  In
-  floats, a candidate's length is a sum of its k stored edge lengths in
-  k - 1 additions of positive terms, in some order, so its relative error
-  is at most (k - 1) u / (1 - (k - 1) u) < k u, u = 2^-53 (Higham,
-  *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
-  section 4.2); ``hyperbolic.SYSTOLE`` is sys correctly rounded (0.31 u
-  above it).  Take k = best / the shortest edge, the most edges of any
-  loop not longer than best.  Then (a) a loop of exact length sys sums to
-  at most SYSTOLE (1 + k 2^-52), so the search stops once best is within
-  that bound, as it is once a shortest loop is found, and (b) every
-  loop that a later source could find sums to at least
+  floats, a candidate's length is a sum of its k stored edge lengths,
+  k - 1 additions of positive terms, so its relative error is below k u,
+  u = 2^-53 (Higham, *Accuracy and Stability of Numerical Algorithms*,
+  2nd ed., 2002, section 4.2), and ``hyperbolic.SYSTOLE`` is sys
+  correctly rounded (0.31 u above it).  With k = best / the shortest
+  edge, the most edges of any loop not longer than best, (a) a loop of
+  exact length sys sums to at most SYSTOLE (1 + k 2^-52), so the search
+  stops once best is within that bound, as it is once a shortest loop is
+  found, and (b) a loop that a later source could find sums to at least
   SYSTOLE (1 - (k + 1) u).  So the result, min(best, SYSTOLE), is within
-  SYSTOLE k 2^-52 (about 1.4 k ulp) of the exhaustive search's.  A loop
-  found above the constant is reported as the constant, its excess being
-  rounding alone; a loop not above it keeps its bits, so every mesh whose
-  first loop sums to the constant exactly keeps its value (levels 0-5
-  with their cyclic 2- and 3-covers, levels 6-7 with their 2-covers).
-  The argument takes each stored length as the drawn one, which
-  ``validate`` checks to POSITION_TOL per edge; that slack, at most
-  k POSITION_TOL, the stop does not cover.  The result equals the
-  exhaustive search (``reference_systole`` in the tests) on base levels
-  0-3, cyclic 2- and 3-covers of levels 0-2, a relabelled 2-cover of
-  level 2 and a non-abelian 3-sheet cover of levels 0-2.
+  SYSTOLE k 2^-52 (about 1.4 k ulp) of the exhaustive search's; a loop
+  not above the constant keeps its bits, as on every mesh whose first
+  loop sums to it exactly (levels 0-5 with their cyclic 2- and 3-covers,
+  levels 6-7 with their 2-covers).  The argument takes each stored
+  length as the drawn one, which ``validate`` checks to POSITION_TOL per
+  edge; that slack, at most k POSITION_TOL, the stop does not cover.
+  The result equals the exhaustive search (``reference_systole`` in the
+  tests) on base levels 0-3, cyclic 2- and 3-covers of levels 0-2, a
+  relabelled 2-cover of level 2 and a non-abelian 3-sheet cover of
+  levels 0-2.
 """
 
 from __future__ import annotations
@@ -540,7 +537,7 @@ def stiffness(mesh):
 # Spectrum
 
 EIG_TOL = 1e-9  # relative accuracy asked of ARPACK in eig_low
-DENSE_MAX_V = 300  # largest V that eig_low solves densely at any k
+DENSE_MAX_V = 300  # largest V that eig_low and eigs_nearest solve densely
 
 
 def _lanczos(solve, m, sigma, k, **options):
@@ -588,17 +585,14 @@ def eig_low(mesh, k=2):
     is the bundle's S + M, so its factor serves as the inverse: ARPACK
     runs in standard form on M^{1/2} (S + M)^{-1} M^{1/2} from the
     M^{1/2}-scaled start vector, and lambda = 1/theta - 1.  Small
-    problems (V <= max(4k + 20, DENSE_MAX_V)) are solved densely, by the
-    package's one ``eigh`` call: at large k that gives the right lists
-    where ARPACK can skip copies of repeated eigenvalues.  An ARPACK
+    problems (V <= max(4k + 20, DENSE_MAX_V), where ARPACK can skip
+    copies of repeated eigenvalues) are solved densely; an ARPACK
     failure raises NonConvergence at every size.
     """
     ops = of(mesh)
     V = ops.m.size
     if V <= max(4 * k + 20, DENSE_MAX_V):
-        from scipy.linalg import eigh
-        vals, vecs = eigh(ops.S.toarray(), np.diag(ops.m))
-        return vals[:k], vecs[:, :k]
+        return _eig_dense(ops.S, ops.m, k)
     return _lanczos(ops.screened_lu.solve, ops.m, -1.0, k, tol=EIG_TOL)
 
 
@@ -613,15 +607,17 @@ def eigs_nearest(ops, d, sigma, enough):
     One ``factor`` of A - sigma M serves
     every k: its values are filled into ``Operators.kept_ordering``'s
     permuted pattern of S and factored in that order, so nothing is
-    assembled or ordered here.  k starts at 1 and doubles, capped at
-    V - 1 (the most eigsh's symmetric mode takes), until ``enough(vals)``
-    holds; each run's Krylov space has max(2k + 1, 10) vectors, at most
-    V, which at k = 1 takes about half the solves of ARPACK's default 20
-    (Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17, 1996).  No size
-    falls back to a dense solve.
+    assembled or ordered here.  k starts at 1 and doubles until
+    ``enough(vals)`` holds; each run's Krylov space has max(2k + 1, 10)
+    vectors, at most V, which at k = 1 takes about half the solves of
+    ARPACK's default 20 (Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl.
+    17, 1996).  When k would reach V - 1, the full spectrum is computed
+    densely if V <= DENSE_MAX_V (v = 0, f = 10 on the level-1 meshes
+    needs it); above it that O(V^3) solve is refused.
 
     Raises RuntimeError when A - sigma M is exactly singular (SuperLU), and
-    NonConvergence when ARPACK fails or k reaches V - 1 without ``enough``.
+    NonConvergence when ARPACK fails or, above DENSE_MAX_V, when k reaches
+    V - 1 without ``enough``.
     """
     V = ops.m.size
     order, indptr, indices, gather = ops.kept_ordering
@@ -636,18 +632,28 @@ def eigs_nearest(ops, d, sigma, enough):
         return x
 
     k = 1
-    while True:
+    while k < V - 1:
         vals = _lanczos(solve, ops.m, sigma, k,
                         ncv=min(V, max(2 * k + 1, 10)),
                         return_eigenvectors=False)
         vals = vals[np.argsort(np.abs(vals - sigma), kind="stable")]
         if enough(vals):
             return vals
-        if k == V - 1:
-            raise NonConvergence(
-                f"no k up to {k} gave enough eigenvalues nearest sigma = "
-                f"{sigma:.6g} (V = {V})")
-        k = min(2 * k, V - 1)
+        k *= 2
+    if V > DENSE_MAX_V:
+        raise NonConvergence(
+            f"no k up to {k // 2} gave enough eigenvalues nearest sigma = "
+            f"{sigma:.6g} (V = {V}), and V > DENSE_MAX_V = {DENSE_MAX_V}")
+    vals, _ = _eig_dense(ops.shifted(-1.0, d), ops.m, V)
+    return vals[np.argsort(np.abs(vals - sigma), kind="stable")]
+
+
+def _eig_dense(A, m, k):
+    """Smallest k eigenpairs of A x = lambda M x, M = diag(m), by the
+    package's one dense eigen-solve."""
+    from scipy.linalg import eigh
+    vals, vecs = eigh(A.toarray(), np.diag(m))
+    return vals[:k], vecs[:, :k]
 
 
 @dataclass
@@ -703,10 +709,9 @@ def systole(mesh):
     least 2 cosh(systole/2) > 4.8), and the survivors, shortest first, are
     accepted only by Dehn reduction of their word.  The search stops once
     the best loop is within SYSTOLE (1 + k 2^-52) of the Bolza bound, k
-    the most edges of a loop that long, and then returns min(best,
-    SYSTOLE): no loop beats the bound in exact arithmetic, so a later
-    source could lower the value by rounding alone, by at most that much
-    (module docstring).
+    the most edges of a loop that long, and returns min(best, SYSTOLE):
+    no loop beats the bound in exact arithmetic, so a later source could
+    lower it by at most that rounding (module docstring).
     """
     key = "systole"
     if key in mesh._cache:
@@ -722,8 +727,7 @@ def systole(mesh):
     nontrivial = np.array([len(w) > 0 for w in table.words], dtype=bool)
     sources = np.unique(mesh.edges[nontrivial[table.ids]])
     slack = float(lengths.max())
-    # the Bolza stop best <= SYSTOLE (1 + k 2^-52) with k = best / shortest
-    # edge, the most edges a loop of length best has, solved for best
+    # solves best <= SYSTOLE (1 + k 2^-52), k = best / shortest edge, for best
     stop = hyperbolic.SYSTOLE / (
         1.0 - hyperbolic.SYSTOLE / float(lengths.min()) * 2.0**-52)
 

@@ -348,8 +348,6 @@ def stability_check(mesh, v, f):
 
     k = 1 suffices when the eigenvalue nearest sigma lies outside the
     window on the other side of 0 from sigma, and always at sigma = 0.
-    When k reaches V - 1 without both holding, as on the level-1 meshes
-    (V = 14 and 28) at v = 0, f = 10, the search raises NonConvergence.
     An exactly singular factor makes sigma an eigenvalue, listed if inside
     the window, and the inverse norm inf; so does an eigenvalue within
     the window test's pad of 0, a rounded 0 (at v = 0, f = 0, A = -S is

@@ -584,16 +584,18 @@ def test_every_sparse_factorization_goes_through_factor():
     # operators._lanczos, in standard form: it passes no M, sigma or OPinv
     # (ARPACK's generalized shift-invert mode), by keyword or position.
     # One dense rule: the package's only dense eigen-solve is the eigh call
-    # in operators.eig_low, the only reader of DENSE_MAX_V.  One mass form:
+    # in operators._eig_dense, and DENSE_MAX_V, its size cutoff, is read
+    # only by its two callers, eig_low and eigs_nearest.  One mass form:
     # the bundle keeps the vector m, and nothing reads a mass matrix .M.
     offenders, eigsh_calls, eigh_calls, cutoff_reads = [], [], [], []
     for path in sorted(pathlib.Path(ops.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        allowed = lanczos = dense = set()
+        allowed = lanczos = dense = cutoff = set()
         if path.name == "operators.py":
             allowed = nodes_of(tree, "factor")
             lanczos = nodes_of(tree, "_lanczos")
-            dense = nodes_of(tree, "eig_low")
+            dense = nodes_of(tree, "_eig_dense")
+            cutoff = nodes_of(tree, "eig_low") | nodes_of(tree, "eigs_nearest")
         for node in ast.walk(tree):
             name = (node.attr if isinstance(node, ast.Attribute)
                     else node.id if isinstance(node, ast.Name)
@@ -601,7 +603,7 @@ def test_every_sparse_factorization_goes_through_factor():
             if name == "M" and isinstance(node, ast.Attribute):
                 offenders.append(f"{path.name}:{node.lineno} .M")
             if name == "DENSE_MAX_V" and isinstance(node.ctx, ast.Load):
-                cutoff_reads.append((path.name, id(node) in dense))
+                cutoff_reads.append((path.name, id(node) in cutoff))
             if isinstance(node, ast.Call) and {"eigh", "eigvalsh"} & {
                     getattr(node.func, "attr", None),
                     getattr(node.func, "id", None)}:
@@ -621,7 +623,7 @@ def test_every_sparse_factorization_goes_through_factor():
     assert offenders == []
     assert eigsh_calls == [("operators.py", True)]
     assert eigh_calls == [("operators.py", True)]
-    assert cutoff_reads == [("operators.py", True)]
+    assert set(cutoff_reads) == {("operators.py", True)}
     assert not hasattr(ops.Operators, "M")
 
 

@@ -196,47 +196,52 @@ def test_nearest_eigenvalues_grow_k_until_enough():
     assert np.abs(vals - expected[:8]).max() < 1e-10
 
 
-@pytest.mark.parametrize("level, sheets, V",
-                         [(0, 1, 2), (1, 1, 14), (3, 2, 508)],
-                         ids=["V2", "V14", "V508"])
-def test_nearest_eigenvalues_never_go_dense(level, sheets, V, monkeypatch):
-    # A predicate that is never satisfied ends in NonConvergence naming k
-    # and V once k, doubling, reaches V - 1, at every size (V = 2 stops at
-    # k = 1), and never in a dense V x V solve.
-    mesh = build_base_surface(refinement=level)
-    if sheets > 1:
-        mesh = build_cover(mesh, CoverSpec.cyclic(sheets))
-    assert mesh.num_vertices == V
+def test_nearest_eigenvalues_go_dense_only_at_full_spectrum():
+    # V = 2: k = 1 already reaches V - 1, so the whole spectrum is dense;
+    # a predicate that is never satisfied does the same on V = 14.
+    for level in (0, 1):
+        mesh = build_base_surface(refinement=level)
+        m = ops.mass_vector(mesh)
+        A = (-ops.stiffness(mesh) + sp.diags(0.5 * m)).tocsr()
+        dense = scipy.linalg.eigh(A.toarray(), np.diag(m), eigvals_only=True)
+        vals = ops.eigs_nearest(ops.of(mesh), 0.5 * m, 0.3,
+                                lambda vals: False)
+        assert len(vals) == mesh.num_vertices
+        assert np.abs(np.sort(vals) - dense).max() < 1e-10
+        assert list(np.argsort(np.abs(vals - 0.3))) == list(range(len(vals)))
+
+
+def test_nearest_eigenvalues_never_go_dense_above_the_cutoff(monkeypatch):
+    # The level-3 2-cover is above the dense cutoff: a predicate that is
+    # never satisfied ends in NonConvergence naming k and V once k would
+    # reach V - 1, not in a dense V x V solve.
+    mesh = MESHES["cover-3"][0]
+    assert mesh.num_vertices == 508 > ops.DENSE_MAX_V
     m = ops.mass_vector(mesh)
 
     def no_dense(*args, **kwargs):
         raise AssertionError("dense eigen-solve called")
 
     monkeypatch.setattr(scipy.linalg, "eigh", no_dense)
-    monkeypatch.setattr(np.linalg, "eigh", no_dense)
-    seen = []
-
-    def never(vals):
-        seen.append(len(vals))
-        return False
-
-    with pytest.raises(NonConvergence,
-                       match=rf"no k up to {V - 1} .*\(V = {V}\)"):
-        ops.eigs_nearest(ops.of(mesh), 0.5 * m, 0.3, never)
-    assert seen[-1] == V - 1
-    assert seen == sorted(set(seen))
+    with pytest.raises(NonConvergence, match=r"no k up to 256 .*\(V = 508\)"):
+        ops.eigs_nearest(ops.of(mesh), 0.5 * m, 0.3, lambda vals: False)
 
 
 @pytest.mark.parametrize("name, V", [("base-1", 14), ("cover-1", 28)])
-def test_unsettled_window_raises_without_dense_solve(name, V):
-    # At v = 0, f = 10 no V - 1 eigenvalues nearest the window's midpoint
-    # settle the inverse norm on the level-1 meshes, and no dense solve
-    # supplies the last one: the check raises naming k and V.
+def test_unsettled_window_is_answered_from_the_full_spectrum(name, V):
+    # At v = 0, f = 10 on the level-1 meshes no k below V - 1 gives
+    # eigenvalues nearest the window's midpoint that settle the inverse
+    # norm; the dense full spectrum answers, as the dense oracle does.
     mesh = MESHES[name][0]
-    assert mesh.num_vertices == V
-    with pytest.raises(NonConvergence,
-                       match=rf"no k up to {V - 1} .*\(V = {V}\)"):
-        R.stability_check(mesh, np.zeros(V), np.full(V, 10.0))
+    assert mesh.num_vertices == V <= ops.DENSE_MAX_V
+    v, f = np.zeros(V), np.full(V, 10.0)
+    rep = R.stability_check(mesh, v, f)
+    ref = reference_stability_check(mesh, v, f)
+    assert rep.violating == ref.violating == []
+    assert rep.hinv_norm == pytest.approx(ref.hinv_norm, rel=1e-9)
+    assert np.isfinite(rep.hinv_norm) and not rep.hypothesis_ok
+    for key in ("sup_term", "lambda1", "window", "c", "hinv_bound"):
+        assert getattr(rep, key) == getattr(ref, key), key
 
 
 def test_level4_cover_check_is_sparse(monkeypatch):
