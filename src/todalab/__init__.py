@@ -41,7 +41,7 @@ _EXPORTS = {
         "spectral_gap", "stiffness", "systole", "volume"), "operators"),
     **dict.fromkeys((
         "BalanceReport", "Divisor", "SectionDensity", "balanced_lift",
-        "lift_density", "schwarz_check", "synth_density"), "sections"),
+        "lift_density", "synth_density"), "sections"),
     **dict.fromkeys((
         "GaussProblem", "GaussSolution", "admissible_bound",
         "gauss_residual", "monotone_solve_gauss", "solve_gauss"), "gauss"),

@@ -15,6 +15,7 @@ the library, not flags.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import fileio
 from .errors import MeshError, TodaError
 from .mesh import CoverSpec, build_base_surface, build_cover, \
-    mesh_from_dict, mesh_to_json
+    mesh_from_json, mesh_to_json
 
 # The solver modules (and SciPy with them) are imported inside the
 # subcommands that run them, so `mesh`, `cover` and `export` start without
@@ -31,10 +32,13 @@ from .mesh import CoverSpec, build_base_surface, build_cover, \
 
 
 def _read_mesh(path):
-    _, doc = fileio.read_json_object(path, {})
+    with open(path) as handle:
+        text = handle.read()
     try:
-        return mesh_from_dict(doc)
-    except MeshError as exc:
+        return mesh_from_json(text)
+    except (MeshError, json.JSONDecodeError) as exc:
+        # a refused file: its own JSON fault first, if it has one
+        fileio.json_object(path, text, {})
         raise MeshError(f"{path}: {exc}") from exc
 
 

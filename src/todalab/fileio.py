@@ -1,9 +1,10 @@
 """File formats and atomic output helpers.
 
 This module reads and writes the formats below, except mesh JSON, whose
-layout only the mesh module knows (mesh.mesh_to_json and
-mesh.mesh_from_dict; here it is only read as a JSON object and written
-atomically).  All writers go through an atomic temp-file + rename so a
+layout only the mesh module knows (mesh.mesh_to_json, and
+mesh.mesh_from_json, which reads the file's text; here a mesh file is
+written atomically, and json_object names a refused one that holds no
+JSON object).  All writers go through an atomic temp-file + rename so a
 crashed run never leaves a half-written artifact, and all serialization is
 deterministic (sorted JSON keys, shortest round-trip float repr) so
 identical inputs produce byte-identical outputs.
@@ -96,6 +97,13 @@ def read_json_object(path, fields):
     fields, each value of the type fields gives; else a TodaError."""
     with open(path) as handle:
         text = handle.read()
+    return text, json_object(path, text, fields)
+
+
+def json_object(path, text, fields):
+    """The object that text, read from path, holds, with keys including
+    fields, each value of the type fields gives; else a TodaError naming
+    path."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -106,7 +114,7 @@ def read_json_object(path, fields):
     for key, kind in fields.items():
         if not isinstance(doc.get(key), kind):
             raise TodaError(f"{path} has no valid {key!r} field")
-    return text, doc
+    return doc
 
 
 # ----------------------------------------------------------------------

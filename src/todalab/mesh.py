@@ -25,7 +25,7 @@ A mesh carries few distinct holonomy words (20 among the 12 288 edges at
 level 5), so the word work is done once per distinct word:
 :meth:`HyperbolicMesh.word_table` numbers them in order of first use and
 keeps one SU(1,1) matrix each (built from the edge words on first use,
-or by :func:`mesh_from_dict` as it reads the file's word strings),
+or by :func:`mesh_from_json` as it reads the file's word strings),
 :func:`build_cover` takes one sheet permutation per word and
 fills the cell tables sheet by sheet with array operations, and
 :meth:`HyperbolicMesh.slot_triples` numbers the distinct triples of slot
@@ -49,12 +49,20 @@ tables: it formats each distinct number once (a level-5 2-cover has 628
 distinct edge lengths among 24 576) and each distinct word of the word
 table once (34 among its 24 576 edges), joins the texts by index, then
 assembles the object's ``"key":text`` parts in sorted key order.
-:func:`mesh_from_dict` is the one reader: it rejects any other format
-(meshes written before format 2 must be rebuilt), malformed tables and
-out-of-range indices with a MeshError.  It numbers the distinct word
-strings in order of first use, parses each once, and hands the mesh the
-word table those give, the one ``word_table`` would build from the edge
-words, so a mesh read back does not derive it again.
+:func:`mesh_from_json` is the one text reader, and it makes no Python
+list of numbers: it cuts each table's list out of the text, parses it by
+one ``np.fromstring`` call behind whole-span checks (the bytes allowed,
+one entry per comma, whole rows, finite floats, integers within int64)
+and leaves ``json.loads`` only the rest (format, genus, level, edge
+words).  It reads the number spellings that NumPy reads and JSON does not
+(``+1``, ``01``, ``.5``, ``1.``) as the numbers they spell; a text that
+fails a check is read by ``json.loads`` and :func:`mesh_from_dict`, the
+one document checker, which rejects any other format (meshes written
+before format 2 must be rebuilt), malformed tables and out-of-range
+indices with a MeshError.  Both number the distinct word strings in order
+of first use, parse each once, and hand the mesh the word table those
+give, the one ``word_table`` would build from the edge words, so a mesh
+read back does not derive it again.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -156,7 +165,7 @@ class HyperbolicMesh:
 
     def word_table(self):
         """The edges' distinct holonomy words, built once per mesh: here
-        from ``edge_words``, or by :func:`mesh_from_dict` from the
+        from ``edge_words``, or by :func:`mesh_from_json` from the
         distinct word strings of the file it reads."""
         if "words" not in self._cache:
             index = {}
@@ -666,9 +675,15 @@ def mesh_from_dict(doc):
     if version != FORMAT:
         raise MeshError(f"mesh format {version!r} is not {FORMAT}: rebuild "
                         f"the mesh (toda mesh, toda cover)")
-    tables = {key: _table(doc, key, width, dtype)
-              for key, width, dtype in TABLES
-              if key != "base_vertex" or doc.get(key) is not None}
+    return _mesh(doc, {key: _table(doc, key, width, dtype)
+                       for key, width, dtype in TABLES
+                       if key != "base_vertex" or doc.get(key) is not None})
+
+
+def _mesh(doc, tables):
+    """The mesh of the format-2 document doc whose number tables are the
+    arrays tables, after the checks on its edge words, genus, level and
+    table sizes and indices."""
     strings = doc.get("edge_words")
     if not isinstance(strings, list) or set(map(type, strings)) != {str}:
         raise MeshError("mesh table 'edge_words' is malformed: not a list "
@@ -696,5 +711,127 @@ def mesh_from_dict(doc):
     return mesh
 
 
+# The bytes a number table's text may hold in the bulk parse: digits,
+# commas, a minus sign and JSON whitespace (blanks), and in a float table
+# also a plus sign, a point and an exponent.
+_BLANKS = b" \t\n\r"
+_BYTES = {np.int64: b"0123456789,-" + _BLANKS,
+          float: b"0123456789,-+.eE" + _BLANKS}
+_TO_SPACE = bytes.maketrans(b"\t\n\r", b"   ")
+_INT64_MAX = np.iinfo(np.int64).max
+# "key": [ at the start of each table's list.
+_TABLE_STARTS = {key: re.compile(rf'"{key}"\s*:\s*\[')
+                 for key, _, _ in TABLES}
+
+
+def _bulk_table(span, width, dtype):
+    """The array of dtype that span, the text between a table's brackets,
+    holds, parsed by NumPy with no Python number made; None unless the
+    span passes every check of the bulk parse (see mesh_from_json)."""
+    number = float if dtype is complex else dtype
+    data = span.encode()
+    if data.translate(None, _BYTES[number]):
+        return None
+    # np.fromstring reads an entry of blanks as 0 or -1.0, and in an integer
+    # table a minus with no digit after it as 0 ("-") or -1 ("- 1"): these
+    # checks look for them only in a span that holds blanks or minus signs
+    blank = any(byte in data for byte in (b" ", b"\t", b"\n", b"\r"))
+    if blank:
+        spaced = data.translate(_TO_SPACE)
+        bare = spaced.replace(b" ", b"")
+        if (not bare or bare.startswith(b",") or bare.endswith(b",")
+                or b",," in bare):
+            return None
+    if number is np.int64 and b"-" in data:
+        if (data.endswith(b"-") or b"-," in data
+                or blank and b"- " in spaced):
+            return None
+    # NumPy raises at an entry it cannot read (older NumPy warns and returns
+    # the entries before it, which the count check refuses)
+    try:
+        values = np.fromstring(data, number, sep=",")
+    except ValueError:
+        return None
+    if len(values) != data.count(b",") + 1 or len(values) % width:
+        return None
+    # an integer past int64 is read as its largest value
+    if not (np.isfinite(values).all() if number is float
+            else values.max() < _INT64_MAX):
+        return None
+    if dtype is complex:
+        return values.view(complex)
+    return values.reshape(-1, width) if width > 1 else values
+
+
+def _bulk_document(text):
+    """(doc, tables) of the format-2 mesh text, doc parsed by json.loads
+    with its number tables cut out and tables holding them as arrays; None
+    if a check fails (see mesh_from_json)."""
+    # the keys in sorted order, as mesh_to_json writes them, so that each
+    # search starts where the last table's list ended
+    cuts, at = [], 0
+    for key, width, dtype in sorted(TABLES):
+        start = _TABLE_STARTS[key]
+        match = start.search(text, at) or start.search(text)
+        if match is None:
+            continue
+        end = text.find("]", match.end())
+        table = (_bulk_table(text[match.end():end], width, dtype)
+                 if end >= 0 else None)
+        if table is None:
+            return None
+        cuts.append((match.end() - 1, end + 1, key, table))
+        at = end
+    # Each cut list becomes a NaN.  With no other NaN in the rest, a table
+    # key whose value in the top-level object is a NaN holds its own cut
+    # list: the text before each NaN is that table's "key":.  A key found
+    # inside a string ("a\"edges":[...]) or a nested object leaves the real
+    # table's list in the rest, so the check fails; of a key given twice,
+    # json.loads keeps the last copy, so the check passes only if the cut
+    # list is the one json.loads would read.
+    pieces, at = [], 0
+    for start, end, _, _ in sorted(cuts, key=operator.itemgetter(0)):
+        pieces += [text[at:start], "NaN"]
+        at = end
+    rest = "".join(pieces) + text[at:]
+    if rest.count("NaN") != len(cuts):
+        return None
+    try:
+        doc = json.loads(rest)
+    except ValueError:
+        return None
+    tables = {key: table for _, _, key, table in cuts}
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
+        return None
+    for key, _, _ in TABLES:
+        value = doc.get(key)
+        if key in tables:
+            found = value != value  # the NaN put in place of its list
+        else:
+            found = key == "base_vertex" and value is None
+        if not found:
+            return None
+    return doc, tables
+
+
 def mesh_from_json(text):
-    return mesh_from_dict(json.loads(text))
+    """Inverse of :func:`mesh_to_json`: the mesh that the JSON text holds,
+    read in bulk.  The number tables are not made into Python lists: each
+    table's list is found by its key, cut out of the text and parsed by one
+    ``np.fromstring`` call, and ``json.loads`` parses what remains (format,
+    genus, level, edge words).  The cut text must hold only digits,
+    commas, JSON whitespace, minus signs and, in float tables, plus signs,
+    points and exponents, one nonempty entry per comma (so a trailing
+    comma or an empty entry fails), a whole number of rows and finite
+    floats and integers within int64; and each cut list must be the one
+    that json.loads reads for its key in the top-level object.  A text
+    that fails any check is read as ``mesh_from_dict(json.loads(text))``,
+    so it gets that function's MeshError or json.loads's JSONDecodeError:
+    messages are built only there.  Number spellings that NumPy reads and
+    JSON does not (``+1``, ``.5`` and ``1.`` in a float table, ``01`` in
+    any table) are read as the numbers they spell."""
+    parsed = _bulk_document(text)
+    if parsed is None:
+        return mesh_from_dict(json.loads(text))
+    doc, tables = parsed
+    return _mesh(doc, tables)

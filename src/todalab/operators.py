@@ -782,9 +782,3 @@ def systole(mesh):
             break
     mesh._cache[key] = float(best)
     return float(best)
-
-
-def graph_distances(mesh, src):
-    """Single-source graph distances along edge lengths."""
-    graph, _, _ = of(mesh).path_graph
-    return csgraph.dijkstra(graph, indices=src)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from todalab import gauss
 from todalab import group as G
@@ -106,6 +107,66 @@ def reference_dijkstra(mesh, src, cap=np.inf, adj=None):
                 parent[w] = (e, direction, v)
                 heapq.heappush(heap, (nd, w))
     return dist, parent
+
+
+def graph_distances(mesh, src):
+    """Single-source graph distances along edge lengths, by SciPy's
+    Dijkstra on the bundle's path graph."""
+    graph, _, _ = operators.of(mesh).path_graph
+    return csgraph.dijkstra(graph, indices=src)
+
+
+def schwarz_constant(delta):
+    """C(delta) = (cosh(delta/2) / tanh(delta/2))^2."""
+    return float((np.cosh(delta / 2.0) / np.tanh(delta / 2.0)) ** 2)
+
+
+def schwarz_check(density, radius):
+    """Vertexwise decay bound near the zero of a degree-1 density.
+
+    Inside the graph ball D = B(z0, radius), excluding the one-ring of z0,
+    checks  lam rho(z) <= C(delta) tanh^2(r(z)/2) sup_{boundary of D} lam rho
+    with delta the systole and lam the oscillation normalization,
+    (sup lam rho)(inf lam rho) = 1 outside D.  The multiplicative margin
+    uses graph distances (which overestimate hyperbolic ones, loosening the
+    bound only in the safe direction).  Returns a report dict; "ok" is True
+    when every checked vertex passes.
+    """
+    mesh = density.mesh
+    dist = graph_distances(mesh, density.divisor.entries[0][0])
+    inside = dist <= radius
+    if inside.all():
+        raise ValueError("ball covers the whole mesh")
+    rho = density.density()
+    sup_out = float(rho[~inside].max())
+    inf_out = float(rho[~inside].min())
+    lam = 1.0 / np.sqrt(sup_out * inf_out)
+
+    tail, head = mesh.edges.T
+    crossing = inside[tail] != inside[head]
+    boundary = np.zeros(mesh.num_vertices, dtype=bool)
+    boundary[tail[crossing]] = True
+    boundary[head[crossing]] = True
+    boundary &= inside
+    if not boundary.any():
+        raise ValueError("ball boundary is empty at this radius")
+
+    delta = operators.systole(mesh)
+    c_delta = schwarz_constant(delta)
+    sup_boundary = float((lam * rho[boundary]).max())
+
+    checked = inside & ~density.one_ring()
+    lhs = lam * rho[checked]
+    rhs = c_delta * np.tanh(dist[checked] / 2.0) ** 2 * sup_boundary
+    margin = rhs - lhs
+    return {
+        "ok": bool((margin >= 0).all()) if checked.any() else True,
+        "checked": int(checked.sum()),
+        "worst_margin": float(margin.min()) if checked.any() else np.inf,
+        "c_delta": c_delta,
+        "sup_boundary": sup_boundary,
+        "systole": delta,
+    }
 
 
 def _reference_tree_word(mesh, src, parent, v, memo):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import invariant_bump
+from helpers import invariant_bump, schwarz_check
 from todalab import coupled as C
 from todalab import fileio
 from todalab import gauss as G
@@ -126,7 +126,7 @@ def test_sections_synthesis_and_balance():
         deg1 = S.synth_density(mesh, S.Divisor([(5, 1)]))
         assert S.poincare_lelong_residual(deg1) <= 1e-9
 
-        schwarz = S.schwarz_check(deg1, radius=1.2)
+        schwarz = schwarz_check(deg1, radius=1.2)
         assert schwarz["ok"]
         assert schwarz["checked"] > 0
         delta = ops.systole(mesh)

@@ -320,7 +320,10 @@ def test_word_table(meshes):
 @pytest.mark.parametrize("name", list(identity_meshes()))
 def test_read_back_mesh_carries_the_word_table(name):
     mesh = identity_meshes()[name]
-    read = mesh_from_json(mesh_to_json(mesh))
+    text = mesh_to_json(mesh)
+    read = mesh_from_json(text)
+    assert _read_outcome(lambda t: read, text) == _read_outcome(
+        lambda t: mesh_from_dict(json.loads(t)), text)
     assert "words" in read._cache
     assert read.edge_words == mesh.edge_words
     table = read.word_table()
@@ -536,3 +539,112 @@ def test_malformed_mesh_document_raises_mesh_error(meshes, edit, message):
 def test_non_object_mesh_document_raises_mesh_error():
     with pytest.raises(MeshError, match="mesh format None is not 2"):
         mesh_from_json("[1, 2]")
+
+
+def _spelled(key, index, spelling, layout=None):
+    """The level-0 2-cover's text in layout (compact and key-sorted if
+    None) with entry index of table key spelled as given."""
+    def text(doc):
+        doc[key][index] = "@"
+        return json.dumps(doc, sort_keys=True, **layout or {
+            "separators": (",", ":")}).replace('"@"', spelling)
+    return text
+
+
+def _prefixed(member):
+    """The text with member put first in its object."""
+    return lambda doc: "{" + member + "," + mesh_to_json(
+        mesh_from_dict(doc))[1:]
+
+
+def _last_edges(spelling):
+    """The text with a second edges table, spelled as given, last."""
+    return lambda doc: mesh_to_json(mesh_from_dict(doc))[:-1] + (
+        f',"edges":{spelling}}}')
+
+
+def _read_outcome(read, text):
+    """("mesh", each table's dtype, shape and bytes, words, genus, level,
+    canonical text) of the mesh read(text) gives, or ("error", type,
+    message) of what it raises."""
+    try:
+        mesh = read(text)
+    except (MeshError, ValueError) as exc:
+        return "error", type(exc), str(exc)
+    tables = [(a.dtype, a.shape, a.tobytes()) for a in (
+        getattr(mesh, key) for key, _, _ in mesh_module.TABLES)
+        if a is not None]
+    return ("mesh", tables, mesh.edge_words, mesh.genus, mesh.level,
+            mesh_to_json(mesh))
+
+
+# (text from the level-0 2-cover's document, the JSON text whose
+# json.loads + mesh_from_dict is the expected outcome (None: the same
+# text), whether that outcome is a refusal).
+READER_CASES = {
+    "canonical": (lambda doc: mesh_to_json(mesh_from_dict(doc)), None, False),
+    "format-3": (lambda doc: mesh_to_json(mesh_from_dict(doc)).replace(
+        '"format":2', '"format":3'), None, True),
+    "dumps-defaults": (lambda doc: json.dumps(doc), None, False),
+    "indent-1": (lambda doc: json.dumps(doc, indent=1, sort_keys=True),
+                 None, False),
+    "trailing-comma": (_spelled("edges", -1, "0,"), None, True),
+    "empty-entry": (_spelled("edges", 3, ",1"), None, True),
+    "blank-entry": (_spelled("edge_lengths", 3, " ,1.5", {}), None, True),
+    "lone-minus": (_spelled("tri_edge_signs", 3, "-"), None, True),
+    "minus-apart": (_spelled("tri_edge_signs", 3, "- 1", {}), None, True),
+    "vertical-tab": (_spelled("edges", 0, "\v0"), None, True),
+    "true": (_spelled("tri_edges", 0, "true"), None, True),
+    "null": (_spelled("edges", 0, "null"), None, True),
+    "string": (_spelled("tri_edges", 0, '"7"'), None, True),
+    "float-in-integer-table": (_spelled("tri_edges", 2, "2.5"), None, True),
+    "exponent-in-integer-table": (_spelled("tri_edges", 2, "1e3"), None,
+                                  True),
+    "past-int64": (_spelled("edges", 1, str(2**63)), None, True),
+    "below-int64": (_spelled("tri_edges", 1, str(-2**63 - 1)), None, True),
+    "nan": (_spelled("edge_lengths", 1, "NaN"), None, True),
+    "infinity": (_spelled("positions", 0, "Infinity"), None, True),
+    "overflow": (_spelled("positions", 0, "1e999"), None, True),
+    "nested-list": (_spelled("edges", 0, "[0,1]"), None, True),
+    "ragged-row": (_spelled("tri_edges", -1, "0,1"), None, True),
+    "key-twice": (_last_edges("[0,1]"), None, True),
+    "escaped-name-in-key": (_prefixed('"\\"edges\\":[0,1]":0'), None,
+                            False),
+    "key-ending-in-escaped-name": (_prefixed('"a\\"edges":[0,1]'), None,
+                                   False),
+    "key-ending-in-name-then-nan-table": (
+        lambda doc: _prefixed('"a\\"edges":[0,1]')(doc).replace(
+            ',"edges":[', ',"edges":NaN,"b":['), None, True),
+    # spellings NumPy reads and JSON does not: the numbers they spell
+    "plus-sign": (_spelled("positions", 1, "+1"), _spelled(
+        "positions", 1, "1"), False),
+    "leading-zero": (_spelled("tri_edges", 1, "01"), _spelled(
+        "tri_edges", 1, "1"), False),
+    "no-integer-digits": (_spelled("edge_lengths", 0, ".5"), _spelled(
+        "edge_lengths", 0, "0.5"), False),
+    "no-fraction-digits": (_spelled("edge_lengths", 0, "1."), _spelled(
+        "edge_lengths", 0, "1.0"), False),
+    "plus-in-integer-table": (_spelled("tri_edges", 1, "+1"), None, True),
+}
+
+
+@pytest.mark.parametrize("name", list(READER_CASES))
+def test_text_reader_matches_json_reader(meshes, name):
+    """mesh_from_json reads a text as mesh_from_dict(json.loads(text))
+    does, table bytes and messages included, except the number spellings
+    that NumPy reads and JSON does not, which it reads as the JSON
+    spelling of the same number."""
+    make, reference, refused = READER_CASES[name]
+    doc = json.loads(mesh_to_json(build_cover(meshes[0],
+                                              CoverSpec.cyclic(2))))
+    text = make(json.loads(json.dumps(doc)))
+    want = _read_outcome(lambda t: mesh_from_dict(json.loads(t)),
+                         (reference or make)(json.loads(json.dumps(doc))))
+    got = _read_outcome(mesh_from_json, text)
+    assert got == want
+    assert (got[0] == "error") == refused
+    if reference is not None:
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text)
+    elif got[0] == "mesh":
+        assert got[-1] == mesh_to_json(mesh_from_dict(doc))

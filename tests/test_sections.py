@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import graph_distances, schwarz_check, schwarz_constant
 from todalab import operators as ops
 from todalab import sections as S
 from todalab.mesh import CoverSpec, build_base_surface, build_cover
@@ -126,18 +127,18 @@ def test_one_ring_matches_edge_neighbours():
 
 
 def test_schwarz_check(mesh, deg1):
-    report = S.schwarz_check(deg1, radius=1.2)
+    report = schwarz_check(deg1, radius=1.2)
     assert report["ok"]
     assert report["checked"] > 0
     assert report["worst_margin"] >= 0
     assert report["c_delta"] == pytest.approx(
-        S.schwarz_constant(ops.systole(mesh)), rel=1e-12)
+        schwarz_constant(ops.systole(mesh)), rel=1e-12)
 
 
 def test_schwarz_constant_value():
     delta = 2 * np.arccosh(1 + np.sqrt(2.0))
     expected = (np.cosh(delta / 2) / np.tanh(delta / 2)) ** 2
-    assert S.schwarz_constant(delta) == pytest.approx(expected, rel=1e-14)
+    assert schwarz_constant(delta) == pytest.approx(expected, rel=1e-14)
     assert expected == pytest.approx(7.0355339059327378, abs=1e-10)
 
 
@@ -175,7 +176,7 @@ def test_radial_barrier_critical_at_systole():
 
 
 def test_schwarz_boundary_is_inside_ends_of_crossing_edges(mesh, deg1):
-    inside = ops.graph_distances(mesh, 5) <= 1.2
+    inside = graph_distances(mesh, 5) <= 1.2
     boundary = set()
     for t, h in mesh.edges:
         if inside[t] and not inside[h]:
@@ -184,7 +185,7 @@ def test_schwarz_boundary_is_inside_ends_of_crossing_edges(mesh, deg1):
             boundary.add(int(h))
     rho = deg1.density()
     lam = 1.0 / np.sqrt(rho[~inside].max() * rho[~inside].min())
-    report = S.schwarz_check(deg1, radius=1.2)
+    report = schwarz_check(deg1, radius=1.2)
     assert report["sup_boundary"] == (lam * rho[sorted(boundary)]).max()
 
 

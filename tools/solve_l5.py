@@ -5,8 +5,8 @@ genus-2 base, its cyclic 2-cover (or `--n`-cover; V = 8188 for the 2-cover
 at level 5, 32 764 at level 6),
 the canonical divisor 0:1,1:1,5:1,20:1 on the base and its balanced lift
 with the fresh zero 3.  Right after building the cover it times one write
-of the cover's mesh file (`mesh_to_json`) and one read (`json.loads` plus
-`mesh_from_dict`), and hashes the text it wrote (`mesh_sha1`, the git blob
+of the cover's mesh file (`mesh_to_json`) and one read (`mesh_from_json`),
+and hashes the text it wrote (`mesh_sha1`, the git blob
 sha1), so that trees timed against each other are seen to write the same
 bytes.  Once the density is lifted it times the read-back that `toda
 verify` pays before its solves (`readback_s`): `mesh_from_json` of that
@@ -60,7 +60,7 @@ start = time.perf_counter()
 text = todalab.mesh_to_json(cover)
 write_s = time.perf_counter() - start
 start = time.perf_counter()
-todalab.mesh_from_dict(json.loads(text))
+todalab.mesh_from_json(text)
 read_s = time.perf_counter() - start
 mesh_bytes = len(text.encode())
 mesh_sha1 = fileio.git_blob_sha1(text)
