@@ -246,8 +246,10 @@ class HyperbolicMesh:
         """Raise MeshError, naming the table and its first bad entry, unless
         every table has one row per edge, triangle or vertex, edge
         endpoints are vertex ids, slot edges are edge ids, slot signs are
-        +1 or -1 and base vertices are nonnegative: the rule that makes
-        every index into the mesh's arrays valid."""
+        +1 or -1 and base vertices are vertex ids (a base has no more
+        vertices than its cover): the rule that makes every index into the
+        mesh's arrays valid and bounds every integer ``mesh_to_json``
+        writes."""
         V, E, F = self.num_vertices, self.num_edges, self.num_faces
         for name, rows in (("edge_lengths", E), ("edge_words", E),
                            ("tri_edge_signs", F), ("base_vertex", V)):
@@ -262,8 +264,9 @@ class HyperbolicMesh:
                    f"an edge id in [0, {E})"),
                   ("tri_edge_signs", signs, abs(signs) == 1, "+1 or -1")]
         if self.base_vertex is not None:
-            checks.append(("base_vertex", self.base_vertex,
-                           self.base_vertex >= 0, "a vertex id"))
+            base = self.base_vertex
+            checks.append(("base_vertex", base, (base >= 0) & (base < V),
+                           f"a vertex id in [0, {V})"))
         for name, table, ok, rule in checks:
             if not ok.all():
                 i = int(np.flatnonzero(~ok)[0])

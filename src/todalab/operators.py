@@ -45,9 +45,12 @@ builds a sparse matrix either: MINRES only multiplies by its matrix,
 a * S + diag(d) or the coupled 2 x 2 block of such matrices with diagonal
 coupling, so each solver passes it as the function y -> a S y + d y
 (Jacobian-free Newton-Krylov; Knoll & Keyes, J. Comput. Phys. 193,
-2004).  The Green solves run MINRES to NEWTON_RTOL.  The
-Newton steps are inexact (Eisenstat & Walker, SIAM J. Sci. Comput. 17,
-1996): ``forcing`` sets each step's rtol from the outer residuals, so no
+2004).  MINRES's rtol bounds its estimate of the normwise backward
+error, not the relative residual (``newton_solve``).  The Green solves
+run it to NEWTON_RTOL.  The Newton steps are inexact (Eisenstat &
+Walker, SIAM J. Sci. Comput. 17, 1996): ``forcing`` asks FIRST_FORCING
+of the first step of each loop, which starts farthest from the solution,
+and of each later step an rtol set from the outer residuals, so no
 inner system is solved more accurately than the outer test can use.  The
 Gauss, J, Ricci and coupled solvers share one damped-Newton loop,
 ``damped_newton``: its residual test, line search, step cap
@@ -343,34 +346,47 @@ def factor(A, ordered=False):
                      options=dict(SymmetricMode=True))
 
 
-# Relative residual of an exact MINRES solve (the Green solves) and the
-# iteration cap of every MINRES solve.  With the S + M preconditioner an
-# exact Green solve takes 10-14 iterations on levels 2-5, a Newton step at
-# the rtol of ``forcing`` 5-8.
+# rtol of an exact MINRES solve (the Green solves), a bound on MINRES's
+# backward-error estimate (``newton_solve``), and the iteration cap of
+# every MINRES solve.  With the S + M preconditioner an exact Green solve
+# takes 10-14 iterations on levels 2-5, a Newton step at the rtol of
+# ``forcing`` 5-8.  The Green solves of the README base density and of
+# four of its balanced lifts to the 2-cover leave a true relative residual
+# ||S x - b|| / ||b|| of 2.1e-14 to 3.6e-13 on levels 2-5.
 NEWTON_RTOL = 1e-13
 NEWTON_MAXITER = 300
 # Step cap of ``damped_newton``, in the Gauss, J, Ricci and coupled solvers.
 NEWTON_MAX_STEPS = 200
-# Largest rtol ``forcing`` asks of a ``damped_newton`` step, in the Gauss,
-# J, Ricci and coupled solvers alike.  A cap of 1e-2 stalls the Ricci line
-# search, which tests the max-norm of the residual, at 1.3e-7.
+# Largest rtol ``forcing`` asks of a ``damped_newton`` step after the
+# first, in the Gauss, J, Ricci and coupled solvers alike.  A cap of 1e-2
+# stalls the Ricci line search, which tests the max-norm of the residual,
+# at 1.3e-7.
 FORCING_CAP = 1e-6
+# rtol of the first step of every ``damped_newton`` loop.  On the 16 pool
+# zeros of the level-5 2-cover at degree 1, 1e-3 takes the coupled Newton
+# 64 steps where 1e-4 takes 49 (576 preconditioner solves against 458),
+# and 1e-5 saves fewer solves than 1e-4 on levels 3-5.
+FIRST_FORCING = 1e-4
 
 
 def forcing(res, prev, tol):
-    """rtol of the next inexact step of ``damped_newton``: Eisenstat &
-    Walker's choice 2,
+    """rtol of the next inexact step of ``damped_newton``: FIRST_FORCING
+    for the first step (prev is None), then Eisenstat & Walker's choice 2,
     min(FORCING_CAP, max(0.9 (res/prev)^2, 1e-3 tol/res)).
 
-    res and prev are the outer residuals now and before the last step
-    (prev is None before the first step, which gets the cap); tol is the
-    outer tolerance.  0.9 (res/prev)^2 tightens the solve as Newton
-    converges; the floor keeps rtol * res, about the linear residual the
-    step leaves, from going below 1e-3 tol, which the outer test cannot
-    see.
+    res and prev are the outer residuals now and before the last step; tol
+    is the outer tolerance.  The first step starts farthest from the
+    solution, so solving it as tightly as the later ones would oversolve
+    it.  0.9 (res/prev)^2 tightens the solve as Newton converges.  The
+    floor keeps rtol from going below 1e-3 tol/res, a thousandth of the
+    relative decrease the outer test still asks for.  Both are heuristics
+    on relative decreases, not bounds on the residual a step leaves: rtol
+    bounds MINRES's backward-error estimate (``newton_solve``), and on
+    the 2-covers of levels 2-5 a step's true ||A s - b|| / ||b|| came out
+    0.1 to 150 times its rtol.
     """
     if prev is None:
-        return FORCING_CAP
+        return FIRST_FORCING
     return min(FORCING_CAP, max(0.9 * (res / prev) ** 2, 1e-3 * tol / res))
 
 
@@ -394,10 +410,18 @@ def newton_solve(ops, A, b, name, factors, rank_one=None, zero_mean=False,
     block i (Benzi, Golub & Liesen, Acta Numer. 14, 2005, section 10):
     each solver names the bundle's kept factor whose shift matches its
     block's diagonal, so no Newton step or Green solve factors anything.
-    MINRES stops at relative residual rtol (NEWTON_RTOL by default; the
-    Newton loops pass ``forcing``).  Raises NonConvergence naming the
-    solver when MINRES stops without reaching rtol or returns a non-finite
-    x.
+    With one factor, that factor's own ``solve`` is the preconditioner;
+    with two, each block is solved from a slice into one output vector.
+
+    MINRES stops when its estimate of ||r|| / (||A|| ||x||) or of
+    ||A r|| / (||A|| ||r||) falls below rtol (NEWTON_RTOL by default; the
+    Newton loops pass ``forcing``), with r the preconditioned residual and
+    ||A|| estimated from the Lanczos tridiagonal (SciPy 1.17's
+    ``minres``): a test on the normwise backward error, not on
+    ||A x - b|| / ||b||, which can be larger (the NEWTON_RTOL comment
+    gives the Green solves').  Raises NonConvergence naming the solver
+    when MINRES stops without reaching rtol in NEWTON_MAXITER iterations
+    or returns a non-finite x.
     """
     n = b.size
     m, vol = ops.m, ops.vol
@@ -420,10 +444,16 @@ def newton_solve(ops, A, b, name, factors, rank_one=None, zero_mean=False,
         b = b - m * (b.sum() / vol)
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
 
-    def precondition(x):
-        blocks = np.split(np.ravel(x), len(factors))
-        return np.concatenate([lu.solve(block)
-                               for lu, block in zip(factors, blocks)])
+    if len(factors) == 1:
+        precondition = factors[0].solve
+    else:
+        V = m.size
+
+        def precondition(x):
+            y = np.empty_like(x)
+            for i, lu in enumerate(factors):
+                y[i * V:(i + 1) * V] = lu.solve(x[i * V:(i + 1) * V])
+            return y
 
     precond = spla.LinearOperator((n, n), matvec=precondition, dtype=float)
     x, info = spla.minres(op, b, rtol=rtol, maxiter=NEWTON_MAXITER,

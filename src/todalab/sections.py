@@ -98,16 +98,6 @@ class SectionDensity:
     def sup(self):
         return float(np.exp(self.log_density.max()))
 
-    def one_ring(self):
-        """Divisor vertices together with their edge-graph neighbors."""
-        zeros = np.zeros(self.mesh.num_vertices, dtype=bool)
-        zeros[[v for v, _ in self.divisor.entries]] = True
-        tail, head = self.mesh.edges.T
-        mask = zeros.copy()
-        mask[head[zeros[tail]]] = True
-        mask[tail[zeros[head]]] = True
-        return mask
-
 
 @dataclass
 class BalanceReport:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from todalab import gauss
@@ -121,6 +122,18 @@ def schwarz_constant(delta):
     return float((np.cosh(delta / 2.0) / np.tanh(delta / 2.0)) ** 2)
 
 
+def one_ring(density):
+    """Mask of the divisor vertices together with their edge-graph
+    neighbours."""
+    zeros = np.zeros(density.mesh.num_vertices, dtype=bool)
+    zeros[[v for v, _ in density.divisor.entries]] = True
+    tail, head = density.mesh.edges.T
+    mask = zeros.copy()
+    mask[head[zeros[tail]]] = True
+    mask[tail[zeros[head]]] = True
+    return mask
+
+
 def schwarz_check(density, radius):
     """Vertexwise decay bound near the zero of a degree-1 density.
 
@@ -155,7 +168,7 @@ def schwarz_check(density, radius):
     c_delta = schwarz_constant(delta)
     sup_boundary = float((lam * rho[boundary]).max())
 
-    checked = inside & ~density.one_ring()
+    checked = inside & ~one_ring(density)
     lhs = lam * rho[checked]
     rhs = c_delta * np.tanh(dist[checked] / 2.0) ** 2 * sup_boundary
     margin = rhs - lhs
@@ -737,3 +750,41 @@ def reference_newton_step(ops, A, b, name, factors, rank_one=None,
         x = x - y * ((rank_one @ x[:V]) / denom)
     x = x[:V]
     return x - (ops.m @ x) / ops.vol if zero_mean else x
+
+
+def reference_newton_solve(ops, A, b, name, factors, rank_one=None,
+                           zero_mean=False, rtol=operators.NEWTON_RTOL):
+    """The MINRES solve of ``operators.newton_solve`` with its block
+    preconditioner applied by copies: the vector split into its V-blocks
+    by ``np.split``, each block solved by its factor and the results
+    joined by ``np.concatenate``, one factor or two alike."""
+    n = b.size
+    m, vol = ops.m, ops.vol
+
+    def project(x):
+        return x - (m @ x) / vol
+
+    def matvec(x):
+        if zero_mean:
+            x = project(x)
+        y = A(x)
+        if rank_one is not None:
+            y = y + rank_one * (rank_one @ x)
+        if zero_mean:
+            y = y - m * (y.sum() / vol)
+        return y
+
+    if zero_mean:
+        b = b - m * (b.sum() / vol)
+
+    def precondition(x):
+        blocks = np.split(np.ravel(x), len(factors))
+        return np.concatenate([lu.solve(block)
+                               for lu, block in zip(factors, blocks)])
+
+    x, info = spla.minres(
+        spla.LinearOperator((n, n), matvec=matvec, dtype=float), b,
+        rtol=rtol, maxiter=operators.NEWTON_MAXITER,
+        M=spla.LinearOperator((n, n), matvec=precondition, dtype=float))
+    assert info == 0 and np.isfinite(x).all(), name
+    return project(x) if zero_mean else x

@@ -541,6 +541,24 @@ def test_non_object_mesh_document_raises_mesh_error():
         mesh_from_json("[1, 2]")
 
 
+@pytest.mark.parametrize("value", [28, 10**6, 2**62 - 1],
+                         ids=["V", "million", "2^62-1"])
+def test_base_vertex_above_the_vertex_count_is_refused(meshes, value):
+    # A base vertex at or above V is refused on reading, by the text
+    # reader and the document reader alike; it is never written back,
+    # which would format one integer string per value up to it.
+    data = json.loads(mesh_to_json(build_cover(meshes[1],
+                                               CoverSpec.cyclic(2))))
+    assert len(data["base_vertex"]) == 28
+    data["base_vertex"][3] = value
+    message = (f"mesh table 'base_vertex' entry 3 is {value}, not a vertex "
+               f"id in [0, 28)")
+    with pytest.raises(MeshError, match=re.escape(message)):
+        mesh_from_json(json.dumps(data))
+    with pytest.raises(MeshError, match=re.escape(message)):
+        mesh_from_dict(data)
+
+
 def _spelled(key, index, spelling, layout=None):
     """The level-0 2-cover's text in layout (compact and key-sorted if
     None) with entry index of table key spelled as given."""

@@ -12,8 +12,9 @@ import scipy.sparse.linalg as spla
 
 from helpers import (NONABELIAN_SPEC, CountingFactor, first_system,
                      graph_distances, identity_meshes, level_mesh,
-                     reference_dijkstra, reference_newton_step,
-                     reference_operators, reference_systole)
+                     reference_dijkstra, reference_newton_solve,
+                     reference_newton_step, reference_operators,
+                     reference_systole)
 from todalab import coupled, gauss, group, ricci
 from todalab import sections as S
 from todalab import hyperbolic as H
@@ -574,6 +575,35 @@ def test_each_block_is_solved_by_its_own_factor():
     assert not np.array_equal(swapped, x)
 
 
+def test_copy_free_preconditioner_matches_split_reference(monkeypatch):
+    # newton_solve passes a single factor's own solve to MINRES and solves
+    # two blocks by slices into one output.  Every solve of the Green
+    # solves (one factor) and of the coupled Newton steps (two) on a
+    # level-3 cover has the bits of the split/concatenate application in
+    # reference_newton_solve, and a CountingFactor counts the same solves
+    # on each factor in both.
+    mesh = level_mesh(3, 2)
+    true_solve = ops.newton_solve
+    seen = set()
+
+    def checked(bundle, A, b, name, factors, **kwargs):
+        counted = [CountingFactor(lu) for lu in factors]
+        x = true_solve(bundle, A, b, name, factors=counted, **kwargs)
+        split = [CountingFactor(lu) for lu in factors]
+        want = reference_newton_solve(bundle, A, b, name, factors=split,
+                                      **kwargs)
+        assert np.array_equal(x.view(np.uint64), want.view(np.uint64)), name
+        assert [lu.solves for lu in counted] == [lu.solves for lu in split]
+        assert min(lu.solves for lu in counted) > 0
+        seen.add((name, len(factors)))
+        return x
+
+    monkeypatch.setattr(ops, "newton_solve", checked)
+    density = divisor_density(mesh)
+    coupled.solve_coupled(mesh, density, coupled.CoupledConfig(degree=1))
+    assert {("green solve", 1), ("coupled newton", 2)} <= seen
+
+
 SOLVER_NAMES = {"splu", "spsolve", "spilu", "factorized"}
 
 
@@ -851,9 +881,10 @@ def test_stored_bits_depend_on_the_screened_factor_alone():
 def test_forcing_cap_floor_and_first_step():
     cap = ops.FORCING_CAP
     assert cap == 1e-6
-    # the first step, whatever the residual, gets the cap
+    # the first step, whatever the residual, gets FIRST_FORCING
+    assert ops.FIRST_FORCING == 1e-4
     for res in (1e-12, 1e-3, 1.0, 1e6):
-        assert ops.forcing(res, None, 1e-10) == cap
+        assert ops.forcing(res, None, 1e-10) == ops.FIRST_FORCING
     # a slow decrease asks no more than the cap
     assert ops.forcing(0.5, 1.0, 1e-10) == cap
     # fast convergence: 0.9 (res/prev)^2, between floor and cap

@@ -332,6 +332,6 @@ def test_failed_krylov_solve_stops_each_newton_solver(problem, monkeypatch):
             solve()
         assert str(info.value).startswith(f"{name}: MINRES")
         assert "info 1" in str(info.value)
-        # the message names the rtol asked of the first step, the cap
-        assert f"rtol {ops.FORCING_CAP:g} " in str(info.value)
+        # the message names the rtol asked of the first step
+        assert f"rtol {ops.FIRST_FORCING:g} " in str(info.value)
         assert len(calls) == 1

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import graph_distances, schwarz_check, schwarz_constant
+from helpers import (graph_distances, one_ring, schwarz_check,
+                     schwarz_constant)
 from todalab import operators as ops
 from todalab import sections as S
 from todalab.mesh import CoverSpec, build_base_surface, build_cover
@@ -122,7 +123,7 @@ def test_one_ring_matches_edge_neighbours():
             expected.add(int(h))
         if h in zeros:
             expected.add(int(t))
-    assert set(np.flatnonzero(density.one_ring())) == expected
+    assert set(np.flatnonzero(one_ring(density))) == expected
     assert len(expected) < mesh1.num_vertices
 
 
