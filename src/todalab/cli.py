@@ -338,11 +338,13 @@ def build_parser():
 
     p = sub.add_parser("section", help="synthesize a section density")
     p.add_argument("--mesh", required=True)
-    p.add_argument("--divisor", help='zeros as "vertex:mult,vertex:mult"')
-    p.add_argument("--zero", action="store_true",
-                   help="the identically-zero section")
-    p.add_argument("--balanced", action="store_true",
-                   help="lift a base density and add one fresh zero")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--divisor",
+                        help='zeros as "vertex:mult,vertex:mult"')
+    source.add_argument("--zero", action="store_true",
+                        help="the identically-zero section")
+    source.add_argument("--balanced", action="store_true",
+                        help="lift a base density and add one fresh zero")
     p.add_argument("--base-mesh", help="base mesh for --balanced")
     p.add_argument("--base-density", help="base density prefix for "
                    "--balanced")

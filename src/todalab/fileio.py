@@ -102,8 +102,8 @@ def read_json_object(path, fields):
 
 def json_object(path, text, fields):
     """The object that text, read from path, holds, with keys including
-    fields, each value of the type fields gives; else a TodaError naming
-    path."""
+    fields, each value of the type fields gives (a JSON true or false only
+    where that type is bool); else a TodaError naming path."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -112,7 +112,9 @@ def json_object(path, text, fields):
         raise TodaError(
             f"{path} holds a JSON {type(doc).__name__}, not an object")
     for key, kind in fields.items():
-        if not isinstance(doc.get(key), kind):
+        value = doc.get(key)
+        if not isinstance(value, kind) or (
+                isinstance(value, bool) and kind is not bool):
             raise TodaError(f"{path} has no valid {key!r} field")
     return doc
 

@@ -48,21 +48,20 @@ bytes.  :func:`mesh_to_json` produces those bytes without that call on the
 tables: it formats each distinct number once (a level-5 2-cover has 628
 distinct edge lengths among 24 576) and each distinct word of the word
 table once (34 among its 24 576 edges), joins the texts by index, then
-assembles the object's ``"key":text`` parts in sorted key order.
-:func:`mesh_from_json` is the one text reader, and it makes no Python
-list of numbers: it cuts each table's list out of the text, parses it by
-one ``np.fromstring`` call behind whole-span checks (the bytes allowed,
-one entry per comma, whole rows, finite floats, integers within int64)
-and leaves ``json.loads`` only the rest (format, genus, level, edge
-words).  It reads the number spellings that NumPy reads and JSON does not
-(``+1``, ``01``, ``.5``, ``1.``) as the numbers they spell; a text that
-fails a check is read by ``json.loads`` and :func:`mesh_from_dict`, the
-one document checker, which rejects any other format (meshes written
+assembles the object's ``"key":text`` parts in the sorted key order of
+``_KEYS``.  :func:`mesh_from_json` reads a text in exactly that layout in
+bulk, with no Python list of numbers: one ``np.fromstring`` call per
+table behind whole-span checks (the bytes allowed, one entry per comma,
+whole rows, finite floats, integers within int64).  Every other text, and
+one that fails a check, goes to ``json.loads`` and :func:`mesh_from_dict`,
+the one document checker, which rejects any other format (meshes written
 before format 2 must be rebuilt), malformed tables and out-of-range
-indices with a MeshError.  Both number the distinct word strings in order
-of first use, parse each once, and hand the mesh the word table those
-give, the one ``word_table`` would build from the edge words, so a mesh
-read back does not derive it again.
+indices with a MeshError; so the number spellings that NumPy reads and
+JSON does not (``+1``, ``01``, ``.5``, ``1.``) read as the numbers they
+spell only in the writer's layout.  Both paths number the distinct word
+strings in order of first use, parse each once, and hand the mesh the
+word table those give, the one ``word_table`` would build from the edge
+words, so a mesh read back does not derive it again.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -589,6 +587,12 @@ TABLES = (("edges", 2, np.int64), ("edge_lengths", 1, float),
           ("tri_edges", 3, np.int64), ("tri_edge_signs", 3, np.int64),
           ("positions", 2, complex), ("base_vertex", 1, np.int64))
 
+# The keys of a mesh file in the order mesh_to_json writes them (sorted,
+# as json.dumps(sort_keys=True) orders them), the one layout the bulk
+# parse reads.
+_KEYS = sorted([key for key, _, _ in TABLES]
+               + ["edge_words", "format", "genus", "level"])
+
 
 def _joined(text, index):
     """The JSON list whose entries have the texts text[index]."""
@@ -633,8 +637,8 @@ def mesh_to_json(mesh):
             if dtype is complex:
                 value = value.view(float)
             parts[key] = _list_text(value.ravel())
-    return "{" + ",".join(f"{json.dumps(key)}:{parts[key]}"
-                          for key in sorted(parts)) + "}"
+    return "{" + ",".join(f'"{key}":{parts[key]}'
+                          for key in _KEYS if key in parts) + "}"
 
 
 def _table(doc, key, width, dtype):
@@ -714,17 +718,13 @@ def _mesh(doc, tables):
     return mesh
 
 
+_SHAPES = {key: (width, dtype) for key, width, dtype in TABLES}
 # The bytes a number table's text may hold in the bulk parse: digits,
-# commas, a minus sign and JSON whitespace (blanks), and in a float table
-# also a plus sign, a point and an exponent.
-_BLANKS = b" \t\n\r"
-_BYTES = {np.int64: b"0123456789,-" + _BLANKS,
-          float: b"0123456789,-+.eE" + _BLANKS}
-_TO_SPACE = bytes.maketrans(b"\t\n\r", b"   ")
+# commas and a minus sign, and in a float table also a plus sign, a point
+# and an exponent.
+_BYTES = {np.int64: b"0123456789,-", float: b"0123456789,-+.eE"}
 _INT64_MAX = np.iinfo(np.int64).max
-# "key": [ at the start of each table's list.
-_TABLE_STARTS = {key: re.compile(rf'"{key}"\s*:\s*\[')
-                 for key, _, _ in TABLES}
+_DECODER = json.JSONDecoder()
 
 
 def _bulk_table(span, width, dtype):
@@ -735,20 +735,11 @@ def _bulk_table(span, width, dtype):
     data = span.encode()
     if data.translate(None, _BYTES[number]):
         return None
-    # np.fromstring reads an entry of blanks as 0 or -1.0, and in an integer
-    # table a minus with no digit after it as 0 ("-") or -1 ("- 1"): these
-    # checks look for them only in a span that holds blanks or minus signs
-    blank = any(byte in data for byte in (b" ", b"\t", b"\n", b"\r"))
-    if blank:
-        spaced = data.translate(_TO_SPACE)
-        bare = spaced.replace(b" ", b"")
-        if (not bare or bare.startswith(b",") or bare.endswith(b",")
-                or b",," in bare):
-            return None
-    if number is np.int64 and b"-" in data:
-        if (data.endswith(b"-") or b"-," in data
-                or blank and b"- " in spaced):
-            return None
+    # in an integer table np.fromstring reads a minus with no digit after
+    # it as 0; the one-byte search keeps the two-byte one off most tables
+    if (number is np.int64 and b"-" in data
+            and (data.endswith(b"-") or b"-," in data)):
+        return None
     # NumPy raises at an entry it cannot read (older NumPy warns and returns
     # the entries before it, which the count check refuses)
     try:
@@ -767,72 +758,50 @@ def _bulk_table(span, width, dtype):
 
 
 def _bulk_document(text):
-    """(doc, tables) of the format-2 mesh text, doc parsed by json.loads
-    with its number tables cut out and tables holding them as arrays; None
-    if a check fails (see mesh_from_json)."""
-    # the keys in sorted order, as mesh_to_json writes them, so that each
-    # search starts where the last table's list ended
-    cuts, at = [], 0
-    for key, width, dtype in sorted(TABLES):
-        start = _TABLE_STARTS[key]
-        match = start.search(text, at) or start.search(text)
-        if match is None:
-            continue
-        end = text.find("]", match.end())
-        table = (_bulk_table(text[match.end():end], width, dtype)
-                 if end >= 0 else None)
-        if table is None:
+    """(doc, tables) of a format-2 mesh text in mesh_to_json's layout: doc
+    the format, genus, level and edge words, tables the number tables as
+    arrays; None if the text is in any other layout or a check fails (see
+    mesh_from_json)."""
+    doc, tables, at, sep = {}, {}, 0, "{"
+    for key in _KEYS:
+        head = f'{sep}"{key}":'
+        if not text.startswith(head, at):
+            if key == "base_vertex":
+                continue
             return None
-        cuts.append((match.end() - 1, end + 1, key, table))
-        at = end
-    # Each cut list becomes a NaN.  With no other NaN in the rest, a table
-    # key whose value in the top-level object is a NaN holds its own cut
-    # list: the text before each NaN is that table's "key":.  A key found
-    # inside a string ("a\"edges":[...]) or a nested object leaves the real
-    # table's list in the rest, so the check fails; of a key given twice,
-    # json.loads keeps the last copy, so the check passes only if the cut
-    # list is the one json.loads would read.
-    pieces, at = [], 0
-    for start, end, _, _ in sorted(cuts, key=operator.itemgetter(0)):
-        pieces += [text[at:start], "NaN"]
-        at = end
-    rest = "".join(pieces) + text[at:]
-    if rest.count("NaN") != len(cuts):
-        return None
-    try:
-        doc = json.loads(rest)
-    except ValueError:
-        return None
-    tables = {key: table for _, _, key, table in cuts}
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
-        return None
-    for key, _, _ in TABLES:
-        value = doc.get(key)
-        if key in tables:
-            found = value != value  # the NaN put in place of its list
+        at, sep = at + len(head), ","
+        if key in _SHAPES:
+            end = text.find("]", at)
+            if not text.startswith("[", at) or end < 0:
+                return None
+            tables[key] = _bulk_table(text[at + 1:end], *_SHAPES[key])
+            if tables[key] is None:
+                return None
+            at = end + 1
         else:
-            found = key == "base_vertex" and value is None
-        if not found:
-            return None
+            # raw_decode skips no whitespace before the value
+            try:
+                doc[key], at = _DECODER.raw_decode(text, at)
+            except ValueError:
+                return None
+    if text[at:] != "}" or doc["format"] != FORMAT:
+        return None
     return doc, tables
 
 
 def mesh_from_json(text):
-    """Inverse of :func:`mesh_to_json`: the mesh that the JSON text holds,
-    read in bulk.  The number tables are not made into Python lists: each
-    table's list is found by its key, cut out of the text and parsed by one
-    ``np.fromstring`` call, and ``json.loads`` parses what remains (format,
-    genus, level, edge words).  The cut text must hold only digits,
-    commas, JSON whitespace, minus signs and, in float tables, plus signs,
-    points and exponents, one nonempty entry per comma (so a trailing
-    comma or an empty entry fails), a whole number of rows and finite
-    floats and integers within int64; and each cut list must be the one
-    that json.loads reads for its key in the top-level object.  A text
-    that fails any check is read as ``mesh_from_dict(json.loads(text))``,
-    so it gets that function's MeshError or json.loads's JSONDecodeError:
-    messages are built only there.  Number spellings that NumPy reads and
-    JSON does not (``+1``, ``.5`` and ``1.`` in a float table, ``01`` in
-    any table) are read as the numbers they spell."""
+    """Inverse of :func:`mesh_to_json`: the mesh that the JSON text holds.
+    A text in the layout mesh_to_json writes is read in bulk, each number
+    table by one ``np.fromstring`` call behind the checks of _bulk_table
+    (only digits, commas, minus signs and, in float tables, plus signs,
+    points and exponents; one nonempty entry per comma; whole rows; finite
+    floats; integers within int64) and the other values by
+    ``json.JSONDecoder.raw_decode``.  Any other text, and one that fails a
+    check, is read as ``mesh_from_dict(json.loads(text))``, with that
+    function's MeshError or json.loads's JSONDecodeError: messages are
+    built only there.  So the number spellings that NumPy reads and JSON
+    does not (``+1``, ``.5`` and ``1.`` in a float table, ``01`` in any
+    table) read as the numbers they spell only in the writer's layout."""
     parsed = _bulk_document(text)
     if parsed is None:
         return mesh_from_dict(json.loads(text))

@@ -1,13 +1,14 @@
 """Shared fixtures: deck-invariant smooth bump fields built from positions,
 the reference systole search, cover construction, refinement, operator
 assembly, mesh JSON encoder and direct Newton step, the meshes of the
-bit-identity tests, a mesh document of the retired layout,
-the dense stability oracles, a factor that counts its solves and the
-row-by-row field CSV writer and reader."""
+bit-identity tests, a mesh document of the retired layout, mutated mesh
+texts, the dense stability oracles, a factor that counts its solves and
+the row-by-row field CSV writer and reader."""
 
 import functools
 import heapq
 import json
+import re
 
 import numpy as np
 import pytest
@@ -439,6 +440,42 @@ def v1_mesh_document(mesh):
     if mesh.base_vertex is not None:
         doc["base_vertex"] = mesh.base_vertex.tolist()
     return doc
+
+
+# The characters a mutation inserts: those of numbers and of JSON's
+# structure, blanks, and letters of JSON's literals and of words.
+_MUTATION_CHARS = '0123456789,-+.eE[]{}":\\ \t\nnultrfasNIBy'
+# A number spelling that NumPy reads and JSON does not: a plus sign
+# outside an exponent, a leading zero, a point without a digit before or
+# after it.
+NONJSON_SPELLING = re.compile(
+    r"(?<![eE])\+|(?<![0-9.eE+-])-?0[0-9]|(?<![0-9])\.|\.(?![0-9])")
+
+
+def mutated_texts(text, count, seed):
+    """count texts, each text with one seeded edit: a character deleted,
+    replaced or inserted, or a slice of up to 8 characters repeated.  The
+    edit is anywhere, at or just after a bracket, brace or colon, at or
+    just after a minus sign, or at the end, one in four each: the reader's
+    layout checks lie at those places."""
+    rng = np.random.default_rng(seed)
+    data = np.frombuffer(text.encode(), np.uint8)
+    spots = [np.arange(len(text) + 1), [len(text) - 1, len(text)]]
+    for marks in (b"[]{}:", b"-"):
+        marks = np.flatnonzero(np.isin(data, list(marks)))
+        spots.append(np.concatenate([marks, marks + 1]))
+    for _ in range(count):
+        at = int(rng.choice(spots[rng.integers(len(spots))]))
+        char = _MUTATION_CHARS[rng.integers(len(_MUTATION_CHARS))]
+        kind = rng.integers(4)
+        if kind == 0:
+            yield text[:at] + text[at + 1:]
+        elif kind == 1:
+            yield text[:at] + char + text[at + 1:]
+        elif kind == 2:
+            yield text[:at] + char + text[at:]
+        else:
+            yield text[:at + int(rng.integers(1, 9))] + text[at:]
 
 
 # ----------------------------------------------------------------------

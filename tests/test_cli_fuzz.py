@@ -64,8 +64,9 @@ BAD_DIVISORS = {
 def workspace(tmp_path_factory):
     """Level-2 base mesh, a degree-4 density on it, its 2-cover with a
     balanced density, a level-0 mesh with a degree-4 density, background
-    fields u on the base with +inf or -inf at vertex 1, and the files of
-    BAD_MESHES and BAD_DIVISORS."""
+    fields u on the base with +inf or -inf at vertex 1, the files of
+    BAD_MESHES and BAD_DIVISORS, and a degree-1 density on the base whose
+    sidecar states the degree as true."""
     root = tmp_path_factory.mktemp("fuzz")
     mesh, density = str(root / "base.json"), str(root / "dens")
     cover, cover_density = str(root / "cover.json"), str(root / "cdens")
@@ -100,6 +101,14 @@ def workspace(tmp_path_factory):
             sidecar = json.load(handle)
         with open(bad[name] + ".json", "w") as handle:
             json.dump({**sidecar, "divisor": divisor}, handle)
+    bad["dens_degree_true"] = str(root / "dens_degree_true")
+    assert main(["section", "--mesh", mesh, "--divisor", "1:1",
+                 "-o", bad["dens_degree_true"]]) == 0
+    with open(bad["dens_degree_true"] + ".json") as handle:
+        sidecar = json.load(handle)
+    assert sidecar["degree"] == 1
+    with open(bad["dens_degree_true"] + ".json", "w") as handle:
+        json.dump({**sidecar, "degree": True}, handle)
     return {"mesh": mesh, "density": density, "cover": cover,
             "cover_density": cover_density, "mesh0": mesh0,
             "density0": density0, **fields, **bad}
@@ -221,6 +230,22 @@ CASES = {
     "density-divisor-mult-0": (
         ["verify", "--mesh", "{mesh}", "--density", "{dens_mult0}"], 1,
         "dens_mult0.json divisor: divisor multiplicities must be >= 1"),
+    # A JSON true is not an integer, though Python's bool is an int.
+    "density-degree-true": (
+        ["verify", "--mesh", "{mesh}", "--density", "{dens_degree_true}"], 1,
+        "dens_degree_true.json has no valid 'degree' field"),
+    # A density comes from one source: a divisor, a balanced lift or the
+    # zero section.
+    "section-divisor-zero": ([*_section("0:1"), "--zero"], 2,
+                             "argument --zero: not allowed with argument "
+                             "--divisor"),
+    "section-divisor-balanced": ([*_section("0:1"), "--balanced"], 2,
+                                 "argument --balanced: not allowed with "
+                                 "argument --divisor"),
+    "section-zero-balanced": (["section", "--mesh", "{mesh}", "--zero",
+                               "--balanced", "-o", "{out}/d"], 2,
+                              "argument --balanced: not allowed with "
+                              "argument --zero"),
     # The cover's vertex count is a multiple of the base's, but its
     # covering map names vertices the base mesh does not have.
     "balanced-base-mismatch": (
@@ -349,3 +374,19 @@ def test_changed_density_fails_on_its_hash(run_dir, workspace, tmp_path,
     with open(manifest_path, "w") as handle:
         json.dump(manifest, handle)
     assert "density_csv file hash changed" in _verify_failure(run, capsys)
+
+
+@pytest.mark.parametrize("field", ["degree", "outer_iters", "eta", "t"])
+def test_true_certificate_number_fails_verify(field, run_dir, tmp_path,
+                                              capsys):
+    # A JSON true in a number field of the certificate is refused by name,
+    # before anything is recomputed.
+    run = str(tmp_path / "run")
+    shutil.copytree(run_dir, run)
+    path = os.path.join(run, "certificate.json")
+    with open(path) as handle:
+        certificate = json.load(handle)
+    with open(path, "w") as handle:
+        json.dump({**certificate, field: True}, handle)
+    assert _verify_failure(run, capsys) == (
+        f"verify: FAIL: {path} has no valid {field!r} field")

@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (NONABELIAN_SPEC, identity_meshes, reference_build_cover,
+from helpers import (NONABELIAN_SPEC, NONJSON_SPELLING, identity_meshes,
+                     level_mesh, mutated_texts, reference_build_cover,
                      reference_mesh_json, reference_refine, v1_mesh_document)
 from todalab import group as G
 from todalab import hyperbolic as H
@@ -643,6 +644,16 @@ READER_CASES = {
     "no-fraction-digits": (_spelled("edge_lengths", 0, "1."), _spelled(
         "edge_lengths", 0, "1.0"), False),
     "plus-in-integer-table": (_spelled("tri_edges", 1, "+1"), None, True),
+    # other layouts than the writer's are read by json.loads alone, so a
+    # spelling JSON does not take is refused there
+    "format-first": (lambda doc: json.dumps(
+        {"format": 2, **doc}, separators=(",", ":")), None, False),
+    "trailing-newline": (
+        lambda doc: mesh_to_json(mesh_from_dict(doc)) + "\n", None, False),
+    "blank-after-colon": (lambda doc: mesh_to_json(mesh_from_dict(
+        doc)).replace('"edges":', '"edges": '), None, False),
+    "plus-sign-indented": (_spelled("positions", 1, "+1", {"indent": 1}),
+                           None, True),
 }
 
 
@@ -666,3 +677,53 @@ def test_text_reader_matches_json_reader(meshes, name):
             json.loads(text)
     elif got[0] == "mesh":
         assert got[-1] == mesh_to_json(mesh_from_dict(doc))
+
+
+def test_null_base_vertex_reads_as_json_reads_it(meshes):
+    # a cover's text with "base_vertex":null is not the writer's layout:
+    # json.loads and mesh_from_dict read it as a mesh with no base vertex
+    doc = json.loads(mesh_to_json(build_cover(meshes[0],
+                                              CoverSpec.cyclic(2))))
+    text = json.dumps({**doc, "base_vertex": None}, separators=(",", ":"),
+                      sort_keys=True)
+    assert mesh_module._bulk_document(text) is None
+    got = _read_outcome(mesh_from_json, text)
+    assert got == _read_outcome(lambda t: mesh_from_dict(json.loads(t)), text)
+    assert mesh_from_json(text).base_vertex is None
+
+
+def _fail(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+    return fail
+
+
+@pytest.mark.parametrize("name", [f"l{level}{cover}" for cover in ("", "c2")
+                                  for level in range(6)] + ["l2-nonabelian"])
+def test_writer_layout_is_read_in_bulk(name, monkeypatch):
+    """The text mesh_to_json writes is read by the walk over _KEYS alone:
+    neither json.loads nor mesh_from_dict runs."""
+    mesh = identity_meshes().get(name) or level_mesh(int(name[1]), 2)
+    text = mesh_to_json(mesh)
+    want = _read_outcome(lambda t: mesh_from_dict(json.loads(t)), text)
+    monkeypatch.setattr(json, "loads", _fail("json.loads"))
+    monkeypatch.setattr(mesh_module, "mesh_from_dict", _fail("mesh_from_dict"))
+    read = mesh_from_json(text)
+    monkeypatch.undo()
+    assert _read_outcome(lambda t: read, text) == want
+    assert want[-1] == text
+
+
+def test_mutated_texts_read_as_json_reads_them(meshes):
+    """On texts one edit away from the writer's, mesh_from_json reads what
+    mesh_from_dict(json.loads(text)) reads, except where the text holds a
+    number spelling that NumPy reads and JSON does not."""
+    for seed, mesh in enumerate([meshes[1], build_cover(
+            meshes[1], CoverSpec.cyclic(2))]):
+        text = mesh_to_json(mesh)
+        assert NONJSON_SPELLING.search(text) is None
+        for mutated in mutated_texts(text, 150, seed):
+            got = _read_outcome(mesh_from_json, mutated)
+            want = _read_outcome(lambda t: mesh_from_dict(json.loads(t)),
+                                 mutated)
+            assert got == want or NONJSON_SPELLING.search(mutated), mutated
