@@ -152,10 +152,8 @@ def cmd_solve_coupled(args):
     os.makedirs(args.output, exist_ok=True)
     out = lambda name: os.path.join(args.output, name)
 
-    config_dict = {"eta": args.eta, "degree": args.degree,
-                   "scale": args.scale}
-    manifest = fileio.run_manifest(args.mesh, args.density, config_dict)
-    fileio.write_json(out("manifest.json"), manifest)
+    fileio.write_json(out("manifest.json"),
+                      fileio.run_manifest(args.mesh, args.density))
     fileio.write_field_csv(out("u.csv"), "u", result.u)
     fileio.write_field_csv(out("v.csv"), "v", result.v)
     fileio.write_json(out("certificate.json"),
@@ -167,7 +165,7 @@ def cmd_solve_coupled(args):
     return 0
 
 
-# The largest curvature-identity residual `verify --density` accepts.
+# The largest curvature-identity residual `verify` accepts.
 DENSITY_TOL = 1e-8
 
 
@@ -176,42 +174,32 @@ def _fail(message):
     return 1
 
 
+def _read_manifest(run, fields):
+    """(path, object) of run/manifest.json; any fault is a TodaError."""
+    path = os.path.join(run, "manifest.json")
+    try:
+        return path, fileio.read_json_object(path, fields)[1]
+    except OSError as exc:
+        raise TodaError(f"{exc.filename}: {exc.strerror}") from None
+
+
 def cmd_verify(args):
+    """Checks the mesh, the density and the run, each in one place; with
+    --run, the manifest names the inputs no flag names, hashed first."""
     from .coupled import certify
     from .operators import spectral_gap
     from .sections import poincare_lelong_residual
-    checked = []
-    mesh = density = None
-    if args.mesh:
-        mesh = _read_mesh(args.mesh)
-        mesh.validate()
-        report = spectral_gap(mesh)
-        if report.lambda0 > 1e-8:
-            return _fail(f"lambda0 = {report.lambda0:.3e} is not zero")
-        checked.append(f"mesh {args.mesh}")
-
-    if args.density:
-        if mesh is None:
-            raise ValueError("--density needs --mesh")
-        density = fileio.read_density(args.density, mesh)
-        if not density.is_zero:
-            res = poincare_lelong_residual(density)
-            if not (res <= DENSITY_TOL):  # a NaN residual fails too
-                return _fail(f"density curvature residual {res:.3e} "
-                             f"exceeds {DENSITY_TOL:.1e}")
-        checked.append(f"density {args.density}")
-
+    if args.density and not args.mesh:
+        raise ValueError("--density needs --mesh")
+    mesh_path, density_path = args.mesh, args.density
     if args.run:
-        manifest_path = os.path.join(args.run, "manifest.json")
         try:
-            _, manifest = fileio.read_json_object(
-                manifest_path, {"mesh": str, "density": str, "hashes": dict})
+            manifest_path, manifest = _read_manifest(
+                args.run, {"mesh": str, "density": str, "hashes": dict})
         except TodaError as exc:
             return _fail(str(exc))
-        except OSError as exc:
-            return _fail(f"{exc.filename}: {exc.strerror}")
-        mesh_path = args.mesh or manifest["mesh"]
-        density_path = args.density or manifest["density"]
+        mesh_path = mesh_path or manifest["mesh"]
+        density_path = density_path or manifest["density"]
         for key, path in fileio.run_inputs(mesh_path, density_path):
             try:
                 digest = fileio.file_blob_sha1(path)
@@ -221,27 +209,42 @@ def cmd_verify(args):
             if digest != manifest["hashes"].get(key):
                 return _fail(f"{manifest_path}: {key} file hash changed "
                              "since the run")
-        run_mesh = mesh
-        if run_mesh is None:
-            run_mesh = _read_mesh(mesh_path)
-            run_mesh.validate()
-        if density is None:
-            # With --density given, density_path is that prefix and
-            # run_mesh is the --mesh mesh: the density read above is it.
-            density = fileio.read_density(density_path, run_mesh)
+    elif not mesh_path:
+        raise ValueError("nothing to verify: pass --mesh, --density, --run")
+
+    mesh = _read_mesh(mesh_path)
+    mesh.validate()
+    report = spectral_gap(mesh)
+    if report.lambda0 > 1e-8:
+        return _fail(f"lambda0 = {report.lambda0:.3e} is not zero")
+    checked = [f"mesh {mesh_path}"]
+
+    if args.run or density_path:  # a run always names its density
+        density = fileio.read_density(density_path, mesh)
+        if not density.is_zero:
+            res = poincare_lelong_residual(density)
+            if not (res <= DENSITY_TOL):  # a NaN residual fails too
+                return _fail(f"density curvature residual {res:.3e} "
+                             f"exceeds {DENSITY_TOL:.1e}")
+        checked.append(f"density {density_path}")
+
+    if args.run:
         cert_path = os.path.join(args.run, "certificate.json")
         try:
-            V = run_mesh.num_vertices
+            V = mesh.num_vertices
             _, u = fileio.read_field_csv(os.path.join(args.run, "u.csv"), "u", V)
             _, v = fileio.read_field_csv(os.path.join(args.run, "v.csv"), "v", V)
             stored_bytes, stored = fileio.read_json_object(cert_path, {
                 "eta": (int, float), "degree": int, "t": (int, float),
                 "outer_iters": int, "converged": bool})
-            recomputed = certify(
-                run_mesh, u, v, density, eta=stored["eta"],
-                degree=stored["degree"], t=stored["t"],
-                outer_iters=stored["outer_iters"],
-                converged=stored["converged"])
+            # Absurd stored fields overflow exp to inf, which fails the
+            # byte comparison below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                recomputed = certify(
+                    mesh, u, v, density, eta=stored["eta"],
+                    degree=stored["degree"], t=stored["t"],
+                    outer_iters=stored["outer_iters"],
+                    converged=stored["converged"])
         except TodaError as exc:
             return _fail(str(exc))
         except OSError as exc:  # a missing or unreadable run file
@@ -260,8 +263,6 @@ def cmd_verify(args):
                          f"converged true and residuals at most {tol:.0e}")
         checked.append(f"run {args.run}")
 
-    if not checked:
-        raise ValueError("nothing to verify: pass --mesh, --density, --run")
     print("verify: OK (" + "; ".join(checked) + ")")
     return 0
 
@@ -269,17 +270,17 @@ def cmd_verify(args):
 def cmd_export(args):
     mesh = _read_mesh(args.mesh)
     V = mesh.num_vertices
+    density_path = args.density or _read_manifest(
+        args.run, {"density": str})[1]["density"]
     try:
-        density_path = args.density or fileio.read_json_object(
-            os.path.join(args.run, "manifest.json"),
-            {"density": str})[1]["density"]
         _, u = fileio.read_field_csv(os.path.join(args.run, "u.csv"), "u", V)
         _, v = fileio.read_field_csv(os.path.join(args.run, "v.csv"), "v", V)
     except OSError as exc:  # a missing or unreadable run file
         raise TodaError(f"{exc.filename}: {exc.strerror}") from None
     density = fileio.read_density(density_path, mesh)
     ld = density.log_density
-    af = np.exp(ld + 2.0 * v - 4.0 * u)
+    with np.errstate(over="ignore", invalid="ignore"):  # vtk_text clamps
+        af = np.exp(ld + 2.0 * v - 4.0 * u)
     fileio.write_vtk(args.output, mesh, [
         ("u", u), ("v", v), ("log_alpha2", ld), ("af_integrand", af)])
     print(f"wrote VTK -> {args.output}")

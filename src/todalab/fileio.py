@@ -17,7 +17,7 @@ Formats:
                          (read_field_csv).
   * density CSV+JSON  -- log-density field plus divisor sidecar
   * certificate JSON  -- almost-Fuchsian certificate dict
-  * run manifest JSON -- input paths, config, git-style blob hashes
+  * run manifest JSON -- input paths and their git-style blob hashes
   * VTK legacy ASCII  -- POLYDATA with point scalars for external viewers
 """
 
@@ -272,13 +272,11 @@ def run_inputs(mesh_path, density_path):
             ("density_json", density_path + ".json")]
 
 
-def run_manifest(mesh_path, density_path, config_dict):
-    """The run's input paths, its config and the blob hashes of its
-    run_inputs."""
+def run_manifest(mesh_path, density_path):
+    """The run's input paths and the blob hashes of its run_inputs."""
     return {
         "mesh": mesh_path,
         "density": density_path,
-        "config": config_dict,
         "hashes": {key: file_blob_sha1(path)
                    for key, path in run_inputs(mesh_path, density_path)},
     }

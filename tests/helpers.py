@@ -456,14 +456,16 @@ def mutated_texts(text, count, seed):
     """count texts, each text with one seeded edit: a character deleted,
     replaced or inserted, or a slice of up to 8 characters repeated.  The
     edit is anywhere, at or just after a bracket, brace or colon, at or
-    just after a minus sign, or at the end, one in four each: the reader's
+    just after a minus sign, at or just after a comma or newline, or at
+    the end, evenly among the kinds of spot the text has: the readers'
     layout checks lie at those places."""
     rng = np.random.default_rng(seed)
     data = np.frombuffer(text.encode(), np.uint8)
     spots = [np.arange(len(text) + 1), [len(text) - 1, len(text)]]
-    for marks in (b"[]{}:", b"-"):
+    for marks in (b"[]{}:", b"-", b",\n"):
         marks = np.flatnonzero(np.isin(data, list(marks)))
-        spots.append(np.concatenate([marks, marks + 1]))
+        if marks.size:
+            spots.append(np.concatenate([marks, marks + 1]))
     for _ in range(count):
         at = int(rng.choice(spots[rng.integers(len(spots))]))
         char = _MUTATION_CHARS[rng.integers(len(_MUTATION_CHARS))]

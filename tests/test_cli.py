@@ -411,6 +411,49 @@ def test_verify_reports_malformed_run_files(run_dir, tmp_path, capsys,
     assert path in err and message in err
 
 
+def test_verify_run_checks_the_inputs_its_manifest_names(
+        run_dir, workspace, tmp_path, capsys):
+    # verify --run alone checks the mesh and density the manifest names as
+    # the flags would name them: a run solved from a density that breaks
+    # the curvature identity fails either way.
+    assert main(["verify", "--run", run_dir]) == 0
+    assert capsys.readouterr().out == (
+        f"verify: OK (mesh {workspace['cover']}; density "
+        f"{workspace['cover_dens']}; run {run_dir})\n")
+    with open(workspace["cover"]) as handle:
+        cover = mesh_from_json(handle.read())
+    density = fileio.read_density(workspace["cover_dens"], cover)
+    density.log_density[::7] += 0.05
+    bent, run = str(tmp_path / "bent"), str(tmp_path / "run")
+    fileio.write_density(bent, density)
+    assert main(["solve-coupled", "--mesh", workspace["cover"], "--density",
+                 bent, "--degree", "1", "-o", run]) == 0
+    capsys.readouterr()
+    for flags in ([], ["--mesh", workspace["cover"], "--density", bent]):
+        assert main(["verify", *flags, "--run", run]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verify: FAIL: density curvature residual ")
+        assert err.count("\n") == 1
+
+
+def test_run_manifest_names_inputs_and_hashes_only(run_dir, workspace,
+                                                   tmp_path):
+    # Nothing reads a config block: the certificate records eta, degree
+    # and the t used.  A manifest that still holds one verifies.
+    path = os.path.join(run_dir, "manifest.json")
+    manifest = fileio.read_json(path)
+    assert manifest == {
+        "mesh": workspace["cover"], "density": workspace["cover_dens"],
+        "hashes": {key: fileio.file_blob_sha1(name) for key, name in
+                   fileio.run_inputs(workspace["cover"],
+                                     workspace["cover_dens"])}}
+    run = str(tmp_path / "run")
+    shutil.copytree(run_dir, run)
+    fileio.write_json(os.path.join(run, "manifest.json"), {
+        **manifest, "config": {"eta": 0.5, "degree": 1, "scale": None}})
+    assert main(["verify", "--run", run]) == 0
+
+
 def test_verify_fails_converged_run_with_nan_residuals(run_dir, workspace,
                                                       tmp_path, capsys):
     from todalab.coupled import certify

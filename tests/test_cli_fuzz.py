@@ -5,18 +5,25 @@ Each case must end in exit 1 (domain error) or 2 (usage error) with a
 single ``error:`` or ``usage error:`` line on stderr (``verify: FAIL:``
 for a run that fails verification): never a traceback, never a
 non-convergence report caused by the input, never exit 0.  A tiny but
-representable ``--scale`` is not a bad value: it solves, silently.
+representable ``--scale`` is not a bad value: it solves, silently.  A
+seeded edit of a run's file may also exit 0 where it changes nothing that
+verify checks.
 """
 
+import functools
 import json
 import os
 import shutil
 import warnings
 
+import numpy as np
 import pytest
 
-from helpers import v1_mesh_document
+from helpers import mutated_texts, reference_read_field_csv, v1_mesh_document
+from todalab import cli, fileio
 from todalab.cli import main
+from todalab.coupled import certify
+from todalab.errors import TodaError
 from todalab.mesh import mesh_from_json
 
 
@@ -390,3 +397,134 @@ def test_true_certificate_number_fails_verify(field, run_dir, tmp_path,
         json.dump({**certificate, field: True}, handle)
     assert _verify_failure(run, capsys) == (
         f"verify: FAIL: {path} has no valid {field!r} field")
+
+
+@pytest.mark.parametrize("name, row", [("u.csv", "1,-2.0e17"),
+                                       ("v.csv", "1,2.0e17")])
+def test_absurd_field_fails_verify_in_one_line(name, row, run_dir, workspace,
+                                               tmp_path, capsys):
+    # exp overflows to inf inside the recomputed certificate, which then
+    # differs from the stored one: one line, and no floating-point warning
+    # even with warnings as errors.  Export clamps the inf and succeeds.
+    run = str(tmp_path / "run")
+    shutil.copytree(run_dir, run)
+    _replace_row(os.path.join(run, name), row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _verify_failure(run, capsys) == (
+            "verify: FAIL: recomputed certificate differs from the stored "
+            "one")
+        assert main(["export", "--mesh", workspace["mesh"], "--run", run,
+                     "-o", str(tmp_path / "f.vtk")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+# The files of a run that verify reads besides the mesh, by their names in
+# the small_run directory.
+RUN_FILES = ["run/u.csv", "run/v.csv", "run/certificate.json",
+             "run/manifest.json", "dens.csv", "dens.json"]
+FORMS = {"run": ["verify", "--run", "run"],
+         "flags": ["verify", "--mesh", "cover.json", "--density", "dens",
+                   "--run", "run"]}
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A solved run on the level-1 2-cover, its inputs named relative to
+    the directory returned, as in the README."""
+    root = tmp_path_factory.mktemp("small_run")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)
+        for argv in (["mesh", "--refine", "1", "-o", "base.json"],
+                     ["cover", "--mesh", "base.json", "--n", "2",
+                      "-o", "cover.json"],
+                     ["section", "--mesh", "base.json", "--divisor",
+                      "0:1,1:1,5:1,9:1", "-o", "base_dens"],
+                     ["section", "--mesh", "cover.json", "--balanced",
+                      "--base-mesh", "base.json", "--base-density",
+                      "base_dens", "--zero-vertex", "3", "-o", "dens"],
+                     ["solve-coupled", "--mesh", "cover.json", "--density",
+                      "dens", "-o", "run"], FORMS["run"], FORMS["flags"]):
+            assert main(argv) == 0, argv
+    return root
+
+
+def _json_or_none(text):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return None
+
+
+def _field_or_none(path):
+    try:
+        return reference_read_field_csv(path)[1]
+    except TodaError:
+        return None
+
+
+def _recertifies(run, stored_bytes):
+    """Whether the run's u and v, read row by row, recompute the stored
+    certificate's bytes."""
+    u, v = (_field_or_none(os.path.join(run, f"{x}.csv")) for x in "uv")
+    with open("cover.json") as handle:
+        cover = mesh_from_json(handle.read())
+    if u is None or v is None or not len(u) == len(v) == cover.num_vertices:
+        return False
+    stored = json.loads(stored_bytes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cert = certify(cover, u, v, fileio.read_density("dens", cover),
+                       eta=stored["eta"], degree=stored["degree"],
+                       t=stored["t"], outer_iters=stored["outer_iters"],
+                       converged=stored["converged"])
+    return fileio.dump_json(cert.to_dict()) == stored_bytes
+
+
+def _without_paths(doc):
+    return isinstance(doc, dict) and {
+        key: value for key, value in doc.items()
+        if key not in ("mesh", "density")}
+
+
+@pytest.mark.parametrize("name", RUN_FILES)
+def test_mutated_run_file_fails_verify_in_one_line(name, small_run, tmp_path,
+                                                   capsys, monkeypatch):
+    """100 seeded one-edit texts of each file that verify reads from a run,
+    through both forms of verify, with warnings as errors: each ends in
+    exit 1 or 2 with one stderr line, or exit 0 where the edit changes
+    nothing verify checks (the values read, the recomputed certificate's
+    bytes, or a manifest path name that a flag overrides)."""
+    shutil.copytree(small_run, tmp_path / "w")
+    monkeypatch.chdir(tmp_path / "w")
+    # One parser for the 200 calls: building it is a third of a call.
+    monkeypatch.setattr(cli, "build_parser",
+                        functools.lru_cache(cli.build_parser))
+    with open(name) as handle:
+        original = handle.read()
+    with open("run/certificate.json") as handle:
+        certificate = handle.read()
+    csv = name.endswith(".csv")
+    values = _field_or_none(name) if csv else json.loads(original)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text in mutated_texts(original, 100, RUN_FILES.index(name)):
+            with open(name, "w") as handle:
+                handle.write(text)
+            if csv:
+                same = np.array_equal(_field_or_none(name), values)
+            else:
+                same = _json_or_none(text) == values
+            for form, argv in FORMS.items():
+                code = main(argv)
+                err = capsys.readouterr().err
+                if code == 0:
+                    assert err == "", (form, text)
+                    assert same or (
+                        name.startswith("run/") and csv
+                        and _recertifies("run", certificate)) or (
+                        name == "run/manifest.json" and form == "flags"
+                        and _without_paths(_json_or_none(text))
+                        == _without_paths(values)), (form, text)
+                else:
+                    assert code in (1, 2), (form, text)
+                    assert len(err.splitlines()) == 1, (form, text, err)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from helpers import first_system
+from helpers import NONABELIAN_SPEC, first_system
 from todalab import coupled as C
 from todalab import gauss as G
 from todalab import operators as ops
@@ -371,3 +371,26 @@ def test_degree_two_solve_is_insensitive_to_the_forcing_cap(monkeypatch):
     loose = C.solve_coupled(dens.mesh, dens, config).certificate
     assert loose.t == pytest.approx(default.t, rel=1e-8)
     assert loose.sup_af == pytest.approx(default.sup_af, rel=1e-8)
+
+
+@pytest.mark.parametrize("level, spec", [
+    (3, CoverSpec.cyclic(2)), (2, NONABELIAN_SPEC)],
+    ids=["l3-cyclic2", "l2-nonabelian"])
+def test_cover_solve_is_the_lifted_base_solve(level, spec):
+    # An oracle at the cost of the base: a density lifted to an n-sheeted
+    # cover, solved at degree n (so the same c = t 2 pi d / Vol), has the
+    # base's degree-1 solution lifted through the covering map.
+    base = build_base_surface(refinement=level)
+    cover = build_cover(base, spec)
+    base_dens = S.synth_density(base, S.Divisor(README_DIVISOR))
+    lifted = S.lift_density(base_dens, cover)
+    on_base = C.solve_coupled(base, base_dens,
+                              C.CoupledConfig(degree=1, t=0.1))
+    on_cover = C.solve_coupled(cover, lifted,
+                               C.CoupledConfig(degree=spec.degree, t=0.1))
+    for field in ("u", "v"):
+        lift = getattr(on_base, field)[cover.base_vertex]
+        assert np.abs(getattr(on_cover, field) - lift).max() <= 1e-12, field
+    one, many = on_base.certificate, on_cover.certificate
+    assert many.outer_iters == one.outer_iters
+    assert many.sup_af == pytest.approx(one.sup_af, rel=1e-12, abs=0)
